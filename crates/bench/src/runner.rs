@@ -999,7 +999,8 @@ pub fn e18_batched_executor() -> Table {
 /// doubles as the overhead control: the resilient path must return the
 /// identical answer, and its relative cost vs plain ANSWER\* is recorded.
 pub fn e19_fault_resilience() -> Table {
-    use lap_core::answer_star_resilient;
+    use lap_core::answer_star_resilient_cfg;
+    use lap_engine::ExecConfig;
     use lap_obs::Recorder;
     use lap_workload::chaos_ladder;
     let mut t = Table::new(
@@ -1028,11 +1029,13 @@ pub fn e19_fault_resilience() -> Table {
     let d_plain = time_median(TIMING_ITERS, || {
         std::hint::black_box(answer_star(&q, &program.schema, &scenario.db).unwrap());
     });
+    let (recorder, cfg) = (Recorder::disabled(), ExecConfig::default());
     for rung in chaos_ladder(19) {
-        let recorder = Recorder::disabled();
-        let outcome =
-            answer_star_resilient(&q, &program.schema, &scenario.db, &recorder, &rung.resilience)
-                .expect("resilient run");
+        let (schema, db, res) = (&program.schema, &scenario.db, &rung.resilience);
+        let resilient = || {
+            answer_star_resilient_cfg(&q, schema, db, &recorder, res, cfg).expect("resilient run")
+        };
+        let outcome = resilient();
         assert!(
             outcome.report.under.is_subset(&plain.under),
             "degraded answers must be a subset of fault-free answers"
@@ -1047,16 +1050,7 @@ pub fn e19_fault_resilience() -> Table {
             assert_eq!(outcome.report.under, plain.under, "rate 0 must be answer-identical");
             assert!(!outcome.degradation.is_degraded());
             let d_res = time_median(TIMING_ITERS, || {
-                std::hint::black_box(
-                    answer_star_resilient(
-                        &q,
-                        &program.schema,
-                        &scenario.db,
-                        &recorder,
-                        &rung.resilience,
-                    )
-                    .unwrap(),
-                );
+                std::hint::black_box(resilient());
             });
             format!(
                 "{:+.1}%",
@@ -1091,7 +1085,8 @@ pub fn e19_fault_resilience() -> Table {
 /// 10% of the metrics-only tier — cheap enough to leave on — while the
 /// replay tier documents the price of bit-for-bit reproducibility.
 pub fn e20_journal_overhead() -> Table {
-    use lap_core::answer_star_resilient;
+    use lap_core::answer_star_resilient_cfg;
+    use lap_engine::ExecConfig;
     use lap_obs::{JournalConfig, Recorder};
     let mut t = Table::new(
         "E20 — flight-recorder overhead (resilient ANSWER*, federated bookstore)",
@@ -1127,9 +1122,10 @@ pub fn e20_journal_overhead() -> Table {
             Box::new(|| Recorder::with_journal(JournalConfig::replay())),
         ),
     ];
+    let cfg = ExecConfig::default();
     let run = |recorder: &Recorder| {
         std::hint::black_box(
-            answer_star_resilient(&q, &program.schema, &scenario.db, recorder, &resilience)
+            answer_star_resilient_cfg(&q, &program.schema, &scenario.db, recorder, &resilience, cfg)
                 .unwrap(),
         )
     };
@@ -1281,7 +1277,7 @@ pub fn e21_overlapped_io() -> Table {
 /// answers identical to the static plan and the whole loop bit-for-bit
 /// deterministic (two runs from the frozen profile agree exactly).
 pub fn e22_calibrated_replanning() -> Table {
-    use lap_core::{answer_star_resilient_cfg, answer_star_resilient_planned_cfg, AnswerOutcome};
+    use lap_core::{answer_star_opts, answer_star_resilient_cfg, AnswerOptions, AnswerOutcome};
     use lap_engine::{Database, ExecConfig, FaultConfig, ResilienceConfig, RetryPolicy};
     use lap_obs::{FeedbackStore, JournalConfig, Recorder};
     let mut t = Table::new(
@@ -1332,10 +1328,13 @@ pub fn e22_calibrated_replanning() -> Table {
     let quiet = Recorder::disabled();
     let run_with = |model: &CostModel| -> AnswerOutcome {
         let plans = optimize_plan_pair(&base_pair, &program.schema, model, Strategy::Exhaustive);
-        answer_star_resilient_planned_cfg(
-            &q, &plans, &program.schema, &db, &quiet, &resilience, cfg,
-        )
-        .expect("planned run")
+        let opts = AnswerOptions {
+            recorder: &quiet,
+            exec: cfg,
+            resilience: Some(&resilience),
+            plans: Some(&plans),
+        };
+        answer_star_opts(&q, &program.schema, &db, &opts).expect("planned run")
     };
     let calibrated_model = static_model.calibrated(&frozen);
     let calibrated = run_with(&calibrated_model);
@@ -1638,8 +1637,7 @@ pub fn e25_daemon_drift_recalibration() -> Table {
     use lap::daemon::{DaemonConfig, Server};
     use lap::proto::{Client, QueryOptions, Response};
     use lap_core::{
-        answer_star_obs_cfg, answer_star_resilient_planned_cfg, render_answer_report,
-        AnswerOutcome,
+        answer_star_obs_cfg, answer_star_opts, render_answer_report, AnswerOptions, AnswerOutcome,
     };
     use lap_engine::{Database, ExecConfig, FaultConfig, ResilienceConfig, RetryPolicy};
     use lap_obs::{FeedbackStore, Recorder};
@@ -1770,10 +1768,13 @@ pub fn e25_daemon_drift_recalibration() -> Table {
     let quiet = Recorder::disabled();
     let run_with = |model: &CostModel| -> AnswerOutcome {
         let plans = optimize_plan_pair(&base_pair, &program.schema, model, Strategy::Exhaustive);
-        answer_star_resilient_planned_cfg(
-            &q, &plans, &program.schema, &db, &quiet, &resilience, cfg,
-        )
-        .expect("planned run")
+        let opts = AnswerOptions {
+            recorder: &quiet,
+            exec: cfg,
+            resilience: Some(&resilience),
+            plans: Some(&plans),
+        };
+        answer_star_opts(&q, &program.schema, &db, &opts).expect("planned run")
     };
     let static_model = CostModel::new();
     let static_run = run_with(&static_model);

@@ -2,13 +2,14 @@
 //! completeness information, plus the domain-enumeration refinement of the
 //! underestimate (Section 4.2, Example 8).
 
-use crate::plan::{lower_pair, plan_star_obs, PlanPair};
+use crate::plan::{lower_pair, plan_star_obs, PhysicalPair, PlanPair};
 use lap_engine::{
-    enumerate_domain, execute_physical_union, execute_physical_union_degraded, lower_union,
+    enumerate_domain, execute_physical_union, execute_physical_union_with, lower_union,
     CallStats, Database, DisjunctDegradation, EngineError, ExecConfig, FaultConfig,
-    ReplaySource, ResilienceConfig, RetryPolicy, SourceRegistry, Tuple, Value,
+    OnUnavailable, ReplaySource, ResilienceConfig, RetryPolicy, Source, SourceRegistry, Tuple,
+    Value,
 };
-use lap_ir::{Atom, ConjunctiveQuery, Literal, Predicate, Schema, Term, UnionQuery, Var};
+use lap_ir::{Atom, ConjunctiveQuery, Literal, Schema, Term, UnionQuery, Var};
 use lap_obs::{Json, Recorder};
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
@@ -51,33 +52,107 @@ impl AnswerReport {
     }
 }
 
-/// Algorithm ANSWER\* (Figure 4): compute `Qᵘ`, `Qᵒ` with PLAN\*, evaluate
-/// both against `db` through pattern-enforcing sources, and report the
-/// underestimate together with `Δ` and completeness information.
+/// Where an ANSWER\* run reads its sources from.
+pub enum AnswerSource<'a> {
+    /// A live in-memory instance behind pattern-enforcing sources.
+    Database(&'a Database),
+    /// A transport replaying recorded outcomes (a
+    /// [`lap_engine::ReplaySource`] decoded from a flight-recorder journal)
+    /// instead of a live database. Everything above the transport —
+    /// planning, lowering, the retry loop, the virtual clock, degradation
+    /// — is deterministic, so run under the recorded retry policy and
+    /// executor configuration (a recorded overlapped run must replay at the
+    /// *same* `io_workers`) the outcome reproduces the recorded run bit
+    /// for bit, `virtual_ms` included.
+    Replay(Box<dyn Source + 'a>),
+}
+
+impl<'a> From<&'a Database> for AnswerSource<'a> {
+    fn from(db: &'a Database) -> AnswerSource<'a> {
+        AnswerSource::Database(db)
+    }
+}
+
+impl From<ReplaySource> for AnswerSource<'_> {
+    fn from(source: ReplaySource) -> Self {
+        AnswerSource::Replay(Box::new(source))
+    }
+}
+
+/// Everything that shapes an ANSWER\* run besides the query, the schema
+/// and the source. None of it changes the fault-free answers.
+#[derive(Clone, Copy, Debug)]
+pub struct AnswerOptions<'a> {
+    /// The whole run executes in an `answer*` span with `plan*`,
+    /// `answer*.under`, and `answer*.over` sub-spans (each evaluation
+    /// phase with per-disjunct sub-spans), the source registry reports its
+    /// call counters as `source.*` metrics, and an attached journal is
+    /// stamped with the run's metadata.
+    pub recorder: &'a Recorder,
+    /// Batch width, columnar vs row executor, I/O workers. Only the
+    /// execution shape changes; under overlapped I/O (`io_workers > 1`)
+    /// `virtual_ms` shrinks, since overlapped batches charge their longest
+    /// worker lane and the under/over phases of the pair overlap too.
+    pub exec: ExecConfig,
+    /// `None`: a source error aborts the run (Fig. 4 as written). `Some`:
+    /// degradation mode — both plans evaluate through a registry under the
+    /// fault injection and retry policy given, and a source that exhausts
+    /// its retries drops only the affected disjunct, which is reported.
+    ///
+    /// The degraded underestimate stays *sound* — every disjunct either
+    /// contributes exactly its fault-free rows or nothing, so
+    /// `ansᵤ(degraded) ⊆ ansᵤ(fault-free) ⊆ answer` — while the
+    /// completeness verdict is downgraded honestly: a degraded run never
+    /// claims [`Completeness::Complete`], and any overestimate drop (which
+    /// breaks the `ansₒ ⊇ answer` cover) forces [`Completeness::Unknown`].
+    pub resilience: Option<&'a ResilienceConfig>,
+    /// `None`: run PLAN\*. `Some`: execute this **pre-optimized** pair
+    /// instead — the entry point of the feedback loop, where the caller
+    /// has re-ordered PLAN\*'s output under a journal-calibrated cost model
+    /// (`lap_planner::optimize_plan_pair`). The pair must be an
+    /// answer-equivalent reordering of PLAN\*'s plans for the query
+    /// (re-ordering an executable body never changes its answers, only its
+    /// calls), so the report is exactly the `None` one at the calibrated
+    /// plan's cost.
+    pub plans: Option<&'a PlanPair>,
+}
+
+impl<'a> AnswerOptions<'a> {
+    /// Fig. 4 at defaults under `recorder`: default executor
+    /// configuration, abort on source errors, plans from PLAN\*.
+    pub fn new(recorder: &'a Recorder) -> AnswerOptions<'a> {
+        AnswerOptions { recorder, exec: ExecConfig::default(), resilience: None, plans: None }
+    }
+}
+
+/// Algorithm ANSWER\* (Figure 4) under `opts` — the general entry point
+/// every other way of running ANSWER\* delegates to: compute `Qᵘ`, `Qᵒ`
+/// with PLAN\* (or take `opts.plans`), evaluate both against `source`
+/// through pattern-enforcing sources, and report the underestimate
+/// together with `Δ`, completeness information, and an account of what was
+/// lost to source failures (empty without `opts.resilience`).
+pub fn answer_star_opts<'a>(
+    q: &UnionQuery,
+    schema: &Schema,
+    source: impl Into<AnswerSource<'a>>,
+    opts: &AnswerOptions<'_>,
+) -> Result<AnswerOutcome, EngineError> {
+    let plans = opts.plans.map_or(Plans::Star, Plans::Given);
+    run_pair(q, schema, source.into(), plans, opts.recorder, opts.exec, opts.resilience)
+}
+
+/// [`answer_star_opts`] at defaults: no recorder, default executor
+/// configuration, abort on source errors.
 pub fn answer_star(
     q: &UnionQuery,
     schema: &Schema,
     db: &Database,
 ) -> Result<AnswerReport, EngineError> {
-    answer_star_obs(q, schema, db, &Recorder::disabled())
+    answer_star_obs_cfg(q, schema, db, &Recorder::disabled(), ExecConfig::default())
 }
 
-/// [`answer_star`] under `recorder`: the whole run executes in an
-/// `answer*` span with `plan*`, `answer*.under`, and `answer*.over`
-/// sub-spans (each evaluation phase with per-disjunct sub-spans), and the
-/// source registry reports its call counters as `source.*` metrics.
-pub fn answer_star_obs(
-    q: &UnionQuery,
-    schema: &Schema,
-    db: &Database,
-    recorder: &Recorder,
-) -> Result<AnswerReport, EngineError> {
-    answer_star_obs_cfg(q, schema, db, recorder, ExecConfig::default())
-}
-
-/// [`answer_star_obs`] under an explicit executor configuration (batch
-/// width, columnar vs row executor, I/O workers). Answers are identical
-/// across configurations; only the execution shape changes.
+/// [`answer_star_opts`] with a recorder and an executor configuration,
+/// aborting on source errors.
 pub fn answer_star_obs_cfg(
     q: &UnionQuery,
     schema: &Schema,
@@ -85,91 +160,137 @@ pub fn answer_star_obs_cfg(
     recorder: &Recorder,
     cfg: ExecConfig,
 ) -> Result<AnswerReport, EngineError> {
-    let _span = recorder.span("answer*");
-    stamp_journal_meta(recorder, "answer*", q, &RetryPolicy::default(), None, cfg);
-    let plans = plan_star_obs(q, schema, recorder);
-    let physical = lower_pair(&plans, schema);
-    let mut reg =
-        SourceRegistry::new(db, schema).recording(recorder).with_io_workers(cfg.io_workers);
-    let under = {
-        let _under = recorder.span("answer*.under");
-        execute_physical_union(&physical.under, &mut reg, cfg)?
-    };
-    let over = {
-        let _over = recorder.span("answer*.over");
-        execute_physical_union(&physical.over, &mut reg, cfg)?
-    };
-    let stats = reg.stats();
-    Ok(build_report(under, over, stats, plans))
+    let opts = AnswerOptions { exec: cfg, ..AnswerOptions::new(recorder) };
+    answer_star_opts(q, schema, db, &opts).map(|outcome| outcome.report)
 }
 
-/// [`answer_star_obs`] executing a **pre-optimized** plan pair instead of
-/// re-running PLAN\* — the entry point of the feedback loop, where the
-/// caller has re-ordered PLAN\*'s output under a journal-calibrated cost
-/// model (`lap_planner::optimize_plan_pair`). The pair must be an
-/// answer-equivalent reordering of PLAN\*'s plans for `q` (re-ordering an
-/// executable body never changes its answers, only its calls), so the
-/// report is exactly what [`answer_star_obs`] would have produced, at the
-/// calibrated plan's cost.
-pub fn answer_star_planned_obs(
+/// [`answer_star_opts`] in degradation mode under `resilience`.
+pub fn answer_star_resilient_cfg(
     q: &UnionQuery,
-    plans: &PlanPair,
     schema: &Schema,
     db: &Database,
     recorder: &Recorder,
-) -> Result<AnswerReport, EngineError> {
-    answer_star_planned_obs_cfg(q, plans, schema, db, recorder, ExecConfig::default())
+    resilience: &ResilienceConfig,
+    cfg: ExecConfig,
+) -> Result<AnswerOutcome, EngineError> {
+    let opts = AnswerOptions { recorder, exec: cfg, resilience: Some(resilience), plans: None };
+    answer_star_opts(q, schema, db, &opts)
 }
 
-/// [`answer_star_planned_obs`] under an explicit executor configuration.
-pub fn answer_star_planned_obs_cfg(
+/// The plans one run executes.
+pub(crate) enum Plans<'a> {
+    /// PLAN\*'s pair, computed under the run's recorder and lowered.
+    Star,
+    /// A caller-optimized pair, lowered by the run.
+    Given(&'a PlanPair),
+    /// A [`crate::PreparedQuery`]'s pair, lowered at compile time.
+    Prepared(&'a PlanPair, &'a PhysicalPair),
+}
+
+/// The one ANSWER\* driver. Every public way of running the algorithm —
+/// one-shot, prepared, planned, resilient, replayed — is this function
+/// under different arguments, so they cannot drift apart.
+pub(crate) fn run_pair(
     q: &UnionQuery,
-    plans: &PlanPair,
     schema: &Schema,
-    db: &Database,
+    source: AnswerSource<'_>,
+    plans: Plans<'_>,
     recorder: &Recorder,
     cfg: ExecConfig,
-) -> Result<AnswerReport, EngineError> {
+    resilience: Option<&ResilienceConfig>,
+) -> Result<AnswerOutcome, EngineError> {
     let _span = recorder.span("answer*");
-    stamp_journal_meta(recorder, "answer*.planned", q, &RetryPolicy::default(), None, cfg);
-    let physical = lower_pair(plans, schema);
-    let mut reg =
-        SourceRegistry::new(db, schema).recording(recorder).with_io_workers(cfg.io_workers);
+    let replay = matches!(source, AnswerSource::Replay(_));
+    let kind = match (&plans, replay, resilience.is_some()) {
+        (Plans::Prepared(..), _, false) => "answer*.prepared",
+        (Plans::Prepared(..), _, true) => "answer*.prepared.resilient",
+        (_, true, _) => "answer*.replay",
+        (Plans::Star, false, false) => "answer*",
+        (Plans::Star, false, true) => "answer*.resilient",
+        (Plans::Given(_), false, false) => "answer*.planned",
+        (Plans::Given(_), false, true) => "answer*.resilient.planned",
+    };
+    // No resilience = the registry's own default: one attempt, no faults.
+    let retry = resilience.map_or_else(RetryPolicy::default, |r| r.retry);
+    let fault = resilience.and_then(|r| r.fault);
+    stamp_journal_meta(recorder, kind, q, &retry, fault.as_ref(), cfg);
+    let lowered;
+    let (plans, physical) = match plans {
+        Plans::Star => {
+            let plans = plan_star_obs(q, schema, recorder);
+            lowered = lower_pair(&plans, schema);
+            (plans, &lowered)
+        }
+        Plans::Given(plans) => {
+            lowered = lower_pair(plans, schema);
+            (plans.clone(), &lowered)
+        }
+        Plans::Prepared(plans, physical) => (plans.clone(), physical),
+    };
+    let mut reg = match source {
+        AnswerSource::Database(db) => SourceRegistry::new(db, schema),
+        AnswerSource::Replay(source) => SourceRegistry::with_source(source, schema),
+    }
+    .recording(recorder)
+    .with_io_workers(cfg.io_workers)
+    .with_retry(retry);
+    if let Some(fault) = fault {
+        reg = reg.with_fault_injection(fault);
+    }
+    let on_unavailable =
+        if resilience.is_some() { OnUnavailable::Drop } else { OnUnavailable::Abort };
+
+    let base_wall = reg.virtual_elapsed_ms();
     let under = {
         let _under = recorder.span("answer*.under");
-        execute_physical_union(&physical.under, &mut reg, cfg)?
+        execute_physical_union_with(&physical.under, &mut reg, cfg, on_unavailable)?
     };
+    let under_wall = reg.virtual_elapsed_ms();
+    reg.reset_clock();
     let over = {
         let _over = recorder.span("answer*.over");
-        execute_physical_union(&physical.over, &mut reg, cfg)?
+        execute_physical_union_with(&physical.over, &mut reg, cfg, on_unavailable)?
     };
-    let stats = reg.stats();
-    Ok(build_report(under, over, stats, plans.clone()))
+    let degradation = DegradationReport { under: under.dropped, over: over.dropped };
+    let retries = reg.retries_observed();
+    let failures = reg.failures_observed();
+    // Overlapped runs overlap the under/over phases of the pair too: the
+    // wall clock charges the longer phase, not the sum.
+    let virtual_ms = if cfg.io_workers > 1 {
+        let over_wall = reg.virtual_elapsed_ms() - under_wall;
+        base_wall + (under_wall - base_wall).max(over_wall)
+    } else {
+        reg.virtual_elapsed_ms()
+    };
+    let report = build_report(under.rows, over.rows, reg.stats(), plans, &degradation);
+    Ok(AnswerOutcome { report, degradation, retries, failures, virtual_ms })
 }
 
-pub(crate) fn build_report(
+/// Assembles the report: `Δ`, and the completeness verdict — Figure 4's,
+/// downgraded for what `degradation` destroyed.
+fn build_report(
     under: BTreeSet<Tuple>,
     over: BTreeSet<Tuple>,
     stats: CallStats,
     plans: PlanPair,
+    degradation: &DegradationReport,
 ) -> AnswerReport {
     let delta: BTreeSet<Tuple> = over.difference(&under).cloned().collect();
-    let completeness = if delta.is_empty() {
-        Completeness::Complete
-    } else if delta.iter().any(|t| t.iter().any(|v| v.is_null())) {
+    let degraded = degradation.is_degraded();
+    // A dropped overestimate disjunct breaks `ansₒ ⊇ answer`: neither
+    // `Δ = ∅` nor a |ansᵤ|/|ansₒ| ratio means anything any more.
+    let cover_broken = !degradation.over.is_empty() || (degraded && over.is_empty());
+    let completeness = if cover_broken || delta.iter().any(|t| t.iter().any(|v| v.is_null())) {
         Completeness::Unknown
+    } else if delta.is_empty() && !degraded {
+        Completeness::Complete
     } else {
-        // Δ is null-free and non-empty, so |ansₒ| ≥ 1.
+        // Either Δ is null-free and non-empty (so |ansₒ| ≥ 1), or only the
+        // underestimate degraded: the cover still holds, so the ratio bound
+        // is sound — but "complete" is no longer claimable.
         Completeness::AtLeast(under.len() as f64 / over.len() as f64)
     };
-    AnswerReport {
-        under,
-        over,
-        delta,
-        completeness,
-        stats,
-        plans,
-    }
+    AnswerReport { under, over, delta, completeness, stats, plans }
 }
 
 /// Which disjuncts a degraded ANSWER\* run had to drop, per plan.
@@ -236,176 +357,10 @@ pub struct AnswerOutcome {
     pub virtual_ms: u64,
 }
 
-/// ANSWER\* in degradation mode: evaluates both plans through a registry
-/// under `resilience` (optional fault injection plus a retry policy), and
-/// instead of aborting when a source exhausts its retries, drops only the
-/// affected disjunct and reports it.
-///
-/// The degraded underestimate stays *sound* — every disjunct either
-/// contributes exactly its fault-free rows or nothing, so
-/// `ansᵤ(degraded) ⊆ ansᵤ(fault-free) ⊆ answer` — while the completeness
-/// verdict is downgraded honestly: a degraded run never claims
-/// [`Completeness::Complete`], and any overestimate drop (which breaks the
-/// `ansₒ ⊇ answer` cover) forces [`Completeness::Unknown`].
-pub fn answer_star_resilient(
-    q: &UnionQuery,
-    schema: &Schema,
-    db: &Database,
-    recorder: &Recorder,
-    resilience: &ResilienceConfig,
-) -> Result<AnswerOutcome, EngineError> {
-    answer_star_resilient_cfg(q, schema, db, recorder, resilience, ExecConfig::default())
-}
-
-/// [`answer_star_resilient`] under an explicit executor configuration —
-/// the way to run the resilient path with overlapped source I/O
-/// (`cfg.io_workers > 1`). Answers, degradation, and retry/failure
-/// accounting are bit-identical across worker counts; only `virtual_ms`
-/// shrinks, since overlapped batches charge their longest worker lane and
-/// the under/over phases of the pair overlap too.
-pub fn answer_star_resilient_cfg(
-    q: &UnionQuery,
-    schema: &Schema,
-    db: &Database,
-    recorder: &Recorder,
-    resilience: &ResilienceConfig,
-    cfg: ExecConfig,
-) -> Result<AnswerOutcome, EngineError> {
-    let _span = recorder.span("answer*");
-    stamp_journal_meta(
-        recorder,
-        "answer*.resilient",
-        q,
-        &resilience.retry,
-        resilience.fault.as_ref(),
-        cfg,
-    );
-    let plans = plan_star_obs(q, schema, recorder);
-    let physical = lower_pair(&plans, schema);
-    let mut reg = SourceRegistry::new(db, schema)
-        .recording(recorder)
-        .with_io_workers(cfg.io_workers)
-        .with_retry(resilience.retry);
-    if let Some(fault) = &resilience.fault {
-        reg = reg.with_fault_injection(*fault);
-    }
-    run_degraded_pair(&physical, &mut reg, cfg, recorder, plans)
-}
-
-/// [`answer_star_resilient_cfg`] executing a **pre-optimized** plan pair
-/// (see [`answer_star_planned_obs`] for the contract): the resilient leg
-/// of the feedback loop, where a calibrated ordering steers calls away
-/// from degraded sources before retries and backoff waits pile up.
-pub fn answer_star_resilient_planned_cfg(
-    q: &UnionQuery,
-    plans: &PlanPair,
-    schema: &Schema,
-    db: &Database,
-    recorder: &Recorder,
-    resilience: &ResilienceConfig,
-    cfg: ExecConfig,
-) -> Result<AnswerOutcome, EngineError> {
-    let _span = recorder.span("answer*");
-    stamp_journal_meta(
-        recorder,
-        "answer*.resilient.planned",
-        q,
-        &resilience.retry,
-        resilience.fault.as_ref(),
-        cfg,
-    );
-    let physical = lower_pair(plans, schema);
-    let mut reg = SourceRegistry::new(db, schema)
-        .recording(recorder)
-        .with_io_workers(cfg.io_workers)
-        .with_retry(resilience.retry);
-    if let Some(fault) = &resilience.fault {
-        reg = reg.with_fault_injection(*fault);
-    }
-    run_degraded_pair(&physical, &mut reg, cfg, recorder, plans.clone())
-}
-
-/// Evaluates a lowered plan pair in degradation mode and assembles the
-/// [`AnswerOutcome`] — the shared tail of [`answer_star_resilient`] and
-/// [`answer_star_replay`].
-pub(crate) fn run_degraded_pair(
-    physical: &crate::plan::PhysicalPair,
-    reg: &mut SourceRegistry<'_>,
-    cfg: ExecConfig,
-    recorder: &Recorder,
-    plans: PlanPair,
-) -> Result<AnswerOutcome, EngineError> {
-    let base_wall = reg.virtual_elapsed_ms();
-    let (under, under_drops) = {
-        let _under = recorder.span("answer*.under");
-        execute_physical_union_degraded(&physical.under, reg, cfg)?
-    };
-    let under_wall = reg.virtual_elapsed_ms();
-    reg.reset_clock();
-    let (over, over_drops) = {
-        let _over = recorder.span("answer*.over");
-        execute_physical_union_degraded(&physical.over, reg, cfg)?
-    };
-    let degradation = DegradationReport { under: under_drops, over: over_drops };
-    let retries = reg.retries_observed();
-    let failures = reg.failures_observed();
-    // Overlapped runs overlap the under/over phases of the pair too: the
-    // wall clock charges the longer phase, not the sum.
-    let virtual_ms = if cfg.io_workers > 1 {
-        let over_wall = reg.virtual_elapsed_ms() - under_wall;
-        base_wall + (under_wall - base_wall).max(over_wall)
-    } else {
-        reg.virtual_elapsed_ms()
-    };
-    let mut report = build_report(under, over, reg.stats(), plans);
-    let base = report.completeness.clone();
-    report.completeness = degrade_completeness(base, &report, &degradation);
-    Ok(AnswerOutcome { report, degradation, retries, failures, virtual_ms })
-}
-
-/// Replays a recorded ANSWER\* run: every source call is served from
-/// `source` (a [`ReplaySource`] decoded from a flight-recorder journal)
-/// instead of a live database, under the *same* retry policy the original
-/// run used. Everything above the transport — planning, lowering, the
-/// retry loop, the virtual clock, degradation — is deterministic, so the
-/// outcome reproduces the recorded run bit for bit.
-pub fn answer_star_replay(
-    q: &UnionQuery,
-    schema: &Schema,
-    source: ReplaySource,
-    retry: RetryPolicy,
-    recorder: &Recorder,
-) -> Result<AnswerOutcome, EngineError> {
-    answer_star_replay_cfg(q, schema, source, retry, recorder, ExecConfig::default())
-}
-
-/// [`answer_star_replay`] under an explicit executor configuration. A
-/// recorded overlapped run must be replayed at the *same* `io_workers` it
-/// recorded with (carried in the journal metadata) for the outcome —
-/// including `virtual_ms` — to reproduce bit for bit.
-pub fn answer_star_replay_cfg(
-    q: &UnionQuery,
-    schema: &Schema,
-    source: ReplaySource,
-    retry: RetryPolicy,
-    recorder: &Recorder,
-    cfg: ExecConfig,
-) -> Result<AnswerOutcome, EngineError> {
-    let _span = recorder.span("answer*");
-    stamp_journal_meta(recorder, "answer*.replay", q, &retry, None, cfg);
-    let plans = plan_star_obs(q, schema, recorder);
-    let physical = lower_pair(&plans, schema);
-    let mut reg = SourceRegistry::with_source(Box::new(source), schema)
-        .recording(recorder)
-        .with_io_workers(cfg.io_workers)
-        .with_retry(retry);
-    run_degraded_pair(&physical, &mut reg, cfg, recorder, plans)
-}
-
 /// Stamps run metadata on the recorder's journal (no-op without one) so a
 /// snapshot carries everything a replay needs: what ran, the query text,
 /// the retry policy, the fault config, and the journal's own fidelity.
-pub(crate) fn stamp_journal_meta(
+fn stamp_journal_meta(
     recorder: &Recorder,
     run_kind: &str,
     q: &UnionQuery,
@@ -432,28 +387,6 @@ pub(crate) fn stamp_journal_meta(
             ),
         ]);
     }
-}
-
-/// Downgrades a completeness verdict for what degradation destroyed.
-pub(crate) fn degrade_completeness(
-    base: Completeness,
-    report: &AnswerReport,
-    degradation: &DegradationReport,
-) -> Completeness {
-    if !degradation.is_degraded() {
-        return base;
-    }
-    // A dropped overestimate disjunct breaks `ansₒ ⊇ answer`: neither
-    // `Δ = ∅` nor a |ansᵤ|/|ansₒ| ratio means anything any more.
-    if !degradation.over.is_empty() || report.over.is_empty() {
-        return Completeness::Unknown;
-    }
-    // Only the underestimate degraded: the cover still holds, so the ratio
-    // bound is still sound — but "complete" is no longer claimable.
-    if report.delta.iter().any(|t| t.iter().any(|v| v.is_null())) {
-        return Completeness::Unknown;
-    }
-    Completeness::AtLeast(report.under.len() as f64 / report.over.len() as f64)
 }
 
 /// The result of [`answer_star_with_domain`]: the plain report plus the
@@ -505,7 +438,6 @@ pub fn answer_star_with_domain(
     let domain_calls = reg.stats().calls;
 
     // Materialize dom as an auxiliary relation the improved plans can scan.
-    let dom_pred = Predicate::new("_dom", 1);
     let mut db2 = db.clone();
     for &v in &dom.values {
         db2.insert("_dom", vec![v])?;
@@ -514,7 +446,6 @@ pub fn answer_star_with_domain(
     schema2
         .add_pattern_str("_dom", "o")
         .expect("fresh unary relation");
-    let _ = dom_pred;
 
     // Build improved plans: answerable part, then dom(v) for each variable
     // still unbound, then the unanswerable literals (all bound now).
@@ -664,12 +595,13 @@ mod tests {
         let db = Database::from_facts(facts).unwrap();
         let q = p.single_query().unwrap();
         let plain = answer_star(q, &p.schema, &db).unwrap();
-        let outcome = answer_star_resilient(
+        let outcome = answer_star_resilient_cfg(
             q,
             &p.schema,
             &db,
             &Recorder::disabled(),
             &lap_engine::ResilienceConfig::chaos(0.0, 42),
+            ExecConfig::default(),
         )
         .unwrap();
         assert_eq!(outcome.report, plain);
@@ -685,12 +617,13 @@ mod tests {
                     Q(x) :- G(x).";
         let p = parse_program(text).unwrap();
         let db = Database::from_facts("F(1). G(2).").unwrap();
-        let outcome = answer_star_resilient(
+        let outcome = answer_star_resilient_cfg(
             p.single_query().unwrap(),
             &p.schema,
             &db,
             &Recorder::disabled(),
             &lap_engine::ResilienceConfig::chaos(1.0, 7),
+            ExecConfig::default(),
         )
         .unwrap();
         assert!(outcome.report.under.is_empty());
@@ -716,12 +649,13 @@ mod tests {
         let fault_free = answer_star(q, &p.schema, &db).unwrap();
         let mut saw_degraded = false;
         for seed in 0..32u64 {
-            let outcome = answer_star_resilient(
+            let outcome = answer_star_resilient_cfg(
                 q,
                 &p.schema,
                 &db,
                 &Recorder::disabled(),
                 &lap_engine::ResilienceConfig::chaos(0.4, seed),
+                ExecConfig::default(),
             )
             .unwrap();
             assert!(

@@ -7,7 +7,7 @@
 //! | Defs. 3–4 — executable / orderable | [`is_executable`], [`is_orderable`], [`executable_order`] |
 //! | Fig. 2 — PLAN\* (`Qᵘ`, `Qᵒ`) | [`plan_star`] |
 //! | Fig. 3 — FEASIBLE | [`feasible`], [`feasible_detailed`] |
-//! | Fig. 4 — ANSWER\* | [`answer_star`], [`answer_star_with_domain`] |
+//! | Fig. 4 — ANSWER\* | [`answer_star`], [`answer_star_opts`] (one driver, one [`AnswerOptions`] value), [`answer_star_with_domain`] |
 //! | Thm. 18 / Prop. 20 — hardness reductions | [`containment_to_feasibility`], [`containment_to_feasibility_cqn`] |
 //!
 //! ```
@@ -41,11 +41,9 @@ mod reduction;
 mod render;
 
 pub use answer::{
-    answer_star, answer_star_obs, answer_star_obs_cfg, answer_star_planned_obs,
-    answer_star_planned_obs_cfg, answer_star_replay, answer_star_replay_cfg,
-    answer_star_resilient, answer_star_resilient_cfg, answer_star_resilient_planned_cfg,
-    answer_star_with_domain, AnswerOutcome, AnswerReport, Completeness, DegradationReport,
-    ImprovedAnswerReport,
+    answer_star, answer_star_obs_cfg, answer_star_opts, answer_star_resilient_cfg,
+    answer_star_with_domain, AnswerOptions, AnswerOutcome, AnswerReport, AnswerSource,
+    Completeness, DegradationReport, ImprovedAnswerReport,
 };
 pub use answerable::{
     ans, answerable_literals, answerable_split, is_q_answerable, literal_executable,

@@ -6,17 +6,11 @@
 //! construction, and (optionally) cost-based validation happen once; each
 //! [`PreparedQuery::execute`] then only pays the runtime price.
 
-use crate::answer::{
-    build_report, run_degraded_pair, stamp_journal_meta, AnswerOutcome, AnswerReport,
-    DegradationReport,
-};
+use crate::answer::{run_pair, AnswerOutcome, AnswerReport, Plans};
 use crate::feasible::{feasible_detailed, feasible_detailed_with, DecisionPath, FeasibilityReport};
 use crate::plan::{lower_pair, PhysicalPair, PlanPair};
 use lap_containment::{ContainmentEngine, EngineConfig};
-use lap_engine::{
-    execute_physical_union, execute_physical_union_degraded, Database, EngineError, ExecConfig,
-    ResilienceConfig, RetryPolicy, SourceRegistry,
-};
+use lap_engine::{Database, EngineError, ExecConfig, ResilienceConfig};
 use lap_ir::{parse_program, Program, Schema, UnionQuery};
 use lap_obs::Recorder;
 use std::collections::BTreeSet;
@@ -106,56 +100,44 @@ impl PreparedQuery {
         self.physical = physical;
     }
 
+    /// The one ANSWER\* driver ([`crate::answer_star_opts`]'s) over the
+    /// compiled pair: same spans, same registry wiring, same degradation
+    /// accounting, minus the per-request PLAN\* and lowering.
+    fn run(
+        &self,
+        db: &Database,
+        recorder: &Recorder,
+        cfg: ExecConfig,
+        resilience: Option<&ResilienceConfig>,
+    ) -> Result<AnswerOutcome, EngineError> {
+        let plans = Plans::Prepared(&self.report.plans, &self.physical);
+        run_pair(&self.query, &self.schema, db.into(), plans, recorder, cfg, resilience)
+    }
+
     /// Executes against an instance (algorithm ANSWER\*, reusing the
     /// compiled physical plans). For feasible queries the overestimate in
     /// the report *is* the exact answer.
     pub fn execute(&self, db: &Database) -> Result<AnswerReport, EngineError> {
-        let cfg = ExecConfig::default();
-        let mut reg = SourceRegistry::new(db, &self.schema);
-        let under = execute_physical_union(&self.physical.under, &mut reg, cfg)?;
-        let over = execute_physical_union(&self.physical.over, &mut reg, cfg)?;
-        Ok(build_report(under, over, reg.stats(), self.report.plans.clone()))
+        self.execute_obs_cfg(db, &Recorder::disabled(), ExecConfig::default())
     }
 
     /// [`PreparedQuery::execute`] under a recorder and an explicit
     /// executor configuration — the daemon's hot path. Produces exactly
-    /// the report [`crate::answer_star_obs_cfg`] would (same spans, same
-    /// registry wiring, same physical trees — both lower PLAN\*'s pair
-    /// with [`lower_pair`]), minus the per-request planning cost: the
-    /// whole point of serving repeated queries from a plan cache.
+    /// the report [`crate::answer_star_obs_cfg`] would, minus the
+    /// per-request planning cost: the whole point of serving repeated
+    /// queries from a plan cache.
     pub fn execute_obs_cfg(
         &self,
         db: &Database,
         recorder: &Recorder,
         cfg: ExecConfig,
     ) -> Result<AnswerReport, EngineError> {
-        let _span = recorder.span("answer*");
-        stamp_journal_meta(
-            recorder,
-            "answer*.prepared",
-            &self.query,
-            &RetryPolicy::default(),
-            None,
-            cfg,
-        );
-        let mut reg = SourceRegistry::new(db, &self.schema)
-            .recording(recorder)
-            .with_io_workers(cfg.io_workers);
-        let under = {
-            let _under = recorder.span("answer*.under");
-            execute_physical_union(&self.physical.under, &mut reg, cfg)?
-        };
-        let over = {
-            let _over = recorder.span("answer*.over");
-            execute_physical_union(&self.physical.over, &mut reg, cfg)?
-        };
-        Ok(build_report(under, over, reg.stats(), self.report.plans.clone()))
+        self.run(db, recorder, cfg, None).map(|outcome| outcome.report)
     }
 
-    /// [`PreparedQuery::execute_resilient`] under a recorder and an
-    /// explicit executor configuration, with the same degradation
-    /// accounting as [`crate::answer_star_resilient_cfg`] — the daemon's
-    /// resilient path.
+    /// [`PreparedQuery::execute_obs_cfg`] in degradation mode, with the
+    /// same accounting as [`crate::answer_star_resilient_cfg`] — the
+    /// daemon's resilient path.
     pub fn execute_resilient_obs_cfg(
         &self,
         db: &Database,
@@ -163,23 +145,7 @@ impl PreparedQuery {
         resilience: &ResilienceConfig,
         cfg: ExecConfig,
     ) -> Result<AnswerOutcome, EngineError> {
-        let _span = recorder.span("answer*");
-        stamp_journal_meta(
-            recorder,
-            "answer*.prepared.resilient",
-            &self.query,
-            &resilience.retry,
-            resilience.fault.as_ref(),
-            cfg,
-        );
-        let mut reg = SourceRegistry::new(db, &self.schema)
-            .recording(recorder)
-            .with_io_workers(cfg.io_workers)
-            .with_retry(resilience.retry);
-        if let Some(fault) = &resilience.fault {
-            reg = reg.with_fault_injection(*fault);
-        }
-        run_degraded_pair(&self.physical, &mut reg, cfg, recorder, self.report.plans.clone())
+        self.run(db, recorder, cfg, Some(resilience))
     }
 
     /// A size estimate for plan-cache accounting: the rendered footprint
@@ -191,34 +157,6 @@ impl PreparedQuery {
             + self.schema.to_string().len()
             + self.physical.under.to_string().len()
             + self.physical.over.to_string().len()
-    }
-
-    /// [`PreparedQuery::execute`] in degradation mode: sources run under
-    /// `resilience` (fault injection + retries) and a disjunct whose
-    /// source stays unavailable is dropped and reported instead of
-    /// aborting the run. See [`crate::answer_star_resilient`] for the
-    /// soundness and completeness-downgrade contract.
-    pub fn execute_resilient(
-        &self,
-        db: &Database,
-        resilience: &ResilienceConfig,
-    ) -> Result<AnswerOutcome, EngineError> {
-        let cfg = ExecConfig::default();
-        let mut reg = SourceRegistry::new(db, &self.schema).with_retry(resilience.retry);
-        if let Some(fault) = &resilience.fault {
-            reg = reg.with_fault_injection(*fault);
-        }
-        let (under, under_drops) = execute_physical_union_degraded(&self.physical.under, &mut reg, cfg)?;
-        reg.reset_clock();
-        let (over, over_drops) = execute_physical_union_degraded(&self.physical.over, &mut reg, cfg)?;
-        let degradation = DegradationReport { under: under_drops, over: over_drops };
-        let retries = reg.retries_observed();
-        let failures = reg.failures_observed();
-        let virtual_ms = reg.virtual_elapsed_ms();
-        let mut report = build_report(under, over, reg.stats(), self.report.plans.clone());
-        let base = report.completeness.clone();
-        report.completeness = crate::answer::degrade_completeness(base, &report, &degradation);
-        Ok(AnswerOutcome { report, degradation, retries, failures, virtual_ms })
     }
 
     /// Executes and returns the *best available* answer set: the exact
@@ -369,51 +307,106 @@ mod tests {
         assert!(rep.under.is_empty());
     }
 
+    /// "Daemon = one-shot" and "preset = entry point", as one table: every
+    /// surviving way of running ANSWER\* must be indistinguishable from
+    /// [`crate::answer_star_opts`] under the same options — outcome, call
+    /// stats, and (where the name takes a recorder) journal event stream.
     #[test]
-    fn prepared_obs_execution_reproduces_answer_star_exactly() {
-        // The daemon serves cached PreparedQuery entries; the contract is
-        // that their reports — answers, completeness, *and* call stats —
-        // are indistinguishable from a one-shot answer_star run.
-        let (q, schema) = setup(
-            "B^ioo. B^oio. C^oo. L^o.\n\
-             Q(i, a, t) :- B(i, a, t), C(i, a), not L(i).",
-        );
-        let db = Database::from_facts(
-            r#"B(1, "a", "t1"). B(2, "b", "t2"). C(1, "a"). C(2, "b"). L(1)."#,
-        )
-        .unwrap();
-        let prepared = PreparedQuery::compile(&q, &schema);
-        for cfg in [ExecConfig::default(), ExecConfig::default().with_io_workers(4)] {
-            let one_shot =
-                crate::answer::answer_star_obs_cfg(&q, &schema, &db, &Recorder::disabled(), cfg)
-                    .unwrap();
-            let served = prepared.execute_obs_cfg(&db, &Recorder::disabled(), cfg).unwrap();
-            assert_eq!(served, one_shot);
-        }
-    }
+    fn every_surviving_name_reproduces_the_entry_point() {
+        use crate::{
+            answer_star, answer_star_obs_cfg, answer_star_opts, answer_star_resilient_cfg,
+            answer_star_with_domain, AnswerOptions,
+        };
+        use lap_obs::{JournalConfig, JournalEvent};
 
-    #[test]
-    fn prepared_resilient_obs_matches_answer_star_resilient() {
-        let (q, schema) = setup("F^o. G^o.\nQ(x) :- F(x).\nQ(x) :- G(x).");
-        let db = Database::from_facts("F(1). G(2). G(3).").unwrap();
-        let prepared = PreparedQuery::compile(&q, &schema);
-        for seed in [0u64, 7, 21] {
-            let res = ResilienceConfig::chaos(0.4, seed);
-            let cfg = ExecConfig::default();
-            let one_shot = crate::answer::answer_star_resilient_cfg(
-                &q,
-                &schema,
-                &db,
-                &Recorder::disabled(),
-                &res,
-                cfg,
-            )
-            .unwrap();
-            let served = prepared
-                .execute_resilient_obs_cfg(&db, &Recorder::disabled(), &res, cfg)
-                .unwrap();
-            assert_eq!(served, one_shot, "seed {seed}");
+        const CASES: &[(&str, &str)] = &[
+            // Example 1: feasible, plans coincide.
+            (
+                "B^ioo. B^oio. C^oo. L^o.\nQ(i, a, t) :- B(i, a, t), C(i, a), not L(i).",
+                r#"B(1, "a", "t1"). B(2, "b", "t2"). C(1, "a"). C(2, "b"). L(1)."#,
+            ),
+            // Example 3: feasible via containment, empty underestimate.
+            (
+                "B^ioo. B^oio. L^o.\nQ(a) :- B(i, a, t), L(i), B(i2, a2, t).\n\
+                 Q(a) :- B(i, a, t), L(i), not B(i2, a2, t).",
+                r#"B(1, "adams", "t"). B(2, "lem", "s"). L(1). L(2)."#,
+            ),
+            // Example 4: infeasible, null in the overestimate.
+            (
+                "S^o. R^oo. B^ii. T^oo.\nQ(x, y) :- not S(z), R(x, z), B(x, y).\n\
+                 Q(x, y) :- T(x, y).",
+                "R(1, 10). R(2, 20). S(20). T(7, 8). B(1, 5).",
+            ),
+            // Three independent disjuncts, negation and a bind-join.
+            (
+                "F^o. G^o. H^io.\nQ(x) :- F(x).\nQ(x) :- G(x), not F(x).\nQ(x) :- G(y), H(y, x).",
+                "F(1). F(2). G(2). G(3). H(3, 4). H(2, 5).",
+            ),
+        ];
+        type Run<'a> = &'a dyn Fn(&Recorder) -> Result<AnswerOutcome, EngineError>;
+        let observe = |run: Run<'_>| -> (AnswerOutcome, Vec<JournalEvent>) {
+            let recorder = Recorder::with_journal(JournalConfig::replay());
+            let outcome = run(&recorder).unwrap();
+            (outcome, recorder.journal().expect("journal on").snapshot().events)
+        };
+        // What a plain run's report looks like as an outcome.
+        let lift = |report| AnswerOutcome {
+            report,
+            degradation: Default::default(),
+            retries: 0,
+            failures: 0,
+            virtual_ms: 0,
+        };
+
+        let mut faulted = 0;
+        for (case, (text, facts)) in CASES.iter().enumerate() {
+            let (q, schema) = setup(text);
+            let db = Database::from_facts(facts).unwrap();
+            let prepared = PreparedQuery::compile(&q, &schema);
+            let modes = [None, Some(0.0), Some(0.2)]
+                .map(|rate| rate.map(|r| ResilienceConfig::chaos(r, 0xC0DE + case as u64)));
+            for cfg in [ExecConfig::default(), ExecConfig::with_batch_size(2).with_io_workers(4)] {
+                for resilience in modes.iter().map(Option::as_ref) {
+                    let ctx = format!("case {case}, {cfg:?}, {resilience:?}");
+                    let want = observe(&|recorder| {
+                        let opts = AnswerOptions { recorder, exec: cfg, resilience, plans: None };
+                        answer_star_opts(&q, &schema, &db, &opts)
+                    });
+                    faulted += usize::from(want.0.failures > 0);
+                    assert!(!want.1.is_empty(), "the journal must see the source calls: {ctx}");
+
+                    // Names that take a recorder: outcome and journal events.
+                    let (one_shot, served): (Run<'_>, Run<'_>) = match resilience {
+                        None => (
+                            &|r| answer_star_obs_cfg(&q, &schema, &db, r, cfg).map(lift),
+                            &|r| prepared.execute_obs_cfg(&db, r, cfg).map(lift),
+                        ),
+                        Some(res) => (
+                            &|r| answer_star_resilient_cfg(&q, &schema, &db, r, res, cfg),
+                            &|r| prepared.execute_resilient_obs_cfg(&db, r, res, cfg),
+                        ),
+                    };
+                    for (name, run) in [("one-shot preset", one_shot), ("prepared", served)] {
+                        let got = observe(run);
+                        assert_eq!(got.0.report.stats, want.0.report.stats, "{name}: {ctx}");
+                        assert_eq!(got, want, "{name}: {ctx}");
+                    }
+
+                    // Names fixed at defaults: the report alone.
+                    if resilience.is_none() && cfg == ExecConfig::default() {
+                        let report = &want.0.report;
+                        assert_eq!(&answer_star(&q, &schema, &db).unwrap(), report, "{ctx}");
+                        assert_eq!(&prepared.execute(&db).unwrap(), report, "{ctx}");
+                        let exact = prepared.is_feasible() && !report.plans.over.has_null();
+                        let best = if exact { &report.over } else { &report.under };
+                        assert_eq!(&prepared.execute_best(&db).unwrap(), best, "{ctx}");
+                        let improved = answer_star_with_domain(&q, &schema, &db, 1_000).unwrap();
+                        assert_eq!(&improved.base, report, "{ctx}");
+                    }
+                }
+            }
         }
+        assert!(faulted > 0, "rate 0.2 never faulted a call — the resilient rows prove nothing");
     }
 
     #[test]

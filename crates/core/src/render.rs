@@ -100,12 +100,13 @@ mod tests {
     fn outcome_rendering_has_resilience_tail_and_trailing_blank() {
         let p = parse_program("F^o. G^o.\nQ(x) :- F(x).\nQ(x) :- G(x).").unwrap();
         let db = Database::from_facts("F(1). G(2).").unwrap();
-        let outcome = crate::answer_star_resilient(
+        let outcome = crate::answer_star_resilient_cfg(
             p.single_query().unwrap(),
             &p.schema,
             &db,
             &Recorder::disabled(),
             &lap_engine::ResilienceConfig::chaos(0.0, 1),
+            lap_engine::ExecConfig::default(),
         )
         .unwrap();
         let text = render_outcome(&outcome);
@@ -115,12 +116,13 @@ mod tests {
         );
         assert!(text.ends_with("\n\n"), "outcome ends with a blank line: {text:?}");
 
-        let degraded = crate::answer_star_resilient(
+        let degraded = crate::answer_star_resilient_cfg(
             p.single_query().unwrap(),
             &p.schema,
             &db,
             &Recorder::disabled(),
             &lap_engine::ResilienceConfig::chaos(1.0, 7),
+            lap_engine::ExecConfig::default(),
         )
         .unwrap();
         let text = render_outcome(&degraded);

@@ -47,7 +47,6 @@ mod replay;
 pub mod sched;
 mod source;
 mod stats;
-mod trace;
 mod value;
 
 pub use domain::{enumerate_domain, DomainResult};
@@ -57,25 +56,19 @@ pub use fault::{
     FaultConfig, FaultInjectingSource, ResilienceConfig, RetryPolicy, SourceFault, SourceReply,
 };
 pub use physical::{
-    execute_physical_cq, execute_physical_cq_profiled, execute_physical_union,
-    execute_physical_union_degraded, execute_physical_union_parallel,
-    execute_physical_union_parallel_degraded, execute_physical_union_parallel_obs,
-    execute_physical_union_profiled, lower_cq, lower_union, AccessOp, AccessProblem, ArgSource,
-    Code, ColumnBatch, Dictionary, DisjunctDegradation, ExecConfig, NegOp, OpCost, OpProfile,
-    PhysOp, PhysicalPlan, PhysicalUnion, PlanProfile, ProjCol, ProjectOp, UnionProfile,
-    MAX_BATCH_WIDTH,
+    execute_physical_cq, execute_physical_union, execute_physical_union_parallel,
+    execute_physical_union_with, lower_cq, lower_union, AccessOp, AccessProblem, ArgSource, Code,
+    ColumnBatch, Dictionary, DisjunctDegradation, ExecConfig, NegOp, OnUnavailable, OpCost,
+    OpProfile, PhysOp, PhysicalPlan, PhysicalUnion, PlanProfile, ProjCol, ProjectOp,
+    UnionProfile, UnionRun, MAX_BATCH_WIDTH,
 };
 pub use instance::Database;
 pub use oracle::{eval_oracle, eval_oracle_single};
-pub use parallel::{eval_ordered_union_parallel, eval_ordered_union_parallel_obs};
+pub use parallel::eval_ordered_union_parallel;
 pub use relation::Relation;
 pub use replay::{recorded_calls, RecordedCall, ReplaySource};
 pub use source::{InMemorySource, PlannedFetch, Source, SourceRegistry, MAX_IO_WORKERS};
 pub use stats::CallStats;
-pub use trace::{
-    eval_ordered_cq_traced, eval_ordered_union_traced, CqTrace, LiteralTrace, TraceTotals,
-    UnionTrace,
-};
 pub use value::{
     display_tuple, rows_from_json, rows_to_json, value_from_json, value_to_json, Tuple, Value,
 };

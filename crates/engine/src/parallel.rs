@@ -10,7 +10,7 @@
 
 use crate::error::EngineError;
 use crate::instance::Database;
-use crate::physical::{execute_physical_union_parallel_obs, lower_union, ExecConfig};
+use crate::physical::{execute_physical_union_parallel, lower_union, ExecConfig};
 use crate::stats::CallStats;
 use crate::value::Tuple;
 use lap_ir::{ConjunctiveQuery, Schema, Var};
@@ -22,30 +22,17 @@ use std::collections::BTreeSet;
 /// Semantically identical to [`crate::eval_ordered_union`]; the statistics
 /// count the same calls (each thread talks to the sources independently,
 /// as parallel mediator workers would, and dedups batches exactly as the
-/// sequential executor does).
+/// sequential executor does). A thin compatibility wrapper: the parts are
+/// lowered once and executed through [`execute_physical_union_parallel`].
 pub fn eval_ordered_union_parallel(
     parts: &[(ConjunctiveQuery, Vec<Var>)],
     db: &Database,
     schema: &Schema,
 ) -> Result<(BTreeSet<Tuple>, CallStats), EngineError> {
-    eval_ordered_union_parallel_obs(parts, db, schema, &lap_obs::Recorder::disabled())
-}
-
-/// [`eval_ordered_union_parallel`] under `recorder`: the fan-out runs in an
-/// `eval.parallel` span and every worker's registry reports its counters to
-/// the shared recorder (counters are thread-safe; workers do not open their
-/// own spans — span nesting is a per-thread notion).
-///
-/// A thin compatibility wrapper: the parts are lowered once and executed
-/// through [`execute_physical_union_parallel_obs`].
-pub fn eval_ordered_union_parallel_obs(
-    parts: &[(ConjunctiveQuery, Vec<Var>)],
-    db: &Database,
-    schema: &Schema,
-    recorder: &lap_obs::Recorder,
-) -> Result<(BTreeSet<Tuple>, CallStats), EngineError> {
     let union = lower_union(parts, schema);
-    execute_physical_union_parallel_obs(&union, db, schema, recorder, ExecConfig::default())
+    let recorder = lap_obs::Recorder::disabled();
+    execute_physical_union_parallel(&union, db, schema, &recorder, ExecConfig::default(), None)
+        .map(|(run, stats)| (run.rows, stats))
 }
 
 #[cfg(test)]

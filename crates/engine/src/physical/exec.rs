@@ -176,7 +176,7 @@ pub struct PlanProfile {
 }
 
 /// Runtime counters for a union of pipelines.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct UnionProfile {
     /// One profile per disjunct.
     pub parts: Vec<PlanProfile>,
@@ -477,17 +477,7 @@ pub fn execute_physical_cq(
     reg: &mut SourceRegistry<'_>,
     cfg: ExecConfig,
 ) -> Result<BTreeSet<Tuple>, EngineError> {
-    execute_physical_cq_profiled(plan, reg, cfg).map(|(rows, _)| rows)
-}
-
-/// [`execute_physical_cq`] plus per-operator runtime counters.
-pub fn execute_physical_cq_profiled(
-    plan: &PhysicalPlan,
-    reg: &mut SourceRegistry<'_>,
-    cfg: ExecConfig,
-) -> Result<(BTreeSet<Tuple>, PlanProfile), EngineError> {
-    let mut dict = Dictionary::new();
-    execute_cq_shared(plan, reg, cfg, &mut dict)
+    execute_cq_shared(plan, reg, cfg, &mut Dictionary::new()).map(|(rows, _)| rows)
 }
 
 /// One pipeline under a caller-owned dictionary: the union executors pass
@@ -1130,43 +1120,6 @@ fn execute_columnar_cq_profiled(
     Ok((out, PlanProfile { head: plan.head.to_string(), ops: exec.profiles, answers }))
 }
 
-/// Executes a physical union sequentially, one span per disjunct when the
-/// registry's recorder has tracing enabled.
-pub fn execute_physical_union(
-    union: &PhysicalUnion,
-    reg: &mut SourceRegistry<'_>,
-    cfg: ExecConfig,
-) -> Result<BTreeSet<Tuple>, EngineError> {
-    let recorder = reg.recorder().clone();
-    let mut dict = Dictionary::new();
-    let mut out = BTreeSet::new();
-    for (i, plan) in union.parts.iter().enumerate() {
-        let _span = recorder.span_lazy(|| format!("disjunct {i}: {}", plan.head));
-        out.extend(execute_cq_shared(plan, reg, cfg, &mut dict)?.0);
-    }
-    Ok(out)
-}
-
-/// [`execute_physical_union`] plus per-operator runtime counters for every
-/// disjunct.
-pub fn execute_physical_union_profiled(
-    union: &PhysicalUnion,
-    reg: &mut SourceRegistry<'_>,
-    cfg: ExecConfig,
-) -> Result<(BTreeSet<Tuple>, UnionProfile), EngineError> {
-    let recorder = reg.recorder().clone();
-    let mut dict = Dictionary::new();
-    let mut out = BTreeSet::new();
-    let mut parts = Vec::with_capacity(union.parts.len());
-    for (i, plan) in union.parts.iter().enumerate() {
-        let _span = recorder.span_lazy(|| format!("disjunct {i}: {}", plan.head));
-        let (rows, profile) = execute_cq_shared(plan, reg, cfg, &mut dict)?;
-        out.extend(rows);
-        parts.push(profile);
-    }
-    Ok((out, UnionProfile { parts }))
-}
-
 /// One disjunct dropped from a degraded evaluation: which pipeline, and
 /// the terminal source failure that forced the drop.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -1193,78 +1146,137 @@ impl fmt::Display for DisjunctDegradation {
     }
 }
 
-/// Executes a physical union in degradation mode: a disjunct whose source
-/// exhausts its retries ([`EngineError::SourceUnavailable`]) is dropped
-/// *whole* — it contributes no rows at all — and reported, while the
-/// remaining disjuncts still evaluate. Every drop bumps the
-/// `source.degraded` counter on the registry's recorder.
-///
-/// Soundness: a fault is an error, never an empty answer, so a surviving
-/// disjunct returns exactly its fault-free rows and the degraded result is
-/// a subset of the fault-free one. Any other error still aborts the run —
-/// only source unavailability degrades.
-pub fn execute_physical_union_degraded(
+impl DisjunctDegradation {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("index", Json::num(self.index as u64)),
+            ("head", Json::str(self.head.as_str())),
+            ("relation", Json::str(self.relation.as_str())),
+            ("attempts", Json::num(u64::from(self.attempts))),
+            ("reason", Json::str(self.reason.as_str())),
+        ])
+    }
+}
+
+/// What a union run does with a disjunct whose source exhausts its
+/// retries ([`EngineError::SourceUnavailable`]). Any other error aborts
+/// the run under both policies.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OnUnavailable {
+    /// Propagate the error — the paper's Fig. 4 as written.
+    Abort,
+    /// Drop the disjunct *whole* (it contributes no rows at all), report
+    /// it in [`UnionRun::dropped`], bump the `source.degraded` counter on
+    /// the registry's recorder, and keep evaluating the rest.
+    ///
+    /// Soundness: a fault is an error, never an empty answer, so a
+    /// surviving disjunct returns exactly its fault-free rows and the
+    /// degraded result is a subset of the fault-free one.
+    Drop,
+}
+
+/// What one union run produced.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct UnionRun {
+    /// The set union of the surviving disjuncts' answers.
+    pub rows: BTreeSet<Tuple>,
+    /// Per-operator runtime counters, one part per surviving disjunct.
+    pub profile: UnionProfile,
+    /// The disjuncts dropped under [`OnUnavailable::Drop`] (always empty
+    /// under [`OnUnavailable::Abort`]).
+    pub dropped: Vec<DisjunctDegradation>,
+}
+
+/// Folds disjunct `index`'s result into `run`. With a `degraded` counter
+/// (the drop policy) an exhausted source drops the disjunct, and `journal`
+/// receives the `disjunct.degraded` event payload.
+fn absorb_disjunct(
+    run: &mut UnionRun,
+    degraded: Option<&lap_obs::Counter>,
+    index: usize,
+    plan: &PhysicalPlan,
+    result: Result<(BTreeSet<Tuple>, PlanProfile), EngineError>,
+    journal: impl FnOnce(Json),
+) -> Result<(), EngineError> {
+    match (result, degraded) {
+        (Ok((rows, profile)), _) => {
+            run.rows.extend(rows);
+            run.profile.parts.push(profile);
+        }
+        (Err(EngineError::SourceUnavailable { relation, attempts, reason }), Some(degraded)) => {
+            degraded.incr();
+            let head = plan.head.to_string();
+            let d = DisjunctDegradation { index, head, relation, attempts, reason };
+            journal(d.to_json());
+            run.dropped.push(d);
+        }
+        (Err(other), _) => return Err(other),
+    }
+    Ok(())
+}
+
+/// Executes a physical union sequentially — the one union driver: one
+/// span per disjunct when the registry's recorder has tracing enabled, one
+/// dictionary shared across disjuncts, and `on_unavailable` deciding what
+/// an exhausted source does to its disjunct.
+pub fn execute_physical_union_with(
     union: &PhysicalUnion,
     reg: &mut SourceRegistry<'_>,
     cfg: ExecConfig,
-) -> Result<(BTreeSet<Tuple>, Vec<DisjunctDegradation>), EngineError> {
+    on_unavailable: OnUnavailable,
+) -> Result<UnionRun, EngineError> {
     let recorder = reg.recorder().clone();
-    let degraded = recorder.counter("source.degraded");
+    // Registered only under the drop policy, so an aborting run's metrics
+    // snapshot carries no `source.degraded` line.
+    let degraded =
+        (on_unavailable == OnUnavailable::Drop).then(|| recorder.counter("source.degraded"));
     let mut dict = Dictionary::new();
-    let mut out = BTreeSet::new();
-    let mut dropped = Vec::new();
+    let mut run = UnionRun::default();
     for (i, plan) in union.parts.iter().enumerate() {
         let _span = recorder.span_lazy(|| format!("disjunct {i}: {}", plan.head));
-        match execute_cq_shared(plan, reg, cfg, &mut dict).map(|(rows, _)| rows) {
-            Ok(rows) => out.extend(rows),
-            Err(EngineError::SourceUnavailable { relation, attempts, reason }) => {
-                degraded.incr();
-                let d = DisjunctDegradation {
-                    index: i,
-                    head: plan.head.to_string(),
-                    relation,
-                    attempts,
-                    reason,
-                };
-                reg.journal_emit(journal_kind::DISJUNCT_DEGRADED, degradation_json(&d));
-                dropped.push(d);
-            }
-            Err(other) => return Err(other),
-        }
+        let result = execute_cq_shared(plan, reg, cfg, &mut dict);
+        absorb_disjunct(&mut run, degraded.as_ref(), i, plan, result, |d| {
+            reg.journal_emit(journal_kind::DISJUNCT_DEGRADED, d)
+        })?;
     }
-    Ok((out, dropped))
+    Ok(run)
 }
 
-fn degradation_json(d: &DisjunctDegradation) -> Json {
-    Json::obj([
-        ("index", Json::num(d.index as u64)),
-        ("head", Json::str(d.head.as_str())),
-        ("relation", Json::str(d.relation.as_str())),
-        ("attempts", Json::num(u64::from(d.attempts))),
-        ("reason", Json::str(d.reason.as_str())),
-    ])
+/// [`execute_physical_union_with`] at [`OnUnavailable::Abort`], rows only.
+pub fn execute_physical_union(
+    union: &PhysicalUnion,
+    reg: &mut SourceRegistry<'_>,
+    cfg: ExecConfig,
+) -> Result<BTreeSet<Tuple>, EngineError> {
+    execute_physical_union_with(union, reg, cfg, OnUnavailable::Abort).map(|run| run.rows)
 }
 
-/// Parallel [`execute_physical_union_degraded`]: one worker thread, source
-/// registry, and (when `resilience.fault` is set) independently-seeded
-/// fault stream per disjunct — worker `i` uses
-/// [`crate::FaultConfig::derive`]`(i)`, so the schedule is deterministic
-/// regardless of thread interleaving.
-pub fn execute_physical_union_parallel_degraded(
+/// Executes a physical union with one worker thread and one source
+/// registry per disjunct, in an `eval.parallel` span; every worker's
+/// registry reports to the shared `recorder` on its own journal lane, and
+/// the merged call statistics come back beside the run.
+///
+/// `resilience: None` aborts on an unavailable source. `Some` runs every
+/// worker under its retry policy with an independently-seeded fault stream
+/// (worker `i` uses [`crate::FaultConfig::derive`]`(i)`, so the schedule is
+/// deterministic regardless of thread interleaving) and drops exhausted
+/// disjuncts as [`OnUnavailable::Drop`] does.
+pub fn execute_physical_union_parallel(
     union: &PhysicalUnion,
     db: &Database,
     schema: &Schema,
     recorder: &lap_obs::Recorder,
     cfg: ExecConfig,
-    resilience: &crate::ResilienceConfig,
-) -> Result<(BTreeSet<Tuple>, CallStats, Vec<DisjunctDegradation>), EngineError> {
+    resilience: Option<&crate::ResilienceConfig>,
+) -> Result<(UnionRun, CallStats), EngineError> {
+    let mut stats = CallStats::default();
     if union.parts.is_empty() {
-        return Ok((BTreeSet::new(), CallStats::default(), Vec::new()));
+        return Ok((UnionRun::default(), stats));
     }
     let _span = recorder.span("eval.parallel");
-    let degraded = recorder.counter("source.degraded");
-    type WorkerResult =
-        Result<(Result<BTreeSet<Tuple>, DisjunctDegradation>, CallStats), EngineError>;
+    let degraded = resilience.map(|_| recorder.counter("source.degraded"));
+    let mut run = UnionRun::default();
+    type WorkerResult = (Result<(BTreeSet<Tuple>, PlanProfile), EngineError>, CallStats);
     let results: Vec<WorkerResult> = std::thread::scope(|scope| {
         let handles: Vec<_> = union
             .parts
@@ -1275,25 +1287,15 @@ pub fn execute_physical_union_parallel_degraded(
                     let mut reg = SourceRegistry::new(db, schema)
                         .recording(recorder)
                         .with_journal_lane(i as u64)
-                        .with_io_workers(cfg.io_workers)
-                        .with_retry(resilience.retry);
-                    if let Some(fault) = &resilience.fault {
-                        reg = reg.with_fault_injection(fault.derive(i as u64));
+                        .with_io_workers(cfg.io_workers);
+                    if let Some(resilience) = resilience {
+                        reg = reg.with_retry(resilience.retry);
+                        if let Some(fault) = &resilience.fault {
+                            reg = reg.with_fault_injection(fault.derive(i as u64));
+                        }
                     }
-                    match execute_physical_cq(plan, &mut reg, cfg) {
-                        Ok(rows) => Ok((Ok(rows), reg.stats())),
-                        Err(EngineError::SourceUnavailable { relation, attempts, reason }) => Ok((
-                            Err(DisjunctDegradation {
-                                index: i,
-                                head: plan.head.to_string(),
-                                relation,
-                                attempts,
-                                reason,
-                            }),
-                            reg.stats(),
-                        )),
-                        Err(other) => Err(other),
-                    }
+                    let result = execute_cq_shared(plan, &mut reg, cfg, &mut Dictionary::new());
+                    (result, reg.stats())
                 })
             })
             .collect();
@@ -1302,89 +1304,18 @@ pub fn execute_physical_union_parallel_degraded(
             .map(|h| h.join().expect("worker thread does not panic"))
             .collect()
     });
-    let mut out = BTreeSet::new();
-    let mut stats = CallStats::default();
-    let mut dropped = Vec::new();
-    for r in results {
-        let (outcome, s) = r?;
-        stats.absorb(s);
-        match outcome {
-            Ok(rows) => out.extend(rows),
-            Err(d) => {
-                degraded.incr();
-                // The drop decision lands on the main thread, which holds no
-                // registry — emit through the shared recorder on the
-                // degraded worker's lane.
-                if let Some(journal) = recorder.journal() {
-                    journal.emit(
-                        d.index as u64,
-                        0,
-                        journal_kind::DISJUNCT_DEGRADED,
-                        degradation_json(&d),
-                    );
-                }
-                dropped.push(d);
+    for (i, (plan, (result, worker_stats))) in union.parts.iter().zip(results).enumerate() {
+        // The drop decision lands on the main thread, which holds no
+        // registry — emit through the shared recorder on the degraded
+        // worker's lane.
+        absorb_disjunct(&mut run, degraded.as_ref(), i, plan, result, |d| {
+            if let Some(journal) = recorder.journal() {
+                journal.emit(i as u64, 0, journal_kind::DISJUNCT_DEGRADED, d);
             }
-        }
+        })?;
+        stats.absorb(worker_stats);
     }
-    Ok((out, stats, dropped))
-}
-
-/// Executes a physical union with one worker thread (and one source
-/// registry) per disjunct, merging answers and call statistics.
-pub fn execute_physical_union_parallel(
-    union: &PhysicalUnion,
-    db: &Database,
-    schema: &Schema,
-    cfg: ExecConfig,
-) -> Result<(BTreeSet<Tuple>, CallStats), EngineError> {
-    execute_physical_union_parallel_obs(union, db, schema, &lap_obs::Recorder::disabled(), cfg)
-}
-
-/// [`execute_physical_union_parallel`] under `recorder`: the fan-out runs
-/// in an `eval.parallel` span and every worker's registry reports to the
-/// shared recorder.
-pub fn execute_physical_union_parallel_obs(
-    union: &PhysicalUnion,
-    db: &Database,
-    schema: &Schema,
-    recorder: &lap_obs::Recorder,
-    cfg: ExecConfig,
-) -> Result<(BTreeSet<Tuple>, CallStats), EngineError> {
-    if union.parts.is_empty() {
-        return Ok((BTreeSet::new(), CallStats::default()));
-    }
-    let _span = recorder.span("eval.parallel");
-    let results: Vec<Result<(BTreeSet<Tuple>, CallStats), EngineError>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = union
-                .parts
-                .iter()
-                .enumerate()
-                .map(|(i, plan)| {
-                    scope.spawn(move || {
-                        let mut reg = SourceRegistry::new(db, schema)
-                            .recording(recorder)
-                            .with_journal_lane(i as u64)
-                            .with_io_workers(cfg.io_workers);
-                        let rows = execute_physical_cq(plan, &mut reg, cfg)?;
-                        Ok((rows, reg.stats()))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread does not panic"))
-                .collect()
-        });
-    let mut out = BTreeSet::new();
-    let mut stats = CallStats::default();
-    for r in results {
-        let (rows, s) = r?;
-        out.extend(rows);
-        stats.absorb(s);
-    }
-    Ok((out, stats))
+    Ok((run, stats))
 }
 
 #[cfg(test)]
@@ -1462,8 +1393,9 @@ mod tests {
         ];
         let union = lower_union(&parts, &schema);
         let mut reg = SourceRegistry::new(&db, &schema);
-        let (rows, profile) =
-            execute_physical_union_profiled(&union, &mut reg, ExecConfig::default()).unwrap();
+        let cfg = ExecConfig::default();
+        let UnionRun { rows, profile, .. } =
+            execute_physical_union_with(&union, &mut reg, cfg, OnUnavailable::Abort).unwrap();
         assert_eq!(rows.len(), 1);
         let ops = &profile.parts[0].ops;
         assert_eq!(ops[0].rows_in, 1); // the unit binding
@@ -1535,7 +1467,8 @@ mod tests {
         );
         let mut reg = SourceRegistry::new(&db, &schema);
         let (rows, profile) =
-            execute_physical_cq_profiled(&plan, &mut reg, ExecConfig::default()).unwrap();
+            execute_cq_shared(&plan, &mut reg, ExecConfig::default(), &mut Dictionary::new())
+                .unwrap();
         assert_eq!(rows.len(), 2);
         let m = &profile.ops[2];
         assert!(m.op.contains("not M"), "{}", m.op);
@@ -1558,8 +1491,9 @@ mod tests {
         ];
         let union = lower_union(&parts, &schema);
         let mut reg = SourceRegistry::new(&db, &schema);
-        let (_, profile) =
-            execute_physical_union_profiled(&union, &mut reg, ExecConfig::default()).unwrap();
+        let cfg = ExecConfig::default();
+        let profile =
+            execute_physical_union_with(&union, &mut reg, cfg, OnUnavailable::Abort).unwrap().profile;
         // The second disjunct's access re-interns values the first already
         // interned: its dictionary traffic is all hits, no misses.
         let second_access = &profile.parts[1].ops[0];
@@ -1578,8 +1512,16 @@ mod tests {
         let cfg = ExecConfig::default();
         let mut reg = SourceRegistry::new(&db, &schema);
         let seq = execute_physical_union(&union, &mut reg, cfg).unwrap();
-        let (par, stats) = execute_physical_union_parallel(&union, &db, &schema, cfg).unwrap();
-        assert_eq!(seq, par);
+        let (par, stats) = execute_physical_union_parallel(
+            &union,
+            &db,
+            &schema,
+            &lap_obs::Recorder::disabled(),
+            cfg,
+            None,
+        )
+        .unwrap();
+        assert_eq!(seq, par.rows);
         assert_eq!(stats.calls, reg.stats().calls);
         assert_eq!(stats.tuples_returned, reg.stats().tuples_returned);
     }

@@ -5,9 +5,8 @@ use crate::unfold::{unfold_deep, UnfoldError};
 use crate::views::{GavView, ViewError};
 use lap_constraints::{prune_unsatisfiable, ConstraintSet};
 use lap_core::{
-    answer_star_obs, answer_star_resilient, feasible_detailed_obs, lower_pair, AnswerOutcome,
-    AnswerReport, FeasibilityReport,
-    PhysicalPair,
+    answer_star_opts, feasible_detailed_obs, lower_pair, AnswerOptions, AnswerOutcome,
+    AnswerReport, FeasibilityReport, PhysicalPair,
 };
 use lap_core::{ContainmentEngine, EngineConfig, EngineStats};
 use lap_engine::{Database, EngineError, ResilienceConfig};
@@ -229,8 +228,9 @@ impl Mediator {
         db: &Database,
     ) -> Result<(MediatorPlan, AnswerReport), MediatorError> {
         let plan = self.plan(q)?;
-        let report = answer_star_obs(&plan.pruned, &self.source_schema, db, &self.recorder)?;
-        Ok((plan, report))
+        let opts = AnswerOptions::new(&self.recorder);
+        let outcome = answer_star_opts(&plan.pruned, &self.source_schema, db, &opts)?;
+        Ok((plan, outcome.report))
     }
 
     /// [`Mediator::answer`] in degradation mode: runtime answering runs
@@ -244,13 +244,9 @@ impl Mediator {
         resilience: &ResilienceConfig,
     ) -> Result<(MediatorPlan, AnswerOutcome), MediatorError> {
         let plan = self.plan(q)?;
-        let outcome = answer_star_resilient(
-            &plan.pruned,
-            &self.source_schema,
-            db,
-            &self.recorder,
-            resilience,
-        )?;
+        let opts =
+            AnswerOptions { resilience: Some(resilience), ..AnswerOptions::new(&self.recorder) };
+        let outcome = answer_star_opts(&plan.pruned, &self.source_schema, db, &opts)?;
         Ok((plan, outcome))
     }
 

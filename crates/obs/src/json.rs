@@ -201,12 +201,19 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses a JSON document (used by `lapq obs-validate` and round-trip
-/// tests; rejects trailing garbage).
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses per
+/// level, and `lapd` parses frames from the network on session threads: a
+/// stack overflow there aborts the whole process, so depth is bounded
+/// well above any document this repo writes (journals nest under 10).
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document (used by `lapq obs-validate`, the `lapd` wire
+/// protocol, and round-trip tests; rejects trailing garbage and nesting
+/// deeper than [`MAX_DEPTH`]).
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err("trailing characters", pos));
@@ -236,10 +243,11 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err("unexpected end of input", *pos)),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(err("nesting too deep", *pos)),
         Some(b'{') => {
             *pos += 1;
             let mut pairs = Vec::new();
@@ -253,7 +261,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -275,7 +283,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -392,6 +400,17 @@ mod tests {
         for text in [doc.to_compact(), doc.to_pretty()] {
             assert_eq!(parse(&text).unwrap(), doc, "{text}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_stack_bound() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let e = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((e.message.as_str(), e.offset), ("nesting too deep", MAX_DEPTH));
+        // Unclosed, far past any stack: must be an error, not an abort.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"k\":".repeat(100_000)).is_err());
     }
 
     #[test]

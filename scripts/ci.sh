@@ -18,6 +18,9 @@ cargo test -q
 echo "==> cargo test --workspace (every crate)"
 cargo test -q --workspace
 
+echo "==> lapbench (out-of-workspace benchmark): builds and tests against the public API"
+cargo test -q --offline --manifest-path lapbench/Cargo.toml
+
 echo "==> executor differential suite (batched vs tuple-at-a-time reference)"
 cargo test -q --test executor_differential
 
@@ -37,10 +40,8 @@ if [ "${RUN_SOAK:-0}" = "1" ]; then
     cargo test -q --release --test soak -- --ignored
 fi
 
-echo "==> cargo clippy -D warnings (crates touched by the engine work, incl. lap_engine::sched)"
-cargo clippy -q --all-targets -p lap-prng -p lap-containment -p lap-core \
-    -p lap-engine -p lap-planner -p lap-proto \
-    -p lap-mediator -p lap-workload -p lap-obs -p lap-bench -p lap -- -D warnings
+echo "==> cargo clippy -D warnings (every workspace crate)"
+cargo clippy -q --workspace --all-targets -- -D warnings
 
 echo "==> observability smoke: lapq run --trace --metrics-json + obs-validate"
 OBS_SNAPSHOT="${TMPDIR:-/tmp}/lapq_ci_metrics.json"

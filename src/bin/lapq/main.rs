@@ -62,10 +62,8 @@ mod cli;
 
 use cli::CliArgs;
 use lap::core::{
-    answer_star_obs_cfg, answer_star_planned_obs_cfg, answer_star_replay_cfg,
-    answer_star_resilient_cfg, answer_star_resilient_planned_cfg, answer_star_with_domain,
-    feasible_detailed_with,
-    is_executable, is_orderable, render_answer_report, render_outcome, AnswerOutcome,
+    answer_star_opts, answer_star_with_domain, feasible_detailed_with, is_executable,
+    is_orderable, render_answer_report, render_outcome, AnswerOptions, AnswerOutcome,
     AnswerReport, ContainmentEngine, DecisionPath, EngineConfig,
 };
 use lap::engine::{
@@ -568,25 +566,14 @@ fn run_query(
             let pair = lap::core::plan_star(query, &program.schema);
             optimize_plan_pair(&pair, &program.schema, cal, Strategy::Exhaustive)
         });
-        if let Some(res) = resilience {
-            let outcome = match &planned {
-                Some(plans) => answer_star_resilient_planned_cfg(
-                    query, plans, &program.schema, &db, recorder, res, cfg,
-                ),
-                None => answer_star_resilient_cfg(query, &program.schema, &db, recorder, res, cfg),
-            }
+        let opts = AnswerOptions { recorder, exec: cfg, resilience, plans: planned.as_ref() };
+        let outcome = answer_star_opts(query, &program.schema, &db, &opts)
             .map_err(|e| format!("evaluating {}: {e}", query.signature.0))?;
+        if resilience.is_some() {
             print_outcome(&outcome);
             continue;
         }
-        let rep = match &planned {
-            Some(plans) => {
-                answer_star_planned_obs_cfg(query, plans, &program.schema, &db, recorder, cfg)
-            }
-            None => answer_star_obs_cfg(query, &program.schema, &db, recorder, cfg),
-        }
-        .map_err(|e| format!("evaluating {}: {e}", query.signature.0))?;
-        print_answer_report(&rep);
+        print_answer_report(&outcome.report);
         if recorder.metrics_enabled() {
             // Observability run: also record the FEASIBLE decision so the
             // exported span tree covers the whole pipeline (parse →
@@ -852,7 +839,7 @@ fn profile(
     cfg: ExecConfig,
     recorder: &Recorder,
 ) -> Result<(), String> {
-    use lap::engine::{execute_physical_union_profiled, SourceRegistry};
+    use lap::engine::{execute_physical_union_with, OnUnavailable, SourceRegistry};
     let program = load(program_path, recorder)?;
     let facts = std::fs::read_to_string(facts_path)
         .map_err(|e| format!("cannot read {facts_path}: {e}"))?;
@@ -864,9 +851,9 @@ fn profile(
         let mut reg = SourceRegistry::new(&db, &program.schema)
             .recording(recorder)
             .with_io_workers(cfg.io_workers);
-        let (_, prof) = execute_physical_union_profiled(&physical, &mut reg, cfg)
+        let run = execute_physical_union_with(&physical, &mut reg, cfg, OnUnavailable::Abort)
             .map_err(|e| format!("evaluating: {e}"))?;
-        println!("{prof}");
+        println!("{}", run.profile);
         println!("total source usage (positive calls): {}", reg.stats());
         println!("membership probes (negative literals, disjoint): {}", reg.membership_probes());
         println!();
@@ -1051,11 +1038,12 @@ fn replay_cmd(path: &str, recorder: &Recorder) -> Result<(), String> {
         cfg.columnar = *columnar;
     }
     let source = ReplaySource::from_journal(&snap).map_err(|e| format!("{path}: {e}"))?;
+    let resilience = ResilienceConfig { fault: None, retry };
+    let opts = AnswerOptions { recorder, exec: cfg, resilience: Some(&resilience), plans: None };
     for query in &program.queries {
         println!("query {}:", query.signature.0);
-        let outcome =
-            answer_star_replay_cfg(query, &program.schema, source.clone(), retry, recorder, cfg)
-                .map_err(|e| format!("replaying {}: {e}", query.signature.0))?;
+        let outcome = answer_star_opts(query, &program.schema, source.clone(), &opts)
+            .map_err(|e| format!("replaying {}: {e}", query.signature.0))?;
         print_outcome(&outcome);
     }
     if source.mismatches() > 0 || source.remaining() > 0 {

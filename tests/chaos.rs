@@ -1,7 +1,7 @@
 //! Chaos suite: deterministic fault injection end to end.
 //!
 //! Every test here runs ANSWER\* under a seeded [`ResilienceConfig`] and
-//! checks the degradation contract of `answer_star_resilient`:
+//! checks the degradation contract of `answer_star_resilient_cfg`:
 //!
 //! * **determinism** — the same seed replays the same faults, retries,
 //!   and degradation report bit for bit;
@@ -13,9 +13,9 @@
 //! * **equivalence at rate 0** — the resilient path with a fault-free
 //!   profile is observationally identical to the plain path.
 
-use lap::core::{answer_star, answer_star_resilient, Completeness};
+use lap::core::{answer_star, answer_star_resilient_cfg, Completeness};
 use lap::engine::{
-    execute_physical_union_parallel_degraded, ExecConfig, FaultConfig, ResilienceConfig,
+    execute_physical_union_parallel, ExecConfig, FaultConfig, ResilienceConfig,
     RetryPolicy,
 };
 use lap::obs::Recorder;
@@ -41,8 +41,9 @@ fn same_seed_replays_the_same_degradation_bit_for_bit() {
     let query = program.single_query().unwrap();
     let resilience = ResilienceConfig::chaos(0.3, 0xDECAF);
     let run = || {
-        answer_star_resilient(query, &program.schema, &db, &Recorder::disabled(), &resilience)
-            .unwrap()
+        let quiet = Recorder::disabled();
+        let cfg = ExecConfig::default();
+        answer_star_resilient_cfg(query, &program.schema, &db, &quiet, &resilience, cfg).unwrap()
     };
     let a = run();
     let b = run();
@@ -64,12 +65,13 @@ fn rate_zero_profile_is_observationally_plain() {
     let query = program.single_query().unwrap();
     let plain = answer_star(query, &program.schema, &db).unwrap();
     for scenario in chaos_ladder(99).iter().take(1) {
-        let outcome = answer_star_resilient(
+        let outcome = answer_star_resilient_cfg(
             query,
             &program.schema,
             &db,
             &Recorder::disabled(),
             &scenario.resilience,
+            ExecConfig::default(),
         )
         .unwrap();
         assert_eq!(outcome.report.under, plain.under);
@@ -88,12 +90,13 @@ fn degraded_under_is_sound_across_the_ladder() {
     let plain = answer_star(query, &program.schema, &db).unwrap();
     for family_seed in 0..4u64 {
         for scenario in chaos_ladder(family_seed) {
-            let outcome = answer_star_resilient(
+            let outcome = answer_star_resilient_cfg(
                 query,
                 &program.schema,
                 &db,
                 &Recorder::disabled(),
                 &scenario.resilience,
+                ExecConfig::default(),
             )
             .unwrap();
             assert!(
@@ -128,22 +131,22 @@ fn parallel_degraded_executor_is_sound_and_deterministic() {
         retry: RetryPolicy::standard(),
     };
     let run = || {
-        execute_physical_union_parallel_degraded(
+        execute_physical_union_parallel(
             &physical,
             &db,
             &program.schema,
             &Recorder::disabled(),
             ExecConfig::default(),
-            &resilience,
+            Some(&resilience),
         )
         .unwrap()
+        .0
     };
-    let (rows_a, _, drops_a) = run();
-    let (rows_b, _, drops_b) = run();
-    assert!(rows_a.is_subset(&plain.under), "parallel degraded under must stay sound");
-    assert_eq!(rows_a, rows_b, "parallel degradation must be deterministic");
-    assert_eq!(drops_a.len(), drops_b.len());
-    for (x, y) in drops_a.iter().zip(drops_b.iter()) {
+    let (a, b) = (run(), run());
+    assert!(a.rows.is_subset(&plain.under), "parallel degraded under must stay sound");
+    assert_eq!(a.rows, b.rows, "parallel degradation must be deterministic");
+    assert_eq!(a.dropped.len(), b.dropped.len());
+    for (x, y) in a.dropped.iter().zip(b.dropped.iter()) {
         assert_eq!(x.to_string(), y.to_string());
     }
 }
@@ -154,7 +157,9 @@ fn latency_profile_times_out_deterministically() {
     let query = program.single_query().unwrap();
     let slow = lap::workload::slow_source(0.0, 11);
     let run = || {
-        answer_star_resilient(query, &program.schema, &db, &Recorder::disabled(), &slow.resilience)
+        let quiet = Recorder::disabled();
+        let cfg = ExecConfig::default();
+        answer_star_resilient_cfg(query, &program.schema, &db, &quiet, &slow.resilience, cfg)
             .unwrap()
     };
     let a = run();

@@ -221,32 +221,36 @@ fn session_cap_refuses_with_quota_frame() {
 
 /// A malformed frame (valid length prefix, garbage payload) gets a
 /// `bad-frame` error reply and closes only that session; the server
-/// keeps serving new connections.
+/// keeps serving new connections. Nesting far past any stack is such a
+/// payload: the parser's depth limit answers it instead of overflowing
+/// the session thread, which would abort the whole process.
 #[test]
 fn malformed_frame_is_answered_and_contained() {
     let server = start_server(DaemonConfig::default());
     let addr = server.addr().to_string();
 
-    let mut raw = TcpStream::connect(&addr).expect("connect");
-    let garbage = b"this is not json";
-    raw.write_all(&(garbage.len() as u32).to_be_bytes()).unwrap();
-    raw.write_all(garbage).unwrap();
-    raw.flush().unwrap();
+    for garbage in [b"this is not json".to_vec(), vec![b'['; 100_000]] {
+        let mut raw = TcpStream::connect(&addr).expect("connect");
+        raw.write_all(&(garbage.len() as u32).to_be_bytes()).unwrap();
+        raw.write_all(&garbage).unwrap();
+        raw.flush().unwrap();
 
-    let doc = read_frame(&mut raw, MAX_FRAME_BYTES).expect("error frame comes back");
-    match Response::from_json(&doc).expect("frame is a response") {
-        Response::Error { id, code: ErrorCode::BadFrame, .. } => assert_eq!(id, 0),
-        other => panic!("expected bad-frame, got {other:?}"),
-    }
-    // The session is closed after a bad frame: next read sees EOF.
-    match read_frame(&mut raw, MAX_FRAME_BYTES) {
-        Err(_) => {}
-        Ok(doc) => panic!("session should be closed, got {doc:?}"),
+        let doc = read_frame(&mut raw, MAX_FRAME_BYTES).expect("error frame comes back");
+        match Response::from_json(&doc).expect("frame is a response") {
+            Response::Error { id, code: ErrorCode::BadFrame, .. } => assert_eq!(id, 0),
+            other => panic!("expected bad-frame, got {other:?}"),
+        }
+        // The session is closed after a bad frame: next read sees EOF.
+        match read_frame(&mut raw, MAX_FRAME_BYTES) {
+            Err(_) => {}
+            Ok(doc) => panic!("session should be closed, got {doc:?}"),
+        }
     }
 
     // The server survived: a fresh client gets answers.
     let mut client = Client::connect(&addr).expect("server still accepts");
     assert!(matches!(client.ping().unwrap(), Response::Ok { .. }));
+    assert!(matches!(client.stats().unwrap(), Response::Ok { .. }));
     server.shutdown();
 }
 

@@ -180,8 +180,9 @@ fn parallel_physical_execution_matches_tuple_reference() {
         }
         let reference = tuple_reference(&parts, &db, &schema);
         let union = lower_union(&parts, &schema);
-        let par = execute_physical_union_parallel(&union, &db, &schema, ExecConfig::default())
-            .map(|(rows, _)| rows);
+        let (quiet, cfg) = (lap::obs::Recorder::disabled(), ExecConfig::default());
+        let par = execute_physical_union_parallel(&union, &db, &schema, &quiet, cfg, None)
+            .map(|(run, _)| run.rows);
         match (&reference, par) {
             (Ok(want), Ok(rows)) => {
                 assert_eq!(want, &rows, "parallel answers differ on case {case}: {q}")
@@ -246,7 +247,9 @@ fn domain_refinement_through_physical_executor_stays_sound() {
 /// seed must degrade identically across widths of the same run.
 #[test]
 fn fault_injected_runs_stay_sound_at_every_batch_width() {
-    use lap::engine::{execute_physical_union_degraded, FaultConfig, RetryPolicy};
+    use lap::engine::{
+        execute_physical_union_with, FaultConfig, OnUnavailable, RetryPolicy, UnionRun,
+    };
     let mut degraded_seen = 0u64;
     for case in 0..CASES / 2 {
         let mut rng = case_rng(0xFA17, case);
@@ -277,9 +280,9 @@ fn fault_injected_runs_stay_sound_at_every_batch_width() {
             let mut reg = SourceRegistry::new(&db, &schema)
                 .with_retry(RetryPolicy::standard().with_max_attempts(2))
                 .with_fault_injection(FaultConfig::with_rate(0.3, 0xFA17 ^ case));
-            let (rows, drops) =
-                execute_physical_union_degraded(&union, &mut reg, ExecConfig::with_batch_size(width))
-                    .unwrap();
+            let cfg = ExecConfig::with_batch_size(width);
+            let UnionRun { rows, dropped: drops, .. } =
+                execute_physical_union_with(&union, &mut reg, cfg, OnUnavailable::Drop).unwrap();
             assert!(
                 rows.is_subset(&reference),
                 "case {case} width {width}: degraded run invented answers: {q}"
@@ -304,7 +307,9 @@ fn fault_injected_runs_stay_sound_at_every_batch_width() {
 /// rate 0 the answers must also equal the fault-free tuple reference.
 #[test]
 fn overlapped_execution_matches_the_serial_oracle_exactly() {
-    use lap::engine::{execute_physical_union_degraded, FaultConfig, RetryPolicy};
+    use lap::engine::{
+        execute_physical_union_with, FaultConfig, OnUnavailable, RetryPolicy, UnionRun,
+    };
     const IO_WORKERS: [usize; 3] = [1, 4, 16];
     const FAULT_RATES: [f64; 2] = [0.0, 0.2];
     let mut degraded_seen = 0u64;
@@ -345,12 +350,14 @@ fn overlapped_execution_matches_the_serial_oracle_exactly() {
                     reg
                 };
                 let mut serial_reg = registry(1);
-                let (serial_rows, serial_drops) = execute_physical_union_degraded(
-                    &union,
-                    &mut serial_reg,
-                    ExecConfig::with_batch_size(width),
-                )
-                .unwrap();
+                let UnionRun { rows: serial_rows, dropped: serial_drops, .. } =
+                    execute_physical_union_with(
+                        &union,
+                        &mut serial_reg,
+                        ExecConfig::with_batch_size(width),
+                        OnUnavailable::Drop,
+                    )
+                    .unwrap();
                 if rate == 0.0 {
                     assert_eq!(
                         serial_rows, reference,
@@ -363,10 +370,11 @@ fn overlapped_execution_matches_the_serial_oracle_exactly() {
                 }
                 for workers in IO_WORKERS {
                     let mut reg = registry(workers);
-                    let (rows, drops) = execute_physical_union_degraded(
+                    let UnionRun { rows, dropped: drops, .. } = execute_physical_union_with(
                         &union,
                         &mut reg,
                         ExecConfig::with_batch_size(width).with_io_workers(workers),
+                        OnUnavailable::Drop,
                     )
                     .unwrap();
                     let ctx = format!("case {case} rate {rate} width {width} workers {workers}: {q}");
@@ -406,7 +414,9 @@ fn overlapped_execution_matches_the_serial_oracle_exactly() {
 /// identical faults).
 #[test]
 fn columnar_executor_matches_row_baseline_and_tuple_oracle() {
-    use lap::engine::{execute_physical_union_degraded, FaultConfig, RetryPolicy};
+    use lap::engine::{
+        execute_physical_union_with, FaultConfig, OnUnavailable, RetryPolicy, UnionRun,
+    };
     const IO_WORKERS: [usize; 2] = [1, 8];
     const FAULT_RATES: [f64; 2] = [0.0, 0.2];
     let mut degraded_seen = 0u64;
@@ -450,11 +460,13 @@ fn columnar_executor_matches_row_baseline_and_tuple_oracle() {
                     };
                     let cfg = ExecConfig::with_batch_size(width).with_io_workers(workers);
                     let mut row_reg = registry();
-                    let (row_rows, row_drops) =
-                        execute_physical_union_degraded(&union, &mut row_reg, cfg.rows()).unwrap();
+                    let drop = OnUnavailable::Drop;
+                    let UnionRun { rows: row_rows, dropped: row_drops, .. } =
+                        execute_physical_union_with(&union, &mut row_reg, cfg.rows(), drop)
+                            .unwrap();
                     let mut col_reg = registry();
-                    let (col_rows, col_drops) =
-                        execute_physical_union_degraded(&union, &mut col_reg, cfg).unwrap();
+                    let UnionRun { rows: col_rows, dropped: col_drops, .. } =
+                        execute_physical_union_with(&union, &mut col_reg, cfg, drop).unwrap();
                     let ctx =
                         format!("case {case} rate {rate} width {width} workers {workers}: {q}");
                     assert_eq!(col_rows, row_rows, "answers differ: {ctx}");
@@ -505,7 +517,7 @@ fn columnar_executor_matches_row_baseline_and_tuple_oracle() {
 /// width and worker count.
 #[test]
 fn overlapped_columnar_chaos_run_replays_byte_identically() {
-    use lap::core::{answer_star_replay_cfg, answer_star_resilient_cfg};
+    use lap::core::{answer_star_opts, answer_star_resilient_cfg, AnswerOptions};
     use lap::engine::{ReplaySource, ResilienceConfig};
     use lap::obs::{JournalConfig, JournalSnapshot, Recorder};
     use lap::workload::{bookstore, BookstoreConfig};
@@ -586,15 +598,14 @@ fn overlapped_columnar_chaos_run_replays_byte_identically() {
 
     // Replay from the journal alone, at the recorded width and workers.
     let source = ReplaySource::from_journal(&snap).unwrap();
-    let replayed = answer_star_replay_cfg(
-        query,
-        &program.schema,
-        source.clone(),
-        resilience.retry,
-        &Recorder::disabled(),
-        cfg,
-    )
-    .unwrap();
+    let retry_only = ResilienceConfig { fault: None, retry: resilience.retry };
+    let opts = AnswerOptions {
+        recorder: &Recorder::disabled(),
+        exec: cfg,
+        resilience: Some(&retry_only),
+        plans: None,
+    };
+    let replayed = answer_star_opts(query, &program.schema, source.clone(), &opts).unwrap();
     assert_eq!(replayed, original, "replay must reproduce the outcome bit for bit");
     assert_eq!(source.mismatches(), 0);
     assert_eq!(source.remaining(), 0, "every recorded call must be consumed");

@@ -10,10 +10,10 @@
 //! * **export** — the chrome-trace rendering round-trips through the
 //!   in-repo JSON parser and stays balanced per thread lane.
 
-use lap::core::{answer_star_replay, answer_star_resilient, answer_star_resilient_cfg};
+use lap::core::{answer_star_opts, answer_star_resilient_cfg, AnswerOptions};
 use lap::engine::{
-    execute_physical_union_parallel_degraded, ExecConfig, FaultConfig, ReplaySource,
-    ResilienceConfig, RetryPolicy,
+    execute_physical_union_parallel, ExecConfig, FaultConfig, ReplaySource, ResilienceConfig,
+    RetryPolicy,
 };
 use lap::obs::{chrome_trace, validate_chrome_trace, JournalConfig, JournalSnapshot, Recorder};
 use lap::workload::{bookstore, BookstoreConfig};
@@ -39,8 +39,10 @@ fn recorded_chaos_run_replays_bit_for_bit() {
     let resilience = ResilienceConfig::chaos(0.3, 0xDECAF);
 
     let recorder = Recorder::with_journal(JournalConfig::replay());
+    let cfg = ExecConfig::default();
     let original =
-        answer_star_resilient(query, &program.schema, &db, &recorder, &resilience).unwrap();
+        answer_star_resilient_cfg(query, &program.schema, &db, &recorder, &resilience, cfg)
+            .unwrap();
     assert!(
         original.degradation.is_degraded(),
         "rate 0.3 over many calls should drop something"
@@ -55,14 +57,10 @@ fn recorded_chaos_run_replays_bit_for_bit() {
 
     // Replay from the journal alone: no database, no fault injector.
     let source = ReplaySource::from_journal(&snap).unwrap();
-    let replayed = answer_star_replay(
-        query,
-        &program.schema,
-        source.clone(),
-        resilience.retry,
-        &Recorder::disabled(),
-    )
-    .unwrap();
+    let quiet = Recorder::disabled();
+    let retry_only = ResilienceConfig { fault: None, retry: resilience.retry };
+    let opts = AnswerOptions { resilience: Some(&retry_only), ..AnswerOptions::new(&quiet) };
+    let replayed = answer_star_opts(query, &program.schema, source.clone(), &opts).unwrap();
     assert_eq!(replayed, original, "replay must reproduce the outcome bit for bit");
     assert_eq!(source.mismatches(), 0);
     assert_eq!(source.out_of_order(), 0);
@@ -75,7 +73,8 @@ fn journal_meta_carries_the_run_setup() {
     let query = program.single_query().unwrap();
     let resilience = ResilienceConfig::chaos(0.2, 7);
     let recorder = Recorder::with_journal(JournalConfig::replay());
-    answer_star_resilient(query, &program.schema, &db, &recorder, &resilience).unwrap();
+    let cfg = ExecConfig::default();
+    answer_star_resilient_cfg(query, &program.schema, &db, &recorder, &resilience, cfg).unwrap();
     let meta = recorder.journal().unwrap().snapshot().meta;
     assert_eq!(
         meta.get("kind").and_then(lap::obs::Json::as_str),
@@ -101,13 +100,13 @@ fn journal_invariants_hold_under_the_parallel_executor() {
         retry: RetryPolicy::standard(),
     };
     let recorder = Recorder::with_journal(JournalConfig::light());
-    let (_, _, drops) = execute_physical_union_parallel_degraded(
+    let (run, _) = execute_physical_union_parallel(
         &physical,
         &db,
         &program.schema,
         &recorder,
         ExecConfig::default(),
-        &resilience,
+        Some(&resilience),
     )
     .unwrap();
     let snap = recorder.journal().unwrap().snapshot();
@@ -116,7 +115,7 @@ fn journal_invariants_hold_under_the_parallel_executor() {
     assert_eq!(check.begins, check.ends, "balanced per construction: {check:?}");
     assert_eq!(
         snap.events_of(lap::obs::journal::kind::DISJUNCT_DEGRADED).count(),
-        drops.len(),
+        run.dropped.len(),
         "every drop decision must be journaled"
     );
 }
@@ -126,12 +125,13 @@ fn chrome_trace_round_trips_through_the_in_repo_parser() {
     let (program, db) = scenario();
     let query = program.single_query().unwrap();
     let recorder = Recorder::with_journal(JournalConfig::light());
-    answer_star_resilient(
+    answer_star_resilient_cfg(
         query,
         &program.schema,
         &db,
         &recorder,
         &ResilienceConfig::chaos(0.3, 0xDECAF),
+        ExecConfig::default(),
     )
     .unwrap();
     let snap = recorder.journal().unwrap().snapshot();
@@ -150,12 +150,13 @@ fn ring_overflow_is_bounded_and_accounted_end_to_end() {
         ..JournalConfig::light()
     };
     let recorder = Recorder::with_journal(cfg);
-    answer_star_resilient(
+    answer_star_resilient_cfg(
         query,
         &program.schema,
         &db,
         &recorder,
         &ResilienceConfig::chaos(0.3, 0xDECAF),
+        ExecConfig::default(),
     )
     .unwrap();
     let snap = recorder.journal().unwrap().snapshot();

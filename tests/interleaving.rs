@@ -13,8 +13,8 @@
 
 use lap::core::plan_star;
 use lap::engine::{
-    execute_physical_union_degraded, lower_union, Database, DisjunctDegradation, EngineError,
-    ExecConfig, FaultConfig, PhysicalUnion, RetryPolicy, SourceRegistry, Tuple,
+    execute_physical_union_with, lower_union, Database, DisjunctDegradation, EngineError,
+    ExecConfig, FaultConfig, OnUnavailable, PhysicalUnion, RetryPolicy, SourceRegistry, Tuple,
 };
 use lap::ir::{Program, Schema};
 use lap::obs::{JournalConfig, Recorder};
@@ -69,13 +69,14 @@ fn run_once(
     if let Some(seed) = sched {
         reg = reg.with_adversarial_sched(seed);
     }
-    let (rows, drops) = execute_physical_union_degraded(union, &mut reg, ExecConfig::default())?;
+    let run =
+        execute_physical_union_with(union, &mut reg, ExecConfig::default(), OnUnavailable::Drop)?;
     let stats = reg.stats();
     let snap = recorder.journal().unwrap().snapshot();
     snap.validate().expect("journal validates under every interleaving");
     Ok(Observed {
-        rows,
-        drops,
+        rows: run.rows,
+        drops: run.dropped,
         calls: stats.calls,
         tuples: stats.tuples_returned,
         cache_hits: stats.cache_hits,
@@ -167,15 +168,14 @@ fn worker_width_is_clamped_and_degenerate_batches_stay_serial() {
         .with_fault_injection(fault)
         .with_io_workers(usize::MAX);
     assert_eq!(wide.io_workers(), lap::engine::MAX_IO_WORKERS);
-    let (wide_rows, wide_drops) =
-        execute_physical_union_degraded(&union, &mut wide, ExecConfig::default()).unwrap();
+    let (cfg, drop) = (ExecConfig::default(), OnUnavailable::Drop);
+    let wide_run = execute_physical_union_with(&union, &mut wide, cfg, drop).unwrap();
     let mut serial = SourceRegistry::new(&db, &program.schema)
         .with_retry(retry)
         .with_fault_injection(fault);
-    let (serial_rows, serial_drops) =
-        execute_physical_union_degraded(&union, &mut serial, ExecConfig::default()).unwrap();
-    assert_eq!(wide_rows, serial_rows);
-    assert_eq!(wide_drops, serial_drops);
+    let serial_run = execute_physical_union_with(&union, &mut serial, cfg, drop).unwrap();
+    assert_eq!(wide_run.rows, serial_run.rows);
+    assert_eq!(wide_run.dropped, serial_run.dropped);
     assert_eq!(wide.stats(), serial.stats());
     assert_eq!(wide.failures_observed(), serial.failures_observed());
     recorder

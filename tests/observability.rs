@@ -4,8 +4,10 @@
 //! `EXPLAIN ANALYZE` traces) that are now views over the same registry.
 
 use lap::containment::{ContainmentEngine, EngineConfig};
-use lap::core::{answer_star, answer_star_obs, feasible_detailed_obs};
-use lap::engine::{eval_ordered_union_traced, Database, SourceRegistry};
+use lap::core::{answer_star, answer_star_obs_cfg, feasible_detailed_obs};
+use lap::engine::{
+    execute_physical_union_with, Database, ExecConfig, OnUnavailable, SourceRegistry,
+};
 use lap::ir::parse_program;
 use lap::obs::{render_text, snapshot_to_json, Json, Recorder};
 
@@ -26,14 +28,15 @@ fn bookstore() -> (lap::ir::Program, Database) {
     (program, db)
 }
 
-/// The per-literal trace counts every request the plan makes; the registry
-/// splits the same requests into wire calls and cache hits. Their totals
-/// must coincide — on both cached and uncached registries.
+/// The per-operator profile counts every request the plan makes; the
+/// registry splits the same requests into wire calls and cache hits. Their
+/// totals must coincide — on both cached and uncached registries.
 #[test]
 fn union_trace_totals_match_registry_call_stats() {
     let (program, db) = bookstore();
     let query = program.single_query().unwrap();
     let pair = lap::core::plan_star(query, &program.schema);
+    let physical = pair.over.lower(&program.schema);
     for cached in [false, true] {
         let recorder = Recorder::new();
         let base = if cached {
@@ -42,25 +45,30 @@ fn union_trace_totals_match_registry_call_stats() {
             SourceRegistry::new(&db, &program.schema)
         };
         let mut reg = base.recording(&recorder);
-        let (_, trace) = eval_ordered_union_traced(&pair.over.eval_parts(), &mut reg).unwrap();
-        let totals = trace.totals();
+        let run = execute_physical_union_with(
+            &physical,
+            &mut reg,
+            ExecConfig::default(),
+            OnUnavailable::Abort,
+        )
+        .unwrap();
+        let requests: u64 =
+            run.profile.parts.iter().flat_map(|part| &part.ops).map(|op| op.calls).sum();
         let stats = reg.stats();
-        // The trace counts every request; the registry splits the same
+        // The operators count every request; the registry splits the same
         // requests into positive wire calls, membership probes (disjoint
         // since the resilience work), and cache hits.
         assert_eq!(
-            totals.calls,
+            requests,
             stats.calls + reg.membership_probes() + stats.cache_hits,
-            "cached={cached}: trace counts requests, stats split them three ways"
+            "cached={cached}: operators count requests, stats split them three ways"
         );
+        assert!(reg.membership_probes() > 0, "the bookstore plan ends in `not L(i)`");
         // The recorder sees exactly what the legacy stats view reports.
         let snap = recorder.snapshot();
         assert_eq!(snap.counter("source.calls"), stats.calls);
         assert_eq!(snap.counter("source.cache_hits"), stats.cache_hits);
         assert_eq!(snap.counter("source.tuples_returned"), stats.tuples_returned);
-        // Per-disjunct sub-traces merge into the union totals.
-        let per_disjunct: u64 = trace.disjuncts.iter().map(|(_, t)| t.totals().calls).sum();
-        assert_eq!(totals.calls, per_disjunct);
     }
 }
 
@@ -116,7 +124,7 @@ fn engine_stats_match_summed_decision_stats() {
     );
 }
 
-/// `answer_star_obs` must (a) return exactly what `answer_star` returns,
+/// `answer_star_obs_cfg` must (a) return exactly what `answer_star` returns,
 /// (b) mirror the legacy `CallStats` into `source.*` counters, and (c)
 /// cover the pipeline phases with spans.
 #[test]
@@ -125,7 +133,8 @@ fn answer_star_obs_matches_legacy_and_spans_the_pipeline() {
     let query = program.single_query().unwrap();
     let plain = answer_star(query, &program.schema, &db).unwrap();
     let recorder = Recorder::with_tracing();
-    let observed = answer_star_obs(query, &program.schema, &db, &recorder).unwrap();
+    let cfg = ExecConfig::default();
+    let observed = answer_star_obs_cfg(query, &program.schema, &db, &recorder, cfg).unwrap();
     assert_eq!(plain.under, observed.under);
     assert_eq!(plain.delta, observed.delta);
     assert_eq!(plain.stats, observed.stats);
@@ -151,7 +160,7 @@ fn answer_star_obs_matches_legacy_and_spans_the_pipeline() {
 /// `membership_probes()` view, and the full ANSWER\* pipeline must agree.
 #[test]
 fn membership_probes_are_split_from_positive_calls() {
-    use lap::engine::{execute_physical_union, ExecConfig};
+    use lap::engine::execute_physical_union;
     let (program, db) = bookstore();
     let query = program.single_query().unwrap();
     let pair = lap::core::plan_star(query, &program.schema);
@@ -176,7 +185,7 @@ fn membership_probes_are_split_from_positive_calls() {
 
     // The end-to-end pipeline reports the same counter.
     let rec2 = Recorder::new();
-    let _ = answer_star_obs(query, &program.schema, &db, &rec2).unwrap();
+    let _ = answer_star_obs_cfg(query, &program.schema, &db, &rec2, ExecConfig::default()).unwrap();
     assert!(rec2.snapshot().counter("source.membership") > 0);
 }
 
@@ -210,7 +219,8 @@ fn snapshot_json_round_trips_with_required_keys() {
     let (program, db) = bookstore();
     let query = program.single_query().unwrap();
     let recorder = Recorder::with_tracing();
-    let report = answer_star_obs(query, &program.schema, &db, &recorder).unwrap();
+    let cfg = ExecConfig::default();
+    let report = answer_star_obs_cfg(query, &program.schema, &db, &recorder, cfg).unwrap();
     let snap = recorder.snapshot();
     let doc = snapshot_to_json(&snap);
     let parsed = lap::obs::json::parse(&doc.to_pretty()).unwrap();
