@@ -1817,38 +1817,6 @@ pub fn e25_daemon_drift_recalibration() -> Table {
     t
 }
 
-/// Runs every experiment with the default sizes used in EXPERIMENTS.md.
-pub fn run_all() -> Vec<Table> {
-    let sizes = [8usize, 16, 32, 64, 128, 256];
-    vec![
-        e1_example_fidelity(),
-        e2_answerable_scaling(&sizes),
-        e3_plan_star_scaling(&sizes),
-        e4_fast_path_effectiveness(200),
-        e5_cq_baselines(100),
-        e6_ucq_baselines(60),
-        e7_negation_cost(60),
-        e8_containment_engines(100),
-        e9_runtime_completeness(100),
-        e10_domain_enumeration(30),
-        e11_hardness_stress(),
-        e12_semantic_optimizer(),
-        e13_recursion_profile(),
-        e14_plan_ordering(60),
-        e15_mediator_pipeline(),
-        e16_index_ablation(),
-        e17_end_to_end_scenario(),
-        e18_batched_executor(),
-        e19_fault_resilience(),
-        e20_journal_overhead(),
-        e21_overlapped_io(),
-        e22_calibrated_replanning(),
-        e23_columnar_executor(),
-        e24_daemon_concurrency(),
-        e25_daemon_drift_recalibration(),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -165,28 +165,6 @@ impl<S: Source> FaultInjectingSource<S> {
 }
 
 impl<S: Source> Source for FaultInjectingSource<S> {
-    fn fetch(
-        &mut self,
-        name: Symbol,
-        pattern: AccessPattern,
-        inputs: &[Option<Value>],
-    ) -> Result<SourceReply, SourceFault> {
-        // Route through the plan so the RNG draw sequence has exactly one
-        // definition — serial fetches and overlapped planning consume the
-        // schedule identically, bit for bit.
-        match self.plan_fetch(name, pattern, inputs) {
-            PlannedFetch::Fault(fault) => Err(fault),
-            PlannedFetch::Defer { latency_ms } => {
-                // The plan already consumed every draw down the decorator
-                // stack, so the data phase must use the draw-free path.
-                let mut reply = self.fetch_deferred(name, pattern, inputs)?;
-                reply.latency_ms += latency_ms;
-                Ok(reply)
-            }
-            PlannedFetch::Ready(result) => result,
-        }
-    }
-
     fn plan_fetch(
         &mut self,
         name: Symbol,

@@ -56,7 +56,7 @@ pub struct ExecConfig {
     /// default) a batch's deduplicated calls go out serially; with more,
     /// their wire waits overlap on the registry's virtual wall clock and
     /// the row transfers run on the [`crate::sched`] pool — answers and
-    /// counters stay bit-identical to the serial path.
+    /// counters do not depend on the lane count.
     pub io_workers: usize,
     /// Use the columnar executor (the default). `false` selects the
     /// row-at-a-time baseline — answers, counters, and journal batch

@@ -1,17 +1,21 @@
 //! Access-pattern-enforcing source adapters.
 //!
 //! A [`SourceRegistry`] stands in for the paper's collection of web-service
-//! operations: the *only* way to read data through it is
-//! [`SourceRegistry::call`], which requires a declared access pattern and a
-//! value for every input slot — exactly the discipline of Definition 1.
-//! Violations are hard errors, never silently-wrong answers, so any plan
-//! that evaluates successfully through the registry is, constructively, an
-//! executable plan.
+//! operations: the *only* way to read data through it is a call that
+//! names a declared access pattern and supplies a value for every input
+//! slot — exactly the discipline of Definition 1. Violations are hard
+//! errors, never silently-wrong answers, so any plan that evaluates
+//! successfully through the registry is, constructively, an executable
+//! plan.
 //!
-//! The registry no longer assumes an infallible in-memory database: the
-//! transport sits behind the [`Source`] trait. [`InMemorySource`] is the
-//! default (and preserves the original `Database`-backed behaviour,
-//! including lazily-built hash indexes), while
+//! There is one wire path. [`SourceRegistry::call`],
+//! [`SourceRegistry::call_many`] and [`SourceRegistry::membership_test`]
+//! all run the same plan → dispatch → merge pipeline with one retry loop;
+//! a serial call is that pipeline with one lane, an overlapped batch the
+//! same pipeline with [`SourceRegistry::with_io_workers`] lanes.
+//!
+//! The transport sits behind the [`Source`] trait. [`InMemorySource`] is
+//! the default (a `Database` behind lazily-built hash indexes), while
 //! [`crate::FaultInjectingSource`] wraps any source with deterministic,
 //! seeded failures. Faulted fetches are retried under the registry's
 //! [`RetryPolicy`]; when retries are exhausted the call surfaces as
@@ -114,77 +118,70 @@ fn capture_fault_json(name: Symbol, attempt: u32, fault: &SourceFault) -> Json {
     Json::Obj(data)
 }
 
-/// One planned attempt of an overlapped wire call: what the transport
-/// committed to, plus the backoff the retry policy charged after it
-/// (zero on the final attempt).
-struct ScriptedAttempt {
-    attempt: u32,
-    outcome: ScriptedOutcome,
-    backoff_ms: u64,
+/// The planned course of one wire call: the attempts the transport
+/// committed to fault, then how the call ends. Planning happens strictly
+/// in issue order; the journal events and the row transfer wait for the
+/// merge, where the call's lane and start time are known.
+struct WireScript {
+    /// The faulted attempts in order, each with the backoff the retry
+    /// policy charged after it (zero after a terminal fault).
+    faults: Vec<(SourceFault, u64)>,
+    /// The committed success that follows the faults, or the terminal
+    /// error (retries exhausted or deadline hit) if the last one was final.
+    end: Result<PlannedSuccess, EngineError>,
+    /// This call won the journal sampling decision.
+    journaled: bool,
+    /// Replay tier: record rich pairs with row payloads.
+    capture: bool,
 }
 
-/// The transport's committed outcome for one planned attempt.
-enum ScriptedOutcome {
-    /// Success committed; the row transfer itself runs on the worker
-    /// pool. `latency_ms` is the planned wire latency to add to the
-    /// fetched reply.
-    Deferred { latency_ms: u64 },
+/// A success the transport committed to during planning.
+enum PlannedSuccess {
+    /// The row transfer itself is still to run (on the worker pool when
+    /// there is one) and leaves its result in `transfer`. `latency_ms` is
+    /// the planned wire latency to add to the fetched reply.
+    Deferred { latency_ms: u64, transfer: Option<Result<SourceReply, SourceFault>> },
     /// The transport produced the full reply during planning.
     Ready(SourceReply),
-    /// The attempt faults with exactly this fault.
-    Fault(SourceFault),
 }
 
-impl ScriptedOutcome {
-    /// Virtual wire time this attempt occupies its worker lane.
-    fn latency_ms(&self) -> u64 {
-        match self {
-            ScriptedOutcome::Deferred { latency_ms } => *latency_ms,
-            ScriptedOutcome::Ready(reply) => reply.latency_ms,
-            ScriptedOutcome::Fault(fault) => fault.latency_ms(),
-        }
+impl WireScript {
+    /// Total virtual time the call occupies its lane: every attempt's
+    /// wire latency plus the backoffs between attempts.
+    fn duration_ms(&self) -> u64 {
+        let faulted: u64 = self.faults.iter().map(|(f, backoff)| f.latency_ms() + backoff).sum();
+        faulted
+            + match &self.end {
+                Ok(PlannedSuccess::Deferred { latency_ms, .. }) => *latency_ms,
+                Ok(PlannedSuccess::Ready(reply)) => reply.latency_ms,
+                Err(_) => 0,
+            }
     }
 }
 
-/// One planned call of an overlapped batch, in issue order.
+/// One planned call of a batch, in issue order.
 enum ScriptedCall {
     /// Cache hit during planning; rows already in hand.
     Cached(Vec<Tuple>),
     /// Duplicate of an earlier key in the same batch (cache enabled):
-    /// resolves to that call's rows, counted as a cache hit like the
-    /// serial loop would.
+    /// resolves to that call's rows and counts as a cache hit, as it
+    /// would have had the earlier call completed first.
     Dup(usize),
     /// A wire call with a fully scripted attempt sequence.
     Wire(WireScript),
 }
 
-/// The scripted attempt sequence of one overlapped wire call, plus its
-/// scheduled slot on the virtual wall clock.
-struct WireScript {
-    attempts: Vec<ScriptedAttempt>,
-    /// Terminal error after the last attempt (retries exhausted or
-    /// deadline hit), exactly as the serial loop would surface it.
-    error: Option<EngineError>,
-    /// This call won the journal sampling decision.
-    journaled: bool,
-    /// Replay tier: record rich pairs with row payloads.
-    capture: bool,
-    /// Scheduled start on the virtual wall clock.
-    start_ms: u64,
-    /// Journal sub-lane of the worker slot this call runs on.
+/// Where one wire call was scheduled: what it asks, the journal lane of
+/// the worker slot it runs on, and its start on the virtual wall clock.
+#[derive(Clone, Copy)]
+struct WireSlot<'k> {
+    name: Symbol,
+    pattern: AccessPattern,
+    inputs: &'k [Option<Value>],
     lane: u64,
+    start_ms: u64,
 }
 
-impl WireScript {
-    /// Total virtual time the call occupies its worker lane: every
-    /// attempt's wire latency plus the backoffs between attempts.
-    fn duration_ms(&self) -> u64 {
-        self.attempts
-            .iter()
-            .map(|a| a.outcome.latency_ms() + a.backoff_ms)
-            .sum()
-    }
-}
 /// One hash index: projection of the indexed columns → matching rows.
 type ColumnIndex = HashMap<Vec<Value>, Vec<Tuple>>;
 
@@ -209,68 +206,72 @@ pub enum PlannedFetch {
         latency_ms: u64,
     },
     /// The complete outcome is already in hand (replay transports, and
-    /// the default for transports that never split a fetch).
+    /// any transport that does not split a fetch).
     Ready(Result<SourceReply, SourceFault>),
 }
 
 /// One remote source transport: answers a validated access-pattern call
 /// with the matching rows, or fails with a [`SourceFault`].
 ///
+/// A transport implements [`Source::plan_fetch`] — the one place an
+/// attempt's outcome is decided — plus [`Source::fetch_deferred`] if it
+/// ever plans a [`PlannedFetch::Defer`]. [`Source::fetch`] is provided and
+/// not meant to be overridden, so a whole fetch and a planned-then-
+/// transferred one cannot consume a fault schedule differently.
+///
 /// The registry validates every request against the schema *before* it
 /// reaches the transport, so implementations only answer well-formed
 /// selections. Latency is virtual (milliseconds of simulated wall clock),
 /// so fault/retry schedules are deterministic and tests never sleep.
 /// Transports are `Send` so deferred row transfers can run on the
-/// overlapped executor's worker pool (behind a mutex — `Sync` is not
-/// required).
+/// registry's worker pool (behind a mutex — `Sync` is not required).
 pub trait Source: Send {
-    /// Answers one call: the rows of `name` matching the `Some` slots of
-    /// `inputs` under `pattern`.
-    fn fetch(
-        &mut self,
-        name: Symbol,
-        pattern: AccessPattern,
-        inputs: &[Option<Value>],
-    ) -> Result<SourceReply, SourceFault>;
-
-    /// Decides one attempt's outcome without transferring rows, consuming
-    /// exactly the randomness [`Source::fetch`] would have. The default
-    /// performs the whole fetch eagerly — always correct, never
-    /// overlapped — so transports that draw randomness inside `fetch`
-    /// stay deterministic without opting in.
+    /// Decides one attempt's outcome — the rows of `name` matching the
+    /// `Some` slots of `inputs` under `pattern`, or a fault — consuming
+    /// every random draw and recorded outcome the attempt owns. Called
+    /// strictly in issue order.
     fn plan_fetch(
         &mut self,
         name: Symbol,
         pattern: AccessPattern,
         inputs: &[Option<Value>],
-    ) -> PlannedFetch {
-        PlannedFetch::Ready(self.fetch(name, pattern, inputs))
-    }
+    ) -> PlannedFetch;
 
     /// Completes a [`PlannedFetch::Defer`]: the pure row transfer, safe
     /// on a worker thread because [`Source::plan_fetch`] already consumed
     /// every order-sensitive decision. The planned latency is accounted
-    /// by the caller, not here.
+    /// by the caller, not here. A transport that plans `Defer` must
+    /// override this; the default refuses the transfer.
     fn fetch_deferred(
         &mut self,
-        name: Symbol,
-        pattern: AccessPattern,
-        inputs: &[Option<Value>],
+        _name: Symbol,
+        _pattern: AccessPattern,
+        _inputs: &[Option<Value>],
     ) -> Result<SourceReply, SourceFault> {
-        self.fetch(name, pattern, inputs)
+        Err(SourceFault::Unavailable { latency_ms: 0 })
     }
-}
 
-impl<'a> Source for Box<dyn Source + 'a> {
+    /// Answers one call whole: plan the attempt, then transfer its rows
+    /// and add the planned latency.
     fn fetch(
         &mut self,
         name: Symbol,
         pattern: AccessPattern,
         inputs: &[Option<Value>],
     ) -> Result<SourceReply, SourceFault> {
-        (**self).fetch(name, pattern, inputs)
+        match self.plan_fetch(name, pattern, inputs) {
+            PlannedFetch::Fault(fault) => Err(fault),
+            PlannedFetch::Defer { latency_ms } => {
+                let mut reply = self.fetch_deferred(name, pattern, inputs)?;
+                reply.latency_ms += latency_ms;
+                Ok(reply)
+            }
+            PlannedFetch::Ready(result) => result,
+        }
     }
+}
 
+impl<'a> Source for Box<dyn Source + 'a> {
     fn plan_fetch(
         &mut self,
         name: Symbol,
@@ -350,15 +351,6 @@ impl<'a> InMemorySource<'a> {
 }
 
 impl Source for InMemorySource<'_> {
-    fn fetch(
-        &mut self,
-        name: Symbol,
-        _pattern: AccessPattern,
-        inputs: &[Option<Value>],
-    ) -> Result<SourceReply, SourceFault> {
-        Ok(SourceReply { rows: self.select_rows(name, inputs), latency_ms: 0 })
-    }
-
     /// In-memory fetches never fault and carry zero latency, so the whole
     /// call is deferrable row transfer.
     fn plan_fetch(
@@ -369,35 +361,46 @@ impl Source for InMemorySource<'_> {
     ) -> PlannedFetch {
         PlannedFetch::Defer { latency_ms: 0 }
     }
-}
 
-/// Placeholder transport used only while swapping boxes during
-/// [`SourceRegistry::with_fault_injection`]; never observable.
-struct EmptySource;
-
-impl Source for EmptySource {
-    fn fetch(
+    fn fetch_deferred(
         &mut self,
-        _name: Symbol,
+        name: Symbol,
         _pattern: AccessPattern,
-        _inputs: &[Option<Value>],
+        inputs: &[Option<Value>],
     ) -> Result<SourceReply, SourceFault> {
-        Ok(SourceReply { rows: Vec::new(), latency_ms: 0 })
+        Ok(SourceReply { rows: self.select_rows(name, inputs), latency_ms: 0 })
     }
 }
 
-/// Per-registry traffic attribution. Unlike the shared recorder counters,
-/// these belong to exactly one registry, so two registries attached to the
-/// same [`Recorder`] never see each other's calls in their `stats()` view.
-#[derive(Clone, Copy, Debug, Default)]
-struct LocalStats {
-    calls: u64,
-    tuples_returned: u64,
-    cache_hits: u64,
-    membership: u64,
-    retries: u64,
-    failures: u64,
+/// The registry's traffic tallies. Each is kept twice: in a shared
+/// `source.*` recorder counter, and in a per-registry total, so two
+/// registries attached to the same [`Recorder`] never see each other's
+/// calls in their `stats()` view.
+#[derive(Clone, Copy)]
+enum Tally {
+    /// Positive source calls that hit the wire (cache misses only).
+    Calls,
+    TuplesReturned,
+    CacheHits,
+    /// Membership probes issued by negated literals that hit the wire —
+    /// *disjoint* from `Calls`, so positive-call and membership traffic
+    /// never double-count in metrics snapshots.
+    Membership,
+    /// Re-attempts after a faulted fetch (attempt 2 and later).
+    Retries,
+    /// Faults observed from the transport (before any retry succeeds).
+    Failures,
 }
+
+/// The recorder counter behind each [`Tally`], in declaration order.
+const TALLY_METRICS: [&str; 6] = [
+    "source.calls",
+    "source.tuples_returned",
+    "source.cache_hits",
+    "source.membership",
+    "source.retries",
+    "source.failures",
+];
 
 /// The mediator's view of the sources: a transport ([`Source`]) hidden
 /// behind access patterns, with call statistics, an optional call cache,
@@ -412,23 +415,14 @@ pub struct SourceRegistry<'a> {
     source: Box<dyn Source + 'a>,
     schema: &'a Schema,
     recorder: Recorder,
-    /// Positive source calls that hit the wire (cache misses only).
-    calls: Counter,
-    tuples_returned: Counter,
-    cache_hits: Counter,
-    /// Membership probes issued by negated literals that hit the wire — a
-    /// counter *disjoint* from `source.calls`, so positive-call and
-    /// membership traffic never double-count in metrics snapshots.
-    membership: Counter,
-    /// Re-attempts after a faulted fetch (attempt 2 and later).
-    retries: Counter,
-    /// Faults observed from the transport (before any retry succeeds).
-    failures: Counter,
+    /// The shared `source.*` counters, indexed by [`Tally`].
+    counters: [Counter; TALLY_METRICS.len()],
     rows_per_call: Histogram,
-    /// This registry's own traffic; `stats()` subtracts `baseline`.
-    local: LocalStats,
+    /// This registry's own traffic, indexed by [`Tally`]; `stats()`
+    /// subtracts `baseline`.
+    local: [u64; TALLY_METRICS.len()],
     /// Local values at the last attach/reset.
-    baseline: LocalStats,
+    baseline: [u64; TALLY_METRICS.len()],
     retry: RetryPolicy,
     /// Jitter source for retry backoff; fixed seed keeps runs replayable.
     retry_rng: StdRng,
@@ -441,14 +435,13 @@ pub struct SourceRegistry<'a> {
     /// Virtual milliseconds folded in by past [`SourceRegistry::reset_clock`]
     /// calls, so lifetime reporting survives per-phase deadline resets.
     retired_clock_ms: u64,
-    /// Virtual *wall-clock* milliseconds since the last reset: equal to
-    /// `clock_ms` under serial execution, but only the longest worker
-    /// lane of each overlapped batch when `io_workers > 1`.
+    /// Virtual *wall-clock* milliseconds since the last reset: each batch
+    /// adds its longest lane, so with one lane it equals `clock_ms`.
     wall_ms: u64,
     /// Wall-clock milliseconds folded in by past resets.
     retired_wall_ms: u64,
-    /// Worker lanes for overlapped batches ([`SourceRegistry::call_many`]);
-    /// 1 = fully serial, the legacy behaviour bit for bit.
+    /// Lanes a multi-key batch ([`SourceRegistry::call_many`]) may spread
+    /// its wire waits over; 1 = every wait is serial.
     io_workers: usize,
     /// When set, overlapped batches execute their deferred transfers in a
     /// seeded pseudo-random completion order ([`crate::sched`]) instead of
@@ -502,15 +495,10 @@ impl<'a> SourceRegistry<'a> {
             source,
             schema,
             recorder: Recorder::disabled(),
-            calls: Counter::detached(),
-            tuples_returned: Counter::detached(),
-            cache_hits: Counter::detached(),
-            membership: Counter::detached(),
-            retries: Counter::detached(),
-            failures: Counter::detached(),
+            counters: TALLY_METRICS.map(|_| Counter::detached()),
             rows_per_call: Histogram::detached(),
-            local: LocalStats::default(),
-            baseline: LocalStats::default(),
+            local: [0; TALLY_METRICS.len()],
+            baseline: [0; TALLY_METRICS.len()],
             retry: RetryPolicy::default(),
             retry_rng: StdRng::seed_from_u64(0x5EED_BACC_0FF5),
             clock_ms: 0,
@@ -530,10 +518,11 @@ impl<'a> SourceRegistry<'a> {
 
     /// Wraps the current transport in a deterministic
     /// [`crate::FaultInjectingSource`] with configuration `cfg`.
-    pub fn with_fault_injection(mut self, cfg: crate::FaultConfig) -> SourceRegistry<'a> {
-        let inner = std::mem::replace(&mut self.source, Box::new(EmptySource));
-        self.source = Box::new(crate::FaultInjectingSource::new(inner, cfg));
-        self
+    pub fn with_fault_injection(self, cfg: crate::FaultConfig) -> SourceRegistry<'a> {
+        SourceRegistry {
+            source: Box::new(crate::FaultInjectingSource::new(self.source, cfg)),
+            ..self
+        }
     }
 
     /// Sets the retry policy for faulted fetches (default: fail on the
@@ -543,11 +532,12 @@ impl<'a> SourceRegistry<'a> {
         self
     }
 
-    /// Sets the number of worker lanes for overlapped batched calls
-    /// (clamped to `1..=`[`MAX_IO_WORKERS`]). With the default of 1 every
-    /// call runs serially — the legacy behaviour bit for bit; with more,
-    /// [`SourceRegistry::call_many`] overlaps a batch's wire waits across
-    /// that many virtual lanes and a matching worker-thread pool.
+    /// Sets the number of lanes the wire pipeline may use for a multi-key
+    /// batch (clamped to `1..=`[`MAX_IO_WORKERS`]). The lane count is the
+    /// only difference between serial and overlapped execution: with the
+    /// default of 1 a batch's wire waits add up, with more
+    /// [`SourceRegistry::call_many`] spreads them over that many virtual
+    /// lanes and runs the row transfers on a matching worker-thread pool.
     pub fn with_io_workers(mut self, workers: usize) -> SourceRegistry<'a> {
         self.io_workers = workers.clamp(1, MAX_IO_WORKERS);
         self
@@ -573,12 +563,7 @@ impl<'a> SourceRegistry<'a> {
     /// `stats()` keeps reporting only this registry's own traffic.
     pub fn recording(mut self, recorder: &Recorder) -> SourceRegistry<'a> {
         self.recorder = recorder.clone();
-        self.calls = recorder.counter("source.calls");
-        self.tuples_returned = recorder.counter("source.tuples_returned");
-        self.cache_hits = recorder.counter("source.cache_hits");
-        self.membership = recorder.counter("source.membership");
-        self.retries = recorder.counter("source.retries");
-        self.failures = recorder.counter("source.failures");
+        self.counters = TALLY_METRICS.map(|name| recorder.counter(name));
         self.rows_per_call = recorder.histogram("source.rows_per_call");
         self.journal = recorder.journal().cloned();
         self
@@ -653,16 +638,28 @@ impl<'a> SourceRegistry<'a> {
         rel
     }
 
-    /// Records one compact instant event for `name` on this registry's
-    /// lane and virtual clock. No-op without an attached journal.
-    fn journal_instant(&mut self, name: Symbol, payload: InstantPayload) {
+    /// Records one compact instant event for `name` at an explicit lane
+    /// and timestamp. No-op without an attached journal.
+    fn journal_instant(&mut self, lane: u64, ts: u64, name: Symbol, payload: InstantPayload) {
         if self.journal.is_some() {
             let rel = self.journal_rel_id(name);
-            let ts = self.virtual_elapsed_ms();
             if let Some(journal) = &self.journal {
-                journal.record_instant_by_id(self.lane, ts, rel, payload);
+                journal.record_instant_by_id(lane, ts, rel, payload);
             }
         }
+    }
+
+    /// Adds `n` to one traffic tally: the shared recorder counter and
+    /// this registry's own total move together.
+    fn tally(&mut self, which: Tally, n: u64) {
+        self.counters[which as usize].add(n);
+        self.local[which as usize] += n;
+    }
+
+    /// This registry's own total of one tally since construction / the
+    /// last [`SourceRegistry::reset_stats`].
+    fn since_reset(&self, which: Tally) -> u64 {
+        self.local[which as usize].saturating_sub(self.baseline[which as usize])
     }
 
     /// The recorder this registry reports to (disabled by default).
@@ -686,12 +683,9 @@ impl<'a> SourceRegistry<'a> {
     /// [`SourceRegistry::membership_probes`].
     pub fn stats(&self) -> CallStats {
         CallStats {
-            calls: self.local.calls.saturating_sub(self.baseline.calls),
-            tuples_returned: self
-                .local
-                .tuples_returned
-                .saturating_sub(self.baseline.tuples_returned),
-            cache_hits: self.local.cache_hits.saturating_sub(self.baseline.cache_hits),
+            calls: self.since_reset(Tally::Calls),
+            tuples_returned: self.since_reset(Tally::TuplesReturned),
+            cache_hits: self.since_reset(Tally::CacheHits),
         }
     }
 
@@ -699,20 +693,20 @@ impl<'a> SourceRegistry<'a> {
     /// the wire through this registry since construction / the last
     /// [`SourceRegistry::reset_stats`]. Disjoint from `stats().calls`.
     pub fn membership_probes(&self) -> u64 {
-        self.local.membership.saturating_sub(self.baseline.membership)
+        self.since_reset(Tally::Membership)
     }
 
     /// Retried fetch attempts issued through this registry since
     /// construction / the last [`SourceRegistry::reset_stats`].
     pub fn retries_observed(&self) -> u64 {
-        self.local.retries.saturating_sub(self.baseline.retries)
+        self.since_reset(Tally::Retries)
     }
 
     /// Transport faults observed through this registry since construction
     /// / the last [`SourceRegistry::reset_stats`] (including ones a retry
     /// later recovered from).
     pub fn failures_observed(&self) -> u64 {
-        self.local.failures.saturating_sub(self.baseline.failures)
+        self.since_reset(Tally::Failures)
     }
 
     /// Resets the call statistics view (the cache, if any, is kept; the
@@ -742,170 +736,6 @@ impl<'a> SourceRegistry<'a> {
         self.wall_ms = 0;
     }
 
-    /// Charges `ms` of serial wire time: the deadline window and the wall
-    /// clock advance in lockstep. Overlapped batches bypass this — they
-    /// charge the deadline window serially during planning and the wall
-    /// clock once per batch, from the scheduled lane ends.
-    fn charge_serial(&mut self, ms: u64) {
-        self.clock_ms += ms;
-        self.wall_ms += ms;
-    }
-
-    /// One transport fetch under the retry policy: faults are retried with
-    /// exponential backoff (virtual time) until an attempt succeeds, the
-    /// attempt budget is spent, or the per-query deadline is exceeded.
-    fn wire_fetch(
-        &mut self,
-        name: Symbol,
-        pattern: AccessPattern,
-        inputs: &[Option<Value>],
-    ) -> Result<SourceReply, EngineError> {
-        // One sampling decision covers every attempt of this call, so the
-        // journal's begin/end pairs stay balanced under sampling.
-        let journaled = self
-            .journal
-            .as_ref()
-            .is_some_and(Journal::should_sample_call);
-        let capture = journaled && self.journal.as_ref().is_some_and(Journal::capture_rows);
-        let max_attempts = self.retry.max_attempts.max(1);
-        let mut attempt = 0u32;
-        // Backoff charged after the previous failed attempt, carried into
-        // the next attempt's retry marker so the journal can attribute
-        // per-source wait time.
-        let mut pending_backoff = 0u64;
-        loop {
-            attempt += 1;
-            if attempt > 1 {
-                {
-                    let _span = self
-                        .recorder
-                        .span_lazy(|| format!("source.retry {name} attempt {attempt}"));
-                    self.retries.incr();
-                    self.local.retries += 1;
-                }
-                if journaled {
-                    self.journal_instant(
-                        name,
-                        InstantPayload::Retry {
-                            attempt: u64::from(attempt),
-                            backoff_ms: pending_backoff,
-                        },
-                    );
-                }
-            }
-            // Replay tier: the begin event carries the bound inputs, so a
-            // journal alone can re-drive the run. The pair is recorded
-            // atomically after the outcome — concurrent lanes can then
-            // never interleave inside a pair, and eviction keeps both
-            // halves or neither.
-            let capture_begin =
-                capture.then(|| capture_begin_json(name, pattern, attempt, inputs));
-            let begin_ts = self.virtual_elapsed_ms();
-            match self.source.fetch(name, pattern, inputs) {
-                Ok(reply) => {
-                    self.charge_serial(reply.latency_ms);
-                    if let Some(begin_data) = capture_begin {
-                        let end_data = capture_ok_json(name, attempt, &reply);
-                        let end_ts = self.virtual_elapsed_ms();
-                        if let Some(journal) = &self.journal {
-                            journal.record_call_rich(self.lane, begin_ts, end_ts, begin_data, end_data);
-                        }
-                    } else if journaled {
-                        let (rel, pat) = self.journal_call_ids(name, pattern);
-                        let end_ts = self.virtual_elapsed_ms();
-                        if let Some(journal) = &self.journal {
-                            journal.record_call_by_id(
-                                self.lane,
-                                begin_ts,
-                                end_ts,
-                                rel,
-                                pat,
-                                u64::from(attempt),
-                                WireOutcome::Ok {
-                                    rows: reply.rows.len() as u64,
-                                    latency_ms: reply.latency_ms,
-                                },
-                            );
-                        }
-                    }
-                    return Ok(reply);
-                }
-                Err(fault) => {
-                    self.failures.incr();
-                    self.local.failures += 1;
-                    self.charge_serial(fault.latency_ms());
-                    if journaled {
-                        let (outcome, raw_latency) = match fault {
-                            SourceFault::Unavailable { latency_ms } => {
-                                (WireOutcome::Unavailable { latency_ms }, latency_ms)
-                            }
-                            SourceFault::Timeout { latency_ms, timeout_ms } => (
-                                WireOutcome::Timeout { latency_ms, timeout_ms },
-                                latency_ms,
-                            ),
-                        };
-                        if let Some(begin_data) = capture_begin {
-                            let end_data = capture_fault_json(name, attempt, &fault);
-                            let end_ts = self.virtual_elapsed_ms();
-                            if let Some(journal) = &self.journal {
-                                journal.record_call_rich(
-                                    self.lane, begin_ts, end_ts, begin_data, end_data,
-                                );
-                            }
-                        } else {
-                            let (rel, pat) = self.journal_call_ids(name, pattern);
-                            let end_ts = self.virtual_elapsed_ms();
-                            if let Some(journal) = &self.journal {
-                                journal.record_call_by_id(
-                                    self.lane,
-                                    begin_ts,
-                                    end_ts,
-                                    rel,
-                                    pat,
-                                    u64::from(attempt),
-                                    outcome,
-                                );
-                            }
-                        }
-                        let payload = match fault {
-                            SourceFault::Unavailable { .. } => InstantPayload::Fault {
-                                latency_ms: raw_latency,
-                                attempt: u64::from(attempt),
-                            },
-                            SourceFault::Timeout { .. } => InstantPayload::Timeout {
-                                latency_ms: raw_latency,
-                                attempt: u64::from(attempt),
-                            },
-                        };
-                        self.journal_instant(name, payload);
-                    }
-                    let deadline_hit = self
-                        .retry
-                        .deadline_ms
-                        .is_some_and(|d| self.clock_ms >= d);
-                    if attempt >= max_attempts || deadline_hit {
-                        let reason = if deadline_hit && attempt < max_attempts {
-                            format!(
-                                "{fault}; per-query deadline budget of {}ms exhausted",
-                                self.retry.deadline_ms.unwrap_or(0)
-                            )
-                        } else {
-                            fault.to_string()
-                        };
-                        return Err(EngineError::SourceUnavailable {
-                            relation: name.to_string(),
-                            attempts: attempt,
-                            reason,
-                        });
-                    }
-                    let backoff = self.retry.backoff_ms(attempt, &mut self.retry_rng);
-                    self.charge_serial(backoff);
-                    pending_backoff = backoff;
-                }
-            }
-        }
-    }
-
     /// Calls relation `name` through `pattern`, supplying `inputs[j] =
     /// Some(v)` for every input slot `j`. Returns the tuples matching the
     /// supplied inputs — the full rows, as a web service would return them;
@@ -916,501 +746,361 @@ impl<'a> SourceRegistry<'a> {
     /// slot has no value. Values supplied at output slots are rejected:
     /// per the paper's footnote 4, a source cannot accept them — the caller
     /// must ignore the binding and filter after the call.
+    ///
+    /// A single call is a one-key [`SourceRegistry::call_many`] batch: one
+    /// lane, journaled on the registry's own lane.
     pub fn call(
         &mut self,
         name: Symbol,
         pattern: AccessPattern,
         inputs: &[Option<Value>],
     ) -> Result<Vec<Tuple>, EngineError> {
-        self.validate(name, pattern, inputs)?;
-        let key = (name, pattern, inputs.to_vec());
-        if let Some(hit) = self.cache.as_ref().and_then(|c| c.get(&key)).cloned() {
-            self.cache_hits.incr();
-            self.local.cache_hits += 1;
-            self.journal_instant(
-                name,
-                InstantPayload::CacheHit {
-                    rows: hit.len() as u64,
-                    membership: false,
-                },
-            );
-            return Ok(hit);
-        }
-        let reply = self.wire_fetch(name, pattern, inputs)?;
-        let rows = reply.rows;
-        self.calls.incr();
-        self.local.calls += 1;
-        self.tuples_returned.add(rows.len() as u64);
-        self.local.tuples_returned += rows.len() as u64;
-        self.rows_per_call.record(rows.len() as u64);
-        if let Some(cache) = &mut self.cache {
-            cache.insert(key, rows.clone());
-        }
-        Ok(rows)
+        let mut rows = self.request(name, pattern, &[inputs.to_vec()], None)?;
+        Ok(rows.pop().expect("one key, one reply"))
     }
 
     /// Calls relation `name` once per key in `keys`, overlapping the wire
     /// waits across up to [`SourceRegistry::with_io_workers`] virtual
-    /// lanes. Results come back in issue order and are bit-identical to
-    /// calling [`SourceRegistry::call`] in a loop — same answers, same
-    /// counters, same retry/failure accounting, same terminal error — only
-    /// the *wall* clock differs: a batch charges its longest worker lane
-    /// instead of the serial sum.
-    ///
-    /// With one worker (the default) and no adversarial schedule this *is*
-    /// the serial loop.
+    /// lanes. Results come back in issue order, and answers, counters,
+    /// retry/failure accounting and the terminal error do not depend on
+    /// the lane count — only the *wall* clock does: a batch charges its
+    /// longest lane, which with one lane is the serial sum.
     pub fn call_many(
         &mut self,
         name: Symbol,
         pattern: AccessPattern,
         keys: &[Vec<Option<Value>>],
     ) -> Result<Vec<Vec<Tuple>>, EngineError> {
-        if (self.io_workers <= 1 && self.sched_seed.is_none()) || keys.len() <= 1 {
-            return keys.iter().map(|key| self.call(name, pattern, key)).collect();
-        }
-        self.call_many_overlapped(name, pattern, keys)
+        self.request(name, pattern, keys, None)
     }
 
-    /// The overlapped path of [`SourceRegistry::call_many`], in four
-    /// phases:
+    /// The one wire path — every positive call, batch and membership
+    /// probe (`probe` = the ground tuple tested) runs these phases:
     ///
-    /// 1. **Plan** (issue order, sequential): the transport commits each
-    ///    attempt's outcome via [`Source::plan_fetch`], consuming exactly
-    ///    the randomness and deadline budget the serial loop would.
-    /// 2. **Schedule**: each wire call is greedily assigned to the
-    ///    earliest-free of `io_workers` virtual lanes; the wall clock
-    ///    advances by the longest lane.
-    /// 3. **Dispatch**: committed-success row transfers run on the
-    ///    [`crate::sched`] worker pool (or the seeded adversarial
-    ///    scheduler) — pure data movement, no randomness left.
-    /// 4. **Merge** (issue order): journal pairs and instants are emitted
-    ///    at their scheduled timestamps on per-worker sub-lanes, counters
-    ///    and the cache are updated, and any planned terminal error is
-    ///    surfaced after its prefix — exactly like the serial loop.
-    fn call_many_overlapped(
+    /// 1. **Plan** (issue order, sequential): validate each key, answer
+    ///    it from the cache when possible, otherwise let the transport
+    ///    commit every attempt's outcome ([`SourceRegistry::plan_wire`]).
+    ///    Stops at the first terminal outcome.
+    /// 2. **Dispatch**: committed-success row transfers run on the
+    ///    [`crate::sched`] worker pool (inline with one lane; the seeded
+    ///    adversarial scheduler when set) — pure data movement, no
+    ///    randomness left.
+    /// 3. **Schedule and merge** (issue order): each wire call takes the
+    ///    earliest-free lane; its journal pairs and instants are emitted
+    ///    at their scheduled timestamps, counters and the cache are
+    ///    updated, and a terminal error surfaces after its prefix. The
+    ///    wall clock then advances by the longest lane.
+    ///
+    /// The lane count is the only thing that distinguishes serial from
+    /// overlapped execution.
+    fn request(
         &mut self,
         name: Symbol,
         pattern: AccessPattern,
         keys: &[Vec<Option<Value>>],
+        probe: Option<&[Value]>,
     ) -> Result<Vec<Vec<Tuple>>, EngineError> {
-        let base_wall = self.virtual_elapsed_ms();
+        // Nothing to overlap: one lane, journaled on the registry's own
+        // lane instead of a per-worker sub-lane.
+        let serial = (self.io_workers <= 1 && self.sched_seed.is_none()) || keys.len() <= 1;
+        let workers = if serial { 1 } else { self.io_workers };
 
-        // Phase 1 — plan. Stops at the first terminal outcome, like the
-        // serial loop stops at its first `Err`.
         let mut scripts: Vec<ScriptedCall> = Vec::with_capacity(keys.len());
-        let mut validation_err: Option<EngineError> = None;
+        let mut failed: Option<EngineError> = None;
         for (i, key) in keys.iter().enumerate() {
             if let Err(e) = self.validate(name, pattern, key) {
-                validation_err = Some(e);
+                failed = Some(e);
                 break;
             }
-            let cache_key = (name, pattern, key.clone());
-            if let Some(hit) = self.cache.as_ref().and_then(|c| c.get(&cache_key)).cloned() {
-                self.cache_hits.incr();
-                self.local.cache_hits += 1;
-                self.journal_instant(
-                    name,
-                    InstantPayload::CacheHit {
-                        rows: hit.len() as u64,
-                        membership: false,
-                    },
-                );
-                scripts.push(ScriptedCall::Cached(hit));
-                continue;
-            }
-            // A duplicate key in the batch: the serial loop would have
-            // cached the first occurrence by now, so it cache-hits.
-            if self.cache.is_some() {
-                if let Some(first) = keys[..i].iter().position(|k| k == key) {
-                    self.cache_hits.incr();
-                    self.local.cache_hits += 1;
-                    scripts.push(ScriptedCall::Dup(first));
+            if let Some(cache) = &self.cache {
+                // A duplicate key would find the first occurrence cached
+                // by the time it is issued, so it is a hit as well.
+                let hit = match cache.get(&(name, pattern, key.clone())) {
+                    Some(rows) => Some(ScriptedCall::Cached(rows.clone())),
+                    None => keys[..i].iter().position(|k| k == key).map(ScriptedCall::Dup),
+                };
+                if let Some(hit) = hit {
+                    self.tally(Tally::CacheHits, 1);
+                    scripts.push(hit);
                     continue;
                 }
             }
             let script = self.plan_wire(name, pattern, key);
-            let failed = script.error.is_some();
+            let terminal = script.end.is_err();
             scripts.push(ScriptedCall::Wire(script));
-            if failed {
+            if terminal {
                 break;
             }
         }
 
-        // Phase 2 — schedule: greedy earliest-free-lane in issue order.
-        let workers = self.io_workers.max(1);
-        let mut lane_free = vec![base_wall; workers];
-        for sc in &mut scripts {
-            if let ScriptedCall::Wire(ws) = sc {
-                let k = lane_free
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, free)| **free)
-                    .map(|(k, _)| k)
-                    .unwrap_or(0);
-                ws.start_ms = lane_free[k];
-                ws.lane = (self.lane + 1) * LANE_STRIDE + k as u64;
-                lane_free[k] += ws.duration_ms();
-            }
-        }
-        let batch_end = lane_free.into_iter().max().unwrap_or(base_wall);
-        self.wall_ms += batch_end - base_wall;
-
-        // Phase 3 — dispatch the committed-success row transfers.
-        let deferred: Vec<usize> = scripts
-            .iter()
-            .enumerate()
-            .filter_map(|(i, sc)| match sc {
-                ScriptedCall::Wire(ws)
-                    if matches!(
-                        ws.attempts.last().map(|a| &a.outcome),
-                        Some(ScriptedOutcome::Deferred { .. })
-                    ) =>
-                {
-                    Some(i)
-                }
-                _ => None,
-            })
-            .collect();
-        let fetched: Vec<Result<SourceReply, SourceFault>> = if deferred.is_empty() {
-            Vec::new()
-        } else {
-            let sched_seed = self.sched_seed;
+        let sched_seed = self.sched_seed.map(|seed| {
             self.sched_epoch = self.sched_epoch.wrapping_add(1);
-            let epoch = self.sched_epoch;
+            seed.wrapping_add(self.sched_epoch)
+        });
+        {
             let transport = Mutex::new(&mut self.source);
-            let jobs: Vec<_> = deferred
-                .iter()
-                .map(|&i| {
-                    let transport = &transport;
-                    let key = &keys[i];
-                    move || {
-                        transport
-                            .lock()
-                            .expect("transport lock")
-                            .fetch_deferred(name, pattern, key)
+            let jobs: Vec<_> = scripts
+                .iter_mut()
+                .zip(keys)
+                .filter_map(|(script, key)| match script {
+                    ScriptedCall::Wire(WireScript {
+                        end: Ok(PlannedSuccess::Deferred { transfer, .. }),
+                        ..
+                    }) => {
+                        let transport = &transport;
+                        Some(move || {
+                            let mut source = transport.lock().expect("transport lock");
+                            *transfer = Some(source.fetch_deferred(name, pattern, key));
+                        })
                     }
+                    _ => None,
                 })
                 .collect();
             match sched_seed {
-                Some(seed) => sched::run_adversarial(seed.wrapping_add(epoch), jobs),
+                Some(seed) => sched::run_adversarial(seed, jobs),
                 None => sched::run_ordered(workers, jobs),
-            }
-        };
-
-        // Phase 4 — merge in issue order.
-        let mut rows_out: Vec<Vec<Tuple>> = Vec::with_capacity(scripts.len());
-        let mut pool = fetched.into_iter();
-        for (i, sc) in scripts.into_iter().enumerate() {
-            match sc {
-                ScriptedCall::Cached(rows) => rows_out.push(rows),
-                ScriptedCall::Dup(first) => {
-                    let rows = rows_out[first].clone();
-                    self.journal_instant(
-                        name,
-                        InstantPayload::CacheHit {
-                            rows: rows.len() as u64,
-                            membership: false,
-                        },
-                    );
-                    rows_out.push(rows);
-                }
-                ScriptedCall::Wire(mut ws) => {
-                    let mut t = ws.start_ms;
-                    let mut final_reply: Option<SourceReply> = None;
-                    // The backoff the previous failed attempt scheduled,
-                    // attributed to the retry marker it delayed.
-                    let mut prev_backoff = 0u64;
-                    for sa in std::mem::take(&mut ws.attempts) {
-                        if sa.attempt > 1 && ws.journaled {
-                            self.journal_instant_at(
-                                ws.lane,
-                                t,
-                                name,
-                                InstantPayload::Retry {
-                                    attempt: u64::from(sa.attempt),
-                                    backoff_ms: prev_backoff,
-                                },
-                            );
-                        }
-                        let begin_ts = t;
-                        match sa.outcome {
-                            ScriptedOutcome::Deferred { latency_ms } => {
-                                let end_ts = begin_ts + latency_ms;
-                                match pool.next().expect("one pool result per deferred call") {
-                                    Ok(mut reply) => {
-                                        reply.latency_ms += latency_ms;
-                                        self.journal_wire_ok(
-                                            &ws, begin_ts, end_ts, name, pattern, &keys[i],
-                                            sa.attempt, &reply,
-                                        );
-                                        final_reply = Some(reply);
-                                    }
-                                    Err(fault) => {
-                                        // Defensive: a transport that committed to
-                                        // `Defer` must not fault in the data phase.
-                                        self.failures.incr();
-                                        self.local.failures += 1;
-                                        self.journal_wire_fault(
-                                            &ws, begin_ts, end_ts, name, pattern, &keys[i],
-                                            sa.attempt, &fault,
-                                        );
-                                        ws.error = Some(EngineError::SourceUnavailable {
-                                            relation: name.to_string(),
-                                            attempts: sa.attempt,
-                                            reason: fault.to_string(),
-                                        });
-                                    }
-                                }
-                                t = end_ts;
-                            }
-                            ScriptedOutcome::Ready(reply) => {
-                                let end_ts = begin_ts + reply.latency_ms;
-                                self.journal_wire_ok(
-                                    &ws, begin_ts, end_ts, name, pattern, &keys[i], sa.attempt,
-                                    &reply,
-                                );
-                                final_reply = Some(reply);
-                                t = end_ts;
-                            }
-                            ScriptedOutcome::Fault(fault) => {
-                                let end_ts = begin_ts + fault.latency_ms();
-                                self.journal_wire_fault(
-                                    &ws, begin_ts, end_ts, name, pattern, &keys[i], sa.attempt,
-                                    &fault,
-                                );
-                                t = end_ts + sa.backoff_ms;
-                                prev_backoff = sa.backoff_ms;
-                            }
-                        }
-                    }
-                    if let Some(err) = ws.error.take() {
-                        // The prefix before the failing call is fully merged;
-                        // surface the error the serial loop would return.
-                        return Err(err);
-                    }
-                    let reply = final_reply.expect("a script without error ends in a reply");
-                    let rows = reply.rows;
-                    self.calls.incr();
-                    self.local.calls += 1;
-                    self.tuples_returned.add(rows.len() as u64);
-                    self.local.tuples_returned += rows.len() as u64;
-                    self.rows_per_call.record(rows.len() as u64);
-                    if let Some(cache) = &mut self.cache {
-                        cache.insert((name, pattern, keys[i].clone()), rows.clone());
-                    }
-                    rows_out.push(rows);
-                }
-            }
+            };
         }
-        match validation_err {
-            Some(err) => Err(err),
+
+        let base_wall = self.virtual_elapsed_ms();
+        let mut lane_free = [base_wall; MAX_IO_WORKERS];
+        let lane_free = &mut lane_free[..workers];
+        let mut rows_out: Vec<Vec<Tuple>> = Vec::with_capacity(scripts.len());
+        for (script, key) in scripts.into_iter().zip(keys) {
+            // Greedy earliest-free lane, in issue order.
+            let k = (0..workers).min_by_key(|&k| lane_free[k]).unwrap_or(0);
+            let hit = match script {
+                ScriptedCall::Cached(rows) => rows,
+                ScriptedCall::Dup(first) => rows_out[first].clone(),
+                ScriptedCall::Wire(script) => {
+                    let lane =
+                        if serial { self.lane } else { (self.lane + 1) * LANE_STRIDE + k as u64 };
+                    let slot = WireSlot { name, pattern, inputs: key, lane, start_ms: lane_free[k] };
+                    lane_free[k] += script.duration_ms();
+                    let rows = match self.merge_wire(&slot, script) {
+                        Ok(reply) => reply.rows,
+                        Err(e) => {
+                            failed = Some(e);
+                            break;
+                        }
+                    };
+                    match probe {
+                        None => {
+                            self.tally(Tally::Calls, 1);
+                            self.rows_per_call.record(rows.len() as u64);
+                        }
+                        Some(values) => {
+                            self.tally(Tally::Membership, 1);
+                            let present = rows.iter().any(|row| row.as_slice() == values);
+                            let payload = InstantPayload::Membership { present };
+                            self.journal_instant(self.lane, lane_free[k], name, payload);
+                        }
+                    }
+                    self.tally(Tally::TuplesReturned, rows.len() as u64);
+                    if let Some(cache) = &mut self.cache {
+                        cache.insert((name, pattern, key.clone()), rows.clone());
+                    }
+                    rows_out.push(rows);
+                    continue;
+                }
+            };
+            // A cache hit is stamped when it would have been issued.
+            let payload =
+                InstantPayload::CacheHit { rows: hit.len() as u64, membership: probe.is_some() };
+            self.journal_instant(self.lane, lane_free[k], name, payload);
+            rows_out.push(hit);
+        }
+        self.wall_ms += lane_free.iter().max().map_or(0, |end| end - base_wall);
+        match failed {
+            Some(e) => Err(e),
             None => Ok(rows_out),
         }
     }
 
-    /// Plans one overlapped wire call by asking the transport to commit
-    /// each attempt's outcome ([`Source::plan_fetch`]) in the exact order
-    /// the serial [`SourceRegistry::wire_fetch`] loop would, consuming the
-    /// same randomness, deadline budget, and retry/failure counters. The
-    /// journal events are deferred to the merge phase, where the call's
-    /// scheduled lane and timestamps are known.
+    /// Plans one wire call — the only retry loop: the transport commits
+    /// each attempt's outcome ([`Source::plan_fetch`]) strictly in issue
+    /// order, and faults are retried with exponential backoff (virtual
+    /// time) until an attempt succeeds, the attempt budget is spent, or
+    /// the per-query deadline is exceeded. Consumes the randomness, the
+    /// deadline budget and the retry/failure tallies here; the journal
+    /// events wait for [`SourceRegistry::merge_wire`], where the call's
+    /// lane and timestamps are known.
     fn plan_wire(
         &mut self,
         name: Symbol,
         pattern: AccessPattern,
         inputs: &[Option<Value>],
     ) -> WireScript {
+        // One sampling decision covers every attempt of this call, so the
+        // journal's begin/end pairs stay balanced under sampling.
         let journaled = self
             .journal
             .as_ref()
             .is_some_and(Journal::should_sample_call);
         let capture = journaled && self.journal.as_ref().is_some_and(Journal::capture_rows);
         let max_attempts = self.retry.max_attempts.max(1);
-        let mut script = WireScript {
-            attempts: Vec::new(),
-            error: None,
-            journaled,
-            capture,
-            start_ms: 0,
-            lane: self.lane,
-        };
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
+        let mut faults = Vec::new();
+        let end = loop {
+            let attempt = faults.len() as u32 + 1;
             if attempt > 1 {
-                let _span = self
-                    .recorder
-                    .span_lazy(|| format!("source.retry {name} attempt {attempt}"));
-                self.retries.incr();
-                self.local.retries += 1;
+                drop(self.recorder.span_lazy(|| format!("source.retry {name} attempt {attempt}")));
+                self.tally(Tally::Retries, 1);
             }
-            match self.source.plan_fetch(name, pattern, inputs) {
+            let fault = match self.source.plan_fetch(name, pattern, inputs) {
                 PlannedFetch::Defer { latency_ms } => {
                     self.clock_ms += latency_ms;
-                    script.attempts.push(ScriptedAttempt {
-                        attempt,
-                        outcome: ScriptedOutcome::Deferred { latency_ms },
-                        backoff_ms: 0,
-                    });
-                    return script;
+                    break Ok(PlannedSuccess::Deferred { latency_ms, transfer: None });
                 }
                 PlannedFetch::Ready(Ok(reply)) => {
                     self.clock_ms += reply.latency_ms;
-                    script.attempts.push(ScriptedAttempt {
-                        attempt,
-                        outcome: ScriptedOutcome::Ready(reply),
-                        backoff_ms: 0,
-                    });
-                    return script;
+                    break Ok(PlannedSuccess::Ready(reply));
                 }
-                PlannedFetch::Fault(fault) | PlannedFetch::Ready(Err(fault)) => {
-                    self.failures.incr();
-                    self.local.failures += 1;
-                    self.clock_ms += fault.latency_ms();
-                    let deadline_hit = self
-                        .retry
-                        .deadline_ms
-                        .is_some_and(|d| self.clock_ms >= d);
-                    if attempt >= max_attempts || deadline_hit {
-                        let reason = if deadline_hit && attempt < max_attempts {
-                            format!(
-                                "{fault}; per-query deadline budget of {}ms exhausted",
-                                self.retry.deadline_ms.unwrap_or(0)
-                            )
-                        } else {
-                            fault.to_string()
-                        };
-                        script.error = Some(EngineError::SourceUnavailable {
-                            relation: name.to_string(),
-                            attempts: attempt,
-                            reason,
-                        });
-                        script.attempts.push(ScriptedAttempt {
-                            attempt,
-                            outcome: ScriptedOutcome::Fault(fault),
-                            backoff_ms: 0,
-                        });
-                        return script;
-                    }
-                    let backoff = self.retry.backoff_ms(attempt, &mut self.retry_rng);
-                    self.clock_ms += backoff;
-                    script.attempts.push(ScriptedAttempt {
-                        attempt,
-                        outcome: ScriptedOutcome::Fault(fault),
-                        backoff_ms: backoff,
-                    });
-                }
+                PlannedFetch::Fault(fault) | PlannedFetch::Ready(Err(fault)) => fault,
+            };
+            self.tally(Tally::Failures, 1);
+            self.clock_ms += fault.latency_ms();
+            let deadline_hit = self
+                .retry
+                .deadline_ms
+                .is_some_and(|d| self.clock_ms >= d);
+            if attempt >= max_attempts || deadline_hit {
+                let reason = if deadline_hit && attempt < max_attempts {
+                    format!(
+                        "{fault}; per-query deadline budget of {}ms exhausted",
+                        self.retry.deadline_ms.unwrap_or(0)
+                    )
+                } else {
+                    fault.to_string()
+                };
+                faults.push((fault, 0));
+                break Err(EngineError::SourceUnavailable {
+                    relation: name.to_string(),
+                    attempts: attempt,
+                    reason,
+                });
             }
-        }
+            let backoff = self.retry.backoff_ms(attempt, &mut self.retry_rng);
+            self.clock_ms += backoff;
+            faults.push((fault, backoff));
+        };
+        WireScript { faults, end, journaled, capture }
     }
 
-    /// Records one compact instant event at an explicit lane and
-    /// timestamp — the merge phase's variant of
-    /// [`SourceRegistry::journal_instant`].
-    fn journal_instant_at(&mut self, lane: u64, ts: u64, name: Symbol, payload: InstantPayload) {
-        if self.journal.is_some() {
-            let rel = self.journal_rel_id(name);
-            if let Some(journal) = &self.journal {
-                journal.record_instant_by_id(lane, ts, rel, payload);
-            }
-        }
-    }
-
-    /// Journals a successful attempt of an overlapped call as an atomic
-    /// begin/end pair on the call's scheduled sub-lane, at the replay tier
-    /// (rich, with rows) or the light tier (compact ids).
-    #[allow(clippy::too_many_arguments)]
-    fn journal_wire_ok(
+    /// Resolves one planned wire call at its scheduled slot: journals
+    /// every attempt at its scheduled timestamps, completes a deferred
+    /// success with its transferred rows, and returns the reply or the
+    /// planned terminal error.
+    fn merge_wire(
         &mut self,
-        ws: &WireScript,
-        begin_ts: u64,
-        end_ts: u64,
-        name: Symbol,
-        pattern: AccessPattern,
-        inputs: &[Option<Value>],
-        attempt: u32,
-        reply: &SourceReply,
-    ) {
-        if ws.capture {
-            let begin = capture_begin_json(name, pattern, attempt, inputs);
-            let end = capture_ok_json(name, attempt, reply);
-            if let Some(journal) = &self.journal {
-                journal.record_call_rich(ws.lane, begin_ts, end_ts, begin, end);
+        slot: &WireSlot<'_>,
+        script: WireScript,
+    ) -> Result<SourceReply, EngineError> {
+        let mut t = slot.start_ms;
+        let mut attempt = 0u32;
+        // The backoff the previous failed attempt scheduled, attributed to
+        // the retry marker it delayed.
+        let mut prior_backoff = 0u64;
+        for (fault, backoff) in &script.faults {
+            attempt += 1;
+            let end_ts = t + fault.latency_ms();
+            if script.journaled {
+                self.journal_attempt(slot, script.capture, attempt, prior_backoff, t..end_ts, Err(fault));
             }
-        } else if ws.journaled {
-            let (rel, pat) = self.journal_call_ids(name, pattern);
-            if let Some(journal) = &self.journal {
-                journal.record_call_by_id(
-                    ws.lane,
-                    begin_ts,
-                    end_ts,
-                    rel,
-                    pat,
-                    u64::from(attempt),
-                    WireOutcome::Ok {
-                        rows: reply.rows.len() as u64,
-                        latency_ms: reply.latency_ms,
-                    },
-                );
-            }
+            t = end_ts + backoff;
+            prior_backoff = *backoff;
         }
+        attempt += 1;
+        let (end_ts, outcome) = match script.end? {
+            PlannedSuccess::Ready(reply) => (t + reply.latency_ms, Ok(reply)),
+            PlannedSuccess::Deferred { latency_ms, transfer } => {
+                let reply = transfer.expect("dispatch ran every deferred transfer");
+                (
+                    t + latency_ms,
+                    reply.map(|mut reply| {
+                        reply.latency_ms += latency_ms;
+                        reply
+                    }),
+                )
+            }
+        };
+        if outcome.is_err() {
+            // Defensive: a transport that committed to `Defer` must not
+            // fault in the data phase.
+            self.tally(Tally::Failures, 1);
+        }
+        if script.journaled {
+            self.journal_attempt(slot, script.capture, attempt, prior_backoff, t..end_ts, outcome.as_ref());
+        }
+        outcome.map_err(|fault| EngineError::SourceUnavailable {
+            relation: slot.name.to_string(),
+            attempts: attempt,
+            reason: fault.to_string(),
+        })
     }
 
-    /// Journals a faulted attempt of an overlapped call: the begin/end
-    /// pair plus the fault/timeout instant, all on the call's scheduled
-    /// sub-lane at its scheduled timestamps.
-    #[allow(clippy::too_many_arguments)]
-    fn journal_wire_fault(
+    /// Journals one wire attempt — the only attempt-journaling routine:
+    /// the retry marker it was delayed by (attempt 2 and later), the
+    /// begin/end pair as one atomic ring slot (so concurrent lanes never
+    /// interleave inside a pair, and eviction keeps both halves or
+    /// neither) at the replay tier (rich, with inputs and rows, so a
+    /// journal alone can re-drive the run) or the light tier (compact
+    /// ids), and the fault/timeout instant of a failed one.
+    fn journal_attempt(
         &mut self,
-        ws: &WireScript,
-        begin_ts: u64,
-        end_ts: u64,
-        name: Symbol,
-        pattern: AccessPattern,
-        inputs: &[Option<Value>],
+        slot: &WireSlot<'_>,
+        capture: bool,
         attempt: u32,
-        fault: &SourceFault,
+        prior_backoff: u64,
+        ts: std::ops::Range<u64>,
+        outcome: Result<&SourceReply, &SourceFault>,
     ) {
-        if !ws.journaled {
-            return;
+        let WireSlot { name, pattern, inputs, lane, .. } = *slot;
+        if attempt > 1 {
+            let payload = InstantPayload::Retry {
+                attempt: u64::from(attempt),
+                backoff_ms: prior_backoff,
+            };
+            self.journal_instant(lane, ts.start, name, payload);
         }
-        if ws.capture {
+        if capture {
             let begin = capture_begin_json(name, pattern, attempt, inputs);
-            let end = capture_fault_json(name, attempt, fault);
+            let end = match outcome {
+                Ok(reply) => capture_ok_json(name, attempt, reply),
+                Err(fault) => capture_fault_json(name, attempt, fault),
+            };
             if let Some(journal) = &self.journal {
-                journal.record_call_rich(ws.lane, begin_ts, end_ts, begin, end);
+                journal.record_call_rich(lane, ts.start, ts.end, begin, end);
             }
         } else {
             let (rel, pat) = self.journal_call_ids(name, pattern);
-            let outcome = match *fault {
-                SourceFault::Unavailable { latency_ms } => WireOutcome::Unavailable { latency_ms },
-                SourceFault::Timeout { latency_ms, timeout_ms } => {
+            let wire = match outcome {
+                Ok(reply) => WireOutcome::Ok {
+                    rows: reply.rows.len() as u64,
+                    latency_ms: reply.latency_ms,
+                },
+                Err(&SourceFault::Unavailable { latency_ms }) => {
+                    WireOutcome::Unavailable { latency_ms }
+                }
+                Err(&SourceFault::Timeout { latency_ms, timeout_ms }) => {
                     WireOutcome::Timeout { latency_ms, timeout_ms }
                 }
             };
             if let Some(journal) = &self.journal {
-                journal.record_call_by_id(
-                    ws.lane,
-                    begin_ts,
-                    end_ts,
-                    rel,
-                    pat,
-                    u64::from(attempt),
-                    outcome,
-                );
+                journal.record_call_by_id(lane, ts.start, ts.end, rel, pat, u64::from(attempt), wire);
             }
         }
-        let payload = match *fault {
-            SourceFault::Unavailable { latency_ms } => InstantPayload::Fault {
-                latency_ms,
-                attempt: u64::from(attempt),
-            },
-            SourceFault::Timeout { latency_ms, .. } => InstantPayload::Timeout {
-                latency_ms,
-                attempt: u64::from(attempt),
-            },
-        };
-        self.journal_instant_at(ws.lane, end_ts, name, payload);
+        if let Err(fault) = outcome {
+            let attempt = u64::from(attempt);
+            let payload = match *fault {
+                SourceFault::Unavailable { latency_ms } => {
+                    InstantPayload::Fault { latency_ms, attempt }
+                }
+                SourceFault::Timeout { latency_ms, .. } => {
+                    InstantPayload::Timeout { latency_ms, attempt }
+                }
+            };
+            self.journal_instant(lane, ts.end, name, payload);
+        }
     }
 
     /// Schema validation shared by positive calls and membership probes.
@@ -1486,30 +1176,8 @@ impl<'a> SourceRegistry<'a> {
         let inputs: Vec<Option<Value>> = (0..pattern.arity())
             .map(|j| pattern.is_input(j).then(|| values[j]))
             .collect();
-        let key = (name, pattern, inputs.clone());
-        let cached = self
-            .cache
-            .as_ref()
-            .and_then(|c| c.get(&key))
-            .map(|hit| (hit.len() as u64, hit.iter().any(|row| row.as_slice() == values)));
-        if let Some((rows, present)) = cached {
-            self.cache_hits.incr();
-            self.local.cache_hits += 1;
-            self.journal_instant(name, InstantPayload::CacheHit { rows, membership: true });
-            return Ok(present);
-        }
-        let reply = self.wire_fetch(name, pattern, &inputs)?;
-        let rows = reply.rows;
-        self.membership.incr();
-        self.local.membership += 1;
-        self.tuples_returned.add(rows.len() as u64);
-        self.local.tuples_returned += rows.len() as u64;
-        let present = rows.iter().any(|row| row.as_slice() == values);
-        self.journal_instant(name, InstantPayload::Membership { present });
-        if let Some(cache) = &mut self.cache {
-            cache.insert(key, rows);
-        }
-        Ok(present)
+        let rows = self.request(name, pattern, &[inputs], Some(values))?;
+        Ok(rows[0].iter().any(|row| row.as_slice() == values))
     }
 
     /// Tests a batch of fully-ground tuples for membership in relation
@@ -1640,6 +1308,54 @@ mod tests {
         let s = reg.stats();
         assert_eq!(s.calls, 1);
         assert_eq!(s.cache_hits, 1);
+    }
+
+    /// With a cache, a journal and a multi-key batch on one lane, the
+    /// cache-hit instants land in issue order between the wire pairs, at
+    /// the time each key was issued: the batch journals exactly what a
+    /// loop of single calls does.
+    #[test]
+    fn one_lane_batch_journals_cache_hits_in_issue_order() {
+        use lap_obs::journal::kind::{CACHE_HIT, SOURCE_CALL_BEGIN, SOURCE_CALL_END};
+        let (db, schema) = setup();
+        let p = AccessPattern::parse("ioo").unwrap();
+        let b = Symbol::intern("B");
+        let key = |i: i64| vec![Some(Value::int(i)), None, None];
+        // Key 2 is cached beforehand; the second key 1 duplicates the first.
+        let keys = [key(1), key(2), key(1), key(3)];
+        let journal_of = |batched: bool| {
+            let rec = Recorder::with_journal(lap_obs::JournalConfig::light());
+            let latency = crate::FaultConfig { latency_ms: 10, ..crate::FaultConfig::with_rate(0.0, 1) };
+            let mut reg = SourceRegistry::with_cache(&db, &schema)
+                .with_fault_injection(latency)
+                .recording(&rec);
+            reg.call(b, p, &key(2)).unwrap();
+            if batched {
+                reg.call_many(b, p, &keys).unwrap();
+            } else {
+                for k in &keys {
+                    reg.call(b, p, k).unwrap();
+                }
+            }
+            assert_eq!((reg.stats().calls, reg.stats().cache_hits), (3, 2));
+            rec.journal().unwrap().snapshot()
+        };
+        let batched = journal_of(true);
+        assert_eq!(batched, journal_of(false));
+        let events: Vec<_> = batched.events.iter().map(|e| (e.kind.as_str(), e.ts_ms)).collect();
+        assert_eq!(
+            events,
+            [
+                (SOURCE_CALL_BEGIN, 0),
+                (SOURCE_CALL_END, 10),
+                (SOURCE_CALL_BEGIN, 10),
+                (SOURCE_CALL_END, 20),
+                (CACHE_HIT, 20),
+                (CACHE_HIT, 20),
+                (SOURCE_CALL_BEGIN, 20),
+                (SOURCE_CALL_END, 30),
+            ]
+        );
     }
 
     #[test]

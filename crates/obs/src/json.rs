@@ -366,12 +366,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance one whole UTF-8 character.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| err("invalid utf-8", *pos))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or escape,
+                // validating only the run: a string must cost time linear
+                // in its length, whatever follows it in the buffer.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| err("invalid utf-8", start))?;
+                out.push_str(run);
             }
         }
     }
@@ -417,6 +421,19 @@ mod tests {
     fn escapes_round_trip() {
         let doc = Json::str("a\"b\\c\nd\te\u{1}f — ünïcode");
         assert_eq!(parse(&doc.to_compact()).unwrap(), doc);
+    }
+
+    /// Multi-byte characters and escapes next to long plain runs: the
+    /// run copier must split exactly at quotes and backslashes.
+    #[test]
+    fn long_runs_next_to_escapes_and_multibyte_round_trip() {
+        let plain = "x".repeat(100_000);
+        let doc = Json::str(format!("é{plain}\"ü{plain}\\{plain}\n—{plain}\u{1}€"));
+        assert_eq!(parse(&doc.to_compact()).unwrap(), doc);
+        let wide = Json::str("—€ü".repeat(50_000));
+        assert_eq!(parse(&wide.to_compact()).unwrap(), wide);
+        // A run cut short by the end of input is still an error.
+        assert!(parse(&format!("\"é{plain}")).is_err());
     }
 
     #[test]

@@ -21,6 +21,10 @@ cargo test -q --workspace
 echo "==> lapbench (out-of-workspace benchmark): builds and tests against the public API"
 cargo test -q --offline --manifest-path lapbench/Cargo.toml
 
+echo "==> lapbench --quick: 3 s windows on all four workloads, every response byte-compared to the one-shot oracle"
+lapbench/run.sh --quick --out "${TMPDIR:-/tmp}/lapq_ci_lapbench"
+rm -rf "${TMPDIR:-/tmp}/lapq_ci_lapbench"
+
 echo "==> executor differential suite (batched vs tuple-at-a-time reference)"
 cargo test -q --test executor_differential
 

@@ -67,8 +67,7 @@ use lap::core::{
     AnswerReport, ContainmentEngine, DecisionPath, EngineConfig,
 };
 use lap::engine::{
-    display_tuple, Database, ExecConfig, FaultConfig, ReplaySource, ResilienceConfig, RetryPolicy,
-    MAX_BATCH_WIDTH, MAX_IO_WORKERS,
+    display_tuple, Database, ExecConfig, ReplaySource, ResilienceConfig, RetryPolicy,
 };
 use lap::ir::{parse_program, Program, UnionQuery};
 use lap::obs::{
@@ -171,24 +170,27 @@ fn dispatch(cmd: &str, args: &CliArgs, recorder: &Recorder) -> Result<(), String
         "explain" => explain_cmd(
             args.require(1, "explain needs a program file")?,
             feedback_from_args(args)?.as_ref(),
-            exec_config_from_args(args)?,
+            execution_from_args(args)?.0,
             &engine_from_args(args, recorder),
             recorder,
         ),
         "plan" => plan(args.require(1, "plan needs a program file")?, recorder),
-        "run" | "answer" => run_query(
-            args.require(1, "run needs a program file")?,
-            args.require(2, "run needs a facts file")?,
-            args.value_u64("--domain")?,
-            resilience_from_args(args)?.as_ref(),
-            exec_config_from_args(args)?,
-            feedback_from_args(args)?.as_ref(),
-            recorder,
-        ),
+        "run" | "answer" => {
+            let (exec, resilience) = execution_from_args(args)?;
+            run_query(
+                args.require(1, "run needs a program file")?,
+                args.require(2, "run needs a facts file")?,
+                args.value_u64("--domain")?,
+                resilience.as_ref(),
+                exec,
+                feedback_from_args(args)?.as_ref(),
+                recorder,
+            )
+        }
         "profile" => profile(
             args.require(1, "profile needs a program file")?,
             args.require(2, "profile needs a facts file")?,
-            exec_config_from_args(args)?,
+            execution_from_args(args)?.0,
             recorder,
         ),
         "optimize" => optimize(
@@ -232,71 +234,15 @@ fn dispatch(cmd: &str, args: &CliArgs, recorder: &Recorder) -> Result<(), String
     }
 }
 
-/// Valued flags that switch `run`/`answer` into resilient (fault-injected)
-/// execution when any of them is present.
-const RESILIENCE_FLAGS: &[&str] = &[
-    "--fault-rate",
-    "--fault-seed",
-    "--latency-ms",
-    "--timeout-ms",
-    "--retry",
-    "--retry-budget-ms",
-    "--io-workers",
-];
-
-/// Parses `--io-workers` and `--batch-width` into an [`ExecConfig`],
-/// defaulting to serial I/O at the executor's default width when the
-/// flags are absent. Zero is rejected for both, like out-of-range worker
-/// counts.
-fn exec_config_from_args(args: &CliArgs) -> Result<ExecConfig, String> {
-    let mut cfg = ExecConfig::default();
-    if let Some(n) = args.value_u64("--io-workers")? {
-        if n == 0 || n > MAX_IO_WORKERS as u64 {
-            return Err(format!(
-                "--io-workers must be in [1, {MAX_IO_WORKERS}], got {n}"
-            ));
-        }
-        cfg = cfg.with_io_workers(n as usize);
-    }
-    if let Some(n) = args.value_u64("--batch-width")? {
-        if n == 0 || n > MAX_BATCH_WIDTH as u64 {
-            return Err(format!(
-                "--batch-width must be in [1, {MAX_BATCH_WIDTH}], got {n}"
-            ));
-        }
-        cfg.batch_size = n as usize;
-    }
-    Ok(cfg)
-}
-
-/// Builds the fault + retry profile selected by the resilience flags, or
-/// `None` when no resilience flag was given (plain ANSWER\* execution).
-fn resilience_from_args(args: &CliArgs) -> Result<Option<ResilienceConfig>, String> {
-    if !args.any_value(RESILIENCE_FLAGS) {
-        return Ok(None);
-    }
-    let rate = args.value_f64("--fault-rate")?.unwrap_or(0.0);
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(format!("--fault-rate must be in [0, 1], got {rate}"));
-    }
-    let fault = FaultConfig {
-        error_rate: rate,
-        latency_ms: args.value_u64("--latency-ms")?.unwrap_or(0),
-        latency_jitter_ms: 0,
-        timeout_ms: args.value_u64("--timeout-ms")?,
-        seed: args.value_u64("--fault-seed")?.unwrap_or(0xC0FFEE),
-    };
-    let mut retry = RetryPolicy::standard();
-    if let Some(n) = args.value_u64("--retry")? {
-        if n == 0 || n > u32::MAX as u64 {
-            return Err(format!("--retry must be in [1, {}], got {n}", u32::MAX));
-        }
-        retry = retry.with_max_attempts(n as u32);
-    }
-    if let Some(budget) = args.value_u64("--retry-budget-ms")? {
-        retry = retry.with_deadline_ms(budget);
-    }
-    Ok(Some(ResilienceConfig { fault: Some(fault), retry }))
+/// The executor configuration and, when any resilience flag is present,
+/// the fault + retry profile the flags select — the same translation the
+/// daemon applies to a request's options, with the offending option
+/// reported under its flag name.
+fn execution_from_args(
+    args: &CliArgs,
+) -> Result<(ExecConfig, Option<ResilienceConfig>), String> {
+    lap::execution_from_options(&query_options_from_args(args)?)
+        .map_err(|bad| format!("--{} {}", bad.option.replace('_', "-"), bad.problem))
 }
 
 /// Loads and validates the `--feedback <profile.json>` calibration profile

@@ -11,10 +11,7 @@ use super::telemetry::{TelemetryHub, HEALTH_FLOOR};
 use super::DaemonConfig;
 use lap_core::{canonical_text, render_answer_report, render_outcome, PlanCache, PreparedProgram};
 use lap_engine::sched::Gate;
-use lap_engine::{
-    Database, ExecConfig, FaultConfig, ResilienceConfig, RetryPolicy, MAX_BATCH_WIDTH,
-    MAX_IO_WORKERS,
-};
+use lap_engine::Database;
 use lap_containment::{ContainmentEngine, EngineConfig};
 use lap_obs::journal::kind;
 use lap_obs::{Counter, FoldCursor, Histogram, HistogramSnapshot, Json, JournalConfig, Recorder};
@@ -198,8 +195,8 @@ impl Service {
         if self.shutting_down() {
             return Err((ErrorCode::ShuttingDown, "daemon is shutting down".to_owned()));
         }
-        let exec = exec_config_from_options(options)?;
-        let resilience = resilience_from_options(options)?;
+        let (exec, resilience) = crate::execution_from_options(options)
+            .map_err(|bad| (ErrorCode::BadRequest, bad.to_string()))?;
 
         // Admission: wait a bounded slice of the request's deadline budget
         // for an execution permit; a full gate past the budget is an
@@ -667,69 +664,4 @@ fn ellipsize(text: &str, limit: usize) -> String {
     }
     let head: String = text.chars().take(limit.saturating_sub(1)).collect();
     format!("{head}…")
-}
-
-/// Mirrors `lapq`'s `--io-workers` / `--batch-width` validation: zero and
-/// out-of-range values are rejected with a `bad-request` frame.
-fn exec_config_from_options(
-    options: &QueryOptions,
-) -> Result<ExecConfig, (ErrorCode, String)> {
-    let mut cfg = ExecConfig::default();
-    if let Some(n) = options.io_workers {
-        if n == 0 || n > MAX_IO_WORKERS as u64 {
-            return Err((
-                ErrorCode::BadRequest,
-                format!("io_workers must be in [1, {MAX_IO_WORKERS}], got {n}"),
-            ));
-        }
-        cfg = cfg.with_io_workers(n as usize);
-    }
-    if let Some(n) = options.batch_width {
-        if n == 0 || n > MAX_BATCH_WIDTH as u64 {
-            return Err((
-                ErrorCode::BadRequest,
-                format!("batch_width must be in [1, {MAX_BATCH_WIDTH}], got {n}"),
-            ));
-        }
-        cfg.batch_size = n as usize;
-    }
-    Ok(cfg)
-}
-
-/// Mirrors `lapq`'s resilience-flag handling bit for bit (same defaults,
-/// same seed, same retry policy) so a daemon answer equals the CLI's.
-fn resilience_from_options(
-    options: &QueryOptions,
-) -> Result<Option<ResilienceConfig>, (ErrorCode, String)> {
-    if !options.wants_resilience() {
-        return Ok(None);
-    }
-    let rate = options.fault_rate.unwrap_or(0.0);
-    if !(0.0..=1.0).contains(&rate) {
-        return Err((
-            ErrorCode::BadRequest,
-            format!("fault_rate must be in [0, 1], got {rate}"),
-        ));
-    }
-    let fault = FaultConfig {
-        error_rate: rate,
-        latency_ms: options.latency_ms.unwrap_or(0),
-        latency_jitter_ms: 0,
-        timeout_ms: options.timeout_ms,
-        seed: options.fault_seed.unwrap_or(0xC0FFEE),
-    };
-    let mut retry = RetryPolicy::standard();
-    if let Some(n) = options.retry {
-        if n == 0 || n > u32::MAX as u64 {
-            return Err((
-                ErrorCode::BadRequest,
-                format!("retry must be in [1, {}], got {n}", u32::MAX),
-            ));
-        }
-        retry = retry.with_max_attempts(n as u32);
-    }
-    if let Some(budget) = options.deadline_ms {
-        retry = retry.with_deadline_ms(budget);
-    }
-    Ok(Some(ResilienceConfig { fault: Some(fault), retry }))
 }

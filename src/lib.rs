@@ -56,6 +56,9 @@
 #![forbid(unsafe_code)]
 
 pub mod daemon;
+mod options;
+
+pub use options::{execution_from_options, BadOption};
 
 pub use lap_baselines as baselines;
 pub use lap_constraints as constraints;

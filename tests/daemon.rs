@@ -254,6 +254,25 @@ fn malformed_frame_is_answered_and_contained() {
     server.shutdown();
 }
 
+/// One long JSON string must decode in time linear in its length. The
+/// decoder used to re-validate the rest of the buffer for every
+/// character — seconds for 1 MB, about an hour at the 16 MiB frame cap —
+/// pinning a session thread before the request was even admitted.
+#[test]
+fn huge_string_frame_is_decoded_in_linear_time() {
+    let server = start_server(DaemonConfig::default());
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let facts = format!("{}\n% {}\n", read_example("bookstore_facts.lap"), "x".repeat(2 << 20));
+    assert!(facts.len() > 2 << 20);
+    let started = std::time::Instant::now();
+    let text = query_text(&mut client, &read_example("bookstore.lap"), &facts, QueryOptions::default());
+    let elapsed = started.elapsed();
+    assert!(text.contains("answer is complete"), "{text}");
+    assert!(elapsed.as_secs() < 10, "a 2 MiB string took {elapsed:?} to answer");
+    assert!(matches!(client.stats().unwrap(), Response::Ok { .. }));
+    server.shutdown();
+}
+
 /// Valid JSON that is not a valid request draws a `bad-request` frame
 /// and the session continues; a query error (unparsable program) draws
 /// a `query-error` frame, ditto.

@@ -152,9 +152,9 @@ fn timeout_and_retry_races_stay_deterministic() {
 }
 
 /// A worker pool wider than the batch and wider than [`MAX_IO_WORKERS`]'s
-/// clamp must behave like the clamped width — and a single-key batch must
-/// take the serial path untouched. Exercised through the public knob so
-/// the clamp itself is under test.
+/// clamp must behave like the clamped width — and a single-key batch is
+/// one lane whatever the width. Exercised through the public knob so the
+/// clamp itself is under test.
 #[test]
 fn worker_width_is_clamped_and_degenerate_batches_stay_serial() {
     let (program, db) = scenario();
