@@ -73,8 +73,8 @@ pub fn enumerate_domain(
                         }
                         calls_used += 1;
                         let rows = reg.call(pred.name, pattern, &inputs)?;
-                        for row in rows {
-                            for v in row {
+                        for row in rows.iter() {
+                            for &v in row {
                                 if dom.insert(v) {
                                     grew = true;
                                 }

@@ -146,7 +146,7 @@ fn eval_positive(
         .map(|j| if pattern.is_input(j) { bound[j] } else { None })
         .collect();
     let rows = reg.call(name, pattern, &inputs)?;
-    'rows: for row in rows {
+    'rows: for row in rows.iter() {
         // Client-side unification: bound output slots, constants, and
         // repeated variables must agree; unbound variables get bound.
         let mut bound_here: Vec<Var> = Vec::new();

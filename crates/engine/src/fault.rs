@@ -15,16 +15,21 @@
 //! honest completeness downgrade instead of an aborted run.
 
 use crate::source::{PlannedFetch, Source};
-use crate::value::{Tuple, Value};
+use crate::value::{Rows, Value};
 use lap_ir::{AccessPattern, Symbol};
 use lap_prng::StdRng;
 use std::fmt;
 
 /// One successful transport response.
+///
+/// The rows are a shared block ([`Rows`]): a transport that keeps its
+/// extents resident hands out the same block on every matching call, and
+/// nothing downstream of the transport — the registry's cache, the
+/// journal, the operators — copies or mutates it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SourceReply {
     /// The rows matching the supplied input slots.
-    pub rows: Vec<Tuple>,
+    pub rows: Rows,
     /// Virtual latency the call took (0 for in-memory sources).
     pub latency_ms: u64,
 }

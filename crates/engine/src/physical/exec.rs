@@ -386,7 +386,7 @@ impl<'p> PlanExec<'p> {
         self.profiles[i].calls += keys.len() as u64;
         self.profiles[i].source_rows += fetched.iter().map(|rows| rows.len() as u64).sum::<u64>();
         for (row, &k) in batch.iter().zip(&row_keys) {
-            for tuple in &fetched[k] {
+            for tuple in fetched[k].iter() {
                 if let Some(out) = unify(&op.args, row, tuple) {
                     produced.push(out);
                 }
@@ -872,7 +872,7 @@ impl<'p> ColExec<'p> {
                 bind_cols: vec![Vec::new(); bind_parts.len()],
                 partition: CodeMap::default(),
             };
-            for tuple in tuples {
+            for tuple in tuples.iter() {
                 if const_checks.iter().any(|&(j, c)| tuple[j] != c) {
                     continue;
                 }

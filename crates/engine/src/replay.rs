@@ -18,7 +18,7 @@
 
 use crate::fault::{SourceFault, SourceReply};
 use crate::source::{PlannedFetch, Source};
-use crate::value::{rows_from_json, value_from_json, Tuple, Value};
+use crate::value::{rows_from_json, value_from_json, Rows, Value};
 use lap_ir::{AccessPattern, Symbol};
 use lap_obs::journal::kind;
 use lap_obs::{Json, JournalSnapshot};
@@ -203,8 +203,8 @@ pub fn recorded_calls(journal: &JournalSnapshot) -> Result<Vec<RecordedCall>, St
                     .and_then(Json::as_u64)
                     .unwrap_or(0);
                 let outcome = if event.data.get("ok") == Some(&Json::Bool(true)) {
-                    let rows: Vec<Tuple> = match event.data.get("rows_data") {
-                        Some(rows) => rows_from_json(rows)?,
+                    let rows: Rows = match event.data.get("rows_data") {
+                        Some(rows) => rows_from_json(rows)?.into(),
                         None => {
                             return Err(format!(
                                 "call end seq {} has no captured rows — \

@@ -28,7 +28,7 @@ use crate::fault::{RetryPolicy, SourceFault, SourceReply};
 use crate::instance::Database;
 use crate::sched;
 use crate::stats::CallStats;
-use crate::value::{rows_to_json, value_to_json, Tuple, Value};
+use crate::value::{rows_to_json, value_to_json, Rows, Tuple, Value};
 use lap_ir::{AccessPattern, Schema, Symbol};
 use lap_obs::{Counter, Histogram, InstantPayload, Journal, Json, Recorder, WireOutcome};
 use lap_prng::StdRng;
@@ -161,8 +161,8 @@ impl WireScript {
 
 /// One planned call of a batch, in issue order.
 enum ScriptedCall {
-    /// Cache hit during planning; rows already in hand.
-    Cached(Vec<Tuple>),
+    /// Cache hit during planning; the cached block is already in hand.
+    Cached(Rows),
     /// Duplicate of an earlier key in the same batch (cache enabled):
     /// resolves to that call's rows and counts as a cache hit, as it
     /// would have had the earlier call completed first.
@@ -182,8 +182,10 @@ struct WireSlot<'k> {
     start_ms: u64,
 }
 
-/// One hash index: projection of the indexed columns → matching rows.
-type ColumnIndex = HashMap<Vec<Value>, Vec<Tuple>>;
+/// One hash index: projection of the indexed columns → the block of
+/// matching rows. The index on no column has the single key `[]`, whose
+/// block is the whole relation: the free scan.
+type ColumnIndex = HashMap<Vec<Value>, Rows>;
 
 /// The transport's verdict on one fetch attempt, split from the data
 /// transfer so the registry can keep many calls in flight at once.
@@ -242,6 +244,11 @@ pub trait Source: Send {
     /// every order-sensitive decision. The planned latency is accounted
     /// by the caller, not here. A transport that plans `Defer` must
     /// override this; the default refuses the transfer.
+    ///
+    /// The reply's rows are a shared block: a transport over resident data
+    /// returns the block it keeps (a reference-count bump), one that reads
+    /// rows off a wire builds the block here, once. Either way the caller
+    /// never copies it and never sees it change.
     fn fetch_deferred(
         &mut self,
         _name: Symbol,
@@ -294,6 +301,9 @@ impl<'a> Source for Box<dyn Source + 'a> {
 /// The original in-memory transport: a [`Database`] behind access
 /// patterns, answering input-slot selections through lazily-built hash
 /// indexes (build once per (relation, slot set), then O(1) lookups).
+/// An index holds each bucket as a shared row block, so rows are cloned
+/// out of the database only while an index is built; a call after that is
+/// a hash lookup and a reference-count bump, whatever the bucket's size.
 /// Never faults; virtual latency is zero.
 pub struct InMemorySource<'a> {
     db: &'a Database,
@@ -308,44 +318,44 @@ impl<'a> InMemorySource<'a> {
         InMemorySource { db, indexes: Some(HashMap::new()) }
     }
 
-    /// A scanning source: every selection scans the relation — the
-    /// ablation baseline for the index experiment (E16).
+    /// A scanning source: every selection scans the relation and copies
+    /// the matching rows into a fresh block — the ablation baseline for
+    /// the index experiment (E16).
     pub fn without_indexes(db: &'a Database) -> InMemorySource<'a> {
         InMemorySource { db, indexes: None }
     }
 
-    /// Number of hash indexes built so far (0 when indexing is disabled).
+    /// Number of hash indexes built so far, the free scan's (the index on
+    /// no column) included; 0 when indexing is disabled.
     pub fn index_count(&self) -> usize {
         self.indexes.as_ref().map_or(0, HashMap::len)
     }
 
     /// Answers an input-slot selection, via the hash index when enabled.
-    fn select_rows(&mut self, name: Symbol, inputs: &[Option<Value>]) -> Vec<Tuple> {
+    fn select_rows(&mut self, name: Symbol, inputs: &[Option<Value>]) -> Rows {
         // The relation may be declared but empty/absent in this instance.
         let Some(rel) = self.db.relation(name) else {
-            return Vec::new();
+            return Rows::default();
         };
-        let positions: Vec<usize> = (0..inputs.len()).filter(|&j| inputs[j].is_some()).collect();
+        if rel.arity() != inputs.len() {
+            // Stored at another arity than the pattern's, the relation
+            // cannot be selected on: its rows go out as they are, for the
+            // registry to refuse.
+            return rel.iter().cloned().collect();
+        }
         let Some(indexes) = &mut self.indexes else {
             return rel.select(inputs).cloned().collect();
         };
-        if positions.is_empty() {
-            return rel.iter().cloned().collect();
-        }
-        let index = indexes
-            .entry((name, positions.clone()))
-            .or_insert_with(|| {
-                let mut map: HashMap<Vec<Value>, Vec<Tuple>> = HashMap::new();
-                for row in rel.iter() {
-                    let key: Vec<Value> = positions.iter().map(|&j| row[j]).collect();
-                    map.entry(key).or_default().push(row.clone());
-                }
-                map
-            });
-        let key: Vec<Value> = positions
-            .iter()
-            .map(|&j| inputs[j].expect("position is Some"))
-            .collect();
+        let positions: Vec<usize> = (0..inputs.len()).filter(|&j| inputs[j].is_some()).collect();
+        let key: Vec<Value> = inputs.iter().flatten().copied().collect();
+        let index = indexes.entry((name, positions)).or_insert_with_key(|(_, positions)| {
+            let mut buckets: HashMap<Vec<Value>, Vec<Tuple>> = HashMap::new();
+            for row in rel.iter() {
+                let key = positions.iter().map(|&j| row[j]).collect();
+                buckets.entry(key).or_default().push(row.clone());
+            }
+            buckets.into_iter().map(|(key, rows)| (key, Rows::from(rows))).collect()
+        });
         index.get(&key).cloned().unwrap_or_default()
     }
 }
@@ -450,7 +460,7 @@ pub struct SourceRegistry<'a> {
     /// Per-batch salt folded into `sched_seed` so every overlapped batch
     /// of one run sees a fresh adversarial permutation.
     sched_epoch: u64,
-    cache: Option<HashMap<CallKey, Vec<Tuple>>>,
+    cache: Option<HashMap<CallKey, Rows>>,
     /// Flight-recorder journal (attached via [`SourceRegistry::recording`]
     /// when the recorder carries one).
     journal: Option<Journal>,
@@ -740,7 +750,9 @@ impl<'a> SourceRegistry<'a> {
     /// Some(v)` for every input slot `j`. Returns the tuples matching the
     /// supplied inputs — the full rows, as a web service would return them;
     /// any additional client-side filtering (bound output slots, repeated
-    /// variables) is the evaluator's job.
+    /// variables) is the evaluator's job. The rows come back as the shared
+    /// block the transport (or the call cache) holds, each of them checked
+    /// to be as long as the pattern: read it, do not expect to own it.
     ///
     /// Errors if the pattern is not declared for the relation or an input
     /// slot has no value. Values supplied at output slots are rejected:
@@ -754,8 +766,8 @@ impl<'a> SourceRegistry<'a> {
         name: Symbol,
         pattern: AccessPattern,
         inputs: &[Option<Value>],
-    ) -> Result<Vec<Tuple>, EngineError> {
-        let mut rows = self.request(name, pattern, &[inputs.to_vec()], None)?;
+    ) -> Result<Rows, EngineError> {
+        let (mut rows, _) = self.request(name, pattern, &[inputs.to_vec()], None)?;
         Ok(rows.pop().expect("one key, one reply"))
     }
 
@@ -764,14 +776,16 @@ impl<'a> SourceRegistry<'a> {
     /// lanes. Results come back in issue order, and answers, counters,
     /// retry/failure accounting and the terminal error do not depend on
     /// the lane count — only the *wall* clock does: a batch charges its
-    /// longest lane, which with one lane is the serial sum.
+    /// longest lane, which with one lane is the serial sum. Each key gets
+    /// a shared block as in [`SourceRegistry::call`]; with the call cache
+    /// on, duplicate keys of one batch get the same block.
     pub fn call_many(
         &mut self,
         name: Symbol,
         pattern: AccessPattern,
         keys: &[Vec<Option<Value>>],
-    ) -> Result<Vec<Vec<Tuple>>, EngineError> {
-        self.request(name, pattern, keys, None)
+    ) -> Result<Vec<Rows>, EngineError> {
+        Ok(self.request(name, pattern, keys, None)?.0)
     }
 
     /// The one wire path — every positive call, batch and membership
@@ -793,13 +807,17 @@ impl<'a> SourceRegistry<'a> {
     ///
     /// The lane count is the only thing that distinguishes serial from
     /// overlapped execution.
+    ///
+    /// Returns one row block per key and, for a probe, its verdict —
+    /// whether the tested tuple is in the last key's block — computed here
+    /// once, for wire and cached replies alike.
     fn request(
         &mut self,
         name: Symbol,
         pattern: AccessPattern,
         keys: &[Vec<Option<Value>>],
         probe: Option<&[Value]>,
-    ) -> Result<Vec<Vec<Tuple>>, EngineError> {
+    ) -> Result<(Vec<Rows>, Option<bool>), EngineError> {
         // Nothing to overlap: one lane, journaled on the registry's own
         // lane instead of a per-worker sub-lane.
         let serial = (self.io_workers <= 1 && self.sched_seed.is_none()) || keys.len() <= 1;
@@ -865,7 +883,10 @@ impl<'a> SourceRegistry<'a> {
         let base_wall = self.virtual_elapsed_ms();
         let mut lane_free = [base_wall; MAX_IO_WORKERS];
         let lane_free = &mut lane_free[..workers];
-        let mut rows_out: Vec<Vec<Tuple>> = Vec::with_capacity(scripts.len());
+        let mut rows_out: Vec<Rows> = Vec::with_capacity(scripts.len());
+        let verdict =
+            |rows: &[Tuple]| probe.map(|values| rows.iter().any(|row| row.as_slice() == values));
+        let mut present = None;
         for (script, key) in scripts.into_iter().zip(keys) {
             // Greedy earliest-free lane, in issue order.
             let k = (0..workers).min_by_key(|&k| lane_free[k]).unwrap_or(0);
@@ -884,14 +905,14 @@ impl<'a> SourceRegistry<'a> {
                             break;
                         }
                     };
-                    match probe {
+                    present = verdict(&rows);
+                    match present {
                         None => {
                             self.tally(Tally::Calls, 1);
                             self.rows_per_call.record(rows.len() as u64);
                         }
-                        Some(values) => {
+                        Some(present) => {
                             self.tally(Tally::Membership, 1);
-                            let present = rows.iter().any(|row| row.as_slice() == values);
                             let payload = InstantPayload::Membership { present };
                             self.journal_instant(self.lane, lane_free[k], name, payload);
                         }
@@ -908,12 +929,13 @@ impl<'a> SourceRegistry<'a> {
             let payload =
                 InstantPayload::CacheHit { rows: hit.len() as u64, membership: probe.is_some() };
             self.journal_instant(self.lane, lane_free[k], name, payload);
+            present = verdict(&hit);
             rows_out.push(hit);
         }
         self.wall_ms += lane_free.iter().max().map_or(0, |end| end - base_wall);
         match failed {
             Some(e) => Err(e),
-            None => Ok(rows_out),
+            None => Ok((rows_out, present)),
         }
     }
 
@@ -989,7 +1011,9 @@ impl<'a> SourceRegistry<'a> {
     /// Resolves one planned wire call at its scheduled slot: journals
     /// every attempt at its scheduled timestamps, completes a deferred
     /// success with its transferred rows, and returns the reply or the
-    /// planned terminal error.
+    /// planned terminal error. Every transport's rows pass through here,
+    /// so this is where a reply whose rows are not as long as the pattern
+    /// is refused: downstream code indexes rows by pattern position.
     fn merge_wire(
         &mut self,
         slot: &WireSlot<'_>,
@@ -1031,11 +1055,16 @@ impl<'a> SourceRegistry<'a> {
         if script.journaled {
             self.journal_attempt(slot, script.capture, attempt, prior_backoff, t..end_ts, outcome.as_ref());
         }
-        outcome.map_err(|fault| EngineError::SourceUnavailable {
+        let reply = outcome.map_err(|fault| EngineError::SourceUnavailable {
             relation: slot.name.to_string(),
             attempts: attempt,
             reason: fault.to_string(),
-        })
+        })?;
+        let expected = slot.pattern.arity();
+        match reply.rows.iter().find(|row| row.len() != expected) {
+            Some(row) => Err(EngineError::ArityMismatch { expected, found: row.len() }),
+            None => Ok(reply),
+        }
     }
 
     /// Journals one wire attempt — the only attempt-journaling routine:
@@ -1155,7 +1184,9 @@ impl<'a> SourceRegistry<'a> {
     ///
     /// Probes are accounted under `source.membership`, *disjoint* from the
     /// positive `source.calls` counter; cached probes count as cache hits
-    /// like any other call.
+    /// like any other call. The verdict returned is the one the wire path
+    /// computed (and, for a wire probe, journaled as `Membership {
+    /// present }`): the reply block is searched once and not kept.
     pub fn membership_test(&mut self, name: Symbol, values: &[Value]) -> Result<bool, EngineError> {
         let decl = self
             .schema
@@ -1176,8 +1207,8 @@ impl<'a> SourceRegistry<'a> {
         let inputs: Vec<Option<Value>> = (0..pattern.arity())
             .map(|j| pattern.is_input(j).then(|| values[j]))
             .collect();
-        let rows = self.request(name, pattern, &[inputs], Some(values))?;
-        Ok(rows[0].iter().any(|row| row.as_slice() == values))
+        let (_, present) = self.request(name, pattern, &[inputs], Some(values))?;
+        Ok(present.expect("a probe request reports its verdict"))
     }
 
     /// Tests a batch of fully-ground tuples for membership in relation
@@ -1440,6 +1471,118 @@ mod tests {
         assert_eq!(reg.stats().calls, 0);
     }
 
+    /// A probe's verdict is computed once, where the wire path journals
+    /// it: what `membership_test` returns is what the `Membership
+    /// { present }` instant says, a cached probe answers the same without
+    /// touching the wire tallies, and the reply rows are counted as before.
+    #[test]
+    fn probe_verdict_returned_is_the_verdict_journaled() {
+        use lap_obs::journal::kind::{CACHE_HIT, MEMBERSHIP};
+        let (db, schema) = setup();
+        let rec = Recorder::with_journal(lap_obs::JournalConfig::light());
+        let mut reg = SourceRegistry::with_cache(&db, &schema).recording(&rec);
+        let l = Symbol::intern("L");
+        let verdicts: Vec<bool> = [1, 2, 1, 2]
+            .iter()
+            .map(|&i| reg.membership_test(l, &[Value::int(i)]).unwrap())
+            .collect();
+        assert_eq!(verdicts, [true, false, true, false]);
+        // L^o is a free scan: both probe keys are the same call, so the
+        // second probe onwards is answered from the cache.
+        assert_eq!(reg.membership_probes(), 1);
+        assert_eq!(reg.stats(), CallStats { calls: 0, tuples_returned: 1, cache_hits: 3 });
+        let journal = rec.journal().unwrap().snapshot();
+        let instants: Vec<(&str, Option<&Json>)> = journal
+            .events
+            .iter()
+            .filter(|e| e.kind == MEMBERSHIP || e.kind == CACHE_HIT)
+            .map(|e| (e.kind.as_str(), e.data.get("present")))
+            .collect();
+        assert_eq!(
+            instants,
+            [
+                (MEMBERSHIP, Some(&Json::Bool(true))),
+                (CACHE_HIT, None),
+                (CACHE_HIT, None),
+                (CACHE_HIT, None),
+            ]
+        );
+
+        // Without a cache every probe hits the wire and journals its own
+        // verdict.
+        let rec = Recorder::with_journal(lap_obs::JournalConfig::light());
+        let mut reg = SourceRegistry::new(&db, &schema).recording(&rec);
+        for i in [1, 2, 3] {
+            let present = reg.membership_test(l, &[Value::int(i)]).unwrap();
+            let journal = rec.journal().unwrap().snapshot();
+            let last = journal.events.iter().rfind(|e| e.kind == MEMBERSHIP).unwrap();
+            assert_eq!(last.data.get("present"), Some(&Json::Bool(present)), "probe {i}");
+        }
+        assert_eq!(reg.membership_probes(), 3);
+        assert_eq!(reg.stats(), CallStats { calls: 0, tuples_returned: 3, cache_hits: 0 });
+    }
+
+    /// Replies are shared blocks: the indexed transport hands out the block
+    /// its index holds, the cache and an in-batch duplicate hand out the
+    /// block the first call got — and the scanning ablation baseline still
+    /// builds a fresh one per call.
+    #[test]
+    fn identical_calls_share_one_block_unless_scanning() {
+        use std::sync::Arc;
+        let (db, schema) = setup();
+        let b = Symbol::intern("B");
+        let by_author = AccessPattern::parse("oio").unwrap();
+        let tolkien = [None, Some(Value::str("tolkien")), None];
+        let scan = AccessPattern::parse("o").unwrap();
+
+        let mut reg = SourceRegistry::new(&db, &schema);
+        let first = reg.call(b, by_author, &tolkien).unwrap();
+        assert!(Arc::ptr_eq(&first, &reg.call(b, by_author, &tolkien).unwrap()));
+        let all = reg.call(Symbol::intern("L"), scan, &[None]).unwrap();
+        assert!(Arc::ptr_eq(&all, &reg.call(Symbol::intern("L"), scan, &[None]).unwrap()));
+        assert_eq!(reg.stats(), CallStats { calls: 4, tuples_returned: 6, cache_hits: 0 });
+
+        let mut cached = SourceRegistry::with_cache(&db, &schema);
+        let batch = cached.call_many(b, by_author, &[tolkien.to_vec(), tolkien.to_vec()]).unwrap();
+        assert!(Arc::ptr_eq(&batch[0], &batch[1]), "in-batch duplicate");
+        assert!(Arc::ptr_eq(&batch[0], &cached.call(b, by_author, &tolkien).unwrap()), "cache hit");
+        assert_eq!(cached.stats(), CallStats { calls: 1, tuples_returned: 2, cache_hits: 2 });
+
+        let mut scanned = SourceRegistry::without_indexes(&db, &schema);
+        let first = scanned.call(b, by_author, &tolkien).unwrap();
+        let second = scanned.call(b, by_author, &tolkien).unwrap();
+        assert_eq!(first, second);
+        assert!(!Arc::ptr_eq(&first, &second), "without_indexes scans on every call");
+    }
+
+    /// A relation stored at another arity than its declared patterns is
+    /// refused with `ArityMismatch` where every transport's rows merge —
+    /// short or long rows, free scan or keyed selection, positive call or
+    /// probe, indexed or scanning — instead of panicking an operator or
+    /// silently matching nothing.
+    #[test]
+    fn reply_rows_of_the_wrong_arity_are_refused() {
+        let db = Database::from_facts("S(1). S(2). W(1, 2).").unwrap();
+        let schema =
+            Schema::from_patterns(&[("S", "oo"), ("S", "oi"), ("S", "io"), ("W", "o")]).unwrap();
+        let (s, w) = (Symbol::intern("S"), Symbol::intern("W"));
+        let pat = |p: &str| AccessPattern::parse(p).unwrap();
+        for mut reg in
+            [SourceRegistry::new(&db, &schema), SourceRegistry::without_indexes(&db, &schema)]
+        {
+            let short = EngineError::ArityMismatch { expected: 2, found: 1 };
+            let long = EngineError::ArityMismatch { expected: 1, found: 2 };
+            assert_eq!(reg.call(s, pat("oo"), &[None, None]), Err(short.clone()));
+            assert_eq!(reg.call(s, pat("oi"), &[None, Some(Value::int(1))]), Err(short.clone()));
+            assert_eq!(reg.call(s, pat("io"), &[Some(Value::int(1)), None]), Err(short));
+            assert_eq!(reg.call(w, pat("o"), &[None]), Err(long.clone()));
+            assert_eq!(reg.membership_test(w, &[Value::int(1)]), Err(long));
+            // A refused reply is not a call that returned rows.
+            assert_eq!(reg.stats(), CallStats::default());
+            assert_eq!(reg.membership_probes(), 0);
+        }
+    }
+
     #[test]
     fn declared_but_absent_relation_is_empty() {
         let (db, _) = setup();
@@ -1486,8 +1629,8 @@ mod index_tests {
             let args = [Some(Value::int(k)), None];
             let a = indexed.call(Symbol::intern("R"), p, &args).unwrap();
             let b = scanned.call(Symbol::intern("R"), p, &args).unwrap();
-            let a_set: std::collections::BTreeSet<_> = a.into_iter().collect();
-            let b_set: std::collections::BTreeSet<_> = b.into_iter().collect();
+            let a_set: std::collections::BTreeSet<_> = a.iter().collect();
+            let b_set: std::collections::BTreeSet<_> = b.iter().collect();
             assert_eq!(a_set, b_set, "k={k}");
         }
         assert_eq!(indexed.stats().calls, scanned.stats().calls);

@@ -81,6 +81,12 @@ impl fmt::Display for Value {
 /// A tuple of values — one row of a relation or one answer.
 pub type Tuple = Vec<Value>;
 
+/// A shared, immutable block of rows — what one source call returns. The
+/// transport builds a block once; every later holder (the call cache, a
+/// duplicate key of the same batch, the operators) shares it by reference
+/// count and reads it as a `&[Tuple]`.
+pub type Rows = std::sync::Arc<[Tuple]>;
+
 /// Renders a tuple as `(v1, v2, …)`.
 pub fn display_tuple(t: &[Value]) -> String {
     let items: Vec<String> = t.iter().map(|v| v.to_string()).collect();

@@ -55,6 +55,23 @@ target/release/lapq run examples/data/bookstore.lap \
 target/release/lapq obs-validate "$OBS_SNAPSHOT"
 rm -f "$OBS_SNAPSHOT"
 
+echo "==> malformed-arity smoke: facts shorter than the schema are an error, not a panic"
+ARITY_DIR="${TMPDIR:-/tmp}/lapq_ci_arity"
+mkdir -p "$ARITY_DIR"
+printf 'Catalog^oo. Library^o.\nQ(i, a) :- Catalog(i, a), not Library(i).\n' > "$ARITY_DIR/prog.lap"
+printf 'Catalog(1). Catalog(2).\n' > "$ARITY_DIR/facts.lap"
+if target/release/lapq run "$ARITY_DIR/prog.lap" "$ARITY_DIR/facts.lap" \
+    > /dev/null 2> "$ARITY_DIR/stderr.txt"; then
+    echo "malformed-arity smoke: lapq run accepted a one-column Catalog^oo" >&2
+    exit 1
+fi
+grep -q 'arity' "$ARITY_DIR/stderr.txt"
+if grep -q 'panicked' "$ARITY_DIR/stderr.txt"; then
+    echo "malformed-arity smoke: lapq run panicked" >&2
+    exit 1
+fi
+rm -rf "$ARITY_DIR"
+
 echo "==> flight-recorder smoke: record, validate, replay bit-for-bit"
 FR_JOURNAL="${TMPDIR:-/tmp}/lapq_ci_journal.json"
 FR_RUN="${TMPDIR:-/tmp}/lapq_ci_journal_run.txt"

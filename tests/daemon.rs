@@ -307,6 +307,20 @@ fn request_level_errors_keep_the_session_alive() {
         Response::Error { code: ErrorCode::QueryError, .. } => {}
         other => panic!("expected query-error, got {other:?}"),
     }
+    // So are facts stored at another arity than the program declares —
+    // too short (this used to panic the session thread) or too long.
+    let program = "Catalog^oo. Library^o.\nQ(i, a) :- Catalog(i, a), not Library(i).";
+    for (facts, expected) in [
+        ("Catalog(1). Catalog(2).", "arity mismatch: expected 2, found 1"),
+        ("Catalog(1, 2). Library(1, 2).", "arity mismatch: expected 1, found 2"),
+    ] {
+        match client.query(program, facts, QueryOptions::default()).unwrap() {
+            Response::Error { code: ErrorCode::QueryError, message, .. } => {
+                assert!(message.contains(expected), "{facts}: {message}");
+            }
+            other => panic!("{facts}: expected query-error, got {other:?}"),
+        }
+    }
     let text = query_text(
         &mut client,
         &read_example("bookstore.lap"),

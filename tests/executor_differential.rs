@@ -611,6 +611,35 @@ fn overlapped_columnar_chaos_run_replays_byte_identically() {
     assert_eq!(source.remaining(), 0, "every recorded call must be consumed");
 }
 
+/// An instance stored at another arity than the schema declares is one
+/// error on every executor — the tuple recursion, the row baseline and the
+/// columnar default, at every width — raised where replies enter the
+/// registry, never an operator indexing past a short row or silently
+/// matching nothing against a long one.
+#[test]
+fn arity_mismatched_instances_raise_the_same_error_on_every_executor() {
+    let schema = Schema::from_patterns(&[("Catalog", "oo"), ("Library", "o")]).unwrap();
+    let cq = lap::ir::parse_cq("Q(i, a) :- Catalog(i, a), not Library(i).").unwrap();
+    let parts = vec![(cq, Vec::<Var>::new())];
+    let table = [
+        ("Catalog(1). Catalog(2).", EngineError::ArityMismatch { expected: 2, found: 1 }),
+        ("Catalog(1, 2). Library(1, 2).", EngineError::ArityMismatch { expected: 1, found: 2 }),
+    ];
+    for (facts, want) in table {
+        let db = Database::from_facts(facts).unwrap();
+        assert_eq!(tuple_reference(&parts, &db, &schema), Err(want.clone()), "tuple: {facts}");
+        let union = lower_union(&parts, &schema);
+        for width in WIDTHS {
+            let columnar = ExecConfig::with_batch_size(width);
+            for cfg in [columnar, columnar.rows()] {
+                let mut reg = SourceRegistry::new(&db, &schema);
+                let got = execute_physical_union(&union, &mut reg, cfg);
+                assert_eq!(got, Err(want.clone()), "{cfg:?}: {facts}");
+            }
+        }
+    }
+}
+
 /// Lazy error semantics, pinned: a broken operator behind an empty prefix
 /// is never reached (both paths answer), and behind a non-empty prefix both
 /// paths raise the *same* error.
