@@ -105,8 +105,8 @@ impl FaultConfig {
     }
 
     /// The same fault profile under an independent stream: the seed is
-    /// mixed with `salt` (SplitMix64 finalizer) so per-disjunct workers
-    /// draw uncorrelated but reproducible schedules.
+    /// mixed with `salt` (SplitMix64 finalizer) so, e.g., the rungs of a
+    /// chaos ladder draw uncorrelated but reproducible schedules.
     pub fn derive(&self, salt: u64) -> FaultConfig {
         let mut z = self
             .seed

@@ -40,7 +40,6 @@ mod eval;
 mod fault;
 mod instance;
 mod oracle;
-mod parallel;
 pub mod physical;
 mod relation;
 mod replay;
@@ -56,15 +55,14 @@ pub use fault::{
     FaultConfig, FaultInjectingSource, ResilienceConfig, RetryPolicy, SourceFault, SourceReply,
 };
 pub use physical::{
-    execute_physical_cq, execute_physical_union, execute_physical_union_parallel,
-    execute_physical_union_with, lower_cq, lower_union, AccessOp, AccessProblem, ArgSource, Code,
-    ColumnBatch, Dictionary, DisjunctDegradation, ExecConfig, NegOp, OnUnavailable, OpCost,
-    OpProfile, PhysOp, PhysicalPlan, PhysicalUnion, PlanProfile, ProjCol, ProjectOp,
-    UnionProfile, UnionRun, MAX_BATCH_WIDTH,
+    execute_physical_cq, execute_physical_union, execute_physical_union_with, lower_cq,
+    lower_union, AccessOp, AccessProblem, ArgSource, Code, ColumnBatch, Dictionary,
+    DisjunctDegradation, ExecConfig, NegOp, OnUnavailable, OpCost, OpProfile, PhysOp,
+    PhysicalPlan, PhysicalUnion, PlanProfile, ProjCol, ProjectOp, UnionProfile, UnionRun,
+    MAX_BATCH_WIDTH,
 };
 pub use instance::Database;
 pub use oracle::{eval_oracle, eval_oracle_single};
-pub use parallel::eval_ordered_union_parallel;
 pub use relation::Relation;
 pub use replay::{recorded_calls, RecordedCall, ReplaySource};
 pub use source::{InMemorySource, PlannedFetch, Source, SourceRegistry, MAX_IO_WORKERS};

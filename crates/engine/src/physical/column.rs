@@ -24,8 +24,8 @@
 //!   splitting a batch at a width boundary is O(columns), not O(rows).
 //!
 //! Batches are deliberately *not* `Send`: a pipeline is single-threaded
-//! (the parallel union fans out whole pipelines, one per worker), so the
-//! sharing is plain `Rc`.
+//! (overlapped I/O moves source rows on worker threads, never batches), so
+//! the sharing is plain `Rc`.
 
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};

@@ -7,9 +7,9 @@
 //! **one** call per distinct key, and a negation filter memoizes
 //! membership probes — the set-at-a-time win over the retired
 //! tuple-at-a-time recursion. Answers are identical; only the number of
-//! duplicate wire calls changes (and deterministically so: the sequential
-//! and parallel evaluators dedup the same way and report equal
-//! [`CallStats`]).
+//! duplicate wire calls changes (and deterministically so: at one width
+//! the same plan reports the same [`crate::CallStats`] at every I/O worker
+//! count).
 //!
 //! Two executors share this stage machinery and produce **identical wire
 //! traffic** (same calls, same probes, same journal batch events):
@@ -30,11 +30,8 @@
 use super::column::{Code, CodeMap, CodeSet, ColumnBatch, Dictionary};
 use super::plan::{AccessOp, AccessProblem, ArgSource, NegOp, PhysOp, PhysicalPlan, PhysicalUnion, ProjCol};
 use crate::error::EngineError;
-use crate::instance::Database;
 use crate::source::SourceRegistry;
-use crate::stats::CallStats;
 use crate::value::{Tuple, Value};
-use lap_ir::Schema;
 use lap_obs::journal::kind as journal_kind;
 use lap_obs::Json;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -1187,38 +1184,12 @@ pub struct UnionRun {
     pub dropped: Vec<DisjunctDegradation>,
 }
 
-/// Folds disjunct `index`'s result into `run`. With a `degraded` counter
-/// (the drop policy) an exhausted source drops the disjunct, and `journal`
-/// receives the `disjunct.degraded` event payload.
-fn absorb_disjunct(
-    run: &mut UnionRun,
-    degraded: Option<&lap_obs::Counter>,
-    index: usize,
-    plan: &PhysicalPlan,
-    result: Result<(BTreeSet<Tuple>, PlanProfile), EngineError>,
-    journal: impl FnOnce(Json),
-) -> Result<(), EngineError> {
-    match (result, degraded) {
-        (Ok((rows, profile)), _) => {
-            run.rows.extend(rows);
-            run.profile.parts.push(profile);
-        }
-        (Err(EngineError::SourceUnavailable { relation, attempts, reason }), Some(degraded)) => {
-            degraded.incr();
-            let head = plan.head.to_string();
-            let d = DisjunctDegradation { index, head, relation, attempts, reason };
-            journal(d.to_json());
-            run.dropped.push(d);
-        }
-        (Err(other), _) => return Err(other),
-    }
-    Ok(())
-}
-
-/// Executes a physical union sequentially — the one union driver: one
-/// span per disjunct when the registry's recorder has tracing enabled, one
-/// dictionary shared across disjuncts, and `on_unavailable` deciding what
-/// an exhausted source does to its disjunct.
+/// Executes a physical union — the one union driver: disjuncts run in
+/// order against one registry (whose overlapped I/O supplies the paper's
+/// "possibly in parallel"), one span per disjunct when the registry's
+/// recorder has tracing enabled, one dictionary shared across disjuncts,
+/// and `on_unavailable` deciding what an exhausted source does to its
+/// disjunct.
 pub fn execute_physical_union_with(
     union: &PhysicalUnion,
     reg: &mut SourceRegistry<'_>,
@@ -1232,12 +1203,25 @@ pub fn execute_physical_union_with(
         (on_unavailable == OnUnavailable::Drop).then(|| recorder.counter("source.degraded"));
     let mut dict = Dictionary::new();
     let mut run = UnionRun::default();
-    for (i, plan) in union.parts.iter().enumerate() {
-        let _span = recorder.span_lazy(|| format!("disjunct {i}: {}", plan.head));
-        let result = execute_cq_shared(plan, reg, cfg, &mut dict);
-        absorb_disjunct(&mut run, degraded.as_ref(), i, plan, result, |d| {
-            reg.journal_emit(journal_kind::DISJUNCT_DEGRADED, d)
-        })?;
+    for (index, plan) in union.parts.iter().enumerate() {
+        let _span = recorder.span_lazy(|| format!("disjunct {index}: {}", plan.head));
+        match (execute_cq_shared(plan, reg, cfg, &mut dict), &degraded) {
+            (Ok((rows, profile)), _) => {
+                run.rows.extend(rows);
+                run.profile.parts.push(profile);
+            }
+            (
+                Err(EngineError::SourceUnavailable { relation, attempts, reason }),
+                Some(degraded),
+            ) => {
+                degraded.incr();
+                let head = plan.head.to_string();
+                let d = DisjunctDegradation { index, head, relation, attempts, reason };
+                reg.journal_emit(journal_kind::DISJUNCT_DEGRADED, d.to_json());
+                run.dropped.push(d);
+            }
+            (Err(other), _) => return Err(other),
+        }
     }
     Ok(run)
 }
@@ -1251,78 +1235,12 @@ pub fn execute_physical_union(
     execute_physical_union_with(union, reg, cfg, OnUnavailable::Abort).map(|run| run.rows)
 }
 
-/// Executes a physical union with one worker thread and one source
-/// registry per disjunct, in an `eval.parallel` span; every worker's
-/// registry reports to the shared `recorder` on its own journal lane, and
-/// the merged call statistics come back beside the run.
-///
-/// `resilience: None` aborts on an unavailable source. `Some` runs every
-/// worker under its retry policy with an independently-seeded fault stream
-/// (worker `i` uses [`crate::FaultConfig::derive`]`(i)`, so the schedule is
-/// deterministic regardless of thread interleaving) and drops exhausted
-/// disjuncts as [`OnUnavailable::Drop`] does.
-pub fn execute_physical_union_parallel(
-    union: &PhysicalUnion,
-    db: &Database,
-    schema: &Schema,
-    recorder: &lap_obs::Recorder,
-    cfg: ExecConfig,
-    resilience: Option<&crate::ResilienceConfig>,
-) -> Result<(UnionRun, CallStats), EngineError> {
-    let mut stats = CallStats::default();
-    if union.parts.is_empty() {
-        return Ok((UnionRun::default(), stats));
-    }
-    let _span = recorder.span("eval.parallel");
-    let degraded = resilience.map(|_| recorder.counter("source.degraded"));
-    let mut run = UnionRun::default();
-    type WorkerResult = (Result<(BTreeSet<Tuple>, PlanProfile), EngineError>, CallStats);
-    let results: Vec<WorkerResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = union
-            .parts
-            .iter()
-            .enumerate()
-            .map(|(i, plan)| {
-                scope.spawn(move || {
-                    let mut reg = SourceRegistry::new(db, schema)
-                        .recording(recorder)
-                        .with_journal_lane(i as u64)
-                        .with_io_workers(cfg.io_workers);
-                    if let Some(resilience) = resilience {
-                        reg = reg.with_retry(resilience.retry);
-                        if let Some(fault) = &resilience.fault {
-                            reg = reg.with_fault_injection(fault.derive(i as u64));
-                        }
-                    }
-                    let result = execute_cq_shared(plan, &mut reg, cfg, &mut Dictionary::new());
-                    (result, reg.stats())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread does not panic"))
-            .collect()
-    });
-    for (i, (plan, (result, worker_stats))) in union.parts.iter().zip(results).enumerate() {
-        // The drop decision lands on the main thread, which holds no
-        // registry — emit through the shared recorder on the degraded
-        // worker's lane.
-        absorb_disjunct(&mut run, degraded.as_ref(), i, plan, result, |d| {
-            if let Some(journal) = recorder.journal() {
-                journal.emit(i as u64, 0, journal_kind::DISJUNCT_DEGRADED, d);
-            }
-        })?;
-        stats.absorb(worker_stats);
-    }
-    Ok((run, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::lower::{lower_cq, lower_union};
     use super::*;
-    use lap_ir::parse_cq;
+    use crate::instance::Database;
+    use lap_ir::{parse_cq, Schema};
 
     fn bookstore() -> (Database, Schema) {
         let db = Database::from_facts(
@@ -1499,30 +1417,5 @@ mod tests {
         let second_access = &profile.parts[1].ops[0];
         assert!(second_access.dict_hits > 0, "{second_access:?}");
         assert_eq!(second_access.dict_misses, 0, "{second_access:?}");
-    }
-
-    #[test]
-    fn parallel_union_matches_sequential() {
-        let (db, schema) = bookstore();
-        let parts = vec![
-            (parse_cq("Q(i) :- C(i, a).").unwrap(), vec![]),
-            (parse_cq("Q(i) :- L(i).").unwrap(), vec![]),
-        ];
-        let union = lower_union(&parts, &schema);
-        let cfg = ExecConfig::default();
-        let mut reg = SourceRegistry::new(&db, &schema);
-        let seq = execute_physical_union(&union, &mut reg, cfg).unwrap();
-        let (par, stats) = execute_physical_union_parallel(
-            &union,
-            &db,
-            &schema,
-            &lap_obs::Recorder::disabled(),
-            cfg,
-            None,
-        )
-        .unwrap();
-        assert_eq!(seq, par.rows);
-        assert_eq!(stats.calls, reg.stats().calls);
-        assert_eq!(stats.tuples_returned, reg.stats().tuples_returned);
     }
 }

@@ -34,9 +34,9 @@ mod plan;
 
 pub use column::{Code, CodeHasher, CodeMap, CodeSet, ColumnBatch, Dictionary};
 pub use exec::{
-    execute_physical_cq, execute_physical_union, execute_physical_union_parallel,
-    execute_physical_union_with, DisjunctDegradation, ExecConfig, OnUnavailable, OpProfile,
-    PlanProfile, UnionProfile, UnionRun, MAX_BATCH_WIDTH,
+    execute_physical_cq, execute_physical_union, execute_physical_union_with,
+    DisjunctDegradation, ExecConfig, OnUnavailable, OpProfile, PlanProfile, UnionProfile,
+    UnionRun, MAX_BATCH_WIDTH,
 };
 pub use lower::{lower_cq, lower_union};
 pub use plan::{

@@ -80,8 +80,8 @@ impl ReplaySource {
     }
 
     /// Fetches answered by a recorded call that was not at the front of
-    /// the stream (expected under parallel replay, a divergence signal
-    /// under sequential replay).
+    /// the stream. A faithful replay re-issues calls in recorded begin
+    /// order, so non-zero is a divergence signal.
     pub fn out_of_order(&self) -> u64 {
         self.out_of_order.load(Ordering::Relaxed)
     }

@@ -52,11 +52,13 @@ type CallKey = (Symbol, AccessPattern, Vec<Option<Value>>);
 /// (`LANE_STRIDE`) collision-free.
 pub const MAX_IO_WORKERS: usize = 256;
 
-/// Journal sub-lane spacing for overlapped calls: a registry on base lane
-/// `l` journals its overlapped call pairs on lanes `(l + 1) * LANE_STRIDE
-/// + worker`, keeping them disjoint from every registry's base lane and
-/// every other registry's workers (base lanes are small disjunct indexes,
-/// `MAX_IO_WORKERS < LANE_STRIDE`).
+/// Journal lane of serial calls and every non-call event (batches,
+/// degraded disjuncts, markers).
+const BASE_LANE: u64 = 0;
+
+/// Journal sub-lane offset for overlapped calls: worker `k` journals its
+/// call pairs on lane `LANE_STRIDE + k`, disjoint from [`BASE_LANE`]
+/// because `MAX_IO_WORKERS < LANE_STRIDE`.
 const LANE_STRIDE: u64 = 1024;
 
 /// Rich begin-event payload of a captured source call (replay tier): the
@@ -464,9 +466,6 @@ pub struct SourceRegistry<'a> {
     /// Flight-recorder journal (attached via [`SourceRegistry::recording`]
     /// when the recorder carries one).
     journal: Option<Journal>,
-    /// Lane stamped on journal events (0 = main; parallel union workers
-    /// use their disjunct index so per-lane begin/end balance holds).
-    lane: u64,
     /// Memoized journal interner ids per (relation, pattern). A plan
     /// touches a handful of distinct accesses, so a linear scan beats a
     /// hash map and keeps string hashing off the per-call fast path.
@@ -520,7 +519,6 @@ impl<'a> SourceRegistry<'a> {
             sched_epoch: 0,
             cache: None,
             journal: None,
-            lane: 0,
             journal_call_ids: Vec::new(),
             journal_rel_ids: Vec::new(),
         }
@@ -579,24 +577,16 @@ impl<'a> SourceRegistry<'a> {
         self
     }
 
-    /// Sets the lane stamped on this registry's journal events. Parallel
-    /// union workers use their disjunct index, keeping per-lane begin/end
-    /// pairs balanced while sequence numbers stay globally monotone.
-    pub fn with_journal_lane(mut self, lane: u64) -> SourceRegistry<'a> {
-        self.lane = lane;
-        self
-    }
-
     /// True when a flight-recorder journal is attached.
     pub fn journal_enabled(&self) -> bool {
         self.journal.is_some()
     }
 
-    /// Records one journal event stamped with this registry's lane and
-    /// virtual clock. No-op without an attached journal.
+    /// Records one journal event on the base lane, stamped with this
+    /// registry's virtual clock. No-op without an attached journal.
     pub fn journal_emit(&self, kind: &str, data: Json) {
         if let Some(journal) = &self.journal {
-            journal.emit(self.lane, self.virtual_elapsed_ms(), kind, data);
+            journal.emit(BASE_LANE, self.virtual_elapsed_ms(), kind, data);
         }
     }
 
@@ -760,7 +750,7 @@ impl<'a> SourceRegistry<'a> {
     /// must ignore the binding and filter after the call.
     ///
     /// A single call is a one-key [`SourceRegistry::call_many`] batch: one
-    /// lane, journaled on the registry's own lane.
+    /// lane, journaled on the base lane.
     pub fn call(
         &mut self,
         name: Symbol,
@@ -818,8 +808,8 @@ impl<'a> SourceRegistry<'a> {
         keys: &[Vec<Option<Value>>],
         probe: Option<&[Value]>,
     ) -> Result<(Vec<Rows>, Option<bool>), EngineError> {
-        // Nothing to overlap: one lane, journaled on the registry's own
-        // lane instead of a per-worker sub-lane.
+        // Nothing to overlap: one lane, journaled on the base lane instead
+        // of a per-worker sub-lane.
         let serial = (self.io_workers <= 1 && self.sched_seed.is_none()) || keys.len() <= 1;
         let workers = if serial { 1 } else { self.io_workers };
 
@@ -894,8 +884,7 @@ impl<'a> SourceRegistry<'a> {
                 ScriptedCall::Cached(rows) => rows,
                 ScriptedCall::Dup(first) => rows_out[first].clone(),
                 ScriptedCall::Wire(script) => {
-                    let lane =
-                        if serial { self.lane } else { (self.lane + 1) * LANE_STRIDE + k as u64 };
+                    let lane = if serial { BASE_LANE } else { LANE_STRIDE + k as u64 };
                     let slot = WireSlot { name, pattern, inputs: key, lane, start_ms: lane_free[k] };
                     lane_free[k] += script.duration_ms();
                     let rows = match self.merge_wire(&slot, script) {
@@ -914,7 +903,7 @@ impl<'a> SourceRegistry<'a> {
                         Some(present) => {
                             self.tally(Tally::Membership, 1);
                             let payload = InstantPayload::Membership { present };
-                            self.journal_instant(self.lane, lane_free[k], name, payload);
+                            self.journal_instant(BASE_LANE, lane_free[k], name, payload);
                         }
                     }
                     self.tally(Tally::TuplesReturned, rows.len() as u64);
@@ -928,7 +917,7 @@ impl<'a> SourceRegistry<'a> {
             // A cache hit is stamped when it would have been issued.
             let payload =
                 InstantPayload::CacheHit { rows: hit.len() as u64, membership: probe.is_some() };
-            self.journal_instant(self.lane, lane_free[k], name, payload);
+            self.journal_instant(BASE_LANE, lane_free[k], name, payload);
             present = verdict(&hit);
             rows_out.push(hit);
         }

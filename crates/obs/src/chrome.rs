@@ -4,7 +4,7 @@
 //! by Perfetto and `chrome://tracing`: `*.begin`/`*.end` pairs become
 //! duration events (`ph: "B"` / `ph: "E"`), everything else becomes an
 //! instant event (`ph: "i"`). Lanes map to thread ids, so the main
-//! execution and each parallel union worker render as separate tracks.
+//! execution and each overlapped I/O worker render as separate tracks.
 //!
 //! The engine runs on a *virtual* clock with millisecond resolution, so
 //! many events share a timestamp. Trace viewers require strictly ordered,

@@ -130,8 +130,8 @@ pub struct JournalEvent {
     pub seq: u64,
     /// The emitter's virtual clock, in milliseconds.
     pub ts_ms: u64,
-    /// The emitting lane (0 = main; parallel union workers use their
-    /// disjunct index). Begin/end balance is per lane.
+    /// The emitting lane (0 = main; overlapped source calls use one
+    /// sub-lane per I/O worker). Begin/end balance is per lane.
     pub lane: u64,
     /// Event kind (see [`kind`]).
     pub kind: String,

@@ -12,8 +12,8 @@
 //! live, and serves length-prefixed JSON frames (see `lap::proto`) until a
 //! client sends a `shutdown` frame. Query answers are byte-identical to
 //! one-shot `lapq run`; repeated programs are served from a shared plan
-//! cache. Drive it with `lapq query-daemon`, `lapq daemon-ctl`, or
-//! `lapq bench-daemon`.
+//! cache. Drive it with `lapq query-daemon` or `lapq daemon-ctl`, and
+//! load-test it with `lapbench`'s `serve-*` workloads.
 
 use lap::daemon::{DaemonConfig, Server};
 use std::process::ExitCode;

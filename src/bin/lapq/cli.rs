@@ -31,8 +31,6 @@ pub const VALUE_FLAGS: &[&str] = &[
     "--feedback",
     "--out",
     "--addr",
-    "--clients",
-    "--requests",
 ];
 
 /// An argument vector split into positionals and recognized flags.

@@ -1,48 +1,12 @@
 //! `lapq` — command-line front end for the `lap` library.
 //!
-//! ```text
-//! lapq check <program.lap> [--constraints <sigma.lap>]
-//!                                           feasibility report per query
-//! lapq plan  <program.lap>                 print PLAN*'s Qu and Qo
-//! lapq run   <program.lap> <facts.lap>     ANSWER* over an instance
-//!            [--domain <budget>]           …with dom(x) refinement
-//!            [--fault-rate <p>] [--fault-seed <n>] [--latency-ms <n>]
-//!            [--timeout-ms <n>] [--retry <n>] [--retry-budget-ms <n>]
-//!                                           …under seeded fault injection:
-//!                                           sources fail with probability p,
-//!                                           calls are retried with backoff,
-//!                                           and disjuncts whose source stays
-//!                                           down are dropped and reported
-//!                                           (`answer` is an alias of `run`)
-//! lapq contain <program.lap> <P> <Q>       containment between two queries
-//! lapq mediate <views.lap> <query.lap> <facts.lap>
-//!                                           GAV mediator pipeline
-//! lapq optimize <program.lap> [facts.lap]   cost-based plan ordering and
-//!                                           plan minimization
-//! lapq profile <program.lap> <facts.lap>    EXPLAIN ANALYZE: per-literal
-//!                                           call/row/binding profile
-//! lapq replay <journal.json>                re-run a recorded query from
-//!                                           its flight-recorder journal,
-//!                                           reproducing the original
-//!                                           outcome bit for bit
-//! lapq report <journal.json>                per-source / per-operator
-//!                                           latency and row tables
-//! lapq calibrate <journal.json…> --out <profile.json>
-//!                                           fold journals into per-source
-//!                                           calibrated statistics
-//! lapq obs-validate <file.json>             check an exported snapshot,
-//!                                           journal, chrome trace, or
-//!                                           feedback profile
-//! lapq query-daemon <program.lap> <facts.lap> --addr <host:port>
-//!                                           run the query on a `lapd`
-//!                                           daemon; output is byte-
-//!                                           identical to `lapq run`
-//! lapq daemon-ctl <host:port> <ping|stats|shutdown>
-//!                                           control a running daemon
-//! lapq bench-daemon --addr <host:port> [--clients <n>] [--requests <n>]
-//!                                           concurrent mixed-workload
-//!                                           benchmark against a daemon
-//! ```
+//! The command synopsis is the `USAGE` constant below, which every failing
+//! invocation prints. Under seeded fault injection (`--fault-rate` and the
+//! other resilience flags) sources fail with probability p, calls are
+//! retried with backoff, and disjuncts whose source stays down are dropped
+//! and reported. `--domain` (dom(x) refinement) is refused together with a
+//! resilience flag. `query-daemon` runs the query on a `lapd` daemon, with
+//! output byte-identical to `lapq run`.
 //!
 //! Every command additionally accepts `--trace` (print the span tree and
 //! metric counters to stderr when done) and `--metrics-json <file>` (write
@@ -77,6 +41,41 @@ use lap::obs::{
 use lap::planner::{optimize_plan_pair, CostModel, Strategy};
 use std::process::ExitCode;
 
+/// Every op `daemon-ctl` speaks, spelled once for [`USAGE`] and both
+/// unknown-op errors.
+macro_rules! daemon_ctl_ops {
+    () => {
+        "ping | stats | profile | health | recalibrate | shutdown"
+    };
+}
+const DAEMON_CTL_OPS: &str = daemon_ctl_ops!();
+
+/// The command synopsis, printed after every error.
+const USAGE: &str = concat!(
+    "usage:
+  lapq check <program.lap> [--constraints <sigma.lap>] [--parallel] [--cache]
+  lapq explain <program.lap> [--feedback <profile.json>] [--batch-width <n>] [--parallel] [--cache]
+  lapq plan <program.lap>
+  lapq run <program.lap> <facts.lap> [--domain <budget>] [--feedback <profile.json>]
+           [--fault-rate <p>] [--fault-seed <n>] [--latency-ms <n>] [--timeout-ms <n>] [--retry <n>] [--retry-budget-ms <n>] [--io-workers <n>] [--batch-width <n>]
+           [--journal <file>] [--journal-capacity <n>] [--journal-sample <n>] [--chrome-trace <file>]
+  lapq answer  (alias of run)
+  lapq replay <journal.json>
+  lapq report <journal.json>
+  lapq calibrate <journal.json>... --out <profile.json>
+  lapq contain <program.lap> <P> <Q> [--parallel] [--cache]
+  lapq mediate <views.lap> <query.lap> <facts.lap> [--parallel] [--cache]
+  lapq optimize <program.lap> [facts.lap]
+  lapq profile <program.lap> <facts.lap> [--batch-width <n>] [--io-workers <n>]
+  lapq obs-validate <metrics|journal|chrome-trace|feedback .json>
+  lapq query-daemon <program.lap> <facts.lap> --addr <host:port> [run's resilience/executor flags]
+  lapq daemon-ctl <host:port> <",
+    daemon_ctl_ops!(),
+    ">
+every command also takes [--trace] [--metrics-json <file>]
+"
+);
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
@@ -84,26 +83,7 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("lapq: {msg}");
             eprintln!();
-            eprintln!("usage:");
-            eprintln!("  lapq check <program.lap> [--constraints <sigma.lap>] [--parallel] [--cache] [--trace] [--metrics-json <file>]");
-            eprintln!("  lapq explain <program.lap> [--feedback <profile.json>] [--batch-width <n>] [--parallel] [--cache] [--trace] [--metrics-json <file>]");
-            eprintln!("  lapq plan  <program.lap> [--trace] [--metrics-json <file>]");
-            eprintln!("  lapq run   <program.lap> <facts.lap> [--domain <budget>] [--trace] [--metrics-json <file>]");
-            eprintln!("             [--fault-rate <p>] [--fault-seed <n>] [--latency-ms <n>] [--timeout-ms <n>] [--retry <n>] [--retry-budget-ms <n>] [--io-workers <n>] [--batch-width <n>]");
-            eprintln!("             [--journal <file>] [--journal-capacity <n>] [--journal-sample <n>] [--chrome-trace <file>]");
-            eprintln!("             [--feedback <profile.json>]");
-            eprintln!("  lapq answer  (alias of run)");
-            eprintln!("  lapq replay <journal.json> [--trace] [--metrics-json <file>]");
-            eprintln!("  lapq report <journal.json>");
-            eprintln!("  lapq calibrate <journal.json>... --out <profile.json>");
-            eprintln!("  lapq contain <program.lap> <P> <Q> [--parallel] [--cache] [--trace] [--metrics-json <file>]");
-            eprintln!("  lapq mediate <views.lap> <query.lap> <facts.lap> [--parallel] [--cache] [--trace] [--metrics-json <file>]");
-            eprintln!("  lapq optimize <program.lap> [facts.lap] [--trace] [--metrics-json <file>]");
-            eprintln!("  lapq profile <program.lap> <facts.lap> [--batch-width <n>] [--io-workers <n>] [--trace] [--metrics-json <file>]");
-            eprintln!("  lapq obs-validate <metrics|journal|chrome-trace|feedback .json>");
-            eprintln!("  lapq query-daemon <program.lap> <facts.lap> --addr <host:port> [run's resilience/executor flags]");
-            eprintln!("  lapq daemon-ctl <host:port> <{DAEMON_CTL_OPS}>");
-            eprintln!("  lapq bench-daemon --addr <host:port> [--clients <n>] [--requests <n>] [run's resilience/executor flags]");
+            eprint!("{USAGE}");
             ExitCode::FAILURE
         }
     }
@@ -221,10 +201,6 @@ fn dispatch(cmd: &str, args: &CliArgs, recorder: &Recorder) -> Result<(), String
         "daemon-ctl" => daemon_ctl(
             args.require(1, "daemon-ctl needs <host:port>")?,
             args.require(2, &format!("daemon-ctl needs an op: {DAEMON_CTL_OPS}"))?,
-        ),
-        "bench-daemon" => bench_daemon(
-            args.value("--addr").ok_or("bench-daemon needs --addr <host:port>")?,
-            args,
         ),
         "replay" => replay_cmd(args.require(1, "replay needs a journal file")?, recorder),
         "report" => report_cmd(args.require(1, "report needs a journal file")?),
@@ -489,6 +465,14 @@ fn run_query(
     feedback: Option<&FeedbackStore>,
     recorder: &Recorder,
 ) -> Result<(), String> {
+    // The refinement is a separate fault-free run that the resilient
+    // path never reaches; refuse rather than drop `--domain` silently.
+    if domain.is_some() && resilience.is_some() {
+        return Err("--domain cannot be combined with a resilience flag (--fault-rate, \
+                    --fault-seed, --latency-ms, --timeout-ms, --retry, --retry-budget-ms, \
+                    --io-workers): dom(x) refinement does not run under resilient execution"
+            .to_owned());
+    }
     let text = std::fs::read_to_string(program_path)
         .map_err(|e| format!("cannot read {program_path}: {e}"))?;
     let program = {
@@ -591,10 +575,6 @@ fn query_daemon(
     }
 }
 
-/// Every op `daemon-ctl` speaks — the single source of truth for the
-/// usage string and both unknown-op errors.
-const DAEMON_CTL_OPS: &str = "ping | stats | profile | health | recalibrate | shutdown";
-
 /// `lapq daemon-ctl <host:port> <op>`: one control frame, print the
 /// response. `profile` prints the structured payload (the live feedback
 /// profile JSON, pipeable into `lapq obs-validate`); every other op
@@ -629,154 +609,6 @@ fn daemon_ctl(addr: &str, op: &str) -> Result<(), String> {
             Err(format!("daemon error ({code}): {message}"))
         }
     }
-}
-
-/// The mixed workload `bench-daemon` cycles through: a feasible
-/// negation query, an infeasible union, a plain scan, and a two-query
-/// program — repeated texts by design, so the plan cache carries the load.
-const BENCH_SCENARIOS: &[(&str, &str)] = &[
-    (
-        "B^ioo. B^oio. C^oo. L^o.\nQ(i, a, t) :- B(i, a, t), C(i, a), not L(i).",
-        r#"B(1, "a", "t1"). B(2, "b", "t2"). C(1, "a"). C(2, "b"). L(1)."#,
-    ),
-    (
-        "S^o. R^oo. B^ii. T^oo.\nQ(x, y) :- not S(z), R(x, z), B(x, y).\nQ(x, y) :- T(x, y).",
-        "R(1, 10). S(99). T(7, 8). B(1, 5).",
-    ),
-    ("C^oo.\nQ(i) :- C(i, a).", r#"C(1, "a"). C(2, "b"). C(3, "c")."#),
-    (
-        "C^oo. F^o.\nQ(i) :- C(i, a).\nP(x) :- F(x).",
-        r#"C(1, "a"). F(9). F(10)."#,
-    ),
-];
-
-/// `lapq bench-daemon --addr <host:port> [--clients n] [--requests n]`:
-/// hammer a running daemon with concurrent clients on a mixed workload
-/// and report throughput, latency percentiles, and the plan-cache hit
-/// rate.
-fn bench_daemon(addr: &str, args: &CliArgs) -> Result<(), String> {
-    use lap::proto::{Client, ErrorCode, Response};
-    let clients = args.value_u64("--clients")?.unwrap_or(32).max(1) as usize;
-    let requests = args.value_u64("--requests")?.unwrap_or(25).max(1) as usize;
-    let options = query_options_from_args(args)?;
-
-    struct ClientTally {
-        latencies_us: Vec<u64>,
-        ok: u64,
-        quota: u64,
-        errors: u64,
-    }
-
-    let started = std::time::Instant::now();
-    let tallies: Vec<ClientTally> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let options = options.clone();
-                scope.spawn(move || {
-                    let mut tally = ClientTally {
-                        latencies_us: Vec::with_capacity(requests),
-                        ok: 0,
-                        quota: 0,
-                        errors: 0,
-                    };
-                    let Ok(mut client) = Client::connect(addr) else {
-                        tally.errors += requests as u64;
-                        return tally;
-                    };
-                    for r in 0..requests {
-                        let (program, facts) =
-                            BENCH_SCENARIOS[(c + r) % BENCH_SCENARIOS.len()];
-                        let t0 = std::time::Instant::now();
-                        match client.query(program, facts, options.clone()) {
-                            Ok(Response::Ok { .. }) => {
-                                tally.ok += 1;
-                                tally.latencies_us.push(t0.elapsed().as_micros() as u64);
-                            }
-                            Ok(Response::Error { code: ErrorCode::Quota, .. }) => {
-                                tally.quota += 1;
-                            }
-                            Ok(Response::Error { .. }) => tally.errors += 1,
-                            Err(_) => {
-                                // Transport failure (e.g. refused over
-                                // capacity): the connection is gone.
-                                tally.errors += (requests - r) as u64;
-                                break;
-                            }
-                        }
-                    }
-                    tally
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("bench client thread")).collect()
-    });
-    let wall = started.elapsed();
-
-    let mut latencies: Vec<u64> = Vec::new();
-    let (mut ok, mut quota, mut errors) = (0u64, 0u64, 0u64);
-    for t in tallies {
-        latencies.extend(t.latencies_us);
-        ok += t.ok;
-        quota += t.quota;
-        errors += t.errors;
-    }
-    latencies.sort_unstable();
-    let pct = |p: f64| -> f64 {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let idx = ((p / 100.0) * (latencies.len() - 1) as f64).round() as usize;
-        latencies[idx] as f64 / 1000.0
-    };
-    let qps = if wall.as_secs_f64() > 0.0 { ok as f64 / wall.as_secs_f64() } else { 0.0 };
-
-    println!("bench-daemon against {addr}:");
-    println!("  clients: {clients}, requests per client: {requests}");
-    println!("  ok: {ok}, quota rejections: {quota}, errors: {errors}");
-    println!("  wall time: {:.1} ms, throughput: {qps:.0} qps", wall.as_secs_f64() * 1000.0);
-    println!(
-        "  latency ms: p50 {:.2}, p95 {:.2}, p99 {:.2}, max {:.2}",
-        pct(50.0),
-        pct(95.0),
-        pct(99.0),
-        latencies.last().map_or(0.0, |&v| v as f64 / 1000.0),
-    );
-    // One stats frame for the server-side view of the same run.
-    if let Ok(mut ctl) = Client::connect(addr) {
-        if let Ok(Response::Ok { data, .. }) = ctl.stats() {
-            if let Some(cache) = data.get("plan_cache") {
-                let g = |k: &str| cache.get(k).and_then(Json::as_u64).unwrap_or(0);
-                let rate = cache.get("hit_rate").and_then(Json::as_f64).unwrap_or(0.0);
-                println!(
-                    "  plan cache: {} hits, {} misses, {} evictions ({:.1}% hit rate)",
-                    g("hits"),
-                    g("misses"),
-                    g("evictions"),
-                    rate * 100.0,
-                );
-            }
-            // Server-side percentiles from the shared recorder histograms:
-            // gate wait isolates admission queueing, request latency is the
-            // daemon's own view of the work (excludes client transport).
-            if let Some(latency) = data.get("latency") {
-                let line = |name: &str, key: &str| {
-                    let Some(h) = latency.get(key) else { return };
-                    let g = |k: &str| h.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-                    println!(
-                        "  server {name} ms: p50 {:.2}, p95 {:.2}, p99 {:.2} \
-                         ({} samples)",
-                        g("p50") / 1000.0,
-                        g("p95") / 1000.0,
-                        g("p99") / 1000.0,
-                        h.get("count").and_then(Json::as_u64).unwrap_or(0),
-                    );
-                };
-                line("gate wait", "gate_wait_us");
-                line("request", "request_us");
-            }
-        }
-    }
-    Ok(())
 }
 
 fn profile(

@@ -14,10 +14,7 @@
 //!   profile is observationally identical to the plain path.
 
 use lap::core::{answer_star, answer_star_resilient_cfg, Completeness};
-use lap::engine::{
-    execute_physical_union_parallel, ExecConfig, FaultConfig, ResilienceConfig,
-    RetryPolicy,
-};
+use lap::engine::{ExecConfig, ResilienceConfig};
 use lap::obs::Recorder;
 use lap::workload::{bookstore, chaos_ladder, BookstoreConfig};
 use lap_prng::StdRng;
@@ -116,38 +113,6 @@ fn degraded_under_is_sound_across_the_ladder() {
             // disjunct; the counters must reflect that accounting.
             assert!(outcome.failures >= outcome.degradation.total() as u64);
         }
-    }
-}
-
-#[test]
-fn parallel_degraded_executor_is_sound_and_deterministic() {
-    let (program, db) = scenario();
-    let query = program.single_query().unwrap();
-    let pair = lap::core::plan_star(query, &program.schema);
-    let physical = pair.under.lower(&program.schema);
-    let plain = answer_star(query, &program.schema, &db).unwrap();
-    let resilience = ResilienceConfig {
-        fault: Some(FaultConfig::with_rate(0.25, 0xFEED)),
-        retry: RetryPolicy::standard(),
-    };
-    let run = || {
-        execute_physical_union_parallel(
-            &physical,
-            &db,
-            &program.schema,
-            &Recorder::disabled(),
-            ExecConfig::default(),
-            Some(&resilience),
-        )
-        .unwrap()
-        .0
-    };
-    let (a, b) = (run(), run());
-    assert!(a.rows.is_subset(&plain.under), "parallel degraded under must stay sound");
-    assert_eq!(a.rows, b.rows, "parallel degradation must be deterministic");
-    assert_eq!(a.dropped.len(), b.dropped.len());
-    for (x, y) in a.dropped.iter().zip(b.dropped.iter()) {
-        assert_eq!(x.to_string(), y.to_string());
     }
 }
 

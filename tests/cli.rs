@@ -93,11 +93,61 @@ fn missing_file_fails_cleanly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
 }
 
+/// Regression: `--domain` used to be dropped without a word under any
+/// resilience flag (the resilient path printed its outcome and skipped the
+/// refinement, exit 0). The combination is now refused by name.
+#[test]
+fn domain_with_a_resilience_flag_is_refused() {
+    let out = lapq(&[
+        "run",
+        "examples/data/bookstore.lap",
+        "examples/data/bookstore_facts.lap",
+        "--domain",
+        "5",
+        "--io-workers",
+        "2",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(err.contains("--domain cannot be combined with a resilience flag"), "{err}");
+}
+
+/// Every subcommand `lapq` dispatches on.
+const SUBCOMMANDS: &[&str] = &[
+    "check",
+    "explain",
+    "plan",
+    "run",
+    "answer",
+    "replay",
+    "report",
+    "calibrate",
+    "contain",
+    "mediate",
+    "optimize",
+    "profile",
+    "obs-validate",
+    "query-daemon",
+    "daemon-ctl",
+];
+
 #[test]
 fn unknown_command_shows_usage() {
     let out = lapq(&["frobnicate"]);
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    let usage = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(usage.contains("usage:"), "{usage}");
+    for cmd in SUBCOMMANDS {
+        assert!(usage.contains(&format!("lapq {cmd} ")), "usage lacks {cmd}: {usage}");
+        // … and each listed name is one `lapq` accepts: missing arguments
+        // fail, but not as an unknown command.
+        let err = String::from_utf8_lossy(&lapq(&[cmd]).stderr).into_owned();
+        assert!(!err.contains("unknown command"), "{cmd}: {err}");
+    }
+    assert!(!usage.contains("bench-daemon"), "{usage}");
+    let err = String::from_utf8_lossy(&lapq(&["bench-daemon"]).stderr).into_owned();
+    assert!(err.contains("unknown command \"bench-daemon\""), "{err}");
 }
 
 #[test]

@@ -13,11 +13,8 @@ use lap::containment::{
     EngineConfig,
 };
 use lap::core::{feasible_detailed, feasible_detailed_with, DecisionPath};
-use lap::engine::{eval_ordered_union, eval_ordered_union_parallel, SourceRegistry};
 use lap::ir::{Schema, UnionQuery};
-use lap::workload::{
-    gen_instance, gen_query, gen_schema, InstanceConfig, QueryConfig, SchemaConfig,
-};
+use lap::workload::{gen_query, gen_schema, QueryConfig, SchemaConfig};
 use lap_prng::StdRng;
 
 /// Generated-pair volume. The default already satisfies the "hundreds of
@@ -199,73 +196,6 @@ fn feasibility_agrees_across_engine_configurations() {
     assert!(
         containment_checks > 0,
         "no generated query reached the containment branch"
-    );
-}
-
-/// The runtime analogue: the parallel union evaluator must return the same
-/// answer set and the same merged source-call totals as the sequential one
-/// (satellite of the same differential discipline, over the engine crate).
-#[test]
-fn parallel_evaluation_agrees_with_sequential_on_generated_workloads() {
-    let volume = if cfg!(feature = "slow-tests") { 120 } else { 48 };
-    let mut evaluated = 0u64;
-    for case in 0..volume {
-        let mut rng = case_rng(0xE7A1, case);
-        let schema = gen_schema(
-            &SchemaConfig {
-                free_scan_fraction: 0.8,
-                input_fraction: 0.3,
-                ..SchemaConfig::default()
-            },
-            &mut rng,
-        );
-        let q = gen_query(
-            &schema,
-            &QueryConfig {
-                num_disjuncts: 1 + (case % 4) as usize,
-                negative_per_disjunct: (case % 2) as usize,
-                ..QueryConfig::default()
-            },
-            &mut rng,
-        );
-        let db = gen_instance(&schema, &InstanceConfig::default(), &mut rng);
-        let plans = lap::core::plan_star(&q, &schema);
-        let parts = plans.over.eval_parts();
-        if parts.is_empty() {
-            continue;
-        }
-        let mut reg = SourceRegistry::new(&db, &schema);
-        let seq = eval_ordered_union(&parts, &mut reg);
-        let par = eval_ordered_union_parallel(&parts, &db, &schema);
-        match (seq, par) {
-            (Ok(seq_rows), Ok((par_rows, par_stats))) => {
-                evaluated += 1;
-                assert_eq!(
-                    seq_rows, par_rows,
-                    "answer sets differ on case {case}: {q}"
-                );
-                let seq_stats = reg.stats();
-                assert_eq!(
-                    seq_stats.calls, par_stats.calls,
-                    "merged call totals differ on case {case}: {q}"
-                );
-                assert_eq!(
-                    seq_stats.tuples_returned, par_stats.tuples_returned,
-                    "merged tuple totals differ on case {case}: {q}"
-                );
-            }
-            (Err(_), Err(_)) => {} // both reject the same non-executable plan
-            (s, p) => panic!(
-                "evaluators disagree about executability on case {case}: \
-                 sequential ok={} parallel ok={}\n  {q}",
-                s.is_ok(),
-                p.is_ok()
-            ),
-        }
-    }
-    assert!(
-        evaluated >= volume / 2,
-        "only {evaluated}/{volume} workloads were evaluable — generator drifted"
     );
 }
 

@@ -7,7 +7,7 @@
 //! fails with the exact case seed on any divergence: answer sets must match
 //! bit-for-bit at every batch width (1 degenerates to tuple-at-a-time,
 //! larger widths widen the dedup window), across both PLAN\* estimate
-//! plans, the parallel union evaluator, and domain-enumeration runs — and
+//! plans and domain-enumeration runs — and
 //! when the reference rejects a plan, the batched executor must reject it
 //! with the same error. The columnar leg pits the vectorized executor
 //! against the row baseline under faults and overlapped I/O — exact
@@ -16,9 +16,8 @@
 
 use lap::core::{answer_star_with_domain, plan_star};
 use lap::engine::{
-    eval_oracle, eval_ordered_union_tuple, execute_physical_union,
-    execute_physical_union_parallel, lower_union, Database, EngineError, ExecConfig,
-    SourceRegistry, Tuple,
+    eval_oracle, eval_ordered_union_tuple, execute_physical_union, lower_union, Database,
+    EngineError, ExecConfig, SourceRegistry, Tuple,
 };
 use lap::ir::{ConjunctiveQuery, Schema, Var};
 use lap::workload::{
@@ -148,51 +147,6 @@ fn batched_executor_matches_tuple_reference_on_hand_shaped_families() {
                     &format!("family {name} {which} plan width {width}"),
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn parallel_physical_execution_matches_tuple_reference() {
-    for case in 0..CASES {
-        let mut rng = case_rng(0x9A21, case);
-        let schema = gen_schema(
-            &SchemaConfig {
-                free_scan_fraction: 0.8,
-                ..SchemaConfig::default()
-            },
-            &mut rng,
-        );
-        let q = gen_query(
-            &schema,
-            &QueryConfig {
-                num_disjuncts: 2 + (case % 3) as usize,
-                negative_per_disjunct: (case % 2) as usize,
-                ..QueryConfig::default()
-            },
-            &mut rng,
-        );
-        let db = gen_instance(&schema, &InstanceConfig::default(), &mut rng);
-        let pair = plan_star(&q, &schema);
-        let parts = pair.over.eval_parts();
-        if parts.is_empty() {
-            continue;
-        }
-        let reference = tuple_reference(&parts, &db, &schema);
-        let union = lower_union(&parts, &schema);
-        let (quiet, cfg) = (lap::obs::Recorder::disabled(), ExecConfig::default());
-        let par = execute_physical_union_parallel(&union, &db, &schema, &quiet, cfg, None)
-            .map(|(run, _)| run.rows);
-        match (&reference, par) {
-            (Ok(want), Ok(rows)) => {
-                assert_eq!(want, &rows, "parallel answers differ on case {case}: {q}")
-            }
-            (Err(_), Err(_)) => {}
-            (r, p) => panic!(
-                "parallel/sequential verdicts differ on case {case}: ref ok={} par ok={}\n  {q}",
-                r.is_ok(),
-                p.is_ok()
-            ),
         }
     }
 }

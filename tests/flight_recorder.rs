@@ -6,15 +6,12 @@
 //!   [`AnswerOutcome`] bit for bit without the database;
 //! * **invariants** — journals validate (strictly monotone sequence,
 //!   `recorded + dropped == emitted`, per-lane begin/end balance) even
-//!   under the parallel executor and under ring overflow;
+//!   under overlapped I/O and under ring overflow;
 //! * **export** — the chrome-trace rendering round-trips through the
 //!   in-repo JSON parser and stays balanced per thread lane.
 
 use lap::core::{answer_star_opts, answer_star_resilient_cfg, AnswerOptions};
-use lap::engine::{
-    execute_physical_union_parallel, ExecConfig, FaultConfig, ReplaySource, ResilienceConfig,
-    RetryPolicy,
-};
+use lap::engine::{ExecConfig, FaultConfig, ReplaySource, ResilienceConfig, RetryPolicy};
 use lap::obs::{chrome_trace, validate_chrome_trace, JournalConfig, JournalSnapshot, Recorder};
 use lap::workload::{bookstore, BookstoreConfig};
 use lap_prng::StdRng;
@@ -90,32 +87,26 @@ fn journal_meta_carries_the_run_setup() {
 }
 
 #[test]
-fn journal_invariants_hold_under_the_parallel_executor() {
+fn journal_invariants_hold_under_overlapped_resilient_answer_star() {
     let (program, db) = scenario();
     let query = program.single_query().unwrap();
-    let pair = lap::core::plan_star(query, &program.schema);
-    let physical = pair.under.lower(&program.schema);
     let resilience = ResilienceConfig {
         fault: Some(FaultConfig::with_rate(0.25, 0xFEED)),
         retry: RetryPolicy::standard(),
     };
     let recorder = Recorder::with_journal(JournalConfig::light());
-    let (run, _) = execute_physical_union_parallel(
-        &physical,
-        &db,
-        &program.schema,
-        &recorder,
-        ExecConfig::default(),
-        Some(&resilience),
-    )
-    .unwrap();
+    let cfg = ExecConfig::default().with_io_workers(8);
+    let outcome =
+        answer_star_resilient_cfg(query, &program.schema, &db, &recorder, &resilience, cfg)
+            .unwrap();
     let snap = recorder.journal().unwrap().snapshot();
-    let check = snap.validate().expect("parallel journal validates");
-    assert!(check.lanes > 1, "workers must land on distinct lanes: {check:?}");
+    let check = snap.validate().expect("overlapped journal validates");
+    assert!(check.lanes > 1, "overlapped calls must land on I/O sub-lanes: {check:?}");
     assert_eq!(check.begins, check.ends, "balanced per construction: {check:?}");
+    assert!(outcome.degradation.is_degraded(), "rate 0.25 should drop a disjunct");
     assert_eq!(
         snap.events_of(lap::obs::journal::kind::DISJUNCT_DEGRADED).count(),
-        run.dropped.len(),
+        outcome.degradation.total(),
         "every drop decision must be journaled"
     );
 }
@@ -333,58 +324,26 @@ impl Wire {
 }
 
 /// One pinned run: journal tier, source behaviour, `io_workers`, batch
-/// width, thread-per-disjunct union or not, and the FNV-1a-64 digests of
-/// the journal (`snapshot.to_json().to_compact()`) and the rendered
-/// outcome.
-type PinnedRun = (bool, Wire, usize, usize, bool, u64, u64);
+/// width, and the FNV-1a-64 digests of the journal
+/// (`snapshot.to_json().to_compact()`) and the rendered outcome.
+type PinnedRun = (bool, Wire, usize, usize, u64, u64);
 
 /// Runs one row of the table and returns its (journal, outcome) texts.
 fn pinned_run_texts(
     program: &lap::ir::Program,
     db: &lap::engine::Database,
-    (replay_tier, wire, io_workers, width, threaded, ..): PinnedRun,
+    (replay_tier, wire, io_workers, width, ..): PinnedRun,
 ) -> (String, String) {
-    use std::fmt::Write as _;
     let query = program.single_query().unwrap();
     let tier = if replay_tier { JournalConfig::replay() } else { JournalConfig::light() };
     let recorder = Recorder::with_journal(tier);
     let exec = ExecConfig::with_batch_size(width).with_io_workers(io_workers);
     let resilience = wire.resilience();
-    let outcome = if threaded {
-        let physical = lap::core::plan_star(query, &program.schema).under.lower(&program.schema);
-        let (run, stats) = execute_physical_union_parallel(
-            &physical,
-            db,
-            &program.schema,
-            &recorder,
-            exec,
-            resilience.as_ref(),
-        )
-        .unwrap();
-        let mut text = String::new();
-        for row in &run.rows {
-            let _ = writeln!(text, "{}", lap::engine::display_tuple(row));
-        }
-        for dropped in &run.dropped {
-            let _ = writeln!(text, "{dropped}");
-        }
-        let _ = writeln!(text, "{stats}");
-        text
-    } else {
-        let opts =
-            AnswerOptions { exec, resilience: resilience.as_ref(), ..AnswerOptions::new(&recorder) };
-        lap::core::render_outcome(&answer_star_opts(query, &program.schema, db, &opts).unwrap())
-    };
-    let mut snap = recorder.journal().unwrap().snapshot();
-    if threaded {
-        // Worker threads race for sequence numbers; each lane's own event
-        // order is the deterministic part.
-        snap.events.sort_by_key(|e| e.lane);
-        for (seq, event) in snap.events.iter_mut().enumerate() {
-            event.seq = seq as u64;
-        }
-    }
-    (snap.to_json().to_compact(), outcome)
+    let opts =
+        AnswerOptions { exec, resilience: resilience.as_ref(), ..AnswerOptions::new(&recorder) };
+    let outcome =
+        lap::core::render_outcome(&answer_star_opts(query, &program.schema, db, &opts).unwrap());
+    (recorder.journal().unwrap().snapshot().to_json().to_compact(), outcome)
 }
 
 /// Cross-version byte pin of the source layer: the digests below were
@@ -392,83 +351,55 @@ fn pinned_run_texts(
 /// two code paths, and a change to the source layer must not move them —
 /// journal bytes, answers, call statistics, retry/failure totals and
 /// virtual time at every combination of journal tier, fault profile,
-/// worker count, batch width and union driver. (A deliberate change to
-/// the journal format or the renderer re-records the table from the
-/// failure message.)
+/// worker count and batch width. (A deliberate change to the journal
+/// format or the renderer re-records the table from the failure message.)
 #[test]
 fn journal_and_outcome_bytes_are_pinned_across_versions() {
     const L: bool = false; // light tier
     const R: bool = true; // replay tier
-    const SEQ: bool = false; // sequential union (ANSWER*)
-    const THR: bool = true; // thread-per-disjunct union
     use Wire::{Chaos, Deadline, Plain};
     #[rustfmt::skip]
     const PINNED: &[PinnedRun] = &[
-        (L, Plain, 1, 1, SEQ, 0x93e652364b0572d7, 0x2cf7518943032e5d),
-        (L, Plain, 1, 1, THR, 0x44eae57e783f0d00, 0x0fd1eadfdf3e8298),
-        (L, Plain, 1, 64, SEQ, 0xaf04416c3e324339, 0x98fbcc13abd05b09),
-        (L, Plain, 1, 64, THR, 0xc575c6a559010bac, 0xd8388eab08a22f3c),
-        (L, Plain, 8, 1, SEQ, 0xc5d6192cc0e017c8, 0x2cf7518943032e5d),
-        (L, Plain, 8, 1, THR, 0x44eae57e783f0d00, 0x0fd1eadfdf3e8298),
-        (L, Plain, 8, 64, SEQ, 0x5adf45f0e627b4b6, 0x98fbcc13abd05b09),
-        (L, Plain, 8, 64, THR, 0x572036d5c0586cb8, 0xd8388eab08a22f3c),
-        (L, Chaos, 1, 1, SEQ, 0x455f5c881618502e, 0x347f46feec3a519b),
-        (L, Chaos, 1, 1, THR, 0x7c326472bd28e91b, 0xec5c2de301f42af9),
-        (L, Chaos, 1, 64, SEQ, 0x6cdae777858f1959, 0x41602d4db0b80a92),
-        (L, Chaos, 1, 64, THR, 0xbf0c1916ade47b26, 0x551472ca8d5b2897),
-        (L, Chaos, 8, 1, SEQ, 0xd5c515efbd74e887, 0x6339ee062d57138a),
-        (L, Chaos, 8, 1, THR, 0x7c326472bd28e91b, 0xec5c2de301f42af9),
-        (L, Chaos, 8, 64, SEQ, 0x1268fc9506973012, 0x46c1cfd71ea577c7),
-        (L, Chaos, 8, 64, THR, 0x52d326dcafed2621, 0x551472ca8d5b2897),
-        (L, Deadline, 1, 1, SEQ, 0x4b6c834fb4793459, 0x61020cd66fbf6544),
-        (L, Deadline, 1, 1, THR, 0x2e44ee00af21aea1, 0xcdeb70996c1d4fdc),
-        (L, Deadline, 1, 64, SEQ, 0x42ad154d8d691d92, 0xa53e87749383553e),
-        (L, Deadline, 1, 64, THR, 0xd652f48d66e45894, 0xe507b1b27aa9ee77),
-        (L, Deadline, 8, 1, SEQ, 0xe26e295b2d16e1b4, 0x2cd05ebbb26855c4),
-        (L, Deadline, 8, 1, THR, 0x2e44ee00af21aea1, 0xcdeb70996c1d4fdc),
-        (L, Deadline, 8, 64, SEQ, 0x2bdc72e62d2623ed, 0x0e50ebbfb78d2232),
-        (L, Deadline, 8, 64, THR, 0xb7f6d4668affc0db, 0xe507b1b27aa9ee77),
-        (R, Plain, 1, 1, SEQ, 0x64c666ea35949f8a, 0x2cf7518943032e5d),
-        (R, Plain, 1, 1, THR, 0x11a2e8ab27b26319, 0x0fd1eadfdf3e8298),
-        (R, Plain, 1, 64, SEQ, 0x757e1fbca929fec4, 0x98fbcc13abd05b09),
-        (R, Plain, 1, 64, THR, 0xd22c3e568412f3c8, 0xd8388eab08a22f3c),
-        (R, Plain, 8, 1, SEQ, 0x248c90b466605517, 0x2cf7518943032e5d),
-        (R, Plain, 8, 1, THR, 0x11a2e8ab27b26319, 0x0fd1eadfdf3e8298),
-        (R, Plain, 8, 64, SEQ, 0x00e3f39a1725b0a5, 0x98fbcc13abd05b09),
-        (R, Plain, 8, 64, THR, 0xf9fc9e3588c4637c, 0xd8388eab08a22f3c),
-        (R, Chaos, 1, 1, SEQ, 0x8094d0b9ee7405ae, 0x347f46feec3a519b),
-        (R, Chaos, 1, 1, THR, 0xf2b6e2b2519ea1d3, 0xec5c2de301f42af9),
-        (R, Chaos, 1, 64, SEQ, 0x7ceaa90d50996023, 0x41602d4db0b80a92),
-        (R, Chaos, 1, 64, THR, 0x3dbbf71f95f0c749, 0x551472ca8d5b2897),
-        (R, Chaos, 8, 1, SEQ, 0x322235e048dbb385, 0x6339ee062d57138a),
-        (R, Chaos, 8, 1, THR, 0xf2b6e2b2519ea1d3, 0xec5c2de301f42af9),
-        (R, Chaos, 8, 64, SEQ, 0xeea348305e228cfa, 0x46c1cfd71ea577c7),
-        (R, Chaos, 8, 64, THR, 0xa347ab4d109a56a0, 0x551472ca8d5b2897),
-        (R, Deadline, 1, 1, SEQ, 0x93f7d1015b99c514, 0x61020cd66fbf6544),
-        (R, Deadline, 1, 1, THR, 0xa4297e8d2e021424, 0xcdeb70996c1d4fdc),
-        (R, Deadline, 1, 64, SEQ, 0xa013706ffbb003aa, 0xa53e87749383553e),
-        (R, Deadline, 1, 64, THR, 0x6809c8e8e6e4be32, 0xe507b1b27aa9ee77),
-        (R, Deadline, 8, 1, SEQ, 0xf6128a1a5ebdea5f, 0x2cd05ebbb26855c4),
-        (R, Deadline, 8, 1, THR, 0xa4297e8d2e021424, 0xcdeb70996c1d4fdc),
-        (R, Deadline, 8, 64, SEQ, 0x71bddfd20c2292e5, 0x0e50ebbfb78d2232),
-        (R, Deadline, 8, 64, THR, 0x0f14fc2121ed0bd5, 0xe507b1b27aa9ee77),
+        (L, Plain, 1, 1, 0x93e652364b0572d7, 0x2cf7518943032e5d),
+        (L, Plain, 1, 64, 0xaf04416c3e324339, 0x98fbcc13abd05b09),
+        (L, Plain, 8, 1, 0xc5d6192cc0e017c8, 0x2cf7518943032e5d),
+        (L, Plain, 8, 64, 0x5adf45f0e627b4b6, 0x98fbcc13abd05b09),
+        (L, Chaos, 1, 1, 0x455f5c881618502e, 0x347f46feec3a519b),
+        (L, Chaos, 1, 64, 0x6cdae777858f1959, 0x41602d4db0b80a92),
+        (L, Chaos, 8, 1, 0xd5c515efbd74e887, 0x6339ee062d57138a),
+        (L, Chaos, 8, 64, 0x1268fc9506973012, 0x46c1cfd71ea577c7),
+        (L, Deadline, 1, 1, 0x4b6c834fb4793459, 0x61020cd66fbf6544),
+        (L, Deadline, 1, 64, 0x42ad154d8d691d92, 0xa53e87749383553e),
+        (L, Deadline, 8, 1, 0xe26e295b2d16e1b4, 0x2cd05ebbb26855c4),
+        (L, Deadline, 8, 64, 0x2bdc72e62d2623ed, 0x0e50ebbfb78d2232),
+        (R, Plain, 1, 1, 0x64c666ea35949f8a, 0x2cf7518943032e5d),
+        (R, Plain, 1, 64, 0x757e1fbca929fec4, 0x98fbcc13abd05b09),
+        (R, Plain, 8, 1, 0x248c90b466605517, 0x2cf7518943032e5d),
+        (R, Plain, 8, 64, 0x00e3f39a1725b0a5, 0x98fbcc13abd05b09),
+        (R, Chaos, 1, 1, 0x8094d0b9ee7405ae, 0x347f46feec3a519b),
+        (R, Chaos, 1, 64, 0x7ceaa90d50996023, 0x41602d4db0b80a92),
+        (R, Chaos, 8, 1, 0x322235e048dbb385, 0x6339ee062d57138a),
+        (R, Chaos, 8, 64, 0xeea348305e228cfa, 0x46c1cfd71ea577c7),
+        (R, Deadline, 1, 1, 0x93f7d1015b99c514, 0x61020cd66fbf6544),
+        (R, Deadline, 1, 64, 0xa013706ffbb003aa, 0xa53e87749383553e),
+        (R, Deadline, 8, 1, 0xf6128a1a5ebdea5f, 0x2cd05ebbb26855c4),
+        (R, Deadline, 8, 64, 0x71bddfd20c2292e5, 0x0e50ebbfb78d2232),
     ];
     let (program, db) = scenario();
     let mut actual = String::new();
     let mut moved = 0;
     for &row in PINNED {
-        let (tier, wire, workers, width, threaded, journal, outcome) = row;
+        let (tier, wire, workers, width, journal, outcome) = row;
         let (journal_text, outcome_text) = pinned_run_texts(&program, &db, row);
         let now = (fnv1a64(journal_text.as_bytes()), fnv1a64(outcome_text.as_bytes()));
         moved += usize::from(now != (journal, outcome));
         actual.push_str(&format!(
-            "        ({}, {wire:?}, {workers}, {width}, {}, {:#018x}, {:#018x}),\n",
+            "        ({}, {wire:?}, {workers}, {width}, {:#018x}, {:#018x}),\n",
             if tier { "R" } else { "L" },
-            if threaded { "THR" } else { "SEQ" },
             now.0,
             now.1,
         ));
     }
-    assert_eq!(PINNED.len(), 48, "2 tiers x 3 wires x 2 worker counts x 2 widths x 2 unions");
+    assert_eq!(PINNED.len(), 24, "2 tiers x 3 wires x 2 worker counts x 2 widths");
     assert_eq!(moved, 0, "{moved} pinned run(s) moved; the table now reads:\n{actual}");
 }

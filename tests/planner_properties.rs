@@ -3,7 +3,7 @@
 //! exhaustive ≤ greedy (both executable).
 
 use lap::core::{feasible_detailed, is_executable_cq};
-use lap::engine::{eval_ordered_union, eval_ordered_union_parallel, SourceRegistry};
+use lap::engine::{eval_ordered_union, SourceRegistry};
 use lap::planner::{
     best_order, estimate_cost, greedy_order, minimal_executable_plan, optimize_plan_pair,
     CostModel, Strategy,
@@ -69,7 +69,7 @@ fn strategies_preserve_answers_and_costs_are_ordered() {
             checked += 1;
         }
 
-        // Answer preservation across strategies (sequential + parallel).
+        // Answer preservation across strategies.
         let baseline = {
             let mut reg = SourceRegistry::new(&db, &schema);
             eval_ordered_union(&report.plans.over.eval_parts(), &mut reg).expect("plan runs")
@@ -80,10 +80,6 @@ fn strategies_preserve_answers_and_costs_are_ordered() {
             let rows =
                 eval_ordered_union(&optimized.over.eval_parts(), &mut reg).expect("plan runs");
             assert_eq!(rows, baseline, "seed {seed}: {strategy:?} changed answers");
-            let (par_rows, _) =
-                eval_ordered_union_parallel(&optimized.over.eval_parts(), &db, &schema)
-                    .expect("parallel runs");
-            assert_eq!(par_rows, baseline, "seed {seed}: parallel changed answers");
         }
 
         // Minimal plan preserves the (feasible) query's answers.
