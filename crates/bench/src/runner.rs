@@ -1510,8 +1510,8 @@ pub fn e24_daemon_concurrency() -> Table {
 
     // The daemon's rendering contract, replicated in-process: per query a
     // `query <sig>:` header, the shared answer-report renderer, and a
-    // blank separator line. `tests/daemon.rs` and the CI smoke test pin
-    // the same bytes against the actual `lapq run` binary.
+    // blank separator line. `tests/contract_table` pins the same bytes
+    // against the actual `lapq run` binary.
     let one_shot_text = |program_text: &str, facts_text: &str| -> String {
         let program = parse_program(program_text).expect("scenario parses");
         let db = Database::from_facts(facts_text).expect("scenario facts parse");

@@ -307,108 +307,6 @@ mod tests {
         assert!(rep.under.is_empty());
     }
 
-    /// "Daemon = one-shot" and "preset = entry point", as one table: every
-    /// surviving way of running ANSWER\* must be indistinguishable from
-    /// [`crate::answer_star_opts`] under the same options — outcome, call
-    /// stats, and (where the name takes a recorder) journal event stream.
-    #[test]
-    fn every_surviving_name_reproduces_the_entry_point() {
-        use crate::{
-            answer_star, answer_star_obs_cfg, answer_star_opts, answer_star_resilient_cfg,
-            answer_star_with_domain, AnswerOptions,
-        };
-        use lap_obs::{JournalConfig, JournalEvent};
-
-        const CASES: &[(&str, &str)] = &[
-            // Example 1: feasible, plans coincide.
-            (
-                "B^ioo. B^oio. C^oo. L^o.\nQ(i, a, t) :- B(i, a, t), C(i, a), not L(i).",
-                r#"B(1, "a", "t1"). B(2, "b", "t2"). C(1, "a"). C(2, "b"). L(1)."#,
-            ),
-            // Example 3: feasible via containment, empty underestimate.
-            (
-                "B^ioo. B^oio. L^o.\nQ(a) :- B(i, a, t), L(i), B(i2, a2, t).\n\
-                 Q(a) :- B(i, a, t), L(i), not B(i2, a2, t).",
-                r#"B(1, "adams", "t"). B(2, "lem", "s"). L(1). L(2)."#,
-            ),
-            // Example 4: infeasible, null in the overestimate.
-            (
-                "S^o. R^oo. B^ii. T^oo.\nQ(x, y) :- not S(z), R(x, z), B(x, y).\n\
-                 Q(x, y) :- T(x, y).",
-                "R(1, 10). R(2, 20). S(20). T(7, 8). B(1, 5).",
-            ),
-            // Three independent disjuncts, negation and a bind-join.
-            (
-                "F^o. G^o. H^io.\nQ(x) :- F(x).\nQ(x) :- G(x), not F(x).\nQ(x) :- G(y), H(y, x).",
-                "F(1). F(2). G(2). G(3). H(3, 4). H(2, 5).",
-            ),
-        ];
-        type Run<'a> = &'a dyn Fn(&Recorder) -> Result<AnswerOutcome, EngineError>;
-        let observe = |run: Run<'_>| -> (AnswerOutcome, Vec<JournalEvent>) {
-            let recorder = Recorder::with_journal(JournalConfig::replay());
-            let outcome = run(&recorder).unwrap();
-            (outcome, recorder.journal().expect("journal on").snapshot().events)
-        };
-        // What a plain run's report looks like as an outcome.
-        let lift = |report| AnswerOutcome {
-            report,
-            degradation: Default::default(),
-            retries: 0,
-            failures: 0,
-            virtual_ms: 0,
-        };
-
-        let mut faulted = 0;
-        for (case, (text, facts)) in CASES.iter().enumerate() {
-            let (q, schema) = setup(text);
-            let db = Database::from_facts(facts).unwrap();
-            let prepared = PreparedQuery::compile(&q, &schema);
-            let modes = [None, Some(0.0), Some(0.2)]
-                .map(|rate| rate.map(|r| ResilienceConfig::chaos(r, 0xC0DE + case as u64)));
-            for cfg in [ExecConfig::default(), ExecConfig::with_batch_size(2).with_io_workers(4)] {
-                for resilience in modes.iter().map(Option::as_ref) {
-                    let ctx = format!("case {case}, {cfg:?}, {resilience:?}");
-                    let want = observe(&|recorder| {
-                        let opts = AnswerOptions { recorder, exec: cfg, resilience, plans: None };
-                        answer_star_opts(&q, &schema, &db, &opts)
-                    });
-                    faulted += usize::from(want.0.failures > 0);
-                    assert!(!want.1.is_empty(), "the journal must see the source calls: {ctx}");
-
-                    // Names that take a recorder: outcome and journal events.
-                    let (one_shot, served): (Run<'_>, Run<'_>) = match resilience {
-                        None => (
-                            &|r| answer_star_obs_cfg(&q, &schema, &db, r, cfg).map(lift),
-                            &|r| prepared.execute_obs_cfg(&db, r, cfg).map(lift),
-                        ),
-                        Some(res) => (
-                            &|r| answer_star_resilient_cfg(&q, &schema, &db, r, res, cfg),
-                            &|r| prepared.execute_resilient_obs_cfg(&db, r, res, cfg),
-                        ),
-                    };
-                    for (name, run) in [("one-shot preset", one_shot), ("prepared", served)] {
-                        let got = observe(run);
-                        assert_eq!(got.0.report.stats, want.0.report.stats, "{name}: {ctx}");
-                        assert_eq!(got, want, "{name}: {ctx}");
-                    }
-
-                    // Names fixed at defaults: the report alone.
-                    if resilience.is_none() && cfg == ExecConfig::default() {
-                        let report = &want.0.report;
-                        assert_eq!(&answer_star(&q, &schema, &db).unwrap(), report, "{ctx}");
-                        assert_eq!(&prepared.execute(&db).unwrap(), report, "{ctx}");
-                        let exact = prepared.is_feasible() && !report.plans.over.has_null();
-                        let best = if exact { &report.over } else { &report.under };
-                        assert_eq!(&prepared.execute_best(&db).unwrap(), best, "{ctx}");
-                        let improved = answer_star_with_domain(&q, &schema, &db, 1_000).unwrap();
-                        assert_eq!(&improved.base, report, "{ctx}");
-                    }
-                }
-            }
-        }
-        assert!(faulted > 0, "rate 0.2 never faulted a call — the resilient rows prove nothing");
-    }
-
     #[test]
     fn prepared_program_compiles_every_query_in_order() {
         let text = "C^oo. F^o.\n\

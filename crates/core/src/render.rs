@@ -4,7 +4,7 @@
 //! ships the same report to a remote client inside a response frame. The
 //! acceptance bar for the daemon is **byte identity**: for the same
 //! program and facts, the daemon's answer text must equal the one-shot
-//! CLI's output exactly, so clients (and the CI smoke test) can `cmp`
+//! CLI's output exactly, so clients (and `tests/contract_table`) can `cmp`
 //! them. The only way to keep two call sites byte-identical is to have
 //! one renderer — this module. `lapq` prints these strings; the daemon
 //! frames them; nobody formats a report by hand.

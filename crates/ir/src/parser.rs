@@ -398,7 +398,8 @@ impl<'a> Parser<'a> {
         // head predicate -> (index in order, rules, any-false-rule head atom)
         let mut order: Vec<Symbol> = Vec::new();
         let mut rules: HashMap<Symbol, Vec<ConjunctiveQuery>> = HashMap::new();
-        let mut heads: HashMap<Symbol, Atom> = HashMap::new();
+        // head predicate -> (head atom, position of its first rule)
+        let mut heads: HashMap<Symbol, (Atom, usize, usize)> = HashMap::new();
 
         while self.tok != Tok::Eof {
             let Tok::Ident(name) = self.tok.clone() else {
@@ -407,6 +408,7 @@ impl<'a> Parser<'a> {
                     self.tok
                 )));
             };
+            let (line, col) = (self.tok_line, self.tok_col);
             self.advance()?;
             match self.tok {
                 Tok::Caret => {
@@ -468,7 +470,7 @@ impl<'a> Parser<'a> {
                     if let std::collections::hash_map::Entry::Vacant(e) = rules.entry(sym) {
                         order.push(sym);
                         e.insert(Vec::new());
-                        heads.insert(sym, head.clone());
+                        heads.insert(sym, (head.clone(), line, col));
                     }
                     if let Some(body) = body {
                         rules
@@ -486,17 +488,74 @@ impl<'a> Parser<'a> {
             }
         }
 
+        if let Some(sym) = recursive_head(&rules, &order) {
+            let (_, line, col) = heads[&sym];
+            return Err(IrError::Parse {
+                line,
+                col,
+                message: format!(
+                    "{sym} is defined recursively (its rules depend on {sym}); \
+                     only non-recursive programs are supported"
+                ),
+            });
+        }
         let mut queries = Vec::with_capacity(order.len());
         for sym in order {
             let cqs = rules.remove(&sym).expect("tracked");
             if cqs.is_empty() {
-                queries.push(UnionQuery::empty(heads.remove(&sym).expect("tracked")));
+                queries.push(UnionQuery::empty(heads.remove(&sym).expect("tracked").0));
             } else {
                 queries.push(UnionQuery::new(cqs)?);
             }
         }
         Ok(Program { schema, queries })
     }
+}
+
+/// The scope fence: the paper's algorithms are for UCQ¬, and relevance
+/// under access limitations is undecidable once Datalog recursion is
+/// allowed. Returns a head predicate whose rules depend on it, directly or
+/// through other heads of the program, if there is one. Multi-level
+/// definitions that bottom out in sources (mediator views) pass. One
+/// depth-first walk over the rules, iterative so that a hostile program
+/// cannot exhaust the stack.
+fn recursive_head(
+    rules: &HashMap<Symbol, Vec<ConjunctiveQuery>>,
+    order: &[Symbol],
+) -> Option<Symbol> {
+    let depends_on = |head: Symbol| -> Vec<Symbol> {
+        rules[&head]
+            .iter()
+            .flat_map(|cq| &cq.body)
+            .map(|lit| lit.atom.predicate.name)
+            .filter(|p| rules.contains_key(p))
+            .collect()
+    };
+    // false: on the current path; true: finished, no cycle through it.
+    let mut done: HashMap<Symbol, bool> = HashMap::new();
+    for &root in order {
+        if done.contains_key(&root) {
+            continue;
+        }
+        done.insert(root, false);
+        let mut path = vec![(root, depends_on(root))];
+        while let Some((head, pending)) = path.last_mut() {
+            let Some(next) = pending.pop() else {
+                done.insert(*head, true);
+                path.pop();
+                continue;
+            };
+            match done.get(&next) {
+                Some(false) => return Some(next),
+                Some(true) => {}
+                None => {
+                    done.insert(next, false);
+                    path.push((next, depends_on(next)));
+                }
+            }
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -591,6 +650,24 @@ mod tests {
             IrError::Parse { line, .. } => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn recursive_programs_are_refused_and_multi_level_ones_are_not() {
+        for (text, at) in [
+            ("R^oo.\nQ(x) :- R(x, y), Q(y).", (2, 1)),
+            ("P(x) :- Q(x).\nQ(x) :- R(x).\nQ(x) :- P(x).", (1, 1)),
+        ] {
+            match parse_program(text).unwrap_err() {
+                IrError::Parse { line, col, message } => {
+                    assert_eq!((line, col), at, "{text}");
+                    assert!(message.contains("defined recursively"), "{message}");
+                }
+                other => panic!("expected parse error, got {other:?}"),
+            }
+        }
+        let views = "V^oo.\nA(x) :- B(x), not C(x).\nB(x) :- V(x, y).\nC(x) :- V(y, x).";
+        assert_eq!(parse_program(views).unwrap().queries.len(), 3);
     }
 
     #[test]

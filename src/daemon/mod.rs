@@ -16,8 +16,8 @@
 //! The answer contract is **byte identity**: a `query` response's `text`
 //! equals what one-shot `lapq run` prints for the same program, facts,
 //! and options — whether the plans came from the cache or were compiled
-//! on the miss path. The integration suite (`tests/daemon.rs`) and the CI
-//! smoke test `cmp` the two.
+//! on the miss path. The contract table (`tests/contract_table`) compares
+//! the two on every daemon row, in process and through the `lapd` binary.
 //!
 //! ```no_run
 //! use lap::daemon::{DaemonConfig, Server};
@@ -180,28 +180,25 @@ impl Server {
     }
 
     /// Stops accepting connections, waits for the accept thread, then
-    /// gives in-flight sessions a bounded grace period to drain. Safe to
-    /// call after a client-initiated shutdown; idempotent.
+    /// drains the sessions. Safe to call after a client-initiated
+    /// shutdown; idempotent.
     pub fn shutdown(mut self) {
         self.service.request_shutdown();
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.watcher.take() {
-            let _ = handle.join();
-        }
-        // Best-effort drain: sessions answering a request finish it; idle
-        // sessions are abandoned after the grace period (their threads
-        // exit with the process).
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while self.service.active_sessions() > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        self.drain();
     }
 
     /// Blocks until a client-initiated shutdown stops the accept loop —
     /// the `lapd` binary's main loop.
     pub fn run_until_shutdown(mut self) {
+        self.drain();
+    }
+
+    /// Joins the accept loop and the watcher, then waits for the sessions.
+    /// Shutdown closed their read halves, so idle sessions end at once and
+    /// a session answering a request ends after writing its answer; one
+    /// stuck longer than the grace period is abandoned (its thread exits
+    /// with the process).
+    fn drain(&mut self) {
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }

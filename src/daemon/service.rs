@@ -17,9 +17,9 @@ use lap_obs::journal::kind;
 use lap_obs::{Counter, FoldCursor, Histogram, HistogramSnapshot, Json, JournalConfig, Recorder};
 use lap_planner::{recalibrate_published, CostModel, Strategy};
 use lap_proto::{ErrorCode, QueryOptions, Request, Response};
-use std::collections::BTreeSet;
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::{BTreeSet, HashMap};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -34,6 +34,10 @@ pub(crate) struct Service {
     cache: PlanCache<PreparedProgram>,
     gate: Gate,
     active_sessions: AtomicUsize,
+    /// A handle on every live session's socket, so shutdown can close the
+    /// read halves: a session blocked in `read_frame` then sees EOF at once.
+    sockets: Mutex<HashMap<u64, TcpStream>>,
+    next_socket: AtomicU64,
     sessions_total: Counter,
     requests_total: Counter,
     errors_total: Counter,
@@ -84,6 +88,8 @@ impl Service {
             cache,
             gate,
             active_sessions: AtomicUsize::new(0),
+            sockets: Mutex::new(HashMap::new()),
+            next_socket: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             addr: Mutex::new(None),
             started: Instant::now(),
@@ -104,12 +110,17 @@ impl Service {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Flips the shutdown flag and pokes the accept loop awake with a
-    /// throwaway connection so it observes the flag without waiting for a
-    /// real client.
+    /// Flips the shutdown flag, closes the read half of every live session
+    /// (an idle session sees EOF and ends; a session answering a request
+    /// still writes its response first), and pokes the accept loop awake
+    /// with a throwaway connection so it observes the flag without waiting
+    /// for a real client.
     pub(crate) fn request_shutdown(&self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
+        }
+        for socket in self.sockets.lock().expect("sockets mutex").values() {
+            let _ = socket.shutdown(Shutdown::Read);
         }
         // Park the telemetry watcher before poking the accept loop.
         *self.watch_stop.lock().expect("watch mutex") = true;
@@ -142,6 +153,25 @@ impl Service {
 
     pub(crate) fn close_session(&self) {
         self.active_sessions.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Keeps a handle on a session's socket for [`Service::request_shutdown`]
+    /// until [`Service::forget_socket`]. Registered under the same lock the
+    /// shutdown walks, so a session that arrives as shutdown begins is
+    /// closed by one side or the other, never missed.
+    pub(crate) fn watch_socket(&self, stream: &TcpStream) -> Option<u64> {
+        let handle = stream.try_clone().ok()?;
+        let id = self.next_socket.fetch_add(1, Ordering::Relaxed);
+        let mut sockets = self.sockets.lock().expect("sockets mutex");
+        if self.shutting_down() {
+            let _ = handle.shutdown(Shutdown::Read);
+        }
+        sockets.insert(id, handle);
+        Some(id)
+    }
+
+    pub(crate) fn forget_socket(&self, id: u64) {
+        self.sockets.lock().expect("sockets mutex").remove(&id);
     }
 
     pub(crate) fn active_sessions(&self) -> usize {

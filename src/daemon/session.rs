@@ -16,12 +16,15 @@ use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::Arc;
 
-/// Decrements the active-session count on drop, so a panicking session
-/// thread can never leak its slot.
-struct SessionSlot<'a>(&'a Service);
+/// Decrements the active-session count and drops the shutdown handle on
+/// the socket, so a panicking session thread can never leak its slot.
+struct SessionSlot<'a>(&'a Service, Option<u64>);
 
 impl Drop for SessionSlot<'_> {
     fn drop(&mut self) {
+        if let Some(socket) = self.1 {
+            self.0.forget_socket(socket);
+        }
         self.0.close_session();
     }
 }
@@ -31,7 +34,7 @@ impl Drop for SessionSlot<'_> {
 /// connection record into it exactly like a one-shot `lapq run --journal`
 /// would, without contending with other sessions.
 pub(crate) fn run_session(stream: TcpStream, service: Arc<Service>) {
-    let _slot = SessionSlot(&service);
+    let _slot = SessionSlot(&service, service.watch_socket(&stream));
     stream.set_nodelay(true).ok();
     let idle = service.config().idle_timeout_ms;
     if idle > 0 {

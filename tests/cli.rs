@@ -1,5 +1,10 @@
-//! Integration tests for the `lapq` command-line front end.
+//! Integration tests for the `lapq` command-line front end; its byte
+//! contracts are rows of the contract table (`tests/contract_table`).
 
+mod common;
+mod contract_table;
+
+use contract_table::{check_rows, Home, Lab, Scratch};
 use std::process::{Command, Output};
 
 fn lapq(args: &[&str]) -> Output {
@@ -91,6 +96,31 @@ fn missing_file_fails_cleanly() {
     let out = lapq(&["check", "examples/data/nope.lap"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
+}
+
+/// Input the engine cannot run is refused by name with exit status 1, never
+/// answered politely and never a panic: facts stored at another arity than
+/// the schema declares, and a recursive program (the reproduced case used
+/// to print `(1)`, `(2)` as "may be part of the answer" and exit 0).
+#[test]
+fn unrunnable_input_exits_1_with_a_named_error() {
+    let dir = std::env::temp_dir().join(format!("lapq-cli-{}-unrunnable", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let arity = "Catalog^oo. Library^o.\nQ(i, a) :- Catalog(i, a), not Library(i).\n";
+    let recursive = "R^oo.\nQ(x) :- R(x, y), Q(y).\n";
+    for (name, program, facts, expected) in [
+        ("arity", arity, "Catalog(1). Catalog(2).\n", "arity mismatch: expected 2, found 1"),
+        ("recursive", recursive, "R(1, 2). R(2, 3).\n", "Q is defined recursively"),
+    ] {
+        let (prog, fact) = (dir.join(format!("{name}.lap")), dir.join(format!("{name}_facts.lap")));
+        std::fs::write(&prog, program).unwrap();
+        std::fs::write(&fact, facts).unwrap();
+        let out = lapq(&["run", prog.to_str().unwrap(), fact.to_str().unwrap()]);
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(1), "{name}: {err}");
+        assert!(err.contains(expected) && !err.contains("panicked"), "{name}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Regression: `--domain` used to be dropped without a word under any
@@ -213,55 +243,14 @@ fn profile_shows_per_literal_counters() {
 
 #[test]
 fn answer_alias_with_zero_fault_rate_matches_plain_run() {
-    let plain = lapq(&[
-        "run",
-        "examples/data/bookstore.lap",
-        "examples/data/bookstore_facts.lap",
-    ]);
-    let resilient = lapq(&[
-        "answer",
-        "examples/data/bookstore.lap",
-        "examples/data/bookstore_facts.lap",
-        "--fault-rate",
-        "0.0",
-    ]);
-    assert!(plain.status.success());
-    assert!(resilient.status.success());
-    let text = stdout(&resilient);
-    // Same answers and completeness verdict, plus the zeroed resilience line.
-    assert!(text.contains("the hitchhiker's guide"), "{text}");
-    assert!(text.contains("answer is complete"), "{text}");
-    assert!(text.contains("0 retry(ies), 0 source failure(s)"), "{text}");
-    assert!(!text.contains("degraded"), "{text}");
-    for line in stdout(&plain).lines() {
-        assert!(text.contains(line), "resilient output lost line {line:?}");
-    }
+    let tally = check_rows(&mut Lab::default(), Home::AnswerAlias);
+    assert_eq!((tally.degraded, tally.faulted), (0, 0), "rate 0 must not fault");
 }
 
 #[test]
 fn total_outage_reports_degradation_deterministically() {
-    let run = || {
-        lapq(&[
-            "answer",
-            "examples/data/bookstore.lap",
-            "examples/data/bookstore_facts.lap",
-            "--fault-rate",
-            "1.0",
-            "--fault-seed",
-            "7",
-            "--retry",
-            "3",
-        ])
-    };
-    let a = run();
-    let b = run();
-    assert!(a.status.success());
-    let text = stdout(&a);
-    assert!(text.contains("answer is not known to be complete"), "{text}");
-    assert!(text.contains("degraded"), "{text}");
-    assert!(text.contains("unavailable after 3 attempt(s)"), "{text}");
-    assert!(text.contains("[under]"), "{text}");
-    assert_eq!(text, stdout(&b), "same seed must replay the same output");
+    let tally = check_rows(&mut Lab::default(), Home::TotalOutage);
+    assert_eq!(tally.degraded, tally.rows, "a total outage must degrade");
 }
 
 #[test]
@@ -289,118 +278,21 @@ fn bad_resilience_flags_fail_cleanly() {
     assert!(err.contains("--retry must be in [1"), "{err}");
 }
 
-/// A scratch path under the target-adjacent temp dir, removed on drop.
-struct Scratch(std::path::PathBuf);
-
-impl Scratch {
-    fn new(name: &str) -> Scratch {
-        let path = std::env::temp_dir().join(format!("lapq-cli-{}-{name}", std::process::id()));
-        Scratch(path)
-    }
-
-    fn as_str(&self) -> &str {
-        self.0.to_str().expect("temp path is utf-8")
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
-
 #[test]
 fn recorded_run_replays_bit_for_bit_from_the_journal() {
-    let journal = Scratch::new("replay.json");
-    let recorded = lapq(&[
-        "run",
-        "examples/data/bookstore.lap",
-        "examples/data/bookstore_facts.lap",
-        "--fault-rate",
-        "0.4",
-        "--fault-seed",
-        "11",
-        "--latency-ms",
-        "5",
-        "--retry",
-        "3",
-        "--journal",
-        journal.as_str(),
-    ]);
-    assert!(recorded.status.success(), "{}", String::from_utf8_lossy(&recorded.stderr));
-    let validated = lapq(&["obs-validate", journal.as_str()]);
-    assert!(validated.status.success());
-    assert!(stdout(&validated).contains("ok (journal"), "{}", stdout(&validated));
-
-    let replayed = lapq(&["replay", journal.as_str()]);
-    assert!(replayed.status.success(), "{}", String::from_utf8_lossy(&replayed.stderr));
-    assert_eq!(
-        stdout(&recorded),
-        stdout(&replayed),
-        "replay must reproduce the recorded run byte for byte"
-    );
+    let tally = check_rows(&mut Lab::default(), Home::RecordedRun);
+    assert_eq!(tally.faulted, tally.rows, "rate 0.4 must fault some calls");
 }
 
-/// Same contract under overlapped I/O: a degraded run recorded at
-/// `--io-workers 8` replays byte for byte from the journal alone. The
-/// journal's `io_workers` metadata makes replay re-derive the overlapped
-/// wall-clock, so the printed virtual-ms line (which differs from a
-/// serial run's) must match too. An explicitly serial rerun of the same
-/// profile returns the same answers but a longer virtual clock.
 #[test]
 fn overlapped_run_replays_bit_for_bit_from_the_journal() {
-    let journal = Scratch::new("replay-overlapped.json");
-    let profile = [
-        "run",
-        "examples/data/bookstore.lap",
-        "examples/data/bookstore_facts.lap",
-        "--fault-rate",
-        "0.4",
-        "--fault-seed",
-        "11",
-        "--latency-ms",
-        "20",
-        "--retry",
-        "3",
-    ];
-    let mut record_args: Vec<&str> = profile.to_vec();
-    record_args.extend(["--io-workers", "8", "--journal", journal.as_str()]);
-    let recorded = lapq(&record_args);
-    assert!(recorded.status.success(), "{}", String::from_utf8_lossy(&recorded.stderr));
-    let validated = lapq(&["obs-validate", journal.as_str()]);
-    assert!(validated.status.success());
-    assert!(stdout(&validated).contains("ok (journal"), "{}", stdout(&validated));
+    let tally = check_rows(&mut Lab::default(), Home::OverlappedRun);
+    assert_eq!(tally.faulted, tally.rows, "rate 0.4 must fault some calls");
+}
 
-    let replayed = lapq(&["replay", journal.as_str()]);
-    assert!(replayed.status.success(), "{}", String::from_utf8_lossy(&replayed.stderr));
-    assert_eq!(
-        stdout(&recorded),
-        stdout(&replayed),
-        "overlapped replay must reproduce the recorded run byte for byte"
-    );
-
-    let serial = lapq(&profile);
-    assert!(serial.status.success(), "{}", String::from_utf8_lossy(&serial.stderr));
-    assert_ne!(
-        stdout(&serial),
-        stdout(&recorded),
-        "overlap must shorten the printed virtual clock"
-    );
-    let virtual_ms = |out: &str| -> u64 {
-        let line = out
-            .lines()
-            .find(|l| l.contains("virtual ms"))
-            .expect("resilient runs print a virtual-ms line");
-        line.split_whitespace()
-            .rev()
-            .nth(2)
-            .and_then(|w| w.parse().ok())
-            .expect("virtual-ms line carries a number")
-    };
-    assert!(
-        virtual_ms(&stdout(&recorded)) < virtual_ms(&stdout(&serial)),
-        "8 workers must beat serial on the 20ms-latency profile"
-    );
+#[test]
+fn chrome_trace_export_passes_validation() {
+    check_rows(&mut Lab::default(), Home::ChromeTrace);
 }
 
 #[test]
@@ -421,26 +313,9 @@ fn io_workers_flag_rejects_zero() {
 }
 
 #[test]
-fn chrome_trace_export_passes_validation() {
-    let trace = Scratch::new("trace.json");
-    let out = lapq(&[
-        "run",
-        "examples/data/bookstore.lap",
-        "examples/data/bookstore_facts.lap",
-        "--chrome-trace",
-        trace.as_str(),
-    ]);
-    assert!(out.status.success());
-    let text = std::fs::read_to_string(trace.as_str()).unwrap();
-    assert!(text.contains("traceEvents"), "{text}");
-    let validated = lapq(&["obs-validate", trace.as_str()]);
-    assert!(validated.status.success());
-    assert!(stdout(&validated).contains("balanced"), "{}", stdout(&validated));
-}
-
-#[test]
 fn report_rolls_the_journal_into_tables() {
-    let journal = Scratch::new("report.json");
+    let scratch = Scratch::new();
+    let journal = scratch.file("report.json");
     let out = lapq(&[
         "run",
         "examples/data/bookstore.lap",
@@ -466,7 +341,8 @@ fn report_rolls_the_journal_into_tables() {
 /// `lap-obs`'s journal tests — so neither guard can be dropped).
 #[test]
 fn journal_sample_zero_is_rejected() {
-    let journal = Scratch::new("sample-zero.json");
+    let scratch = Scratch::new();
+    let journal = scratch.file("sample-zero.json");
     let out = lapq(&[
         "run",
         "examples/data/bookstore.lap",
@@ -505,7 +381,8 @@ fn duplicate_flags_are_rejected() {
 /// zero-retry sources now print `-` for both wait columns.
 #[test]
 fn report_zero_retry_wait_columns_render_dash() {
-    let journal = Scratch::new("report-zero-retry.json");
+    let scratch = Scratch::new();
+    let journal = scratch.file("report-zero-retry.json");
     let out = lapq(&[
         "run",
         "examples/data/bookstore.lap",
@@ -537,7 +414,8 @@ fn report_zero_retry_wait_columns_render_dash() {
 
 #[test]
 fn replay_of_a_non_replayable_journal_fails_cleanly() {
-    let journal = Scratch::new("light.json");
+    let scratch = Scratch::new();
+    let journal = scratch.file("light.json");
     // --chrome-trace alone records the light tier: no captured rows.
     let out = lapq(&[
         "run",

@@ -2,11 +2,16 @@
 //!
 //! The load-bearing contract is **byte identity**: a daemon `query`
 //! response's `text` equals what one-shot `lapq run` prints for the same
-//! program, facts, and options — on the plan-cache miss path, on the hit
-//! path, and under concurrent sessions. The remaining tests pin error
-//! containment: quota, malformed frames, and invalid requests produce
-//! error frames without taking the server down.
+//! program, facts, and options: per contract-table row on the miss and hit
+//! paths (the first two tests), under concurrent sessions and across a
+//! recalibration. The rest pins error containment — quota, malformed
+//! frames, and invalid requests produce error frames without taking the
+//! server down — and shutdown.
 
+mod common;
+mod contract_table;
+
+use contract_table::{check_rows, Home, Lab};
 use lap::daemon::{DaemonConfig, Server};
 use lap::proto::{
     read_frame, write_frame, Client, ErrorCode, QueryOptions, Response, MAX_FRAME_BYTES,
@@ -45,106 +50,14 @@ fn query_text(client: &mut Client, program: &str, facts: &str, options: QueryOpt
     }
 }
 
-/// The daemon's answer text equals one-shot `lapq run` byte for byte —
-/// for a complete bookstore answer, for example 4's partial answer with
-/// a delta block, and for a resilient run with a fixed seed.
 #[test]
 fn daemon_answers_are_byte_identical_to_one_shot_run() {
-    let server = start_server(DaemonConfig::default());
-    let addr = server.addr().to_string();
-    let mut client = Client::connect(&addr).expect("connect");
-
-    let scenarios: &[(&str, &str)] = &[
-        ("bookstore.lap", "bookstore_facts.lap"),
-        ("example4.lap", "example4_facts.lap"),
-    ];
-    for (prog, facts) in scenarios {
-        let expected = lapq_run(&[
-            "run",
-            &format!("examples/data/{prog}"),
-            &format!("examples/data/{facts}"),
-        ]);
-        let got = query_text(
-            &mut client,
-            &read_example(prog),
-            &read_example(facts),
-            QueryOptions::default(),
-        );
-        assert_eq!(got, expected, "{prog}: daemon text must match lapq run");
-    }
-
-    // The resilient path: same fault profile, same seed, same bytes.
-    let expected = lapq_run(&[
-        "run",
-        "examples/data/bookstore.lap",
-        "examples/data/bookstore_facts.lap",
-        "--fault-rate",
-        "0.4",
-        "--fault-seed",
-        "11",
-        "--retry",
-        "3",
-        "--io-workers",
-        "2",
-    ]);
-    let got = query_text(
-        &mut client,
-        &read_example("bookstore.lap"),
-        &read_example("bookstore_facts.lap"),
-        QueryOptions {
-            fault_rate: Some(0.4),
-            fault_seed: Some(11),
-            retry: Some(3),
-            io_workers: Some(2),
-            ..QueryOptions::default()
-        },
-    );
-    assert_eq!(got, expected, "resilient daemon text must match lapq run");
-    server.shutdown();
+    check_rows(&mut Lab::default(), Home::DaemonBytes);
 }
 
-/// The plan-cache hit path returns the same bytes as the miss path that
-/// populated it, and cosmetic whitespace differences hit the same entry.
 #[test]
 fn cache_hit_path_matches_miss_path() {
-    let server = start_server(DaemonConfig::default());
-    let addr = server.addr().to_string();
-    let mut client = Client::connect(&addr).expect("connect");
-    let program = read_example("bookstore.lap");
-    let facts = read_example("bookstore_facts.lap");
-
-    let cache_hit = |resp: &Response| -> bool {
-        match resp {
-            Response::Ok { data, .. } => {
-                data.get("cache_hit") == Some(&lap::obs::Json::Bool(true))
-            }
-            Response::Error { code, message, .. } => panic!("daemon error ({code}): {message}"),
-        }
-    };
-    let text_of = |resp: Response| -> String {
-        match resp {
-            Response::Ok { text, .. } => text,
-            Response::Error { code, message, .. } => panic!("daemon error ({code}): {message}"),
-        }
-    };
-
-    let first = client.query(&program, &facts, QueryOptions::default()).unwrap();
-    assert!(!cache_hit(&first), "first request compiles (miss)");
-    let second = client.query(&program, &facts, QueryOptions::default()).unwrap();
-    assert!(cache_hit(&second), "repeat request is served from the cache");
-    // Whitespace-only variation canonicalizes onto the same entry.
-    let spaced = format!("  {}  ", program.replace('\n', "\n\n"));
-    let third = client.query(&spaced, &facts, QueryOptions::default()).unwrap();
-    assert!(cache_hit(&third), "whitespace variant hits the same entry");
-
-    let first = text_of(first);
-    assert_eq!(first, text_of(second), "hit path must render the same bytes");
-    assert_eq!(first, text_of(third));
-
-    let snap = server.metrics();
-    assert_eq!(snap.counter("plan_cache.miss"), 1);
-    assert_eq!(snap.counter("plan_cache.hit"), 2);
-    server.shutdown();
+    check_rows(&mut Lab::default(), Home::CacheHit);
 }
 
 /// Many concurrent sessions, mixed scenarios, every response
@@ -301,11 +214,19 @@ fn request_level_errors_keep_the_session_alive() {
     let doc = read_frame(&mut raw, MAX_FRAME_BYTES).expect("pong");
     assert!(matches!(Response::from_json(&doc).unwrap(), Response::Ok { id: 6, .. }));
 
-    // A program that fails to parse is a query-error, not a dead session.
+    // A program that fails to parse is a query-error, not a dead session;
+    // so is a recursive one, which is outside the paper's UCQ¬.
     let mut client = Client::connect(&addr).expect("connect");
-    match client.query("this is not a program", "", QueryOptions::default()).unwrap() {
-        Response::Error { code: ErrorCode::QueryError, .. } => {}
-        other => panic!("expected query-error, got {other:?}"),
+    for (program, expected) in [
+        ("this is not a program", "parse error"),
+        ("R^oo.\nQ(x) :- R(x, y), Q(y).", "Q is defined recursively"),
+    ] {
+        match client.query(program, "R(1, 2). R(2, 3).", QueryOptions::default()).unwrap() {
+            Response::Error { code: ErrorCode::QueryError, message, .. } => {
+                assert!(message.contains(expected), "{program}: {message}");
+            }
+            other => panic!("{program}: expected query-error, got {other:?}"),
+        }
     }
     // So are facts stored at another arity than the program declares —
     // too short (this used to panic the session thread) or too long.
@@ -375,6 +296,27 @@ fn shutdown_frame_stops_the_server() {
         TcpStream::connect(&addr).is_err()
     });
     assert!(refused, "listener should be closed after shutdown");
+}
+
+/// Idle sessions do not hold shutdown up: it closes their read halves, so
+/// each one sees EOF and ends at once. `shutdown` waits for the active
+/// count to reach zero (or a 2 s grace period), so returning well inside
+/// 200 ms means every session ended.
+#[test]
+fn shutdown_does_not_wait_for_idle_sessions() {
+    let server = start_server(DaemonConfig::default());
+    let mut clients: Vec<Client> =
+        (0..4).map(|_| Client::connect(server.addr()).expect("connect")).collect();
+    for client in &mut clients {
+        assert!(matches!(client.ping().unwrap(), Response::Ok { .. }), "session is live");
+    }
+    let started = std::time::Instant::now();
+    server.shutdown();
+    let elapsed = started.elapsed();
+    assert!(elapsed < std::time::Duration::from_millis(200), "shutdown took {elapsed:?}");
+    for client in &mut clients {
+        assert!(client.ping().is_err(), "an idle session must be closed by shutdown");
+    }
 }
 
 /// `stats` surfaces the plan cache's byte usage and per-entry hit

@@ -1,72 +1,38 @@
 //! Flight-recorder suite: record a chaotic ANSWER\* run into the
 //! structured journal, then prove the journal is good for something:
 //!
-//! * **replay** — a seeded degraded run, re-executed from its journal
-//!   through a [`ReplaySource`], reproduces the original
-//!   [`AnswerOutcome`] bit for bit without the database;
+//! * **replay** and **pinned bytes** — the contract table's
+//!   (`tests/contract_table`) replay rows and 24 digests;
+//! * **metadata** — the run setup a replay needs;
 //! * **invariants** — journals validate (strictly monotone sequence,
 //!   `recorded + dropped == emitted`, per-lane begin/end balance) even
-//!   under overlapped I/O and under ring overflow;
+//!   under overlapped I/O, under ring overflow and under sampling;
 //! * **export** — the chrome-trace rendering round-trips through the
 //!   in-repo JSON parser and stays balanced per thread lane.
 
-use lap::core::{answer_star_opts, answer_star_resilient_cfg, AnswerOptions};
-use lap::engine::{ExecConfig, FaultConfig, ReplaySource, ResilienceConfig, RetryPolicy};
-use lap::obs::{chrome_trace, validate_chrome_trace, JournalConfig, JournalSnapshot, Recorder};
-use lap::workload::{bookstore, BookstoreConfig};
-use lap_prng::StdRng;
+mod common;
+mod contract_table;
 
-/// A small federated bookstore with several disjuncts and a negated
-/// literal, plus its parsed standing query.
-fn scenario() -> (lap::ir::Program, lap::engine::Database) {
-    let mut rng = StdRng::seed_from_u64(2004);
-    let cfg = BookstoreConfig {
-        books: 60,
-        ..BookstoreConfig::default()
-    };
-    let bs = bookstore(&cfg, &mut rng);
-    let program = lap::ir::parse_program(&bs.program_text()).unwrap();
-    (program, bs.db)
-}
+use common::bookstore60;
+use contract_table::{check_pins, check_rows, Home, Lab};
+use lap::core::answer_star_resilient_cfg;
+use lap::engine::{ExecConfig, FaultConfig, ReplaySource, ResilienceConfig, RetryPolicy};
+use lap::obs::{chrome_trace, validate_chrome_trace, JournalConfig, Recorder};
 
 #[test]
 fn recorded_chaos_run_replays_bit_for_bit() {
-    let (program, db) = scenario();
-    let query = program.single_query().unwrap();
-    let resilience = ResilienceConfig::chaos(0.3, 0xDECAF);
+    let tally = check_rows(&mut Lab::default(), Home::RecordedChaos);
+    assert_eq!(tally.degraded, tally.rows, "rate 0.3 over many calls should drop something");
+}
 
-    let recorder = Recorder::with_journal(JournalConfig::replay());
-    let cfg = ExecConfig::default();
-    let original =
-        answer_star_resilient_cfg(query, &program.schema, &db, &recorder, &resilience, cfg)
-            .unwrap();
-    assert!(
-        original.degradation.is_degraded(),
-        "rate 0.3 over many calls should drop something"
-    );
-
-    // The journal survives a JSON round trip (file export / import).
-    let snap = recorder.journal().unwrap().snapshot();
-    snap.validate().expect("recorded journal validates");
-    let text = snap.to_json().to_pretty();
-    let snap = JournalSnapshot::from_json(&lap::obs::json::parse(&text).unwrap()).unwrap();
-    assert_eq!(snap, recorder.journal().unwrap().snapshot());
-
-    // Replay from the journal alone: no database, no fault injector.
-    let source = ReplaySource::from_journal(&snap).unwrap();
-    let quiet = Recorder::disabled();
-    let retry_only = ResilienceConfig { fault: None, retry: resilience.retry };
-    let opts = AnswerOptions { resilience: Some(&retry_only), ..AnswerOptions::new(&quiet) };
-    let replayed = answer_star_opts(query, &program.schema, source.clone(), &opts).unwrap();
-    assert_eq!(replayed, original, "replay must reproduce the outcome bit for bit");
-    assert_eq!(source.mismatches(), 0);
-    assert_eq!(source.out_of_order(), 0);
-    assert_eq!(source.remaining(), 0, "every recorded call must be consumed");
+#[test]
+fn journal_and_outcome_bytes_are_pinned_across_versions() {
+    check_pins();
 }
 
 #[test]
 fn journal_meta_carries_the_run_setup() {
-    let (program, db) = scenario();
+    let (program, db) = bookstore60();
     let query = program.single_query().unwrap();
     let resilience = ResilienceConfig::chaos(0.2, 7);
     let recorder = Recorder::with_journal(JournalConfig::replay());
@@ -88,7 +54,7 @@ fn journal_meta_carries_the_run_setup() {
 
 #[test]
 fn journal_invariants_hold_under_overlapped_resilient_answer_star() {
-    let (program, db) = scenario();
+    let (program, db) = bookstore60();
     let query = program.single_query().unwrap();
     let resilience = ResilienceConfig {
         fault: Some(FaultConfig::with_rate(0.25, 0xFEED)),
@@ -113,7 +79,7 @@ fn journal_invariants_hold_under_overlapped_resilient_answer_star() {
 
 #[test]
 fn chrome_trace_round_trips_through_the_in_repo_parser() {
-    let (program, db) = scenario();
+    let (program, db) = bookstore60();
     let query = program.single_query().unwrap();
     let recorder = Recorder::with_journal(JournalConfig::light());
     answer_star_resilient_cfg(
@@ -134,7 +100,7 @@ fn chrome_trace_round_trips_through_the_in_repo_parser() {
 
 #[test]
 fn ring_overflow_is_bounded_and_accounted_end_to_end() {
-    let (program, db) = scenario();
+    let (program, db) = bookstore60();
     let query = program.single_query().unwrap();
     let cfg = JournalConfig {
         capacity: 16,
@@ -175,7 +141,7 @@ fn ring_overflow_is_bounded_and_accounted_end_to_end() {
 /// and the per-lane begin/end balance that a torn pair would break.
 #[test]
 fn ring_overflow_under_concurrency_never_tears_a_call_pair() {
-    let (program, db) = scenario();
+    let (program, db) = bookstore60();
     let query = program.single_query().unwrap();
     let cfg = JournalConfig {
         capacity: 16,
@@ -230,7 +196,7 @@ fn ring_overflow_under_concurrency_never_tears_a_call_pair() {
 /// store folded from a sampled journal still passes its own validation.
 #[test]
 fn sampled_journal_under_concurrency_never_tears_a_call_pair() {
-    let (program, db) = scenario();
+    let (program, db) = bookstore60();
     let query = program.single_query().unwrap();
     for sample_every in [2u64, 3, 7] {
         let cfg = JournalConfig {
@@ -280,126 +246,4 @@ fn sampled_journal_under_concurrency_never_tears_a_call_pair() {
         store.fold(&snap);
         store.validate().expect("profile folded from a sampled journal validates");
     }
-}
-
-/// FNV-1a-64: a digest that is a pure function of the bytes, with no
-/// dependency to drift between versions.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
-}
-
-/// The three source behaviours of the byte-pin table.
-#[derive(Clone, Copy, Debug)]
-enum Wire {
-    /// No fault injection, no retry policy.
-    Plain,
-    /// 20% errors, 20 ms ± 5 ms latency, three attempts.
-    Chaos,
-    /// Latency jitter across a per-call timeout, three attempts, and a
-    /// per-query deadline budget that runs out part-way through.
-    Deadline,
-}
-
-impl Wire {
-    fn resilience(self) -> Option<ResilienceConfig> {
-        let fault = |error_rate, latency_jitter_ms, timeout_ms| FaultConfig {
-            error_rate,
-            latency_ms: 20,
-            latency_jitter_ms,
-            timeout_ms,
-            seed: 0xDECAF,
-        };
-        let retry = RetryPolicy::standard().with_max_attempts(3);
-        match self {
-            Wire::Plain => None,
-            Wire::Chaos => Some(ResilienceConfig { fault: Some(fault(0.2, 5, None)), retry }),
-            Wire::Deadline => Some(ResilienceConfig {
-                fault: Some(fault(0.0, 20, Some(35))),
-                retry: retry.with_deadline_ms(4000),
-            }),
-        }
-    }
-}
-
-/// One pinned run: journal tier, source behaviour, `io_workers`, batch
-/// width, and the FNV-1a-64 digests of the journal
-/// (`snapshot.to_json().to_compact()`) and the rendered outcome.
-type PinnedRun = (bool, Wire, usize, usize, u64, u64);
-
-/// Runs one row of the table and returns its (journal, outcome) texts.
-fn pinned_run_texts(
-    program: &lap::ir::Program,
-    db: &lap::engine::Database,
-    (replay_tier, wire, io_workers, width, ..): PinnedRun,
-) -> (String, String) {
-    let query = program.single_query().unwrap();
-    let tier = if replay_tier { JournalConfig::replay() } else { JournalConfig::light() };
-    let recorder = Recorder::with_journal(tier);
-    let exec = ExecConfig::with_batch_size(width).with_io_workers(io_workers);
-    let resilience = wire.resilience();
-    let opts =
-        AnswerOptions { exec, resilience: resilience.as_ref(), ..AnswerOptions::new(&recorder) };
-    let outcome =
-        lap::core::render_outcome(&answer_star_opts(query, &program.schema, db, &opts).unwrap());
-    (recorder.journal().unwrap().snapshot().to_json().to_compact(), outcome)
-}
-
-/// Cross-version byte pin of the source layer: the digests below were
-/// recorded at `f214ea0`, when a serial call and an overlapped batch were
-/// two code paths, and a change to the source layer must not move them —
-/// journal bytes, answers, call statistics, retry/failure totals and
-/// virtual time at every combination of journal tier, fault profile,
-/// worker count and batch width. (A deliberate change to the journal
-/// format or the renderer re-records the table from the failure message.)
-#[test]
-fn journal_and_outcome_bytes_are_pinned_across_versions() {
-    const L: bool = false; // light tier
-    const R: bool = true; // replay tier
-    use Wire::{Chaos, Deadline, Plain};
-    #[rustfmt::skip]
-    const PINNED: &[PinnedRun] = &[
-        (L, Plain, 1, 1, 0x93e652364b0572d7, 0x2cf7518943032e5d),
-        (L, Plain, 1, 64, 0xaf04416c3e324339, 0x98fbcc13abd05b09),
-        (L, Plain, 8, 1, 0xc5d6192cc0e017c8, 0x2cf7518943032e5d),
-        (L, Plain, 8, 64, 0x5adf45f0e627b4b6, 0x98fbcc13abd05b09),
-        (L, Chaos, 1, 1, 0x455f5c881618502e, 0x347f46feec3a519b),
-        (L, Chaos, 1, 64, 0x6cdae777858f1959, 0x41602d4db0b80a92),
-        (L, Chaos, 8, 1, 0xd5c515efbd74e887, 0x6339ee062d57138a),
-        (L, Chaos, 8, 64, 0x1268fc9506973012, 0x46c1cfd71ea577c7),
-        (L, Deadline, 1, 1, 0x4b6c834fb4793459, 0x61020cd66fbf6544),
-        (L, Deadline, 1, 64, 0x42ad154d8d691d92, 0xa53e87749383553e),
-        (L, Deadline, 8, 1, 0xe26e295b2d16e1b4, 0x2cd05ebbb26855c4),
-        (L, Deadline, 8, 64, 0x2bdc72e62d2623ed, 0x0e50ebbfb78d2232),
-        (R, Plain, 1, 1, 0x64c666ea35949f8a, 0x2cf7518943032e5d),
-        (R, Plain, 1, 64, 0x757e1fbca929fec4, 0x98fbcc13abd05b09),
-        (R, Plain, 8, 1, 0x248c90b466605517, 0x2cf7518943032e5d),
-        (R, Plain, 8, 64, 0x00e3f39a1725b0a5, 0x98fbcc13abd05b09),
-        (R, Chaos, 1, 1, 0x8094d0b9ee7405ae, 0x347f46feec3a519b),
-        (R, Chaos, 1, 64, 0x7ceaa90d50996023, 0x41602d4db0b80a92),
-        (R, Chaos, 8, 1, 0x322235e048dbb385, 0x6339ee062d57138a),
-        (R, Chaos, 8, 64, 0xeea348305e228cfa, 0x46c1cfd71ea577c7),
-        (R, Deadline, 1, 1, 0x93f7d1015b99c514, 0x61020cd66fbf6544),
-        (R, Deadline, 1, 64, 0xa013706ffbb003aa, 0xa53e87749383553e),
-        (R, Deadline, 8, 1, 0xf6128a1a5ebdea5f, 0x2cd05ebbb26855c4),
-        (R, Deadline, 8, 64, 0x71bddfd20c2292e5, 0x0e50ebbfb78d2232),
-    ];
-    let (program, db) = scenario();
-    let mut actual = String::new();
-    let mut moved = 0;
-    for &row in PINNED {
-        let (tier, wire, workers, width, journal, outcome) = row;
-        let (journal_text, outcome_text) = pinned_run_texts(&program, &db, row);
-        let now = (fnv1a64(journal_text.as_bytes()), fnv1a64(outcome_text.as_bytes()));
-        moved += usize::from(now != (journal, outcome));
-        actual.push_str(&format!(
-            "        ({}, {wire:?}, {workers}, {width}, {:#018x}, {:#018x}),\n",
-            if tier { "R" } else { "L" },
-            now.0,
-            now.1,
-        ));
-    }
-    assert_eq!(PINNED.len(), 24, "2 tiers x 3 wires x 2 worker counts x 2 widths");
-    assert_eq!(moved, 0, "{moved} pinned run(s) moved; the table now reads:\n{actual}");
 }

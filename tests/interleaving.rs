@@ -11,6 +11,9 @@
 //! retries. Completion order is a scheduling artifact; outcomes are
 //! planned in issue order before any worker starts.
 
+mod common;
+
+use common::bookstore60;
 use lap::core::plan_star;
 use lap::engine::{
     execute_physical_union_with, lower_union, Database, DisjunctDegradation, EngineError,
@@ -18,22 +21,7 @@ use lap::engine::{
 };
 use lap::ir::{Program, Schema};
 use lap::obs::{JournalConfig, Recorder};
-use lap::workload::{bookstore, BookstoreConfig};
-use lap_prng::StdRng;
 use std::collections::BTreeSet;
-
-/// The federated bookstore the flight-recorder suite records: several
-/// disjuncts, a negated literal, enough calls for faults to land.
-fn scenario() -> (Program, Database) {
-    let mut rng = StdRng::seed_from_u64(2004);
-    let cfg = BookstoreConfig {
-        books: 60,
-        ..BookstoreConfig::default()
-    };
-    let bs = bookstore(&cfg, &mut rng);
-    let program = lap::ir::parse_program(&bs.program_text()).unwrap();
-    (program, bs.db)
-}
 
 /// Everything one degraded run can externally observe, journal included.
 #[derive(Debug, PartialEq)]
@@ -96,7 +84,7 @@ fn lowered(program: &Program) -> PhysicalUnion {
 
 #[test]
 fn adversarial_completion_orders_cannot_change_the_run() {
-    let (program, db) = scenario();
+    let (program, db) = bookstore60();
     let union = lowered(&program);
     let fault = FaultConfig::with_rate(0.3, 0xDECAF);
     let retry = RetryPolicy::standard();
@@ -123,7 +111,7 @@ fn adversarial_completion_orders_cannot_change_the_run() {
 /// to the ordered baseline, journal bytes included.
 #[test]
 fn timeout_and_retry_races_stay_deterministic() {
-    let (program, db) = scenario();
+    let (program, db) = bookstore60();
     let union = lowered(&program);
     let fault = FaultConfig {
         error_rate: 0.2,
@@ -157,7 +145,7 @@ fn timeout_and_retry_races_stay_deterministic() {
 /// clamp itself is under test.
 #[test]
 fn worker_width_is_clamped_and_degenerate_batches_stay_serial() {
-    let (program, db) = scenario();
+    let (program, db) = bookstore60();
     let union = lowered(&program);
     let fault = FaultConfig::with_rate(0.25, 0xFEED);
     let retry = RetryPolicy::standard();
