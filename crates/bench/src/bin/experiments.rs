@@ -1,80 +1,79 @@
-//! Experiment driver: prints the E1–E25 tables.
+//! The `experiments` binary: runs the registered experiments (E1–E25; E18 and
+//! E23 are retired) and prints their tables. Each experiment asserts its
+//! own claims, so a broken claim exits non-zero.
 //!
 //! ```sh
 //! cargo run --release -p lap-bench --bin experiments             # all, text
 //! cargo run --release -p lap-bench --bin experiments -- e2 e11  # subset
 //! cargo run --release -p lap-bench --bin experiments -- --markdown
-//! cargo run --release -p lap-bench --bin experiments -- --json            # BENCH_PR10.json
 //! cargo run --release -p lap-bench --bin experiments -- --json=tables.json
 //! ```
+//!
+//! An unknown id or flag prints the usage to stderr and exits 2.
 
-use lap_bench::runner;
-use lap_bench::tables::{tables_to_json, Table};
+use lap_bench::runner::EXPERIMENTS;
+use lap_bench::tables::tables_to_json;
 
-/// Default path for `--json` without an explicit `=<path>`.
-const DEFAULT_JSON_PATH: &str = "BENCH_PR10.json";
+/// What the command line asked for.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    markdown: bool,
+    json: Option<String>,
+    /// Registered ids to run, lowercase; empty means all of them.
+    ids: Vec<&'static str>,
+}
+
+/// Parses the arguments; `Err` names the first one that is not a flag or
+/// a registered id.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    for arg in args {
+        if arg == "--markdown" {
+            parsed.markdown = true;
+        } else if let Some(path) = arg.strip_prefix("--json=").filter(|p| !p.is_empty()) {
+            parsed.json = Some(path.to_owned());
+        } else if let Some(&(id, _)) = EXPERIMENTS
+            .iter()
+            .find(|(id, _)| id.eq_ignore_ascii_case(arg))
+        {
+            parsed.ids.push(id);
+        } else {
+            return Err(arg.clone());
+        }
+    }
+    Ok(parsed)
+}
+
+fn usage() -> String {
+    let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+    format!(
+        "usage: experiments [--markdown] [--json=<path>] [id ...]\n  ids: {}",
+        ids.join(" ")
+    )
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let markdown = args.iter().any(|a| a == "--markdown");
-    let json_path: Option<String> = args.iter().find_map(|a| {
-        if a == "--json" {
-            Some(DEFAULT_JSON_PATH.to_owned())
-        } else {
-            a.strip_prefix("--json=").map(str::to_owned)
-        }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|bad| {
+        eprintln!("experiments: unknown argument `{bad}`\n{}", usage());
+        std::process::exit(2);
     });
-    let selected: Vec<String> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(|a| a.to_lowercase())
-        .collect();
 
-    let sizes = [8usize, 16, 32, 64, 128, 256];
-    type Runner = Box<dyn Fn() -> Table>;
-    let all: Vec<(&str, Runner)> = vec![
-        ("e1", Box::new(runner::e1_example_fidelity)),
-        ("e2", Box::new(move || runner::e2_answerable_scaling(&sizes))),
-        ("e3", Box::new(move || runner::e3_plan_star_scaling(&sizes))),
-        ("e4", Box::new(|| runner::e4_fast_path_effectiveness(200))),
-        ("e5", Box::new(|| runner::e5_cq_baselines(100))),
-        ("e6", Box::new(|| runner::e6_ucq_baselines(60))),
-        ("e7", Box::new(|| runner::e7_negation_cost(60))),
-        ("e8", Box::new(|| runner::e8_containment_engines(100))),
-        ("e9", Box::new(|| runner::e9_runtime_completeness(100))),
-        ("e10", Box::new(|| runner::e10_domain_enumeration(30))),
-        ("e11", Box::new(runner::e11_hardness_stress)),
-        ("e12", Box::new(runner::e12_semantic_optimizer)),
-        ("e13", Box::new(runner::e13_recursion_profile)),
-        ("e14", Box::new(|| runner::e14_plan_ordering(60))),
-        ("e15", Box::new(runner::e15_mediator_pipeline)),
-        ("e16", Box::new(runner::e16_index_ablation)),
-        ("e17", Box::new(runner::e17_end_to_end_scenario)),
-        ("e18", Box::new(runner::e18_batched_executor)),
-        ("e19", Box::new(runner::e19_fault_resilience)),
-        ("e20", Box::new(runner::e20_journal_overhead)),
-        ("e21", Box::new(runner::e21_overlapped_io)),
-        ("e22", Box::new(runner::e22_calibrated_replanning)),
-        ("e23", Box::new(runner::e23_columnar_executor)),
-        ("e24", Box::new(runner::e24_daemon_concurrency)),
-        ("e25", Box::new(runner::e25_daemon_drift_recalibration)),
-    ];
-
-    let mut rendered: Vec<Table> = Vec::new();
-    for (id, run) in &all {
-        if !selected.is_empty() && !selected.iter().any(|s| s == id) {
+    let mut rendered = Vec::new();
+    for &(id, run) in EXPERIMENTS {
+        if !args.ids.is_empty() && !args.ids.contains(&id) {
             continue;
         }
         let table = run();
-        if markdown {
+        if args.markdown {
             println!("{}", table.to_markdown());
         } else {
             println!("{table}");
         }
-        rendered.push(table);
+        rendered.push((id, table));
     }
 
-    if let Some(path) = json_path {
+    if let Some(path) = args.json {
         let doc = format!("{}\n", tables_to_json(&rendered).to_pretty());
         match std::fs::write(&path, doc) {
             Ok(()) => eprintln!("wrote {} table(s) to {path}", rendered.len()),
@@ -83,5 +82,39 @@ fn main() {
                 std::process::exit(1);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn ids_are_case_insensitive_and_flags_parse() {
+        assert_eq!(
+            parse(&["E1", "e25", "--markdown", "--json=out.json"]),
+            Ok(Args {
+                markdown: true,
+                json: Some("out.json".into()),
+                ids: vec!["e1", "e25"]
+            })
+        );
+        assert_eq!(parse(&[]), Ok(Args::default()));
+    }
+
+    #[test]
+    fn unknown_ids_and_flags_are_refused() {
+        for bad in ["e26", "e18", "--jsn", "--json", "--json=", "markdown"] {
+            assert_eq!(parse(&["e1", bad]), Err(bad.to_owned()), "{bad}");
+        }
+        let usage = usage();
+        assert!(
+            usage.contains("e1 e2 ") && usage.ends_with("e24 e25"),
+            "{usage}"
+        );
     }
 }

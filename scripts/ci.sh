@@ -10,9 +10,12 @@
 # calibrated re-runs, daemon = one-shot through the `lapd` binary, the
 # observability exports) are rows of `tests/contract_table`, which the
 # tier-1 `cargo test` below runs; the malformed-arity check is
-# `tests/cli.rs::unrunnable_input_exits_1_with_a_named_error`. What stays
-# here is what tier-1 does not run: the out-of-workspace benchmark, the
-# widened sweeps, the soak and clippy.
+# `tests/cli.rs::unrunnable_input_exits_1_with_a_named_error`. The
+# experiments' acceptance bars (E1-E25, e.g. E21's <= 0.5x serial, E24's
+# zero failures at 256 clients, E25's >= 80% recovery) are asserts inside
+# the experiments, and tier-1 runs every registered one. What stays here
+# is what tier-1 does not run: the out-of-workspace benchmark, the widened
+# sweeps, the soak and clippy.
 set -eu
 
 cd "$(dirname "$0")/.."
