@@ -3,9 +3,9 @@
 //! Section 5.3. Both are **NP**-complete decision procedures; they differ
 //! in *which* expensive subroutine they lead with.
 
-use lap_containment::{cq_contained, minimize_cq};
+use lap_containment::{minimize_cq, ContainmentEngine};
 use lap_core::{answerable_split, is_orderable_cq};
-use lap_ir::{ConjunctiveQuery, Schema};
+use lap_ir::{ConjunctiveQuery, Schema, UnionQuery};
 
 /// `CQstable`: find a minimal `M ≡ Q` (the core), then check that
 /// `ans(M) = M` — i.e. that the minimal query is orderable.
@@ -39,14 +39,14 @@ pub fn cq_stable_star(q: &ConjunctiveQuery, schema: &Schema) -> bool {
     if !a.is_safe() {
         return false;
     }
-    cq_contained(&a, q)
+    ContainmentEngine::default().contained(&UnionQuery::single(a), &UnionQuery::single(q.clone()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use lap_core::feasible;
-    use lap_ir::{parse_program, UnionQuery};
+    use lap_ir::parse_program;
 
     fn setup(text: &str) -> (ConjunctiveQuery, Schema) {
         let p = parse_program(text).unwrap();

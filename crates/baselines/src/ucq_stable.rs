@@ -2,7 +2,7 @@
 //! \[LC01\], re-implemented from the paper's Section 5.4.
 
 use crate::cq_stable::cq_stable_star;
-use lap_containment::{minimize_ucq, ucq_contained};
+use lap_containment::{minimize_ucq, ContainmentEngine};
 use lap_ir::{Schema, UnionQuery};
 
 /// `UCQstable`: find a minimal (with respect to union) `M ≡ Q`, then check
@@ -32,7 +32,7 @@ pub fn ucq_stable_star(q: &UnionQuery, schema: &Schema) -> bool {
         return q.is_false();
     }
     let p = UnionQuery::new(feasible_disjuncts).expect("shared heads");
-    ucq_contained(q, &p)
+    ContainmentEngine::default().contained(q, &p)
 }
 
 #[cfg(test)]

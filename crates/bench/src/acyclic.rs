@@ -1,13 +1,16 @@
 //! Acyclicity (GYO reduction) and the polynomial containment fast path for
-//! acyclic right-hand queries (Chekuri–Rajaraman [CR97]).
+//! acyclic right-hand queries (Chekuri–Rajaraman [CR97]) — experiment E8's
+//! comparison point, not a production decider.
 //!
 //! `P ⊑ Q` is decided by evaluating `Q` over `P`'s canonical database with
 //! the free variables pre-bound to their frozen constants. When `Q` is
 //! α-acyclic this boolean evaluation is done with Yannakakis' semijoin
 //! program over a GYO join tree — polynomial time — instead of the generic
-//! NP backtracking search.
+//! NP backtracking search. On E8's corpus the backtracking search is still
+//! several times faster, which is why the containment engine does not
+//! dispatch here.
 
-use crate::canonical::{canonical_facts, freezing_substitution};
+use lap_containment::freeze;
 use lap_ir::{Atom, ConjunctiveQuery, Substitution, Term, Var};
 use std::collections::{HashMap, HashSet};
 
@@ -15,17 +18,17 @@ use std::collections::{HashMap, HashSet};
 /// `i`, `None` for the root. Produced by GYO ear removal; exists iff the
 /// query's hypergraph is α-acyclic.
 #[derive(Debug, Clone)]
-pub struct JoinTree {
+struct JoinTree {
     /// Parent atom index per atom; exactly one root has `None`.
-    pub parent: Vec<Option<usize>>,
+    parent: Vec<Option<usize>>,
     /// Atom indices in the order ears were removed (leaves first). The last
     /// entry is the root.
-    pub elimination_order: Vec<usize>,
+    elimination_order: Vec<usize>,
 }
 
 /// Attempts to build a GYO join tree over the positive atoms of `q`.
 /// Returns `None` if the hypergraph is cyclic.
-pub fn join_tree(q: &ConjunctiveQuery) -> Option<JoinTree> {
+fn join_tree(q: &ConjunctiveQuery) -> Option<JoinTree> {
     let atoms: Vec<&Atom> = q.body.iter().filter(|l| l.positive).map(|l| &l.atom).collect();
     let n = atoms.len();
     if n == 0 {
@@ -81,20 +84,20 @@ pub fn join_tree(q: &ConjunctiveQuery) -> Option<JoinTree> {
 }
 
 /// True iff the positive body of `q` is α-acyclic.
-pub fn is_acyclic(q: &ConjunctiveQuery) -> bool {
+pub(crate) fn is_acyclic(q: &ConjunctiveQuery) -> bool {
     join_tree(q).is_some()
 }
 
 /// Polynomial containment check `P ⊑ Q` for plain CQs with acyclic `Q`.
 /// Returns `None` when `Q` is cyclic (caller should fall back to the
 /// generic check).
-pub fn cq_contained_acyclic(p: &ConjunctiveQuery, q: &ConjunctiveQuery) -> Option<bool> {
+pub(crate) fn cq_contained_acyclic(p: &ConjunctiveQuery, q: &ConjunctiveQuery) -> Option<bool> {
     debug_assert!(p.is_positive() && q.is_positive());
     let tree = join_tree(q)?;
     if q.head.predicate != p.head.predicate {
         return Some(false);
     }
-    let frz = freezing_substitution(p);
+    let (frz, facts) = freeze(p, q);
     let frozen_head = frz.apply_atom(&p.head);
     // Bind q's head terms to the frozen head constants; reject clashes.
     let mut bind = Substitution::new();
@@ -109,7 +112,6 @@ pub fn cq_contained_acyclic(p: &ConjunctiveQuery, q: &ConjunctiveQuery) -> Optio
             Term::Const(_) => return Some(false),
         }
     }
-    let facts = canonical_facts(p);
     let q_atoms: Vec<Atom> = q
         .body
         .iter()
@@ -179,8 +181,16 @@ pub fn cq_contained_acyclic(p: &ConjunctiveQuery, q: &ConjunctiveQuery) -> Optio
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cq::cq_contained;
-    use lap_ir::parse_cq;
+    use lap_containment::{cq_contained_canonical, ContainmentEngine};
+    use lap_ir::{parse_cq, UnionQuery};
+    use lap_prng::StdRng;
+    use lap_workload::{gen_query, gen_schema, QueryConfig, SchemaConfig};
+
+    /// `P ⊑ Q` through the containment engine, the production decider.
+    fn door(p: &ConjunctiveQuery, q: &ConjunctiveQuery) -> bool {
+        ContainmentEngine::default()
+            .contained(&UnionQuery::single(p.clone()), &UnionQuery::single(q.clone()))
+    }
 
     #[test]
     fn chains_are_acyclic() {
@@ -220,7 +230,7 @@ mod tests {
         for (p, q) in cases {
             let p = parse_cq(p).unwrap();
             let q = parse_cq(q).unwrap();
-            let generic = cq_contained(&p, &q);
+            let generic = door(&p, &q);
             let fast = cq_contained_acyclic(&p, &q).expect("acyclic Q");
             assert_eq!(generic, fast, "disagreement on P={p} Q={q}");
         }
@@ -231,6 +241,59 @@ mod tests {
         let p = parse_cq("Q(x) :- R(x, x), S(x, x), T(x, x).").unwrap();
         let q = parse_cq("Q(x) :- R(x, y), S(y, z), T(z, x).").unwrap();
         assert!(cq_contained_acyclic(&p, &q).is_none());
-        assert!(cq_contained(&p, &q));
+        assert!(door(&p, &q));
+    }
+
+    #[test]
+    fn string_constants_that_look_frozen_stay_distinct() {
+        for (p, q) in [
+            (r#"Q(x) :- R(x, "_frz_x")."#, "Q(y) :- R(y, y)."),
+            ("Q(x) :- R(x).", r#"Q("_frz_x") :- R("_frz_x")."#),
+        ] {
+            let (p, q) = (parse_cq(p).unwrap(), parse_cq(q).unwrap());
+            assert_eq!(cq_contained_acyclic(&p, &q), Some(false), "P={p} Q={q}");
+            assert!(!door(&p, &q), "P={p} Q={q}");
+        }
+    }
+
+    /// The fast path agrees with the canonical-database reference whenever
+    /// it applies, on 512 seeded random CQ pairs.
+    #[test]
+    fn prop_acyclic_fast_path_agrees() {
+        let schema_cfg = SchemaConfig {
+            num_relations: 4,
+            min_arity: 1,
+            max_arity: 3,
+            patterns_per_relation: 2,
+            input_fraction: 0.4,
+            free_scan_fraction: 0.5,
+        };
+        let query_cfg = QueryConfig {
+            num_disjuncts: 1,
+            positive_per_disjunct: 3,
+            negative_per_disjunct: 0,
+            extra_vars: 2,
+            head_arity: 2,
+            constant_fraction: 0.1,
+            constant_pool: 3,
+        };
+        for case in 0..512u64 {
+            let mut rng = StdRng::seed_from_u64(4u64.wrapping_mul(0x9E37_79B9) ^ case);
+            let schema = gen_schema(&schema_cfg, &mut StdRng::seed_from_u64(rng.gen_range(0..16)));
+            let cq = |rng: &mut StdRng| {
+                gen_query(&schema, &query_cfg, &mut StdRng::seed_from_u64(rng.gen_range(0..512)))
+                    .disjuncts[0]
+                    .clone()
+            };
+            let p = cq(&mut rng);
+            let q = cq(&mut rng);
+            if let Some(fast) = cq_contained_acyclic(&p, &q) {
+                assert_eq!(
+                    fast,
+                    cq_contained_canonical(&p, &q),
+                    "case {case}: acyclic path wrong on\nP = {p}\nQ = {q}"
+                );
+            }
+        }
     }
 }

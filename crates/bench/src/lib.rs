@@ -19,5 +19,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod acyclic;
 pub mod runner;
 pub mod tables;

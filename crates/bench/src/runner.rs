@@ -7,17 +7,15 @@
 //! entry. Everything is seeded — rerunning reproduces identical workloads
 //! (timings vary with the machine, shapes should not).
 
+use crate::acyclic::{cq_contained_acyclic, is_acyclic};
 use crate::tables::{time_median, Cell, Table};
 use lap_baselines::{cq_stable, cq_stable_star, ucq_stable, ucq_stable_star};
-use lap_containment::{
-    cq_contained, cq_contained_acyclic, cq_contained_canonical, is_acyclic, ucqn_contained,
-};
+use lap_containment::{cq_contained_canonical, ContainmentEngine};
 use lap_core::{
     answer_star, answer_star_with_domain, answerable_split, containment_to_feasibility, feasible,
     feasible_detailed, plan_star, Completeness, DecisionPath,
 };
 use lap_constraints::{feasible_under, prune_unsatisfiable, ConstraintSet, InclusionDep};
-use lap_containment::ucqn_contained_stats;
 use lap_engine::{eval_oracle, eval_ordered_union, SourceRegistry};
 use lap_mediator::Mediator;
 use lap_planner::{minimal_executable_plan, optimize_plan_pair, CostModel, Strategy};
@@ -499,10 +497,17 @@ fn e8_containment_engines() -> Table {
                 (p, q)
             })
             .collect();
+        // The mapping search as production pays for it: the engine door on
+        // single-disjunct unions.
+        let engine = ContainmentEngine::default();
+        let unions: Vec<_> = pairs
+            .iter()
+            .map(|(p, q)| (UnionQuery::single(p.clone()), UnionQuery::single(q.clone())))
+            .collect();
         let mut agreeing = 0usize;
         let mut acyclic_count = 0usize;
-        for (p, q) in &pairs {
-            let a = cq_contained(p, q);
+        for ((p, q), (up, uq)) in pairs.iter().zip(&unions) {
+            let a = engine.contained(up, uq);
             let mut agree = a == cq_contained_canonical(p, q);
             if is_acyclic(q) {
                 acyclic_count += 1;
@@ -512,8 +517,8 @@ fn e8_containment_engines() -> Table {
         }
         assert_eq!(agreeing, num_pairs, "containment engines disagree ({positives} positives)");
         let d_map = time_median(3, || {
-            for (p, q) in &pairs {
-                std::hint::black_box(cq_contained(p, q));
+            for (up, uq) in &unions {
+                std::hint::black_box(engine.contained(up, uq));
             }
         });
         let d_canon = time_median(3, || {
@@ -654,8 +659,10 @@ fn e11_hardness_stress() -> Table {
         let (p, q) = excluded_middle_pair(n);
         // The verdicts are the timed runs' own: at n = 8 each decision is
         // a sizeable share of the registry's debug-build time.
+        let engine = ContainmentEngine::default();
         let mut cont = false;
-        let d_cont = time_median(3, || cont = std::hint::black_box(ucqn_contained(&p, &q)));
+        let d_cont =
+            time_median(3, || cont = std::hint::black_box(engine.contained_stats(&p, &q)).0);
         let inst = containment_to_feasibility(&p, &q);
         let mut feas = false;
         let d_feas =
@@ -712,10 +719,11 @@ fn e12_semantic_optimizer() -> Table {
         let (q, schema, cs) = example6_family(k);
         let plain = feasible(&q, &schema);
         let pruned = prune_unsatisfiable(&q, &cs);
+        let engine = ContainmentEngine::default();
+        let mut constrained = false;
         let d = time_median(TIMING_ITERS, || {
-            std::hint::black_box(feasible_under(&q, &cs, &schema));
+            constrained = std::hint::black_box(feasible_under(&q, &cs, &schema, &engine)).feasible;
         });
-        let constrained = feasible_under(&q, &cs, &schema).feasible;
         assert!(!plain && constrained, "Σ must flip k = {k} from infeasible to feasible");
         t.row(vec![
             k.into(),
@@ -740,7 +748,7 @@ fn e13_recursion_profile() -> Table {
     let mut prev_calls = 0;
     for n in [2usize, 4, 6, 8] {
         let (p, q) = excluded_middle_pair(n);
-        let (result, stats) = ucqn_contained_stats(&p, &q);
+        let (result, stats) = ContainmentEngine::default().contained_stats(&p, &q);
         assert!(result);
         assert!(
             stats.recursive_calls > prev_calls,

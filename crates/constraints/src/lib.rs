@@ -15,9 +15,13 @@
 //!   constraints, and ANSWER\*'s runtime completeness on fk-closed
 //!   instances (experiment E9) becomes a compile-time guarantee.
 //!
+//! The crate exports no containment decider: `ans(Q) ⊑_Σ Q` is a chase in
+//! front of the one door, [`ContainmentEngine`](lap_core::ContainmentEngine),
+//! which `feasible_under` takes as an argument.
+//!
 //! ```
 //! use lap_constraints::{feasible_under, ConstraintSet, InclusionDep};
-//! use lap_core::feasible;
+//! use lap_core::{feasible, ContainmentEngine};
 //! use lap_ir::{parse_program, Predicate};
 //!
 //! let p = parse_program(
@@ -35,7 +39,7 @@
 //!     Predicate::new("R", 2), vec![1],
 //!     Predicate::new("S", 1), vec![0],
 //! ));
-//! assert!(feasible_under(q, &cs, &p.schema).feasible);
+//! assert!(feasible_under(q, &cs, &p.schema, &ContainmentEngine::default()).feasible);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,7 +52,6 @@ mod optimizer;
 mod parse;
 
 pub use chase::{chase, satisfiable_under, ChaseResult, SatVerdict, DEFAULT_CHASE_ROUNDS};
-pub use containment::{contained_under, cqn_contained_under, equivalent_under};
 pub use deps::{ConstraintSet, FunctionalDep, InclusionDep};
 pub use optimizer::{feasible_under, prune_unsatisfiable};
 pub use parse::{parse_constraints, ConstraintParseError};

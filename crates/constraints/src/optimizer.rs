@@ -4,9 +4,9 @@
 //! by a semantic optimizer."
 
 use crate::chase::{satisfiable_under, SatVerdict, DEFAULT_CHASE_ROUNDS};
-use crate::containment::contained_under;
+use crate::containment::chase_then_contain;
 use crate::deps::ConstraintSet;
-use lap_core::{plan_star, DecisionPath, FeasibilityReport};
+use lap_core::{plan_star, ContainmentEngine, DecisionPath, FeasibilityReport};
 use lap_ir::{Schema, UnionQuery};
 
 /// Removes every disjunct *provably* unsatisfiable under `Σ` (sound: chase
@@ -33,8 +33,10 @@ pub fn prune_unsatisfiable(q: &UnionQuery, cs: &ConstraintSet) -> UnionQuery {
 /// both of its semantic steps strengthened by `Σ`:
 ///
 /// 1. Σ-unsatisfiable disjuncts are pruned (Example 6's discard), and
-/// 2. the containment branch tests `ans(Q) ⊑_Σ Q` (chase-then-contain)
-///    instead of plain containment.
+/// 2. the containment branch tests `ans(Q) ⊑_Σ Q` by asking `engine`
+///    whether `chase_Σ(ans(Q)ᵢ) ⊑ Q` for each disjunct, and reports the
+///    absorbed stats of those decisions in
+///    [`FeasibilityReport::containment`].
 ///
 /// A query infeasible in general may become feasible either way: a blocked
 /// disjunct can be Σ-dead, or its unanswerable literal can be Σ-implied by
@@ -43,6 +45,7 @@ pub fn feasible_under(
     q: &UnionQuery,
     cs: &ConstraintSet,
     schema: &Schema,
+    engine: &ContainmentEngine,
 ) -> FeasibilityReport {
     let pruned = prune_unsatisfiable(q, cs);
     let plans = plan_star(&pruned, schema);
@@ -66,12 +69,12 @@ pub fn feasible_under(
         .over
         .as_query()
         .expect("null-free overestimate is a plain query");
-    let feasible = contained_under(&ans_q, &pruned, cs);
+    let (feasible, stats) = chase_then_contain(&ans_q, &pruned, cs, engine);
     FeasibilityReport {
         feasible,
         decided_by: DecisionPath::ContainmentCheck,
         plans,
-        containment: None,
+        containment: Some(stats),
     }
 }
 
@@ -100,9 +103,14 @@ mod sigma_containment_tests {
             Predicate::new("S", 2),
             vec![0],
         ));
-        let report = feasible_under(q, &cs, &p.schema);
+        let engine = ContainmentEngine::default();
+        let report = feasible_under(q, &cs, &p.schema, &engine);
         assert!(report.feasible);
         assert_eq!(report.decided_by, DecisionPath::ContainmentCheck);
+        // The Σ branch decides through the engine, which counts it.
+        let stats = report.containment.expect("the Σ branch reports its stats");
+        assert_eq!(stats.engine_cache_misses, 1, "{stats:?}");
+        assert_eq!(engine.stats().decisions, 1);
     }
 
     #[test]
@@ -119,7 +127,7 @@ mod sigma_containment_tests {
             Predicate::new("S", 2),
             vec![0],
         ));
-        assert!(!feasible_under(q, &cs, &p.schema).feasible);
+        assert!(!feasible_under(q, &cs, &p.schema, &ContainmentEngine::default()).feasible);
     }
 }
 
@@ -156,7 +164,7 @@ mod tests {
         assert_eq!(pruned.disjuncts.len(), 1);
         assert_eq!(pruned.disjuncts[0].to_string(), "Q(x, y) :- T(x, y).");
         // …and the remainder is feasible (indeed executable).
-        let report = feasible_under(&q, &cs, &schema);
+        let report = feasible_under(&q, &cs, &schema, &ContainmentEngine::default());
         assert!(report.feasible);
     }
 
@@ -183,6 +191,6 @@ mod tests {
         let q = p.single_query().unwrap();
         let pruned = prune_unsatisfiable(q, &cs);
         assert!(pruned.is_false());
-        assert!(feasible_under(q, &cs, &p.schema).feasible);
+        assert!(feasible_under(q, &cs, &p.schema, &ContainmentEngine::default()).feasible);
     }
 }

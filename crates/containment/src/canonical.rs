@@ -5,8 +5,8 @@
 //! constants (Chandra–Merlin). This is a deliberately *independent*
 //! implementation from [`crate::cq::cq_contained`] — a naive fact-scan
 //! evaluator with no atom reordering or predicate indexing — used as a
-//! differential-testing oracle in the property-test suite and as the
-//! substrate for the acyclic fast path.
+//! differential-testing oracle in the property-test suite and the
+//! experiments.
 
 use lap_ir::{Atom, Constant, ConjunctiveQuery, Substitution, Term, UnionQuery, Var};
 use std::collections::HashMap;
@@ -42,32 +42,43 @@ fn canonical_disjunct(p: &ConjunctiveQuery) -> String {
     format!("{} :- {}", renamed.head, lits.join(", "))
 }
 
-/// Freezes the variables of `p` into fresh constants `_frz_<name>`.
-/// Returns the substitution used.
-pub fn freezing_substitution(p: &ConjunctiveQuery) -> Substitution {
+/// Freezes the variables of `p` into fresh string constants: returns the
+/// substitution used and the canonical database of `p` (its positive body
+/// atoms, frozen). Variable `x` becomes `<prefix>x`, where the prefix
+/// (`_frz_`, lengthened with `_` as needed) starts no string constant of
+/// `p` or `avoid`, so a frozen variable never equals a constant that
+/// either query names.
+pub fn freeze(p: &ConjunctiveQuery, avoid: &ConjunctiveQuery) -> (Substitution, Vec<Atom>) {
+    let strings: Vec<&str> = [p, avoid]
+        .into_iter()
+        .flat_map(|q| std::iter::once(&q.head).chain(q.body.iter().map(|l| &l.atom)))
+        .flat_map(|a| a.args.iter())
+        .filter_map(|t| match t {
+            Term::Const(Constant::Str(s)) => Some(s.as_str()),
+            _ => None,
+        })
+        .collect();
+    let mut prefix = String::from("_frz_");
+    while strings.iter().any(|s| s.starts_with(prefix.as_str())) {
+        prefix.push('_');
+    }
     let mut s = Substitution::new();
     for v in p.vars() {
-        s.insert(v, Term::Const(Constant::str(&format!("_frz_{}", v.name()))));
+        s.insert(v, Term::Const(Constant::str(&format!("{prefix}{}", v.name()))));
     }
-    s
-}
-
-/// The canonical database of `p`: its positive body atoms with variables
-/// frozen to constants.
-pub fn canonical_facts(p: &ConjunctiveQuery) -> Vec<Atom> {
-    let s = freezing_substitution(p);
-    p.body
+    let facts = p
+        .body
         .iter()
         .filter(|l| l.positive)
         .map(|l| s.apply_atom(&l.atom))
-        .collect()
+        .collect();
+    (s, facts)
 }
 
 /// `P ⊑ Q` for plain CQs via the canonical database.
 pub fn cq_contained_canonical(p: &ConjunctiveQuery, q: &ConjunctiveQuery) -> bool {
     debug_assert!(p.is_positive() && q.is_positive());
-    let s = freezing_substitution(p);
-    let facts = canonical_facts(p);
+    let (s, facts) = freeze(p, q);
     let frozen_head = s.apply_atom(&p.head);
     // Unify q's head with the frozen head to seed the evaluation.
     if q.head.predicate != frozen_head.predicate {
@@ -176,8 +187,20 @@ mod tests {
     #[test]
     fn canonical_facts_are_ground() {
         let p = parse_cq("Q(x) :- R(x, y), S(y, 3).").unwrap();
-        for f in canonical_facts(&p) {
+        for f in freeze(&p, &p).1 {
             assert!(f.is_ground(), "{f}");
+        }
+    }
+
+    #[test]
+    fn string_constants_that_look_frozen_stay_distinct() {
+        // The instance R(1, "_frz_x") refutes the first pair; the second
+        // pair clashes through Q's constants instead of P's.
+        for (p, q) in [
+            (r#"Q(x) :- R(x, "_frz_x")."#, "Q(y) :- R(y, y)."),
+            ("Q(x) :- R(x).", r#"Q("_frz_x") :- R("_frz_x")."#),
+        ] {
+            assert_eq!(both(p, q), (false, false), "P={p} Q={q}");
         }
     }
 

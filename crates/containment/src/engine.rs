@@ -1,6 +1,6 @@
-//! A configurable containment engine: the crate's decision procedures
-//! behind a handle that adds **parallel** per-disjunct evaluation and a
-//! **memoized** verdict cache shared across calls.
+//! The containment engine: the crate's one door. Every `P ⊑ Q` decision
+//! goes through a handle that adds **parallel** per-disjunct evaluation, a
+//! **memoized** verdict cache shared across calls, and recorder counters.
 //!
 //! The paper's `FEASIBLE` algorithm (Fig. 3) and the mediator's rewriting
 //! loop both call containment repeatedly — often on the *same* pair of
@@ -12,10 +12,9 @@
 //! *sound*: equal keys imply equivalent queries, so a cached verdict is
 //! always the verdict the full procedure would return.
 //!
-//! [`ContainmentEngine::default()`] is sequential and uncached — exactly
-//! the behavior of the free function [`contained`](crate::contained) — so
-//! threading an engine through existing code is behavior-preserving until
-//! a caller opts in via [`EngineConfig`].
+//! [`ContainmentEngine::default()`] is sequential and uncached; a caller
+//! opts into the fan-out and the memo via [`EngineConfig`], and the
+//! verdict is the same in every configuration.
 
 use crate::canonical::canonical_key;
 use crate::ucq::ucq_contained;
@@ -24,7 +23,6 @@ use lap_ir::UnionQuery;
 use lap_obs::{Counter, Recorder};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Tuning knobs for a [`ContainmentEngine`].
@@ -38,11 +36,6 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Sequential, uncached — the behavior of the free functions.
-    pub fn sequential() -> EngineConfig {
-        EngineConfig::default()
-    }
-
     /// Parallel *and* cached.
     pub fn full() -> EngineConfig {
         EngineConfig {
@@ -94,7 +87,7 @@ impl fmt::Display for EngineStats {
 /// Lifetime counters live in `lap-obs` [`Counter`]s (named
 /// `containment.*` when attached to a [`Recorder`], detached otherwise);
 /// [`ContainmentEngine::stats`] is a view over them relative to the
-/// baselines captured at the last [`ContainmentEngine::clear`].
+/// baselines captured at construction.
 pub struct ContainmentEngine {
     cfg: EngineConfig,
     recorder: Recorder,
@@ -107,17 +100,17 @@ pub struct ContainmentEngine {
     mappings_checked: Counter,
     verdict_contained: Counter,
     verdict_not_contained: Counter,
-    /// Counter values at the last `clear()` — shared recorder counters are
+    /// Counter values at construction — shared recorder counters are
     /// monotone, so the per-engine view subtracts these.
-    base_decisions: AtomicU64,
-    base_hits: AtomicU64,
-    base_misses: AtomicU64,
+    base_decisions: u64,
+    base_hits: u64,
+    base_misses: u64,
     procedure: Mutex<ContainmentStats>,
 }
 
 impl Default for ContainmentEngine {
     fn default() -> ContainmentEngine {
-        ContainmentEngine::new(EngineConfig::sequential())
+        ContainmentEngine::new(EngineConfig::default())
     }
 }
 
@@ -141,29 +134,28 @@ impl ContainmentEngine {
     /// `containment.*` names (decisions, cache hits/misses, recursive
     /// calls, memo hits, mappings checked, verdict tallies).
     pub fn with_recorder(cfg: EngineConfig, recorder: &Recorder) -> ContainmentEngine {
-        let engine = ContainmentEngine {
+        let decisions = recorder.counter("containment.decisions");
+        let hits = recorder.counter("containment.cache_hits");
+        let misses = recorder.counter("containment.cache_misses");
+        ContainmentEngine {
             cfg,
             recorder: recorder.clone(),
             verdicts: Mutex::new(HashMap::new()),
-            decisions: recorder.counter("containment.decisions"),
-            hits: recorder.counter("containment.cache_hits"),
-            misses: recorder.counter("containment.cache_misses"),
+            // The shared counters may already carry traffic from elsewhere
+            // — start this engine's view at zero.
+            base_decisions: decisions.get(),
+            base_hits: hits.get(),
+            base_misses: misses.get(),
+            decisions,
+            hits,
+            misses,
             recursive_calls: recorder.counter("containment.recursive_calls"),
             memo_hits: recorder.counter("containment.memo_hits"),
             mappings_checked: recorder.counter("containment.mappings_checked"),
             verdict_contained: recorder.counter("containment.verdicts.contained"),
             verdict_not_contained: recorder.counter("containment.verdicts.not_contained"),
-            base_decisions: AtomicU64::new(0),
-            base_hits: AtomicU64::new(0),
-            base_misses: AtomicU64::new(0),
             procedure: Mutex::new(ContainmentStats::default()),
-        };
-        // The shared counters may already carry traffic from elsewhere —
-        // start this engine's view at zero.
-        engine.base_decisions.store(engine.decisions.get(), Ordering::Relaxed);
-        engine.base_hits.store(engine.hits.get(), Ordering::Relaxed);
-        engine.base_misses.store(engine.misses.get(), Ordering::Relaxed);
-        engine
+        }
     }
 
     /// The engine's configuration.
@@ -176,8 +168,8 @@ impl ContainmentEngine {
         &self.recorder
     }
 
-    /// `P ⊑ Q` under this engine's strategy. Same decision as
-    /// [`crate::contained`] in every configuration.
+    /// `P ⊑ Q` under this engine's strategy. The decision is the same in
+    /// every configuration.
     pub fn contained(&self, p: &UnionQuery, q: &UnionQuery) -> bool {
         self.contained_stats(p, q).0
     }
@@ -237,8 +229,8 @@ impl ContainmentEngine {
         }
     }
 
-    /// Runs the underlying decision procedure, preserving the free
-    /// function's dispatch: positive pairs take the plain UCQ path.
+    /// Runs the underlying decision procedure: positive pairs take the
+    /// plain UCQ path, everything else the Wei–Lausen recursion.
     fn decide(&self, p: &UnionQuery, q: &UnionQuery) -> (bool, ContainmentStats) {
         if p.is_positive() && q.is_positive() {
             // Sagiv–Yannakakis per-disjunct-pair mapping search; cheap
@@ -256,14 +248,13 @@ impl ContainmentEngine {
         self.contained(p, q) && self.contained(q, p)
     }
 
-    /// A snapshot of the engine's lifetime counters (since construction /
-    /// the last [`ContainmentEngine::clear`]) — a view over the shared
-    /// recorder counters.
+    /// A snapshot of the engine's lifetime counters since construction — a
+    /// view over the shared recorder counters.
     pub fn stats(&self) -> EngineStats {
         EngineStats {
-            decisions: self.decisions.get() - self.base_decisions.load(Ordering::Relaxed),
-            cache_hits: self.hits.get() - self.base_hits.load(Ordering::Relaxed),
-            cache_misses: self.misses.get() - self.base_misses.load(Ordering::Relaxed),
+            decisions: self.decisions.get() - self.base_decisions,
+            cache_hits: self.hits.get() - self.base_hits,
+            cache_misses: self.misses.get() - self.base_misses,
             cache_entries: self
                 .verdicts
                 .lock()
@@ -272,25 +263,12 @@ impl ContainmentEngine {
             procedure: *self.procedure.lock().expect("stats mutex not poisoned"),
         }
     }
-
-    /// Drops all cached verdicts and zeroes this engine's stats view (the
-    /// recorder's lifetime counters are monotone and keep their values).
-    pub fn clear(&self) {
-        self.verdicts
-            .lock()
-            .expect("verdict cache not poisoned")
-            .clear();
-        self.base_decisions.store(self.decisions.get(), Ordering::Relaxed);
-        self.base_hits.store(self.hits.get(), Ordering::Relaxed);
-        self.base_misses.store(self.misses.get(), Ordering::Relaxed);
-        *self.procedure.lock().expect("stats mutex not poisoned") = ContainmentStats::default();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contained;
+    use crate::ucqn::ucqn_contained_stats;
     use lap_ir::parse_query;
 
     fn q(text: &str) -> UnionQuery {
@@ -313,10 +291,12 @@ mod tests {
         ),
     ];
 
+    /// Every configuration agrees with the crate's free search
+    /// `ucqn_contained_stats`, which the engine wraps.
     #[test]
     fn every_config_agrees_with_the_free_function() {
         let configs = [
-            EngineConfig::sequential(),
+            EngineConfig::default(),
             EngineConfig::full(),
             EngineConfig {
                 parallel: true,
@@ -333,7 +313,7 @@ mod tests {
                 let (p, qq) = (q(p), q(qq));
                 assert_eq!(
                     engine.contained(&p, &qq),
-                    contained(&p, &qq),
+                    ucqn_contained_stats(&p, &qq).0,
                     "cfg {cfg:?} disagrees on P={p} Q={qq}"
                 );
             }
@@ -390,17 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_everything() {
-        let engine = ContainmentEngine::new(EngineConfig::full());
-        let p = q("Q(x) :- R(x), not S(x).");
-        engine.contained(&p, &p);
-        engine.contained(&p, &p);
-        engine.clear();
-        let s = engine.stats();
-        assert_eq!(s, EngineStats::default());
-    }
-
-    #[test]
     fn recorder_mirrors_engine_counters() {
         let rec = Recorder::new();
         let engine = ContainmentEngine::with_recorder(EngineConfig::full(), &rec);
@@ -423,12 +392,13 @@ mod tests {
                 + snap.counter("containment.verdicts.not_contained"),
             s.decisions
         );
-        // clear() re-baselines the view without touching the recorder.
-        engine.clear();
-        assert_eq!(engine.stats(), EngineStats::default());
+        // A second engine on the same recorder starts its view at zero
+        // while the recorder's counters keep their values.
+        let second = ContainmentEngine::with_recorder(EngineConfig::full(), &rec);
+        assert_eq!(second.stats(), EngineStats::default());
         assert_eq!(rec.snapshot().counter("containment.decisions"), 3);
-        engine.contained(&p, &qq);
-        assert_eq!(engine.stats().decisions, 1);
+        second.contained(&p, &qq);
+        assert_eq!(second.stats().decisions, 1);
         assert_eq!(rec.snapshot().counter("containment.decisions"), 4);
     }
 

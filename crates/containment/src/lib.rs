@@ -1,46 +1,45 @@
 //! Query containment for CQ, UCQ, CQ¬, and UCQ¬.
 //!
 //! This crate implements the containment machinery that the paper's
-//! `FEASIBLE` algorithm reduces to (Section 5.1):
+//! `FEASIBLE` algorithm reduces to (Section 5.1). It has one door:
+//! [`ContainmentEngine`] decides every `P ⊑ Q` through
+//! [`contained`](ContainmentEngine::contained),
+//! [`contained_stats`](ContainmentEngine::contained_stats) and
+//! [`equivalent`](ContainmentEngine::equivalent), memoising verdicts and
+//! reporting to a recorder as configured. Behind it:
 //!
-//! * [`cq_contained`] — Chandra–Merlin containment of plain conjunctive
-//!   queries via containment-mapping search (**NP**-complete) \[CM77\].
-//! * [`cq_contained_canonical`] — an independent canonical-database oracle
-//!   for the same problem, used for differential testing.
-//! * [`cq_contained_acyclic`] — the polynomial fast path for acyclic
-//!   right-hand queries (GYO join tree + boolean Yannakakis) \[CR97\].
-//! * [`ucq_contained`] — Sagiv–Yannakakis containment of unions \[SY80\].
-//! * [`ucqn_contained`] / [`cqn_in_ucqn`] — the Wei–Lausen procedure for
-//!   queries with safe negation (**Π₂ᴾ**-complete), Theorems 12–13 of the
-//!   paper \[WL03\].
-//! * [`minimize_cq`] / [`minimize_ucq`] — cores and union minimization, the
-//!   subroutines of the Li–Chang baseline algorithms.
+//! * plain-positive pairs take the Sagiv–Yannakakis criterion \[SY80\]: a
+//!   Chandra–Merlin containment-mapping search per disjunct pair
+//!   (**NP**-complete) \[CM77\];
+//! * anything with negation takes the Wei–Lausen recursion (**Π₂ᴾ**-complete),
+//!   Theorems 12–13 of the paper \[WL03\] — which degenerates to exactly the
+//!   positive check when no negative literals are present, making the
+//!   treatment uniform in the sense of the paper's Section 5.
 //!
-//! The top-level entry point [`contained`] dispatches to the cheapest
-//! applicable procedure: plain-positive pairs take the UCQ path (a plain
-//! mapping search per disjunct pair), anything with negation takes the
-//! Wei–Lausen recursion — which degenerates to exactly the positive check
-//! when no negative literals are present, making the treatment uniform in
-//! the sense of the paper's Section 5.
+//! Outside the door sit [`cq_contained_canonical`], an independent
+//! canonical-database oracle kept public as the differential reference,
+//! [`freeze`], the canonical database it evaluates over, and
+//! [`minimize_cq`] / [`minimize_ucq`], the cores and union minimization of
+//! the Li–Chang baseline algorithms.
 //!
 //! ```
-//! use lap_containment::contained;
+//! use lap_containment::ContainmentEngine;
 //! use lap_ir::parse_query;
 //!
+//! let engine = ContainmentEngine::default();
 //! let p = parse_query("Q(x) :- R(x).").unwrap();
 //! let q = parse_query(
 //!     "Q(x) :- R(x), S(x).\n\
 //!      Q(x) :- R(x), not S(x).",
 //! )
 //! .unwrap();
-//! assert!(contained(&p, &q)); // needs the excluded-middle recursion
-//! assert!(contained(&q, &p));
+//! assert!(engine.contained(&p, &q)); // needs the excluded-middle recursion
+//! assert!(engine.contained(&q, &p));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod acyclic;
 mod canonical;
 mod cq;
 mod engine;
@@ -49,54 +48,33 @@ mod minimize;
 mod ucq;
 mod ucqn;
 
-pub use acyclic::{cq_contained_acyclic, is_acyclic, join_tree, JoinTree};
-pub use canonical::{canonical_facts, canonical_key, cq_contained_canonical, freezing_substitution};
-pub use cq::{cq_contained, cq_equivalent};
+pub use canonical::{canonical_key, cq_contained_canonical, freeze};
 pub use engine::{ContainmentEngine, EngineConfig, EngineStats};
-pub use mapping::{for_each_homomorphism, has_homomorphism, unify_heads};
-pub use minimize::{minimize_cq, minimize_ucq, minimize_union_ucqn};
-pub use ucq::{ucq_contained, ucq_equivalent};
-pub use ucqn::{
-    cqn_in_ucqn, ucqn_contained, ucqn_contained_parallel, ucqn_contained_stats, ucqn_equivalent,
-    ContainmentStats,
-};
-
-use lap_ir::UnionQuery;
-
-/// `P ⊑ Q`: containment of UCQ¬ queries, dispatching to the cheapest
-/// applicable decision procedure (see crate docs).
-pub fn contained(p: &UnionQuery, q: &UnionQuery) -> bool {
-    if p.is_positive() && q.is_positive() {
-        ucq_contained(p, q)
-    } else {
-        ucqn_contained(p, q)
-    }
-}
-
-/// `P ≡ Q`: equivalence of UCQ¬ queries.
-pub fn equivalent(p: &UnionQuery, q: &UnionQuery) -> bool {
-    contained(p, q) && contained(q, p)
-}
+pub use minimize::{minimize_cq, minimize_ucq};
+pub use ucqn::ContainmentStats;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ucq::ucq_contained;
+    use crate::ucqn::ucqn_contained_stats;
     use lap_ir::parse_query;
 
     #[test]
     fn dispatch_agrees_on_positive_queries() {
         let p = parse_query("Q(x) :- R(x, y), R(y, z).").unwrap();
         let q = parse_query("Q(x) :- R(x, u).").unwrap();
-        assert_eq!(ucq_contained(&p, &q), ucqn_contained(&p, &q));
-        assert_eq!(ucq_contained(&q, &p), ucqn_contained(&q, &p));
-        assert!(contained(&p, &q));
-        assert!(!contained(&q, &p));
+        assert_eq!(ucq_contained(&p, &q), ucqn_contained_stats(&p, &q).0);
+        assert_eq!(ucq_contained(&q, &p), ucqn_contained_stats(&q, &p).0);
+        let engine = ContainmentEngine::default();
+        assert!(engine.contained(&p, &q));
+        assert!(!engine.contained(&q, &p));
     }
 
     #[test]
     fn equivalence_is_symmetric_containment() {
         let p = parse_query("Q(x) :- R(x, y).").unwrap();
         let q = parse_query("Q(a) :- R(a, b).").unwrap();
-        assert!(equivalent(&p, &q));
+        assert!(ContainmentEngine::default().equivalent(&p, &q));
     }
 }

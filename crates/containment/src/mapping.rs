@@ -22,7 +22,7 @@ use std::ops::ControlFlow;
 /// Unifies the pair of head atoms, extending `subst` (source-side variables
 /// bind to target-side terms). Returns `None` when the heads cannot be
 /// unified (different predicates, or clashing constants).
-pub fn unify_heads(from: &Atom, to: &Atom, subst: &mut Substitution) -> Option<()> {
+pub(crate) fn unify_heads(from: &Atom, to: &Atom, subst: &mut Substitution) -> Option<()> {
     if from.predicate != to.predicate {
         return None;
     }
@@ -45,7 +45,7 @@ pub fn unify_heads(from: &Atom, to: &Atom, subst: &mut Substitution) -> Option<(
 /// the visitor returns [`ControlFlow::Break`] to stop the search (e.g. when
 /// a satisfying mapping has been found). Returns `true` iff the search was
 /// stopped by the visitor.
-pub fn for_each_homomorphism(
+pub(crate) fn for_each_homomorphism(
     from: &[&Atom],
     to: &[&Atom],
     initial: Substitution,
@@ -66,7 +66,7 @@ pub fn for_each_homomorphism(
 }
 
 /// Returns `true` iff at least one homomorphism exists.
-pub fn has_homomorphism(from: &[&Atom], to: &[&Atom], initial: Substitution) -> bool {
+pub(crate) fn has_homomorphism(from: &[&Atom], to: &[&Atom], initial: Substitution) -> bool {
     for_each_homomorphism(from, to, initial, &mut |_| ControlFlow::Break(()))
 }
 

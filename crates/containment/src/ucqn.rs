@@ -50,15 +50,11 @@ impl ContainmentStats {
     }
 }
 
-/// `P ⊑ Q` for UCQ¬ queries: every disjunct of `P` must be contained in `Q`
-/// (the union on the left distributes; the union on the right is handled by
-/// Theorem 13's per-disjunct mapping search inside the recursion).
-pub fn ucqn_contained(p: &UnionQuery, q: &UnionQuery) -> bool {
-    ucqn_contained_stats(p, q).0
-}
-
-/// [`ucqn_contained`] with instrumentation counters.
-pub fn ucqn_contained_stats(p: &UnionQuery, q: &UnionQuery) -> (bool, ContainmentStats) {
+/// `P ⊑ Q` for UCQ¬ queries, with instrumentation counters: every disjunct
+/// of `P` must be contained in `Q` (the union on the left distributes; the
+/// union on the right is handled by Theorem 13's per-disjunct mapping
+/// search inside the recursion).
+pub(crate) fn ucqn_contained_stats(p: &UnionQuery, q: &UnionQuery) -> (bool, ContainmentStats) {
     let mut ctx = Ctx::default();
     let result = p.disjuncts.iter().all(|pi| cqn_rec(pi, q, &mut ctx));
     (result, ctx.stats)
@@ -75,7 +71,7 @@ pub fn ucqn_contained_stats(p: &UnionQuery, q: &UnionQuery) -> (bool, Containmen
 /// short-circuit of the sequential `all(..)` loop. The decision returned is
 /// always identical to the sequential one; only the counters differ (workers
 /// keep private memo caches, so cross-disjunct cache hits are not shared).
-pub fn ucqn_contained_parallel(p: &UnionQuery, q: &UnionQuery) -> (bool, ContainmentStats) {
+pub(crate) fn ucqn_contained_parallel(p: &UnionQuery, q: &UnionQuery) -> (bool, ContainmentStats) {
     let n = p.disjuncts.len();
     if n <= 1 {
         return ucqn_contained_stats(p, q);
@@ -124,28 +120,6 @@ pub fn ucqn_contained_parallel(p: &UnionQuery, q: &UnionQuery) -> (bool, Contain
     (!failed.load(Ordering::Relaxed), agg)
 }
 
-/// `P ⊑ Q` for a single CQ¬ `P` against a UCQ¬ `Q` (Theorem 13):
-///
-/// `P ⊑ Q₁ ∨ … ∨ Q_k` iff `P` is unsatisfiable, or there are an `i` and a
-/// containment mapping `σ: vars(Q_i) → terms(P)` witnessing `P⁺ ⊑ Q_i⁺`
-/// such that for every negative literal `¬R(ȳ)` of `Q_i`:
-///
-/// * `R(σȳ)` does not appear (positively) in `P`, and
-/// * recursively, `P ∧ R(σȳ) ⊑ Q`.
-///
-/// Termination: each recursive step conjoins a *new* positive atom over the
-/// fixed term universe of `P` (σ maps into terms of `P`), so the body grows
-/// strictly within a finite space. Results are memoized on the normalized
-/// `P` side (the `Q` side is constant through the recursion).
-pub fn cqn_in_ucqn(p: &ConjunctiveQuery, q: &UnionQuery) -> bool {
-    cqn_rec(p, q, &mut Ctx::default())
-}
-
-/// `P ≡ Q` for UCQ¬ queries.
-pub fn ucqn_equivalent(p: &UnionQuery, q: &UnionQuery) -> bool {
-    ucqn_contained(p, q) && ucqn_contained(q, p)
-}
-
 type Cache = HashMap<(Atom, Vec<Literal>), bool>;
 
 #[derive(Default)]
@@ -172,6 +146,19 @@ fn normalize(p: &ConjunctiveQuery) -> (Atom, Vec<Literal>) {
     (p.head.clone(), body)
 }
 
+/// `P ⊑ Q` for a single CQ¬ `P` against a UCQ¬ `Q` (Theorem 13):
+///
+/// `P ⊑ Q₁ ∨ … ∨ Q_k` iff `P` is unsatisfiable, or there are an `i` and a
+/// containment mapping `σ: vars(Q_i) → terms(P)` witnessing `P⁺ ⊑ Q_i⁺`
+/// such that for every negative literal `¬R(ȳ)` of `Q_i`:
+///
+/// * `R(σȳ)` does not appear (positively) in `P`, and
+/// * recursively, `P ∧ R(σȳ) ⊑ Q`.
+///
+/// Termination: each recursive step conjoins a *new* positive atom over the
+/// fixed term universe of `P` (σ maps into terms of `P`), so the body grows
+/// strictly within a finite space. Results are memoized on the normalized
+/// `P` side (the `Q` side is constant through the recursion).
 fn cqn_rec(p: &ConjunctiveQuery, q: &UnionQuery, ctx: &mut Ctx) -> bool {
     if ctx.cancelled() {
         // The overall decision is already known; unwind without caring
@@ -264,6 +251,10 @@ mod tests {
     use super::*;
     use lap_ir::parse_query;
 
+    fn ucqn_contained(p: &UnionQuery, q: &UnionQuery) -> bool {
+        ucqn_contained_stats(p, q).0
+    }
+
     fn contained(p: &str, q: &str) -> bool {
         ucqn_contained(&parse_query(p).unwrap(), &parse_query(q).unwrap())
     }
@@ -325,7 +316,7 @@ mod tests {
         )
         .unwrap();
         let q2 = parse_query("Q(a) :- L(i), B(i, a, t).").unwrap();
-        assert!(ucqn_equivalent(&q, &q2));
+        assert!(ucqn_contained(&q, &q2) && ucqn_contained(&q2, &q));
     }
 
     #[test]

@@ -30,9 +30,9 @@ pub struct FeasibilityReport {
     pub decided_by: DecisionPath,
     /// The PLAN\* output, reusable for execution.
     pub plans: PlanPair,
-    /// Counters from the `ans(Q) ⊑ Q` decision — `None` when no
-    /// engine-driven containment check ran (a PLAN\* fast path decided, or
-    /// the check was the Σ-strengthened chase variant).
+    /// Counters from the `ans(Q) ⊑ Q` decision — `None` when a PLAN\* fast
+    /// path decided. The Σ-strengthened check reports the counters of its
+    /// per-disjunct engine decisions, absorbed.
     pub containment: Option<ContainmentStats>,
 }
 

@@ -137,7 +137,7 @@ pub struct OpProfile {
     /// (columnar executor only).
     pub dict_misses: u64,
     /// True once the operator's output cardinality exceeded its static
-    /// cost estimate by [`ESTIMATE_BLOWN_FACTOR`] (marker emitted once).
+    /// cost estimate by `ESTIMATE_BLOWN_FACTOR` (marker emitted once).
     pub estimate_blown: bool,
 }
 

@@ -9,7 +9,7 @@
 //! to the original `Q` — so the result is still a correct executable plan,
 //! with fewer calls.
 
-use lap_containment::ucqn_equivalent;
+use lap_containment::ContainmentEngine;
 use lap_core::{ans, executable_order, feasible, is_orderable_cq};
 use lap_ir::{Schema, UnionQuery};
 
@@ -26,13 +26,14 @@ pub fn minimal_executable_plan(q: &UnionQuery, schema: &Schema) -> Option<UnionQ
         // Every disjunct was unsatisfiable: the minimal plan is `false`.
         return Some(current);
     }
-    debug_assert!(ucqn_equivalent(&current, q));
+    let engine = ContainmentEngine::default();
+    debug_assert!(engine.equivalent(&current, q));
 
     // Drop whole disjuncts while equivalence persists.
     let mut i = 0;
     while i < current.disjuncts.len() {
         let without = current.without_disjunct(i);
-        if !without.disjuncts.is_empty() && ucqn_equivalent(&without, q) {
+        if !without.disjuncts.is_empty() && engine.equivalent(&without, q) {
             current = without;
             i = 0;
         } else {
@@ -53,7 +54,7 @@ pub fn minimal_executable_plan(q: &UnionQuery, schema: &Schema) -> Option<UnionQ
             candidate_cq.body.remove(l);
             if candidate_cq.is_safe() && is_orderable_cq(&candidate_cq, schema) {
                 let candidate = current.with_disjunct(d, candidate_cq);
-                if ucqn_equivalent(&candidate, q) {
+                if engine.equivalent(&candidate, q) {
                     current = candidate;
                     l = 0;
                     continue;
@@ -79,6 +80,10 @@ mod tests {
     use lap_core::is_executable;
     use lap_ir::parse_program;
 
+    fn equivalent(p: &UnionQuery, q: &UnionQuery) -> bool {
+        ContainmentEngine::default().equivalent(p, q)
+    }
+
     fn setup(text: &str) -> (UnionQuery, Schema) {
         let p = parse_program(text).unwrap();
         (p.single_query().unwrap().clone(), p.schema)
@@ -92,7 +97,7 @@ mod tests {
         assert_eq!(plan.disjuncts.len(), 1);
         assert_eq!(plan.disjuncts[0].body.len(), 2);
         assert!(is_executable(&plan, &schema));
-        assert!(ucqn_equivalent(&plan, &q));
+        assert!(equivalent(&plan, &q));
     }
 
     #[test]
@@ -119,7 +124,7 @@ mod tests {
         assert_eq!(plan.disjuncts.len(), 1);
         assert_eq!(plan.disjuncts[0].body.len(), 2);
         assert!(is_executable(&plan, &schema));
-        assert!(ucqn_equivalent(&plan, &q));
+        assert!(equivalent(&plan, &q));
     }
 
     #[test]
@@ -140,7 +145,7 @@ mod tests {
         let (q, schema) = setup("S^o. R^io.\nQ(x, y) :- S(x), R(x, y).");
         let plan = minimal_executable_plan(&q, &schema).unwrap();
         assert_eq!(plan.disjuncts[0].body.len(), 2);
-        assert!(ucqn_equivalent(&plan, &q));
+        assert!(equivalent(&plan, &q));
     }
 
     #[test]

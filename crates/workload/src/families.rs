@@ -200,8 +200,12 @@ pub fn gav_unfolding(good: usize, blocked: usize, unsat: usize) -> QueryInstance
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lap_containment::contained;
+    use lap_containment::ContainmentEngine;
     use lap_core::{feasible, is_executable, is_orderable};
+
+    fn contained(p: &UnionQuery, q: &UnionQuery) -> bool {
+        ContainmentEngine::default().contained(p, q)
+    }
 
     #[test]
     fn chains_are_feasible_and_orderable() {

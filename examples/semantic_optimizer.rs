@@ -11,7 +11,7 @@ use lap::constraints::{
     feasible_under, prune_unsatisfiable, satisfiable_under, ConstraintSet, InclusionDep,
     DEFAULT_CHASE_ROUNDS,
 };
-use lap::core::{answer_star, feasible_detailed};
+use lap::core::{answer_star, feasible_detailed, ContainmentEngine};
 use lap::engine::Database;
 use lap::ir::{parse_program, Predicate};
 
@@ -59,7 +59,8 @@ fn main() {
         println!("  {d}");
     }
 
-    let constrained = feasible_under(query, &constraints, &program.schema);
+    let constrained =
+        feasible_under(query, &constraints, &program.schema, &ContainmentEngine::default());
     println!(
         "\nunder Σ: feasible = {} ({:?})",
         constrained.feasible, constrained.decided_by

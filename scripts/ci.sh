@@ -15,7 +15,7 @@
 # zero failures at 256 clients, E25's >= 80% recovery) are asserts inside
 # the experiments, and tier-1 runs every registered one. What stays here
 # is what tier-1 does not run: the out-of-workspace benchmark, the widened
-# sweeps, the soak and clippy.
+# sweeps, the soak, clippy and the rustdoc link check.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -45,5 +45,8 @@ fi
 
 echo "==> cargo clippy -D warnings (every workspace crate)"
 cargo clippy -q --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings (every intra-doc link resolves, none points at a private item)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 echo "==> ci.sh: all green"

@@ -238,8 +238,8 @@ fn feedback_from_args(args: &CliArgs) -> Result<Option<FeedbackStore>, String> {
 }
 
 /// Builds the containment engine selected by the global `--parallel` and
-/// `--cache` flags (default: sequential, uncached — the library's
-/// free-function behavior), reporting to `recorder`.
+/// `--cache` flags (default: sequential, uncached), reporting to
+/// `recorder`.
 fn engine_from_args(args: &CliArgs, recorder: &Recorder) -> ContainmentEngine {
     ContainmentEngine::with_recorder(
         EngineConfig {
@@ -312,7 +312,7 @@ fn check(
     for query in &program.queries {
         report_query(query, &program, engine)?;
         if let Some(cs) = &constraints {
-            let under = lap::constraints::feasible_under(query, cs, &program.schema);
+            let under = lap::constraints::feasible_under(query, cs, &program.schema, engine);
             println!("  under Σ:    feasible = {} ({:?})", under.feasible, under.decided_by);
             let pruned = lap::constraints::prune_unsatisfiable(query, cs);
             if pruned.disjuncts.len() != query.disjuncts.len() {
@@ -533,9 +533,10 @@ fn run_query(
     Ok(())
 }
 
-/// Maps the resilience/executor flags onto daemon [`QueryOptions`] — the
-/// same flags `run` takes, so `lapq query-daemon` output can be `cmp`ed
-/// against one-shot `lapq run` byte for byte.
+/// Maps the resilience/executor flags onto daemon
+/// [`QueryOptions`](lap::proto::QueryOptions) — the same flags `run`
+/// takes, so `lapq query-daemon` output can be `cmp`ed against one-shot
+/// `lapq run` byte for byte.
 fn query_options_from_args(args: &CliArgs) -> Result<lap::proto::QueryOptions, String> {
     Ok(lap::proto::QueryOptions {
         io_workers: args.value_u64("--io-workers")?,

@@ -13,7 +13,7 @@
 //! * [`ir`] — queries (CQ, UCQ, CQ¬, UCQ¬), access patterns, a Datalog
 //!   parser;
 //! * [`containment`] — Chandra–Merlin, Sagiv–Yannakakis, and Wei–Lausen
-//!   containment, minimization, acyclic fast paths;
+//!   containment behind one door, `ContainmentEngine`; minimization;
 //! * [`core`] — the paper's algorithms: ANSWERABLE (Fig. 1), PLAN\*
 //!   (Fig. 2), FEASIBLE (Fig. 3), ANSWER\* (Fig. 4), and the Theorem-18 /
 //!   Proposition-20 hardness reductions;

@@ -13,7 +13,10 @@
 //! * `ContainmentCheck` *is* the full criterion; the report's verdict must
 //!   equal a direct `contained(ans(Q), Q)` call.
 
-use lap::containment::{contained, ContainmentEngine, EngineConfig};
+mod door;
+
+use door::contained;
+use lap::containment::{ContainmentEngine, EngineConfig};
 use lap::core::{feasible_detailed, feasible_detailed_with, DecisionPath, FeasibilityReport};
 use lap::ir::parse_program;
 
@@ -156,7 +159,7 @@ fn fast_paths_agree_with_the_skipped_containment_check() {
 #[test]
 fn verdicts_and_paths_are_invariant_across_engine_configurations() {
     let configs = [
-        EngineConfig::sequential(),
+        EngineConfig::default(),
         EngineConfig {
             parallel: true,
             cache: false,
