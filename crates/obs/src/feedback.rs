@@ -5,19 +5,20 @@
 //! [`CostModel`](../../lap_planner) can only guess at: per-source,
 //! per-access-pattern call latency, rows-per-call, failure/timeout rates,
 //! retry backoff waits. A [`FeedbackStore`] folds any number of
-//! [`JournalSnapshot`]s into per-`(relation, pattern)` [`SourceProfile`]s,
-//! maintains an EWMA health score across folds, detects drift against a
-//! caller-supplied model expectation, and serializes to/from the same
-//! hand-rolled JSON as every other snapshot in the crate — so a
-//! calibration profile is reproducible, diffable, and freezable (a run
-//! driven by a frozen profile is bit-for-bit deterministic).
+//! [`JournalSnapshot`]s, or a live [`Journal`] from a cursor, into
+//! per-`(relation, pattern)` [`SourceProfile`]s, maintains an EWMA health
+//! score across folds, detects drift against a caller-supplied model
+//! expectation, and serializes to/from the same hand-rolled JSON as every
+//! other snapshot in the crate — so a calibration profile is reproducible,
+//! diffable, and freezable (a run driven by a frozen profile is
+//! bit-for-bit deterministic).
 //!
 //! The store is deliberately model-agnostic: it records what was
 //! *observed* and exposes aggregates ([`SourceProfile::rows_per_call`],
 //! [`SourceProfile::failure_rate`], latency percentiles). Turning those
 //! into plan costs is the planner's job (`CostModel::calibrated`).
 
-use crate::journal::{kind, JournalEvent, JournalSnapshot};
+use crate::journal::{kind, Journal, JournalEvent, JournalSnapshot, WireOutcome};
 use crate::json::Json;
 use crate::metrics::{bucket_index, HistogramSnapshot, HISTOGRAM_BUCKETS};
 use std::collections::BTreeMap;
@@ -131,6 +132,25 @@ impl SourceProfile {
     /// The number of input (`i`) slots in this profile's pattern.
     pub fn num_inputs(&self) -> usize {
         self.pattern.chars().filter(|&c| c == 'i').count()
+    }
+
+    /// Adds one fold pass's `tally` of this profile's traffic, then takes
+    /// the pass's EWMA health step.
+    fn absorb(&mut self, tally: &SourceProfile) {
+        self.attempts += tally.attempts;
+        self.ok += tally.ok;
+        self.faults += tally.faults;
+        self.timeouts += tally.timeouts;
+        self.retries += tally.retries;
+        self.rows += tally.rows;
+        self.wait_ms += tally.wait_ms;
+        self.latency.count += tally.latency.count;
+        self.latency.sum += tally.latency.sum;
+        self.latency.max = self.latency.max.max(tally.latency.max);
+        for (bucket, n) in self.latency.buckets.iter_mut().zip(&tally.latency.buckets) {
+            *bucket += n;
+        }
+        self.fold_health(tally.ok, tally.attempts);
     }
 
     fn fold_health(&mut self, fold_ok: u64, fold_attempts: u64) {
@@ -276,7 +296,8 @@ impl std::fmt::Display for DriftFlag {
 }
 
 /// A watermark over one journal's global event sequence, for incremental
-/// folding of a *live* journal ([`FeedbackStore::fold_since`]).
+/// folding of a *live* journal ([`FeedbackStore::fold_journal`],
+/// [`FeedbackStore::fold_since`]).
 ///
 /// A session journal keeps growing while its connection lives; folding the
 /// whole snapshot after every request would double-count the events that
@@ -284,7 +305,7 @@ impl std::fmt::Display for DriftFlag {
 /// has **not** been folded yet, so each incremental fold consumes exactly
 /// the new suffix. Sequence numbers are globally monotone within one
 /// journal and begin/end pairs occupy adjacent sequences inside one ring
-/// entry, so a cursor taken between snapshots can never split a pair.
+/// entry, so a cursor taken between folds can never split a pair.
 /// Events evicted from the ring before they were folded are simply gone
 /// (the journal's `dropped` counter accounts for them).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -301,6 +322,123 @@ impl FoldCursor {
     /// The first sequence number that has not been folded yet.
     pub fn position(&self) -> u64 {
         self.next_seq
+    }
+}
+
+/// One journal event as the fold reads it: names borrowed, numbers kept
+/// as numbers. Both feeders map to it, a snapshot's JSON events through
+/// [`FoldEvent::of`] and the live ring's compact entries in
+/// `Journal::fold_from`, so every accounting rule lives in
+/// `FoldPass::step` alone.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FoldEvent<'a> {
+    pub(crate) seq: u64,
+    pub(crate) lane: u64,
+    pub(crate) step: FoldStep<'a>,
+}
+
+/// What one event contributes to a fold.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum FoldStep<'a> {
+    /// A wire attempt starts ([`kind::SOURCE_CALL_BEGIN`]).
+    Begin { relation: &'a str, pattern: &'a str },
+    /// A wire attempt ended ([`kind::SOURCE_CALL_END`]). The pattern is
+    /// the one begun on the same lane.
+    End { relation: &'a str, outcome: WireOutcome },
+    /// A retry marker ([`kind::RETRY`]), charged to the relation's last
+    /// pattern begun.
+    Retry { relation: &'a str, backoff_ms: u64 },
+    /// Any other kind: counted as folded, accounted nowhere.
+    Other,
+}
+
+impl<'a> FoldEvent<'a> {
+    /// The fold's view of a JSON-bodied event; a missing name reads `"?"`
+    /// and a missing number 0.
+    pub(crate) fn of(event: &'a JournalEvent) -> FoldEvent<'a> {
+        let text = |key: &str| event.data.get(key).and_then(Json::as_str).unwrap_or("?");
+        let num = |key: &str| event.data.get(key).and_then(Json::as_u64).unwrap_or(0);
+        let step = match event.kind.as_str() {
+            kind::SOURCE_CALL_BEGIN => FoldStep::Begin {
+                relation: text("relation"),
+                pattern: text("pattern"),
+            },
+            kind::SOURCE_CALL_END => {
+                let latency_ms = num("latency_ms");
+                let outcome = if event.data.get("ok") == Some(&Json::Bool(true)) {
+                    WireOutcome::Ok { rows: num("rows"), latency_ms }
+                } else if event.data.get("fault").and_then(Json::as_str) == Some("timeout") {
+                    WireOutcome::Timeout { latency_ms, timeout_ms: num("timeout_ms") }
+                } else {
+                    WireOutcome::Unavailable { latency_ms }
+                };
+                FoldStep::End { relation: text("relation"), outcome }
+            }
+            kind::RETRY => FoldStep::Retry {
+                relation: text("relation"),
+                backoff_ms: num("backoff_ms"),
+            },
+            _ => FoldStep::Other,
+        };
+        FoldEvent { seq: event.seq, lane: event.lane, step }
+    }
+}
+
+/// The state of one fold pass: the call open on each lane, the last
+/// pattern begun per relation, and the pass's tallies per `(relation,
+/// pattern)`, merged into the store's profiles when the pass ends.
+#[derive(Default)]
+struct FoldPass<'a> {
+    open: BTreeMap<u64, (&'a str, &'a str)>,
+    last_pattern: BTreeMap<&'a str, &'a str>,
+    tallies: BTreeMap<(&'a str, &'a str), SourceProfile>,
+}
+
+impl<'a> FoldPass<'a> {
+    fn step(&mut self, event: FoldEvent<'a>) {
+        match event.step {
+            FoldStep::Begin { relation, pattern } => {
+                self.last_pattern.insert(relation, pattern);
+                self.open.insert(event.lane, (relation, pattern));
+            }
+            FoldStep::End { relation, outcome } => {
+                let key = self.open.remove(&event.lane).unwrap_or((relation, "?"));
+                let tally = self.tally(key);
+                tally.attempts += 1;
+                let latency = match outcome {
+                    WireOutcome::Ok { rows, latency_ms } => {
+                        tally.ok += 1;
+                        tally.rows += rows;
+                        latency_ms
+                    }
+                    WireOutcome::Unavailable { latency_ms } => {
+                        tally.faults += 1;
+                        latency_ms
+                    }
+                    WireOutcome::Timeout { latency_ms, .. } => {
+                        tally.timeouts += 1;
+                        latency_ms
+                    }
+                };
+                tally.latency.count += 1;
+                tally.latency.sum += latency;
+                tally.latency.max = tally.latency.max.max(latency);
+                tally.latency.buckets[bucket_index(latency)] += 1;
+            }
+            FoldStep::Retry { relation, backoff_ms } => {
+                let pattern = self.last_pattern.get(relation).copied().unwrap_or("?");
+                let tally = self.tally((relation, pattern));
+                tally.retries += 1;
+                tally.wait_ms += backoff_ms;
+            }
+            FoldStep::Other => {}
+        }
+    }
+
+    fn tally(&mut self, key: (&'a str, &'a str)) -> &mut SourceProfile {
+        self.tallies
+            .entry(key)
+            .or_insert_with(|| SourceProfile::empty(String::new(), String::new()))
     }
 }
 
@@ -325,7 +463,7 @@ impl FeedbackStore {
     /// `source.retry` markers, and one EWMA health update per profile that
     /// saw traffic in this snapshot.
     pub fn fold(&mut self, snapshot: &JournalSnapshot) {
-        self.fold_events(&snapshot.events);
+        self.fold_pass(snapshot.events.iter().map(FoldEvent::of));
         self.folds += 1;
     }
 
@@ -335,104 +473,68 @@ impl FeedbackStore {
     /// its fold count) completely untouched, so idle polls do not dilute
     /// the EWMA health scores.
     ///
-    /// This is the streaming counterpart of [`FeedbackStore::fold`]: a
-    /// daemon session folds its live journal every N requests and once
-    /// more at session end, and the cursor guarantees each event
-    /// contributes exactly once. Counting statistics (attempts, rows,
-    /// latency histograms) end up identical to a single fold of the final
-    /// snapshot; only the EWMA health and the fold count depend on how the
-    /// stream was sliced (each slice with traffic is one EWMA step).
+    /// This is the streaming counterpart of [`FeedbackStore::fold`].
+    /// Counting statistics (attempts, rows, latency histograms) end up
+    /// identical to a single fold of the final snapshot; only the EWMA
+    /// health and the fold count depend on how the stream was sliced (each
+    /// slice with traffic is one EWMA step). A live journal folds cheaper
+    /// through [`FeedbackStore::fold_journal`], which needs no snapshot.
     pub fn fold_since(&mut self, snapshot: &JournalSnapshot, cursor: &mut FoldCursor) -> u64 {
-        let fresh: Vec<JournalEvent> = snapshot
-            .events
-            .iter()
-            .filter(|e| e.seq >= cursor.next_seq)
-            .cloned()
-            .collect();
-        if fresh.is_empty() {
-            return 0;
-        }
-        cursor.next_seq = fresh.iter().map(|e| e.seq).max().unwrap_or(0) + 1;
-        self.fold_events(&fresh);
-        self.folds += 1;
-        fresh.len() as u64
+        let from = cursor.next_seq;
+        let fresh = snapshot.events.iter().filter(|e| e.seq >= from);
+        self.fold_incremental(fresh.map(FoldEvent::of), cursor)
     }
 
-    fn fold_events(&mut self, events: &[JournalEvent]) {
-        // (relation, pattern) open per lane, so an end event (which omits
-        // the pattern) can be attributed; plus the last pattern begun per
-        // relation, for retry markers (which carry the relation only).
-        let mut open: BTreeMap<u64, (String, String)> = BTreeMap::new();
-        let mut last_pattern: BTreeMap<String, String> = BTreeMap::new();
-        let mut fold_traffic: BTreeMap<(String, String), (u64, u64)> = BTreeMap::new();
+    /// [`FeedbackStore::fold_since`] straight from a live `journal`'s
+    /// ring, without building a snapshot: the same events, the same
+    /// count, the same cursor position and the same store. A daemon
+    /// session folds its journal every N requests and once more at
+    /// session end, and the cursor guarantees each event contributes
+    /// exactly once.
+    ///
+    /// The fold holds the journal lock while it binary-searches the ring
+    /// for the cursor and visits only the entries after it. Compact
+    /// entries are read in place (names from the journal's interner,
+    /// numbers as numbers), so the cost is O(events since the cursor) and
+    /// does not grow with the ring's occupancy.
+    pub fn fold_journal(&mut self, journal: &Journal, cursor: &mut FoldCursor) -> u64 {
+        journal.fold_from(cursor.next_seq, |fresh| self.fold_incremental(fresh, cursor))
+    }
+
+    /// One incremental pass: a pass that saw events advances `cursor` past
+    /// the last one and counts as a fold; an empty one changes nothing.
+    fn fold_incremental<'a>(
+        &mut self,
+        fresh: impl Iterator<Item = FoldEvent<'a>>,
+        cursor: &mut FoldCursor,
+    ) -> u64 {
+        let (events, last_seq) = self.fold_pass(fresh);
+        if let Some(last_seq) = last_seq {
+            cursor.next_seq = last_seq + 1;
+            self.folds += 1;
+        }
+        events
+    }
+
+    /// Folds `events` (in sequence order) as one pass, then merges the
+    /// pass's tallies into the profiles with one EWMA health step per
+    /// profile that saw attempts. Returns the number of events visited and
+    /// the last one's sequence number.
+    fn fold_pass<'a>(&mut self, events: impl Iterator<Item = FoldEvent<'a>>) -> (u64, Option<u64>) {
+        let mut pass = FoldPass::default();
+        let (mut count, mut last_seq) = (0, None);
         for event in events {
-            let rel = |key: &str| {
-                event
-                    .data
-                    .get(key)
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_owned()
-            };
-            let num =
-                |key: &str| event.data.get(key).and_then(Json::as_u64).unwrap_or(0);
-            match event.kind.as_str() {
-                kind::SOURCE_CALL_BEGIN => {
-                    let relation = rel("relation");
-                    let pattern = rel("pattern");
-                    last_pattern.insert(relation.clone(), pattern.clone());
-                    open.insert(event.lane, (relation, pattern));
-                }
-                kind::SOURCE_CALL_END => {
-                    let (relation, pattern) = open
-                        .remove(&event.lane)
-                        .unwrap_or_else(|| (rel("relation"), "?".to_owned()));
-                    let key = (relation.clone(), pattern.clone());
-                    let profile = self
-                        .profiles
-                        .entry(key.clone())
-                        .or_insert_with(|| SourceProfile::empty(relation, pattern));
-                    profile.attempts += 1;
-                    let latency = num("latency_ms");
-                    profile.latency.count += 1;
-                    profile.latency.sum += latency;
-                    profile.latency.max = profile.latency.max.max(latency);
-                    profile.latency.buckets[bucket_index(latency)] += 1;
-                    let traffic = fold_traffic.entry(key).or_insert((0, 0));
-                    traffic.1 += 1;
-                    if event.data.get("ok") == Some(&Json::Bool(true)) {
-                        profile.ok += 1;
-                        profile.rows += num("rows");
-                        traffic.0 += 1;
-                    } else if event.data.get("fault").and_then(Json::as_str)
-                        == Some("timeout")
-                    {
-                        profile.timeouts += 1;
-                    } else {
-                        profile.faults += 1;
-                    }
-                }
-                kind::RETRY => {
-                    let relation = rel("relation");
-                    let pattern = last_pattern
-                        .get(&relation)
-                        .cloned()
-                        .unwrap_or_else(|| "?".to_owned());
-                    let profile = self
-                        .profiles
-                        .entry((relation.clone(), pattern.clone()))
-                        .or_insert_with(|| SourceProfile::empty(relation, pattern));
-                    profile.retries += 1;
-                    profile.wait_ms += num("backoff_ms");
-                }
-                _ => {}
-            }
+            count += 1;
+            last_seq = Some(event.seq);
+            pass.step(event);
         }
-        for (key, (ok, attempts)) in fold_traffic {
-            if let Some(profile) = self.profiles.get_mut(&key) {
-                profile.fold_health(ok, attempts);
-            }
+        for ((relation, pattern), tally) in pass.tallies {
+            self.profiles
+                .entry((relation.to_owned(), pattern.to_owned()))
+                .or_insert_with(|| SourceProfile::empty(relation.to_owned(), pattern.to_owned()))
+                .absorb(&tally);
         }
+        (count, last_seq)
     }
 
     /// The profile for `(relation, pattern)`, if any traffic was folded.
@@ -910,5 +1012,145 @@ mod tests {
         let text = store.summary();
         assert!(text.contains("B^io"), "{text}");
         assert!(text.contains("rows/call"), "{text}");
+    }
+
+    /// Seeded cases of the ring-versus-snapshot property; the first 64
+    /// seeds run in tier-1, `--features slow-tests` widens to 512.
+    const RING_CASES: u64 = if cfg!(feature = "slow-tests") { 512 } else { 64 };
+
+    /// Records one random event: a compact call, a compact instant, a
+    /// general `emit`, or a rich call pair, on one of three lanes.
+    fn record_random(j: &Journal, rng: &mut lap_prng::StdRng, ts: u64) {
+        use crate::journal::InstantPayload;
+        const RELATIONS: [&str; 3] = ["B", "C", "L"];
+        const PATTERNS: [&str; 3] = ["io", "oo", "o"];
+        let lane = rng.gen_range(0..3u64);
+        let rel = RELATIONS[rng.gen_range(0..RELATIONS.len())];
+        let pat = PATTERNS[rng.gen_range(0..PATTERNS.len())];
+        let latency = rng.gen_range(0..40u64);
+        let attempt = rng.gen_range(1..4u64);
+        match rng.gen_range(0..10u32) {
+            0..=2 => {
+                let outcome = match rng.gen_range(0..3u32) {
+                    0 => WireOutcome::Ok { rows: rng.gen_range(0..50u64), latency_ms: latency },
+                    1 => WireOutcome::Unavailable { latency_ms: latency },
+                    _ => WireOutcome::Timeout { latency_ms: latency, timeout_ms: 5 },
+                };
+                j.record_call(lane, ts, ts + latency, rel, pat, attempt, outcome);
+            }
+            3..=5 => {
+                let payload = match rng.gen_range(0..6u32) {
+                    0 => InstantPayload::Membership { present: rng.gen_bool(0.5) },
+                    1 => InstantPayload::CacheHit { rows: latency, membership: rng.gen_bool(0.5) },
+                    2 => InstantPayload::Retry { attempt, backoff_ms: 0 },
+                    3 => InstantPayload::Retry { attempt, backoff_ms: 1 + latency },
+                    4 => InstantPayload::Fault { latency_ms: latency, attempt },
+                    _ => InstantPayload::Timeout { latency_ms: latency, attempt },
+                };
+                j.record_instant(lane, ts, rel, payload);
+            }
+            6..=7 => {
+                let (kind, data) = match rng.gen_range(0..5u32) {
+                    0 => (
+                        kind::SOURCE_CALL_BEGIN,
+                        Json::obj([("relation", Json::str(rel)), ("pattern", Json::str(pat))]),
+                    ),
+                    1 => (
+                        kind::SOURCE_CALL_END,
+                        Json::obj([
+                            ("relation", Json::str(rel)),
+                            ("ok", Json::Bool(rng.gen_bool(0.5))),
+                            ("rows", Json::num(latency)),
+                            ("latency_ms", Json::num(latency)),
+                        ]),
+                    ),
+                    2 => (
+                        kind::RETRY,
+                        Json::obj([("relation", Json::str(rel)), ("backoff_ms", Json::num(latency))]),
+                    ),
+                    3 => (kind::BATCH_BEGIN, Json::obj([("op", Json::str("scan"))])),
+                    _ => (kind::DISJUNCT_DEGRADED, Json::Null),
+                };
+                j.emit(lane, ts, kind, data);
+            }
+            _ => {
+                let fault = if rng.gen_bool(0.5) { "timeout" } else { "unavailable" };
+                let end = if rng.gen_bool(0.6) {
+                    Json::obj([
+                        ("relation", Json::str(rel)),
+                        ("ok", Json::Bool(true)),
+                        ("rows", Json::num(latency / 2)),
+                        ("latency_ms", Json::num(latency)),
+                        ("rows_data", Json::Arr(vec![Json::num(1)])),
+                    ])
+                } else {
+                    Json::obj([
+                        ("relation", Json::str(rel)),
+                        ("ok", Json::Bool(false)),
+                        ("fault", Json::str(fault)),
+                        ("latency_ms", Json::num(latency)),
+                    ])
+                };
+                let begin = Json::obj([
+                    ("relation", Json::str(rel)),
+                    ("pattern", Json::str(pat)),
+                    ("inputs", Json::Arr(vec![Json::num(7)])),
+                ]);
+                j.record_call_rich(lane, ts, ts + latency, begin, end);
+            }
+        }
+    }
+
+    /// The ring feeder (`fold_journal`) and the snapshot feeder
+    /// (`fold_since` over `snapshot()`) are one fold: at random fold points
+    /// over a small ring that overflows between folds, both report the same
+    /// count, leave the cursor at the same position, and leave stores that
+    /// compare equal, EWMA health and fold counts included. Events evicted
+    /// before a fold reach only `journal.dropped`, never a profile.
+    #[test]
+    fn ring_fold_equals_snapshot_fold() {
+        let mut overflowed_cases = 0;
+        for case in 0..RING_CASES {
+            let mut rng = lap_prng::StdRng::seed_from_u64(case);
+            let capacity = rng.gen_range(4..40usize);
+            let j = Journal::new(
+                JournalConfig { capacity, ..JournalConfig::light() },
+                Counter::detached(),
+            );
+            let (mut ring, mut ring_cursor) = (FeedbackStore::new(), FoldCursor::new());
+            let (mut snap, mut snap_cursor) = (FeedbackStore::new(), FoldCursor::new());
+            // Call ends folded, events folded, and events evicted before a
+            // fold reached them.
+            let (mut ends_folded, mut folded, mut lost) = (0u64, 0u64, 0u64);
+            let steps = rng.gen_range(1..160u64);
+            for ts in 0..steps {
+                record_random(&j, &mut rng, ts);
+                if ts + 1 < steps && !rng.gen_bool(0.15) {
+                    continue;
+                }
+                let snapshot = j.snapshot();
+                let from = snap_cursor.position();
+                let oldest = snapshot.events.first().map_or(from, |e| e.seq);
+                lost += oldest.saturating_sub(from);
+                ends_folded += snapshot
+                    .events_of(kind::SOURCE_CALL_END)
+                    .filter(|e| e.seq >= from)
+                    .count() as u64;
+                let by_snapshot = snap.fold_since(&snapshot, &mut snap_cursor);
+                let by_ring = ring.fold_journal(&j, &mut ring_cursor);
+                let ctx = format!("case {case}, capacity {capacity}, step {ts}");
+                assert_eq!(by_ring, by_snapshot, "{ctx}: folded counts");
+                assert_eq!(ring_cursor, snap_cursor, "{ctx}: cursor positions");
+                assert_eq!(ring, snap, "{ctx}: stores");
+                folded += by_ring;
+                assert_eq!(folded + lost, ring_cursor.position(), "{ctx}: every event folded or lost");
+                assert!(lost <= j.dropped(), "{ctx}: lost events are dropped events");
+                let attempts: u64 = ring.profiles.values().map(|p| p.attempts).sum();
+                assert_eq!(attempts, ends_folded, "{ctx}: only retained ends became attempts");
+            }
+            ring.validate().unwrap_or_else(|e| panic!("case {case}: {e}"));
+            overflowed_cases += u64::from(lost > 0);
+        }
+        assert!(overflowed_cases > 0, "some ring overflowed between folds");
     }
 }

@@ -26,7 +26,9 @@
 //! ([`Journal::record_call`] and friends): one mutex lock, interned
 //! relation/pattern ids, and a plain-struct ring slot, with **zero**
 //! payload allocation. The structured [`Json`] view of those events is
-//! materialised only at [`Journal::snapshot`] time, so the
+//! materialised only at [`Journal::snapshot`] time (the telemetry fold,
+//! [`FeedbackStore::fold_journal`](crate::FeedbackStore::fold_journal),
+//! reads them in place and never materialises it), so the
 //! [`JournalConfig::light`] profile (no row capture) is cheap enough for
 //! always-on use. Rare structural events (batch open/close, degradation
 //! decisions, mediator phases) and the row-capturing replay tier use the
@@ -36,6 +38,7 @@
 //! knob thins *source-call* recording pairwise (begin and end share one
 //! decision, so balance survives sampling).
 
+use crate::feedback::{FoldEvent, FoldStep};
 use crate::json::Json;
 use crate::metrics::Counter;
 use std::collections::{HashMap, VecDeque};
@@ -337,6 +340,44 @@ impl Entry {
             Entry::Call(_) | Entry::RichPair(_) => 2,
             _ => 1,
         }
+    }
+
+    /// The sequence number of the slot's last event.
+    fn last_seq(&self) -> u64 {
+        match self {
+            Entry::Rich(event) => event.seq,
+            Entry::RichPair(pair) => pair.1.seq,
+            Entry::Call(call) => call.begin_seq + 1,
+            Entry::Instant(instant) => instant.seq,
+        }
+    }
+
+    /// The slot's events as the fold reads them. Compact entries borrow
+    /// their names from `names` and expand nothing; rich ones go through
+    /// their JSON payload.
+    fn fold_events<'a>(&'a self, names: &'a Interner) -> impl Iterator<Item = FoldEvent<'a>> {
+        let (first, second) = match self {
+            Entry::Rich(event) => (FoldEvent::of(event), None),
+            Entry::RichPair(pair) => (FoldEvent::of(&pair.0), Some(FoldEvent::of(&pair.1))),
+            Entry::Call(call) => {
+                let relation = names.get(call.relation);
+                let begin = FoldStep::Begin { relation, pattern: names.get(call.pattern) };
+                let end = FoldStep::End { relation, outcome: call.outcome };
+                (
+                    FoldEvent { seq: call.begin_seq, lane: call.lane, step: begin },
+                    Some(FoldEvent { seq: call.begin_seq + 1, lane: call.lane, step: end }),
+                )
+            }
+            Entry::Instant(instant) => {
+                let step = if instant.kind == kind::RETRY {
+                    FoldStep::Retry { relation: names.get(instant.relation), backoff_ms: instant.b }
+                } else {
+                    FoldStep::Other
+                };
+                (FoldEvent { seq: instant.seq, lane: instant.lane, step }, None)
+            }
+        };
+        std::iter::once(first).chain(second)
     }
 }
 
@@ -676,6 +717,25 @@ impl Journal {
             dropped: state.dropped,
             events,
         }
+    }
+
+    /// Hands `fold` the retained events with `seq >= from`, in sequence
+    /// order, under the journal lock. The ring is in sequence order, so a
+    /// binary search finds the first slot to visit; nothing before it is
+    /// touched, and nothing after it is expanded or cloned.
+    pub(crate) fn fold_from<R>(
+        &self,
+        from: u64,
+        fold: impl FnOnce(&mut dyn Iterator<Item = FoldEvent<'_>>) -> R,
+    ) -> R {
+        let state = self.lock();
+        let first = state.entries.partition_point(|entry| entry.last_seq() < from);
+        let mut fresh = state
+            .entries
+            .range(first..)
+            .flat_map(|entry| entry.fold_events(&state.names))
+            .filter(|event| event.seq >= from);
+        fold(&mut fresh)
     }
 
     #[inline]

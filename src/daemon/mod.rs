@@ -69,8 +69,10 @@ pub struct DaemonConfig {
     pub idle_timeout_ms: u64,
     /// Fold a session's journal into the shared telemetry store every
     /// this many query requests (`0` = only at session end). The fold is
-    /// incremental (a cursor tracks what was already folded), so the
-    /// default of every request stays cheap.
+    /// incremental: it reads the journal ring from a cursor, so one costs
+    /// O(events since the last fold) + O(resident profiles) for the store
+    /// clone, not O(ring), and the default of every request stays cheap
+    /// (`daemon.fold_us` in `stats` times it).
     pub fold_every_requests: u64,
     /// Telemetry watcher interval: how often drift flags and relation
     /// health are evaluated against the cached plans (`0` = no watcher;

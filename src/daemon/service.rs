@@ -52,8 +52,11 @@ pub(crate) struct Service {
     static_model: CostModel,
     /// Admission-gate wait per query request, in microseconds.
     gate_wait_us: Histogram,
-    /// End-to-end query handling latency, in microseconds.
+    /// End-to-end query handling latency, in microseconds. It ends before
+    /// the session's telemetry fold, which `fold_us` times.
     request_us: Histogram,
+    /// One session's telemetry fold, in microseconds.
+    fold_us: Histogram,
     /// Watcher parking: flips true on shutdown; the condvar wakes the
     /// watcher thread out of its interval sleep immediately.
     watch_stop: Mutex<bool>,
@@ -82,6 +85,7 @@ impl Service {
             static_model: CostModel::new(),
             gate_wait_us: recorder.histogram("daemon.gate_wait_us"),
             request_us: recorder.histogram("daemon.request_us"),
+            fold_us: recorder.histogram("daemon.fold_us"),
             config,
             recorder,
             engine,
@@ -329,9 +333,11 @@ impl Service {
         ));
         let gate = self.gate_wait_us.snapshot();
         let request = self.request_us.snapshot();
+        let fold = self.fold_us.snapshot();
         out.push_str(&format!(
             "latency: gate wait p50 {:.0}us p95 {:.0}us p99 {:.0}us, \
-             request p50 {:.0}us p95 {:.0}us p99 {:.0}us ({} queries)\n",
+             request p50 {:.0}us p95 {:.0}us p99 {:.0}us ({} queries), \
+             fold p50 {:.0}us p95 {:.0}us p99 {:.0}us ({} folds)\n",
             gate.p50(),
             gate.p95(),
             gate.p99(),
@@ -339,6 +345,10 @@ impl Service {
             request.p95(),
             request.p99(),
             request.count,
+            fold.p50(),
+            fold.p95(),
+            fold.p99(),
+            fold.count,
         ));
         out.push_str(&format!(
             "containment engine: {}\nuptime: {} ms\n",
@@ -419,6 +429,7 @@ impl Service {
                 Json::obj([
                     ("gate_wait_us", histogram_json(&self.gate_wait_us.snapshot())),
                     ("request_us", histogram_json(&self.request_us.snapshot())),
+                    ("fold_us", histogram_json(&self.fold_us.snapshot())),
                 ]),
             ),
             ("uptime_ms", Json::num(self.started.elapsed().as_millis() as u64)),
@@ -431,17 +442,17 @@ impl Service {
     }
 
     /// Folds the unseen suffix of a session's journal into the telemetry
-    /// hub. Sessions call this synchronously every
-    /// `fold_every_requests` queries (before the response is written, so
-    /// a client that has read its answer can immediately observe the
-    /// folded profile) and once more when the session ends.
+    /// hub, timed into `daemon.fold_us`. Sessions call this synchronously
+    /// every `fold_every_requests` queries (before the response is
+    /// written, so a client that has read its answer can immediately
+    /// observe the folded profile) and once more when the session ends.
     pub(crate) fn fold_session(&self, session: &Recorder, cursor: &mut FoldCursor) -> u64 {
         let Some(journal) = session.journal() else { return 0 };
-        self.telemetry.fold(
-            &journal.snapshot(),
-            cursor,
-            self.started.elapsed().as_millis() as u64,
-        )
+        let begun = Instant::now();
+        let folded =
+            self.telemetry.fold(journal, cursor, self.started.elapsed().as_millis() as u64);
+        self.fold_us.record(begun.elapsed().as_micros() as u64);
+        folded
     }
 
     /// The telemetry watcher's thread body: sweep every

@@ -15,8 +15,10 @@
 //! clone an `Arc`, so profile fetches, drift sweeps, and stats never
 //! block behind a fold. Writers (folds) serialize on a separate fold
 //! mutex, build the next store aside (clone + incremental fold), and swap
-//! the `Arc` under a brief write guard. A fold is O(new events + resident
-//! profiles) with no I/O, so the fold mutex is never held long.
+//! the `Arc` under a brief write guard. The fold reads the session's
+//! journal ring from its cursor ([`FeedbackStore::fold_journal`]), so it
+//! is O(events since the cursor) + O(resident profiles) for the clone,
+//! with no I/O and no snapshot: the fold mutex is never held long.
 //!
 //! ## Drift baselines
 //!
@@ -28,9 +30,7 @@
 //! those relations are refreshed to the current observations — the new
 //! reality is now the expectation, and the same drift cannot re-trigger.
 
-use lap_obs::{
-    Counter, DriftFlag, Expectation, FeedbackStore, FoldCursor, JournalSnapshot, Recorder,
-};
+use lap_obs::{Counter, DriftFlag, Expectation, FeedbackStore, FoldCursor, Journal, Recorder};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -91,19 +91,14 @@ impl TelemetryHub {
         Arc::clone(&self.published.read().expect("telemetry store lock"))
     }
 
-    /// Folds the unseen suffix of `snapshot` into the published store and
-    /// captures baselines for newly-seen profiles. Returns the number of
-    /// events folded (0 leaves everything untouched, including the fold
-    /// counters). `elapsed_ms` stamps the fold time for `stats`.
-    pub(crate) fn fold(
-        &self,
-        snapshot: &JournalSnapshot,
-        cursor: &mut FoldCursor,
-        elapsed_ms: u64,
-    ) -> u64 {
+    /// Folds the events of `journal` past `cursor` into the published
+    /// store and captures baselines for newly-seen profiles. Returns the
+    /// number of events folded (0 leaves everything untouched, including
+    /// the fold counters). `elapsed_ms` stamps the fold time for `stats`.
+    pub(crate) fn fold(&self, journal: &Journal, cursor: &mut FoldCursor, elapsed_ms: u64) -> u64 {
         let _guard = self.fold_lock.lock().expect("telemetry fold lock");
         let mut next = (*self.store()).clone();
-        let folded = next.fold_since(snapshot, cursor);
+        let folded = next.fold_journal(journal, cursor);
         if folded == 0 {
             return 0;
         }

@@ -890,7 +890,7 @@ fn normalized(journal: &JournalSnapshot) -> JournalSnapshot {
 
 /// FNV-1a-64: a digest that is a pure function of the bytes, with no
 /// dependency to drift between versions.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes
         .iter()
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))

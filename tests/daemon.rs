@@ -320,8 +320,9 @@ fn shutdown_does_not_wait_for_idle_sessions() {
 }
 
 /// `stats` surfaces the plan cache's byte usage and per-entry hit
-/// counts, the telemetry fold counters, and the latency histograms —
-/// the operator console's at-a-glance view.
+/// counts, the telemetry fold counters, and the latency histograms
+/// (request handling and the telemetry fold after it) — the operator
+/// console's at-a-glance view.
 #[test]
 fn stats_reports_cache_detail_telemetry_and_latency() {
     let server = start_server(DaemonConfig::default());
@@ -383,6 +384,8 @@ fn stats_reports_cache_detail_telemetry_and_latency() {
     };
     assert_eq!(count("request_us"), Some(4), "one sample per query");
     assert_eq!(count("gate_wait_us"), Some(4));
+    assert_eq!(count("fold_us"), Some(4), "one fold per query at the default cadence");
+    assert!(text.contains("fold p50"), "{text}");
     server.shutdown();
 }
 
@@ -547,4 +550,128 @@ fn watcher_recalibrates_drifted_plans_and_preserves_unchanged_bytes() {
     assert_eq!(tuples(&drifted_before), tuples(&drifted_after), "same answer, new plan");
     assert!(drifted_after.contains("answer is complete"), "{drifted_after}");
     server.shutdown();
+}
+
+/// Waits until every session has ended and its final fold has run.
+fn await_sessions_closed(server: &Server) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let active = || {
+        server
+            .stats_json()
+            .get("sessions")
+            .and_then(|s| s.get("active"))
+            .and_then(lap::obs::Json::as_u64)
+    };
+    while active() != Some(0) {
+        assert!(std::time::Instant::now() < deadline, "sessions never closed");
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+}
+
+/// Telemetry folds are cadence-invariant: one session of the same
+/// bookstore queries, folded after every request and folded once at
+/// session end, leaves the same counting statistics in `profile` and the
+/// same `daemon.telemetry.events_folded`. That count is every event the
+/// session's journal emitted, including kinds the fold ignores (lapbench's
+/// warm-up waits on it). The per-request profile's digest is pinned, so
+/// a change to how the ring is folded cannot move a byte of it.
+#[test]
+fn telemetry_folds_are_cadence_invariant_and_count_every_event() {
+    let program = read_example("bookstore.lap");
+    let facts = read_example("bookstore_facts.lap");
+    let requests: Vec<QueryOptions> = (0..12u64)
+        .map(|i| match i % 3 {
+            0 => QueryOptions::default(),
+            1 => QueryOptions {
+                fault_rate: Some(0.3),
+                fault_seed: Some(i),
+                retry: Some(3),
+                latency_ms: Some(4),
+                ..QueryOptions::default()
+            },
+            _ => QueryOptions {
+                fault_rate: Some(0.5),
+                fault_seed: Some(i),
+                io_workers: Some(2),
+                ..QueryOptions::default()
+            },
+        })
+        .collect();
+
+    // What the session's journal emits, recorded in-process through the
+    // same prepared execution the daemon runs.
+    let emitted = {
+        let recorder = lap::obs::Recorder::with_journal(lap::obs::JournalConfig::light());
+        let prepared = lap::core::PreparedProgram::compile(&program).expect("bookstore compiles");
+        for options in &requests {
+            let (exec, resilience) = lap::execution_from_options(options).expect("valid options");
+            let db = lap::engine::Database::from_facts(&facts).expect("facts parse");
+            for prep in prepared.queries() {
+                match &resilience {
+                    Some(res) => drop(prep.execute_resilient_obs_cfg(&db, &recorder, res, exec)),
+                    None => drop(prep.execute_obs_cfg(&db, &recorder, exec)),
+                }
+            }
+        }
+        let journal = recorder.journal().expect("journal");
+        assert_eq!(journal.dropped(), 0, "the session's ring never wraps here");
+        journal.emitted()
+    };
+
+    let run = |fold_every_requests: u64| {
+        let server = start_server(DaemonConfig {
+            fold_every_requests,
+            watch_interval_ms: 0,
+            ..DaemonConfig::default()
+        });
+        let addr = server.addr().to_string();
+        let mut client = Client::connect(&addr).expect("connect");
+        for options in &requests {
+            query_text(&mut client, &program, &facts, options.clone());
+        }
+        drop(client);
+        await_sessions_closed(&server);
+        let mut client = Client::connect(&addr).expect("connect");
+        let profile = match client.profile().expect("profile frame") {
+            Response::Ok { data, .. } => data,
+            other => panic!("expected ok, got {other:?}"),
+        };
+        drop(client);
+        await_sessions_closed(&server);
+        let folded = server.metrics().counter("daemon.telemetry.events_folded");
+        server.shutdown();
+        (profile, folded)
+    };
+    let (every, folded_every) = run(1);
+    let (once, folded_once) = run(0);
+
+    assert_eq!(folded_every, emitted, "per-request folds count every emitted event");
+    assert_eq!(folded_once, emitted, "the final fold counts every emitted event");
+
+    let store = |doc: &lap::obs::Json| {
+        let store = lap::obs::FeedbackStore::from_json(doc).expect("profile parses");
+        store.validate().expect("profile validates");
+        store
+    };
+    let (every, every_json, once) = (store(&every), every.to_compact(), store(&once));
+    assert_eq!(once.folds, 1, "fold_every_requests = 0 folds once, at session end");
+    assert_eq!(every.folds, requests.len() as u64, "fold_every_requests = 1 folds per request");
+    let counting = |s: &lap::obs::FeedbackStore| -> Vec<String> {
+        s.profiles
+            .values()
+            .map(|p| {
+                let latency = (p.latency.count, p.latency.sum, p.latency.max, &p.latency.buckets);
+                let outcomes = (p.attempts, p.ok, p.faults, p.timeouts);
+                let traffic = (p.rows, p.retries, p.wait_ms);
+                format!("{}^{}: {outcomes:?} {traffic:?} {latency:?}", p.relation, p.pattern)
+            })
+            .collect()
+    };
+    assert_eq!(counting(&every), counting(&once), "counting statistics are cadence-invariant");
+    assert!(every.profiles.values().any(|p| p.faults > 0 && p.retries > 0), "{}", every.summary());
+    assert_eq!(
+        contract_table::fnv1a64(every_json.as_bytes()),
+        0x3f0e_bffd_8fe9_3453,
+        "per-request profile bytes moved:\n{every_json}"
+    );
 }
