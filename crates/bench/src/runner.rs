@@ -13,7 +13,7 @@ use lap_baselines::{cq_stable, cq_stable_star, ucq_stable, ucq_stable_star};
 use lap_containment::{cq_contained_canonical, ContainmentEngine};
 use lap_core::{
     answer_star, answer_star_with_domain, answerable_split, containment_to_feasibility, feasible,
-    feasible_detailed, plan_star, Completeness, DecisionPath,
+    feasible_detailed, plan_star, CompileOptions, Completeness, DecisionPath, PreparedQuery,
 };
 use lap_constraints::{feasible_under, prune_unsatisfiable, ConstraintSet, InclusionDep};
 use lap_engine::{eval_oracle, eval_ordered_union, SourceRegistry};
@@ -898,8 +898,8 @@ fn e15_mediator_pipeline() -> Table {
         });
         let unfolded = plan.unfolded.disjuncts.len();
         assert_eq!(unfolded, k * k, "k views per relation unfold into k² disjuncts");
-        assert!(plan.feasibility.feasible, "the unfolding must stay feasible (k = {k})");
-        t.row(vec![k.into(), unfolded.into(), plan.feasibility.feasible.into(), d.into()]);
+        assert!(plan.feasibility().feasible, "the unfolding must stay feasible (k = {k})");
+        t.row(vec![k.into(), unfolded.into(), plan.feasibility().feasible.into(), d.into()]);
     }
     t
 }
@@ -969,11 +969,13 @@ fn e17_end_to_end_scenario() -> Table {
         let scenario = bookstore(&cfg, &mut StdRng::seed_from_u64(17));
         let program = parse_program(&scenario.program_text()).expect("scenario parses");
         let q = program.single_query().expect("one query").clone();
+        let engine = ContainmentEngine::default();
+        let opts = CompileOptions { recorder: engine.recorder(), feasibility: Some(&engine) };
         let d_compile = time_median(TIMING_ITERS, || {
-            std::hint::black_box(lap_core::PreparedQuery::compile(&q, &program.schema));
+            std::hint::black_box(PreparedQuery::compile(&q, &program.schema, &opts));
         });
-        let prepared = lap_core::PreparedQuery::compile(&q, &program.schema);
-        assert!(prepared.is_feasible(), "standing query must be feasible");
+        let prepared = PreparedQuery::compile(&q, &program.schema, &opts);
+        assert!(prepared.feasibility().unwrap().feasible, "standing query must be feasible");
         let d_exec = time_median(5, || {
             std::hint::black_box(prepared.execute(&scenario.db).expect("executes"));
         });

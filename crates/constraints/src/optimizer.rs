@@ -6,7 +6,7 @@
 use crate::chase::{satisfiable_under, SatVerdict, DEFAULT_CHASE_ROUNDS};
 use crate::containment::chase_then_contain;
 use crate::deps::ConstraintSet;
-use lap_core::{plan_star, ContainmentEngine, DecisionPath, FeasibilityReport};
+use lap_core::{plan_star, ContainmentEngine, FeasibilityReport};
 use lap_ir::{Schema, UnionQuery};
 
 /// Removes every disjunct *provably* unsatisfiable under `Σ` (sound: chase
@@ -29,8 +29,9 @@ pub fn prune_unsatisfiable(q: &UnionQuery, cs: &ConstraintSet) -> UnionQuery {
     }
 }
 
-/// Feasibility **under constraints** (sound approximation): FEASIBLE with
-/// both of its semantic steps strengthened by `Σ`:
+/// Feasibility **under constraints** (sound approximation): FEASIBLE
+/// ([`FeasibilityReport::decide`]) with both of its semantic steps
+/// strengthened by `Σ`:
 ///
 /// 1. Σ-unsatisfiable disjuncts are pruned (Example 6's discard), and
 /// 2. the containment branch tests `ans(Q) ⊑_Σ Q` by asking `engine`
@@ -49,40 +50,14 @@ pub fn feasible_under(
 ) -> FeasibilityReport {
     let pruned = prune_unsatisfiable(q, cs);
     let plans = plan_star(&pruned, schema);
-    if plans.coincide() {
-        return FeasibilityReport {
-            feasible: true,
-            decided_by: DecisionPath::PlansCoincide,
-            plans,
-            containment: None,
-        };
-    }
-    if plans.over.has_null() {
-        return FeasibilityReport {
-            feasible: false,
-            decided_by: DecisionPath::OverestimateHasNull,
-            plans,
-            containment: None,
-        };
-    }
-    let ans_q = plans
-        .over
-        .as_query()
-        .expect("null-free overestimate is a plain query");
-    let (feasible, stats) = chase_then_contain(&ans_q, &pruned, cs, engine);
-    FeasibilityReport {
-        feasible,
-        decided_by: DecisionPath::ContainmentCheck,
-        plans,
-        containment: Some(stats),
-    }
+    FeasibilityReport::decide(plans, |ans_q| chase_then_contain(ans_q, &pruned, cs, engine))
 }
 
 #[cfg(test)]
 mod sigma_containment_tests {
     use super::*;
     use crate::deps::InclusionDep;
-    use lap_core::feasible;
+    use lap_core::{feasible, DecisionPath};
     use lap_ir::{parse_program, Predicate};
 
     #[test]

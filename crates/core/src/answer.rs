@@ -2,7 +2,8 @@
 //! completeness information, plus the domain-enumeration refinement of the
 //! underestimate (Section 4.2, Example 8).
 
-use crate::plan::{lower_pair, plan_star_obs, PhysicalPair, PlanPair};
+use crate::plan::{lower_pair, PhysicalPair, PlanPair};
+use crate::prepared::{CompileOptions, PreparedQuery};
 use lap_engine::{
     enumerate_domain, execute_physical_union, execute_physical_union_with, lower_union,
     CallStats, Database, DisjunctDegradation, EngineError, ExecConfig, FaultConfig,
@@ -214,18 +215,19 @@ pub(crate) fn run_pair(
     let retry = resilience.map_or_else(RetryPolicy::default, |r| r.retry);
     let fault = resilience.and_then(|r| r.fault);
     stamp_journal_meta(recorder, kind, q, &retry, fault.as_ref(), cfg);
+    let compiled;
     let lowered;
     let (plans, physical) = match plans {
         Plans::Star => {
-            let plans = plan_star_obs(q, schema, recorder);
-            lowered = lower_pair(&plans, schema);
-            (plans, &lowered)
+            let opts = CompileOptions { recorder, feasibility: None };
+            compiled = PreparedQuery::compile(q, schema, &opts);
+            (compiled.plans(), compiled.physical())
         }
         Plans::Given(plans) => {
             lowered = lower_pair(plans, schema);
-            (plans.clone(), &lowered)
+            (plans, &lowered)
         }
-        Plans::Prepared(plans, physical) => (plans.clone(), physical),
+        Plans::Prepared(plans, physical) => (plans, physical),
     };
     let mut reg = match source {
         AnswerSource::Database(db) => SourceRegistry::new(db, schema),
@@ -262,7 +264,7 @@ pub(crate) fn run_pair(
     } else {
         reg.virtual_elapsed_ms()
     };
-    let report = build_report(under.rows, over.rows, reg.stats(), plans, &degradation);
+    let report = build_report(under.rows, over.rows, reg.stats(), plans.clone(), &degradation);
     Ok(AnswerOutcome { report, degradation, retries, failures, virtual_ms })
 }
 

@@ -202,14 +202,19 @@ impl<V> PlanCache<V> {
         let mut state = self.lock();
         state.tick += 1;
         let tick = state.tick;
-        if let Some(old) = state.slots.insert(
+        let replaced = state.slots.insert(
             key.to_owned(),
             Slot { value: Arc::clone(&value), bytes, last_used: tick, hits: 0 },
-        ) {
+        );
+        if let Some(old) = &replaced {
             state.bytes -= old.bytes;
         }
         state.bytes += bytes;
-        self.evict_to_budget(&mut state, key);
+        let evicted = self.evict_to_budget(&mut state, key);
+        // Freeing an entry is the slow part of an eviction: no lookup
+        // should wait on it.
+        drop(state);
+        drop((replaced, evicted));
         value
     }
 
@@ -288,8 +293,9 @@ impl<V> PlanCache<V> {
     }
 
     /// Evicts least-recently-used entries (never `fresh`) until the byte
-    /// budget holds or only the fresh entry remains.
-    fn evict_to_budget(&self, state: &mut CacheState<V>, fresh: &str) {
+    /// budget holds or only the fresh entry remains, and returns them.
+    fn evict_to_budget(&self, state: &mut CacheState<V>, fresh: &str) -> Vec<Slot<V>> {
+        let mut evicted = Vec::new();
         while state.bytes > self.byte_budget && state.slots.len() > 1 {
             let victim = state
                 .slots
@@ -301,8 +307,10 @@ impl<V> PlanCache<V> {
             if let Some(old) = state.slots.remove(&victim) {
                 state.bytes -= old.bytes;
                 self.evictions.incr();
+                evicted.push(old);
             }
         }
+        evicted
     }
 }
 

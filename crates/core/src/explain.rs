@@ -8,6 +8,7 @@
 
 use crate::answerable::answerable_split;
 use crate::feasible::{feasible_detailed_with, DecisionPath};
+use crate::plan::PlanPair;
 use lap_containment::ContainmentEngine;
 use lap_ir::{ConjunctiveQuery, Literal, Schema, UnionQuery, Var};
 use std::collections::HashSet;
@@ -79,6 +80,8 @@ pub struct Explanation {
     pub decided_by: DecisionPath,
     /// Per-disjunct findings, in union order.
     pub disjuncts: Vec<DisjunctDiagnosis>,
+    /// The PLAN\* output the verdict was read from.
+    pub plans: PlanPair,
 }
 
 impl Explanation {
@@ -128,16 +131,12 @@ impl fmt::Display for Explanation {
     }
 }
 
-/// Explains the feasibility verdict for `q` (see module docs).
-pub fn explain(q: &UnionQuery, schema: &Schema) -> Explanation {
-    explain_with(q, schema, &ContainmentEngine::default())
-}
-
-/// [`explain`] with every containment decision (the FEASIBLE check *and*
-/// the per-disjunct absorption checks) delegated to `engine`. The
-/// absorption checks revisit `ans(d) ⊑ Q` for each blocked disjunct, so a
-/// caching engine pays for itself here.
-pub fn explain_with(q: &UnionQuery, schema: &Schema, engine: &ContainmentEngine) -> Explanation {
+/// Explains the feasibility verdict for `q` (see module docs), with every
+/// containment decision (the FEASIBLE check *and* the per-disjunct
+/// absorption checks) delegated to `engine`. The absorption checks revisit
+/// `ans(d) ⊑ Q` for each blocked disjunct, so a caching engine pays for
+/// itself here.
+pub fn explain(q: &UnionQuery, schema: &Schema, engine: &ContainmentEngine) -> Explanation {
     let report = feasible_detailed_with(q, schema, engine);
     let mut disjuncts = Vec::with_capacity(q.disjuncts.len());
     for (index, cq) in q.disjuncts.iter().enumerate() {
@@ -190,6 +189,7 @@ pub fn explain_with(q: &UnionQuery, schema: &Schema, engine: &ContainmentEngine)
         feasible: report.feasible,
         decided_by: report.decided_by,
         disjuncts,
+        plans: report.plans,
     }
 }
 
@@ -244,7 +244,7 @@ mod tests {
              Q(x, y) :- not S(z), R(x, z), B(x, y).\n\
              Q(x, y) :- T(x, y).",
         );
-        let e = explain(&q, &schema);
+        let e = explain(&q, &schema, &ContainmentEngine::default());
         assert!(!e.feasible);
         let culprits: Vec<_> = e.culprits().collect();
         assert_eq!(culprits.len(), 1);
@@ -267,7 +267,7 @@ mod tests {
              Q(a) :- B(i, a, t), L(i), B(i2, a2, t).\n\
              Q(a) :- B(i, a, t), L(i), not B(i2, a2, t).",
         );
-        let e = explain(&q, &schema);
+        let e = explain(&q, &schema, &ContainmentEngine::default());
         assert!(e.feasible);
         assert_eq!(e.culprits().count(), 0);
         assert!(e.disjuncts.iter().all(|d| d.absorbed));
@@ -277,7 +277,7 @@ mod tests {
     #[test]
     fn no_pattern_relation_is_reported() {
         let (q, schema) = setup("R^oo.\nQ(x) :- R(x, y), Zeta(y).");
-        let e = explain(&q, &schema);
+        let e = explain(&q, &schema, &ContainmentEngine::default());
         assert!(!e.feasible);
         let c: Vec<_> = e.culprits().collect();
         assert!(c[0].blocked[0].no_patterns);
@@ -291,7 +291,7 @@ mod tests {
              Q(x) :- R(x, y), not R(x, y).\n\
              Q(x) :- R(x, x).",
         );
-        let e = explain(&q, &schema);
+        let e = explain(&q, &schema, &ContainmentEngine::default());
         assert!(e.feasible);
         assert!(e.disjuncts[0].unsatisfiable);
         assert_eq!(e.culprits().count(), 0);
@@ -302,7 +302,7 @@ mod tests {
         // Example 9: the redundant unanswerable B(y) is absorbed by the
         // disjunct itself.
         let (q, schema) = setup("F^o. B^i.\nQ(x) :- F(x), B(x), B(y), F(z).");
-        let e = explain(&q, &schema);
+        let e = explain(&q, &schema, &ContainmentEngine::default());
         assert!(e.feasible);
         assert_eq!(e.culprits().count(), 0);
         assert!(e.disjuncts[0].absorbed);
@@ -312,7 +312,7 @@ mod tests {
     #[test]
     fn fully_answerable_disjuncts_report_clean() {
         let (q, schema) = setup("C^oo.\nQ(i) :- C(i, a).");
-        let e = explain(&q, &schema);
+        let e = explain(&q, &schema, &ContainmentEngine::default());
         assert!(e.feasible);
         assert!(e.disjuncts[0].blocked.is_empty());
         assert!(e.to_string().contains("fully answerable"));
@@ -320,20 +320,20 @@ mod tests {
 
     #[test]
     fn engine_backed_explain_agrees_and_records_decisions() {
-        use lap_containment::{ContainmentEngine, EngineConfig};
+        use lap_containment::EngineConfig;
         let (q, schema) = setup(
             "B^ioo. B^oio. L^o.\n\
              Q(a) :- B(i, a, t), L(i), B(i2, a2, t).\n\
              Q(a) :- B(i, a, t), L(i), not B(i2, a2, t).",
         );
-        let plain = explain(&q, &schema);
+        let plain = explain(&q, &schema, &ContainmentEngine::default());
         let engine = ContainmentEngine::new(EngineConfig::full());
-        let with = explain_with(&q, &schema, &engine);
+        let with = explain(&q, &schema, &engine);
         assert_eq!(plain, with);
         // FEASIBLE's check plus one absorption check per blocked disjunct.
         assert!(engine.stats().decisions >= 2, "{}", engine.stats());
         // A second explanation reuses cached verdicts.
-        let again = explain_with(&q, &schema, &engine);
+        let again = explain(&q, &schema, &engine);
         assert_eq!(plain, again);
         assert!(engine.stats().cache_hits >= 1, "{}", engine.stats());
     }

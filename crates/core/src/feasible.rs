@@ -2,13 +2,14 @@
 //! queries. Π₂ᴾ-complete in general (Corollary 19), but with the quadratic
 //! fast paths of PLAN\* in front of the containment check.
 
-use crate::plan::{plan_star_obs, PlanPair};
+use crate::plan::{plan_star_recorded, PlanPair};
 use lap_containment::{ContainmentEngine, ContainmentStats};
 use lap_ir::{Schema, UnionQuery};
 use lap_obs::Recorder;
 
 /// How a feasibility decision was reached — the basis of the paper's claim
-/// that the worst case is often avoidable (Section 4.1).
+/// that the worst case is often avoidable (Section 4.1). Read off PLAN\*'s
+/// output alone, so a query compiled without a verdict still has one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DecisionPath {
     /// `Qᵘ = Qᵒ`: the query is orderable; feasible without any containment
@@ -19,6 +20,20 @@ pub enum DecisionPath {
     OverestimateHasNull,
     /// The full check `ans(Q) ⊑ Q` (Corollary 17) had to run.
     ContainmentCheck,
+}
+
+impl DecisionPath {
+    /// The branch of FEASIBLE that decides a query with PLAN\* output
+    /// `plans`: Fig. 3's fast paths in order, else the containment check.
+    pub(crate) fn of(plans: &PlanPair) -> DecisionPath {
+        if plans.coincide() {
+            DecisionPath::PlansCoincide
+        } else if plans.over.has_null() {
+            DecisionPath::OverestimateHasNull
+        } else {
+            DecisionPath::ContainmentCheck
+        }
+    }
 }
 
 /// The outcome of [`feasible_detailed`].
@@ -36,19 +51,45 @@ pub struct FeasibilityReport {
     pub containment: Option<ContainmentStats>,
 }
 
-/// Algorithm FEASIBLE (Figure 3).
-///
-/// ```text
-/// (Qᵘ, Qᵒ) := PLAN*(Q)
-/// if Qᵘ = Qᵒ            then return true
-/// if Qᵒ contains null    then return false
-/// else                        return Qᵒ ⊑ Q
-/// ```
-///
-/// Correctness: `Qᵒ` (read as a query, legal exactly when null-free) *is*
-/// `ans(Q)`, so the last line is Corollary 17's criterion
-/// `Q feasible ⟺ ans(Q) ⊑ Q`, and by Theorem 16 `ans(Q)` is then the
-/// witnessing minimal executable query.
+impl FeasibilityReport {
+    /// Algorithm FEASIBLE (Figure 3) over PLAN\*'s output:
+    ///
+    /// ```text
+    /// (Qᵘ, Qᵒ) := PLAN*(Q)
+    /// if Qᵘ = Qᵒ            then return true
+    /// if Qᵒ contains null    then return false
+    /// else                        return Qᵒ ⊑ Q
+    /// ```
+    ///
+    /// The fast paths are decided here; `last_line` decides the last line,
+    /// given `ans(Q)` (the null-free `Qᵒ` read as a query), and is called
+    /// only when it is reached. [`feasible_detailed_with`] supplies a
+    /// containment engine; `lap_constraints::feasible_under` a chase in
+    /// front of one.
+    ///
+    /// Correctness: `Qᵒ` (read as a query, legal exactly when null-free)
+    /// *is* `ans(Q)`, so the last line is Corollary 17's criterion
+    /// `Q feasible ⟺ ans(Q) ⊑ Q`, and by Theorem 16 `ans(Q)` is then the
+    /// witnessing minimal executable query.
+    pub fn decide(
+        plans: PlanPair,
+        last_line: impl FnOnce(&UnionQuery) -> (bool, ContainmentStats),
+    ) -> FeasibilityReport {
+        let decided_by = DecisionPath::of(&plans);
+        let (feasible, containment) = match decided_by {
+            DecisionPath::ContainmentCheck => {
+                let ans_q = plans.over.as_query().expect("null-free overestimate is a query");
+                let (feasible, stats) = last_line(&ans_q);
+                (feasible, Some(stats))
+            }
+            fast_path => (fast_path == DecisionPath::PlansCoincide, None),
+        };
+        FeasibilityReport { feasible, decided_by, plans, containment }
+    }
+}
+
+/// Algorithm FEASIBLE (Figure 3, see [`FeasibilityReport::decide`]): is
+/// `q` feasible under `schema`'s access patterns?
 pub fn feasible(q: &UnionQuery, schema: &Schema) -> bool {
     feasible_detailed(q, schema).feasible
 }
@@ -61,58 +102,32 @@ pub fn feasible_detailed(q: &UnionQuery, schema: &Schema) -> FeasibilityReport {
 }
 
 /// [`feasible_detailed`] with the `ans(Q) ⊑ Q` check delegated to `engine`
-/// — parallel per-disjunct evaluation and verdict-cache reuse across calls,
-/// as configured. The verdict is the same for every engine configuration;
+/// and traced under its recorder, as [`crate::PreparedQuery::compile`]
+/// decides it. The verdict is the same for every engine configuration;
 /// only [`FeasibilityReport::containment`] differs.
 pub fn feasible_detailed_with(
     q: &UnionQuery,
     schema: &Schema,
     engine: &ContainmentEngine,
 ) -> FeasibilityReport {
-    feasible_detailed_obs(q, schema, engine, engine.recorder())
+    decide_under(q, schema, engine, engine.recorder())
 }
 
-/// [`feasible_detailed_with`] under `recorder`: the decision runs in a
-/// `feasible` span, with `plan*`/`answerable` sub-spans from PLAN\* and a
-/// `containment` sub-span when the `ans(Q) ⊑ Q` check actually runs.
-pub fn feasible_detailed_obs(
+/// FEASIBLE under `recorder`: the decision runs in a `feasible` span, with
+/// `plan*`/`answerable` sub-spans from PLAN\* and a `containment` sub-span
+/// when the `ans(Q) ⊑ Q` check actually runs.
+pub(crate) fn decide_under(
     q: &UnionQuery,
     schema: &Schema,
     engine: &ContainmentEngine,
     recorder: &Recorder,
 ) -> FeasibilityReport {
     let _span = recorder.span("feasible");
-    let plans = plan_star_obs(q, schema, recorder);
-    if plans.coincide() {
-        return FeasibilityReport {
-            feasible: true,
-            decided_by: DecisionPath::PlansCoincide,
-            plans,
-            containment: None,
-        };
-    }
-    if plans.over.has_null() {
-        return FeasibilityReport {
-            feasible: false,
-            decided_by: DecisionPath::OverestimateHasNull,
-            plans,
-            containment: None,
-        };
-    }
-    let ans_q = plans
-        .over
-        .as_query()
-        .expect("null-free overestimate is a plain query");
-    let (feasible, stats) = {
+    let plans = plan_star_recorded(q, schema, recorder);
+    FeasibilityReport::decide(plans, |ans_q| {
         let _containment = recorder.span("containment");
-        engine.contained_stats(&ans_q, q)
-    };
-    FeasibilityReport {
-        feasible,
-        decided_by: DecisionPath::ContainmentCheck,
-        plans,
-        containment: Some(stats),
-    }
+        engine.contained_stats(ans_q, q)
+    })
 }
 
 #[cfg(test)]

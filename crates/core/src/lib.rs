@@ -6,7 +6,8 @@
 //! | Fig. 1 — ANSWERABLE, `ans(Q)` (Defs. 6–7) | [`answerable_split`], [`ans`] |
 //! | Defs. 3–4 — executable / orderable | [`is_executable`], [`is_orderable`], [`executable_order`] |
 //! | Fig. 2 — PLAN\* (`Qᵘ`, `Qᵒ`) | [`plan_star`] |
-//! | Fig. 3 — FEASIBLE | [`feasible`], [`feasible_detailed`] |
+//! | Fig. 3 — FEASIBLE | [`FeasibilityReport::decide`] (the one copy of the figure); presets [`feasible`], [`feasible_detailed`], [`feasible_detailed_with`]; [`explain`] says why |
+//! | Figs. 1–3 at compile time (§4) | [`PreparedQuery::compile`] (one driver, one [`CompileOptions`] value: PLAN\* once, FEASIBLE only when given an engine, lowering once) |
 //! | Fig. 4 — ANSWER\* | [`answer_star`], [`answer_star_opts`] (one driver, one [`AnswerOptions`] value), [`answer_star_with_domain`] |
 //! | Thm. 18 / Prop. 20 — hardness reductions | [`containment_to_feasibility`], [`containment_to_feasibility_cqn`] |
 //!
@@ -49,19 +50,18 @@ pub use answerable::{
     ans, answerable_literals, answerable_split, is_q_answerable, literal_executable,
     AnswerableSplit,
 };
-pub use explain::{explain, explain_with, BlockedLiteral, DisjunctDiagnosis, Explanation};
+pub use explain::{explain, BlockedLiteral, DisjunctDiagnosis, Explanation};
 pub use executable::{
     choose_adornments, executable_order, is_executable, is_executable_cq, is_orderable,
     is_orderable_cq,
 };
 pub use feasible::{
-    feasible, feasible_detailed, feasible_detailed_obs, feasible_detailed_with, DecisionPath,
-    FeasibilityReport,
+    feasible, feasible_detailed, feasible_detailed_with, DecisionPath, FeasibilityReport,
 };
 pub use lap_containment::{ContainmentEngine, ContainmentStats, EngineConfig, EngineStats};
-pub use plan::{lower_pair, plan_star, plan_star_obs, CqPlan, PhysicalPair, PlanPair, UnionPlan};
+pub use plan::{lower_pair, plan_star, CqPlan, PhysicalPair, PlanPair, UnionPlan};
 pub use cache::{canonical_text, PlanCache, PlanCacheEntry, PlanCacheStats, DEFAULT_CACHE_BYTES};
-pub use prepared::{PreparedProgram, PreparedQuery};
+pub use prepared::{CompileOptions, PreparedProgram, PreparedQuery};
 pub use render::{render_answer_report, render_outcome};
 pub use reduction::{
     containment_to_feasibility, containment_to_feasibility_cqn, FeasibilityInstance,

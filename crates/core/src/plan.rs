@@ -102,14 +102,6 @@ impl UnionPlan {
             .map(|p| (p.cq.clone(), p.null_vars.clone()))
             .collect()
     }
-
-    /// Lowers this plan to the physical operator IR, one pipeline per
-    /// disjunct (with the union head kept even when the plan is `false`).
-    pub fn lower(&self, schema: &Schema) -> lap_engine::PhysicalUnion {
-        let mut union = lap_engine::lower_union(&self.eval_parts(), schema);
-        union.head = Some(self.head.clone());
-        union
-    }
 }
 
 impl fmt::Display for UnionPlan {
@@ -137,14 +129,16 @@ pub struct PhysicalPair {
     pub over: lap_engine::PhysicalUnion,
 }
 
-/// Lowers both plans of a [`PlanPair`] against `schema`. Total, like the
-/// underlying [`UnionPlan::lower`]: any problem is carried inside the
+/// Lowers both plans of a [`PlanPair`] against `schema`, one pipeline per
+/// disjunct (with the union head kept even when a plan is `false`). Total,
+/// like [`lap_engine::lower_cq`]: any problem is carried inside the
 /// operators and surfaces only if execution reaches it.
 pub fn lower_pair(pair: &PlanPair, schema: &Schema) -> PhysicalPair {
-    PhysicalPair {
-        under: pair.under.lower(schema),
-        over: pair.over.lower(schema),
-    }
+    let lower = |plan: &UnionPlan| {
+        let parts = plan.parts.iter().map(|p| lap_engine::lower_cq(&p.cq, &p.null_vars, schema));
+        lap_engine::PhysicalUnion { head: Some(plan.head.clone()), parts: parts.collect() }
+    };
+    PhysicalPair { under: lower(&pair.under), over: lower(&pair.over) }
 }
 
 /// The pair of plans PLAN\* produces.
@@ -175,13 +169,14 @@ impl PlanPair {
 /// * `Uᵢ ≠ ∅` ⇒ `Qᵢ` is dropped from `Qᵘ`; `Qᵢᵒ = Aᵢ` with every head
 ///   variable not occurring in `Aᵢ` set to `null` joins `Qᵒ`.
 pub fn plan_star(q: &UnionQuery, schema: &Schema) -> PlanPair {
-    plan_star_obs(q, schema, &lap_obs::Recorder::disabled())
+    plan_star_recorded(q, schema, &lap_obs::Recorder::disabled())
 }
 
 /// [`plan_star`] under `recorder`: the whole computation runs in a `plan*`
 /// span with a nested `answerable` span covering the per-disjunct
-/// ANSWERABLE splits (Figure 1).
-pub fn plan_star_obs(
+/// ANSWERABLE splits (Figure 1). Reached through
+/// [`crate::PreparedQuery::compile`].
+pub(crate) fn plan_star_recorded(
     q: &UnionQuery,
     schema: &Schema,
     recorder: &lap_obs::Recorder,

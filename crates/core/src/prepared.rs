@@ -2,58 +2,66 @@
 //!
 //! The paper separates compile time ("before any specific database
 //! instance is considered") from runtime (Section 4). [`PreparedQuery`]
-//! materializes that separation as an API: feasibility analysis, plan
-//! construction, and (optionally) cost-based validation happen once; each
-//! [`PreparedQuery::execute`] then only pays the runtime price.
+//! materializes that separation as an API: [`PreparedQuery::compile`] is
+//! the one compile driver for Figs. 1–3 (PLAN\* with ANSWERABLE inside,
+//! FEASIBLE when asked, lowering), and each [`PreparedQuery::execute`]
+//! then only pays the runtime price.
 
 use crate::answer::{run_pair, AnswerOutcome, AnswerReport, Plans};
-use crate::feasible::{feasible_detailed, feasible_detailed_with, DecisionPath, FeasibilityReport};
-use crate::plan::{lower_pair, PhysicalPair, PlanPair};
-use lap_containment::{ContainmentEngine, EngineConfig};
+use crate::feasible::{decide_under, DecisionPath, FeasibilityReport};
+use crate::plan::{lower_pair, plan_star_recorded, PhysicalPair, PlanPair};
+use lap_containment::ContainmentEngine;
 use lap_engine::{Database, EngineError, ExecConfig, ResilienceConfig};
 use lap_ir::{parse_program, Program, Schema, UnionQuery};
 use lap_obs::Recorder;
 use std::collections::BTreeSet;
+
+/// Everything that shapes a compile besides the query and the schema.
+/// Neither field changes the compiled plans.
+#[derive(Clone, Copy, Debug)]
+pub struct CompileOptions<'a> {
+    /// Spans: `plan*` with `answerable` inside; with a verdict, both sit in
+    /// a `feasible` span beside the check's `containment` span.
+    pub recorder: &'a Recorder,
+    /// `Some(engine)`: decide FEASIBLE (Figure 3), the `ans(Q) ⊑ Q` check
+    /// delegated to `engine` ([`PreparedQuery::feasibility`]). `None`: the
+    /// query path — ANSWER\* derives completeness at run time and never
+    /// reads a verdict.
+    pub feasibility: Option<&'a ContainmentEngine>,
+}
 
 /// A query compiled against a schema of access patterns.
 #[derive(Clone, Debug)]
 pub struct PreparedQuery {
     query: UnionQuery,
     schema: Schema,
-    report: FeasibilityReport,
+    plans: PlanPair,
     physical: PhysicalPair,
+    decided_by: DecisionPath,
+    feasibility: Option<FeasibilityReport>,
 }
 
 impl PreparedQuery {
-    /// Compiles `q` against `schema`: runs PLAN\* and FEASIBLE once, then
-    /// lowers both plans so [`PreparedQuery::execute`] starts from the
-    /// physical operator trees directly.
-    pub fn compile(q: &UnionQuery, schema: &Schema) -> PreparedQuery {
-        let report = feasible_detailed(q, schema);
-        let physical = lower_pair(&report.plans, schema);
+    /// The one compile driver for Figs. 1–3: runs PLAN\* once, decides
+    /// FEASIBLE only when `opts.feasibility` supplies an engine, and lowers
+    /// both plans once, so [`PreparedQuery::execute`] starts from the
+    /// physical operator trees directly. The decision path is read off the
+    /// plans either way.
+    pub fn compile(q: &UnionQuery, schema: &Schema, opts: &CompileOptions<'_>) -> PreparedQuery {
+        let (plans, feasibility) = match opts.feasibility {
+            Some(engine) => {
+                let report = decide_under(q, schema, engine, opts.recorder);
+                (report.plans.clone(), Some(report))
+            }
+            None => (plan_star_recorded(q, schema, opts.recorder), None),
+        };
         PreparedQuery {
             query: q.clone(),
             schema: schema.clone(),
-            report,
-            physical,
-        }
-    }
-
-    /// [`PreparedQuery::compile`] with the feasibility analysis delegated
-    /// to `engine` — compiling a batch of queries against one caching
-    /// engine shares containment verdicts across them.
-    pub fn compile_with(
-        q: &UnionQuery,
-        schema: &Schema,
-        engine: &ContainmentEngine,
-    ) -> PreparedQuery {
-        let report = feasible_detailed_with(q, schema, engine);
-        let physical = lower_pair(&report.plans, schema);
-        PreparedQuery {
-            query: q.clone(),
-            schema: schema.clone(),
-            report,
-            physical,
+            physical: lower_pair(&plans, schema),
+            decided_by: DecisionPath::of(&plans),
+            plans,
+            feasibility,
         }
     }
 
@@ -62,20 +70,16 @@ impl PreparedQuery {
         &self.query
     }
 
-    /// Is the query feasible (answers guaranteed complete on every
-    /// instance)?
-    pub fn is_feasible(&self) -> bool {
-        self.report.feasible
-    }
-
-    /// The feasibility analysis, including how it was decided.
-    pub fn feasibility(&self) -> &FeasibilityReport {
-        &self.report
+    /// The FEASIBLE verdict and how it was decided — `None` unless the
+    /// query was compiled with [`CompileOptions::feasibility`]. Its plans
+    /// are PLAN\*'s, even after [`PreparedQuery::replace_plans`].
+    pub fn feasibility(&self) -> Option<&FeasibilityReport> {
+        self.feasibility.as_ref()
     }
 
     /// The compiled plans.
     pub fn plans(&self) -> &PlanPair {
-        &self.report.plans
+        &self.plans
     }
 
     /// The compiled physical operator trees (lowered once at compile time).
@@ -93,10 +97,10 @@ impl PreparedQuery {
     /// re-orders the plan bodies under a journal-calibrated cost model and
     /// re-lowers them after an execution blew its estimates). The
     /// replacement must be answer-equivalent to the compiled plans (a
-    /// reordering of the same bodies); the feasibility verdict is kept,
-    /// not re-derived.
+    /// reordering of the same bodies); the feasibility verdict and the
+    /// decision path are kept, not re-derived.
     pub fn replace_plans(&mut self, plans: PlanPair, physical: PhysicalPair) {
-        self.report.plans = plans;
+        self.plans = plans;
         self.physical = physical;
     }
 
@@ -110,7 +114,7 @@ impl PreparedQuery {
         cfg: ExecConfig,
         resilience: Option<&ResilienceConfig>,
     ) -> Result<AnswerOutcome, EngineError> {
-        let plans = Plans::Prepared(&self.report.plans, &self.physical);
+        let plans = Plans::Prepared(&self.plans, &self.physical);
         run_pair(&self.query, &self.schema, db.into(), plans, recorder, cfg, resilience)
     }
 
@@ -148,32 +152,35 @@ impl PreparedQuery {
         self.run(db, recorder, cfg, Some(resilience))
     }
 
-    /// A size estimate for plan-cache accounting: the rendered footprint
-    /// of the query, schema, and both physical trees. Not exact heap
-    /// bytes — a stable, cheap proxy that grows with what the entry
-    /// actually pins.
+    /// A size estimate for plan-cache accounting: 32 bytes, about one
+    /// rendered line, per item the entry pins — each rule head and body
+    /// literal of the query, each declared relation, each physical
+    /// operator. Not exact heap bytes: a stable proxy, counted without
+    /// rendering anything.
     pub fn estimated_bytes(&self) -> usize {
-        self.query.to_string().len()
-            + self.schema.to_string().len()
-            + self.physical.under.to_string().len()
-            + self.physical.over.to_string().len()
+        let literals: usize = self.query.disjuncts.iter().map(|cq| cq.body.len() + 1).sum();
+        let pipelines = self.physical.under.parts.iter().chain(&self.physical.over.parts);
+        32 * (literals + self.schema.len() + pipelines.map(|p| p.ops.len()).sum::<usize>())
     }
 
     /// Executes and returns the *best available* answer set: the exact
-    /// answer (overestimate) for feasible null-free plans, the certain
-    /// answers otherwise.
+    /// answer (overestimate) for null-free plans the compile decided
+    /// feasible, the certain answers otherwise (always, without a verdict).
     pub fn execute_best(&self, db: &Database) -> Result<BTreeSet<lap_engine::Tuple>, EngineError> {
         let report = self.execute(db)?;
-        if self.report.feasible && !self.report.plans.over.has_null() {
+        let feasible = self.feasibility.as_ref().is_some_and(|r| r.feasible);
+        if feasible && !self.plans.over.has_null() {
             Ok(report.over)
         } else {
             Ok(report.under)
         }
     }
 
-    /// How the feasibility decision was reached (fast path vs containment).
+    /// The branch of FEASIBLE that decides this query (fast path vs
+    /// containment), read off PLAN\*'s plans at compile time — with or
+    /// without a verdict.
     pub fn decision_path(&self) -> DecisionPath {
-        self.report.decided_by
+        self.decided_by
     }
 
     /// The relation names this query's bodies reference — the daemon's
@@ -189,39 +196,36 @@ impl PreparedQuery {
     }
 }
 
-/// A whole program compiled once: the parsed [`Program`] plus one
-/// [`PreparedQuery`] per query, in program order. This is what the `lapd`
-/// plan cache stores per canonical program text — a session that hits the
-/// cache executes straight from the physical trees, paying neither parse
-/// nor PLAN\*/FEASIBLE nor lowering.
+/// A whole program compiled once: one [`PreparedQuery`] per query, in
+/// program order, each owning its query and the program's schema. This is
+/// what the `lapd` plan cache stores per canonical program text — a
+/// session that hits the cache executes straight from the physical trees,
+/// paying neither parse nor PLAN\* nor lowering.
 #[derive(Clone, Debug)]
 pub struct PreparedProgram {
-    program: Program,
     prepared: Vec<PreparedQuery>,
 }
 
 impl PreparedProgram {
-    /// Parses and compiles `text`, sharing one containment engine across
-    /// the program's queries.
+    /// Parses and compiles `text` for the query path: no FEASIBLE verdict,
+    /// which no answer reads (the `lapd` miss path and one-shot execution).
     pub fn compile(text: &str) -> Result<PreparedProgram, String> {
-        PreparedProgram::compile_with(text, &ContainmentEngine::new(EngineConfig::default()))
+        let opts = CompileOptions { recorder: &Recorder::disabled(), feasibility: None };
+        PreparedProgram::compile_opts(text, &opts)
     }
 
-    /// [`PreparedProgram::compile`] against a caller-provided (typically
-    /// long-lived, memoized) containment engine.
+    /// [`PreparedProgram::compile`] that also decides FEASIBLE for every
+    /// query, against a caller-provided (typically long-lived, memoized)
+    /// containment engine, traced under the engine's recorder.
     pub fn compile_with(text: &str, engine: &ContainmentEngine) -> Result<PreparedProgram, String> {
-        let program = parse_program(text).map_err(|e| e.to_string())?;
-        let prepared = program
-            .queries
-            .iter()
-            .map(|q| PreparedQuery::compile_with(q, &program.schema, engine))
-            .collect();
-        Ok(PreparedProgram { program, prepared })
+        let opts = CompileOptions { recorder: engine.recorder(), feasibility: Some(engine) };
+        PreparedProgram::compile_opts(text, &opts)
     }
 
-    /// The parsed program.
-    pub fn program(&self) -> &Program {
-        &self.program
+    fn compile_opts(text: &str, opts: &CompileOptions<'_>) -> Result<PreparedProgram, String> {
+        let Program { schema, queries } = parse_program(text).map_err(|e| e.to_string())?;
+        let prepared = queries.iter().map(|q| PreparedQuery::compile(q, &schema, opts)).collect();
+        Ok(PreparedProgram { prepared })
     }
 
     /// The compiled queries, in program order.
@@ -252,7 +256,7 @@ impl PreparedProgram {
             self.prepared.len(),
             "substituted queries must match the program one-for-one"
         );
-        PreparedProgram { program: self.program.clone(), prepared }
+        PreparedProgram { prepared }
     }
 }
 
@@ -267,14 +271,21 @@ mod tests {
         (p.single_query().unwrap().clone(), p.schema)
     }
 
+    fn compile(q: &UnionQuery, schema: &Schema, decide: bool) -> PreparedQuery {
+        let engine = ContainmentEngine::default();
+        let feasibility = decide.then_some(&engine);
+        let opts = CompileOptions { recorder: &Recorder::disabled(), feasibility };
+        PreparedQuery::compile(q, schema, &opts)
+    }
+
     #[test]
     fn compile_once_execute_many() {
         let (q, schema) = setup(
             "B^ioo. B^oio. C^oo. L^o.\n\
              Q(i, a, t) :- B(i, a, t), C(i, a), not L(i).",
         );
-        let prepared = PreparedQuery::compile(&q, &schema);
-        assert!(prepared.is_feasible());
+        let prepared = compile(&q, &schema, true);
+        assert!(prepared.feasibility().unwrap().feasible);
         for facts in [
             r#"B(1, "a", "t"). C(1, "a")."#,
             r#"B(1, "a", "t"). C(1, "a"). L(1)."#,
@@ -297,14 +308,20 @@ mod tests {
              Q(a) :- B(i, a, t), L(i), B(i2, a2, t).\n\
              Q(a) :- B(i, a, t), L(i), not B(i2, a2, t).",
         );
-        let prepared = PreparedQuery::compile(&q, &schema);
-        assert!(prepared.is_feasible());
+        let prepared = compile(&q, &schema, true);
+        assert!(prepared.feasibility().unwrap().feasible);
         let db = Database::from_facts(r#"B(1, "adams", "t"). L(1)."#).unwrap();
         let best = prepared.execute_best(&db).unwrap();
         assert_eq!(best.len(), 1);
         // ANSWER* alone would have reported only the (empty) underestimate.
         let rep = prepared.execute(&db).unwrap();
         assert!(rep.under.is_empty());
+        // Without a verdict the path is still known, and the best answer
+        // falls back to the certain one.
+        let lean = compile(&q, &schema, false);
+        assert!(lean.feasibility().is_none());
+        assert_eq!(lean.decision_path(), DecisionPath::ContainmentCheck);
+        assert!(lean.execute_best(&db).unwrap().is_empty());
     }
 
     #[test]
@@ -314,7 +331,6 @@ mod tests {
                     P(x) :- F(x).";
         let prog = PreparedProgram::compile(text).unwrap();
         assert_eq!(prog.queries().len(), 2);
-        assert_eq!(prog.program().queries.len(), 2);
         assert!(prog.estimated_bytes() > 0);
         let db = Database::from_facts(r#"C(1, "a"). F(9)."#).unwrap();
         let reps: Vec<AnswerReport> = prog
@@ -334,8 +350,8 @@ mod tests {
              Q(x, y) :- not S(z), R(x, z), B(x, y).\n\
              Q(x, y) :- T(x, y).",
         );
-        let prepared = PreparedQuery::compile(&q, &schema);
-        assert!(!prepared.is_feasible());
+        let prepared = compile(&q, &schema, true);
+        assert!(!prepared.feasibility().unwrap().feasible);
         let db = Database::from_facts("T(1, 2). R(3, 4). B(3, 5).").unwrap();
         let best = prepared.execute_best(&db).unwrap();
         assert_eq!(best.len(), 1); // only the certain (1, 2)

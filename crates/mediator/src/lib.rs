@@ -31,7 +31,7 @@
 //! let q = parse_query("Q(i, a, t) :- Book(i, a, t), Cat(i, a), not Lib(i).").unwrap();
 //! let db = Database::from_facts(r#"Bn(2, "adams", "dirk gently"). Cat(2, "adams")."#).unwrap();
 //! let (plan, answer) = mediator.answer(&q, &db).unwrap();
-//! assert!(plan.feasibility.feasible);
+//! assert!(plan.feasibility().feasible);
 //! assert!(answer.is_complete());
 //! ```
 

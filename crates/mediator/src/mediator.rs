@@ -4,12 +4,9 @@
 use crate::unfold::{unfold_deep, UnfoldError};
 use crate::views::{GavView, ViewError};
 use lap_constraints::{prune_unsatisfiable, ConstraintSet};
-use lap_core::{
-    answer_star_opts, feasible_detailed_obs, lower_pair, AnswerOptions, AnswerOutcome,
-    AnswerReport, FeasibilityReport, PhysicalPair,
-};
+use lap_core::{AnswerOutcome, AnswerReport, CompileOptions, FeasibilityReport, PreparedQuery};
 use lap_core::{ContainmentEngine, EngineConfig, EngineStats};
-use lap_engine::{Database, EngineError, ResilienceConfig};
+use lap_engine::{Database, EngineError, ExecConfig, ResilienceConfig};
 use lap_ir::{parse_program, IrError, Schema, UnionQuery};
 use lap_obs::journal::kind as journal_kind;
 use lap_obs::{Json, Recorder};
@@ -70,11 +67,17 @@ pub struct MediatorPlan {
     pub unfolded: UnionQuery,
     /// After the semantic optimizer (Σ-unsatisfiable disjuncts removed).
     pub pruned: UnionQuery,
+    /// The pruned query compiled over the source schema, FEASIBLE decided:
+    /// the PLAN\* output and its physical operator trees, which is what
+    /// [`Mediator::answer`] executes.
+    pub compiled: PreparedQuery,
+}
+
+impl MediatorPlan {
     /// Feasibility analysis of the pruned plan (includes PLAN\* output).
-    pub feasibility: FeasibilityReport,
-    /// The PLAN\* output lowered to physical operator trees over the
-    /// source schema — what the runtime actually executes.
-    pub physical: PhysicalPair,
+    pub fn feasibility(&self) -> &FeasibilityReport {
+        self.compiled.feasibility().expect("Mediator::plan decides FEASIBLE")
+    }
 }
 
 /// A global-as-view mediator over limited-access sources — the shape of
@@ -210,27 +213,21 @@ impl Mediator {
             unfolded.disjuncts.len(),
             pruned.disjuncts.len(),
         );
-        let feasibility =
-            feasible_detailed_obs(&pruned, &self.source_schema, &self.engine, &self.recorder);
-        let physical = lower_pair(&feasibility.plans, &self.source_schema);
-        Ok(MediatorPlan {
-            unfolded,
-            pruned,
-            feasibility,
-            physical,
-        })
+        let opts = CompileOptions { recorder: &self.recorder, feasibility: Some(&self.engine) };
+        let compiled = PreparedQuery::compile(&pruned, &self.source_schema, &opts);
+        Ok(MediatorPlan { unfolded, pruned, compiled })
     }
 
-    /// Full pipeline including runtime answering over a source instance.
+    /// Full pipeline including runtime answering over a source instance:
+    /// ANSWER\* runs the plans [`Mediator::plan`] compiled.
     pub fn answer(
         &self,
         q: &UnionQuery,
         db: &Database,
     ) -> Result<(MediatorPlan, AnswerReport), MediatorError> {
         let plan = self.plan(q)?;
-        let opts = AnswerOptions::new(&self.recorder);
-        let outcome = answer_star_opts(&plan.pruned, &self.source_schema, db, &opts)?;
-        Ok((plan, outcome.report))
+        let report = plan.compiled.execute_obs_cfg(db, &self.recorder, ExecConfig::default())?;
+        Ok((plan, report))
     }
 
     /// [`Mediator::answer`] in degradation mode: runtime answering runs
@@ -244,9 +241,8 @@ impl Mediator {
         resilience: &ResilienceConfig,
     ) -> Result<(MediatorPlan, AnswerOutcome), MediatorError> {
         let plan = self.plan(q)?;
-        let opts =
-            AnswerOptions { resilience: Some(resilience), ..AnswerOptions::new(&self.recorder) };
-        let outcome = answer_star_opts(&plan.pruned, &self.source_schema, db, &opts)?;
+        let (rec, exec) = (&self.recorder, ExecConfig::default());
+        let outcome = plan.compiled.execute_resilient_obs_cfg(db, rec, resilience, exec)?;
         Ok((plan, outcome))
     }
 
@@ -285,12 +281,12 @@ mod tests {
         let q = parse_query("Q(i, a, t) :- Book(i, a, t), Cat(i, a), not Lib(i).").unwrap();
         let plan = m.plan(&q).unwrap();
         assert_eq!(plan.unfolded.disjuncts.len(), 2);
-        assert!(plan.feasibility.feasible);
+        assert!(plan.feasibility().feasible);
         // The compiled artifact carries the lowered operator trees, one
         // pipeline per surviving disjunct.
         assert_eq!(
-            plan.physical.over.parts.len(),
-            plan.feasibility.plans.over.parts.len()
+            plan.compiled.physical().over.parts.len(),
+            plan.feasibility().plans.over.parts.len()
         );
         let db = Database::from_facts(
             r#"
@@ -346,9 +342,9 @@ mod tests {
         .unwrap();
         let q = parse_query("Q(p) :- GPrice(i, p).").unwrap();
         let plan = m.plan(&q).unwrap();
-        assert!(!plan.feasibility.feasible);
+        assert!(!plan.feasibility().feasible);
         assert_eq!(
-            plan.feasibility.decided_by,
+            plan.feasibility().decided_by,
             DecisionPath::OverestimateHasNull
         );
     }
@@ -388,6 +384,9 @@ mod tests {
         for phase in ["unfold", "prune", "feasible", "plan*", "answerable", "answer*"] {
             assert!(snap.find_span(phase).is_some(), "missing span {phase}");
         }
+        // ANSWER* executes the plans `plan` compiled: PLAN* ran once.
+        let names: Vec<&str> = snap.spans.iter().flat_map(|s| s.names()).collect();
+        assert_eq!(names.iter().filter(|n| **n == "plan*").count(), 1, "{names:?}");
         // Source counters flowed into the shared recorder.
         assert_eq!(snap.counter("source.calls"), report.stats.calls);
         assert_eq!(
@@ -440,10 +439,10 @@ mod tests {
         .plan(&q)
         .unwrap();
         let first = m.plan(&q).unwrap();
-        assert_eq!(first.feasibility.feasible, baseline.feasibility.feasible);
-        assert_eq!(first.feasibility.decided_by, baseline.feasibility.decided_by);
+        assert_eq!(first.feasibility().feasible, baseline.feasibility().feasible);
+        assert_eq!(first.feasibility().decided_by, baseline.feasibility().decided_by);
         let second = m.plan(&q).unwrap();
-        assert_eq!(second.feasibility.feasible, baseline.feasibility.feasible);
+        assert_eq!(second.feasibility().feasible, baseline.feasibility().feasible);
         let stats = m.engine_stats();
         assert!(stats.cache_hits >= 1, "{stats}");
         // Clones share the same engine (and therefore the same cache).

@@ -16,7 +16,7 @@
 //! run completes correctly and only the next one re-plans.
 
 use crate::cost::CostModel;
-use crate::lower::lower_dual;
+use crate::lower::lower;
 use crate::order::{optimize_plan_pair, Strategy};
 use lap_core::{PlanCache, PreparedProgram, PreparedQuery};
 use lap_obs::FeedbackStore;
@@ -44,7 +44,7 @@ pub fn recalibrate_prepared(
     let calibrated = static_model.calibrated(feedback);
     let optimized = optimize_plan_pair(prepared.plans(), prepared.schema(), &calibrated, strategy);
     let changed = optimized != *prepared.plans();
-    let physical = lower_dual(&optimized, prepared.schema(), static_model, &calibrated);
+    let physical = lower(&optimized, prepared.schema(), static_model, Some(&calibrated));
     prepared.replace_plans(optimized, physical);
     changed
 }
@@ -90,6 +90,7 @@ pub fn recalibrate_published(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lap_core::CompileOptions;
     use lap_engine::{Database, PhysOp, SourceRegistry};
     use lap_ir::parse_program;
     use lap_obs::Recorder;
@@ -102,7 +103,8 @@ mod tests {
     fn scenario() -> (PreparedQuery, Database) {
         let p = parse_program(PROGRAM).unwrap();
         let q = p.single_query().unwrap();
-        let prepared = PreparedQuery::compile(q, &p.schema);
+        let opts = CompileOptions { recorder: &Recorder::disabled(), feasibility: None };
+        let prepared = PreparedQuery::compile(q, &p.schema, &opts);
         let mut facts = String::new();
         for i in 0..40 {
             facts.push_str(&format!("A({i}). "));
@@ -234,7 +236,7 @@ mod tests {
         // extent so its scan (40 real rows vs 1 estimated) blows the
         // 10× threshold.
         let skewed = CostModel::new().with_extent("A", 1.0).with_extent("D", 1.0);
-        let physical = crate::lower::lower(prepared.plans(), prepared.schema(), &skewed);
+        let physical = lower(prepared.plans(), prepared.schema(), &skewed, None);
         prepared.replace_plans(prepared.plans().clone(), physical);
 
         let rec = Recorder::with_journal(lap_obs::journal::JournalConfig::light());

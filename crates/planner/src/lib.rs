@@ -12,8 +12,8 @@
 //!   *executable* orders;
 //! * [`optimize_plan_pair`] — re-orders PLAN\* output per [`Strategy`];
 //! * [`lower`] — lowers a plan pair to physical operator trees with
-//!   per-operator cost annotations;
-//! * [`CostModel::calibrated`] / [`lower_dual`] / [`recalibrate_prepared`]
+//!   per-operator cost annotations, static and optionally calibrated;
+//! * [`CostModel::calibrated`] / [`recalibrate_prepared`]
 //!   — the feedback loop: re-cost a model from a journal-fed
 //!   [`lap_obs::FeedbackStore`], annotate plans with both the static and
 //!   the calibrated estimate, and re-plan a prepared query whose
@@ -52,6 +52,6 @@ mod order;
 
 pub use cost::{estimate_cost, CostModel, PlanCost};
 pub use feedback::{recalibrate_prepared, recalibrate_published};
-pub use lower::{annotate_union, annotate_union_calibrated, lower, lower_dual};
+pub use lower::lower;
 pub use minimize::minimal_executable_plan;
 pub use order::{best_order, greedy_order, optimize_plan_pair, Strategy};

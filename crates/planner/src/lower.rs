@@ -17,7 +17,7 @@
 
 use crate::cost::CostModel;
 use lap_core::{PhysicalPair, PlanPair};
-use lap_engine::{ArgSource, OpCost, PhysOp, PhysicalPlan, PhysicalUnion};
+use lap_engine::{ArgSource, OpCost, PhysOp, PhysicalPlan};
 use lap_ir::{Schema, Var};
 use std::collections::HashSet;
 
@@ -30,48 +30,24 @@ enum CostSlot {
 }
 
 /// Lowers both PLAN\* estimate plans to physical trees and annotates every
-/// operator with its [`OpCost`] under `model`.
-pub fn lower(pair: &PlanPair, schema: &Schema, model: &CostModel) -> PhysicalPair {
-    let mut physical = lap_core::lower_pair(pair, schema);
-    annotate_union(&mut physical.under, model);
-    annotate_union(&mut physical.over, model);
-    physical
-}
-
-/// [`lower`] with **both** annotations: every operator carries the static
-/// estimate under `static_model` *and* the calibrated one under
-/// `calibrated_model`, so `explain` renders `(est …; cal …)` and the
-/// reader sees why the calibrated plan differs from the static one.
-pub fn lower_dual(
+/// operator with its [`OpCost`] under `model`. With `calibrated`, every
+/// operator also carries the calibrated estimate, so `explain` renders
+/// `(est …; cal …)` and the reader sees why the calibrated plan differs
+/// from the static one.
+pub fn lower(
     pair: &PlanPair,
     schema: &Schema,
-    static_model: &CostModel,
-    calibrated_model: &CostModel,
+    model: &CostModel,
+    calibrated: Option<&CostModel>,
 ) -> PhysicalPair {
     let mut physical = lap_core::lower_pair(pair, schema);
-    for union in [&mut physical.under, &mut physical.over] {
-        for plan in &mut union.parts {
-            annotate_plan(plan, static_model, CostSlot::Static);
-            annotate_plan(plan, calibrated_model, CostSlot::Calibrated);
+    for plan in physical.under.parts.iter_mut().chain(&mut physical.over.parts) {
+        annotate_plan(plan, model, CostSlot::Static);
+        if let Some(calibrated) = calibrated {
+            annotate_plan(plan, calibrated, CostSlot::Calibrated);
         }
     }
     physical
-}
-
-/// Annotates one lowered union in place (exposed for callers that lowered
-/// through [`lap_core::UnionPlan::lower`] directly).
-pub fn annotate_union(union: &mut PhysicalUnion, model: &CostModel) {
-    for plan in &mut union.parts {
-        annotate_plan(plan, model, CostSlot::Static);
-    }
-}
-
-/// Like [`annotate_union`], but fills the *calibrated* annotation slot,
-/// leaving any static estimates in place.
-pub fn annotate_union_calibrated(union: &mut PhysicalUnion, model: &CostModel) {
-    for plan in &mut union.parts {
-        annotate_plan(plan, model, CostSlot::Calibrated);
-    }
 }
 
 fn annotate_plan(plan: &mut PhysicalPlan, model: &CostModel, slot: CostSlot) {
@@ -164,7 +140,7 @@ mod tests {
             .with_extent("L", 5.0)
             .with_extent("B", 10_000.0)
             .with_extent("C", 2_000.0);
-        let physical = lower(&pair, &schema, &model);
+        let physical = lower(&pair, &schema, &model, None);
         let plan = &physical.under.parts[0];
         let expected = estimate_cost(&pair.under.parts[0].cq, &schema, &model).unwrap();
         let PhysOp::Project(p) = plan.ops.last().unwrap() else { panic!() };
@@ -186,15 +162,15 @@ mod tests {
         // 79 windows, while calls/tuples are untouched by the width.
         let wide = CostModel::new().with_extent("L", 5_000.0).with_extent("B", 10.0);
         let narrow = wide.clone().with_batch_width(64);
-        let join_wide = lower(&pair, &schema, &wide).under.parts[0].ops[1].cost().unwrap();
+        let join_wide = lower(&pair, &schema, &wide, None).under.parts[0].ops[1].cost().unwrap();
         let join_narrow =
-            lower(&pair, &schema, &narrow).under.parts[0].ops[1].cost().unwrap();
+            lower(&pair, &schema, &narrow, None).under.parts[0].ops[1].cost().unwrap();
         assert!((join_wide.batches - 5.0).abs() < 1e-9, "{join_wide}");
         assert!((join_narrow.batches - 79.0).abs() < 1e-9, "{join_narrow}");
         assert_eq!(join_wide.calls, join_narrow.calls);
         assert_eq!(join_wide.tuples, join_narrow.tuples);
         // A leaf access always sees exactly the one unit window.
-        let leaf = lower(&pair, &schema, &wide).under.parts[0].ops[0].cost().unwrap();
+        let leaf = lower(&pair, &schema, &wide, None).under.parts[0].ops[0].cost().unwrap();
         assert!((leaf.batches - 1.0).abs() < 1e-9, "{leaf}");
     }
 
@@ -205,7 +181,7 @@ mod tests {
              Q(i) :- C(i, a), not L(i), C(i, b).",
         );
         let model = CostModel::new().with_extent("C", 10.0).with_extent("L", 10.0);
-        let physical = lower(&pair, &schema, &model);
+        let physical = lower(&pair, &schema, &model, None);
         let ops = &physical.under.parts[0].ops;
         let neg = ops[1].cost().unwrap();
         let after = ops[2].cost().unwrap();
@@ -224,7 +200,7 @@ mod tests {
              Q(x) :- R(x, y), B(x, y).",
         );
         let model = CostModel::new();
-        let physical = lower(&pair, &schema, &model);
+        let physical = lower(&pair, &schema, &model, None);
         // The over plan is R(x, y) only (B is unanswerable and dropped), so
         // it annotates fully…
         assert!(physical.over.parts[0].ops.iter().all(|op| op.cost().is_some()));
@@ -234,7 +210,7 @@ mod tests {
         let q = p.single_query().unwrap();
         let mut broken =
             lap_engine::lower_union(&[(q.disjuncts[0].clone(), vec![])], &schema);
-        annotate_union(&mut broken, &model);
+        annotate_plan(&mut broken.parts[0], &model, CostSlot::Static);
         let ops = &broken.parts[0].ops;
         assert!(ops[0].cost().is_none(), "error node gets no estimate");
         assert!(ops.last().unwrap().cost().is_none());

@@ -64,7 +64,7 @@ fn main() {
     }
     println!(
         "\nfeasible: {} ({:?})",
-        plan.feasibility.feasible, plan.feasibility.decided_by
+        plan.feasibility().feasible, plan.feasibility().decided_by
     );
 
     let db = Database::from_facts(

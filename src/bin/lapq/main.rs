@@ -26,9 +26,9 @@ mod cli;
 
 use cli::CliArgs;
 use lap::core::{
-    answer_star_opts, answer_star_with_domain, feasible_detailed_with, is_executable,
-    is_orderable, render_answer_report, render_outcome, AnswerOptions, AnswerOutcome,
-    AnswerReport, ContainmentEngine, DecisionPath, EngineConfig,
+    answer_star_opts, answer_star_with_domain, is_executable, is_orderable,
+    render_answer_report, render_outcome, AnswerOptions, AnswerOutcome, AnswerReport,
+    CompileOptions, ContainmentEngine, DecisionPath, EngineConfig, PreparedQuery,
 };
 use lap::engine::{
     display_tuple, Database, ExecConfig, ReplaySource, ResilienceConfig, RetryPolicy,
@@ -328,6 +328,17 @@ fn check(
     Ok(())
 }
 
+/// The one compile driver under `recorder`; FEASIBLE is decided given an
+/// engine.
+fn compile(
+    query: &UnionQuery,
+    program: &Program,
+    recorder: &Recorder,
+    feasibility: Option<&ContainmentEngine>,
+) -> PreparedQuery {
+    PreparedQuery::compile(query, &program.schema, &CompileOptions { recorder, feasibility })
+}
+
 fn report_query(
     query: &UnionQuery,
     program: &Program,
@@ -343,7 +354,8 @@ fn report_query(
     }
     println!("  executable: {}", is_executable(query, &program.schema));
     println!("  orderable:  {}", is_orderable(query, &program.schema));
-    let report = feasible_detailed_with(query, &program.schema, engine);
+    let compiled = compile(query, program, engine.recorder(), Some(engine));
+    let report = compiled.feasibility().expect("compiled with an engine");
     let how = match report.decided_by {
         DecisionPath::PlansCoincide => "plans coincide — no containment check needed",
         DecisionPath::OverestimateHasNull => "overestimate has null — ans(Q) unsafe",
@@ -387,20 +399,21 @@ fn explain_cmd(
     let calibrated = feedback.map(|store| model.calibrated(store));
     for query in &program.queries {
         println!("query {}:", query.signature.0);
-        print!("{}", lap::core::explain_with(query, &program.schema, engine));
+        let explanation = lap::core::explain(query, &program.schema, engine);
+        print!("{explanation}");
         // The lowered operator trees: what ANSWER* will actually run, with
         // the chosen access patterns and default-model cost estimates.
         // With `--feedback`, the bodies are re-ordered under the calibrated
         // model and every operator shows est (static) next to cal
         // (calibrated) — the two numbers explain *why* the plan changed.
-        let pair = lap::core::plan_star(query, &program.schema);
+        let pair = &explanation.plans;
         let physical = match &calibrated {
             Some(cal) => {
                 let optimized =
-                    optimize_plan_pair(&pair, &program.schema, cal, Strategy::Exhaustive);
-                lap::planner::lower_dual(&optimized, &program.schema, &model, cal)
+                    optimize_plan_pair(pair, &program.schema, cal, Strategy::Exhaustive);
+                lap::planner::lower(&optimized, &program.schema, &model, Some(cal))
             }
-            None => lap::planner::lower(&pair, &program.schema, &model),
+            None => lap::planner::lower(pair, &program.schema, &model, None),
         };
         println!("  physical plan (underestimate):");
         for line in physical.under.to_string().lines() {
@@ -419,7 +432,8 @@ fn explain_cmd(
 fn plan(path: &str, recorder: &Recorder) -> Result<(), String> {
     let program = load(path, recorder)?;
     for query in &program.queries {
-        let pair = lap::core::plan_star_obs(query, &program.schema, recorder);
+        let compiled = compile(query, &program, recorder, None);
+        let pair = compiled.plans();
         println!("query {}:", query.signature.0);
         println!("  underestimate Qu:");
         for p in &pair.under.parts {
@@ -509,7 +523,7 @@ fn run_query(
             // exported span tree covers the whole pipeline (parse →
             // answerable → plan* → feasible → answer*), not just ANSWER*.
             let engine = ContainmentEngine::with_recorder(EngineConfig::default(), recorder);
-            let _ = feasible_detailed_with(query, &program.schema, &engine);
+            compile(query, &program, recorder, Some(&engine));
         }
         if let Some(budget) = domain {
             let imp = answer_star_with_domain(query, &program.schema, &db, budget)
@@ -625,12 +639,12 @@ fn profile(
     let db = Database::from_facts(&facts).map_err(|e| format!("{facts_path}: {e}"))?;
     for query in &program.queries {
         println!("query {}:", query.signature.0);
-        let pair = lap::core::plan_star_obs(query, &program.schema, recorder);
-        let physical = pair.over.lower(&program.schema);
+        let compiled = compile(query, &program, recorder, None);
+        let physical = &compiled.physical().over;
         let mut reg = SourceRegistry::new(&db, &program.schema)
             .recording(recorder)
             .with_io_workers(cfg.io_workers);
-        let run = execute_physical_union_with(&physical, &mut reg, cfg, OnUnavailable::Abort)
+        let run = execute_physical_union_with(physical, &mut reg, cfg, OnUnavailable::Abort)
             .map_err(|e| format!("evaluating: {e}"))?;
         println!("{}", run.profile);
         println!("total source usage (positive calls): {}", reg.stats());
@@ -659,7 +673,8 @@ fn optimize(
     let engine = ContainmentEngine::with_recorder(EngineConfig::default(), recorder);
     for query in &program.queries {
         println!("query {}:", query.signature.0);
-        let report = feasible_detailed_with(query, &program.schema, &engine);
+        let compiled = compile(query, &program, recorder, Some(&engine));
+        let report = compiled.feasibility().expect("compiled with an engine");
         if !report.feasible {
             println!("  not feasible — nothing to optimize (try `lapq explain`)");
             continue;
@@ -711,8 +726,8 @@ fn mediate(
         let (plan, report) = mediator.answer(query, &db).map_err(|e| e.to_string())?;
         println!("  unfolded into {} disjunct(s); feasible: {} ({:?})",
             plan.unfolded.disjuncts.len(),
-            plan.feasibility.feasible,
-            plan.feasibility.decided_by);
+            plan.feasibility().feasible,
+            plan.feasibility().decided_by);
         for t in &report.under {
             println!("  {}", display_tuple(t));
         }

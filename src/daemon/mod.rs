@@ -1,13 +1,13 @@
 //! `lapd` — a long-running query service over the `lap` pipeline.
 //!
-//! One-shot `lapq run` pays parse + PLAN\*/FEASIBLE + lowering on every
+//! One-shot `lapq run` pays parse + PLAN\* + lowering on every
 //! invocation. The daemon amortizes all three across requests and
 //! clients: sessions (one thread per TCP connection, length-prefixed JSON
 //! frames — see [`lap_proto`]) share a [`PlanCache`] of compiled
-//! [`PreparedProgram`]s keyed on canonical query text, a memoized
-//! containment engine, and a bounded admission [`Gate`]
-//! (`lap_engine::sched`) that converts overload into `quota` error frames
-//! instead of unbounded queueing.
+//! [`PreparedProgram`]s keyed on canonical query text and a bounded
+//! admission [`Gate`] (`lap_engine::sched`) that converts overload into
+//! `quota` error frames instead of unbounded queueing. Neither path
+//! decides FEASIBLE: ANSWER\* derives completeness at run time.
 //!
 //! [`PlanCache`]: lap_core::PlanCache
 //! [`PreparedProgram`]: lap_core::PreparedProgram

@@ -1,18 +1,18 @@
 //! The shared query service behind every `lapd` session.
 //!
 //! One [`Service`] lives for the whole daemon: it owns the shared plan
-//! cache, the memoized containment engine, the admission [`Gate`], and the
-//! server-wide recorder. Session threads borrow it through an `Arc` and
-//! call [`Service::handle`] per request — everything mutable inside is
-//! already thread-safe (the cache and gate lock internally, the engine
-//! memoizes behind its own mutexes, counters are atomic).
+//! cache, the admission [`Gate`], and the server-wide recorder. Session
+//! threads borrow it through an `Arc` and call [`Service::handle`] per
+//! request — everything mutable inside is already thread-safe (the cache
+//! and gate lock internally, counters are atomic). A plan-cache miss
+//! compiles for the query path: PLAN\* and lowering, no FEASIBLE verdict,
+//! since no response reads one.
 
 use super::telemetry::{TelemetryHub, HEALTH_FLOOR};
 use super::DaemonConfig;
 use lap_core::{canonical_text, render_answer_report, render_outcome, PlanCache, PreparedProgram};
 use lap_engine::sched::Gate;
 use lap_engine::Database;
-use lap_containment::{ContainmentEngine, EngineConfig};
 use lap_obs::journal::kind;
 use lap_obs::{Counter, FoldCursor, Histogram, HistogramSnapshot, Json, JournalConfig, Recorder};
 use lap_planner::{recalibrate_published, CostModel, Strategy};
@@ -30,7 +30,6 @@ pub(crate) struct Service {
     /// Per-session recorders (with journals) live in the session threads;
     /// this one aggregates what must survive sessions.
     recorder: Recorder,
-    engine: ContainmentEngine,
     cache: PlanCache<PreparedProgram>,
     gate: Gate,
     active_sessions: AtomicUsize,
@@ -68,12 +67,6 @@ impl Service {
         // The server-wide recorder carries a journal so watcher actions
         // (`daemon.recalibrate`) are auditable like any other event.
         let recorder = Recorder::with_journal(JournalConfig::light());
-        // Memoized containment engine: feasibility verdicts are shared
-        // across every session and every cached program.
-        let engine = ContainmentEngine::with_recorder(
-            EngineConfig { parallel: false, cache: true },
-            &recorder,
-        );
         let cache = PlanCache::new(config.cache_bytes).with_recorder(&recorder);
         let gate = Gate::new(config.exec_permits());
         Service {
@@ -88,7 +81,6 @@ impl Service {
             fold_us: recorder.histogram("daemon.fold_us"),
             config,
             recorder,
-            engine,
             cache,
             gate,
             active_sessions: AtomicUsize::new(0),
@@ -258,7 +250,7 @@ impl Service {
         let (prepared, cache_hit) = self
             .cache
             .get_or_compile(&key, PreparedProgram::estimated_bytes, || {
-                PreparedProgram::compile_with(program, &self.engine)
+                PreparedProgram::compile(program)
             })
             .map_err(|e| (ErrorCode::QueryError, format!("program: {e}")))?;
         let db = Database::from_facts(facts)
@@ -350,11 +342,7 @@ impl Service {
             fold.p99(),
             fold.count,
         ));
-        out.push_str(&format!(
-            "containment engine: {}\nuptime: {} ms\n",
-            self.engine.stats(),
-            self.started.elapsed().as_millis(),
-        ));
+        out.push_str(&format!("uptime: {} ms\n", self.started.elapsed().as_millis()));
         out
     }
 

@@ -1,7 +1,7 @@
 //! Coverage for public API surface not exercised elsewhere: display forms,
 //! statistics plumbing, builder edge cases, and error paths.
 
-use lap::core::{explain, plan_star, PreparedQuery};
+use lap::core::{explain, plan_star, CompileOptions, ContainmentEngine, PreparedQuery};
 use lap::engine::{CallStats, Database, SourceRegistry};
 use lap::ir::{
     display_adorned, parse_literal, parse_program, parse_query, AccessPattern, Schema,
@@ -68,7 +68,7 @@ fn explanation_on_feasible_query_has_no_culprits_and_renders() {
          Q(i) :- C(i, a), not L(i).",
     )
     .unwrap();
-    let e = explain(program.single_query().unwrap(), &program.schema);
+    let e = explain(program.single_query().unwrap(), &program.schema, &ContainmentEngine::default());
     assert!(e.feasible);
     assert_eq!(e.culprits().count(), 0);
     let shown = e.to_string();
@@ -82,12 +82,11 @@ fn prepared_query_exposes_decision_path_and_plans() {
          Q(i) :- C(i, a).",
     )
     .unwrap();
-    let prepared = PreparedQuery::compile(program.single_query().unwrap(), &program.schema);
-    assert!(prepared.is_feasible());
-    assert_eq!(
-        prepared.decision_path(),
-        lap::core::DecisionPath::PlansCoincide
-    );
+    let engine = ContainmentEngine::default();
+    let opts = CompileOptions { recorder: engine.recorder(), feasibility: Some(&engine) };
+    let prepared = PreparedQuery::compile(program.single_query().unwrap(), &program.schema, &opts);
+    assert_eq!(prepared.feasibility().map(|r| r.feasible), Some(true));
+    assert_eq!(prepared.decision_path(), lap::core::DecisionPath::PlansCoincide);
     assert_eq!(prepared.plans().under.parts.len(), 1);
     assert_eq!(prepared.query().disjuncts.len(), 1);
 }
@@ -123,7 +122,7 @@ fn mediator_multi_level_views_through_the_facade() {
     )
     .unwrap();
     let (plan, report) = m.answer(&q, &db).unwrap();
-    assert!(plan.feasibility.feasible);
+    assert!(plan.feasibility().feasible);
     assert!(report.is_complete());
     assert_eq!(report.under.len(), 1); // only book 2 is off the shelf
 }

@@ -197,6 +197,19 @@ fn explain_names_the_culprit() {
     assert!(text.contains("fully answerable"), "{text}");
 }
 
+/// Paper Example 3 is feasible only through the containment check, and
+/// `explain` shares one engine between FEASIBLE and the two absorption
+/// checks: the second absorption check is a cache hit.
+#[test]
+fn explain_example_3_decides_by_containment_with_one_shared_engine() {
+    let out = lapq(&["explain", "examples/data/example3.lap", "--cache"]);
+    assert!(out.status.success());
+    let text = stdout(&out);
+    assert!(text.contains("feasible: true (decided by ContainmentCheck)"), "{text}");
+    assert_eq!(text.matches("but absorbed").count(), 2, "{text}");
+    assert!(text.contains("containment engine: decisions=3 cache_hits=1 cache_misses=2 "), "{text}");
+}
+
 #[test]
 fn mediate_runs_the_full_pipeline() {
     let out = lapq(&[

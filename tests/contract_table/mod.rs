@@ -72,7 +72,7 @@
 use lap::core::{
     answer_star, answer_star_obs_cfg, answer_star_opts, answer_star_resilient_cfg,
     answer_star_with_domain, render_answer_report, render_outcome, AnswerOptions, AnswerOutcome,
-    AnswerReport, Completeness, PreparedQuery,
+    AnswerReport, CompileOptions, Completeness, ContainmentEngine, PreparedQuery,
 };
 use lap::daemon::{DaemonConfig, Server};
 use lap::engine::{
@@ -711,7 +711,9 @@ fn check_prepared(lab: &mut Lab, row: &Row) {
     let (exec, resilience) = row.config();
     let (query, schema, db) =
         (inst.program.single_query().unwrap(), &inst.program.schema, &inst.db);
-    let prepared = PreparedQuery::compile(query, schema);
+    let engine = ContainmentEngine::default();
+    let opts = CompileOptions { recorder: engine.recorder(), feasibility: Some(&engine) };
+    let prepared = PreparedQuery::compile(query, schema, &opts);
     let lift = |report| AnswerOutcome {
         report,
         degradation: Default::default(),
@@ -741,7 +743,8 @@ fn check_prepared(lab: &mut Lab, row: &Row) {
         let report = &run.outcome.report;
         assert_eq!(&answer_star(query, schema, db).unwrap(), report, "{row:?}");
         assert_eq!(&prepared.execute(db).unwrap(), report, "{row:?}");
-        let exact = prepared.is_feasible() && !report.plans.over.has_null();
+        let feasible = prepared.feasibility().is_some_and(|r| r.feasible);
+        let exact = feasible && !report.plans.over.has_null();
         let best = if exact { &report.over } else { &report.under };
         assert_eq!(&prepared.execute_best(db).unwrap(), best, "{row:?}");
         let improved = answer_star_with_domain(query, schema, db, 1_000).unwrap();

@@ -389,6 +389,38 @@ fn stats_reports_cache_detail_telemetry_and_latency() {
     server.shutdown();
 }
 
+/// The query path decides nothing: a miss on paper Example 3, whose
+/// FEASIBLE verdict needs the containment check, compiles PLAN\* and the
+/// lowering only. No containment decision reaches the server recorder, no
+/// engine line reaches `stats`, and the answer is still one-shot's.
+#[test]
+fn query_path_decides_no_feasibility_verdict() {
+    let program = read_example("example3.lap");
+    let compiled = lap::core::PreparedProgram::compile_with(
+        &program,
+        &lap::containment::ContainmentEngine::default(),
+    )
+    .expect("example 3 compiles");
+    let path = compiled.queries()[0].decision_path();
+    assert_eq!(path, lap::core::DecisionPath::ContainmentCheck);
+
+    let server = start_server(DaemonConfig::default());
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let facts = read_example("bookstore_facts.lap");
+    let got = query_text(&mut client, &program, &facts, QueryOptions::default());
+    let expected =
+        lapq_run(&["run", "examples/data/example3.lap", "examples/data/bookstore_facts.lap"]);
+    assert_eq!(got, expected, "daemon = one-shot");
+    let snap = server.metrics();
+    assert_eq!(snap.counter("plan_cache.miss"), 1);
+    assert_eq!(snap.counter("containment.decisions"), 0, "the miss decided FEASIBLE");
+    let Response::Ok { text, .. } = client.stats().expect("stats frame") else {
+        panic!("stats failed");
+    };
+    assert!(!text.contains("containment engine:"), "{text}");
+    server.shutdown();
+}
+
 /// The operator ops: `profile` returns the live feedback store (valid
 /// under the same invariants `lapq obs-validate` checks), `health` rolls
 /// up per-relation status, and `recalibrate` forces a sweep.

@@ -12,13 +12,25 @@
 //!   across every engine configuration.
 //! * `ContainmentCheck` *is* the full criterion; the report's verdict must
 //!   equal a direct `contained(ans(Q), Q)` call.
+//!
+//! Fig. 3 is written once, so on the fixtures and a generated UCQ¬ corpus
+//! the compile driver's plan-derived path, the report's path, and the
+//! Σ-free `feasible_under` all agree, and deciding FEASIBLE never changes
+//! the compiled plans.
 
 mod door;
 
 use door::contained;
+use lap::constraints::{feasible_under, ConstraintSet};
 use lap::containment::{ContainmentEngine, EngineConfig};
-use lap::core::{feasible_detailed, feasible_detailed_with, DecisionPath, FeasibilityReport};
-use lap::ir::parse_program;
+use lap::core::{
+    feasible_detailed, feasible_detailed_with, CompileOptions, DecisionPath, FeasibilityReport,
+    PreparedQuery,
+};
+use lap::ir::{parse_program, Schema, UnionQuery};
+use lap::obs::Recorder;
+use lap::workload::{gen_query, gen_schema, QueryConfig, SchemaConfig};
+use lap_prng::StdRng;
 
 /// Fixtures: (label, program, expected path, expected feasible).
 const FIXTURES: &[(&str, &str, DecisionPath, bool)] = &[
@@ -94,6 +106,35 @@ fn run_fixture(program: &str) -> FeasibilityReport {
     feasible_detailed(p.single_query().unwrap(), &p.schema)
 }
 
+/// The fixtures, then a seeded generated UCQ¬ corpus: (label, query,
+/// schema).
+fn corpus() -> Vec<(String, UnionQuery, Schema)> {
+    let fixtures = FIXTURES.iter().map(|(label, program, ..)| {
+        let p = parse_program(program).unwrap();
+        (label.to_string(), p.single_query().unwrap().clone(), p.schema)
+    });
+    let generated = (0..120u64).map(|case| {
+        let mut rng = StdRng::seed_from_u64(0xDEC1_5104 ^ case);
+        let schema = gen_schema(&SchemaConfig::default(), &mut rng);
+        let cfg = QueryConfig { num_disjuncts: 1 + (case % 3) as usize, ..QueryConfig::default() };
+        let q = gen_query(&schema, &cfg, &mut rng);
+        (format!("generated case {case}: {q}"), q, schema)
+    });
+    fixtures.chain(generated).collect()
+}
+
+/// The driver's compile, deciding FEASIBLE when `engine` is given.
+fn compile(q: &UnionQuery, schema: &Schema, engine: Option<&ContainmentEngine>) -> PreparedQuery {
+    let opts = CompileOptions { recorder: &Recorder::disabled(), feasibility: engine };
+    PreparedQuery::compile(q, schema, &opts)
+}
+
+/// Everything a compile produced, as text.
+fn shown(p: &PreparedQuery) -> String {
+    let (plans, physical) = (p.plans(), p.physical());
+    format!("{}\n{}\n{}\n{}", plans.under, plans.over, physical.under, physical.over)
+}
+
 #[test]
 fn every_variant_is_covered_with_the_expected_verdict() {
     let mut seen = std::collections::HashSet::new();
@@ -108,11 +149,22 @@ fn every_variant_is_covered_with_the_expected_verdict() {
 
 #[test]
 fn fast_paths_agree_with_the_skipped_containment_check() {
-    for (label, program, path, _) in FIXTURES {
-        let p = parse_program(program).unwrap();
-        let q = p.single_query().unwrap();
-        let r = feasible_detailed(q, &p.schema);
-        match path {
+    let mut seen = std::collections::HashSet::new();
+    let engine = ContainmentEngine::default();
+    for (label, q, schema) in &corpus() {
+        let r = feasible_detailed(q, schema);
+        seen.insert(r.decided_by);
+        // One Fig. 3: the path read off the plans without a verdict, and
+        // the Σ-free `feasible_under`, agree with FEASIBLE's report.
+        let lean = compile(q, schema, None);
+        assert_eq!(lean.decision_path(), r.decided_by, "{label}: plan-derived path");
+        let under = feasible_under(q, &ConstraintSet::new(), schema, &engine);
+        assert_eq!((under.feasible, under.decided_by), (r.feasible, r.decided_by), "{label}");
+        // Deciding FEASIBLE does not change what is compiled.
+        let decided = compile(q, schema, Some(&engine));
+        assert_eq!(decided.feasibility(), Some(&r), "{label}");
+        assert_eq!(shown(&lean), shown(&decided), "{label}: plans differ with a verdict");
+        match r.decided_by {
             DecisionPath::PlansCoincide => {
                 // The fast path skipped `ans(Q) ⊑ Q`; run it anyway.
                 assert!(r.containment.is_none(), "{label}: check ran on a fast path");
@@ -154,6 +206,7 @@ fn fast_paths_agree_with_the_skipped_containment_check() {
             }
         }
     }
+    assert_eq!(seen.len(), 3, "a DecisionPath variant is untested: {seen:?}");
 }
 
 #[test]

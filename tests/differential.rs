@@ -214,8 +214,8 @@ fn explain_is_invariant_under_engine_configuration() {
         let mut rng = case_rng(0xE8, case);
         let schema: Schema = gen_schema(&SchemaConfig::default(), &mut rng);
         let q = gen_query(&schema, &QueryConfig::default(), &mut rng);
-        let plain = lap::core::explain(&q, &schema);
-        let engined = lap::core::explain_with(&q, &schema, &engine);
+        let plain = lap::core::explain(&q, &schema, &ContainmentEngine::default());
+        let engined = lap::core::explain(&q, &schema, &engine);
         assert_eq!(plain, engined, "explanation changed on case {case}: {q}");
     }
     let s = engine.stats();

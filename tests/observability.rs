@@ -4,7 +4,7 @@
 //! `EXPLAIN ANALYZE` traces) that are now views over the same registry.
 
 use lap::containment::{ContainmentEngine, EngineConfig};
-use lap::core::{answer_star, answer_star_obs_cfg, feasible_detailed_obs};
+use lap::core::{answer_star, answer_star_obs_cfg, lower_pair, CompileOptions, PreparedQuery};
 use lap::engine::{
     execute_physical_union_with, Database, ExecConfig, OnUnavailable, SourceRegistry,
 };
@@ -36,7 +36,7 @@ fn union_trace_totals_match_registry_call_stats() {
     let (program, db) = bookstore();
     let query = program.single_query().unwrap();
     let pair = lap::core::plan_star(query, &program.schema);
-    let physical = pair.over.lower(&program.schema);
+    let physical = lower_pair(&pair, &program.schema).over;
     for cached in [false, true] {
         let recorder = Recorder::new();
         let base = if cached {
@@ -166,7 +166,7 @@ fn membership_probes_are_split_from_positive_calls() {
     let pair = lap::core::plan_star(query, &program.schema);
     let recorder = Recorder::new();
     let mut reg = SourceRegistry::new(&db, &program.schema).recording(&recorder);
-    let physical = pair.over.lower(&program.schema);
+    let physical = lower_pair(&pair, &program.schema).over;
     execute_physical_union(&physical, &mut reg, ExecConfig::default()).unwrap();
     let probes = reg.membership_probes();
     assert!(probes > 0, "the bookstore plan ends in `not L(i)`");
@@ -189,8 +189,9 @@ fn membership_probes_are_split_from_positive_calls() {
     assert!(rec2.snapshot().counter("source.membership") > 0);
 }
 
-/// The FEASIBLE decision traced through a recorder-backed engine opens the
-/// `feasible` span (plus `containment` when the check actually runs).
+/// The FEASIBLE decision the compile driver makes through a recorder-backed
+/// engine opens the `feasible` span (plus `containment` when the check
+/// actually runs).
 #[test]
 fn feasible_obs_spans_cover_the_decision() {
     let program = parse_program(
@@ -201,7 +202,9 @@ fn feasible_obs_spans_cover_the_decision() {
     let query = program.single_query().unwrap();
     let recorder = Recorder::with_tracing();
     let engine = ContainmentEngine::with_recorder(EngineConfig::default(), &recorder);
-    let report = feasible_detailed_obs(query, &program.schema, &engine, &recorder);
+    let opts = CompileOptions { recorder: &recorder, feasibility: Some(&engine) };
+    let compiled = PreparedQuery::compile(query, &program.schema, &opts);
+    let report = compiled.feasibility().expect("compiled with an engine");
     let snap = recorder.snapshot();
     assert!(snap.find_span("feasible").is_some());
     assert!(snap.find_span("plan*").is_some());
