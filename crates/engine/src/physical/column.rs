@@ -24,8 +24,8 @@
 //!   splitting a batch at a width boundary is O(columns), not O(rows).
 //!
 //! Batches are deliberately *not* `Send`: a pipeline is single-threaded
-//! (overlapped I/O moves source rows on worker threads, never batches), so
-//! the sharing is plain `Rc`.
+//! (overlapped I/O is lanes on the virtual clock, and its row transfers
+//! run on the pipeline's own thread), so the sharing is plain `Rc`.
 
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};

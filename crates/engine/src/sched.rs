@@ -1,124 +1,35 @@
-//! Bounded worker pool for overlapped source I/O.
+//! Scheduling primitives: the adversarial completion order of the
+//! interleaving suite, and the `lapd` admission [`Gate`].
 //!
-//! The batched executor deduplicates a batch's source calls and hands the
-//! surviving data fetches to this module. Jobs run on a hand-rolled pool
-//! of scoped threads (no async runtime, zero dependencies): workers claim
-//! jobs from a shared cursor, push results onto a completion queue as they
-//! finish, and the caller merges the queue back into **issue order** —
-//! so answers never depend on which worker finished first.
-//!
-//! Two entry points share that merge discipline:
-//!
-//! * [`run_ordered`] — the production path: up to `workers` scoped
-//!   threads, real concurrency, deterministic results.
-//! * [`run_adversarial`] — the test harness: a seeded permutation of the
-//!   completion order, executed on one thread, feeding the same merge.
-//!   Sweeping seeds simulates every way in-flight calls could land; a
-//!   correct merge must produce byte-identical output for all of them.
-//!
-//! Wall-clock simulation lives elsewhere (the registry's virtual clock
-//! schedules latencies over `workers` lanes); this module only moves the
-//! actual row data, which carries no randomness and therefore commutes.
+//! Overlapped source I/O is an accounting fact, not a threading one: the
+//! registry schedules a batch's wire waits over `io_workers` lanes of its
+//! virtual clock, and runs the row transfers inline on the calling thread
+//! in issue order. Because every order-sensitive decision is planned
+//! before any transfer runs, the order the transfers take cannot leak
+//! into a run. [`adversarial_order`] is how the interleaving suite proves
+//! it: a seeded permutation of the issue indices that the registry's one
+//! dispatch loop walks instead of `0..n`. Sweeping seeds simulates every
+//! way in-flight calls could land; a correct merge must produce
+//! byte-identical output for all of them.
 
 use lap_prng::StdRng;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// One finished job on the completion queue: the job's issue index and
-/// its result. Arrival order is whatever the threads produced; the merge
-/// re-orders by `index`.
-pub struct Completion<T> {
-    /// Position of the job in the issued job list.
-    pub index: usize,
-    /// The job's result.
-    pub value: T,
-}
-
-/// Merges a drained completion queue back into issue order. Panics if a
-/// job is missing or duplicated — both would mean the pool lost work.
-fn merge_completions<T>(n: usize, completions: Vec<Completion<T>>) -> Vec<T> {
-    assert_eq!(completions.len(), n, "every issued job must complete exactly once");
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for c in completions {
-        assert!(slots[c.index].is_none(), "job {} completed twice", c.index);
-        slots[c.index] = Some(c.value);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("merge verified completeness"))
-        .collect()
-}
-
-/// Runs `jobs` on up to `workers` scoped threads and returns the results
-/// in issue order, regardless of completion order.
-///
-/// With `workers <= 1` (or at most one job) the jobs run inline on the
-/// calling thread — no pool, no queue, bit-identical to a plain loop.
-pub fn run_ordered<T, F>(workers: usize, jobs: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let n = jobs.len();
-    if workers <= 1 || n <= 1 {
-        return jobs.into_iter().map(|job| job()).collect();
-    }
-    // Workers take jobs through a claim cursor; FnOnce closures leave
-    // through a Mutex<Option<_>> so each is consumed exactly once.
-    let cursor = AtomicUsize::new(0);
-    let jobs: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let (tx, rx) = mpsc::channel::<Completion<T>>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(n) {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let jobs = &jobs;
-            scope.spawn(move || loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                if index >= n {
-                    break;
-                }
-                let job = jobs[index]
-                    .lock()
-                    .expect("job slot lock")
-                    .take()
-                    .expect("each job is claimed once");
-                let value = job();
-                if tx.send(Completion { index, value }).is_err() {
-                    break;
-                }
-            });
-        }
-    });
-    drop(tx);
-    merge_completions(n, rx.into_iter().collect())
-}
-
-/// Runs `jobs` in a seeded pseudo-random **completion order** (one thread,
-/// Fisher–Yates over the issue indices) and merges the results back into
-/// issue order — the adversarial scheduler of the interleaving suite.
+/// A seeded permutation of `0..n` (Fisher–Yates over the issue indices):
+/// the order the adversarial scheduler of the interleaving suite runs a
+/// batch's transfers in.
 ///
 /// Any observable difference between two seeds, or between a seed and
-/// [`run_ordered`], is an order-dependence bug in the caller.
-pub fn run_adversarial<T, F>(seed: u64, jobs: Vec<F>) -> Vec<T>
-where
-    F: FnOnce() -> T,
-{
-    let n = jobs.len();
+/// issue order, is an order-dependence bug in the caller.
+pub fn adversarial_order(seed: u64, n: usize) -> Vec<usize> {
     let mut order: Vec<usize> = (0..n).collect();
     let mut rng = StdRng::seed_from_u64(seed);
     for i in (1..n).rev() {
         let j = rng.gen_range(0..=i);
         order.swap(i, j);
     }
-    let mut slots: Vec<Option<F>> = jobs.into_iter().map(Some).collect();
-    let mut completions: Vec<Completion<T>> = Vec::with_capacity(n);
-    for index in order {
-        let job = slots[index].take().expect("each job runs once");
-        completions.push(Completion { index, value: job() });
-    }
-    merge_completions(n, completions)
+    order
 }
 
 /// A bounded admission gate: at most `permits` holders at a time, with a
@@ -129,10 +40,10 @@ where
 /// error frame instead of hanging (the degradation contract of the
 /// resilience layer, applied to admission).
 ///
-/// Built on `Mutex` + `Condvar` like the rest of this module: no async
-/// runtime, no dependencies, fair enough for a daemon (waiters are woken
-/// together and race for the freed permit; the wait budget bounds
-/// starvation by converting it into an honest rejection).
+/// Built on `Mutex` + `Condvar`: no async runtime, no dependencies,
+/// fair enough for a daemon (waiters are woken together and race for the
+/// freed permit; the wait budget bounds starvation by converting it into
+/// an honest rejection).
 #[derive(Debug)]
 pub struct Gate {
     permits: usize,
@@ -212,53 +123,21 @@ impl Drop for GateGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn ordered_results_land_in_issue_order() {
-        for workers in [1, 2, 4, 16] {
-            let jobs: Vec<_> = (0..40u64).map(|i| move || i * i).collect();
-            let got = run_ordered(workers, jobs);
-            let want: Vec<u64> = (0..40).map(|i| i * i).collect();
-            assert_eq!(got, want, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn pool_actually_shares_work_across_threads() {
-        // Thread scheduling decides which worker claims which job, so the
-        // only deterministic fact is the important one: every job ran
-        // exactly once and every result came back.
-        let ran = AtomicU64::new(0);
-        let jobs: Vec<_> = (0..100)
-            .map(|_| {
-                let ran = &ran;
-                move || ran.fetch_add(1, Ordering::Relaxed)
-            })
-            .collect();
-        let results = run_ordered(8, jobs);
-        assert_eq!(results.len(), 100);
-        assert_eq!(ran.load(Ordering::Relaxed), 100);
-    }
 
     #[test]
     fn adversarial_order_differs_but_merge_does_not() {
-        let baseline: Vec<usize> = (1..=32).collect();
         let mut seen_orders = std::collections::BTreeSet::new();
         for seed in 0..16u64 {
-            // Track the execution order through a side channel.
-            let log = Mutex::new(Vec::new());
-            let jobs: Vec<_> = (0..32usize)
-                .map(|i| {
-                    let log = &log;
-                    move || {
-                        log.lock().unwrap().push(i);
-                        i + 1
-                    }
-                })
-                .collect();
-            assert_eq!(run_adversarial(seed, jobs), baseline, "seed {seed}");
-            seen_orders.insert(log.into_inner().unwrap());
+            let order = adversarial_order(seed, 32);
+            // Each result lands in its issue slot, whatever order fills them.
+            let mut slots = vec![None; 32];
+            for &i in &order {
+                assert!(slots[i].replace(i + 1).is_none(), "seed {seed} drew {i} twice");
+            }
+            let merged: Vec<usize> = slots.into_iter().map(|s| s.expect("drawn")).collect();
+            assert_eq!(merged, (1..=32).collect::<Vec<_>>(), "seed {seed}");
+            assert_eq!(order, adversarial_order(seed, 32), "a seed names one order");
+            seen_orders.insert(order);
         }
         assert!(seen_orders.len() > 1, "seeds must actually permute execution order");
     }
@@ -307,11 +186,7 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_job_lists_are_fine() {
-        let none: Vec<fn() -> u8> = Vec::new();
-        assert!(run_ordered(8, none).is_empty());
-        assert_eq!(run_ordered(8, vec![|| 7u8]), vec![7]);
-        let none: Vec<fn() -> u8> = Vec::new();
-        assert!(run_adversarial(1, none).is_empty());
-        assert_eq!(run_adversarial(1, vec![|| 7u8]), vec![7]);
+        assert!(adversarial_order(1, 0).is_empty());
+        assert_eq!(adversarial_order(1, 1), vec![0]);
     }
 }

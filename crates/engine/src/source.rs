@@ -33,7 +33,6 @@ use lap_ir::{AccessPattern, Schema, Symbol};
 use lap_obs::{Counter, Histogram, InstantPayload, Journal, Json, Recorder, WireOutcome};
 use lap_prng::StdRng;
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// Formats an access pattern's `i`/`o` word into a stack buffer, avoiding
 /// a heap allocation on the journal fast path.
@@ -48,7 +47,7 @@ fn pattern_word(pattern: AccessPattern, buf: &mut [u8; AccessPattern::MAX_ARITY]
 type CallKey = (Symbol, AccessPattern, Vec<Option<Value>>);
 
 /// Hard cap on [`SourceRegistry::with_io_workers`]: far above any sane
-/// pool, but keeps the journal's per-worker sub-lane arithmetic
+/// lane count, but keeps the journal's per-lane sub-lane arithmetic
 /// (`LANE_STRIDE`) collision-free.
 pub const MAX_IO_WORKERS: usize = 256;
 
@@ -56,9 +55,9 @@ pub const MAX_IO_WORKERS: usize = 256;
 /// degraded disjuncts, markers).
 const BASE_LANE: u64 = 0;
 
-/// Journal sub-lane offset for overlapped calls: worker `k` journals its
-/// call pairs on lane `LANE_STRIDE + k`, disjoint from [`BASE_LANE`]
-/// because `MAX_IO_WORKERS < LANE_STRIDE`.
+/// Journal sub-lane offset for overlapped calls: a call scheduled on lane
+/// `k` journals its pairs on lane `LANE_STRIDE + k`, disjoint from
+/// [`BASE_LANE`] because `MAX_IO_WORKERS < LANE_STRIDE`.
 const LANE_STRIDE: u64 = 1024;
 
 /// Rich begin-event payload of a captured source call (replay tier): the
@@ -139,9 +138,10 @@ struct WireScript {
 
 /// A success the transport committed to during planning.
 enum PlannedSuccess {
-    /// The row transfer itself is still to run (on the worker pool when
-    /// there is one) and leaves its result in `transfer`. `latency_ms` is
-    /// the planned wire latency to add to the fetched reply.
+    /// The row transfer itself is still to run (in the dispatch phase,
+    /// after the whole batch is planned) and leaves its result in
+    /// `transfer`. `latency_ms` is the planned wire latency to add to the
+    /// fetched reply.
     Deferred { latency_ms: u64, transfer: Option<Result<SourceReply, SourceFault>> },
     /// The transport produced the full reply during planning.
     Ready(SourceReply),
@@ -173,8 +173,22 @@ enum ScriptedCall {
     Wire(WireScript),
 }
 
+impl ScriptedCall {
+    /// The slot a committed success's deferred row transfer fills, if
+    /// this call has one.
+    fn pending_transfer(&mut self) -> Option<&mut Option<Result<SourceReply, SourceFault>>> {
+        match self {
+            ScriptedCall::Wire(WireScript {
+                end: Ok(PlannedSuccess::Deferred { transfer, .. }),
+                ..
+            }) => Some(transfer),
+            _ => None,
+        }
+    }
+}
+
 /// Where one wire call was scheduled: what it asks, the journal lane of
-/// the worker slot it runs on, and its start on the virtual wall clock.
+/// the virtual lane it occupies, and its start on the virtual wall clock.
 #[derive(Clone, Copy)]
 struct WireSlot<'k> {
     name: Symbol,
@@ -190,14 +204,14 @@ struct WireSlot<'k> {
 type ColumnIndex = HashMap<Vec<Value>, Rows>;
 
 /// The transport's verdict on one fetch attempt, split from the data
-/// transfer so the registry can keep many calls in flight at once.
+/// transfer so the registry can plan a whole batch before moving any rows.
 ///
 /// Everything order-sensitive about an attempt — fault coins, latency
 /// jitter, recorded replay outcomes — is decided by
 /// [`Source::plan_fetch`] while the registry still issues attempts
 /// strictly in order. What remains for [`Source::fetch_deferred`] is the
-/// pure row transfer, which draws no randomness and therefore commutes
-/// across worker threads.
+/// pure row transfer, which draws no randomness and therefore commutes:
+/// the order transfers run in cannot change a run.
 pub enum PlannedFetch {
     /// The attempt faults; the data transfer never happens.
     Fault(SourceFault),
@@ -227,9 +241,9 @@ pub enum PlannedFetch {
 /// reaches the transport, so implementations only answer well-formed
 /// selections. Latency is virtual (milliseconds of simulated wall clock),
 /// so fault/retry schedules are deterministic and tests never sleep.
-/// Transports are `Send` so deferred row transfers can run on the
-/// registry's worker pool (behind a mutex — `Sync` is not required).
-pub trait Source: Send {
+/// The registry runs every call on the caller's thread, so a transport
+/// need not be `Send`.
+pub trait Source {
     /// Decides one attempt's outcome — the rows of `name` matching the
     /// `Some` slots of `inputs` under `pattern`, or a fault — consuming
     /// every random draw and recorded outcome the attempt owns. Called
@@ -242,7 +256,7 @@ pub trait Source: Send {
     ) -> PlannedFetch;
 
     /// Completes a [`PlannedFetch::Defer`]: the pure row transfer, safe
-    /// on a worker thread because [`Source::plan_fetch`] already consumed
+    /// to run in any order because [`Source::plan_fetch`] already consumed
     /// every order-sensitive decision. The planned latency is accounted
     /// by the caller, not here. A transport that plans `Defer` must
     /// override this; the default refuses the transfer.
@@ -455,9 +469,9 @@ pub struct SourceRegistry<'a> {
     /// Lanes a multi-key batch ([`SourceRegistry::call_many`]) may spread
     /// its wire waits over; 1 = every wait is serial.
     io_workers: usize,
-    /// When set, overlapped batches execute their deferred transfers in a
-    /// seeded pseudo-random completion order ([`crate::sched`]) instead of
-    /// on real threads — the interleaving suite's adversarial scheduler.
+    /// When set, batches execute their deferred transfers in a seeded
+    /// pseudo-random order ([`crate::sched::adversarial_order`]) instead
+    /// of issue order — the interleaving suite's adversarial scheduler.
     sched_seed: Option<u64>,
     /// Per-batch salt folded into `sched_seed` so every overlapped batch
     /// of one run sees a fresh adversarial permutation.
@@ -544,22 +558,24 @@ impl<'a> SourceRegistry<'a> {
     /// batch (clamped to `1..=`[`MAX_IO_WORKERS`]). The lane count is the
     /// only difference between serial and overlapped execution: with the
     /// default of 1 a batch's wire waits add up, with more
-    /// [`SourceRegistry::call_many`] spreads them over that many virtual
-    /// lanes and runs the row transfers on a matching worker-thread pool.
+    /// [`SourceRegistry::call_many`] spreads them over that many lanes of
+    /// the virtual clock. Lanes are accounting, not threads: the row
+    /// transfers run on the calling thread, in issue order, either way.
     pub fn with_io_workers(mut self, workers: usize) -> SourceRegistry<'a> {
         self.io_workers = workers.clamp(1, MAX_IO_WORKERS);
         self
     }
 
-    /// Number of worker lanes overlapped batches may use.
+    /// Number of virtual lanes overlapped batches may use.
     pub fn io_workers(&self) -> usize {
         self.io_workers
     }
 
-    /// Forces overlapped batches through the seeded adversarial scheduler
-    /// ([`crate::sched::run_adversarial`]): deferred transfers execute in
-    /// a pseudo-random completion order drawn from `seed`. Test-harness
-    /// knob; results must not depend on the seed.
+    /// Forces batches through the seeded adversarial scheduler
+    /// ([`crate::sched::adversarial_order`]): deferred transfers execute
+    /// in a pseudo-random order drawn from `seed`, on the same lanes as
+    /// without it. Test-harness knob; results — journal included — must
+    /// not depend on the seed.
     pub fn with_adversarial_sched(mut self, seed: u64) -> SourceRegistry<'a> {
         self.sched_seed = Some(seed);
         self
@@ -720,8 +736,8 @@ impl<'a> SourceRegistry<'a> {
     /// [`SourceRegistry::reset_clock`] resets (which only restart the
     /// *deadline* window, not this total). Under serial execution this
     /// equals the serial sum of all waits; under overlapped execution
-    /// (`io_workers > 1`) each batch contributes only its longest worker
-    /// lane — concurrent waits count once.
+    /// (`io_workers > 1`) each batch contributes only its longest lane —
+    /// concurrent waits count once.
     pub fn virtual_elapsed_ms(&self) -> u64 {
         self.retired_wall_ms + self.wall_ms
     }
@@ -785,10 +801,10 @@ impl<'a> SourceRegistry<'a> {
     ///    it from the cache when possible, otherwise let the transport
     ///    commit every attempt's outcome ([`SourceRegistry::plan_wire`]).
     ///    Stops at the first terminal outcome.
-    /// 2. **Dispatch**: committed-success row transfers run on the
-    ///    [`crate::sched`] worker pool (inline with one lane; the seeded
-    ///    adversarial scheduler when set) — pure data movement, no
-    ///    randomness left.
+    /// 2. **Dispatch**: committed-success row transfers run inline on
+    ///    the calling thread, straight on the transport, in issue order
+    ///    (in [`crate::sched::adversarial_order`] when a seed is set) —
+    ///    pure data movement, no randomness left, whatever the lane count.
     /// 3. **Schedule and merge** (issue order): each wire call takes the
     ///    earliest-free lane; its journal pairs and instants are emitted
     ///    at their scheduled timestamps, counters and the cache are
@@ -809,8 +825,9 @@ impl<'a> SourceRegistry<'a> {
         probe: Option<&[Value]>,
     ) -> Result<(Vec<Rows>, Option<bool>), EngineError> {
         // Nothing to overlap: one lane, journaled on the base lane instead
-        // of a per-worker sub-lane.
-        let serial = (self.io_workers <= 1 && self.sched_seed.is_none()) || keys.len() <= 1;
+        // of a per-lane sub-lane. Only the lane count and the batch size
+        // decide this; an adversarial seed reorders transfers, not lanes.
+        let serial = self.io_workers <= 1 || keys.len() <= 1;
         let workers = if serial { 1 } else { self.io_workers };
 
         let mut scripts: Vec<ScriptedCall> = Vec::with_capacity(keys.len());
@@ -841,33 +858,20 @@ impl<'a> SourceRegistry<'a> {
             }
         }
 
-        let sched_seed = self.sched_seed.map(|seed| {
+        // Dispatch: each committed success's row transfer, inline on this
+        // thread, in issue order — or in the seeded adversarial order.
+        let mut order: Vec<usize> =
+            (0..scripts.len()).filter(|&i| scripts[i].pending_transfer().is_some()).collect();
+        if let Some(seed) = self.sched_seed {
             self.sched_epoch = self.sched_epoch.wrapping_add(1);
-            seed.wrapping_add(self.sched_epoch)
-        });
-        {
-            let transport = Mutex::new(&mut self.source);
-            let jobs: Vec<_> = scripts
-                .iter_mut()
-                .zip(keys)
-                .filter_map(|(script, key)| match script {
-                    ScriptedCall::Wire(WireScript {
-                        end: Ok(PlannedSuccess::Deferred { transfer, .. }),
-                        ..
-                    }) => {
-                        let transport = &transport;
-                        Some(move || {
-                            let mut source = transport.lock().expect("transport lock");
-                            *transfer = Some(source.fetch_deferred(name, pattern, key));
-                        })
-                    }
-                    _ => None,
-                })
-                .collect();
-            match sched_seed {
-                Some(seed) => sched::run_adversarial(seed, jobs),
-                None => sched::run_ordered(workers, jobs),
-            };
+            let permutation =
+                sched::adversarial_order(seed.wrapping_add(self.sched_epoch), order.len());
+            order = permutation.into_iter().map(|j| order[j]).collect();
+        }
+        for i in order {
+            if let Some(slot) = scripts[i].pending_transfer() {
+                *slot = Some(self.source.fetch_deferred(name, pattern, &keys[i]));
+            }
         }
 
         let base_wall = self.virtual_elapsed_ms();
@@ -1223,6 +1227,9 @@ impl<'a> SourceRegistry<'a> {
 mod tests {
     use super::*;
     use lap_ir::Schema;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    use std::thread::{self, ThreadId};
 
     fn setup() -> (Database, Schema) {
         let db = Database::from_facts(
@@ -1376,6 +1383,52 @@ mod tests {
                 (SOURCE_CALL_END, 30),
             ]
         );
+    }
+
+    /// A transport that defers every fetch with 20 ms of wire latency and
+    /// logs on which thread, and in what order, its row transfers run. It
+    /// holds an `Rc`, so it is not `Send`: the registry does not need it.
+    struct LoggingSource<'a> {
+        inner: InMemorySource<'a>,
+        log: TransferLog,
+    }
+
+    /// The thread and the key of each row transfer, in the order they ran.
+    type TransferLog = Rc<RefCell<Vec<(ThreadId, Vec<Option<Value>>)>>>;
+
+    impl Source for LoggingSource<'_> {
+        fn plan_fetch(&mut self, _: Symbol, _: AccessPattern, _: &[Option<Value>]) -> PlannedFetch {
+            PlannedFetch::Defer { latency_ms: 20 }
+        }
+
+        fn fetch_deferred(
+            &mut self,
+            name: Symbol,
+            pattern: AccessPattern,
+            inputs: &[Option<Value>],
+        ) -> Result<SourceReply, SourceFault> {
+            self.log.borrow_mut().push((thread::current().id(), inputs.to_vec()));
+            self.inner.fetch_deferred(name, pattern, inputs)
+        }
+    }
+
+    /// Overlap is lanes on the virtual clock, not threads: an 8-lane batch
+    /// transfers its rows on the caller's thread, in issue order, and still
+    /// charges two 20 ms rounds for 16 calls instead of sixteen.
+    #[test]
+    fn overlapped_transfers_run_on_the_callers_thread_and_keep_their_lanes() {
+        let (db, schema) = setup();
+        let log = Rc::default();
+        let source = LoggingSource { inner: InMemorySource::new(&db), log: Rc::clone(&log) };
+        let mut reg = SourceRegistry::with_source(Box::new(source), &schema).with_io_workers(8);
+        let p = AccessPattern::parse("ioo").unwrap();
+        let keys: Vec<_> = (1..=16).map(|i| vec![Some(Value::int(i)), None, None]).collect();
+        assert_eq!(reg.call_many(Symbol::intern("B"), p, &keys).unwrap().len(), 16);
+        let caller = thread::current().id();
+        let (threads, issued): (Vec<_>, Vec<_>) = log.take().into_iter().unzip();
+        assert_eq!(issued, keys, "transfers run once each, in issue order");
+        assert!(threads.iter().all(|t| *t == caller), "every transfer runs on the caller's thread");
+        assert_eq!(reg.virtual_elapsed_ms(), 40, "16 calls × 20 ms over 8 lanes");
     }
 
     #[test]

@@ -311,6 +311,8 @@ pub fn table() -> Vec<(Home, Row)> {
     add(Home::DaemonBytes, example4, d, Plain, served);
     add(Home::Examples, bookstore, d.with_io_workers(2), resilient, &[Lib, Cli]);
     add(Home::DaemonBytes, bookstore, d.with_io_workers(2), resilient, served);
+    // `lapbench`'s `serve-chaos` shape: width 64, 8 lanes, 20% faults, 20 ms.
+    add(Home::DaemonBytes, bookstore, cfg(64, 8), flags(0.2, 1, 20, 3), served);
     add(Home::Examples, bookstore, cfg(1, 1), Plain, &[Lib, Cli]);
     add(Home::Examples, bookstore, cfg(64, 1), Plain, &[Lib, Cli]);
     add(Home::AnswerAlias, bookstore, d, flags(0.0, 0, 0, 0), &[Lib, Cli]);

@@ -1,15 +1,18 @@
 //! Deterministic-interleaving harness for overlapped source I/O.
 //!
-//! The worker pool in `lap_engine::sched` may complete a batch's wire
-//! calls in any order; correctness demands the *run* cannot tell. This
-//! suite drives the same chaotic workload through an adversarial
-//! scheduler that permutes completion order under a seeded PRNG and
-//! proves, across 100+ seeds, that answers, degradation reports, call
-//! statistics, retry/failure counts, the virtual wall-clock, and the
-//! flight-recorder journal are all byte-identical to the ordered-pool
-//! baseline — including runs whose interleavings race timeouts against
-//! retries. Completion order is a scheduling artifact; outcomes are
-//! planned in issue order before any worker starts.
+//! Overlapped calls share a batch's virtual lanes, so in a real mediator
+//! their replies could land in any order; correctness demands the *run*
+//! cannot tell. The registry runs a batch's row transfers inline in issue
+//! order, and this suite drives the same chaotic workload through the
+//! adversarial scheduler (`lap_engine::sched::adversarial_order`), which
+//! walks those transfers in a seeded permutation instead. It proves,
+//! across 100+ seeds and at one lane and at four, that answers,
+//! degradation reports, call statistics, retry/failure counts, the
+//! virtual wall-clock, and the flight-recorder journal are all
+//! byte-identical to the issue-order baseline — including runs whose
+//! interleavings race timeouts against retries. Transfer order is a
+//! scheduling artifact; outcomes are planned in issue order before any
+//! row moves.
 
 mod common;
 
@@ -37,15 +40,17 @@ struct Observed {
     journal: String,
 }
 
-/// Runs the under-plan through the degraded executor on a 4-worker
-/// registry, with a replay-fidelity journal attached. `sched` picks the
-/// adversarial completion permutation; `None` is the ordered baseline.
+/// Runs the under-plan through the degraded executor on a registry with
+/// `workers` lanes, with a replay-fidelity journal attached. `sched` picks
+/// the adversarial transfer permutation; `None` is the issue-order
+/// baseline.
 fn run_once(
     union: &PhysicalUnion,
     db: &Database,
     schema: &Schema,
     fault: FaultConfig,
     retry: RetryPolicy,
+    workers: usize,
     sched: Option<u64>,
 ) -> Result<Observed, EngineError> {
     let recorder = Recorder::with_journal(JournalConfig::replay());
@@ -53,7 +58,7 @@ fn run_once(
         .recording(&recorder)
         .with_retry(retry)
         .with_fault_injection(fault)
-        .with_io_workers(4);
+        .with_io_workers(workers);
     if let Some(seed) = sched {
         reg = reg.with_adversarial_sched(seed);
     }
@@ -88,19 +93,22 @@ fn adversarial_completion_orders_cannot_change_the_run() {
     let union = lowered(&program);
     let fault = FaultConfig::with_rate(0.3, 0xDECAF);
     let retry = RetryPolicy::standard();
-    let baseline =
-        run_once(&union, &db, &program.schema, fault, retry, None).expect("baseline run");
-    assert!(
-        baseline.failures > 0,
-        "rate 0.3 must inject faults or the permutations race nothing"
-    );
-    for seed in 0..104u64 {
-        let got = run_once(&union, &db, &program.schema, fault, retry, Some(seed))
-            .expect("adversarial run");
-        assert_eq!(
-            got, baseline,
-            "completion order under seed {seed} leaked into the observable run"
+    // One lane too: a seed reorders transfers, never the journal's lanes.
+    for workers in [4, 1] {
+        let baseline = run_once(&union, &db, &program.schema, fault, retry, workers, None)
+            .expect("baseline run");
+        assert!(
+            baseline.failures > 0,
+            "rate 0.3 must inject faults or the permutations race nothing"
         );
+        for seed in 0..104u64 {
+            let got = run_once(&union, &db, &program.schema, fault, retry, workers, Some(seed))
+                .expect("adversarial run");
+            assert_eq!(
+                got, baseline,
+                "transfer order under seed {seed} at {workers} lane(s) leaked into the run"
+            );
+        }
     }
 }
 
@@ -122,7 +130,7 @@ fn timeout_and_retry_races_stay_deterministic() {
     };
     let retry = RetryPolicy::standard();
     let baseline =
-        run_once(&union, &db, &program.schema, fault, retry, None).expect("baseline run");
+        run_once(&union, &db, &program.schema, fault, retry, 4, None).expect("baseline run");
     assert!(
         baseline.retries > 0 && baseline.failures > 0,
         "the timeout profile must force retry races (retries {}, failures {})",
@@ -130,7 +138,7 @@ fn timeout_and_retry_races_stay_deterministic() {
         baseline.failures
     );
     for seed in 0..104u64 {
-        let got = run_once(&union, &db, &program.schema, fault, retry, Some(seed))
+        let got = run_once(&union, &db, &program.schema, fault, retry, 4, Some(seed))
             .expect("adversarial run");
         assert_eq!(
             got, baseline,
@@ -139,7 +147,7 @@ fn timeout_and_retry_races_stay_deterministic() {
     }
 }
 
-/// A worker pool wider than the batch and wider than [`MAX_IO_WORKERS`]'s
+/// A lane count wider than the batch and wider than [`MAX_IO_WORKERS`]'s
 /// clamp must behave like the clamped width — and a single-key batch is
 /// one lane whatever the width. Exercised through the public knob so the
 /// clamp itself is under test.
