@@ -103,3 +103,10 @@ impl fmt::Display for EngineError {
 }
 
 impl Error for EngineError {}
+
+/// A facts text that does not read as ground facts.
+impl From<lap_ir::IrError> for EngineError {
+    fn from(e: lap_ir::IrError) -> EngineError {
+        EngineError::NotGround(e.to_string())
+    }
+}

@@ -3,7 +3,7 @@
 use crate::error::EngineError;
 use crate::relation::Relation;
 use crate::value::{Tuple, Value};
-use lap_ir::{parse_literal, Symbol, Term};
+use lap_ir::{read_facts, write_quoted, Symbol};
 use std::collections::BTreeMap;
 
 /// A database instance `D`: a relation per name.
@@ -46,7 +46,8 @@ impl Database {
         self.relation_mut(sym, arity)?.insert(tuple)
     }
 
-    /// Loads facts from text, one ground atom per `.`-terminated statement:
+    /// Loads facts from text, one ground atom per `.`-terminated statement,
+    /// in the grammar of [`lap_ir::read_facts`]:
     ///
     /// ```
     /// use lap_engine::Database;
@@ -56,27 +57,23 @@ impl Database {
     /// .unwrap();
     /// assert_eq!(db.relation(lap_ir::Symbol::intern("B")).unwrap().len(), 2);
     /// ```
+    ///
+    /// One pass: each relation's tuples are collected, arity checked per
+    /// fact in text order, and its tuple set is built once at the end.
     pub fn from_facts(text: &str) -> Result<Database, EngineError> {
-        let mut db = Database::new();
-        for stmt in split_statements(text) {
-            let stmt = stmt.trim();
-            if stmt.is_empty() {
-                continue;
+        let mut rows: BTreeMap<Symbol, (usize, Vec<Tuple>)> = BTreeMap::new();
+        read_facts(text, |name, args| {
+            let (arity, tuples) = rows.entry(name).or_insert((args.len(), Vec::new()));
+            if *arity != args.len() {
+                return Err(EngineError::ArityMismatch { expected: *arity, found: args.len() });
             }
-            let lit = parse_literal(stmt).map_err(|e| EngineError::NotGround(e.to_string()))?;
-            if !lit.positive {
-                return Err(EngineError::NotGround(stmt.to_owned()));
-            }
-            let mut tuple = Vec::with_capacity(lit.atom.args.len());
-            for &arg in &lit.atom.args {
-                match arg {
-                    Term::Const(c) => tuple.push(Value::from(c)),
-                    Term::Var(_) => return Err(EngineError::NotGround(stmt.to_owned())),
-                }
-            }
-            db.insert(lit.atom.predicate.name.as_str(), tuple)?;
-        }
-        Ok(db)
+            tuples.push(args.iter().map(|&c| Value::from(c)).collect());
+            Ok(())
+        })?;
+        let relations = rows
+            .into_iter()
+            .map(|(name, (arity, tuples))| (name, Relation::from_tuples(arity, tuples)));
+        Ok(Database { relations: relations.collect() })
     }
 
     /// Iterates over `(name, relation)` pairs in name order.
@@ -88,46 +85,6 @@ impl Database {
     pub fn total_tuples(&self) -> usize {
         self.relations.values().map(Relation::len).sum()
     }
-}
-
-/// Splits fact text into `.`-terminated statements, respecting quoted
-/// strings (a `.`, `%`, or `#` inside `"…"` is data, not syntax) and
-/// stripping `%`/`#` line comments.
-fn split_statements(text: &str) -> Vec<String> {
-    let mut statements = Vec::new();
-    let mut current = String::new();
-    let mut chars = text.chars().peekable();
-    let mut in_string = false;
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => {
-                in_string = !in_string;
-                current.push(c);
-            }
-            '\\' if in_string => {
-                current.push(c);
-                if let Some(&next) = chars.peek() {
-                    current.push(next);
-                    chars.next();
-                }
-            }
-            '.' if !in_string => {
-                statements.push(std::mem::take(&mut current));
-            }
-            '%' | '#' if !in_string => {
-                for next in chars.by_ref() {
-                    if next == '\n' {
-                        break;
-                    }
-                }
-            }
-            _ => current.push(c),
-        }
-    }
-    if !current.trim().is_empty() {
-        statements.push(current);
-    }
-    statements
 }
 
 impl std::fmt::Display for Database {
@@ -142,7 +99,7 @@ impl std::fmt::Display for Database {
                         write!(f, ", ")?;
                     }
                     match v {
-                        Value::Str(s) => write!(f, "{:?}", s.as_str())?,
+                        Value::Str(s) => write_quoted(f, s.as_str())?,
                         other => write!(f, "{other}")?,
                     }
                 }
@@ -179,6 +136,14 @@ mod tests {
             Database::from_facts("B(x, 1)."),
             Err(EngineError::NotGround(_))
         ));
+        // The error is positioned in the whole text, not in the statement.
+        let text = "Price(1, \"a\").\nPrice(2, \"b\").\nPrice(3, \"a\\qb\").\n";
+        match Database::from_facts(text) {
+            Err(EngineError::NotGround(msg)) => {
+                assert_eq!(msg, "parse error at 3:10: bad escape in string")
+            }
+            other => panic!("expected NotGround, got {other:?}"),
+        }
     }
 
     #[test]
@@ -192,14 +157,23 @@ mod tests {
     #[test]
     fn rejects_arity_drift() {
         assert!(Database::from_facts("R(1). R(1, 2).").is_err());
+        // Errors come in text order: the drift before the bad character.
+        assert_eq!(
+            Database::from_facts("R(1). R(1, 2). @"),
+            Err(EngineError::ArityMismatch { expected: 1, found: 2 })
+        );
     }
 
     #[test]
     fn display_round_trips() {
-        let db = Database::from_facts(
+        let mut db = Database::from_facts(
             r#"B(1, "tolkien", "the lord"). B(-2, "x y", "q\"z"). L(1)."#,
         )
         .unwrap();
+        // Characters `{:?}` would escape in ways the lexer does not read.
+        for s in ["a\tb", "a\rb", "a\u{7}b", "a\u{200b}b"] {
+            db.insert("S", vec![Value::str(s)]).unwrap();
+        }
         let dumped = db.to_string();
         let reloaded = Database::from_facts(&dumped).unwrap();
         assert_eq!(db, reloaded, "dump:\n{dumped}");

@@ -25,6 +25,13 @@ impl Relation {
         }
     }
 
+    /// A relation of the given arity over `tuples` (duplicates collapse),
+    /// built in one sort; every tuple must already have that arity.
+    pub(crate) fn from_tuples(arity: usize, tuples: Vec<Tuple>) -> Relation {
+        debug_assert!(tuples.iter().all(|t| t.len() == arity));
+        Relation { arity, tuples: tuples.into_iter().collect() }
+    }
+
     /// The relation's arity.
     pub fn arity(&self) -> usize {
         self.arity

@@ -14,8 +14,9 @@
 //!   satisfiability test of Proposition 8.
 //! * [`AccessPattern`] and [`Schema`] — the paper's `R^α` access-pattern
 //!   declarations (Definition 1) and per-relation pattern sets.
-//! * A Datalog-style parser ([`parse_program`]) and pretty printers, so queries can be
-//!   written exactly as they appear in the paper:
+//! * A Datalog-style parser ([`parse_program`]), a one-pass ground-fact
+//!   reader on the same lexer ([`read_facts`]) and pretty printers, so
+//!   queries can be written exactly as they appear in the paper:
 //!
 //! ```
 //! use lap_ir::parse_program;
@@ -51,10 +52,10 @@ pub use atom::{Atom, Literal, Predicate};
 pub use builder::{CqBuilder, UnionBuilder};
 pub use display::display_adorned;
 pub use error::IrError;
-pub use parser::{parse_cq, parse_literal, parse_program, parse_query, Program};
+pub use parser::{parse_cq, parse_literal, parse_program, parse_query, read_facts, Program};
 pub use pattern::{AccessPattern, RelationDecl, Schema};
 pub use query::{ConjunctiveQuery, QuerySignature, UnionQuery};
 pub use satisfiable::is_satisfiable;
 pub use subst::{FreshVarGen, Substitution};
 pub use symbol::Symbol;
-pub use term::{Constant, Term, Var};
+pub use term::{write_quoted, Constant, Term, Var};

@@ -24,6 +24,7 @@ use crate::pattern::Schema;
 use crate::query::{ConjunctiveQuery, UnionQuery};
 use crate::symbol::Symbol;
 use crate::term::{Constant, Term, Var};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// A parsed program: a schema of access patterns plus named queries.
@@ -92,13 +93,77 @@ pub fn parse_literal(text: &str) -> Result<Literal, IrError> {
     Ok(lit)
 }
 
+/// Reads ground facts — `R(c, …)` atoms whose arguments are all constants,
+/// each ended by `.` (optional after the last) — and calls `fact` once per
+/// fact, in text order, with the relation name and the constants.
+///
+/// The facts grammar is the program grammar's, read by the same lexer:
+/// `%`/`#` comments, integers (negative ones too), strings with the
+/// escapes `\"`, `\\` and `\n`, Unicode identifiers and whitespace. Empty
+/// statements (`..`) are skipped. A syntax error, a negated fact and a
+/// variable argument are [`IrError::Parse`] errors positioned over the
+/// whole text; an error from `fact` stops the read and is returned as is.
+///
+/// ```
+/// use lap_ir::{read_facts, IrError};
+/// let mut seen = Vec::new();
+/// read_facts::<IrError>(r#"B(1, "tolkien"). L(-1)"#, |name, args| {
+///     seen.push(format!("{name}/{}", args.len()));
+///     Ok(())
+/// })
+/// .unwrap();
+/// assert_eq!(seen, ["B/2", "L/1"]);
+/// let e = read_facts::<IrError>("B(1).\nnot L(1).", |_, _| Ok(())).unwrap_err();
+/// assert_eq!(e.to_string(), "parse error at 2:1: negated fact");
+/// ```
+pub fn read_facts<E: From<IrError>>(
+    text: &str,
+    mut fact: impl FnMut(Symbol, &[Constant]) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut p = Parser::new(text);
+    if let Some(e) = p.deferred_error.take() {
+        return Err(e.into());
+    }
+    let (mut previous, mut args) = (None, Vec::new());
+    loop {
+        let name = match p.tok {
+            Tok::Eof => return Ok(()),
+            Tok::Dot => {
+                p.advance()?;
+                continue;
+            }
+            Tok::Ident(name) => name,
+            Tok::Not => return Err(p.err("negated fact").into()),
+            ref other => {
+                return Err(p.err(format!("expected a relation name, found {other:?}")).into())
+            }
+        };
+        p.advance()?;
+        args.clear();
+        p.args(&mut args, Parser::constant)?;
+        if args.is_empty() {
+            return Err(p.err(format!("relation {name} needs at least one argument")).into());
+        }
+        if !matches!(p.tok, Tok::Dot | Tok::Eof) {
+            return Err(p.err(format!("unexpected trailing input: {:?}", p.tok)).into());
+        }
+        let sym = match previous {
+            Some((prev, sym)) if prev == name => sym,
+            _ => Symbol::intern(name),
+        };
+        previous = Some((name, sym));
+        fact(sym, &args)?;
+    }
+}
+
 // ---------------------------------------------------------------------------
 
+/// A token. Identifiers and escape-free strings borrow from the input.
 #[derive(Clone, Debug, PartialEq)]
-enum Tok {
-    Ident(String),
+enum Tok<'a> {
+    Ident(&'a str),
     Int(i64),
-    Str(String),
+    Str(Cow<'a, str>),
     LParen,
     RParen,
     Comma,
@@ -110,12 +175,12 @@ enum Tok {
 }
 
 struct Parser<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-    line: usize,
-    col: usize,
-    tok: Tok,
-    tok_line: usize,
-    tok_col: usize,
+    text: &'a str,
+    /// Byte offset of the first character not yet lexed.
+    pos: usize,
+    tok: Tok<'a>,
+    /// Byte offset at which `tok` starts.
+    tok_start: usize,
     /// Arity bookkeeping across the whole program.
     arities: HashMap<Symbol, usize>,
     /// Lexer error hit while priming the first token, surfaced on first use.
@@ -125,12 +190,10 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Parser<'a> {
         let mut p = Parser {
-            chars: text.chars().peekable(),
-            line: 1,
-            col: 1,
+            text,
+            pos: 0,
             tok: Tok::Eof,
-            tok_line: 1,
-            tok_col: 1,
+            tok_start: 0,
             arities: HashMap::new(),
             deferred_error: None,
         };
@@ -142,154 +205,108 @@ impl<'a> Parser<'a> {
         p
     }
 
-    fn err(&self, message: impl Into<String>) -> IrError {
+    /// A parse error at byte offset `at`, positioned by 1-based line and
+    /// column (in characters) over the whole text.
+    fn err_at(&self, at: usize, message: impl Into<String>) -> IrError {
+        let before = &self.text[..at];
+        let line_start = before.rfind('\n').map_or(0, |i| i + 1);
         IrError::Parse {
-            line: self.tok_line,
-            col: self.tok_col,
+            line: before.matches('\n').count() + 1,
+            col: before[line_start..].chars().count() + 1,
             message: message.into(),
         }
     }
 
-    fn bump_char(&mut self) -> Option<char> {
-        let c = self.chars.next();
-        if let Some(c) = c {
-            if c == '\n' {
-                self.line += 1;
-                self.col = 1;
-            } else {
-                self.col += 1;
-            }
-        }
-        c
+    fn err(&self, message: impl Into<String>) -> IrError {
+        self.err_at(self.tok_start, message)
     }
 
     fn advance(&mut self) -> Result<(), IrError> {
+        // Skip whitespace and comments.
+        let text = self.text;
         loop {
-            // Skip whitespace and comments.
-            match self.chars.peek() {
-                Some(c) if c.is_whitespace() => {
-                    self.bump_char();
-                    continue;
-                }
-                Some('%') | Some('#') => {
-                    while let Some(&c) = self.chars.peek() {
-                        self.bump_char();
-                        if c == '\n' {
-                            break;
-                        }
-                    }
-                    continue;
-                }
-                _ => break,
+            let rest = text[self.pos..].trim_start();
+            self.pos = text.len() - rest.len();
+            if !rest.starts_with(['%', '#']) {
+                break;
             }
+            self.pos += rest.find('\n').map_or(rest.len(), |i| i + 1);
         }
-        self.tok_line = self.line;
-        self.tok_col = self.col;
-        let Some(&c) = self.chars.peek() else {
+        self.tok_start = self.pos;
+        let rest = &text[self.pos..];
+        let Some(c) = rest.chars().next() else {
             self.tok = Tok::Eof;
             return Ok(());
         };
-        self.tok = match c {
-            '(' => {
-                self.bump_char();
-                Tok::LParen
-            }
-            ')' => {
-                self.bump_char();
-                Tok::RParen
-            }
-            ',' => {
-                self.bump_char();
-                Tok::Comma
-            }
-            '.' => {
-                self.bump_char();
-                Tok::Dot
-            }
-            '^' => {
-                self.bump_char();
-                Tok::Caret
-            }
-            '!' | '¬' => {
-                self.bump_char();
-                Tok::Not
-            }
-            ':' => {
-                self.bump_char();
-                if self.chars.peek() == Some(&'-') {
-                    self.bump_char();
-                    Tok::Arrow
-                } else {
-                    return Err(self.err("expected `:-`"));
-                }
-            }
-            '<' => {
-                self.bump_char();
-                if self.chars.peek() == Some(&'-') {
-                    self.bump_char();
-                    Tok::Arrow
-                } else {
-                    return Err(self.err("expected `<-`"));
-                }
-            }
-            '"' => {
-                self.bump_char();
-                let mut s = String::new();
-                loop {
-                    match self.bump_char() {
-                        Some('"') => break,
-                        Some('\\') => match self.bump_char() {
-                            Some(e @ ('"' | '\\')) => s.push(e),
-                            Some('n') => s.push('\n'),
-                            _ => return Err(self.err("bad escape in string")),
-                        },
-                        Some(ch) => s.push(ch),
-                        None => return Err(self.err("unterminated string")),
-                    }
-                }
-                Tok::Str(s)
-            }
+        let (tok, len) = match c {
+            '(' => (Tok::LParen, 1),
+            ')' => (Tok::RParen, 1),
+            ',' => (Tok::Comma, 1),
+            '.' => (Tok::Dot, 1),
+            '^' => (Tok::Caret, 1),
+            '!' | '¬' => (Tok::Not, c.len_utf8()),
+            ':' | '<' if rest[1..].starts_with('-') => (Tok::Arrow, 2),
+            ':' | '<' => return Err(self.err(format!("expected `{c}-`"))),
+            '"' => self.string(rest)?,
             c if c.is_ascii_digit() || c == '-' => {
-                let mut s = String::new();
-                if c == '-' {
-                    s.push('-');
-                    self.bump_char();
-                    if !matches!(self.chars.peek(), Some(d) if d.is_ascii_digit()) {
-                        return Err(self.err("expected digits after `-`"));
-                    }
+                let digits = rest[1..].find(|d: char| !d.is_ascii_digit());
+                let len = 1 + digits.unwrap_or(rest.len() - 1);
+                if len == 1 && c == '-' {
+                    return Err(self.err("expected digits after `-`"));
                 }
-                while let Some(&d) = self.chars.peek() {
-                    if d.is_ascii_digit() {
-                        s.push(d);
-                        self.bump_char();
-                    } else {
-                        break;
-                    }
-                }
-                let n: i64 = s
+                let s = &rest[..len];
+                let n = s
                     .parse()
                     .map_err(|_| self.err(format!("integer out of range: {s}")))?;
-                Tok::Int(n)
+                (Tok::Int(n), len)
             }
             c if c.is_alphabetic() || c == '_' => {
-                let mut s = String::new();
-                while let Some(&d) = self.chars.peek() {
-                    if d.is_alphanumeric() || d == '_' || d == '\'' {
-                        s.push(d);
-                        self.bump_char();
-                    } else {
-                        break;
-                    }
-                }
-                if s == "not" {
-                    Tok::Not
-                } else {
-                    Tok::Ident(s)
-                }
+                let len = rest
+                    .find(|d: char| !(d.is_alphanumeric() || d == '_' || d == '\''))
+                    .unwrap_or(rest.len());
+                let s = &rest[..len];
+                (if s == "not" { Tok::Not } else { Tok::Ident(s) }, len)
             }
             other => return Err(self.err(format!("unexpected character {other:?}"))),
         };
+        self.tok = tok;
+        self.pos += len;
         Ok(())
+    }
+
+    /// Lexes the string literal that opens `rest`, returning the token and
+    /// its length in bytes. The escapes are `\"`, `\\` and `\n`; the body
+    /// is borrowed unless it holds one.
+    fn string(&self, rest: &'a str) -> Result<(Tok<'a>, usize), IrError> {
+        let (mut owned, mut copied, mut i) = (None::<String>, 1, 1);
+        loop {
+            let Some(k) = rest[i..].find(['"', '\\']) else {
+                return Err(self.err("unterminated string"));
+            };
+            i += k;
+            if rest.as_bytes()[i] == b'"' {
+                break;
+            }
+            let unescaped = match rest.as_bytes().get(i + 1) {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'n') => '\n',
+                _ => return Err(self.err("bad escape in string")),
+            };
+            let s = owned.get_or_insert_with(String::new);
+            s.push_str(&rest[copied..i]);
+            s.push(unescaped);
+            i += 2;
+            copied = i;
+        }
+        let body = match owned {
+            Some(mut s) => {
+                s.push_str(&rest[copied..i]);
+                Cow::Owned(s)
+            }
+            None => Cow::Borrowed(&rest[1..i]),
+        };
+        Ok((Tok::Str(body), i + 1))
     }
 
     fn eat(&mut self, tok: &Tok) -> Result<(), IrError> {
@@ -310,53 +327,60 @@ impl<'a> Parser<'a> {
 
     fn check_arity(&mut self, name: &str, arity: usize) -> Result<Predicate, IrError> {
         let sym = Symbol::intern(name);
-        match self.arities.get(&sym) {
-            Some(&expected) if expected != arity => Err(IrError::AtomArity {
-                relation: name.to_owned(),
-                expected,
-                found: arity,
-            }),
-            Some(_) => Ok(Predicate { name: sym, arity }),
-            None => {
-                self.arities.insert(sym, arity);
-                Ok(Predicate { name: sym, arity })
-            }
+        let expected = *self.arities.entry(sym).or_insert(arity);
+        if expected != arity {
+            return Err(IrError::AtomArity { relation: name.to_owned(), expected, found: arity });
+        }
+        Ok(Predicate { name: sym, arity })
+    }
+
+    fn term(&self) -> Result<Term, IrError> {
+        match &self.tok {
+            Tok::Ident(s) => Ok(Term::Var(Var::new(s))),
+            Tok::Int(n) => Ok(Term::Const(Constant::Int(*n))),
+            Tok::Str(s) => Ok(Term::Const(Constant::str(s))),
+            other => Err(self.err(format!("expected a term, found {other:?}"))),
         }
     }
 
-    fn term(&mut self) -> Result<Term, IrError> {
-        let t = match &self.tok {
-            Tok::Ident(s) => Term::Var(Var::new(s)),
-            Tok::Int(n) => Term::Const(Constant::Int(*n)),
-            Tok::Str(s) => Term::Const(Constant::str(s)),
-            other => return Err(self.err(format!("expected a term, found {other:?}"))),
-        };
-        self.advance()?;
-        Ok(t)
+    fn constant(&self) -> Result<Constant, IrError> {
+        match self.term()? {
+            Term::Const(c) => Ok(c),
+            Term::Var(v) => Err(self.err(format!("variable {v} in a fact"))),
+        }
+    }
+
+    /// Parses `(arg, …)` into `out`, reading each argument with `arg`.
+    fn args<T>(
+        &mut self,
+        out: &mut Vec<T>,
+        arg: fn(&Self) -> Result<T, IrError>,
+    ) -> Result<(), IrError> {
+        self.eat(&Tok::LParen)?;
+        if self.tok != Tok::RParen {
+            loop {
+                out.push(arg(self)?);
+                self.advance()?;
+                if self.tok != Tok::Comma {
+                    break;
+                }
+                self.advance()?;
+            }
+        }
+        self.eat(&Tok::RParen)
     }
 
     fn atom(&mut self) -> Result<Atom, IrError> {
-        let Tok::Ident(name) = self.tok.clone() else {
+        let Tok::Ident(name) = self.tok else {
             return Err(self.err(format!("expected a relation name, found {:?}", self.tok)));
         };
         self.advance()?;
-        self.eat(&Tok::LParen)?;
         let mut args = Vec::new();
-        if self.tok != Tok::RParen {
-            loop {
-                args.push(self.term()?);
-                if self.tok == Tok::Comma {
-                    self.advance()?;
-                } else {
-                    break;
-                }
-            }
-        }
-        self.eat(&Tok::RParen)?;
+        self.args(&mut args, Self::term)?;
         if args.is_empty() {
             return Err(self.err(format!("relation {name} needs at least one argument")));
         }
-        let predicate = self.check_arity(&name, args.len())?;
+        let predicate = self.check_arity(name, args.len())?;
         Ok(Atom { predicate, args })
     }
 
@@ -372,7 +396,7 @@ impl<'a> Parser<'a> {
     /// Body of a rule: `true`, `false`, or a literal list.
     /// Returns `None` for `false` (the rule is dropped).
     fn body(&mut self) -> Result<Option<Vec<Literal>>, IrError> {
-        if let Tok::Ident(s) = &self.tok {
+        if let Tok::Ident(s) = self.tok {
             if s == "true" {
                 self.advance()?;
                 return Ok(Some(Vec::new()));
@@ -398,41 +422,33 @@ impl<'a> Parser<'a> {
         // head predicate -> (index in order, rules, any-false-rule head atom)
         let mut order: Vec<Symbol> = Vec::new();
         let mut rules: HashMap<Symbol, Vec<ConjunctiveQuery>> = HashMap::new();
-        // head predicate -> (head atom, position of its first rule)
-        let mut heads: HashMap<Symbol, (Atom, usize, usize)> = HashMap::new();
+        // head predicate -> (head atom, byte offset of its first rule)
+        let mut heads: HashMap<Symbol, (Atom, usize)> = HashMap::new();
 
         while self.tok != Tok::Eof {
-            let Tok::Ident(name) = self.tok.clone() else {
+            let Tok::Ident(name) = self.tok else {
                 return Err(self.err(format!(
                     "expected a declaration or rule, found {:?}",
                     self.tok
                 )));
             };
-            let (line, col) = (self.tok_line, self.tok_col);
+            let at = self.tok_start;
             self.advance()?;
             match self.tok {
                 Tok::Caret => {
                     // Pattern declaration: Name ^ word . (word lexes as an
                     // identifier consisting of i/o letters)
                     self.advance()?;
-                    let Tok::Ident(word) = self.tok.clone() else {
+                    let Tok::Ident(word) = self.tok else {
                         return Err(self.err("expected an access-pattern word after `^`"));
                     };
                     self.advance()?;
-                    schema.add_pattern_str(&name, &word)?;
-                    let decl_arity = word.len();
+                    schema.add_pattern_str(name, word)?;
                     // Record/check arity against atom uses.
-                    let sym = Symbol::intern(&name);
-                    if let Some(&a) = self.arities.get(&sym) {
-                        if a != decl_arity {
-                            return Err(IrError::ArityConflict {
-                                relation: name,
-                                old: a,
-                                new: decl_arity,
-                            });
-                        }
-                    } else {
-                        self.arities.insert(sym, decl_arity);
+                    let new = word.len();
+                    let old = *self.arities.entry(Symbol::intern(name)).or_insert(new);
+                    if old != new {
+                        return Err(IrError::ArityConflict { relation: name.to_owned(), old, new });
                     }
                     if self.tok == Tok::Dot {
                         self.advance()?;
@@ -440,23 +456,12 @@ impl<'a> Parser<'a> {
                 }
                 Tok::LParen => {
                     // A rule: parse the head atom (name already consumed).
-                    self.advance()?;
                     let mut args = Vec::new();
-                    if self.tok != Tok::RParen {
-                        loop {
-                            args.push(self.term()?);
-                            if self.tok == Tok::Comma {
-                                self.advance()?;
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                    self.eat(&Tok::RParen)?;
+                    self.args(&mut args, Self::term)?;
                     if args.is_empty() {
                         return Err(self.err(format!("head {name} needs at least one argument")));
                     }
-                    let predicate = self.check_arity(&name, args.len())?;
+                    let predicate = self.check_arity(name, args.len())?;
                     let head = Atom { predicate, args };
                     let body = if self.tok == Tok::Arrow {
                         self.advance()?;
@@ -470,7 +475,7 @@ impl<'a> Parser<'a> {
                     if let std::collections::hash_map::Entry::Vacant(e) = rules.entry(sym) {
                         order.push(sym);
                         e.insert(Vec::new());
-                        heads.insert(sym, (head.clone(), line, col));
+                        heads.insert(sym, (head.clone(), at));
                     }
                     if let Some(body) = body {
                         rules
@@ -489,15 +494,13 @@ impl<'a> Parser<'a> {
         }
 
         if let Some(sym) = recursive_head(&rules, &order) {
-            let (_, line, col) = heads[&sym];
-            return Err(IrError::Parse {
-                line,
-                col,
-                message: format!(
+            return Err(self.err_at(
+                heads[&sym].1,
+                format!(
                     "{sym} is defined recursively (its rules depend on {sym}); \
                      only non-recursive programs are supported"
                 ),
-            });
+            ));
         }
         let mut queries = Vec::with_capacity(order.len());
         for sym in order {

@@ -55,11 +55,27 @@ impl Constant {
     }
 }
 
+/// Writes `s` as a string literal that the parser and [`crate::read_facts`]
+/// read back as `s`: double-quoted, with `"`, `\` and newline escaped as
+/// `\"`, `\\` and `\n` (the only escapes the lexer reads) and every other
+/// character written raw.
+pub fn write_quoted(f: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => write!(f, "\\{c}")?,
+            '\n' => f.write_str("\\n")?,
+            c => f.write_char(c)?,
+        }
+    }
+    f.write_char('"')
+}
+
 impl fmt::Display for Constant {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Constant::Int(i) => write!(f, "{i}"),
-            Constant::Str(s) => write!(f, "{:?}", s.as_str()),
+            Constant::Str(s) => write_quoted(f, s.as_str()),
         }
     }
 }

@@ -5,7 +5,7 @@
 //! Deterministic: inputs are derived from explicit seeds via
 //! [`lap_prng::StdRng`]; every assertion message carries the seed.
 
-use lap_ir::{parse_program, parse_query};
+use lap_ir::{parse_program, parse_query, read_facts, Constant, IrError, Term};
 use lap_prng::{SliceRandom, StdRng};
 
 /// Cases per fuzz target (multiplied under heavier sweeps elsewhere).
@@ -28,6 +28,7 @@ fn arbitrary_text_never_panics() {
             })
             .collect();
         let _ = parse_program(&text); // must not panic (seed {seed})
+        let _ = read_facts::<IrError>(&text, |_, _| Ok(()));
     }
 }
 
@@ -46,11 +47,20 @@ fn token_soup_never_panics() {
             .map(|_| *TOKENS.choose(&mut rng).unwrap())
             .collect();
         let _ = parse_program(&text.join(" ")); // must not panic (seed {seed})
+        let _ = read_facts::<IrError>(&text.join(" "), |_, _| Ok(()));
     }
 }
 
+/// String literals as written in a program, with the value each denotes.
+const STRINGS: &[(&str, &str)] = &[
+    ("tab\there", "tab\there"),
+    ("cr\r bel\u{7} zwsp\u{200b}", "cr\r bel\u{7} zwsp\u{200b}"),
+    (r#"q\"uote b\\ack\nline"#, "q\"uote b\\ack\nline"),
+    ("J.R.R. 100% #1 ¬Σ", "J.R.R. 100% #1 ¬Σ"),
+];
+
 /// Structured generator: random well-formed programs parse and round-trip
-/// (display → parse → display is a fixpoint).
+/// (display → parse → display is a fixpoint), string constants included.
 #[test]
 fn well_formed_programs_round_trip() {
     for seed in 0..CASES {
@@ -77,10 +87,18 @@ fn well_formed_programs_round_trip() {
             }
             // Keep it safe: ensure x0 occurs positively.
             parts.insert(0, "Base(x0)".to_owned());
+            // A string constant with raw characters `{:?}` would escape and
+            // the three escapes the lexer reads.
+            if r == 0 {
+                parts.push(format!("Tag(x0, \"{}\")", STRINGS[seed as usize % STRINGS.len()].0));
+            }
             text.push_str(&parts.join(", "));
             text.push_str(".\n");
         }
         let q = parse_query(&text).unwrap();
+        let (_, value) = STRINGS[seed as usize % STRINGS.len()];
+        let tag = q.disjuncts[0].body.last().unwrap().atom.args[1];
+        assert_eq!(tag, Term::Const(Constant::str(value)), "seed {seed}");
         let shown = q.to_string();
         let reparsed = parse_query(&shown).unwrap();
         assert_eq!(q, reparsed, "seed {seed}: round trip failed for\n{text}");

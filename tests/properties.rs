@@ -15,12 +15,12 @@ mod door;
 use door::{contained, single};
 use lap::containment::{cq_contained_canonical, minimize_cq};
 use lap::core::{ans, answer_star, feasible, feasible_detailed, is_executable, is_orderable};
-use lap::engine::eval_oracle;
-use lap::ir::{parse_query, Schema, UnionQuery};
+use lap::engine::{eval_oracle, Database, EngineError, Value};
+use lap::ir::{parse_literal, parse_query, Schema, Term, UnionQuery};
 use lap::workload::{
     gen_instance, gen_query, gen_schema, InstanceConfig, QueryConfig, SchemaConfig,
 };
-use lap_prng::StdRng;
+use lap_prng::{SliceRandom, StdRng};
 
 /// Cases per property (multiplied under `--features slow-tests`).
 const CASES: u64 = if cfg!(feature = "slow-tests") { 512 } else { 64 };
@@ -299,4 +299,168 @@ fn prop_display_parse_round_trip() {
         let reparsed = parse_query(&text).unwrap();
         assert_eq!(q, reparsed, "case {case}: round trip failed for: {text}");
     }
+}
+
+/// The one-pass facts loader agrees with the statement-at-a-time loader it
+/// replaced (`reference_from_facts`): on generated facts texts and on
+/// mutants of them with tokens dropped, duplicated or spliced, both give an
+/// equal database or an error of the same kind (arity errors exactly).
+#[test]
+fn prop_from_facts_agrees_with_statement_loader() {
+    for case in 0..CASES {
+        let mut rng = Params::for_case(12, case).rng;
+        let tokens = facts_tokens(&mut rng);
+        for variant in 0..8 {
+            let mut toks = tokens.clone();
+            for _ in 0..variant.min(3) {
+                mutate_tokens(&mut toks, &mut rng);
+            }
+            let text = join_tokens(&toks, &mut rng);
+            match (Database::from_facts(&text), reference_from_facts(&text)) {
+                (Err(EngineError::NotGround(_)), Err(EngineError::NotGround(_))) => {}
+                (got, want) => {
+                    assert_eq!(got, want, "case {case} variant {variant}: text {text:?}")
+                }
+            }
+        }
+    }
+}
+
+/// Tokens of a facts text: facts over a few relations (Unicode names, an
+/// occasional arity drift), integers (negative too), strings holding `.`,
+/// `%`, `#`, escapes, raw newlines and multi-byte characters, comments and
+/// empty statements, sometimes followed by a token the lexer refuses. A
+/// comment carries the whitespace before it, so that stripping it never
+/// joins its neighbours.
+fn facts_tokens(rng: &mut StdRng) -> Vec<String> {
+    const RELATIONS: &[(&str, usize)] = &[("R", 1), ("S", 2), ("Ünï", 3), ("t_2'", 1)];
+    const PIECES: &[&str] =
+        &[".", "%", "#", "\\\"", "\\\\", "\\n", "\n", "é", "Σ", "¬", "日本", "a b", "x.y"];
+    let mut toks = Vec::new();
+    for _ in 0..rng.gen_range(0..10usize) {
+        match rng.gen_range(0..10u32) {
+            0 => toks.push(" % note. \"x\" #\n".to_owned()),
+            1 => toks.push(".".to_owned()),
+            _ => {
+                let &(name, arity) = RELATIONS.choose(rng).unwrap();
+                toks.extend([name, "("].map(str::to_owned));
+                for k in 0..arity + usize::from(rng.gen_bool(0.15)) {
+                    if k > 0 {
+                        toks.push(",".to_owned());
+                    }
+                    toks.push(if rng.gen_bool(0.4) {
+                        rng.gen_range(-50..50i64).to_string()
+                    } else {
+                        let n = rng.gen_range(0..4usize);
+                        let body: String = (0..n).map(|_| *PIECES.choose(rng).unwrap()).collect();
+                        format!("\"{body}\"")
+                    });
+                }
+                toks.push(")".to_owned());
+                if rng.gen_bool(0.9) {
+                    toks.push(".".to_owned());
+                }
+            }
+        }
+    }
+    if rng.gen_bool(0.25) {
+        toks.push(["@", "-", "\\", "\"open"].choose(rng).unwrap().to_string());
+    }
+    toks
+}
+
+/// Drops, duplicates, or splices in a token (from the text itself or from
+/// a few that make facts negated, non-ground or malformed).
+fn mutate_tokens(toks: &mut Vec<String>, rng: &mut StdRng) {
+    const EXTRA: &[&str] = &["not", "!", "x", "-", "\"", "\\", "(", ")", ",", ".", "1.5", ":-"];
+    let at = rng.gen_range(0..toks.len() + 1);
+    match rng.gen_range(0..3u32) {
+        0 if at < toks.len() => {
+            toks.remove(at);
+        }
+        1 if at < toks.len() => toks.insert(at, toks[at].clone()),
+        _ => {
+            let tok = match toks.choose(rng) {
+                Some(t) if rng.gen_bool(0.5) => t.clone(),
+                _ => EXTRA.choose(rng).unwrap().to_string(),
+            };
+            toks.insert(at, tok);
+        }
+    }
+}
+
+/// Joins tokens with varied (Unicode) whitespace, sometimes none.
+fn join_tokens(toks: &[String], rng: &mut StdRng) -> String {
+    const SEPARATORS: &[&str] = &[" ", "", "\n", "\t", "\u{3000}", "  "];
+    let mut text = String::new();
+    for t in toks {
+        text.push_str(t);
+        text.push_str(SEPARATORS.choose(rng).unwrap());
+    }
+    text
+}
+
+/// The loader `Database::from_facts` replaced: split the text into
+/// `.`-terminated statements, then parse, check and insert each in turn.
+fn reference_from_facts(text: &str) -> Result<Database, EngineError> {
+    let mut db = Database::new();
+    for stmt in split_statements(text) {
+        let stmt = stmt.trim();
+        if stmt.is_empty() {
+            continue;
+        }
+        let lit = parse_literal(stmt).map_err(|e| EngineError::NotGround(e.to_string()))?;
+        if !lit.positive {
+            return Err(EngineError::NotGround(stmt.to_owned()));
+        }
+        let mut tuple = Vec::new();
+        for &arg in &lit.atom.args {
+            match arg {
+                Term::Const(c) => tuple.push(Value::from(c)),
+                Term::Var(_) => return Err(EngineError::NotGround(stmt.to_owned())),
+            }
+        }
+        db.insert(lit.atom.predicate.name.as_str(), tuple)?;
+    }
+    Ok(db)
+}
+
+/// Splits fact text into `.`-terminated statements, respecting quoted
+/// strings (a `.`, `%`, or `#` inside `"…"` is data, not syntax) and
+/// stripping `%`/`#` line comments.
+fn split_statements(text: &str) -> Vec<String> {
+    let mut statements = Vec::new();
+    let mut current = String::new();
+    let mut chars = text.chars().peekable();
+    let mut in_string = false;
+    while let Some(c) = chars.next() {
+        match c {
+            '"' => {
+                in_string = !in_string;
+                current.push(c);
+            }
+            '\\' if in_string => {
+                current.push(c);
+                if let Some(&next) = chars.peek() {
+                    current.push(next);
+                    chars.next();
+                }
+            }
+            '.' if !in_string => {
+                statements.push(std::mem::take(&mut current));
+            }
+            '%' | '#' if !in_string => {
+                for next in chars.by_ref() {
+                    if next == '\n' {
+                        break;
+                    }
+                }
+            }
+            _ => current.push(c),
+        }
+    }
+    if !current.trim().is_empty() {
+        statements.push(current);
+    }
+    statements
 }
