@@ -68,6 +68,6 @@ pub use replay::{recorded_calls, RecordedCall, ReplaySource};
 pub use source::{InMemorySource, PlannedFetch, Source, SourceRegistry, MAX_IO_WORKERS};
 pub use stats::CallStats;
 pub use value::{
-    display_tuple, rows_from_json, rows_to_json, value_from_json, value_to_json, Rows, Tuple,
-    Value,
+    display_tuple, rows_from_json, rows_to_json, value_from_json, value_to_json, Block, Rows,
+    Tuple, Value,
 };

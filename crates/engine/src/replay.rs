@@ -204,7 +204,7 @@ pub fn recorded_calls(journal: &JournalSnapshot) -> Result<Vec<RecordedCall>, St
                     .unwrap_or(0);
                 let outcome = if event.data.get("ok") == Some(&Json::Bool(true)) {
                     let rows: Rows = match event.data.get("rows_data") {
-                        Some(rows) => rows_from_json(rows)?.into(),
+                        Some(rows) => Rows::new(rows_from_json(rows)?.into()),
                         None => {
                             return Err(format!(
                                 "call end seq {} has no captured rows — \

@@ -357,10 +357,10 @@ impl<'a> InMemorySource<'a> {
             // Stored at another arity than the pattern's, the relation
             // cannot be selected on: its rows go out as they are, for the
             // registry to refuse.
-            return rel.iter().cloned().collect();
+            return Rows::new(rel.iter().cloned().collect());
         }
         let Some(indexes) = &mut self.indexes else {
-            return rel.select(inputs).cloned().collect();
+            return Rows::new(rel.select(inputs).cloned().collect());
         };
         let positions: Vec<usize> = (0..inputs.len()).filter(|&j| inputs[j].is_some()).collect();
         let key: Vec<Value> = inputs.iter().flatten().copied().collect();
@@ -370,7 +370,7 @@ impl<'a> InMemorySource<'a> {
                 let key = positions.iter().map(|&j| row[j]).collect();
                 buckets.entry(key).or_default().push(row.clone());
             }
-            buckets.into_iter().map(|(key, rows)| (key, Rows::from(rows))).collect()
+            buckets.into_iter().map(|(key, rows)| (key, Rows::new(rows.into()))).collect()
         });
         index.get(&key).cloned().unwrap_or_default()
     }
@@ -694,9 +694,11 @@ impl<'a> SourceRegistry<'a> {
     }
 
     /// Call statistics accumulated through *this* registry since
-    /// construction / the last [`SourceRegistry::reset_stats`]. Counts
-    /// positive calls only — membership probes are reported disjointly by
-    /// [`SourceRegistry::membership_probes`].
+    /// construction / the last [`SourceRegistry::reset_stats`]. `calls`
+    /// counts positive calls only — membership probes are reported
+    /// disjointly by [`SourceRegistry::membership_probes`] — while
+    /// `tuples_returned` and `cache_hits` cover probes too: a wire probe
+    /// adds its reply's rows, a cached one a cache hit.
     pub fn stats(&self) -> CallStats {
         CallStats {
             calls: self.since_reset(Tally::Calls),
@@ -815,8 +817,8 @@ impl<'a> SourceRegistry<'a> {
     /// overlapped execution.
     ///
     /// Returns one row block per key and, for a probe, its verdict —
-    /// whether the tested tuple is in the last key's block — computed here
-    /// once, for wire and cached replies alike.
+    /// whether the tested tuple is in the last key's block — asked of the
+    /// block here once, for wire and cached replies alike.
     fn request(
         &mut self,
         name: Symbol,
@@ -878,8 +880,7 @@ impl<'a> SourceRegistry<'a> {
         let mut lane_free = [base_wall; MAX_IO_WORKERS];
         let lane_free = &mut lane_free[..workers];
         let mut rows_out: Vec<Rows> = Vec::with_capacity(scripts.len());
-        let verdict =
-            |rows: &[Tuple]| probe.map(|values| rows.iter().any(|row| row.as_slice() == values));
+        let verdict = |rows: &Rows| probe.map(|values| rows.contains(values));
         let mut present = None;
         for (script, key) in scripts.into_iter().zip(keys) {
             // Greedy earliest-free lane, in issue order.
@@ -1053,9 +1054,15 @@ impl<'a> SourceRegistry<'a> {
             attempts: attempt,
             reason: fault.to_string(),
         })?;
+        // The block knows its width; only a ragged one is walked, for the
+        // length of its first offending row.
         let expected = slot.pattern.arity();
-        match reply.rows.iter().find(|row| row.len() != expected) {
-            Some(row) => Err(EngineError::ArityMismatch { expected, found: row.len() }),
+        let found = match reply.rows.width() {
+            Some(width) => (width != expected).then_some(width),
+            None => reply.rows.iter().map(Vec::len).find(|&len| len != expected),
+        };
+        match found {
+            Some(found) => Err(EngineError::ArityMismatch { expected, found }),
             None => Ok(reply),
         }
     }
@@ -1179,7 +1186,8 @@ impl<'a> SourceRegistry<'a> {
     /// positive `source.calls` counter; cached probes count as cache hits
     /// like any other call. The verdict returned is the one the wire path
     /// computed (and, for a wire probe, journaled as `Membership {
-    /// present }`): the reply block is searched once and not kept.
+    /// present }`), answered by the reply block itself, which indexes its
+    /// rows once it is probed again.
     pub fn membership_test(&mut self, name: Symbol, values: &[Value]) -> Result<bool, EngineError> {
         let decl = self
             .schema
@@ -1597,11 +1605,29 @@ mod tests {
         assert!(!Arc::ptr_eq(&first, &second), "without_indexes scans on every call");
     }
 
+    /// A transport whose every reply is ragged: its first rows are as long
+    /// as the pattern, its last one a value longer. The in-memory transport
+    /// stores a relation at one arity, so it never builds such a block.
+    struct RaggedSource;
+
+    impl Source for RaggedSource {
+        fn plan_fetch(
+            &mut self,
+            _: Symbol,
+            _: AccessPattern,
+            inputs: &[Option<Value>],
+        ) -> PlannedFetch {
+            let row = |len: usize| vec![Value::int(1); len];
+            let rows = vec![row(inputs.len()), row(inputs.len()), row(inputs.len() + 1)];
+            PlannedFetch::Ready(Ok(SourceReply { rows: Rows::new(rows.into()), latency_ms: 0 }))
+        }
+    }
+
     /// A relation stored at another arity than its declared patterns is
     /// refused with `ArityMismatch` where every transport's rows merge —
     /// short or long rows, free scan or keyed selection, positive call or
-    /// probe, indexed or scanning — instead of panicking an operator or
-    /// silently matching nothing.
+    /// probe, indexed or scanning, uniform or ragged — instead of
+    /// panicking an operator or silently matching nothing.
     #[test]
     fn reply_rows_of_the_wrong_arity_are_refused() {
         let db = Database::from_facts("S(1). S(2). W(1, 2).").unwrap();
@@ -1623,6 +1649,13 @@ mod tests {
             assert_eq!(reg.stats(), CallStats::default());
             assert_eq!(reg.membership_probes(), 0);
         }
+        // A ragged reply is refused at its first offending row's length.
+        let mut reg = SourceRegistry::with_source(Box::new(RaggedSource), &schema);
+        let ragged = EngineError::ArityMismatch { expected: 2, found: 3 };
+        assert_eq!(reg.call(s, pat("oo"), &[None, None]), Err(ragged.clone()));
+        assert_eq!(reg.membership_test(s, &[Value::int(1), Value::int(1)]), Err(ragged));
+        assert_eq!(reg.stats(), CallStats::default());
+        assert_eq!(reg.membership_probes(), 0);
     }
 
     #[test]

@@ -8,12 +8,16 @@ use std::fmt;
 /// calls a plan makes and how many tuples cross the (simulated) wire.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CallStats {
-    /// Number of source calls issued (cache misses only, when caching).
+    /// Number of positive source calls issued (cache misses only, when
+    /// caching). Membership probes are counted apart, by
+    /// `SourceRegistry::membership_probes`.
     pub calls: u64,
     /// Number of tuples returned by sources (matching the input slots —
-    /// i.e. what a web service would actually transfer).
+    /// i.e. what a web service would actually transfer), over positive
+    /// calls and membership probes alike.
     pub tuples_returned: u64,
-    /// Number of calls answered from the registry's call cache.
+    /// Number of positive calls and membership probes answered from the
+    /// registry's call cache.
     pub cache_hits: u64,
 }
 

@@ -1,8 +1,13 @@
 //! Runtime values and tuples.
 
+use crate::physical::CodeHasher;
 use lap_ir::{Constant, Symbol};
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
+use std::sync::{Arc, OnceLock};
 
 /// A runtime value stored in a relation or returned by a source.
 ///
@@ -85,7 +90,107 @@ pub type Tuple = Vec<Value>;
 /// transport builds a block once; every later holder (the call cache, a
 /// duplicate key of the same batch, the operators) shares it by reference
 /// count and reads it as a `&[Tuple]`.
-pub type Rows = std::sync::Arc<[Tuple]>;
+pub type Rows = Arc<Block>;
+
+// A block may be shared by sessions on other threads, index included.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<Rows>();
+};
+
+/// The rows of one source reply, read as a `&[Tuple]` through `Deref`.
+///
+/// The block records at construction the width its rows share (`None`
+/// when ragged or empty), so the registry checks a reply's arity in O(1).
+/// It also answers a probe's verdict (`contains`): the first probe scans
+/// — a block probed once (a replay reply, a scanning transport's fresh
+/// block, a one-row bucket) costs what the scan did — and the second
+/// builds an index once, the rows' hashes sorted beside their positions:
+/// one allocation at any size. A verdict is then one hash and a binary
+/// search. A matching hash is confirmed against the row, so a collision
+/// never gives a wrong verdict, and rows crafted to collide cost at most
+/// the scan the index replaced.
+#[derive(Default)]
+pub struct Block {
+    rows: Vec<Tuple>,
+    width: Option<usize>,
+    /// Set by the first probe, which scans instead of indexing. A hint
+    /// that publishes no data (the `OnceLock` publishes the index), so
+    /// `Relaxed` suffices.
+    probed: AtomicBool,
+    /// `(hash, position)` of every row, sorted; built by the second probe.
+    index: OnceLock<Box<[(u64, usize)]>>,
+}
+
+impl Block {
+    /// The length every row shares; `None` for ragged rows or no rows.
+    pub(crate) fn width(&self) -> Option<usize> {
+        self.width
+    }
+
+    /// True iff some row equals `values`.
+    pub(crate) fn contains(&self, values: &[Value]) -> bool {
+        let index = match self.index.get() {
+            Some(index) => index,
+            None if !self.probed.swap(true, AtomicOrdering::Relaxed) => {
+                return self.rows.iter().any(|row| row.as_slice() == values);
+            }
+            None => self.index.get_or_init(|| {
+                let mut index: Vec<(u64, usize)> =
+                    self.rows.iter().enumerate().map(|(i, row)| (row_hash(row), i)).collect();
+                index.sort_unstable();
+                index.into_boxed_slice()
+            }),
+        };
+        let hash = row_hash(values);
+        index[index.partition_point(|&(h, _)| h < hash)..]
+            .iter()
+            .take_while(|&&(h, _)| h == hash)
+            .any(|&(_, i)| self.rows[i].as_slice() == values)
+    }
+}
+
+/// The index key of one row.
+fn row_hash(row: &[Value]) -> u64 {
+    let mut hasher = CodeHasher::default();
+    row.hash(&mut hasher);
+    hasher.finish()
+}
+
+impl From<Vec<Tuple>> for Block {
+    fn from(rows: Vec<Tuple>) -> Block {
+        let width = rows.first().map(Vec::len).filter(|&w| rows.iter().all(|row| row.len() == w));
+        Block { rows, width, ..Block::default() }
+    }
+}
+
+impl FromIterator<Tuple> for Block {
+    fn from_iter<I: IntoIterator<Item = Tuple>>(rows: I) -> Block {
+        Block::from(rows.into_iter().collect::<Vec<_>>())
+    }
+}
+
+impl Deref for Block {
+    type Target = [Tuple];
+
+    fn deref(&self) -> &[Tuple] {
+        &self.rows
+    }
+}
+
+impl PartialEq for Block {
+    fn eq(&self, other: &Block) -> bool {
+        self.rows == other.rows
+    }
+}
+
+impl Eq for Block {}
+
+impl fmt::Debug for Block {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.rows, f)
+    }
+}
 
 /// Renders a tuple as `(v1, v2, …)`.
 pub fn display_tuple(t: &[Value]) -> String {

@@ -15,8 +15,8 @@ mod door;
 use door::{contained, single};
 use lap::containment::{cq_contained_canonical, minimize_cq};
 use lap::core::{ans, answer_star, feasible, feasible_detailed, is_executable, is_orderable};
-use lap::engine::{eval_oracle, Database, EngineError, Value};
-use lap::ir::{parse_literal, parse_query, Schema, Term, UnionQuery};
+use lap::engine::{eval_oracle, Database, EngineError, SourceRegistry, Value};
+use lap::ir::{parse_literal, parse_query, Schema, Symbol, Term, UnionQuery};
 use lap::workload::{
     gen_instance, gen_query, gen_schema, InstanceConfig, QueryConfig, SchemaConfig,
 };
@@ -323,6 +323,63 @@ fn prop_from_facts_agrees_with_statement_loader() {
                 }
             }
         }
+    }
+}
+
+/// A probe's verdict is membership in the relation at every stage of the
+/// reply block's life: the first probe scans it, the second builds its
+/// index, later ones look rows up in it. Under `R^o…o` alone every probe is
+/// the same free scan, so all of them read one shared block; the relation
+/// holds the `i64` extremes, negative integers, strings and (inserted
+/// twice, stored once) duplicate rows, and the probes mix present and
+/// absent tuples, each issued one to three times, in shuffled order.
+#[test]
+fn prop_probe_verdict_is_relation_membership() {
+    const STRINGS: &[&str] = &["", "a", "tolkien", "Σ", "a b"];
+    let value = |rng: &mut StdRng| match rng.gen_range(0..5u32) {
+        0 => Value::int(i64::MIN),
+        1 => Value::int(i64::MAX),
+        2 => Value::int(rng.gen_range(-4..4i64)),
+        _ => Value::str(STRINGS.choose(rng).unwrap()),
+    };
+    for case in 0..CASES {
+        let mut rng = Params::for_case(13, case).rng;
+        let arity = rng.gen_range(1..4usize);
+        let tuple = |rng: &mut StdRng| (0..arity).map(|_| value(rng)).collect::<Vec<_>>();
+        let mut db = Database::new();
+        let mut inserted = Vec::new();
+        for _ in 0..rng.gen_range(0..40usize) {
+            let row = tuple(&mut rng);
+            db.insert("R", row.clone()).unwrap();
+            if rng.gen_bool(0.2) {
+                db.insert("R", row.clone()).unwrap();
+            }
+            inserted.push(row);
+        }
+        let name = Symbol::intern("R");
+        let size = db.relation(name).map_or(0, |r| r.len()) as u64;
+        let mut probes = Vec::new();
+        for _ in 0..rng.gen_range(1..30usize) {
+            let probe = match inserted.choose(&mut rng) {
+                Some(row) if rng.gen_bool(0.5) => row.clone(),
+                _ => tuple(&mut rng),
+            };
+            for _ in 0..rng.gen_range(1..4usize) {
+                probes.push(probe.clone());
+            }
+        }
+        probes.shuffle(&mut rng);
+        let all_output = "o".repeat(arity);
+        let schema = Schema::from_patterns(&[("R", all_output.as_str())]).unwrap();
+        let mut reg = SourceRegistry::new(&db, &schema);
+        for (k, probe) in probes.iter().enumerate() {
+            let want = db.relation(name).is_some_and(|r| r.contains(probe));
+            let got = reg.membership_test(name, probe);
+            assert_eq!(got, Ok(want), "case {case}, probe {k}: {probe:?}");
+        }
+        let issued = probes.len() as u64;
+        assert_eq!(reg.membership_probes(), issued, "case {case}");
+        assert_eq!(reg.stats().tuples_returned, issued * size, "case {case}");
     }
 }
 
