@@ -14,7 +14,7 @@
 //! which the degraded executors translate into a dropped disjunct and an
 //! honest completeness downgrade instead of an aborted run.
 
-use crate::source::{PlannedFetch, Source};
+use crate::source::Source;
 use crate::value::{Rows, Value};
 use lap_ir::{AccessPattern, Symbol};
 use lap_prng::StdRng;
@@ -170,12 +170,12 @@ impl<S: Source> FaultInjectingSource<S> {
 }
 
 impl<S: Source> Source for FaultInjectingSource<S> {
-    fn plan_fetch(
+    fn fetch(
         &mut self,
         name: Symbol,
         pattern: AccessPattern,
         inputs: &[Option<Value>],
-    ) -> PlannedFetch {
+    ) -> Result<SourceReply, SourceFault> {
         let jitter = if self.cfg.latency_jitter_ms > 0 {
             self.rng.gen_range(0..=self.cfg.latency_jitter_ms)
         } else {
@@ -184,37 +184,17 @@ impl<S: Source> Source for FaultInjectingSource<S> {
         let latency = self.cfg.latency_ms + jitter;
         if self.cfg.error_rate > 0.0 && self.rng.gen_bool(self.cfg.error_rate) {
             self.injected += 1;
-            return PlannedFetch::Fault(SourceFault::Unavailable { latency_ms: latency });
+            return Err(SourceFault::Unavailable { latency_ms: latency });
         }
         if let Some(timeout_ms) = self.cfg.timeout_ms {
             if latency > timeout_ms {
                 self.injected += 1;
-                return PlannedFetch::Fault(SourceFault::Timeout { latency_ms: latency, timeout_ms });
+                return Err(SourceFault::Timeout { latency_ms: latency, timeout_ms });
             }
         }
-        // The call survived every fault draw: whether the inner transfer
-        // can be deferred to a worker is the inner source's decision.
-        match self.inner.plan_fetch(name, pattern, inputs) {
-            PlannedFetch::Defer { latency_ms } => PlannedFetch::Defer {
-                latency_ms: latency_ms + latency,
-            },
-            PlannedFetch::Fault(fault) => PlannedFetch::Fault(fault),
-            PlannedFetch::Ready(result) => PlannedFetch::Ready(result.map(|mut reply| {
-                reply.latency_ms += latency;
-                reply
-            })),
-        }
-    }
-
-    fn fetch_deferred(
-        &mut self,
-        name: Symbol,
-        pattern: AccessPattern,
-        inputs: &[Option<Value>],
-    ) -> Result<SourceReply, SourceFault> {
-        // The fault draws already happened in `plan_fetch`; only the row
-        // transfer remains (the planned latency is added by the caller).
-        self.inner.fetch_deferred(name, pattern, inputs)
+        let mut reply = self.inner.fetch(name, pattern, inputs)?;
+        reply.latency_ms += latency;
+        Ok(reply)
     }
 }
 

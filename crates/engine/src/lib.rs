@@ -43,7 +43,6 @@ mod oracle;
 pub mod physical;
 mod relation;
 mod replay;
-pub mod sched;
 mod source;
 mod stats;
 mod value;
@@ -65,7 +64,7 @@ pub use instance::Database;
 pub use oracle::{eval_oracle, eval_oracle_single};
 pub use relation::Relation;
 pub use replay::{recorded_calls, RecordedCall, ReplaySource};
-pub use source::{InMemorySource, PlannedFetch, Source, SourceRegistry, MAX_IO_WORKERS};
+pub use source::{InMemorySource, Source, SourceRegistry, MAX_IO_WORKERS};
 pub use stats::CallStats;
 pub use value::{
     display_tuple, rows_from_json, rows_to_json, value_from_json, value_to_json, Block, Rows,

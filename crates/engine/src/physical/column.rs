@@ -24,7 +24,7 @@
 //!   splitting a batch at a width boundary is O(columns), not O(rows).
 //!
 //! Batches are deliberately *not* `Send`: a pipeline is single-threaded
-//! (overlapped I/O is lanes on the virtual clock, and its row transfers
+//! (overlapped I/O is lanes on the virtual clock, and its source calls
 //! run on the pipeline's own thread), so the sharing is plain `Rc`.
 
 use crate::value::Value;

@@ -49,11 +49,12 @@ pub struct ExecConfig {
     /// degenerates to tuple-at-a-time; larger widths widen the per-batch
     /// call-dedup window.
     pub batch_size: usize,
-    /// Worker lanes for overlapped source I/O (≥ 1). With 1 (the
-    /// default) a batch's deduplicated calls go out serially; with more,
-    /// their wire waits overlap on the registry's virtual wall clock and
-    /// the row transfers run on the [`crate::sched`] pool — answers and
-    /// counters do not depend on the lane count.
+    /// Worker lanes for overlapped source I/O (≥ 1). Lanes are
+    /// virtual-clock accounting, not threads: every call still runs on
+    /// the caller's thread, in issue order. With 1 (the default) a
+    /// batch's wire waits add up; with more, they overlap on the
+    /// registry's virtual wall clock — answers and counters do not depend
+    /// on the lane count.
     pub io_workers: usize,
     /// Use the columnar executor (the default). `false` selects the
     /// row-at-a-time baseline — answers, counters, and journal batch

@@ -17,7 +17,7 @@
 //! rejects anything else up front instead of failing mysteriously later.
 
 use crate::fault::{SourceFault, SourceReply};
-use crate::source::{PlannedFetch, Source};
+use crate::source::Source;
 use crate::value::{rows_from_json, value_from_json, Rows, Value};
 use lap_ir::{AccessPattern, Symbol};
 use lap_obs::journal::kind;
@@ -88,13 +88,13 @@ impl ReplaySource {
 }
 
 impl Source for ReplaySource {
-    /// The recorded outcome is the whole attempt: nothing is deferred.
-    fn plan_fetch(
+    /// Serves the first recorded attempt with this call key.
+    fn fetch(
         &mut self,
         name: Symbol,
         pattern: AccessPattern,
         inputs: &[Option<Value>],
-    ) -> PlannedFetch {
+    ) -> Result<SourceReply, SourceFault> {
         let mut calls = self.calls.lock().expect("replay source not poisoned");
         let matches = |c: &RecordedCall| {
             c.relation == name && c.pattern == pattern && c.inputs == inputs
@@ -107,13 +107,13 @@ impl Source for ReplaySource {
             }
             None => {
                 self.mismatches.fetch_add(1, Ordering::Relaxed);
-                return PlannedFetch::Ready(Err(SourceFault::Unavailable { latency_ms: 0 }));
+                return Err(SourceFault::Unavailable { latency_ms: 0 });
             }
         }
         let call = calls
             .remove(position.expect("checked above"))
             .expect("position in bounds");
-        PlannedFetch::Ready(call.outcome)
+        call.outcome
     }
 }
 

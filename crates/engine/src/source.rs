@@ -10,9 +10,10 @@
 //!
 //! There is one wire path. [`SourceRegistry::call`],
 //! [`SourceRegistry::call_many`] and [`SourceRegistry::membership_test`]
-//! all run the same plan → dispatch → merge pipeline with one retry loop;
-//! a serial call is that pipeline with one lane, an overlapped batch the
-//! same pipeline with [`SourceRegistry::with_io_workers`] lanes.
+//! all run the same pass over their keys, in issue order, with one retry
+//! loop; a serial call is that pass with one lane, an overlapped batch the
+//! same pass with [`SourceRegistry::with_io_workers`] lanes of the virtual
+//! clock.
 //!
 //! The transport sits behind the [`Source`] trait. [`InMemorySource`] is
 //! the default (a `Database` behind lazily-built hash indexes), while
@@ -26,7 +27,6 @@
 use crate::error::EngineError;
 use crate::fault::{RetryPolicy, SourceFault, SourceReply};
 use crate::instance::Database;
-use crate::sched;
 use crate::stats::CallStats;
 use crate::value::{rows_to_json, value_to_json, Rows, Tuple, Value};
 use lap_ir::{AccessPattern, Schema, Symbol};
@@ -119,71 +119,18 @@ fn capture_fault_json(name: Symbol, attempt: u32, fault: &SourceFault) -> Json {
     Json::Obj(data)
 }
 
-/// The planned course of one wire call: the attempts the transport
-/// committed to fault, then how the call ends. Planning happens strictly
-/// in issue order; the journal events and the row transfer wait for the
-/// merge, where the call's lane and start time are known.
-struct WireScript {
-    /// The faulted attempts in order, each with the backoff the retry
-    /// policy charged after it (zero after a terminal fault).
-    faults: Vec<(SourceFault, u64)>,
-    /// The committed success that follows the faults, or the terminal
-    /// error (retries exhausted or deadline hit) if the last one was final.
-    end: Result<PlannedSuccess, EngineError>,
-    /// This call won the journal sampling decision.
-    journaled: bool,
-    /// Replay tier: record rich pairs with row payloads.
-    capture: bool,
-}
-
-/// A success the transport committed to during planning.
-enum PlannedSuccess {
-    /// The row transfer itself is still to run (in the dispatch phase,
-    /// after the whole batch is planned) and leaves its result in
-    /// `transfer`. `latency_ms` is the planned wire latency to add to the
-    /// fetched reply.
-    Deferred { latency_ms: u64, transfer: Option<Result<SourceReply, SourceFault>> },
-    /// The transport produced the full reply during planning.
-    Ready(SourceReply),
-}
-
-impl WireScript {
-    /// Total virtual time the call occupies its lane: every attempt's
-    /// wire latency plus the backoffs between attempts.
-    fn duration_ms(&self) -> u64 {
-        let faulted: u64 = self.faults.iter().map(|(f, backoff)| f.latency_ms() + backoff).sum();
-        faulted
-            + match &self.end {
-                Ok(PlannedSuccess::Deferred { latency_ms, .. }) => *latency_ms,
-                Ok(PlannedSuccess::Ready(reply)) => reply.latency_ms,
-                Err(_) => 0,
-            }
-    }
-}
-
-/// One planned call of a batch, in issue order.
-enum ScriptedCall {
-    /// Cache hit during planning; the cached block is already in hand.
-    Cached(Rows),
-    /// Duplicate of an earlier key in the same batch (cache enabled):
-    /// resolves to that call's rows and counts as a cache hit, as it
-    /// would have had the earlier call completed first.
-    Dup(usize),
-    /// A wire call with a fully scripted attempt sequence.
-    Wire(WireScript),
-}
-
-impl ScriptedCall {
-    /// The slot a committed success's deferred row transfer fills, if
-    /// this call has one.
-    fn pending_transfer(&mut self) -> Option<&mut Option<Result<SourceReply, SourceFault>>> {
-        match self {
-            ScriptedCall::Wire(WireScript {
-                end: Ok(PlannedSuccess::Deferred { transfer, .. }),
-                ..
-            }) => Some(transfer),
-            _ => None,
-        }
+/// Refuses a reply whose rows are not as long as `pattern`. The block
+/// knows its width; only a ragged one is walked, for the length of its
+/// first offending row.
+fn check_width(pattern: AccessPattern, reply: SourceReply) -> Result<SourceReply, EngineError> {
+    let expected = pattern.arity();
+    let found = match reply.rows.width() {
+        Some(width) => (width != expected).then_some(width),
+        None => reply.rows.iter().map(Vec::len).find(|&len| len != expected),
+    };
+    match found {
+        Some(found) => Err(EngineError::ArityMismatch { expected, found }),
+        None => Ok(reply),
     }
 }
 
@@ -203,39 +150,16 @@ struct WireSlot<'k> {
 /// block is the whole relation: the free scan.
 type ColumnIndex = HashMap<Vec<Value>, Rows>;
 
-/// The transport's verdict on one fetch attempt, split from the data
-/// transfer so the registry can plan a whole batch before moving any rows.
-///
-/// Everything order-sensitive about an attempt — fault coins, latency
-/// jitter, recorded replay outcomes — is decided by
-/// [`Source::plan_fetch`] while the registry still issues attempts
-/// strictly in order. What remains for [`Source::fetch_deferred`] is the
-/// pure row transfer, which draws no randomness and therefore commutes:
-/// the order transfers run in cannot change a run.
-pub enum PlannedFetch {
-    /// The attempt faults; the data transfer never happens.
-    Fault(SourceFault),
-    /// The attempt will succeed after `latency_ms` of virtual wire time;
-    /// the row transfer is deferred to [`Source::fetch_deferred`]. The
-    /// caller adds `latency_ms` on top of whatever the deferred reply
-    /// reports.
-    Defer {
-        /// Virtual wire latency of the planned attempt.
-        latency_ms: u64,
-    },
-    /// The complete outcome is already in hand (replay transports, and
-    /// any transport that does not split a fetch).
-    Ready(Result<SourceReply, SourceFault>),
-}
-
 /// One remote source transport: answers a validated access-pattern call
 /// with the matching rows, or fails with a [`SourceFault`].
 ///
-/// A transport implements [`Source::plan_fetch`] — the one place an
-/// attempt's outcome is decided — plus [`Source::fetch_deferred`] if it
-/// ever plans a [`PlannedFetch::Defer`]. [`Source::fetch`] is provided and
-/// not meant to be overridden, so a whole fetch and a planned-then-
-/// transferred one cannot consume a fault schedule differently.
+/// [`Source::fetch`] is the paper's source operation (Definition 1) and
+/// the transport's one method: call relation `name` through `pattern`
+/// with a value for every input slot, get back the matching tuples. Each
+/// attempt of the registry's retry loop is one `fetch`, issued on the
+/// caller's thread in issue order, so a transport that draws randomness
+/// (fault coins, latency jitter) or consumes a recorded stream sees the
+/// same sequence of calls at every lane count.
 ///
 /// The registry validates every request against the schema *before* it
 /// reaches the transport, so implementations only answer well-formed
@@ -244,73 +168,30 @@ pub enum PlannedFetch {
 /// The registry runs every call on the caller's thread, so a transport
 /// need not be `Send`.
 pub trait Source {
-    /// Decides one attempt's outcome — the rows of `name` matching the
-    /// `Some` slots of `inputs` under `pattern`, or a fault — consuming
-    /// every random draw and recorded outcome the attempt owns. Called
-    /// strictly in issue order.
-    fn plan_fetch(
-        &mut self,
-        name: Symbol,
-        pattern: AccessPattern,
-        inputs: &[Option<Value>],
-    ) -> PlannedFetch;
-
-    /// Completes a [`PlannedFetch::Defer`]: the pure row transfer, safe
-    /// to run in any order because [`Source::plan_fetch`] already consumed
-    /// every order-sensitive decision. The planned latency is accounted
-    /// by the caller, not here. A transport that plans `Defer` must
-    /// override this; the default refuses the transfer.
+    /// One attempt: the rows of `name` matching the `Some` slots of
+    /// `inputs` under `pattern`, with the virtual latency they took, or a
+    /// fault.
     ///
     /// The reply's rows are a shared block: a transport over resident data
     /// returns the block it keeps (a reference-count bump), one that reads
     /// rows off a wire builds the block here, once. Either way the caller
     /// never copies it and never sees it change.
-    fn fetch_deferred(
+    fn fetch(
         &mut self,
-        _name: Symbol,
-        _pattern: AccessPattern,
-        _inputs: &[Option<Value>],
-    ) -> Result<SourceReply, SourceFault> {
-        Err(SourceFault::Unavailable { latency_ms: 0 })
-    }
+        name: Symbol,
+        pattern: AccessPattern,
+        inputs: &[Option<Value>],
+    ) -> Result<SourceReply, SourceFault>;
+}
 
-    /// Answers one call whole: plan the attempt, then transfer its rows
-    /// and add the planned latency.
+impl<'a> Source for Box<dyn Source + 'a> {
     fn fetch(
         &mut self,
         name: Symbol,
         pattern: AccessPattern,
         inputs: &[Option<Value>],
     ) -> Result<SourceReply, SourceFault> {
-        match self.plan_fetch(name, pattern, inputs) {
-            PlannedFetch::Fault(fault) => Err(fault),
-            PlannedFetch::Defer { latency_ms } => {
-                let mut reply = self.fetch_deferred(name, pattern, inputs)?;
-                reply.latency_ms += latency_ms;
-                Ok(reply)
-            }
-            PlannedFetch::Ready(result) => result,
-        }
-    }
-}
-
-impl<'a> Source for Box<dyn Source + 'a> {
-    fn plan_fetch(
-        &mut self,
-        name: Symbol,
-        pattern: AccessPattern,
-        inputs: &[Option<Value>],
-    ) -> PlannedFetch {
-        (**self).plan_fetch(name, pattern, inputs)
-    }
-
-    fn fetch_deferred(
-        &mut self,
-        name: Symbol,
-        pattern: AccessPattern,
-        inputs: &[Option<Value>],
-    ) -> Result<SourceReply, SourceFault> {
-        (**self).fetch_deferred(name, pattern, inputs)
+        (**self).fetch(name, pattern, inputs)
     }
 }
 
@@ -377,18 +258,8 @@ impl<'a> InMemorySource<'a> {
 }
 
 impl Source for InMemorySource<'_> {
-    /// In-memory fetches never fault and carry zero latency, so the whole
-    /// call is deferrable row transfer.
-    fn plan_fetch(
-        &mut self,
-        _name: Symbol,
-        _pattern: AccessPattern,
-        _inputs: &[Option<Value>],
-    ) -> PlannedFetch {
-        PlannedFetch::Defer { latency_ms: 0 }
-    }
-
-    fn fetch_deferred(
+    /// In-memory fetches never fault and carry zero latency.
+    fn fetch(
         &mut self,
         name: Symbol,
         _pattern: AccessPattern,
@@ -469,13 +340,6 @@ pub struct SourceRegistry<'a> {
     /// Lanes a multi-key batch ([`SourceRegistry::call_many`]) may spread
     /// its wire waits over; 1 = every wait is serial.
     io_workers: usize,
-    /// When set, batches execute their deferred transfers in a seeded
-    /// pseudo-random order ([`crate::sched::adversarial_order`]) instead
-    /// of issue order — the interleaving suite's adversarial scheduler.
-    sched_seed: Option<u64>,
-    /// Per-batch salt folded into `sched_seed` so every overlapped batch
-    /// of one run sees a fresh adversarial permutation.
-    sched_epoch: u64,
     cache: Option<HashMap<CallKey, Rows>>,
     /// Flight-recorder journal (attached via [`SourceRegistry::recording`]
     /// when the recorder carries one).
@@ -529,8 +393,6 @@ impl<'a> SourceRegistry<'a> {
             wall_ms: 0,
             retired_wall_ms: 0,
             io_workers: 1,
-            sched_seed: None,
-            sched_epoch: 0,
             cache: None,
             journal: None,
             journal_call_ids: Vec::new(),
@@ -559,8 +421,8 @@ impl<'a> SourceRegistry<'a> {
     /// only difference between serial and overlapped execution: with the
     /// default of 1 a batch's wire waits add up, with more
     /// [`SourceRegistry::call_many`] spreads them over that many lanes of
-    /// the virtual clock. Lanes are accounting, not threads: the row
-    /// transfers run on the calling thread, in issue order, either way.
+    /// the virtual clock. Lanes are accounting, not threads: the source
+    /// calls run on the calling thread, in issue order, either way.
     pub fn with_io_workers(mut self, workers: usize) -> SourceRegistry<'a> {
         self.io_workers = workers.clamp(1, MAX_IO_WORKERS);
         self
@@ -569,16 +431,6 @@ impl<'a> SourceRegistry<'a> {
     /// Number of virtual lanes overlapped batches may use.
     pub fn io_workers(&self) -> usize {
         self.io_workers
-    }
-
-    /// Forces batches through the seeded adversarial scheduler
-    /// ([`crate::sched::adversarial_order`]): deferred transfers execute
-    /// in a pseudo-random order drawn from `seed`, on the same lanes as
-    /// without it. Test-harness knob; results — journal included — must
-    /// not depend on the seed.
-    pub fn with_adversarial_sched(mut self, seed: u64) -> SourceRegistry<'a> {
-        self.sched_seed = Some(seed);
-        self
     }
 
     /// Attaches this registry to `recorder`: call statistics register as
@@ -786,7 +638,8 @@ impl<'a> SourceRegistry<'a> {
     /// the lane count — only the *wall* clock does: a batch charges its
     /// longest lane, which with one lane is the serial sum. Each key gets
     /// a shared block as in [`SourceRegistry::call`]; with the call cache
-    /// on, duplicate keys of one batch get the same block.
+    /// on, duplicate keys of one batch get the same block. A batch stops
+    /// at its first error: the keys after it are never sent.
     pub fn call_many(
         &mut self,
         name: Symbol,
@@ -797,24 +650,18 @@ impl<'a> SourceRegistry<'a> {
     }
 
     /// The one wire path — every positive call, batch and membership
-    /// probe (`probe` = the ground tuple tested) runs these phases:
+    /// probe (`probe` = the ground tuple tested) is one pass over `keys`,
+    /// in issue order. Each key is validated, then answered from the cache
+    /// when possible (a repeated key of this batch finds its first
+    /// occurrence there), otherwise fetched with retries on the
+    /// earliest-free lane ([`SourceRegistry::fetch_wire`]), which journals
+    /// each attempt at its lane timestamps as it happens. Counters and the
+    /// cache are updated per key, and the wall clock then advances by the
+    /// longest lane.
     ///
-    /// 1. **Plan** (issue order, sequential): validate each key, answer
-    ///    it from the cache when possible, otherwise let the transport
-    ///    commit every attempt's outcome ([`SourceRegistry::plan_wire`]).
-    ///    Stops at the first terminal outcome.
-    /// 2. **Dispatch**: committed-success row transfers run inline on
-    ///    the calling thread, straight on the transport, in issue order
-    ///    (in [`crate::sched::adversarial_order`] when a seed is set) —
-    ///    pure data movement, no randomness left, whatever the lane count.
-    /// 3. **Schedule and merge** (issue order): each wire call takes the
-    ///    earliest-free lane; its journal pairs and instants are emitted
-    ///    at their scheduled timestamps, counters and the cache are
-    ///    updated, and a terminal error surfaces after its prefix. The
-    ///    wall clock then advances by the longest lane.
-    ///
-    /// The lane count is the only thing that distinguishes serial from
-    /// overlapped execution.
+    /// The pass stops at the first error: nothing after it is drawn from
+    /// the transport, tallied or journaled. The lane count is the only
+    /// thing that distinguishes serial from overlapped execution.
     ///
     /// Returns one row block per key and, for a probe, its verdict —
     /// whether the tested tuple is in the last key's block — asked of the
@@ -827,104 +674,65 @@ impl<'a> SourceRegistry<'a> {
         probe: Option<&[Value]>,
     ) -> Result<(Vec<Rows>, Option<bool>), EngineError> {
         // Nothing to overlap: one lane, journaled on the base lane instead
-        // of a per-lane sub-lane. Only the lane count and the batch size
-        // decide this; an adversarial seed reorders transfers, not lanes.
+        // of a per-lane sub-lane.
         let serial = self.io_workers <= 1 || keys.len() <= 1;
         let workers = if serial { 1 } else { self.io_workers };
-
-        let mut scripts: Vec<ScriptedCall> = Vec::with_capacity(keys.len());
-        let mut failed: Option<EngineError> = None;
-        for (i, key) in keys.iter().enumerate() {
+        let base_wall = self.virtual_elapsed_ms();
+        let mut lane_free = [base_wall; MAX_IO_WORKERS];
+        let lane_free = &mut lane_free[..workers];
+        let mut rows_out: Vec<Rows> = Vec::with_capacity(keys.len());
+        let verdict = |rows: &Rows| probe.map(|values| rows.contains(values));
+        let mut present = None;
+        let mut failed = None;
+        for key in keys {
             if let Err(e) = self.validate(name, pattern, key) {
                 failed = Some(e);
                 break;
             }
-            if let Some(cache) = &self.cache {
-                // A duplicate key would find the first occurrence cached
-                // by the time it is issued, so it is a hit as well.
-                let hit = match cache.get(&(name, pattern, key.clone())) {
-                    Some(rows) => Some(ScriptedCall::Cached(rows.clone())),
-                    None => keys[..i].iter().position(|k| k == key).map(ScriptedCall::Dup),
-                };
-                if let Some(hit) = hit {
-                    self.tally(Tally::CacheHits, 1);
-                    scripts.push(hit);
-                    continue;
-                }
-            }
-            let script = self.plan_wire(name, pattern, key);
-            let terminal = script.end.is_err();
-            scripts.push(ScriptedCall::Wire(script));
-            if terminal {
-                break;
-            }
-        }
-
-        // Dispatch: each committed success's row transfer, inline on this
-        // thread, in issue order — or in the seeded adversarial order.
-        let mut order: Vec<usize> =
-            (0..scripts.len()).filter(|&i| scripts[i].pending_transfer().is_some()).collect();
-        if let Some(seed) = self.sched_seed {
-            self.sched_epoch = self.sched_epoch.wrapping_add(1);
-            let permutation =
-                sched::adversarial_order(seed.wrapping_add(self.sched_epoch), order.len());
-            order = permutation.into_iter().map(|j| order[j]).collect();
-        }
-        for i in order {
-            if let Some(slot) = scripts[i].pending_transfer() {
-                *slot = Some(self.source.fetch_deferred(name, pattern, &keys[i]));
-            }
-        }
-
-        let base_wall = self.virtual_elapsed_ms();
-        let mut lane_free = [base_wall; MAX_IO_WORKERS];
-        let lane_free = &mut lane_free[..workers];
-        let mut rows_out: Vec<Rows> = Vec::with_capacity(scripts.len());
-        let verdict = |rows: &Rows| probe.map(|values| rows.contains(values));
-        let mut present = None;
-        for (script, key) in scripts.into_iter().zip(keys) {
             // Greedy earliest-free lane, in issue order.
             let k = (0..workers).min_by_key(|&k| lane_free[k]).unwrap_or(0);
-            let hit = match script {
-                ScriptedCall::Cached(rows) => rows,
-                ScriptedCall::Dup(first) => rows_out[first].clone(),
-                ScriptedCall::Wire(script) => {
-                    let lane = if serial { BASE_LANE } else { LANE_STRIDE + k as u64 };
-                    let slot = WireSlot { name, pattern, inputs: key, lane, start_ms: lane_free[k] };
-                    lane_free[k] += script.duration_ms();
-                    let rows = match self.merge_wire(&slot, script) {
-                        Ok(reply) => reply.rows,
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
-                    };
-                    present = verdict(&rows);
-                    match present {
-                        None => {
-                            self.tally(Tally::Calls, 1);
-                            self.rows_per_call.record(rows.len() as u64);
-                        }
-                        Some(present) => {
-                            self.tally(Tally::Membership, 1);
-                            let payload = InstantPayload::Membership { present };
-                            self.journal_instant(BASE_LANE, lane_free[k], name, payload);
-                        }
-                    }
-                    self.tally(Tally::TuplesReturned, rows.len() as u64);
-                    if let Some(cache) = &mut self.cache {
-                        cache.insert((name, pattern, key.clone()), rows.clone());
-                    }
-                    rows_out.push(rows);
-                    continue;
+            let hit = self
+                .cache
+                .as_ref()
+                .and_then(|cache| cache.get(&(name, pattern, key.clone())).cloned());
+            if let Some(rows) = hit {
+                // A cache hit is stamped when it is issued.
+                self.tally(Tally::CacheHits, 1);
+                let payload =
+                    InstantPayload::CacheHit { rows: rows.len() as u64, membership: probe.is_some() };
+                self.journal_instant(BASE_LANE, lane_free[k], name, payload);
+                present = verdict(&rows);
+                rows_out.push(rows);
+                continue;
+            }
+            let lane = if serial { BASE_LANE } else { LANE_STRIDE + k as u64 };
+            let slot = WireSlot { name, pattern, inputs: key, lane, start_ms: lane_free[k] };
+            let (end_ms, reply) = self.fetch_wire(&slot);
+            lane_free[k] = end_ms;
+            let rows = match reply {
+                Ok(reply) => reply.rows,
+                Err(e) => {
+                    failed = Some(e);
+                    break;
                 }
             };
-            // A cache hit is stamped when it would have been issued.
-            let payload =
-                InstantPayload::CacheHit { rows: hit.len() as u64, membership: probe.is_some() };
-            self.journal_instant(BASE_LANE, lane_free[k], name, payload);
-            present = verdict(&hit);
-            rows_out.push(hit);
+            present = verdict(&rows);
+            match present {
+                None => {
+                    self.tally(Tally::Calls, 1);
+                    self.rows_per_call.record(rows.len() as u64);
+                }
+                Some(present) => {
+                    self.tally(Tally::Membership, 1);
+                    let payload = InstantPayload::Membership { present };
+                    self.journal_instant(BASE_LANE, end_ms, name, payload);
+                }
+            }
+            self.tally(Tally::TuplesReturned, rows.len() as u64);
+            if let Some(cache) = &mut self.cache {
+                cache.insert((name, pattern, key.clone()), rows.clone());
+            }
+            rows_out.push(rows);
         }
         self.wall_ms += lane_free.iter().max().map_or(0, |end| end - base_wall);
         match failed {
@@ -933,20 +741,18 @@ impl<'a> SourceRegistry<'a> {
         }
     }
 
-    /// Plans one wire call — the only retry loop: the transport commits
-    /// each attempt's outcome ([`Source::plan_fetch`]) strictly in issue
-    /// order, and faults are retried with exponential backoff (virtual
+    /// Runs one wire call at its slot — the only retry loop: each attempt
+    /// is one [`Source::fetch`], journaled at its lane timestamps as it
+    /// happens, and faults are retried with exponential backoff (virtual
     /// time) until an attempt succeeds, the attempt budget is spent, or
-    /// the per-query deadline is exceeded. Consumes the randomness, the
-    /// deadline budget and the retry/failure tallies here; the journal
-    /// events wait for [`SourceRegistry::merge_wire`], where the call's
-    /// lane and timestamps are known.
-    fn plan_wire(
-        &mut self,
-        name: Symbol,
-        pattern: AccessPattern,
-        inputs: &[Option<Value>],
-    ) -> WireScript {
+    /// the per-query deadline is exceeded. Returns when the call frees its
+    /// lane, with the reply or the terminal error.
+    ///
+    /// Every transport's rows pass through here, so this is where a reply
+    /// whose rows are not as long as the pattern is refused: downstream
+    /// code indexes rows by pattern position.
+    fn fetch_wire(&mut self, slot: &WireSlot<'_>) -> (u64, Result<SourceReply, EngineError>) {
+        let WireSlot { name, pattern, inputs, .. } = *slot;
         // One sampling decision covers every attempt of this call, so the
         // journal's begin/end pairs stay balanced under sampling.
         let journaled = self
@@ -955,26 +761,32 @@ impl<'a> SourceRegistry<'a> {
             .is_some_and(Journal::should_sample_call);
         let capture = journaled && self.journal.as_ref().is_some_and(Journal::capture_rows);
         let max_attempts = self.retry.max_attempts.max(1);
-        let mut faults = Vec::new();
-        let end = loop {
-            let attempt = faults.len() as u32 + 1;
+        let mut t = slot.start_ms;
+        // The backoff the previous failed attempt scheduled, attributed to
+        // the retry marker it delayed.
+        let mut prior_backoff = 0u64;
+        let mut attempt = 0u32;
+        loop {
+            attempt += 1;
             if attempt > 1 {
                 drop(self.recorder.span_lazy(|| format!("source.retry {name} attempt {attempt}")));
                 self.tally(Tally::Retries, 1);
             }
-            let fault = match self.source.plan_fetch(name, pattern, inputs) {
-                PlannedFetch::Defer { latency_ms } => {
-                    self.clock_ms += latency_ms;
-                    break Ok(PlannedSuccess::Deferred { latency_ms, transfer: None });
-                }
-                PlannedFetch::Ready(Ok(reply)) => {
-                    self.clock_ms += reply.latency_ms;
-                    break Ok(PlannedSuccess::Ready(reply));
-                }
-                PlannedFetch::Fault(fault) | PlannedFetch::Ready(Err(fault)) => fault,
+            let outcome = self.source.fetch(name, pattern, inputs);
+            let latency = match &outcome {
+                Ok(reply) => reply.latency_ms,
+                Err(fault) => fault.latency_ms(),
+            };
+            self.clock_ms += latency;
+            if journaled {
+                self.journal_attempt(slot, capture, attempt, prior_backoff, t..t + latency, outcome.as_ref());
+            }
+            t += latency;
+            let fault = match outcome {
+                Ok(reply) => return (t, check_width(pattern, reply)),
+                Err(fault) => fault,
             };
             self.tally(Tally::Failures, 1);
-            self.clock_ms += fault.latency_ms();
             let deadline_hit = self
                 .retry
                 .deadline_ms
@@ -988,82 +800,13 @@ impl<'a> SourceRegistry<'a> {
                 } else {
                     fault.to_string()
                 };
-                faults.push((fault, 0));
-                break Err(EngineError::SourceUnavailable {
-                    relation: name.to_string(),
-                    attempts: attempt,
-                    reason,
-                });
+                let error =
+                    EngineError::SourceUnavailable { relation: name.to_string(), attempts: attempt, reason };
+                return (t, Err(error));
             }
-            let backoff = self.retry.backoff_ms(attempt, &mut self.retry_rng);
-            self.clock_ms += backoff;
-            faults.push((fault, backoff));
-        };
-        WireScript { faults, end, journaled, capture }
-    }
-
-    /// Resolves one planned wire call at its scheduled slot: journals
-    /// every attempt at its scheduled timestamps, completes a deferred
-    /// success with its transferred rows, and returns the reply or the
-    /// planned terminal error. Every transport's rows pass through here,
-    /// so this is where a reply whose rows are not as long as the pattern
-    /// is refused: downstream code indexes rows by pattern position.
-    fn merge_wire(
-        &mut self,
-        slot: &WireSlot<'_>,
-        script: WireScript,
-    ) -> Result<SourceReply, EngineError> {
-        let mut t = slot.start_ms;
-        let mut attempt = 0u32;
-        // The backoff the previous failed attempt scheduled, attributed to
-        // the retry marker it delayed.
-        let mut prior_backoff = 0u64;
-        for (fault, backoff) in &script.faults {
-            attempt += 1;
-            let end_ts = t + fault.latency_ms();
-            if script.journaled {
-                self.journal_attempt(slot, script.capture, attempt, prior_backoff, t..end_ts, Err(fault));
-            }
-            t = end_ts + backoff;
-            prior_backoff = *backoff;
-        }
-        attempt += 1;
-        let (end_ts, outcome) = match script.end? {
-            PlannedSuccess::Ready(reply) => (t + reply.latency_ms, Ok(reply)),
-            PlannedSuccess::Deferred { latency_ms, transfer } => {
-                let reply = transfer.expect("dispatch ran every deferred transfer");
-                (
-                    t + latency_ms,
-                    reply.map(|mut reply| {
-                        reply.latency_ms += latency_ms;
-                        reply
-                    }),
-                )
-            }
-        };
-        if outcome.is_err() {
-            // Defensive: a transport that committed to `Defer` must not
-            // fault in the data phase.
-            self.tally(Tally::Failures, 1);
-        }
-        if script.journaled {
-            self.journal_attempt(slot, script.capture, attempt, prior_backoff, t..end_ts, outcome.as_ref());
-        }
-        let reply = outcome.map_err(|fault| EngineError::SourceUnavailable {
-            relation: slot.name.to_string(),
-            attempts: attempt,
-            reason: fault.to_string(),
-        })?;
-        // The block knows its width; only a ragged one is walked, for the
-        // length of its first offending row.
-        let expected = slot.pattern.arity();
-        let found = match reply.rows.width() {
-            Some(width) => (width != expected).then_some(width),
-            None => reply.rows.iter().map(Vec::len).find(|&len| len != expected),
-        };
-        match found {
-            Some(found) => Err(EngineError::ArityMismatch { expected, found }),
-            None => Ok(reply),
+            prior_backoff = self.retry.backoff_ms(attempt, &mut self.retry_rng);
+            self.clock_ms += prior_backoff;
+            t += prior_backoff;
         }
     }
 
@@ -1393,50 +1136,73 @@ mod tests {
         );
     }
 
-    /// A transport that defers every fetch with 20 ms of wire latency and
-    /// logs on which thread, and in what order, its row transfers run. It
-    /// holds an `Rc`, so it is not `Send`: the registry does not need it.
-    struct LoggingSource<'a> {
-        inner: InMemorySource<'a>,
-        log: TransferLog,
+    /// A transport that logs on which thread, for which key and with what
+    /// outcome each fetch attempt runs. It holds an `Rc`, so it is not
+    /// `Send`: the registry does not need it.
+    struct LoggingSource<S> {
+        inner: S,
+        log: AttemptLog,
     }
 
-    /// The thread and the key of each row transfer, in the order they ran.
-    type TransferLog = Rc<RefCell<Vec<(ThreadId, Vec<Option<Value>>)>>>;
+    /// The thread, the key and the success of each attempt, in the order
+    /// they ran.
+    type AttemptLog = Rc<RefCell<Vec<(ThreadId, Vec<Option<Value>>, bool)>>>;
 
-    impl Source for LoggingSource<'_> {
-        fn plan_fetch(&mut self, _: Symbol, _: AccessPattern, _: &[Option<Value>]) -> PlannedFetch {
-            PlannedFetch::Defer { latency_ms: 20 }
-        }
-
-        fn fetch_deferred(
+    impl<S: Source> Source for LoggingSource<S> {
+        fn fetch(
             &mut self,
             name: Symbol,
             pattern: AccessPattern,
             inputs: &[Option<Value>],
         ) -> Result<SourceReply, SourceFault> {
-            self.log.borrow_mut().push((thread::current().id(), inputs.to_vec()));
-            self.inner.fetch_deferred(name, pattern, inputs)
+            let outcome = self.inner.fetch(name, pattern, inputs);
+            self.log.borrow_mut().push((thread::current().id(), inputs.to_vec(), outcome.is_ok()));
+            outcome
         }
     }
 
-    /// Overlap is lanes on the virtual clock, not threads: an 8-lane batch
-    /// transfers its rows on the caller's thread, in issue order, and still
-    /// charges two 20 ms rounds for 16 calls instead of sixteen.
+    /// The transport contract: one `fetch` per attempt, on the caller's
+    /// thread, in issue order, a retried key's attempts back to back — the
+    /// same sequence at one lane and at eight. Only the wall clock tells
+    /// the two apart: eight lanes overlap the 20 ms waits.
     #[test]
-    fn overlapped_transfers_run_on_the_callers_thread_and_keep_their_lanes() {
+    fn every_lane_count_issues_the_same_attempts_on_the_callers_thread() {
         let (db, schema) = setup();
-        let log = Rc::default();
-        let source = LoggingSource { inner: InMemorySource::new(&db), log: Rc::clone(&log) };
-        let mut reg = SourceRegistry::with_source(Box::new(source), &schema).with_io_workers(8);
         let p = AccessPattern::parse("ioo").unwrap();
         let keys: Vec<_> = (1..=16).map(|i| vec![Some(Value::int(i)), None, None]).collect();
-        assert_eq!(reg.call_many(Symbol::intern("B"), p, &keys).unwrap().len(), 16);
+        let faults = crate::FaultConfig { latency_ms: 20, ..crate::FaultConfig::with_rate(0.3, 5) };
+        let run = |workers: usize| {
+            let log = AttemptLog::default();
+            let inner = crate::FaultInjectingSource::new(InMemorySource::new(&db), faults);
+            let source = LoggingSource { inner, log: Rc::clone(&log) };
+            let mut reg = SourceRegistry::with_source(Box::new(source), &schema)
+                .with_retry(RetryPolicy::standard())
+                .with_io_workers(workers);
+            let rows = reg.call_many(Symbol::intern("B"), p, &keys).unwrap();
+            let counters = (reg.stats(), reg.retries_observed(), reg.failures_observed());
+            (rows, counters, log.take(), reg.virtual_elapsed_ms())
+        };
+        let (rows, counters, log, serial_ms) = run(1);
+        let (_, retries, failures) = counters;
+        assert!(retries > 0, "the fault rate must force retries");
+        assert_eq!(failures, retries, "every key ends in a success");
+        assert_eq!(log.len() as u64, keys.len() as u64 + retries, "one entry per attempt");
         let caller = thread::current().id();
-        let (threads, issued): (Vec<_>, Vec<_>) = log.take().into_iter().unzip();
-        assert_eq!(issued, keys, "transfers run once each, in issue order");
-        assert!(threads.iter().all(|t| *t == caller), "every transfer runs on the caller's thread");
-        assert_eq!(reg.virtual_elapsed_ms(), 40, "16 calls × 20 ms over 8 lanes");
+        assert!(log.iter().all(|(t, ..)| *t == caller), "every attempt runs on the caller's thread");
+        // Each run of equal keys is one call: its attempts are adjacent,
+        // only the last succeeds, and the calls come in issue order.
+        let mut issued = Vec::new();
+        for (i, (_, key, ok)) in log.iter().enumerate() {
+            let last = log.get(i + 1).is_none_or(|(_, next, _)| next != key);
+            assert_eq!(*ok, last, "attempt {i} of key {key:?}");
+            if last {
+                issued.push(key.clone());
+            }
+        }
+        assert_eq!(issued, keys, "calls in issue order");
+        let (rows_8, counters_8, log_8, overlapped_ms) = run(8);
+        assert_eq!((rows_8, counters_8, log_8), (rows, counters, log), "8 lanes, same attempts");
+        assert!(overlapped_ms < serial_ms, "{overlapped_ms} ms over 8 lanes vs {serial_ms} ms serial");
     }
 
     #[test]
@@ -1611,15 +1377,15 @@ mod tests {
     struct RaggedSource;
 
     impl Source for RaggedSource {
-        fn plan_fetch(
+        fn fetch(
             &mut self,
             _: Symbol,
             _: AccessPattern,
             inputs: &[Option<Value>],
-        ) -> PlannedFetch {
+        ) -> Result<SourceReply, SourceFault> {
             let row = |len: usize| vec![Value::int(1); len];
             let rows = vec![row(inputs.len()), row(inputs.len()), row(inputs.len() + 1)];
-            PlannedFetch::Ready(Ok(SourceReply { rows: Rows::new(rows.into()), latency_ms: 0 }))
+            Ok(SourceReply { rows: Rows::new(rows.into()), latency_ms: 0 })
         }
     }
 
@@ -1656,6 +1422,28 @@ mod tests {
         assert_eq!(reg.membership_test(s, &[Value::int(1), Value::int(1)]), Err(ragged));
         assert_eq!(reg.stats(), CallStats::default());
         assert_eq!(reg.membership_probes(), 0);
+    }
+
+    /// A batch stops at its first error. Here key 0's reply is refused for
+    /// its arity, so the seven keys after it never reach the transport:
+    /// no fault is drawn, tallied or journaled for them.
+    #[test]
+    fn nothing_after_a_batchs_first_error_is_drawn_tallied_or_journaled() {
+        use lap_obs::journal::kind::{FAULT, SOURCE_CALL_BEGIN};
+        let db = Database::from_facts("R(1, 2, 3). R(2, 3, 4). R(3, 4, 5).").unwrap();
+        let schema = Schema::from_patterns(&[("R", "io")]).unwrap();
+        let rec = Recorder::with_journal(lap_obs::JournalConfig::light());
+        let mut reg = SourceRegistry::new(&db, &schema)
+            .with_fault_injection(crate::FaultConfig::with_rate(0.5, 7))
+            .with_retry(RetryPolicy::standard())
+            .recording(&rec);
+        let keys: Vec<_> = (1..=8).map(|i| vec![Some(Value::int(i)), None]).collect();
+        let got = reg.call_many(Symbol::intern("R"), AccessPattern::parse("io").unwrap(), &keys);
+        assert_eq!(got, Err(EngineError::ArityMismatch { expected: 2, found: 3 }));
+        let journal = rec.journal().unwrap().snapshot();
+        let count = |kind: &str| journal.events.iter().filter(|e| e.kind == kind).count();
+        assert_eq!(count(SOURCE_CALL_BEGIN), 1, "only key 0 reached the transport");
+        assert_eq!((reg.failures_observed(), reg.retries_observed(), count(FAULT)), (0, 0, 0));
     }
 
     #[test]

@@ -5,13 +5,12 @@
 //! clients: sessions (one thread per TCP connection, length-prefixed JSON
 //! frames — see [`lap_proto`]) share a [`PlanCache`] of compiled
 //! [`PreparedProgram`]s keyed on canonical query text and a bounded
-//! admission [`Gate`] (`lap_engine::sched`) that converts overload into
+//! admission gate (`daemon::gate`) that converts overload into
 //! `quota` error frames instead of unbounded queueing. Neither path
 //! decides FEASIBLE: ANSWER\* derives completeness at run time.
 //!
 //! [`PlanCache`]: lap_core::PlanCache
 //! [`PreparedProgram`]: lap_core::PreparedProgram
-//! [`Gate`]: lap_engine::sched::Gate
 //!
 //! The answer contract is **byte identity**: a `query` response's `text`
 //! equals what one-shot `lapq run` prints for the same program, facts,
@@ -34,6 +33,7 @@
 //! server.shutdown();
 //! ```
 
+mod gate;
 mod service;
 mod session;
 mod telemetry;

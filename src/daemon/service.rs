@@ -8,10 +8,10 @@
 //! compiles for the query path: PLAN\* and lowering, no FEASIBLE verdict,
 //! since no response reads one.
 
+use super::gate::Gate;
 use super::telemetry::{TelemetryHub, HEALTH_FLOOR};
 use super::DaemonConfig;
 use lap_core::{canonical_text, render_answer_report, render_outcome, PlanCache, PreparedProgram};
-use lap_engine::sched::Gate;
 use lap_engine::Database;
 use lap_obs::journal::kind;
 use lap_obs::{Counter, FoldCursor, Histogram, HistogramSnapshot, Json, JournalConfig, Recorder};

@@ -1,83 +1,71 @@
-//! Deterministic-interleaving harness for overlapped source I/O.
+//! Lane-count harness for overlapped source I/O.
 //!
-//! Overlapped calls share a batch's virtual lanes, so in a real mediator
-//! their replies could land in any order; correctness demands the *run*
-//! cannot tell. The registry runs a batch's row transfers inline in issue
-//! order, and this suite drives the same chaotic workload through the
-//! adversarial scheduler (`lap_engine::sched::adversarial_order`), which
-//! walks those transfers in a seeded permutation instead. It proves,
-//! across 100+ seeds and at one lane and at four, that answers,
-//! degradation reports, call statistics, retry/failure counts, the
-//! virtual wall-clock, and the flight-recorder journal are all
-//! byte-identical to the issue-order baseline — including runs whose
-//! interleavings race timeouts against retries. Transfer order is a
-//! scheduling artifact; outcomes are planned in issue order before any
-//! row moves.
+//! Overlapped calls share a batch's virtual lanes, but the registry issues
+//! every call on the caller's thread, in issue order, whatever the lane
+//! count: lanes are accounting on the virtual wall clock. This suite
+//! drives chaotic workloads — one whose timeouts race retries — at 1, 2,
+//! 4, 8 and 64 lanes and checks that only the wall clock moves: answers,
+//! degradation reports, call statistics and retry/failure counts equal the
+//! one-lane run's, every journal validates, overlap shortens the run's
+//! virtual wall clock, and a rerun at the same width repeats its journal
+//! byte for byte.
 
 mod common;
 
 use common::bookstore60;
 use lap::core::plan_star;
 use lap::engine::{
-    execute_physical_union_with, lower_union, Database, DisjunctDegradation, EngineError,
+    execute_physical_union_with, lower_union, CallStats, Database, DisjunctDegradation,
     ExecConfig, FaultConfig, OnUnavailable, PhysicalUnion, RetryPolicy, SourceRegistry, Tuple,
 };
 use lap::ir::{Program, Schema};
 use lap::obs::{JournalConfig, Recorder};
 use std::collections::BTreeSet;
 
-/// Everything one degraded run can externally observe, journal included.
+/// What one degraded run observes besides its journal, which records
+/// lanes and timestamps and so differs by lane count.
 #[derive(Debug, PartialEq)]
 struct Observed {
     rows: BTreeSet<Tuple>,
     drops: Vec<DisjunctDegradation>,
-    calls: u64,
-    tuples: u64,
-    cache_hits: u64,
+    stats: CallStats,
     retries: u64,
     failures: u64,
-    virtual_ms: u64,
-    journal: String,
 }
 
+/// What a run leaves besides [`Observed`]: its virtual wall clock and its
+/// journal's bytes.
+type Trace = (u64, String);
+
 /// Runs the under-plan through the degraded executor on a registry with
-/// `workers` lanes, with a replay-fidelity journal attached. `sched` picks
-/// the adversarial transfer permutation; `None` is the issue-order
-/// baseline.
+/// `workers` lanes and a replay-fidelity journal, checks the journal
+/// validates, and returns what the run observed with its [`Trace`].
 fn run_once(
     union: &PhysicalUnion,
     db: &Database,
     schema: &Schema,
     fault: FaultConfig,
-    retry: RetryPolicy,
     workers: usize,
-    sched: Option<u64>,
-) -> Result<Observed, EngineError> {
+) -> (Observed, Trace) {
     let recorder = Recorder::with_journal(JournalConfig::replay());
     let mut reg = SourceRegistry::new(db, schema)
         .recording(&recorder)
-        .with_retry(retry)
+        .with_retry(RetryPolicy::standard())
         .with_fault_injection(fault)
         .with_io_workers(workers);
-    if let Some(seed) = sched {
-        reg = reg.with_adversarial_sched(seed);
-    }
-    let run =
-        execute_physical_union_with(union, &mut reg, ExecConfig::default(), OnUnavailable::Drop)?;
-    let stats = reg.stats();
+    let run = execute_physical_union_with(union, &mut reg, ExecConfig::default(), OnUnavailable::Drop)
+        .expect("degraded run");
     let snap = recorder.journal().unwrap().snapshot();
-    snap.validate().expect("journal validates under every interleaving");
-    Ok(Observed {
+    snap.validate()
+        .unwrap_or_else(|e| panic!("journal at {workers} lane(s) does not validate: {e}"));
+    let observed = Observed {
         rows: run.rows,
         drops: run.dropped,
-        calls: stats.calls,
-        tuples: stats.tuples_returned,
-        cache_hits: stats.cache_hits,
+        stats: reg.stats(),
         retries: reg.retries_observed(),
         failures: reg.failures_observed(),
-        virtual_ms: reg.virtual_elapsed_ms(),
-        journal: snap.to_json().to_pretty(),
-    })
+    };
+    (observed, (reg.virtual_elapsed_ms(), snap.to_json().to_pretty()))
 }
 
 /// The under-plan of the scenario's standing query, lowered once.
@@ -87,64 +75,53 @@ fn lowered(program: &Program) -> PhysicalUnion {
     lower_union(&pair.under.eval_parts(), &program.schema)
 }
 
-#[test]
-fn adversarial_completion_orders_cannot_change_the_run() {
+/// Runs `fault` at one lane and at 2, 4, 8 and 64: every run equals the
+/// one-lane run and only its wall clock moves, shorter with overlap. A
+/// second run at each width repeats the first, journal bytes included.
+fn sweep_lanes(fault: FaultConfig) {
     let (program, db) = bookstore60();
     let union = lowered(&program);
-    let fault = FaultConfig::with_rate(0.3, 0xDECAF);
-    let retry = RetryPolicy::standard();
-    // One lane too: a seed reorders transfers, never the journal's lanes.
-    for workers in [4, 1] {
-        let baseline = run_once(&union, &db, &program.schema, fault, retry, workers, None)
-            .expect("baseline run");
-        assert!(
-            baseline.failures > 0,
-            "rate 0.3 must inject faults or the permutations race nothing"
-        );
-        for seed in 0..104u64 {
-            let got = run_once(&union, &db, &program.schema, fault, retry, workers, Some(seed))
-                .expect("adversarial run");
-            assert_eq!(
-                got, baseline,
-                "transfer order under seed {seed} at {workers} lane(s) leaked into the run"
+    let (serial, (serial_ms, _)) = run_once(&union, &db, &program.schema, fault, 1);
+    assert!(
+        serial.retries > 0 && serial.failures > 0,
+        "{fault:?} must force retries (retries {}, failures {})",
+        serial.retries,
+        serial.failures
+    );
+    for workers in [1, 2, 4, 8, 64] {
+        let (got, trace) = run_once(&union, &db, &program.schema, fault, workers);
+        let again = run_once(&union, &db, &program.schema, fault, workers);
+        assert_eq!(got, serial, "{fault:?} at {workers} lanes");
+        assert!(again == (got, trace.clone()), "{fault:?} rerun at {workers} lanes differs");
+        if workers > 1 {
+            assert!(
+                trace.0 < serial_ms,
+                "{fault:?} at {workers} lanes took {} ms, serially {serial_ms} ms",
+                trace.0
             );
         }
     }
 }
 
-/// The nastiest interleavings race a timed-out attempt's backoff against
-/// other lanes' completions: jittered latency straddles the per-call
-/// timeout, so some attempts fault mid-batch and reschedule while their
-/// batch-mates are still in flight. Every permutation must still merge
-/// to the ordered baseline, journal bytes included.
+/// Plain faults: however many lanes a batch's calls overlap on, the
+/// replies are taken in issue order, so the run cannot tell the lane count.
+#[test]
+fn adversarial_completion_orders_cannot_change_the_run() {
+    sweep_lanes(FaultConfig::with_rate(0.3, 0xDECAF));
+}
+
+/// Jittered latency straddles a per-call timeout, so timed-out attempts
+/// retry while their batch-mates are in flight; the run still equals the
+/// one-lane run and repeats itself exactly.
 #[test]
 fn timeout_and_retry_races_stay_deterministic() {
-    let (program, db) = bookstore60();
-    let union = lowered(&program);
-    let fault = FaultConfig {
+    sweep_lanes(FaultConfig {
         error_rate: 0.2,
         latency_ms: 5,
         latency_jitter_ms: 30,
         timeout_ms: Some(25),
         seed: 0x7E57,
-    };
-    let retry = RetryPolicy::standard();
-    let baseline =
-        run_once(&union, &db, &program.schema, fault, retry, 4, None).expect("baseline run");
-    assert!(
-        baseline.retries > 0 && baseline.failures > 0,
-        "the timeout profile must force retry races (retries {}, failures {})",
-        baseline.retries,
-        baseline.failures
-    );
-    for seed in 0..104u64 {
-        let got = run_once(&union, &db, &program.schema, fault, retry, 4, Some(seed))
-            .expect("adversarial run");
-        assert_eq!(
-            got, baseline,
-            "timeout/retry race under seed {seed} leaked into the observable run"
-        );
-    }
+    });
 }
 
 /// A lane count wider than the batch and wider than [`MAX_IO_WORKERS`]'s
