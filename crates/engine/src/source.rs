@@ -650,94 +650,113 @@ impl<'a> SourceRegistry<'a> {
     }
 
     /// The one wire path — every positive call, batch and membership
-    /// probe (`probe` = the ground tuple tested) is one pass over `keys`,
-    /// in issue order. Each key is validated, then answered from the cache
-    /// when possible (a repeated key of this batch finds its first
-    /// occurrence there), otherwise fetched with retries on the
-    /// earliest-free lane ([`SourceRegistry::fetch_wire`]), which journals
-    /// each attempt at its lane timestamps as it happens. Counters and the
-    /// cache are updated per key, and the wall clock then advances by the
-    /// longest lane.
+    /// probe pass is one pass over `keys`, in issue order. Each key is
+    /// validated, then answered from the cache when possible (a repeated
+    /// key of this batch finds its first occurrence there), otherwise
+    /// fetched with retries on the earliest-free lane
+    /// ([`SourceRegistry::fetch_wire`]), which journals each attempt at its
+    /// lane timestamps as it happens. Counters and the cache are updated
+    /// per key, and the wall clock then advances by the longest lane.
     ///
     /// The pass stops at the first error: nothing after it is drawn from
     /// the transport, tallied or journaled. The lane count is the only
     /// thing that distinguishes serial from overlapped execution.
     ///
-    /// Returns one row block per key and, for a probe, its verdict —
-    /// whether the tested tuple is in the last key's block — asked of the
-    /// block here once, for wire and cached replies alike.
+    /// With `probes` (the ground tuple each key tests, one per key) the
+    /// pass is a probe pass: it returns one verdict per key — whether the
+    /// tested tuple is in that key's block — asked of the block here once,
+    /// for wire and cached replies alike, and no blocks. A probe pass is
+    /// always serial, on the base lane, whatever the lane count: each probe
+    /// then starts where the previous one ended, so the stamps and the
+    /// wall clock are those of one-key requests issued in turn. Otherwise
+    /// it returns one row block per key and no verdicts.
     fn request(
         &mut self,
         name: Symbol,
         pattern: AccessPattern,
         keys: &[Vec<Option<Value>>],
-        probe: Option<&[Value]>,
-    ) -> Result<(Vec<Rows>, Option<bool>), EngineError> {
+        probes: Option<&[&[Value]]>,
+    ) -> Result<(Vec<Rows>, Vec<bool>), EngineError> {
         // Nothing to overlap: one lane, journaled on the base lane instead
         // of a per-lane sub-lane.
-        let serial = self.io_workers <= 1 || keys.len() <= 1;
+        let serial = self.io_workers <= 1 || keys.len() <= 1 || probes.is_some();
         let workers = if serial { 1 } else { self.io_workers };
         let base_wall = self.virtual_elapsed_ms();
         let mut lane_free = [base_wall; MAX_IO_WORKERS];
         let lane_free = &mut lane_free[..workers];
-        let mut rows_out: Vec<Rows> = Vec::with_capacity(keys.len());
-        let verdict = |rows: &Rows| probe.map(|values| rows.contains(values));
-        let mut present = None;
+        let (mut rows_out, mut verdicts) = match probes {
+            Some(probes) => (Vec::new(), Vec::with_capacity(probes.len())),
+            None => (Vec::with_capacity(keys.len()), Vec::new()),
+        };
         let mut failed = None;
-        for key in keys {
+        for (i, key) in keys.iter().enumerate() {
             if let Err(e) = self.validate(name, pattern, key) {
                 failed = Some(e);
                 break;
             }
+            let probe = probes.map(|probes| probes[i]);
             // Greedy earliest-free lane, in issue order.
             let k = (0..workers).min_by_key(|&k| lane_free[k]).unwrap_or(0);
             let hit = self
                 .cache
                 .as_ref()
                 .and_then(|cache| cache.get(&(name, pattern, key.clone())).cloned());
-            if let Some(rows) = hit {
-                // A cache hit is stamped when it is issued.
-                self.tally(Tally::CacheHits, 1);
-                let payload =
-                    InstantPayload::CacheHit { rows: rows.len() as u64, membership: probe.is_some() };
-                self.journal_instant(BASE_LANE, lane_free[k], name, payload);
-                present = verdict(&rows);
-                rows_out.push(rows);
-                continue;
-            }
-            let lane = if serial { BASE_LANE } else { LANE_STRIDE + k as u64 };
-            let slot = WireSlot { name, pattern, inputs: key, lane, start_ms: lane_free[k] };
-            let (end_ms, reply) = self.fetch_wire(&slot);
-            lane_free[k] = end_ms;
-            let rows = match reply {
-                Ok(reply) => reply.rows,
-                Err(e) => {
-                    failed = Some(e);
-                    break;
+            // A wire reply carries the time its call freed its lane.
+            let (rows, wire_end) = match hit {
+                Some(rows) => {
+                    // A cache hit is stamped when it is issued.
+                    self.tally(Tally::CacheHits, 1);
+                    let payload = InstantPayload::CacheHit {
+                        rows: rows.len() as u64,
+                        membership: probe.is_some(),
+                    };
+                    self.journal_instant(BASE_LANE, lane_free[k], name, payload);
+                    (rows, None)
+                }
+                None => {
+                    let lane = if serial { BASE_LANE } else { LANE_STRIDE + k as u64 };
+                    let start_ms = lane_free[k];
+                    let slot = WireSlot { name, pattern, inputs: key, lane, start_ms };
+                    let (end_ms, reply) = self.fetch_wire(&slot);
+                    lane_free[k] = end_ms;
+                    match reply {
+                        Ok(reply) => (reply.rows, Some(end_ms)),
+                        Err(e) => {
+                            failed = Some(e);
+                            break;
+                        }
+                    }
                 }
             };
-            present = verdict(&rows);
-            match present {
+            if wire_end.is_some() {
+                self.tally(Tally::TuplesReturned, rows.len() as u64);
+                if let Some(cache) = &mut self.cache {
+                    cache.insert((name, pattern, key.clone()), rows.clone());
+                }
+            }
+            match probe {
+                Some(values) => {
+                    let present = rows.contains(values);
+                    if let Some(end_ms) = wire_end {
+                        self.tally(Tally::Membership, 1);
+                        let payload = InstantPayload::Membership { present };
+                        self.journal_instant(BASE_LANE, end_ms, name, payload);
+                    }
+                    verdicts.push(present);
+                }
                 None => {
-                    self.tally(Tally::Calls, 1);
-                    self.rows_per_call.record(rows.len() as u64);
-                }
-                Some(present) => {
-                    self.tally(Tally::Membership, 1);
-                    let payload = InstantPayload::Membership { present };
-                    self.journal_instant(BASE_LANE, end_ms, name, payload);
+                    if wire_end.is_some() {
+                        self.tally(Tally::Calls, 1);
+                        self.rows_per_call.record(rows.len() as u64);
+                    }
+                    rows_out.push(rows);
                 }
             }
-            self.tally(Tally::TuplesReturned, rows.len() as u64);
-            if let Some(cache) = &mut self.cache {
-                cache.insert((name, pattern, key.clone()), rows.clone());
-            }
-            rows_out.push(rows);
         }
         self.wall_ms += lane_free.iter().max().map_or(0, |end| end - base_wall);
         match failed {
             Some(e) => Err(e),
-            None => Ok((rows_out, present)),
+            None => Ok((rows_out, verdicts)),
         }
     }
 
@@ -932,6 +951,37 @@ impl<'a> SourceRegistry<'a> {
     /// present }`), answered by the reply block itself, which indexes its
     /// rows once it is probed again.
     pub fn membership_test(&mut self, name: Symbol, values: &[Value]) -> Result<bool, EngineError> {
+        let present = self.probe_pass(name, &[values])?;
+        Ok(present[0])
+    }
+
+    /// Tests a batch of fully-ground tuples for membership in relation
+    /// `name`, in order: the probe pattern is resolved once and the whole
+    /// batch is one serial probe pass of the wire path. Verdicts, counters,
+    /// the cache, journal events, their stamps and the virtual clock are
+    /// exactly those of calling [`SourceRegistry::membership_test`] once
+    /// per key, at any lane count — including where it stops: at the first
+    /// failing probe, or at a key of the wrong length, whose
+    /// [`EngineError::ArityMismatch`] comes after the keys before it were
+    /// probed. An empty batch is `Ok(vec![])`, without even looking the
+    /// relation up. The vectorized negation filter hands the whole
+    /// distinct-key set of a batch window here.
+    pub fn membership_test_many(
+        &mut self,
+        name: Symbol,
+        keys: &[Vec<Value>],
+    ) -> Result<Vec<bool>, EngineError> {
+        if keys.is_empty() {
+            return Ok(Vec::new());
+        }
+        let keys: Vec<&[Value]> = keys.iter().map(Vec::as_slice).collect();
+        self.probe_pass(name, &keys)
+    }
+
+    /// One probe pass over a non-empty batch: the keys before the first
+    /// one of the wrong length are probed, then that key's arity error is
+    /// returned.
+    fn probe_pass(&mut self, name: Symbol, values: &[&[Value]]) -> Result<Vec<bool>, EngineError> {
         let decl = self
             .schema
             .relation(name)
@@ -942,35 +992,18 @@ impl<'a> SourceRegistry<'a> {
                 reason: "relation has no access pattern at all".to_owned(),
             });
         };
-        if values.len() != pattern.arity() {
-            return Err(EngineError::ArityMismatch {
-                expected: pattern.arity(),
-                found: values.len(),
-            });
-        }
-        let inputs: Vec<Option<Value>> = (0..pattern.arity())
-            .map(|j| pattern.is_input(j).then(|| values[j]))
+        let arity = pattern.arity();
+        let malformed = values.iter().position(|v| v.len() != arity);
+        let probes = &values[..malformed.unwrap_or(values.len())];
+        let inputs: Vec<Vec<Option<Value>>> = probes
+            .iter()
+            .map(|v| (0..arity).map(|j| pattern.is_input(j).then(|| v[j])).collect())
             .collect();
-        let (_, present) = self.request(name, pattern, &[inputs], Some(values))?;
-        Ok(present.expect("a probe request reports its verdict"))
-    }
-
-    /// Tests a batch of fully-ground tuples for membership in relation
-    /// `name`, in order. The wire behaviour is identical to calling
-    /// [`SourceRegistry::membership_test`] once per key — the vectorized
-    /// negation filter hands the whole distinct-key set of a batch window
-    /// here so the probe loop lives next to the wire instead of in the
-    /// operator.
-    pub fn membership_test_many(
-        &mut self,
-        name: Symbol,
-        keys: &[Vec<Value>],
-    ) -> Result<Vec<bool>, EngineError> {
-        let mut present = Vec::with_capacity(keys.len());
-        for key in keys {
-            present.push(self.membership_test(name, key)?);
+        let (_, present) = self.request(name, pattern, &inputs, Some(probes))?;
+        match malformed {
+            Some(k) => Err(EngineError::ArityMismatch { expected: arity, found: values[k].len() }),
+            None => Ok(present),
         }
-        Ok(present)
     }
 }
 
@@ -1444,6 +1477,100 @@ mod tests {
         let count = |kind: &str| journal.events.iter().filter(|e| e.kind == kind).count();
         assert_eq!(count(SOURCE_CALL_BEGIN), 1, "only key 0 reached the transport");
         assert_eq!((reg.failures_observed(), reg.retries_observed(), count(FAULT)), (0, 0, 0));
+    }
+
+    /// Fails every attempt of one key; answers the rest from `inner`.
+    struct FailKey<S> {
+        inner: S,
+        key: Vec<Option<Value>>,
+    }
+
+    impl<S: Source> Source for FailKey<S> {
+        fn fetch(
+            &mut self,
+            name: Symbol,
+            pattern: AccessPattern,
+            inputs: &[Option<Value>],
+        ) -> Result<SourceReply, SourceFault> {
+            if inputs == self.key.as_slice() {
+                return Err(SourceFault::Unavailable { latency_ms: 5 });
+            }
+            self.inner.fetch(name, pattern, inputs)
+        }
+    }
+
+    /// A probe batch is one serial pass that leaves exactly the traces of
+    /// one `membership_test` per key, at eight lanes, under faults and
+    /// retries: verdicts, stats, probe/retry/failure counts, the virtual
+    /// wall clock and the journal. On an error both stop after the same
+    /// probes — a source that exhausts its retries at key 2, or a key of
+    /// the wrong length at key 2.
+    #[test]
+    fn membership_test_many_equals_one_membership_test_per_key() {
+        let db = Database::from_facts("R(1, 10). R(2, 20). R(3, 30). R(4, 40). R(5, 50).").unwrap();
+        let schema = Schema::from_patterns(&[("R", "io")]).unwrap();
+        let r = Symbol::intern("R");
+        let fail_key = vec![Some(Value::int(3)), None];
+        let twin = |rec: &Recorder| {
+            let source = FailKey { inner: InMemorySource::new(&db), key: fail_key.clone() };
+            let faults =
+                crate::FaultConfig { latency_ms: 20, ..crate::FaultConfig::with_rate(0.3, 5) };
+            SourceRegistry::with_source(Box::new(source), &schema)
+                .with_fault_injection(faults)
+                .with_retry(RetryPolicy::standard())
+                .with_io_workers(8)
+                .recording(rec)
+        };
+        let probe = |i: i64, v: i64| vec![Value::int(i), Value::int(v)];
+        let cases: [(Vec<Vec<Value>>, Option<EngineError>); 3] = [
+            (vec![probe(1, 10), probe(2, 99), probe(4, 40), probe(1, 10), probe(6, 60)], None),
+            (
+                vec![probe(1, 10), probe(2, 20), probe(3, 30), probe(4, 40)],
+                Some(EngineError::SourceUnavailable {
+                    relation: "R".to_owned(),
+                    attempts: 4,
+                    reason: SourceFault::Unavailable { latency_ms: 5 }.to_string(),
+                }),
+            ),
+            (
+                vec![probe(1, 10), probe(2, 20), vec![Value::int(3)], probe(4, 40)],
+                Some(EngineError::ArityMismatch { expected: 2, found: 1 }),
+            ),
+        ];
+        for (keys, error) in cases {
+            let (batch_rec, single_rec) = (
+                Recorder::with_journal(lap_obs::JournalConfig::light()),
+                Recorder::with_journal(lap_obs::JournalConfig::light()),
+            );
+            let (mut batch, mut single) = (twin(&batch_rec), twin(&single_rec));
+            let batched = batch.membership_test_many(r, &keys);
+            let singles: Result<Vec<bool>, EngineError> =
+                keys.iter().map(|key| single.membership_test(r, key)).collect();
+            assert_eq!(batched, singles, "{keys:?}");
+            match error {
+                None => assert_eq!(batched, Ok(vec![true, false, true, true, false])),
+                Some(error) => {
+                    assert_eq!(batched, Err(error));
+                    assert_eq!(batch.membership_probes(), 2, "the keys before key 2 are probed");
+                }
+            }
+            let traces = |reg: &SourceRegistry<'_>, rec: &Recorder| {
+                (
+                    reg.stats(),
+                    reg.membership_probes(),
+                    reg.retries_observed(),
+                    reg.failures_observed(),
+                    reg.virtual_elapsed_ms(),
+                    rec.journal().unwrap().snapshot(),
+                )
+            };
+            let batch_traces = traces(&batch, &batch_rec);
+            assert!(batch_traces.4 > 0, "latency was injected");
+            assert_eq!(batch_traces, traces(&single, &single_rec), "{keys:?}");
+        }
+        // An empty batch never looks its relation up.
+        let mut reg = SourceRegistry::new(&db, &schema);
+        assert_eq!(reg.membership_test_many(Symbol::intern("Undeclared"), &[]), Ok(vec![]));
     }
 
     #[test]
