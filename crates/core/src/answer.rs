@@ -8,7 +8,7 @@ use lap_engine::{
     enumerate_domain, execute_physical_union, execute_physical_union_with, lower_union,
     CallStats, Database, DisjunctDegradation, EngineError, ExecConfig, FaultConfig,
     OnUnavailable, ReplaySource, ResilienceConfig, RetryPolicy, Source, SourceRegistry, Tuple,
-    Value,
+    UnionProfile, Value,
 };
 use lap_ir::{Atom, ConjunctiveQuery, Literal, Schema, Term, UnionQuery, Var};
 use lap_obs::{Json, Recorder};
@@ -254,6 +254,7 @@ pub(crate) fn run_pair(
         execute_physical_union_with(&physical.over, &mut reg, cfg, on_unavailable)?
     };
     let degradation = DegradationReport { under: under.dropped, over: over.dropped };
+    let profile = PairProfile { under: under.profile, over: over.profile };
     let retries = reg.retries_observed();
     let failures = reg.failures_observed();
     // Overlapped runs overlap the under/over phases of the pair too: the
@@ -265,7 +266,7 @@ pub(crate) fn run_pair(
         reg.virtual_elapsed_ms()
     };
     let report = build_report(under.rows, over.rows, reg.stats(), plans.clone(), &degradation);
-    Ok(AnswerOutcome { report, degradation, retries, failures, virtual_ms })
+    Ok(AnswerOutcome { report, degradation, profile, retries, failures, virtual_ms })
 }
 
 /// Assembles the report: `Δ`, and the completeness verdict — Figure 4's,
@@ -341,6 +342,16 @@ impl fmt::Display for DegradationReport {
     }
 }
 
+/// Per-operator runtime counters of an ANSWER\* run, split by plan. A
+/// dropped disjunct has no part; the survivors keep their union positions.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PairProfile {
+    /// The operators of `Qᵘ`'s surviving disjuncts.
+    pub under: UnionProfile,
+    /// The operators of `Qᵒ`'s surviving disjuncts.
+    pub over: UnionProfile,
+}
+
 /// The result of a resilient ANSWER\* run: the usual report plus an
 /// account of what was lost to source failures.
 #[derive(Clone, Debug, PartialEq)]
@@ -351,6 +362,8 @@ pub struct AnswerOutcome {
     pub report: AnswerReport,
     /// Per-disjunct degradations, split by plan.
     pub degradation: DegradationReport,
+    /// What each operator of both plans did (`lapq profile` prints it).
+    pub profile: PairProfile,
     /// Fetch re-attempts issued during the run.
     pub retries: u64,
     /// Transport faults observed (including recovered ones).

@@ -44,7 +44,7 @@ mod render;
 pub use answer::{
     answer_star, answer_star_obs_cfg, answer_star_opts, answer_star_resilient_cfg,
     answer_star_with_domain, AnswerOptions, AnswerOutcome, AnswerReport, AnswerSource,
-    Completeness, DegradationReport, ImprovedAnswerReport,
+    Completeness, DegradationReport, ImprovedAnswerReport, PairProfile,
 };
 pub use answerable::{
     ans, answerable_literals, answerable_split, is_q_answerable, literal_executable,

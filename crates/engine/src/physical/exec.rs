@@ -166,6 +166,10 @@ impl OpProfile {
 /// Runtime counters for one disjunct pipeline.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlanProfile {
+    /// Position of the disjunct in the union, as
+    /// [`DisjunctDegradation::index`] counts it: after a drop the
+    /// survivors keep their own positions.
+    pub index: usize,
     /// The disjunct head (`Q(i, a, t)`).
     pub head: String,
     /// Per-operator counters, in pipeline order.
@@ -183,11 +187,15 @@ pub struct UnionProfile {
 
 impl fmt::Display for UnionProfile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.parts.is_empty() {
+            return writeln!(f, "  (no disjunct ran)");
+        }
         for (i, part) in self.parts.iter().enumerate() {
             if i > 0 {
                 writeln!(f)?;
             }
-            writeln!(f, "disjunct {i}: {} — {} answer(s)", part.head, part.answers)?;
+            let (index, head, answers) = (part.index, &part.head, part.answers);
+            writeln!(f, "disjunct {index}: {head} — {answers} answer(s)")?;
             let headers = ["operator", "invoked", "batches", "calls", "rows", "out", "fill%", "dict%"];
             let mut rows: Vec<[String; 8]> = Vec::with_capacity(part.ops.len());
             for op in &part.ops {
@@ -210,11 +218,11 @@ impl fmt::Display for UnionProfile {
                 }
             }
             let emit = |f: &mut fmt::Formatter<'_>, cells: &[String]| -> fmt::Result {
-                write!(f, " ")?;
+                let mut line = String::from(" ");
                 for (w, cell) in widths.iter().zip(cells.iter()) {
-                    write!(f, " {cell:<w$}", w = w)?;
+                    line.push_str(&format!(" {cell:<w$}"));
                 }
-                writeln!(f)
+                writeln!(f, "{}", line.trim_end())
             };
             let header_cells: Vec<String> = headers.iter().map(|s| (*s).to_owned()).collect();
             emit(f, &header_cells)?;
@@ -585,7 +593,7 @@ fn execute_row_cq_profiled(
         }
     }
     let answers = out.len() as u64;
-    Ok((out, PlanProfile { head: plan.head.to_string(), ops: exec.profiles, answers }))
+    Ok((out, PlanProfile { index: 0, head: plan.head.to_string(), ops: exec.profiles, answers }))
 }
 
 /// One stage's output queue in the columnar executor: dense or filtered
@@ -1192,7 +1200,8 @@ fn execute_columnar_cq_profiled(
         }
     }
     let answers = seen.len() as u64;
-    let profile = PlanProfile { head: plan.head.to_string(), ops: exec.profiles, answers };
+    let head = plan.head.to_string();
+    let profile = PlanProfile { index: 0, head, ops: exec.profiles, answers };
     Ok((DisjunctAnswers { seen, fresh }, profile))
 }
 
@@ -1288,7 +1297,7 @@ pub fn execute_physical_union_with(
         match (execute_cq_shared(plan, reg, cfg, &mut dict, &answers), &degraded) {
             (Ok((part, profile)), _) => {
                 answers.commit(part);
-                run.profile.parts.push(profile);
+                run.profile.parts.push(PlanProfile { index, ..profile });
             }
             (
                 Err(EngineError::SourceUnavailable { relation, attempts, reason }),
@@ -1572,7 +1581,10 @@ mod tests {
             let dropped: Vec<usize> = run.dropped.iter().map(|d| d.index).collect();
             assert_eq!(dropped, [1], "{cfg:?}");
             assert_eq!(run.rows, expected, "{cfg:?}");
-            assert_eq!(run.profile.parts.len(), 2);
+            let kept: Vec<usize> = run.profile.parts.iter().map(|p| p.index).collect();
+            assert_eq!(kept, [0, 2], "{cfg:?}");
+            let table = run.profile.to_string();
+            assert!(table.contains("disjunct 2: Q(x)") && !table.contains("disjunct 1"), "{table}");
             // G(1) and G(2) answered before G(3) failed every attempt.
             let g_keys: Vec<i64> = log
                 .borrow()

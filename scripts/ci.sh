@@ -16,6 +16,10 @@
 # the experiments, and tier-1 runs every registered one. What stays here
 # is what tier-1 does not run: the out-of-workspace benchmark, the widened
 # sweeps, the soak, clippy and the rustdoc link check.
+#
+# `lapbench` pins every public `lap` item it imports: removing or renaming
+# one breaks its build, so it builds right after the release build and
+# such a change fails here in seconds, before the full tier-1 run.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -23,11 +27,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release (tier-1)"
 cargo build --release
 
-echo "==> cargo test (tier-1: every workspace crate, the contract table included)"
-cargo test -q
-
 echo "==> lapbench (out-of-workspace benchmark): builds and tests against the public API"
 cargo test -q --offline --manifest-path lapbench/Cargo.toml
+
+echo "==> cargo test (tier-1: every workspace crate, the contract table included)"
+cargo test -q
 
 echo "==> lapbench --quick: 3 s windows on all four workloads, every response byte-compared to the one-shot oracle"
 lapbench/run.sh --quick --out "${TMPDIR:-/tmp}/lapq_ci_lapbench"

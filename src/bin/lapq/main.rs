@@ -15,10 +15,12 @@
 //! rows — replayable with `lapq replay`), `--chrome-trace <file>`
 //! (Perfetto / `chrome://tracing` loadable trace), `--journal-capacity
 //! <n>` (ring size), and `--journal-sample <n>` (record every n-th source
-//! call). `run`/`answer`/`explain` accept `--feedback <profile.json>` (a
-//! `lapq calibrate` output): plan bodies are re-ordered under the
-//! journal-calibrated cost model before execution, and `explain` annotates
-//! each operator with both the static and the calibrated estimate. A
+//! call). `run`/`answer`/`profile`/`explain` accept `--feedback
+//! <profile.json>` (a `lapq calibrate` output): plan bodies are re-ordered
+//! under the journal-calibrated cost model before execution, and `explain`
+//! annotates each operator with both the static and the calibrated
+//! estimate. `profile` is `run` with every `run` flag, and after each
+//! query's block prints what each operator of `Qᵘ` and `Qᵒ` did. A
 //! program file holds access-pattern declarations and rules (see
 //! README); a facts file holds ground atoms (`B(1, "tolkien", "lotr").`).
 
@@ -27,8 +29,8 @@ mod cli;
 use cli::CliArgs;
 use lap::core::{
     answer_star_opts, answer_star_with_domain, is_executable, is_orderable,
-    render_answer_report, render_outcome, AnswerOptions, AnswerOutcome, AnswerReport,
-    CompileOptions, ContainmentEngine, DecisionPath, EngineConfig, PreparedQuery,
+    render_answer_report, render_outcome, AnswerOptions, CompileOptions, ContainmentEngine,
+    DecisionPath, EngineConfig, PreparedQuery,
 };
 use lap::engine::{
     display_tuple, Database, ExecConfig, ReplaySource, ResilienceConfig, RetryPolicy,
@@ -66,7 +68,7 @@ const USAGE: &str = concat!(
   lapq contain <program.lap> <P> <Q> [--parallel] [--cache]
   lapq mediate <views.lap> <query.lap> <facts.lap> [--parallel] [--cache]
   lapq optimize <program.lap> [facts.lap]
-  lapq profile <program.lap> <facts.lap> [--batch-width <n>] [--io-workers <n>]
+  lapq profile <program.lap> <facts.lap> (run's flags)
   lapq obs-validate <metrics|journal|chrome-trace|feedback .json>
   lapq query-daemon <program.lap> <facts.lap> --addr <host:port> [run's resilience/executor flags]
   lapq daemon-ctl <host:port> <",
@@ -155,24 +157,7 @@ fn dispatch(cmd: &str, args: &CliArgs, recorder: &Recorder) -> Result<(), String
             recorder,
         ),
         "plan" => plan(args.require(1, "plan needs a program file")?, recorder),
-        "run" | "answer" => {
-            let (exec, resilience) = execution_from_args(args)?;
-            run_query(
-                args.require(1, "run needs a program file")?,
-                args.require(2, "run needs a facts file")?,
-                args.value_u64("--domain")?,
-                resilience.as_ref(),
-                exec,
-                feedback_from_args(args)?.as_ref(),
-                recorder,
-            )
-        }
-        "profile" => profile(
-            args.require(1, "profile needs a program file")?,
-            args.require(2, "profile needs a facts file")?,
-            execution_from_args(args)?.0,
-            recorder,
-        ),
+        "run" | "answer" | "profile" => run_query(cmd, args, recorder),
         "optimize" => optimize(
             args.require(1, "optimize needs a program file")?,
             args.positional(2),
@@ -454,31 +439,15 @@ fn plan(path: &str, recorder: &Recorder) -> Result<(), String> {
     Ok(())
 }
 
-/// Prints the body of an [`AnswerReport`]: certain answers, the
-/// completeness verdict, possible extra tuples, and call statistics.
-/// Delegates to the shared renderer so the daemon and the CLI cannot
-/// drift apart byte-wise.
-fn print_answer_report(rep: &AnswerReport) {
-    print!("{}", render_answer_report(rep));
-}
-
-/// Prints the resilience tail of an [`AnswerOutcome`]: degraded disjuncts
-/// and retry/failure/virtual-clock totals. Shared by `run` (resilient
-/// mode) and `replay`, whose outputs must match byte for byte — and with
-/// the daemon, via the shared renderer.
-fn print_outcome(outcome: &AnswerOutcome) {
-    print!("{}", render_outcome(outcome));
-}
-
-fn run_query(
-    program_path: &str,
-    facts_path: &str,
-    domain: Option<u64>,
-    resilience: Option<&ResilienceConfig>,
-    cfg: ExecConfig,
-    feedback: Option<&FeedbackStore>,
-    recorder: &Recorder,
-) -> Result<(), String> {
+/// `run`, its `answer` alias, and `profile`, which is `run` followed by
+/// each query's operator tables.
+fn run_query(cmd: &str, args: &CliArgs, recorder: &Recorder) -> Result<(), String> {
+    let (cfg, resilience) = execution_from_args(args)?;
+    let resilience = resilience.as_ref();
+    let program_path = args.require(1, &format!("{cmd} needs a program file"))?;
+    let facts_path = args.require(2, &format!("{cmd} needs a facts file"))?;
+    let domain = args.value_u64("--domain")?;
+    let feedback = feedback_from_args(args)?;
     // The refinement is a separate fault-free run that the resilient
     // path never reaches; refuse rather than drop `--domain` silently.
     if domain.is_some() && resilience.is_some() {
@@ -501,7 +470,7 @@ fn run_query(
     let facts = std::fs::read_to_string(facts_path)
         .map_err(|e| format!("cannot read {facts_path}: {e}"))?;
     let db = Database::from_facts(&facts).map_err(|e| format!("{facts_path}: {e}"))?;
-    let calibrated = feedback.map(|store| CostModel::new().calibrated(store));
+    let calibrated = feedback.map(|store| CostModel::new().calibrated(&store));
     for query in &program.queries {
         println!("query {}:", query.signature.0);
         // With `--feedback`, re-order the plan bodies under the calibrated
@@ -513,36 +482,45 @@ fn run_query(
         let opts = AnswerOptions { recorder, exec: cfg, resilience, plans: planned.as_ref() };
         let outcome = answer_star_opts(query, &program.schema, &db, &opts)
             .map_err(|e| format!("evaluating {}: {e}", query.signature.0))?;
+        // Printed by the renderer `replay` and the daemon share, so the
+        // three stay byte-identical.
         if resilience.is_some() {
-            print_outcome(&outcome);
-            continue;
+            print!("{}", render_outcome(&outcome));
+        } else {
+            print!("{}", render_answer_report(&outcome.report));
+            if recorder.metrics_enabled() {
+                // Observability run: also record the FEASIBLE decision so the
+                // exported span tree covers the whole pipeline (parse →
+                // answerable → plan* → feasible → answer*), not just ANSWER*.
+                let engine = ContainmentEngine::with_recorder(EngineConfig::default(), recorder);
+                compile(query, &program, recorder, Some(&engine));
+            }
+            if let Some(budget) = domain {
+                let imp = answer_star_with_domain(query, &program.schema, &db, budget)
+                    .map_err(|e| format!("domain refinement: {e}"))?;
+                let extra: Vec<String> = imp
+                    .improved_under
+                    .difference(&imp.base.under)
+                    .map(|t| display_tuple(t))
+                    .collect();
+                println!(
+                    "  -- dom(x) refinement recovered {} extra certain answer(s){}{} ({} calls, fixpoint: {})",
+                    extra.len(),
+                    if extra.is_empty() { "" } else { ": " },
+                    extra.join(", "),
+                    imp.domain_calls,
+                    imp.domain_complete,
+                );
+            }
+            println!();
         }
-        print_answer_report(&outcome.report);
-        if recorder.metrics_enabled() {
-            // Observability run: also record the FEASIBLE decision so the
-            // exported span tree covers the whole pipeline (parse →
-            // answerable → plan* → feasible → answer*), not just ANSWER*.
-            let engine = ContainmentEngine::with_recorder(EngineConfig::default(), recorder);
-            compile(query, &program, recorder, Some(&engine));
+        // `lapq profile`: the run's block, then what each operator of both
+        // plans did to produce it.
+        if cmd == "profile" {
+            for (plan, ops) in [("Qu", &outcome.profile.under), ("Qo", &outcome.profile.over)] {
+                println!("{plan} operators:\n{ops}");
+            }
         }
-        if let Some(budget) = domain {
-            let imp = answer_star_with_domain(query, &program.schema, &db, budget)
-                .map_err(|e| format!("domain refinement: {e}"))?;
-            let extra: Vec<String> = imp
-                .improved_under
-                .difference(&imp.base.under)
-                .map(|t| display_tuple(t))
-                .collect();
-            println!(
-                "  -- dom(x) refinement recovered {} extra certain answer(s){}{} ({} calls, fixpoint: {})",
-                extra.len(),
-                if extra.is_empty() { "" } else { ": " },
-                extra.join(", "),
-                imp.domain_calls,
-                imp.domain_complete,
-            );
-        }
-        println!();
     }
     Ok(())
 }
@@ -624,34 +602,6 @@ fn daemon_ctl(addr: &str, op: &str) -> Result<(), String> {
             Err(format!("daemon error ({code}): {message}"))
         }
     }
-}
-
-fn profile(
-    program_path: &str,
-    facts_path: &str,
-    cfg: ExecConfig,
-    recorder: &Recorder,
-) -> Result<(), String> {
-    use lap::engine::{execute_physical_union_with, OnUnavailable, SourceRegistry};
-    let program = load(program_path, recorder)?;
-    let facts = std::fs::read_to_string(facts_path)
-        .map_err(|e| format!("cannot read {facts_path}: {e}"))?;
-    let db = Database::from_facts(&facts).map_err(|e| format!("{facts_path}: {e}"))?;
-    for query in &program.queries {
-        println!("query {}:", query.signature.0);
-        let compiled = compile(query, &program, recorder, None);
-        let physical = &compiled.physical().over;
-        let mut reg = SourceRegistry::new(&db, &program.schema)
-            .recording(recorder)
-            .with_io_workers(cfg.io_workers);
-        let run = execute_physical_union_with(physical, &mut reg, cfg, OnUnavailable::Abort)
-            .map_err(|e| format!("evaluating: {e}"))?;
-        println!("{}", run.profile);
-        println!("total source usage (positive calls): {}", reg.stats());
-        println!("membership probes (negative literals, disjoint): {}", reg.membership_probes());
-        println!();
-    }
-    Ok(())
 }
 
 fn optimize(
@@ -817,7 +767,7 @@ fn replay_cmd(path: &str, recorder: &Recorder) -> Result<(), String> {
     };
     // Replay honors the recorded `io_workers`, `batch_width`, and
     // `columnar` executor choice so the overlapped virtual clock, the
-    // batch windows, and therefore `print_outcome` reproduce byte for
+    // batch windows, and therefore the rendered outcome reproduce byte for
     // byte.
     let io_workers = snap
         .meta
@@ -838,7 +788,7 @@ fn replay_cmd(path: &str, recorder: &Recorder) -> Result<(), String> {
         println!("query {}:", query.signature.0);
         let outcome = answer_star_opts(query, &program.schema, source.clone(), &opts)
             .map_err(|e| format!("replaying {}: {e}", query.signature.0))?;
-        print_outcome(&outcome);
+        print!("{}", render_outcome(&outcome));
     }
     if source.mismatches() > 0 || source.remaining() > 0 {
         return Err(format!(
@@ -867,7 +817,8 @@ fn report_cmd(path: &str) -> Result<(), String> {
 
 /// Folds one or more flight-recorder journals into a calibrated feedback
 /// profile (per-source, per-access-pattern call statistics) and writes it
-/// to `--out`. The profile feeds `--feedback` on `run`/`answer`/`explain`.
+/// to `--out`. The profile feeds `--feedback` on `run`/`answer`/`profile`/
+/// `explain`.
 fn calibrate_cmd(args: &CliArgs) -> Result<(), String> {
     let out = args
         .value("--out")

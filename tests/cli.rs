@@ -251,7 +251,7 @@ fn profile_shows_per_literal_counters() {
     let text = stdout(&out);
     assert!(text.contains("invoked"), "{text}");
     assert!(text.contains("not L(i)"), "{text}");
-    assert!(text.contains("total source usage"), "{text}");
+    assert!(text.contains("Qu operators:") && text.contains("Qo operators:"), "{text}");
 }
 
 #[test]

@@ -13,7 +13,8 @@
 //! * `Lib` — `answer_star_opts`;
 //! * `Prepared` — `PreparedQuery` and the one-shot presets;
 //! * `Replay` — the run re-executed from its exported journal;
-//! * `Cli` — `lapq run`, with every export on, and `lapq replay`;
+//! * `Cli` — `lapq run`, with every export on, `lapq profile` and `lapq
+//!   replay`;
 //! * `Daemon` — an in-process `lapd` (`Server`);
 //! * `Lapd` — the `lapd` binary, driven by `lapq query-daemon`/`daemon-ctl`
 //!   ([`check_lapd`], whatever the row's home);
@@ -25,8 +26,8 @@
 //!   a row with a twin (below) is compared against an independent run of
 //!   it instead; `lapq run` and its `answer` alias print the same bytes;
 //! * **row = columnar** — a row-executor row equals its columnar twin in
-//!   outcome, `CallStats`, retries, failures, virtual ms and journal events
-//!   ([`normalized`]);
+//!   outcome, `CallStats`, retries, failures, virtual ms, operator profiles
+//!   ([`row_counters`]) and journal events ([`normalized`]);
 //! * **overlap moves only the clock** — an `io_workers > 1` row equals its
 //!   serial twin except for `virtual_ms`, which is never later, and earlier
 //!   when calls carry latency;
@@ -47,6 +48,11 @@
 //! * **exports validate** — each `Cli` row's journal, chrome trace and
 //!   metrics pass `lapq obs-validate`, `lapq report` reads the journal, and
 //!   the metrics' `source.calls` equals the stats lines' call count;
+//! * **profile = run + tables** — `lapq profile` under the row's flags
+//!   prints `lapq run`'s block, then the library run's `Qᵘ` and `Qᵒ`
+//!   operator tables; with nothing dropped their `Access`/`BindJoin` calls
+//!   sum to the stats line's and their `NegFilter` calls to
+//!   `source.membership`; its journal replays;
 //! * **pinned bytes** — [`PINNED`], 24 journal/outcome digests of the
 //!   60-book bookstore ([`check_pins`]). A deliberate journal or renderer
 //!   change re-pins here: the failure prints the whole replacement table.
@@ -662,7 +668,11 @@ fn check_lib(lab: &mut Lab, row: &Row) {
 
     if !exec.columnar {
         let columnar = lab.run(&row.with_exec(ExecConfig { columnar: true, ..exec }));
-        assert_eq!(*out, columnar.outcome, "{row:?}: row and columnar outcomes differ");
+        assert_eq!(
+            *out,
+            row_counters(&columnar.outcome),
+            "{row:?}: row and columnar outcomes differ"
+        );
         assert_eq!(
             normalized(&run.journal),
             normalized(&columnar.journal),
@@ -719,6 +729,7 @@ fn check_prepared(lab: &mut Lab, row: &Row) {
     let lift = |report| AnswerOutcome {
         report,
         degradation: Default::default(),
+        profile: run.outcome.profile.clone(),
         retries: 0,
         failures: 0,
         virtual_ms: 0,
@@ -806,19 +817,60 @@ fn check_cli(lab: &mut Lab, row: &Row, files: &RowFiles) {
         let validated = lapq(["obs-validate", file]);
         assert!(validated.contains(shape), "{row:?}: {validated}");
     }
-    let snapshot = lap::obs::json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
-    let counted =
-        snapshot.get("counters").and_then(|c| c.get("source.calls")).and_then(Json::as_u64);
     let reported = text
         .lines()
         .filter_map(|line| line.strip_prefix("  -- ")?.split_once(" calls, "))
         .map(|(calls, _)| calls.parse::<u64>().unwrap())
         .sum();
-    assert_eq!(counted, Some(reported), "{row:?}: source.calls differs from the stats lines");
+    let calls = counter(&metrics, "source.calls");
+    assert_eq!(calls, Some(reported), "{row:?}: source.calls differs from the stats lines");
     assert!(lapq(["report", &journal]).contains("sources:"), "{row:?}");
     if row.config().1.is_some() {
         assert_eq!(lapq(["replay", &journal]), text, "{row:?}: lapq replay differs from the run");
     }
+    check_cli_profile(lab, row, files, &text, reported);
+}
+
+/// `lapq profile` is `lapq run` plus the library run's operator tables:
+/// it takes run's flags, prints run's block first, counts run's calls and
+/// probes, and records a journal `lapq replay` reproduces.
+fn check_cli_profile(lab: &mut Lab, row: &Row, files: &RowFiles, text: &str, reported: u64) {
+    let run = lab.run(row);
+    let (program, facts) = files.write(&lab.instance(row.corpus));
+    let journal = files.path("profile.journal.json");
+    let metrics = files.path("profile.metrics.json");
+    let exports = ["--journal", &journal, "--metrics-json", &metrics];
+    let profiled = lapq(with_flags(&[&["profile", &program, &facts][..], &exports].concat(), row));
+    let tables = profiled
+        .strip_prefix(text)
+        .unwrap_or_else(|| panic!("{row:?}: lapq profile does not start with run's block"));
+    let (under, over) = (&run.outcome.profile.under, &run.outcome.profile.over);
+    let expected = format!("Qu operators:\n{under}\nQo operators:\n{over}\n");
+    assert_eq!(tables, expected, "{row:?}: lapq profile's tables differ from the library run");
+    if !run.outcome.degradation.is_degraded() {
+        // operator, invoked, batches, calls, rows, out, fill%, dict%
+        let (mut calls, mut probes) = (0, 0);
+        for cells in tables.lines().map(|line| line.split_whitespace().collect::<Vec<_>>()) {
+            let count = || cells[cells.len() - 5].parse::<u64>().unwrap();
+            match cells.first() {
+                Some(&"Access" | &"BindJoin") => calls += count(),
+                Some(&"NegFilter") => probes += count(),
+                _ => {}
+            }
+        }
+        assert_eq!(calls, reported, "{row:?}: the tables' calls differ from the stats lines");
+        let membership = counter(&metrics, "source.membership");
+        assert_eq!(Some(probes), membership, "{row:?}: the NegFilter calls are not the probes");
+    }
+    let signature = lab.instance(row.corpus).program.single_query().unwrap().signature.0;
+    let replayed = format!("query {signature}:\n{}", render_outcome(&run.outcome));
+    assert_eq!(lapq(["replay", &journal]), replayed, "{row:?}: lapq profile's journal");
+}
+
+/// A counter of an exported metrics snapshot.
+fn counter(metrics: &str, name: &str) -> Option<u64> {
+    let snapshot = lap::obs::json::parse(&std::fs::read_to_string(metrics).unwrap()).unwrap();
+    snapshot.get("counters")?.get(name)?.as_u64()
 }
 
 /// The daemon answers the one-shot text on a miss, on a hit, and for a
@@ -866,6 +918,20 @@ fn check_feedback(lab: &mut Lab, row: &Row, files: &RowFiles) {
 /// A one-shot text without its call-statistics lines.
 fn answers(text: &str) -> Vec<&str> {
     text.lines().filter(|line| !line.contains(" calls, ")).collect()
+}
+
+/// An outcome as the row executor reports it: every operator counter but
+/// the selection-vector and dictionary ones, which only the columnar
+/// executor fills.
+fn row_counters(outcome: &AnswerOutcome) -> AnswerOutcome {
+    let mut outcome = outcome.clone();
+    let profile = &mut outcome.profile;
+    for part in profile.under.parts.iter_mut().chain(&mut profile.over.parts) {
+        for op in &mut part.ops {
+            (op.rows_dead, op.dict_hits, op.dict_misses) = (0, 0, 0);
+        }
+    }
+    outcome
 }
 
 /// A journal as the row and columnar executors must agree on it: without
