@@ -12,11 +12,12 @@ use crate::tables::{time_median, Cell, Table};
 use lap_baselines::{cq_stable, cq_stable_star, ucq_stable, ucq_stable_star};
 use lap_containment::{cq_contained_canonical, ContainmentEngine};
 use lap_core::{
-    answer_star, answer_star_with_domain, answerable_split, containment_to_feasibility, feasible,
-    feasible_detailed, plan_star, CompileOptions, Completeness, DecisionPath, PreparedQuery,
+    answer_star, answer_star_opts, answerable_split, containment_to_feasibility, feasible,
+    feasible_detailed, plan_star, AnswerOptions, CompileOptions, Completeness, DecisionPath,
+    PreparedQuery, Refinement,
 };
 use lap_constraints::{feasible_under, prune_unsatisfiable, ConstraintSet, InclusionDep};
-use lap_engine::{eval_oracle, eval_ordered_union, SourceRegistry};
+use lap_engine::{eval_oracle, eval_ordered_union, Database, SourceRegistry, Tuple};
 use lap_mediator::Mediator;
 use lap_planner::{minimal_executable_plan, optimize_plan_pair, CostModel, Strategy};
 use lap_ir::{parse_program, Predicate, Schema, UnionQuery};
@@ -30,7 +31,11 @@ use lap_workload::{
     SchemaConfig,
 };
 use lap_prng::StdRng;
+use std::collections::BTreeSet;
 use std::time::Duration;
+
+/// A set of answer tuples.
+type Answers = BTreeSet<Tuple>;
 
 /// One experiment at its fixed size: panics on a broken claim, else
 /// returns its table.
@@ -179,9 +184,8 @@ fn e1_example_fidelity() -> Table {
             )
             .unwrap();
             let db = lap_engine::Database::from_facts("R(1, 2). S(3). B(1, 2). T(5, 6).").unwrap();
-            let rep = answer_star_with_domain(p.single_query().unwrap(), &p.schema, &db, 10_000)
-                .unwrap();
-            rep.improved_under.len() == 2 && rep.base.under.len() == 1
+            let (base, refinement) = refined(p.single_query().unwrap(), &p.schema, &db, 10_000);
+            refinement.under.len() == 2 && base.len() == 1
         }),
         ("Ex. 9", "CQstable minimizes to F,B; CQstable*/FEASIBLE check ans ⊑ Q; all accept", {
             let p = parse_program("F^o. B^i.\nQ(x) :- F(x), B(x), B(y), F(z).").unwrap();
@@ -599,6 +603,14 @@ fn e9_runtime_completeness() -> Table {
     t
 }
 
+/// ANSWER\* with its `dom(x)` phase at `budget`: `ansᵤ` and the refinement.
+fn refined(q: &UnionQuery, schema: &Schema, db: &Database, budget: u64) -> (Answers, Refinement) {
+    let quiet = lap_obs::Recorder::disabled();
+    let opts = AnswerOptions { domain: Some(budget), ..AnswerOptions::new(&quiet) };
+    let outcome = answer_star_opts(q, schema, db, &opts).expect("refined run");
+    (outcome.report.under, outcome.refinement.expect("a refined run"))
+}
+
 /// E10 — domain enumeration: recall recovered vs calls spent (Example 8).
 fn e10_domain_enumeration() -> Table {
     let num_runs = 30usize;
@@ -607,7 +619,10 @@ fn e10_domain_enumeration() -> Table {
         "GAV plans with blocked disjuncts: recall of ansᵤ against the oracle, without and with dom(x) views, and the extra source calls spent.",
         &["blocked disjuncts", "recall (plain)", "recall (dom)", "mean dom calls", "fixpoint reached"],
     );
-    for blocked in [1usize, 2, 3] {
+    // Each row's enumeration calls over its 30 instances, pinned: each
+    // `(relation, pattern, inputs)` is called once, whatever else the run
+    // called through the same registry.
+    for (blocked, pinned_calls) in [(1usize, 1170), (2, 2280), (3, 3390)] {
         let inst = gav_unfolding(2, blocked, 1);
         let cfg = InstanceConfig {
             domain_size: 6,
@@ -621,14 +636,17 @@ fn e10_domain_enumeration() -> Table {
         for seed in 0..num_runs as u64 {
             let db = gen_instance(&inst.schema, &cfg, &mut StdRng::seed_from_u64(8000 + seed));
             let oracle = eval_oracle(&inst.query, &db).unwrap();
-            let rep =
-                answer_star_with_domain(&inst.query, &inst.schema, &db, 100_000).unwrap();
+            let (base, refinement) = refined(&inst.query, &inst.schema, &db, 100_000);
+            assert!(refinement.under.is_subset(&oracle), "dom(x) invented an answer (seed {seed})");
             oracle_total += oracle.len();
-            plain_hits += rep.base.under.intersection(&oracle).count();
-            dom_hits += rep.improved_under.intersection(&oracle).count();
-            calls += rep.domain_calls;
-            fixpoints += rep.domain_complete as usize;
+            plain_hits += base.intersection(&oracle).count();
+            dom_hits += refinement.under.intersection(&oracle).count();
+            calls += refinement.calls;
+            fixpoints += refinement.fixpoint as usize;
         }
+        assert_eq!(dom_hits, oracle_total, "dom(x) must recover every answer ({blocked} blocked)");
+        assert_eq!(fixpoints, num_runs, "enumeration must reach its fixpoint ({blocked} blocked)");
+        assert_eq!(calls, pinned_calls, "enumeration calls moved ({blocked} blocked)");
         let recall = |hits: usize| {
             if oracle_total == 0 {
                 Cell::Blank
@@ -1288,7 +1306,6 @@ fn replanned_run(
     resilience: &lap_engine::ResilienceConfig,
     model: &CostModel,
 ) -> lap_core::AnswerOutcome {
-    use lap_core::{answer_star_opts, AnswerOptions};
     let program = parse_program(DRIFT).expect("parses");
     let q = program.single_query().expect("one query");
     let base_pair = plan_star(q, &program.schema);
@@ -1298,6 +1315,7 @@ fn replanned_run(
         exec: lap_engine::ExecConfig::default(),
         resilience: Some(resilience),
         plans: Some(&plans),
+        domain: None,
     };
     answer_star_opts(q, &program.schema, db, &opts).expect("planned run")
 }

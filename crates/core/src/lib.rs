@@ -8,7 +8,8 @@
 //! | Fig. 2 — PLAN\* (`Qᵘ`, `Qᵒ`) | [`plan_star`] |
 //! | Fig. 3 — FEASIBLE | [`FeasibilityReport::decide`] (the one copy of the figure); presets [`feasible`], [`feasible_detailed`], [`feasible_detailed_with`]; [`explain`] says why |
 //! | Figs. 1–3 at compile time (§4) | [`PreparedQuery::compile`] (one driver, one [`CompileOptions`] value: PLAN\* once, FEASIBLE only when given an engine, lowering once) |
-//! | Fig. 4 — ANSWER\* | [`answer_star`], [`answer_star_opts`] (one driver, one [`AnswerOptions`] value), [`answer_star_with_domain`] |
+//! | Fig. 4 — ANSWER\* | [`answer_star`], [`answer_star_opts`] (one driver, one [`AnswerOptions`] value) |
+//! | §4.2, Ex. 8 — `dom(x)` refinement of `ansᵤ` | [`AnswerOptions::domain`], [`AnswerOutcome::refinement`] (a phase of the one driver) |
 //! | Thm. 18 / Prop. 20 — hardness reductions | [`containment_to_feasibility`], [`containment_to_feasibility_cqn`] |
 //!
 //! ```
@@ -43,8 +44,8 @@ mod render;
 
 pub use answer::{
     answer_star, answer_star_obs_cfg, answer_star_opts, answer_star_resilient_cfg,
-    answer_star_with_domain, AnswerOptions, AnswerOutcome, AnswerReport, AnswerSource,
-    Completeness, DegradationReport, ImprovedAnswerReport, PairProfile,
+    AnswerOptions, AnswerOutcome, AnswerReport, AnswerSource, Completeness, DegradationReport,
+    PairProfile, Refinement,
 };
 pub use answerable::{
     ans, answerable_literals, answerable_split, is_q_answerable, literal_executable,
@@ -62,7 +63,7 @@ pub use lap_containment::{ContainmentEngine, ContainmentStats, EngineConfig, Eng
 pub use plan::{lower_pair, plan_star, CqPlan, PhysicalPair, PlanPair, UnionPlan};
 pub use cache::{canonical_text, PlanCache, PlanCacheEntry, PlanCacheStats, DEFAULT_CACHE_BYTES};
 pub use prepared::{CompileOptions, PreparedProgram, PreparedQuery};
-pub use render::{render_answer_report, render_outcome};
+pub use render::{render_answer_report, render_outcome, render_refinement};
 pub use reduction::{
     containment_to_feasibility, containment_to_feasibility_cqn, FeasibilityInstance,
 };

@@ -7,7 +7,7 @@
 //! FEASIBLE when asked, lowering), and each [`PreparedQuery::execute`]
 //! then only pays the runtime price.
 
-use crate::answer::{run_pair, AnswerOutcome, AnswerReport, Plans};
+use crate::answer::{run_pair, AnswerOptions, AnswerOutcome, AnswerReport, Plans};
 use crate::feasible::{decide_under, DecisionPath, FeasibilityReport};
 use crate::plan::{lower_pair, plan_star_recorded, PhysicalPair, PlanPair};
 use lap_containment::ContainmentEngine;
@@ -115,7 +115,8 @@ impl PreparedQuery {
         resilience: Option<&ResilienceConfig>,
     ) -> Result<AnswerOutcome, EngineError> {
         let plans = Plans::Prepared(&self.plans, &self.physical);
-        run_pair(&self.query, &self.schema, db.into(), plans, recorder, cfg, resilience)
+        let opts = AnswerOptions { exec: cfg, resilience, ..AnswerOptions::new(recorder) };
+        run_pair(&self.query, &self.schema, db.into(), plans, &opts)
     }
 
     /// Executes against an instance (algorithm ANSWER\*, reusing the

@@ -46,11 +46,35 @@ pub fn render_answer_report(rep: &AnswerReport) -> String {
     out
 }
 
-/// Renders an [`AnswerOutcome`]: the report body, the degradation tail
-/// (when any disjunct dropped), the resilience totals, and a trailing
-/// blank line — exactly what `lapq run --retry ...` prints per query.
+/// Renders a refined run's `dom(x)` line (empty on other runs): the
+/// answers it added to `ansᵤ`, enumeration's calls, whether it reached its
+/// fixpoint, and any re-admitted disjuncts dropped. `lapq run` prints it
+/// after the report body; [`render_outcome`] includes it.
+pub fn render_refinement(outcome: &AnswerOutcome) -> String {
+    let Some(refined) = &outcome.refinement else { return String::new() };
+    let extra: Vec<String> =
+        refined.under.difference(&outcome.report.under).map(|t| display_tuple(t)).collect();
+    let dropped = match refined.dropped.len() {
+        0 => String::new(),
+        n => format!(", {n} disjunct(s) dropped"),
+    };
+    format!(
+        "  -- dom(x) refinement recovered {} extra certain answer(s){}{} ({} calls, fixpoint: {}{dropped})\n",
+        extra.len(),
+        if extra.is_empty() { "" } else { ": " },
+        extra.join(", "),
+        refined.calls,
+        refined.fixpoint,
+    )
+}
+
+/// Renders an [`AnswerOutcome`]: the report body, the refinement line (on
+/// a refined run), the degradation tail (when any disjunct dropped), the
+/// resilience totals, and a trailing blank line — exactly what `lapq run
+/// --retry ...` prints per query.
 pub fn render_outcome(outcome: &AnswerOutcome) -> String {
     let mut out = render_answer_report(&outcome.report);
+    out.push_str(&render_refinement(outcome));
     if outcome.degradation.is_degraded() {
         let _ = writeln!(
             out,

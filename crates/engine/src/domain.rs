@@ -9,7 +9,8 @@
 //!
 //! Enumeration is inherently expensive (`|dom|^k` calls per pattern with
 //! `k` input slots per round), so it runs under a call budget; the result
-//! records whether the fixpoint was reached or the budget cut it short.
+//! records whether the fixpoint was reached or the budget (or a source
+//! still unavailable after its retries) cut it short.
 
 use crate::error::EngineError;
 use crate::source::SourceRegistry;
@@ -24,13 +25,12 @@ pub struct DomainResult {
     pub values: BTreeSet<Value>,
     /// True iff the fixpoint was reached within budget.
     pub complete: bool,
-    /// Source calls spent.
-    pub calls_used: u64,
 }
 
 /// Enumerates the reachable value domain through the registry's schema,
 /// starting from `seed` (typically the constants of the query and any
-/// values already obtained), spending at most `budget` source calls.
+/// values already obtained), spending at most `budget` source calls. An
+/// unavailable source ends it incomplete; any other error is returned.
 pub fn enumerate_domain(
     reg: &mut SourceRegistry<'_>,
     seed: &BTreeSet<Value>,
@@ -47,7 +47,7 @@ pub fn enumerate_domain(
         .map(|d| (d.predicate, d.patterns.clone()))
         .collect();
 
-    loop {
+    let complete = 'rounds: loop {
         let mut grew = false;
         for (pred, patterns) in &decls {
             for &pattern in patterns {
@@ -65,14 +65,14 @@ pub fn enumerate_domain(
                     let key = (pred.name, pattern, inputs.clone());
                     if issued.insert(key) {
                         if calls_used >= budget {
-                            return Ok(DomainResult {
-                                values: dom,
-                                complete: false,
-                                calls_used,
-                            });
+                            break 'rounds false;
                         }
                         calls_used += 1;
-                        let rows = reg.call(pred.name, pattern, &inputs)?;
+                        let rows = match reg.call(pred.name, pattern, &inputs) {
+                            Ok(rows) => rows,
+                            Err(EngineError::SourceUnavailable { .. }) => break 'rounds false,
+                            Err(e) => return Err(e),
+                        };
                         for row in rows.iter() {
                             for &v in row {
                                 if dom.insert(v) {
@@ -104,13 +104,10 @@ pub fn enumerate_domain(
             }
         }
         if !grew {
-            return Ok(DomainResult {
-                values: dom,
-                complete: true,
-                calls_used,
-            });
+            break true;
         }
-    }
+    };
+    Ok(DomainResult { values: dom, complete })
 }
 
 #[cfg(test)]
@@ -172,7 +169,18 @@ mod tests {
         // R^ii needs |dom|² calls; budget 2 can't finish (1 for S + 9 for R).
         let r = enumerate_domain(&mut reg, &BTreeSet::new(), 2).unwrap();
         assert!(!r.complete);
-        assert!(r.calls_used <= 2);
+        assert!(reg.stats().calls <= 2);
+    }
+
+    #[test]
+    fn an_unavailable_source_truncates_instead_of_failing() {
+        let db = Database::from_facts("S(1). R(1, 2).").unwrap();
+        let schema = Schema::from_patterns(&[("S", "o"), ("R", "io")]).unwrap();
+        let mut reg = SourceRegistry::new(&db, &schema)
+            .with_fault_injection(crate::FaultConfig::with_rate(1.0, 3));
+        let r = enumerate_domain(&mut reg, &BTreeSet::new(), 100).unwrap();
+        assert!(!r.complete);
+        assert!(r.values.is_empty());
     }
 
     #[test]

@@ -18,37 +18,22 @@
 //!   overestimate plans of PLAN\* use this for `x = null` equations.
 
 use crate::error::EngineError;
-use crate::physical::{execute_physical_cq, execute_physical_union, lower_cq, lower_union, ExecConfig};
+use crate::physical::{execute_physical_union, lower_union, ExecConfig};
 use crate::source::SourceRegistry;
 use crate::value::{Tuple, Value};
 use lap_ir::{ConjunctiveQuery, Literal, Term, Var};
 use std::collections::{BTreeSet, HashMap};
 
-/// Evaluates an *ordered* CQ¬ body left-to-right against the sources and
-/// projects the head. `null_vars` lists head variables to be emitted as
-/// `null` (unbound in the body — only overestimate plans use this).
-///
-/// Errors if the order is not executable under the registry's schema.
-///
-/// This is a thin compatibility wrapper: the body is lowered to a
-/// [`crate::physical`] operator pipeline and run through the batched
-/// executor. The tuple-at-a-time reference implementation survives as
-/// [`eval_ordered_cq_tuple`].
-pub fn eval_ordered_cq(
-    cq: &ConjunctiveQuery,
-    null_vars: &[Var],
-    reg: &mut SourceRegistry<'_>,
-) -> Result<BTreeSet<Tuple>, EngineError> {
-    let plan = lower_cq(cq, null_vars, reg.schema());
-    execute_physical_cq(&plan, reg, ExecConfig::default())
-}
-
 /// Evaluates a union of ordered CQ¬ plans (each with its own null list) and
 /// returns the set union of the answers. Each disjunct runs under its own
 /// span when the registry's recorder has tracing enabled.
 ///
-/// Like [`eval_ordered_cq`], a compatibility wrapper over the physical
-/// plan IR; [`eval_ordered_union_tuple`] is the legacy reference path.
+/// Each body is evaluated left to right: `null_vars` lists head variables
+/// to be emitted as `null` (unbound in the body — only overestimate plans
+/// use this), and an order that is not executable under the registry's
+/// schema is an error. A compatibility wrapper: the plans are lowered to a
+/// [`crate::physical`] operator pipeline and run through the batched
+/// executor; [`eval_ordered_union_tuple`] is the legacy reference path.
 pub fn eval_ordered_union(
     parts: &[(ConjunctiveQuery, Vec<Var>)],
     reg: &mut SourceRegistry<'_>,
@@ -57,11 +42,10 @@ pub fn eval_ordered_union(
     execute_physical_union(&union, reg, ExecConfig::default())
 }
 
-/// The retired tuple-at-a-time evaluator, kept as the executable
-/// specification the batched executor is differentially tested against
-/// (`tests/executor_differential.rs`). Production call paths go through
-/// [`eval_ordered_cq`] instead.
-pub fn eval_ordered_cq_tuple(
+/// The retired tuple-at-a-time evaluator of one ordered body, kept as the
+/// executable specification the batched executor is differentially tested
+/// against through [`eval_ordered_union_tuple`].
+fn eval_ordered_cq_tuple(
     cq: &ConjunctiveQuery,
     null_vars: &[Var],
     reg: &mut SourceRegistry<'_>,
@@ -72,8 +56,9 @@ pub fn eval_ordered_cq_tuple(
     Ok(out)
 }
 
-/// Union evaluation through [`eval_ordered_cq_tuple`] — the legacy
-/// reference path (same spans as the physical executor).
+/// Union evaluation through the retired tuple-at-a-time evaluator, one
+/// body at a time — the legacy reference path (same spans as the physical
+/// executor).
 pub fn eval_ordered_union_tuple(
     parts: &[(ConjunctiveQuery, Vec<Var>)],
     reg: &mut SourceRegistry<'_>,
@@ -241,6 +226,15 @@ mod tests {
     use crate::instance::Database;
     use lap_ir::{parse_cq, Schema};
 
+    /// One ordered body through the union driver.
+    fn eval_one(
+        plan: &ConjunctiveQuery,
+        null_vars: &[Var],
+        reg: &mut SourceRegistry<'_>,
+    ) -> Result<BTreeSet<Tuple>, EngineError> {
+        eval_ordered_union(&[(plan.clone(), null_vars.to_vec())], reg)
+    }
+
     fn bookstore() -> (Database, Schema) {
         let db = Database::from_facts(
             r#"
@@ -261,7 +255,7 @@ mod tests {
         let (db, schema) = bookstore();
         let mut reg = SourceRegistry::new(&db, &schema);
         let plan = parse_cq("Q(i, a, t) :- C(i, a), B(i, a, t), not L(i).").unwrap();
-        let rows = eval_ordered_cq(&plan, &[], &mut reg).unwrap();
+        let rows = eval_one(&plan, &[], &mut reg).unwrap();
         // Book 1 is in the library; only book 3 survives ¬L. Book 2 is not
         // in the catalog C.
         let rows: Vec<Tuple> = rows.into_iter().collect();
@@ -274,7 +268,7 @@ mod tests {
         let (db, schema) = bookstore();
         let mut reg = SourceRegistry::new(&db, &schema);
         let plan = parse_cq("Q(i, a, t) :- B(i, a, t), C(i, a), not L(i).").unwrap();
-        let err = eval_ordered_cq(&plan, &[], &mut reg).unwrap_err();
+        let err = eval_one(&plan, &[], &mut reg).unwrap_err();
         assert!(matches!(err, EngineError::NotExecutable { .. }), "{err}");
     }
 
@@ -283,7 +277,7 @@ mod tests {
         let (db, schema) = bookstore();
         let mut reg = SourceRegistry::new(&db, &schema);
         let plan = parse_cq("Q(i, a, t) :- not L(i), C(i, a), B(i, a, t).").unwrap();
-        let err = eval_ordered_cq(&plan, &[], &mut reg).unwrap_err();
+        let err = eval_one(&plan, &[], &mut reg).unwrap_err();
         assert!(matches!(err, EngineError::UnboundNegation { .. }));
     }
 
@@ -293,7 +287,7 @@ mod tests {
         let mut reg = SourceRegistry::new(&db, &schema);
         // Head var t never bound in the body; declared null.
         let plan = parse_cq("Q(i, t) :- C(i, a).").unwrap();
-        let rows = eval_ordered_cq(&plan, &[Var::new("t")], &mut reg).unwrap();
+        let rows = eval_one(&plan, &[Var::new("t")], &mut reg).unwrap();
         assert!(rows.iter().all(|r| r[1] == Value::Null));
         assert_eq!(rows.len(), 2);
     }
@@ -303,7 +297,7 @@ mod tests {
         let (db, schema) = bookstore();
         let mut reg = SourceRegistry::new(&db, &schema);
         let plan = parse_cq("Q(i, t) :- C(i, a).").unwrap();
-        assert!(eval_ordered_cq(&plan, &[], &mut reg).is_err());
+        assert!(eval_one(&plan, &[], &mut reg).is_err());
     }
 
     #[test]
@@ -311,7 +305,7 @@ mod tests {
         let (db, schema) = bookstore();
         let mut reg = SourceRegistry::new(&db, &schema);
         let plan = parse_cq(r#"Q(t) :- C(i, a), B(i, "adams", t)."#).unwrap();
-        let rows = eval_ordered_cq(&plan, &[], &mut reg).unwrap();
+        let rows = eval_one(&plan, &[], &mut reg).unwrap();
         assert_eq!(rows.into_iter().collect::<Vec<_>>(), vec![vec![Value::str("hhgttg")]]);
     }
 
@@ -321,7 +315,7 @@ mod tests {
         let schema = Schema::from_patterns(&[("R", "oo")]).unwrap();
         let mut reg = SourceRegistry::new(&db, &schema);
         let plan = parse_cq("Q(x) :- R(x, x).").unwrap();
-        let rows = eval_ordered_cq(&plan, &[], &mut reg).unwrap();
+        let rows = eval_one(&plan, &[], &mut reg).unwrap();
         assert_eq!(
             rows.into_iter().collect::<Vec<_>>(),
             vec![vec![Value::int(1)], vec![Value::int(2)]]
@@ -345,7 +339,7 @@ mod tests {
         let mut batched = SourceRegistry::new(&db, &schema);
         let mut tuple = SourceRegistry::new(&db, &schema);
         assert_eq!(
-            eval_ordered_cq(&plan, &[], &mut batched).unwrap(),
+            eval_one(&plan, &[], &mut batched).unwrap(),
             eval_ordered_cq_tuple(&plan, &[], &mut tuple).unwrap()
         );
     }
@@ -355,7 +349,7 @@ mod tests {
         let (db, schema) = bookstore();
         let mut reg = SourceRegistry::new(&db, &schema);
         let plan = parse_cq("Q(1) :- true.").unwrap();
-        let rows = eval_ordered_cq(&plan, &[], &mut reg).unwrap();
+        let rows = eval_one(&plan, &[], &mut reg).unwrap();
         assert_eq!(rows.into_iter().collect::<Vec<_>>(), vec![vec![Value::int(1)]]);
     }
 }

@@ -149,23 +149,12 @@ pub struct FaultInjectingSource<S> {
     inner: S,
     cfg: FaultConfig,
     rng: StdRng,
-    injected: u64,
 }
 
 impl<S: Source> FaultInjectingSource<S> {
     /// Wraps `inner` under fault configuration `cfg`.
     pub fn new(inner: S, cfg: FaultConfig) -> FaultInjectingSource<S> {
-        FaultInjectingSource {
-            inner,
-            rng: StdRng::seed_from_u64(cfg.seed),
-            cfg,
-            injected: 0,
-        }
-    }
-
-    /// Number of faults injected so far.
-    pub fn injected_faults(&self) -> u64 {
-        self.injected
+        FaultInjectingSource { inner, rng: StdRng::seed_from_u64(cfg.seed), cfg }
     }
 }
 
@@ -183,12 +172,10 @@ impl<S: Source> Source for FaultInjectingSource<S> {
         };
         let latency = self.cfg.latency_ms + jitter;
         if self.cfg.error_rate > 0.0 && self.rng.gen_bool(self.cfg.error_rate) {
-            self.injected += 1;
             return Err(SourceFault::Unavailable { latency_ms: latency });
         }
         if let Some(timeout_ms) = self.cfg.timeout_ms {
             if latency > timeout_ms {
-                self.injected += 1;
                 return Err(SourceFault::Timeout { latency_ms: latency, timeout_ms });
             }
         }

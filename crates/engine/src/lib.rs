@@ -12,22 +12,22 @@
 //! * [`physical`] — the physical plan IR ([`PhysicalPlan`], [`PhysOp`]),
 //!   the lowering pass that picks access patterns at plan time, and the
 //!   batched pull-based executor with in-batch source-call dedup.
-//! * [`eval_ordered_cq`] / [`eval_ordered_union`] — left-to-right execution
-//!   of executable plans, with negation-as-filter and `null` head values
-//!   for overestimate plans; thin wrappers over the physical executor
-//!   (the tuple-at-a-time reference survives as [`eval_ordered_cq_tuple`]).
+//! * [`eval_ordered_union`] — left-to-right execution of executable plans,
+//!   with negation-as-filter and `null` head values for overestimate plans;
+//!   a thin wrapper over the physical executor (the tuple-at-a-time
+//!   reference survives as [`eval_ordered_union_tuple`]).
 //! * [`eval_oracle`] — the unrestricted `ANSWER(Q, D)` ground truth.
 //! * [`enumerate_domain`] — `dom(x)` views (Example 8) under a call budget.
 //!
 //! ```
-//! use lap_engine::{Database, SourceRegistry, eval_ordered_cq};
+//! use lap_engine::{Database, SourceRegistry, eval_ordered_union};
 //! use lap_ir::{parse_cq, Schema};
 //!
 //! let db = Database::from_facts(r#"C(1, "adams"). B(1, "adams", "hhgttg")."#).unwrap();
 //! let schema = Schema::from_patterns(&[("B", "ioo"), ("C", "oo")]).unwrap();
 //! let mut sources = SourceRegistry::new(&db, &schema);
 //! let plan = parse_cq("Q(t) :- C(i, a), B(i, a, t).").unwrap();
-//! let answers = eval_ordered_cq(&plan, &[], &mut sources).unwrap();
+//! let answers = eval_ordered_union(&[(plan, vec![])], &mut sources).unwrap();
 //! assert_eq!(answers.len(), 1);
 //! ```
 
@@ -49,16 +49,15 @@ mod value;
 
 pub use domain::{enumerate_domain, DomainResult};
 pub use error::EngineError;
-pub use eval::{eval_ordered_cq, eval_ordered_cq_tuple, eval_ordered_union, eval_ordered_union_tuple};
+pub use eval::{eval_ordered_union, eval_ordered_union_tuple};
 pub use fault::{
     FaultConfig, FaultInjectingSource, ResilienceConfig, RetryPolicy, SourceFault, SourceReply,
 };
 pub use physical::{
-    execute_physical_cq, execute_physical_union, execute_physical_union_with, lower_cq,
-    lower_union, AccessOp, AccessProblem, ArgSource, Code, ColumnBatch, Dictionary,
-    DisjunctDegradation, ExecConfig, NegOp, OnUnavailable, OpCost, OpProfile, PhysOp,
-    PhysicalPlan, PhysicalUnion, PlanProfile, ProjCol, ProjectOp, UnionProfile, UnionRun,
-    MAX_BATCH_WIDTH,
+    execute_physical_union, execute_physical_union_with, lower_cq, lower_union, AccessOp,
+    AccessProblem, ArgSource, Code, ColumnBatch, Dictionary, DisjunctDegradation, ExecConfig,
+    NegOp, OnUnavailable, OpCost, OpProfile, PhysOp, PhysicalPlan, PhysicalUnion, PlanProfile,
+    ProjCol, ProjectOp, UnionProfile, UnionRun, MAX_BATCH_WIDTH,
 };
 pub use instance::Database;
 pub use oracle::{eval_oracle, eval_oracle_single};

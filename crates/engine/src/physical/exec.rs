@@ -478,18 +478,6 @@ fn unify(args: &[ArgSource], row: &Row, tuple: &[Value]) -> Option<Row> {
     Some(out)
 }
 
-/// Executes one physical pipeline, returning its answer set.
-pub fn execute_physical_cq(
-    plan: &PhysicalPlan,
-    reg: &mut SourceRegistry<'_>,
-    cfg: ExecConfig,
-) -> Result<BTreeSet<Tuple>, EngineError> {
-    let mut answers = UnionAnswers::default();
-    let (part, _) = execute_cq_shared(plan, reg, cfg, &mut Dictionary::new(), &answers)?;
-    answers.commit(part);
-    Ok(answers.into_set(cfg))
-}
-
 /// One disjunct's answers, held back until the disjunct completes.
 struct DisjunctAnswers {
     /// The code tuple of every distinct answer of the disjunct (columnar
@@ -1336,6 +1324,16 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
+    /// One pipeline through the union driver.
+    fn execute_one(
+        plan: &PhysicalPlan,
+        reg: &mut SourceRegistry<'_>,
+        cfg: ExecConfig,
+    ) -> Result<BTreeSet<Tuple>, EngineError> {
+        let union = PhysicalUnion { head: Some(plan.head.clone()), parts: vec![plan.clone()] };
+        execute_physical_union(&union, reg, cfg)
+    }
+
     fn bookstore() -> (Database, Schema) {
         let db = Database::from_facts(
             r#"
@@ -1355,7 +1353,7 @@ mod tests {
         let null_vars: Vec<lap_ir::Var> = nulls.iter().map(|n| lap_ir::Var::new(n)).collect();
         let plan = lower_cq(&parse_cq(text).unwrap(), &null_vars, &schema);
         let mut reg = SourceRegistry::new(&db, &schema);
-        execute_physical_cq(&plan, &mut reg, ExecConfig::with_batch_size(batch))
+        execute_one(&plan, &mut reg, ExecConfig::with_batch_size(batch))
     }
 
     #[test]
@@ -1377,10 +1375,10 @@ mod tests {
         let plan = lower_cq(&cq, &[], &schema);
         let mut wide = SourceRegistry::new(&db, &schema);
         let rows =
-            execute_physical_cq(&plan, &mut wide, ExecConfig::with_batch_size(1024)).unwrap();
+            execute_one(&plan, &mut wide, ExecConfig::with_batch_size(1024)).unwrap();
         let mut narrow = SourceRegistry::new(&db, &schema);
         let rows1 =
-            execute_physical_cq(&plan, &mut narrow, ExecConfig::with_batch_size(1)).unwrap();
+            execute_one(&plan, &mut narrow, ExecConfig::with_batch_size(1)).unwrap();
         assert_eq!(rows, rows1);
         assert!(wide.stats().calls < narrow.stats().calls, "{:?} vs {:?}", wide.stats(), narrow.stats());
     }
@@ -1436,9 +1434,9 @@ mod tests {
             for width in [1usize, 2, 3, 1024] {
                 let cfg = ExecConfig::with_batch_size(width);
                 let mut creg = SourceRegistry::new(&db, &schema);
-                let col = execute_physical_cq(&plan, &mut creg, cfg).unwrap();
+                let col = execute_one(&plan, &mut creg, cfg).unwrap();
                 let mut rreg = SourceRegistry::new(&db, &schema);
-                let row = execute_physical_cq(&plan, &mut rreg, cfg.rows()).unwrap();
+                let row = execute_one(&plan, &mut rreg, cfg.rows()).unwrap();
                 assert_eq!(col, row, "{text} @ width {width}");
                 assert_eq!(creg.stats(), rreg.stats(), "{text} @ width {width}");
             }
@@ -1457,7 +1455,7 @@ mod tests {
         let plan = lower_cq(&parse_cq("Q(i, x) :- L(i), B(i, x, x).").unwrap(), &[], &schema);
         for cfg in [ExecConfig::default(), ExecConfig::default().rows()] {
             let mut reg = SourceRegistry::new(&db, &schema);
-            let rows = execute_physical_cq(&plan, &mut reg, cfg).unwrap();
+            let rows = execute_one(&plan, &mut reg, cfg).unwrap();
             assert_eq!(rows.len(), 2, "{rows:?}");
         }
     }
@@ -1563,7 +1561,7 @@ mod tests {
         for survivor in [0, 2] {
             let mut reg = SourceRegistry::new(&db, &schema);
             let cfg = ExecConfig::with_batch_size(1);
-            expected.extend(execute_physical_cq(&union.parts[survivor], &mut reg, cfg).unwrap());
+            expected.extend(execute_one(&union.parts[survivor], &mut reg, cfg).unwrap());
         }
         assert_eq!(expected, [5, 2, 7].map(|x| vec![Value::int(x)]).into_iter().collect());
         for cfg in [ExecConfig::with_batch_size(1), ExecConfig::with_batch_size(1).rows()] {

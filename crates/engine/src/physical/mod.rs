@@ -16,9 +16,10 @@
 //!   literal's access pattern *at plan time* (boundness at a literal is
 //!   fully determined by the literals before it, so the per-tuple choice
 //!   the old evaluator made was always the same choice);
-//! * [`execute_physical_cq`] / [`execute_physical_union`] — a batched
-//!   pull-based executor that flows batches of bindings through the
-//!   pipeline and deduplicates repeated source calls within a batch.
+//! * [`execute_physical_union_with`] (and its rows-only preset
+//!   [`execute_physical_union`]) — a batched pull-based executor that flows
+//!   batches of bindings through each pipeline and deduplicates repeated
+//!   source calls within a batch.
 //!
 //! Lowering never fails: a literal with no usable pattern (or an unknown
 //! relation, or an unbound negation) lowers to an operator that raises the
@@ -34,8 +35,7 @@ mod plan;
 
 pub use column::{Code, CodeHasher, CodeMap, CodeSet, ColumnBatch, Dictionary};
 pub use exec::{
-    execute_physical_cq, execute_physical_union, execute_physical_union_with,
-    DisjunctDegradation, ExecConfig, OnUnavailable, OpProfile, PlanProfile, UnionProfile,
+    execute_physical_union, execute_physical_union_with, DisjunctDegradation, ExecConfig, OnUnavailable, OpProfile, PlanProfile, UnionProfile,
     UnionRun, MAX_BATCH_WIDTH,
 };
 pub use lower::{lower_cq, lower_union};

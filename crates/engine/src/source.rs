@@ -350,6 +350,8 @@ pub struct SourceRegistry<'a> {
     journal_call_ids: Vec<(Symbol, AccessPattern, u32, u32)>,
     /// Memoized journal interner ids per relation (instant events).
     journal_rel_ids: Vec<(Symbol, u32)>,
+    /// [`SourceRegistry::serve_view`]'s relation and rows.
+    view: Option<(Symbol, Rows)>,
 }
 
 impl<'a> SourceRegistry<'a> {
@@ -397,6 +399,7 @@ impl<'a> SourceRegistry<'a> {
             journal: None,
             journal_call_ids: Vec::new(),
             journal_rel_ids: Vec::new(),
+            view: None,
         }
     }
 
@@ -426,6 +429,14 @@ impl<'a> SourceRegistry<'a> {
     pub fn with_io_workers(mut self, workers: usize) -> SourceRegistry<'a> {
         self.io_workers = workers.clamp(1, MAX_IO_WORKERS);
         self
+    }
+
+    /// Answers every later positive call of relation `name` with `rows`,
+    /// ahead of the schema and the transport: a local view (Example 8's
+    /// `dom(x)`), not a source. Its calls reach no counter or journal, so
+    /// they cost nothing and a replay rebuilds the view.
+    pub fn serve_view(&mut self, name: Symbol, rows: Rows) {
+        self.view = Some((name, rows));
     }
 
     /// Number of virtual lanes overlapped batches may use.
@@ -538,11 +549,6 @@ impl<'a> SourceRegistry<'a> {
     /// The schema this registry enforces.
     pub fn schema(&self) -> &Schema {
         self.schema
-    }
-
-    /// The retry policy in effect.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Call statistics accumulated through *this* registry since
@@ -677,6 +683,10 @@ impl<'a> SourceRegistry<'a> {
         keys: &[Vec<Option<Value>>],
         probes: Option<&[&[Value]]>,
     ) -> Result<(Vec<Rows>, Vec<bool>), EngineError> {
+        let view = self.view.as_ref().filter(|(v, _)| *v == name && probes.is_none());
+        if let Some((_, rows)) = view {
+            return Ok((vec![Rows::clone(rows); keys.len()], Vec::new()));
+        }
         // Nothing to overlap: one lane, journaled on the base lane instead
         // of a per-lane sub-lane.
         let serial = self.io_workers <= 1 || keys.len() <= 1 || probes.is_some();

@@ -80,21 +80,9 @@ impl CostModel {
         self.extents.get(&name).copied().unwrap_or(self.default_extent)
     }
 
-    /// Overrides one relation's call-cost multiplier (builder style).
-    pub fn with_call_weight(mut self, name: &str, weight: f64) -> CostModel {
-        self.call_weights.insert(Symbol::intern(name), weight.max(0.0));
-        self
-    }
-
     /// The call-cost multiplier of a relation (1.0 without statistics).
     pub fn call_weight(&self, name: Symbol) -> f64 {
         self.call_weights.get(&name).copied().unwrap_or(1.0)
-    }
-
-    /// True iff any relation carries a non-unit call weight (i.e. the
-    /// model was calibrated against observed source health).
-    pub fn has_call_weights(&self) -> bool {
-        self.call_weights.values().any(|&w| (w - 1.0).abs() > 1e-9)
     }
 
     /// Re-costs this model from journal-fed observations: per-relation
@@ -195,35 +183,51 @@ pub fn estimate_cost(cq: &ConjunctiveQuery, schema: &Schema, model: &CostModel) 
     let mut bindings = 1.0f64; // tuples flowing into the next literal
     let mut cost = PlanCost::zero();
     for lit in &cq.body {
-        let decl = schema.relation(lit.atom.predicate.name)?;
+        let relation = lit.atom.predicate.name;
+        let decl = schema.relation(relation)?;
         let arg_bound = |j: usize| match lit.atom.args[j] {
             Term::Const(_) => true,
             Term::Var(v) => bound.contains(&v),
         };
         let bound_positions = (0..lit.atom.args.len()).filter(|&j| arg_bound(j)).count();
-        if lit.positive {
+        let access = if lit.positive {
             let pattern = decl.usable_pattern(arg_bound)?;
-            let per_call_transfer = (model.extent(lit.atom.predicate.name)
-                * model.selectivity.powi(pattern.num_inputs() as i32))
-            .max(0.0);
-            // Client-side filtering on bound outputs / repeated vars.
-            let extra_filters = bound_positions.saturating_sub(pattern.num_inputs());
-            let surviving = per_call_transfer * model.selectivity.powi(extra_filters as i32);
-            cost.calls += bindings * model.call_weight(lit.atom.predicate.name);
-            cost.tuples += bindings * per_call_transfer;
-            bindings *= surviving.max(0.0);
+            Some((pattern.num_inputs(), bound_positions))
+        } else if bound_positions != lit.atom.args.len() || decl.patterns.is_empty() {
+            return None; // unbound negation: not executable
         } else {
-            if bound_positions != lit.atom.args.len() || decl.patterns.is_empty() {
-                return None; // unbound negation: not executable
-            }
-            cost.calls += bindings * model.call_weight(lit.atom.predicate.name);
-            // Membership probes transfer at most the matching row(s).
-            cost.tuples += bindings;
-            bindings *= 0.5;
-        }
+            None
+        };
+        let (step, next) = literal_step(model, bindings, relation, access);
+        cost.calls += step.calls;
+        cost.tuples += step.tuples;
+        bindings = next;
         bound.extend(lit.vars());
     }
     Some(cost)
+}
+
+/// One literal of the walk [`estimate_cost`] and `explain`'s annotation
+/// (`lower.rs`) share: `bindings` flow into a call on `relation` through
+/// `access = (input slots, bound positions)`, or into a membership probe
+/// (`None`). Returns the literal's cost and the bindings that flow on.
+pub(crate) fn literal_step(
+    model: &CostModel,
+    bindings: f64,
+    relation: Symbol,
+    access: Option<(usize, usize)>,
+) -> (PlanCost, f64) {
+    let calls = bindings * model.call_weight(relation);
+    let Some((inputs, bound_positions)) = access else {
+        // A probe transfers at most the matching row(s) and keeps half.
+        return (PlanCost { calls, tuples: bindings }, bindings * 0.5);
+    };
+    let per_call_transfer =
+        (model.extent(relation) * model.selectivity.powi(inputs as i32)).max(0.0);
+    // Client-side filtering on bound outputs / repeated vars.
+    let extra_filters = bound_positions.saturating_sub(inputs);
+    let surviving = per_call_transfer * model.selectivity.powi(extra_filters as i32);
+    (PlanCost { calls, tuples: bindings * per_call_transfer }, bindings * surviving.max(0.0))
 }
 
 #[cfg(test)]

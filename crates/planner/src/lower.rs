@@ -2,11 +2,12 @@
 //! per-operator [`OpCost`] estimates.
 //!
 //! [`lower`] is the planner's counterpart of [`lap_core::lower_pair`]: the
-//! same total lowering pass, followed by an annotation walk that mirrors
-//! [`estimate_cost`](crate::estimate_cost) operator by operator — each
-//! access/join operator is charged one call per expected incoming binding
-//! and `extent × selectivity^inputs` transferred tuples per call, each
-//! negation one membership probe per binding. The final projection carries
+//! same total lowering pass, followed by an annotation walk that charges
+//! each operator what [`estimate_cost`](crate::estimate_cost) charges its
+//! literal, through the same step function — each access/join operator
+//! one call per expected incoming binding and `extent × selectivity^inputs`
+//! transferred tuples per call, each negation one membership probe per
+//! binding. The final projection carries
 //! the pipeline totals, so the root of the printed tree reads as the
 //! whole-plan estimate.
 //!
@@ -15,7 +16,7 @@
 //! would be meaningless, and such plans only exist to raise their error
 //! lazily.
 
-use crate::cost::CostModel;
+use crate::cost::{literal_step, CostModel};
 use lap_core::{PhysicalPair, PlanPair};
 use lap_engine::{ArgSource, OpCost, PhysOp, PhysicalPlan};
 use lap_ir::{Schema, Var};
@@ -53,11 +54,7 @@ pub fn lower(
 fn annotate_plan(plan: &mut PhysicalPlan, model: &CostModel, slot: CostSlot) {
     let mut bound: HashSet<Var> = HashSet::new();
     let mut bindings = 1.0f64;
-    let mut total = OpCost {
-        calls: 0.0,
-        tuples: 0.0,
-        batches: 0.0,
-    };
+    let mut total = OpCost { calls: 0.0, tuples: 0.0, batches: 0.0 };
     // Batch windows an operator sees: its incoming bindings over the
     // vectorized executor's width, never less than one window.
     let windows = |bindings: f64| (bindings / model.batch_width).ceil().max(1.0);
@@ -68,48 +65,37 @@ fn annotate_plan(plan: &mut PhysicalPlan, model: &CostModel, slot: CostSlot) {
         ArgSource::Slot(s) => bound.contains(&slots[*s]),
     };
     for op in &mut plan.ops {
-        let cost = match &*op {
+        // The operator's literal: its relation and, for a call, (input
+        // slots, bound positions); `None` for the projection.
+        let literal = match &*op {
             PhysOp::Access(a) | PhysOp::BindJoin(a) => {
                 let Some(pattern) = a.pattern else { return };
                 let bound_positions =
                     a.args.iter().filter(|arg| arg_bound(arg, &bound)).count();
-                let per_call_transfer = (model.extent(a.relation)
-                    * model.selectivity.powi(pattern.num_inputs() as i32))
-                .max(0.0);
-                let extra_filters = bound_positions.saturating_sub(pattern.num_inputs());
-                let surviving =
-                    per_call_transfer * model.selectivity.powi(extra_filters as i32);
-                let weighted_calls = bindings * model.call_weight(a.relation);
-                let cost = OpCost {
-                    calls: weighted_calls,
-                    tuples: bindings * per_call_transfer,
-                    batches: windows(bindings),
-                };
-                total.calls += weighted_calls;
-                total.tuples += bindings * per_call_transfer;
-                total.batches += cost.batches;
-                bindings *= surviving.max(0.0);
                 bound.extend(a.bound_after.iter().copied());
-                cost
+                Some((a.relation, Some((pattern.num_inputs(), bound_positions))))
             }
             PhysOp::NegFilter(n) => {
                 if !n.unbound.is_empty() {
                     return;
                 }
-                let weighted_calls = bindings * model.call_weight(n.relation);
-                let cost = OpCost {
-                    calls: weighted_calls,
-                    tuples: bindings,
-                    batches: windows(bindings),
-                };
-                total.calls += weighted_calls;
-                total.tuples += bindings;
-                total.batches += cost.batches;
-                bindings *= 0.5;
                 bound.extend(n.bound_after.iter().copied());
+                Some((n.relation, None))
+            }
+            PhysOp::Project(_) => None,
+        };
+        let cost = match literal {
+            Some((relation, access)) => {
+                let (step, next) = literal_step(model, bindings, relation, access);
+                let batches = windows(bindings);
+                let cost = OpCost { calls: step.calls, tuples: step.tuples, batches };
+                total.calls += cost.calls;
+                total.tuples += cost.tuples;
+                total.batches += cost.batches;
+                bindings = next;
                 cost
             }
-            PhysOp::Project(_) => total,
+            None => total,
         };
         match slot {
             CostSlot::Static => *op.cost_mut() = Some(cost),

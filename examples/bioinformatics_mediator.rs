@@ -8,9 +8,10 @@
 //! cargo run --example bioinformatics_mediator
 //! ```
 
-use lap::core::{answer_star, answer_star_with_domain, feasible_detailed};
+use lap::core::{answer_star_opts, feasible_detailed, AnswerOptions};
 use lap::engine::{display_tuple, Database};
 use lap::ir::parse_program;
+use lap::obs::Recorder;
 
 fn main() {
     // Global view: subjects with an abnormal structure measurement.
@@ -65,7 +66,13 @@ fn main() {
     )
     .expect("facts parse");
 
-    let rep = answer_star(query, &program.schema, &db).expect("plans run");
+    // One ANSWER* run, with its dom(x) refinement phase on: the genotype
+    // branch is blocked behind Genotype^ii, and domain enumeration can
+    // partially recover it.
+    let quiet = Recorder::disabled();
+    let opts = AnswerOptions { domain: Some(10_000), ..AnswerOptions::new(&quiet) };
+    let outcome = answer_star_opts(query, &program.schema, &db, &opts).expect("plans run");
+    let rep = &outcome.report;
     println!("\nruntime answers (certain):");
     for t in &rep.under {
         println!("  {}", display_tuple(t));
@@ -77,15 +84,12 @@ fn main() {
     println!("completeness: {:?}", rep.completeness);
     println!("source usage: {}", rep.stats);
 
-    // The genotype branch is blocked behind Genotype^ii; domain enumeration
-    // can partially recover it.
-    let improved =
-        answer_star_with_domain(query, &program.schema, &db, 10_000).expect("plans run");
+    let improved = outcome.refinement.as_ref().expect("a refined run");
     println!(
         "\nwith dom(x) views: {} certain answers (was {}), {} domain calls, fixpoint: {}",
-        improved.improved_under.len(),
-        improved.base.under.len(),
-        improved.domain_calls,
-        improved.domain_complete,
+        improved.under.len(),
+        rep.under.len(),
+        improved.calls,
+        improved.fixpoint,
     );
 }

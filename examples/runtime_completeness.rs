@@ -6,9 +6,10 @@
 //! cargo run --example runtime_completeness
 //! ```
 
-use lap::core::{answer_star, answer_star_with_domain, plan_star, Completeness};
+use lap::core::{answer_star, answer_star_opts, plan_star, AnswerOptions, Completeness};
 use lap::engine::{display_tuple, Database};
 use lap::ir::parse_program;
+use lap::obs::Recorder;
 
 const PROGRAM: &str = "S^o. R^oo. B^ii. T^oo.\n\
                        Q(x, y) :- not S(z), R(x, z), B(x, y).\n\
@@ -88,15 +89,17 @@ fn main() {
     // Example 8: improve the underestimate with dom(x) views.
     println!("\nExample 8 — domain enumeration:");
     let db = Database::from_facts("R(1, 2). S(3). B(1, 2). T(5, 6).").expect("facts parse");
-    let rep =
-        answer_star_with_domain(query, &program.schema, &db, 10_000).expect("plans run");
-    let base: Vec<String> = rep.base.under.iter().map(|t| display_tuple(t)).collect();
-    let improved: Vec<String> = rep.improved_under.iter().map(|t| display_tuple(t)).collect();
+    let quiet = Recorder::disabled();
+    let opts = AnswerOptions { domain: Some(10_000), ..AnswerOptions::new(&quiet) };
+    let outcome = answer_star_opts(query, &program.schema, &db, &opts).expect("plans run");
+    let refinement = outcome.refinement.expect("a refined run");
+    let base: Vec<String> = outcome.report.under.iter().map(|t| display_tuple(t)).collect();
+    let improved: Vec<String> = refinement.under.iter().map(|t| display_tuple(t)).collect();
     println!("  plain ans_u     = {{{}}}", base.join(", "));
     println!(
         "  improved ans_u  = {{{}}} ({} domain calls, fixpoint reached: {})",
         improved.join(", "),
-        rep.domain_calls,
-        rep.domain_complete
+        refinement.calls,
+        refinement.fixpoint
     );
 }

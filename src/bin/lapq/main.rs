@@ -4,9 +4,11 @@
 //! invocation prints. Under seeded fault injection (`--fault-rate` and the
 //! other resilience flags) sources fail with probability p, calls are
 //! retried with backoff, and disjuncts whose source stays down are dropped
-//! and reported. `--domain` (dom(x) refinement) is refused together with a
-//! resilience flag. `query-daemon` runs the query on a `lapd` daemon, with
-//! output byte-identical to `lapq run`.
+//! and reported. `--domain <budget>` adds ANSWER\*'s dom(x) refinement
+//! phase; it composes with the resilience flags and with `--journal` /
+//! `lapq replay`. `query-daemon` runs the query on a `lapd` daemon, with
+//! output byte-identical to `lapq run`; it refuses `--domain` and
+//! `--feedback`, which a daemon request cannot carry.
 //!
 //! Every command additionally accepts `--trace` (print the span tree and
 //! metric counters to stderr when done) and `--metrics-json <file>` (write
@@ -28,9 +30,9 @@ mod cli;
 
 use cli::CliArgs;
 use lap::core::{
-    answer_star_opts, answer_star_with_domain, is_executable, is_orderable,
-    render_answer_report, render_outcome, AnswerOptions, CompileOptions, ContainmentEngine,
-    DecisionPath, EngineConfig, PreparedQuery,
+    answer_star_opts, is_executable, is_orderable, render_answer_report, render_outcome,
+    render_refinement, AnswerOptions, CompileOptions, ContainmentEngine, DecisionPath,
+    EngineConfig, PreparedQuery,
 };
 use lap::engine::{
     display_tuple, Database, ExecConfig, ReplaySource, ResilienceConfig, RetryPolicy,
@@ -448,14 +450,6 @@ fn run_query(cmd: &str, args: &CliArgs, recorder: &Recorder) -> Result<(), Strin
     let facts_path = args.require(2, &format!("{cmd} needs a facts file"))?;
     let domain = args.value_u64("--domain")?;
     let feedback = feedback_from_args(args)?;
-    // The refinement is a separate fault-free run that the resilient
-    // path never reaches; refuse rather than drop `--domain` silently.
-    if domain.is_some() && resilience.is_some() {
-        return Err("--domain cannot be combined with a resilience flag (--fault-rate, \
-                    --fault-seed, --latency-ms, --timeout-ms, --retry, --retry-budget-ms, \
-                    --io-workers): dom(x) refinement does not run under resilient execution"
-            .to_owned());
-    }
     let text = std::fs::read_to_string(program_path)
         .map_err(|e| format!("cannot read {program_path}: {e}"))?;
     let program = {
@@ -479,7 +473,8 @@ fn run_query(cmd: &str, args: &CliArgs, recorder: &Recorder) -> Result<(), Strin
             let pair = lap::core::plan_star(query, &program.schema);
             optimize_plan_pair(&pair, &program.schema, cal, Strategy::Exhaustive)
         });
-        let opts = AnswerOptions { recorder, exec: cfg, resilience, plans: planned.as_ref() };
+        let opts =
+            AnswerOptions { recorder, exec: cfg, resilience, plans: planned.as_ref(), domain };
         let outcome = answer_star_opts(query, &program.schema, &db, &opts)
             .map_err(|e| format!("evaluating {}: {e}", query.signature.0))?;
         // Printed by the renderer `replay` and the daemon share, so the
@@ -495,24 +490,7 @@ fn run_query(cmd: &str, args: &CliArgs, recorder: &Recorder) -> Result<(), Strin
                 let engine = ContainmentEngine::with_recorder(EngineConfig::default(), recorder);
                 compile(query, &program, recorder, Some(&engine));
             }
-            if let Some(budget) = domain {
-                let imp = answer_star_with_domain(query, &program.schema, &db, budget)
-                    .map_err(|e| format!("domain refinement: {e}"))?;
-                let extra: Vec<String> = imp
-                    .improved_under
-                    .difference(&imp.base.under)
-                    .map(|t| display_tuple(t))
-                    .collect();
-                println!(
-                    "  -- dom(x) refinement recovered {} extra certain answer(s){}{} ({} calls, fixpoint: {})",
-                    extra.len(),
-                    if extra.is_empty() { "" } else { ": " },
-                    extra.join(", "),
-                    imp.domain_calls,
-                    imp.domain_complete,
-                );
-            }
-            println!();
+            println!("{}", render_refinement(&outcome));
         }
         // `lapq profile`: the run's block, then what each operator of both
         // plans did to produce it.
@@ -550,6 +528,13 @@ fn query_daemon(
     addr: &str,
     args: &CliArgs,
 ) -> Result<(), String> {
+    // A request carries the executor and resilience options only; refuse
+    // rather than answer something `lapq run` with the same flags would not.
+    for flag in ["--domain", "--feedback"] {
+        if args.value(flag).is_some() {
+            return Err(format!("query-daemon cannot forward {flag} to the daemon"));
+        }
+    }
     let program = std::fs::read_to_string(program_path)
         .map_err(|e| format!("cannot read {program_path}: {e}"))?;
     let facts = std::fs::read_to_string(facts_path)
@@ -768,7 +753,7 @@ fn replay_cmd(path: &str, recorder: &Recorder) -> Result<(), String> {
     // Replay honors the recorded `io_workers`, `batch_width`, and
     // `columnar` executor choice so the overlapped virtual clock, the
     // batch windows, and therefore the rendered outcome reproduce byte for
-    // byte.
+    // byte; a refined run's `domain` budget re-runs its refinement phase.
     let io_workers = snap
         .meta
         .get("io_workers")
@@ -781,9 +766,11 @@ fn replay_cmd(path: &str, recorder: &Recorder) -> Result<(), String> {
     if let Some(Json::Bool(columnar)) = snap.meta.get("columnar") {
         cfg.columnar = *columnar;
     }
+    let domain = snap.meta.get("domain").and_then(Json::as_u64);
     let source = ReplaySource::from_journal(&snap).map_err(|e| format!("{path}: {e}"))?;
     let resilience = ResilienceConfig { fault: None, retry };
-    let opts = AnswerOptions { recorder, exec: cfg, resilience: Some(&resilience), plans: None };
+    let opts =
+        AnswerOptions { recorder, exec: cfg, resilience: Some(&resilience), plans: None, domain };
     for query in &program.queries {
         println!("query {}:", query.signature.0);
         let outcome = answer_star_opts(query, &program.schema, source.clone(), &opts)

@@ -123,24 +123,51 @@ fn unrunnable_input_exits_1_with_a_named_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Regression: `--domain` used to be dropped without a word under any
-/// resilience flag (the resilient path printed its outcome and skipped the
-/// refinement, exit 0). The combination is now refused by name.
+/// `--domain` composes with the resilience flags and the journal: the
+/// refinement runs as ANSWER*'s last phase, fault-free and under faults,
+/// on the library, `lapq run` and replay paths.
 #[test]
-fn domain_with_a_resilience_flag_is_refused() {
-    let out = lapq(&[
-        "run",
-        "examples/data/bookstore.lap",
-        "examples/data/bookstore_facts.lap",
-        "--domain",
-        "5",
-        "--io-workers",
-        "2",
-    ]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
-    let err = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(err.contains("--domain cannot be combined with a resilience flag"), "{err}");
+fn domain_refinement_runs_under_resilience_and_replays() {
+    let tally = check_rows(&mut Lab::default(), Home::DomainRefinement);
+    assert_eq!(tally.faulted, 1, "rate 0.4 must fault the resilient row's calls");
+}
+
+/// Regression: a program that declares its own `_dom` relation used to
+/// fail `--domain` with an arity mismatch (the refinement inserted unary
+/// `_dom` rows into a copy of the instance).
+#[test]
+fn domain_refinement_leaves_a_programs_own_dom_relation_alone() {
+    let scratch = Scratch::new();
+    let (program, facts) = (scratch.file("dom.lap"), scratch.file("dom_facts.lap"));
+    std::fs::write(&program, "_dom^oo. B^ii. C^o.\nQ(x) :- C(x), B(x, y), _dom(x, y).\n").unwrap();
+    std::fs::write(&facts, "C(1). C(2). B(1, 5). _dom(1, 5). _dom(2, 7).\n").unwrap();
+    let plain = lapq(&["run", &program, &facts]);
+    let refined = lapq(&["run", &program, &facts, "--domain", "100"]);
+    assert!(plain.status.success() && refined.status.success());
+    let (plain, refined) = (stdout(&plain), stdout(&refined));
+    let block = plain.strip_suffix('\n').expect("a blank line ends the block");
+    assert!(refined.starts_with(block), "{refined}");
+    assert!(refined.contains("-- dom(x) refinement recovered 0 extra"), "{refined}");
+}
+
+/// `query-daemon` cannot ship `--domain` or `--feedback` in a request, so
+/// it refuses them by name instead of answering without them.
+#[test]
+fn query_daemon_refuses_flags_it_cannot_forward() {
+    for (flag, value) in [("--domain", "5"), ("--feedback", "profile.json")] {
+        let out = lapq(&[
+            "query-daemon",
+            "examples/data/bookstore.lap",
+            "examples/data/bookstore_facts.lap",
+            "--addr",
+            "127.0.0.1:9",
+            flag,
+            value,
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(err.contains(&format!("query-daemon cannot forward {flag}")), "{err}");
+    }
 }
 
 /// Every subcommand `lapq` dispatches on.

@@ -1,8 +1,9 @@
 //! The contract table: every determinism and soundness contract of `lap`,
 //! checked row by row under the tier-1 `cargo test`.
 //!
-//! A row is `(corpus, ExecConfig, Wire, Path)`. [`table`] lists one entry
-//! per `(corpus, ExecConfig, Wire)` with the paths it runs on and its
+//! A row is `(corpus, ExecConfig, Wire, domain budget, Path)`. [`table`]
+//! lists one entry per `(corpus, ExecConfig, Wire, domain budget)` with the
+//! paths it runs on and its
 //! [`Home`]: the one test that checks it, through [`check_rows`]. The
 //! suites that own rows (`contracts.rs`, `chaos.rs`, `cli.rs`, `daemon.rs`,
 //! `executor_differential.rs`, `flight_recorder.rs`) include this module
@@ -53,6 +54,10 @@
 //!   operator tables; with nothing dropped their `Access`/`BindJoin` calls
 //!   sum to the stats line's and their `NegFilter` calls to
 //!   `source.membership`; its journal replays;
+//! * **refinement is sound** — a row with a `dom(x)` budget
+//!   (`--domain`) satisfies `ansᵤ ⊆ improved ⊆ Q(D)`, leaves the report as
+//!   the row without it has it, journals its budget so replay refines too,
+//!   and its metrics count the enumeration calls on top of the stats line;
 //! * **pinned bytes** — [`PINNED`], 24 journal/outcome digests of the
 //!   60-book bookstore ([`check_pins`]). A deliberate journal or renderer
 //!   change re-pins here: the failure prints the whole replacement table.
@@ -77,7 +82,7 @@
 
 use lap::core::{
     answer_star, answer_star_obs_cfg, answer_star_opts, answer_star_resilient_cfg,
-    answer_star_with_domain, render_answer_report, render_outcome, AnswerOptions, AnswerOutcome,
+    render_answer_report, render_outcome, render_refinement, AnswerOptions, AnswerOutcome,
     AnswerReport, CompileOptions, Completeness, ContainmentEngine, PreparedQuery,
 };
 use lap::daemon::{DaemonConfig, Server};
@@ -206,6 +211,7 @@ pub enum Home {
     TotalOutage,
     RecordedRun,
     OverlappedRun,
+    DomainRefinement,
     // daemon.rs
     DaemonBytes,
     CacheHit,
@@ -223,6 +229,8 @@ pub struct Row {
     corpus: Corpus,
     exec: ExecConfig,
     wire: Wire,
+    /// The `dom(x)` refinement budget (`--domain`), if the row refines.
+    domain: Option<u64>,
     paths: &'static [Path],
 }
 
@@ -277,7 +285,7 @@ pub fn table() -> Vec<(Home, Row)> {
     let flags = |rate, seed, latency_ms, retry| Flags { rate, seed, latency_ms, retry };
     let mut rows = Vec::new();
     let mut add = |home, corpus, exec, wire, paths: &'static [Path]| {
-        rows.push((home, Row { corpus, exec, wire, paths }));
+        rows.push((home, Row { corpus, exec, wire, domain: None, paths }));
     };
 
     // The byte-pin grid, on both executors.
@@ -347,13 +355,20 @@ pub fn table() -> Vec<(Home, Row)> {
             add(Home::BatchWidthFaults, Generated(case), cfg(width, 1), Grid(0.3), &[Lib]);
         }
     }
+
+    // Example 8's refinement, fault-free and under the recorded-run profile.
+    for wire in [Plain, flags(0.4, 11, 5, 3)] {
+        let paths = &[Lib, Cli, Replay];
+        let row = Row { corpus: example4, exec: d, wire, domain: Some(1_000), paths };
+        rows.push((Home::DomainRefinement, row));
+    }
     rows
 }
 
 impl Row {
     /// A row outside [`table`]: a reference run, or one a check drives itself.
     pub fn of(corpus: Corpus, exec: ExecConfig, wire: Wire) -> Row {
-        Row { corpus, exec, wire, paths: &[] }
+        Row { corpus, exec, wire, domain: None, paths: &[] }
     }
 
     fn with_exec(self, exec: ExecConfig) -> Row {
@@ -372,7 +387,7 @@ impl Row {
 
     /// The row up to its paths: what its library run depends on.
     fn key(&self) -> String {
-        format!("{:?} {:?} {:?}", self.corpus, self.exec, self.wire)
+        format!("{:?} {:?} {:?} {:?}", self.corpus, self.exec, self.wire, self.domain)
     }
 
     /// The row as a daemon request's options (and `lapq` flags).
@@ -497,8 +512,8 @@ pub struct Run {
 fn lib_run(inst: &Instance, row: &Row, tier: JournalConfig) -> Result<Run, EngineError> {
     let (exec, resilience) = row.config();
     let recorder = Recorder::with_journal(tier);
-    let opts =
-        AnswerOptions { recorder: &recorder, exec, resilience: resilience.as_ref(), plans: None };
+    let (resilience, domain) = (resilience.as_ref(), row.domain);
+    let opts = AnswerOptions { exec, resilience, domain, ..AnswerOptions::new(&recorder) };
     let query = inst.program.single_query().unwrap();
     let outcome = answer_star_opts(query, &inst.program.schema, &inst.db, &opts)?;
     Ok(Run { outcome, journal: recorder.journal().unwrap().snapshot() })
@@ -713,6 +728,15 @@ fn check_lib(lab: &mut Lab, row: &Row) {
         let mut drops = out.degradation.under.iter().chain(&out.degradation.over);
         assert!(drops.all(|d| d.attempts == res.retry.max_attempts), "{row:?}: gave up early");
     }
+    assert_eq!(out.refinement.is_some(), row.domain.is_some(), "{row:?}: refinement");
+    if let Some(refinement) = &out.refinement {
+        assert!(got.under.is_subset(&refinement.under), "{row:?}: refinement lost ansᵤ");
+        let oracle = eval_oracle(inst.program.single_query().unwrap(), &inst.db).unwrap();
+        assert!(refinement.under.is_subset(&oracle), "{row:?}: refinement invents answers");
+        if fault.is_none() {
+            assert!(refinement.fixpoint, "{row:?}: a fault-free enumeration was cut short");
+        }
+    }
 }
 
 /// `PreparedQuery` and the one-shot presets are `answer_star_opts` under
@@ -733,6 +757,7 @@ fn check_prepared(lab: &mut Lab, row: &Row) {
         retries: 0,
         failures: 0,
         virtual_ms: 0,
+        refinement: None,
     };
     for name in ["one-shot preset", "PreparedQuery"] {
         let recorder = Recorder::with_journal(row.tier());
@@ -760,8 +785,10 @@ fn check_prepared(lab: &mut Lab, row: &Row) {
         let exact = feasible && !report.plans.over.has_null();
         let best = if exact { &report.over } else { &report.under };
         assert_eq!(&prepared.execute_best(db).unwrap(), best, "{row:?}");
-        let improved = answer_star_with_domain(query, schema, db, 1_000).unwrap();
-        assert_eq!(&improved.base, report, "{row:?}");
+        let quiet = Recorder::disabled();
+        let refining = AnswerOptions { domain: Some(1_000), ..AnswerOptions::new(&quiet) };
+        let refined = answer_star_opts(query, schema, db, &refining).unwrap();
+        assert_eq!(&refined.report, report, "{row:?}: the refinement moved the report");
     }
 }
 
@@ -779,7 +806,12 @@ fn check_replay(lab: &mut Lab, row: &Row) {
     let retry = resilience.map_or_else(RetryPolicy::default, |r| r.retry);
     let retry_only = ResilienceConfig { fault: None, retry };
     let quiet = Recorder::disabled();
-    let opts = AnswerOptions { recorder: &quiet, exec, resilience: Some(&retry_only), plans: None };
+    let opts = AnswerOptions {
+        exec,
+        resilience: Some(&retry_only),
+        domain: row.domain,
+        ..AnswerOptions::new(&quiet)
+    };
     let query = inst.program.single_query().unwrap();
     let replayed = answer_star_opts(query, &inst.program.schema, source.clone(), &opts).unwrap();
     assert_eq!(replayed, run.outcome, "{row:?}: replay differs");
@@ -794,7 +826,10 @@ fn one_shot_text(lab: &mut Lab, row: &Row) -> String {
     let signature = lab.instance(row.corpus).program.single_query().unwrap().signature.0;
     let body = match row.config().1 {
         Some(_) => render_outcome(&run.outcome),
-        None => format!("{}\n", render_answer_report(&run.outcome.report)),
+        None => {
+            let report = render_answer_report(&run.outcome.report);
+            format!("{report}{}\n", render_refinement(&run.outcome))
+        }
     };
     format!("query {signature}:\n{body}")
 }
@@ -817,13 +852,22 @@ fn check_cli(lab: &mut Lab, row: &Row, files: &RowFiles) {
         let validated = lapq(["obs-validate", file]);
         assert!(validated.contains(shape), "{row:?}: {validated}");
     }
+    // The stats lines; a refinement line's `(N calls, …` does not parse.
     let reported = text
         .lines()
         .filter_map(|line| line.strip_prefix("  -- ")?.split_once(" calls, "))
-        .map(|(calls, _)| calls.parse::<u64>().unwrap())
+        .filter_map(|(calls, _)| calls.parse::<u64>().ok())
         .sum();
-    let calls = counter(&metrics, "source.calls");
-    assert_eq!(calls, Some(reported), "{row:?}: source.calls differs from the stats lines");
+    let calls = counter(&metrics, "source.calls").unwrap();
+    match &lab.run(row).outcome.refinement {
+        None => assert_eq!(calls, reported, "{row:?}: source.calls differs from the stats lines"),
+        // Enumeration, then the re-admitted disjuncts' own calls.
+        Some(refinement) => assert!(
+            calls >= reported + refinement.calls,
+            "{row:?}: source.calls {calls} misses the enumeration's {} calls",
+            refinement.calls
+        ),
+    }
     assert!(lapq(["report", &journal]).contains("sources:"), "{row:?}");
     if row.config().1.is_some() {
         assert_eq!(lapq(["replay", &journal]), text, "{row:?}: lapq replay differs from the run");
@@ -859,8 +903,12 @@ fn check_cli_profile(lab: &mut Lab, row: &Row, files: &RowFiles, text: &str, rep
             }
         }
         assert_eq!(calls, reported, "{row:?}: the tables' calls differ from the stats lines");
-        let membership = counter(&metrics, "source.membership");
-        assert_eq!(Some(probes), membership, "{row:?}: the NegFilter calls are not the probes");
+        let membership = counter(&metrics, "source.membership").unwrap();
+        match row.domain {
+            None => assert_eq!(probes, membership, "{row:?}: the NegFilter calls are not the probes"),
+            // A refinement probes outside both tables.
+            Some(_) => assert!(membership >= probes, "{row:?}: fewer probes than NegFilter calls"),
+        }
     }
     let signature = lab.instance(row.corpus).program.single_query().unwrap().signature.0;
     let replayed = format!("query {signature}:\n{}", render_outcome(&run.outcome));
@@ -997,6 +1045,7 @@ fn with_flags(head: &[&str], row: &Row) -> Vec<String> {
     flag("--fault-seed", options.fault_seed.map(|n| n.to_string()));
     flag("--latency-ms", options.latency_ms.map(|n| n.to_string()));
     flag("--retry", options.retry.map(|n| n.to_string()));
+    flag("--domain", row.domain.map(|n| n.to_string()));
     args
 }
 

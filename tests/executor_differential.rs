@@ -17,12 +17,13 @@ mod common;
 mod contract_table;
 
 use contract_table::{check_rows, Home, Lab};
-use lap::core::{answer_star_with_domain, plan_star};
+use lap::core::{answer_star_opts, plan_star, AnswerOptions};
 use lap::engine::{
     eval_oracle, eval_ordered_union_tuple, execute_physical_union, lower_union, Database,
     EngineError, ExecConfig, SourceRegistry, Tuple,
 };
 use lap::ir::{ConjunctiveQuery, Schema, Var};
+use lap::obs::Recorder;
 use lap::workload::{
     families, gen_instance, gen_query, gen_schema, InstanceConfig, QueryConfig, SchemaConfig,
 };
@@ -178,16 +179,19 @@ fn domain_refinement_through_physical_executor_stays_sound() {
             &mut rng,
         );
         let db = gen_instance(&schema, &InstanceConfig::default(), &mut rng);
-        let Ok(rep) = answer_star_with_domain(&q, &schema, &db, 10_000) else {
+        let quiet = Recorder::disabled();
+        let opts = AnswerOptions { domain: Some(10_000), ..AnswerOptions::new(&quiet) };
+        let Ok(outcome) = answer_star_opts(&q, &schema, &db, &opts) else {
             continue;
         };
+        let refined = outcome.refinement.expect("a refined run").under;
         let oracle = eval_oracle(&q, &db).unwrap();
         assert!(
-            rep.base.under.is_subset(&rep.improved_under),
+            outcome.report.under.is_subset(&refined),
             "case {case}: refinement lost certain answers: {q}"
         );
         assert!(
-            rep.improved_under.is_subset(&oracle),
+            refined.is_subset(&oracle),
             "case {case}: refinement produced non-answers: {q}"
         );
     }

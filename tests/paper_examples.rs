@@ -7,8 +7,8 @@ mod door;
 use door::{contained, equivalent, single};
 use lap::containment::{minimize_cq, minimize_ucq};
 use lap::core::{
-    ans, answer_star, answer_star_with_domain, answerable_split, feasible, feasible_detailed,
-    is_executable, is_orderable, plan_star, Completeness, DecisionPath,
+    ans, answer_star, answer_star_opts, answerable_split, feasible, feasible_detailed,
+    is_executable, is_orderable, plan_star, AnswerOptions, Completeness, DecisionPath,
 };
 use lap::engine::{Database, SourceRegistry, Value};
 use lap::ir::{parse_program, parse_query, AccessPattern, Symbol};
@@ -192,13 +192,16 @@ fn example_8_domain_enumeration() {
     );
     let q = p.single_query().unwrap();
     let db = Database::from_facts("R(1, 2). S(3). B(1, 2). T(5, 6).").unwrap();
-    let rep = answer_star_with_domain(q, &p.schema, &db, 10_000).unwrap();
-    assert_eq!(rep.base.under.len(), 1, "plain underestimate sees only T");
-    assert!(rep.improved_under.contains(&vec![Value::int(1), Value::int(2)]));
-    assert!(rep.domain_complete);
+    let quiet = lap::obs::Recorder::disabled();
+    let opts = AnswerOptions { domain: Some(10_000), ..AnswerOptions::new(&quiet) };
+    let outcome = answer_star_opts(q, &p.schema, &db, &opts).unwrap();
+    assert_eq!(outcome.report.under.len(), 1, "plain underestimate sees only T");
+    let refinement = outcome.refinement.expect("a refined run");
+    assert!(refinement.under.contains(&vec![Value::int(1), Value::int(2)]));
+    assert!(refinement.fixpoint);
     // The improvement is sound: improved ⊆ oracle.
     let oracle = lap::engine::eval_oracle(q, &db).unwrap();
-    assert!(rep.improved_under.is_subset(&oracle));
+    assert!(refinement.under.is_subset(&oracle));
 }
 
 /// Example 9: CQ processing. CQstable minimizes to M(x) :- F(x), B(x);

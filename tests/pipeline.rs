@@ -8,8 +8,8 @@ use door::{contained, equivalent};
 use lap::constraints::{feasible_under, prune_unsatisfiable, ConstraintSet, InclusionDep};
 use lap::containment::ContainmentEngine;
 use lap::core::{
-    ans, answer_star, answer_star_with_domain, feasible_detailed, is_executable, is_orderable,
-    DecisionPath,
+    ans, answer_star, answer_star_opts, feasible_detailed, is_executable, is_orderable,
+    AnswerOptions, DecisionPath,
 };
 use lap::engine::eval_oracle;
 use lap::ir::{parse_program, Predicate};
@@ -84,9 +84,13 @@ fn full_pipeline_sweep() {
             assert_eq!(rep.under, oracle, "seed {seed}: bogus completeness claim");
         }
         // Domain refinement stays sound and monotone.
-        let imp = answer_star_with_domain(&q, &schema, &db, 50_000).expect("refinement runs");
-        assert!(imp.base.under.is_subset(&imp.improved_under), "seed {seed}");
-        assert!(imp.improved_under.is_subset(&oracle), "seed {seed}: unsound refinement");
+        let quiet = lap::obs::Recorder::disabled();
+        let opts = AnswerOptions { domain: Some(50_000), ..AnswerOptions::new(&quiet) };
+        let refined = answer_star_opts(&q, &schema, &db, &opts).expect("refinement runs");
+        assert_eq!(refined.report, rep, "seed {seed}: the refinement moved the report");
+        let improved = refined.refinement.expect("a refined run").under;
+        assert!(rep.under.is_subset(&improved), "seed {seed}");
+        assert!(improved.is_subset(&oracle), "seed {seed}: unsound refinement");
     }
 }
 
