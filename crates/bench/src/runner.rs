@@ -922,12 +922,12 @@ fn e15_mediator_pipeline() -> Table {
     t
 }
 
-/// E16 — source-side hash indexes vs scans (engine ablation): wall time to
+/// E16 — source-side indexes vs scans (engine ablation): wall time to
 /// evaluate a join-heavy executable plan as the instance grows.
 fn e16_index_ablation() -> Table {
     let mut t = Table::new(
         "E16 — source index ablation (engine substrate)",
-        "Chain join S ⋈ R ⋈ R ⋈ R through R^io over growing instances: lazily-built hash indexes vs full scans per call. Answers are identical; only the source-side lookup differs.",
+        "Chain join S ⋈ R ⋈ R ⋈ R through R^io over growing instances: each reply a range of R's sorted store, found through an index built on the first call, vs a scan of R per call that copies out the matching rows. Answers are identical; only the source-side lookup differs.",
         &["tuples in R", "indexed", "scan", "speedup"],
     );
     let program = parse_program(

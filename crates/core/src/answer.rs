@@ -295,12 +295,14 @@ pub(crate) fn run_pair(
 const DOM: &str = "dom(x)";
 
 /// The Section-4.2 refinement of `ansᵤ` (Example 8), through the run's
-/// registry. Enumerates the reachable domain, seeded with the query's
-/// constants, then re-admits every disjunct that has unanswerable
-/// literals: its answerable part, `dom(v)` for each variable those
-/// literals still need, then the literals themselves, all bound now.
-/// Only those disjuncts run; the others already answered in `ansᵤ`.
-/// `dom` is a local view of the registry, not a cloned database.
+/// registry. It re-admits every disjunct that has unanswerable literals:
+/// its answerable part, `dom(v)` for each variable those literals still
+/// need, then the literals themselves, all bound now. Only those disjuncts
+/// run; the others already answered in `ansᵤ`. Which disjuncts those are
+/// depends on the query alone, so when there are none the reachable
+/// domain is not enumerated at all (0 calls, a vacuous fixpoint);
+/// otherwise it is, seeded with the query's constants. `dom` is a local
+/// view of the registry, not a cloned database.
 fn refine(
     q: &UnionQuery,
     schema: &Schema,
@@ -310,19 +312,6 @@ fn refine(
     cfg: ExecConfig,
     on_unavailable: OnUnavailable,
 ) -> Result<Refinement, EngineError> {
-    let seed: BTreeSet<Value> = q
-        .disjuncts
-        .iter()
-        .flat_map(|cq| cq.body.iter().flat_map(|lit| lit.atom.args.iter()))
-        .filter_map(|arg| match *arg {
-            Term::Const(c) => Some(Value::from(c)),
-            Term::Var(_) => None,
-        })
-        .collect();
-    let before = reg.stats().calls;
-    let dom = enumerate_domain(reg, &seed, budget)?;
-    let calls = reg.stats().calls - before;
-
     let mut parts: Vec<(ConjunctiveQuery, Vec<Var>)> = Vec::new();
     for cq in &q.disjuncts {
         let split = crate::answerable::answerable_split(cq, schema);
@@ -339,6 +328,23 @@ fn refine(
         body.extend(split.unanswerable);
         parts.push((ConjunctiveQuery::new(cq.head.clone(), body), Vec::new()));
     }
+    if parts.is_empty() {
+        let under = under.clone();
+        return Ok(Refinement { under, fixpoint: true, calls: 0, dropped: Vec::new() });
+    }
+    let seed: BTreeSet<Value> = q
+        .disjuncts
+        .iter()
+        .flat_map(|cq| cq.body.iter().flat_map(|lit| lit.atom.args.iter()))
+        .filter_map(|arg| match *arg {
+            Term::Const(c) => Some(Value::from(c)),
+            Term::Var(_) => None,
+        })
+        .collect();
+    let before = reg.stats().calls;
+    let dom = enumerate_domain(reg, &seed, budget)?;
+    let calls = reg.stats().calls - before;
+
     let mut dom_schema = schema.clone();
     dom_schema.add_pattern_str(DOM, "o").expect("no program declares dom(x)");
     reg.serve_view(Symbol::intern(DOM), Rows::new(dom.values.iter().map(|&v| vec![v]).collect()));
@@ -464,7 +470,8 @@ pub struct Refinement {
     /// a dropped disjunct adds nothing, still a subset of the true answer.
     pub under: BTreeSet<Tuple>,
     /// Whether domain enumeration reached its fixpoint: false when the
-    /// budget ran out or a source stayed unavailable.
+    /// budget ran out or a source stayed unavailable; true when no
+    /// disjunct needed re-admitting, so nothing was enumerated.
     pub fixpoint: bool,
     /// Source calls domain enumeration made.
     pub calls: u64,

@@ -249,14 +249,6 @@ impl<V> PlanCache<V> {
         self.insert(key, value, bytes)
     }
 
-    /// Drops the entry for `key`, if resident.
-    pub fn invalidate(&self, key: &str) {
-        let mut state = self.lock();
-        if let Some(old) = state.slots.remove(key) {
-            state.bytes -= old.bytes;
-        }
-    }
-
     /// Current counter values and residency.
     pub fn stats(&self) -> PlanCacheStats {
         let state = self.lock();

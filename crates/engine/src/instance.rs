@@ -200,6 +200,29 @@ mod tests {
         assert_eq!(db, reloaded);
     }
 
+    /// `insert` keeps the store sorted, so a relation filled one tuple at a
+    /// time in any order equals the one `from_facts` sorts in one go.
+    #[test]
+    fn inserting_in_any_order_builds_the_loaded_relation() {
+        use lap_prng::{SliceRandom, StdRng};
+        let mut rng = StdRng::seed_from_u64(23);
+        let words = ["zz ins", "aa ins", "m ins"];
+        let facts: Vec<(i64, &str)> = (0..300)
+            .map(|_| (rng.gen_range(-20..20i64), *words.choose(&mut rng).expect("words")))
+            .collect();
+        let text: String = facts.iter().map(|(i, s)| format!("R({i}, \"{s}\"). ")).collect();
+        let loaded = Database::from_facts(&text).unwrap();
+        let mut shuffled = facts.clone();
+        shuffled.shuffle(&mut rng);
+        let mut inserted = Database::new();
+        for (i, s) in shuffled {
+            inserted.insert("R", vec![Value::int(i), Value::str(s)]).unwrap();
+        }
+        assert_eq!(loaded, inserted);
+        let rows: Vec<&Tuple> = inserted.relation(Symbol::intern("R")).unwrap().iter().collect();
+        assert!(rows.windows(2).all(|w| w[0] < w[1]), "sorted and deduplicated");
+    }
+
     #[test]
     fn insert_api() {
         let mut db = Database::new();

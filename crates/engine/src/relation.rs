@@ -1,35 +1,42 @@
 //! In-memory relations.
 
 use crate::error::EngineError;
-use crate::value::{Tuple, Value};
-use std::collections::BTreeSet;
+use crate::value::{Block, Rows, Tuple, Value};
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
-/// A set-semantics relation: a fixed arity and a sorted set of tuples.
+/// A set-semantics relation: a fixed arity and its tuples, sorted and
+/// deduplicated in one shared store.
 ///
-/// `BTreeSet` keeps iteration deterministic (important for reproducible
-/// experiment output) and makes membership tests logarithmic; relations in
-/// this workload are small-to-medium simulated web-service extents, not
-/// billion-row tables.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The store is sorted in [`Value`]'s order (strings by content), so
+/// iteration — and every reply's row order — is deterministic whatever
+/// order the tuples arrived in. Replies share the store instead of copying
+/// it: the in-memory transport answers a scan with one block over the
+/// whole store, and a call whose input slots are the leading columns with
+/// a range of it, since rows that agree on a prefix are adjacent.
+/// Membership is a binary search.
+#[derive(Clone)]
 pub struct Relation {
     arity: usize,
-    tuples: BTreeSet<Tuple>,
+    rows: Arc<Vec<Tuple>>,
+    /// The whole store as one reply block, built by the first scan, so
+    /// every registry over this relation probes one indexed block.
+    scan: OnceLock<Rows>,
 }
 
 impl Relation {
     /// An empty relation of the given arity.
     pub fn new(arity: usize) -> Relation {
-        Relation {
-            arity,
-            tuples: BTreeSet::new(),
-        }
+        Relation::from_tuples(arity, Vec::new())
     }
 
     /// A relation of the given arity over `tuples` (duplicates collapse),
     /// built in one sort; every tuple must already have that arity.
-    pub(crate) fn from_tuples(arity: usize, tuples: Vec<Tuple>) -> Relation {
+    pub(crate) fn from_tuples(arity: usize, mut tuples: Vec<Tuple>) -> Relation {
         debug_assert!(tuples.iter().all(|t| t.len() == arity));
-        Relation { arity, tuples: tuples.into_iter().collect() }
+        tuples.sort_unstable();
+        tuples.dedup();
+        Relation { arity, rows: Arc::new(tuples), scan: OnceLock::new() }
     }
 
     /// The relation's arity.
@@ -37,8 +44,8 @@ impl Relation {
         self.arity
     }
 
-    /// Inserts a tuple. Errors on arity mismatch; inserting a duplicate is
-    /// a no-op (set semantics).
+    /// Inserts a tuple at its place in the order. Errors on arity
+    /// mismatch; inserting a duplicate is a no-op (set semantics).
     pub fn insert(&mut self, tuple: Tuple) -> Result<(), EngineError> {
         if tuple.len() != self.arity {
             return Err(EngineError::ArityMismatch {
@@ -46,29 +53,44 @@ impl Relation {
                 found: tuple.len(),
             });
         }
-        self.tuples.insert(tuple);
+        if let Err(pos) = self.rows.binary_search(&tuple) {
+            // The scan block shares the store: drop it first, so the store
+            // is copied only if a reply still holds it.
+            self.scan.take();
+            Arc::make_mut(&mut self.rows).insert(pos, tuple);
+        }
         Ok(())
     }
 
     /// Membership test.
     pub fn contains(&self, tuple: &[Value]) -> bool {
-        // BTreeSet<Vec<Value>> lookups borrow as [Value].
-        self.tuples.contains(tuple)
+        self.rows.binary_search_by(|row| row.as_slice().cmp(tuple)).is_ok()
     }
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.rows.len()
     }
 
     /// True iff the relation holds no tuples.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.rows.is_empty()
     }
 
     /// Iterates over tuples in sorted order.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.tuples.iter()
+        self.rows.iter()
+    }
+
+    /// The sorted store every reply block of this relation is a view of
+    /// (or, for a permuted index, a copy of).
+    pub(crate) fn store(&self) -> &Arc<Vec<Tuple>> {
+        &self.rows
+    }
+
+    /// The whole relation as one shared reply block.
+    pub(crate) fn scan(&self) -> &Rows {
+        self.scan.get_or_init(|| Rows::new(Block::view(&self.rows, 0..self.rows.len(), self.arity)))
     }
 
     /// All tuples matching the given partial binding: `selection[j]` is
@@ -78,11 +100,25 @@ impl Relation {
         selection: &'a [Option<Value>],
     ) -> impl Iterator<Item = &'a Tuple> + 'a {
         debug_assert_eq!(selection.len(), self.arity);
-        self.tuples.iter().filter(move |t| {
+        self.rows.iter().filter(move |t| {
             t.iter()
                 .zip(selection.iter())
                 .all(|(v, s)| s.is_none_or(|sv| sv == *v))
         })
+    }
+}
+
+impl PartialEq for Relation {
+    fn eq(&self, other: &Relation) -> bool {
+        self.arity == other.arity && self.rows == other.rows
+    }
+}
+
+impl Eq for Relation {}
+
+impl fmt::Debug for Relation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Relation").field("arity", &self.arity).field("rows", &self.rows).finish()
     }
 }
 

@@ -16,7 +16,8 @@
 //! clock.
 //!
 //! The transport sits behind the [`Source`] trait. [`InMemorySource`] is
-//! the default (a `Database` behind lazily-built hash indexes), while
+//! the default (a `Database` whose replies are views of its relations,
+//! found through lazily-built hash indexes), while
 //! [`crate::FaultInjectingSource`] wraps any source with deterministic,
 //! seeded failures. Faulted fetches are retried under the registry's
 //! [`RetryPolicy`]; when retries are exhausted the call surfaces as
@@ -28,11 +29,15 @@ use crate::error::EngineError;
 use crate::fault::{RetryPolicy, SourceFault, SourceReply};
 use crate::instance::Database;
 use crate::stats::CallStats;
-use crate::value::{rows_to_json, value_to_json, Rows, Tuple, Value};
+use crate::physical::CodeMap;
+use crate::relation::Relation;
+use crate::value::{rows_to_json, value_to_json, Block, Rows, Tuple, Value};
 use lap_ir::{AccessPattern, Schema, Symbol};
 use lap_obs::{Counter, Histogram, InstantPayload, Journal, Json, Recorder, WireOutcome};
 use lap_prng::StdRng;
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Formats an access pattern's `i`/`o` word into a stack buffer, avoiding
 /// a heap allocation on the journal fast path.
@@ -145,10 +150,55 @@ struct WireSlot<'k> {
     start_ms: u64,
 }
 
-/// One hash index: projection of the indexed columns → the block of
-/// matching rows. The index on no column has the single key `[]`, whose
-/// block is the whole relation: the free scan.
-type ColumnIndex = HashMap<Vec<Value>, Rows>;
+/// One index of a relation on a set of input slots: the values of those
+/// slots, in column order, → the block of the rows that hold them.
+type KeyIndex = CodeMap<Box<[Value]>, Rows>;
+
+/// Orders values by their raw representation: a string by its symbol, so
+/// no comparison takes the interner's lock. Not [`Value`]'s order; only
+/// good for grouping.
+fn raw_cmp(a: &Value, b: &Value) -> Ordering {
+    match (a, b) {
+        // `Symbol`s order by interning id.
+        (Value::Str(a), Value::Str(b)) => a.cmp(b),
+        // Short of two strings, `Value`'s own order takes no lock.
+        _ => a.cmp(b),
+    }
+}
+
+/// Builds `rel`'s index on the input slots `mask`. Every block is a range
+/// of one store. On a prefix of the columns that store is the relation's
+/// own, where rows with equal inputs are already adjacent; on any other
+/// slots it is one copy of the rows, stably sorted on those slots, so each
+/// group keeps the relation's order.
+fn build_index(rel: &Relation, mask: u32) -> KeyIndex {
+    let arity = rel.arity();
+    let slots: Vec<usize> = (0..arity).filter(|&j| mask & (1 << j) != 0).collect();
+    let prefix = slots.iter().enumerate().all(|(k, &j)| k == j);
+    let store = if prefix {
+        Arc::clone(rel.store())
+    } else {
+        let rows = rel.store();
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_by(|&a, &b| {
+            let (a, b) = (&rows[a], &rows[b]);
+            let mut order = slots.iter().map(|&j| raw_cmp(&a[j], &b[j]));
+            order.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+        });
+        Arc::new(order.into_iter().map(|i| rows[i].clone()).collect())
+    };
+    let same = |a: &Tuple, b: &Tuple| slots.iter().all(|&j| a[j] == b[j]);
+    let mut index = KeyIndex::default();
+    let mut start = 0;
+    for end in 1..=store.len() {
+        if end == store.len() || !same(&store[start], &store[end]) {
+            let key = slots.iter().map(|&j| store[start][j]).collect();
+            index.insert(key, Rows::new(Block::view(&store, start..end, arity)));
+            start = end;
+        }
+    }
+    index
+}
 
 /// One remote source transport: answers a validated access-pattern call
 /// with the matching rows, or fails with a [`SourceFault`].
@@ -197,63 +247,82 @@ impl<'a> Source for Box<dyn Source + 'a> {
 
 /// The original in-memory transport: a [`Database`] behind access
 /// patterns, answering input-slot selections through lazily-built hash
-/// indexes (build once per (relation, slot set), then O(1) lookups).
-/// An index holds each bucket as a shared row block, so rows are cloned
-/// out of the database only while an index is built; a call after that is
-/// a hash lookup and a reference-count bump, whatever the bucket's size.
+/// indexes, one per (relation, set of input slots), built on its first
+/// call. Replies are views of the relation's sorted store: a scan is the
+/// whole store, a call on a prefix of the columns a range of it, and a
+/// call on other slots a range of one permuted copy, built with the
+/// index. A call after that is a lookup through a stack-held key and a
+/// reference-count bump, whatever the reply's size, and allocates
+/// nothing; a key no row holds gets one shared empty block.
 /// Never faults; virtual latency is zero.
 pub struct InMemorySource<'a> {
     db: &'a Database,
-    /// Lazily-built hash indexes keyed by (relation, indexed positions).
-    /// `None` disables indexing (every selection scans).
-    indexes: Option<HashMap<(Symbol, Vec<usize>), ColumnIndex>>,
+    /// Indexes keyed by (relation, input-slot mask). `None` disables
+    /// indexing (every selection scans).
+    indexes: Option<CodeMap<(Symbol, u32), KeyIndex>>,
+    /// The reply to a call no row matches, made by the first such call.
+    empty: Option<Rows>,
 }
 
 impl<'a> InMemorySource<'a> {
     /// An indexed in-memory source over `db`.
     pub fn new(db: &'a Database) -> InMemorySource<'a> {
-        InMemorySource { db, indexes: Some(HashMap::new()) }
+        InMemorySource { db, indexes: Some(CodeMap::default()), empty: None }
     }
 
     /// A scanning source: every selection scans the relation and copies
     /// the matching rows into a fresh block — the ablation baseline for
     /// the index experiment (E16).
     pub fn without_indexes(db: &'a Database) -> InMemorySource<'a> {
-        InMemorySource { db, indexes: None }
+        InMemorySource { db, indexes: None, empty: None }
     }
 
-    /// Number of hash indexes built so far, the free scan's (the index on
-    /// no column) included; 0 when indexing is disabled.
+    /// Number of indexes built so far; 0 when indexing is disabled. A
+    /// scan needs none: it is answered by the relation's own block.
     pub fn index_count(&self) -> usize {
         self.indexes.as_ref().map_or(0, HashMap::len)
     }
 
-    /// Answers an input-slot selection, via the hash index when enabled.
+    /// Answers an input-slot selection, via an index when enabled.
     fn select_rows(&mut self, name: Symbol, inputs: &[Option<Value>]) -> Rows {
+        let db = self.db;
         // The relation may be declared but empty/absent in this instance.
-        let Some(rel) = self.db.relation(name) else {
-            return Rows::default();
+        let Some(rel) = db.relation(name) else {
+            return self.empty();
         };
         if rel.arity() != inputs.len() {
             // Stored at another arity than the pattern's, the relation
             // cannot be selected on: its rows go out as they are, for the
             // registry to refuse.
-            return Rows::new(rel.iter().cloned().collect());
+            return Rows::clone(rel.scan());
         }
-        let Some(indexes) = &mut self.indexes else {
-            return Rows::new(rel.select(inputs).cloned().collect());
+        let indexes = match &mut self.indexes {
+            Some(indexes) if inputs.len() <= AccessPattern::MAX_ARITY => indexes,
+            // Unindexed, or wider than any pattern: scan.
+            _ => return Rows::new(rel.select(inputs).cloned().collect()),
         };
-        let positions: Vec<usize> = (0..inputs.len()).filter(|&j| inputs[j].is_some()).collect();
-        let key: Vec<Value> = inputs.iter().flatten().copied().collect();
-        let index = indexes.entry((name, positions)).or_insert_with_key(|(_, positions)| {
-            let mut buckets: HashMap<Vec<Value>, Vec<Tuple>> = HashMap::new();
-            for row in rel.iter() {
-                let key = positions.iter().map(|&j| row[j]).collect();
-                buckets.entry(key).or_default().push(row.clone());
+        let mut key = [Value::Null; AccessPattern::MAX_ARITY];
+        let (mut len, mut mask) = (0, 0u32);
+        for (j, input) in inputs.iter().enumerate() {
+            if let Some(v) = *input {
+                key[len] = v;
+                len += 1;
+                mask |= 1 << j;
             }
-            buckets.into_iter().map(|(key, rows)| (key, Rows::new(rows.into()))).collect()
-        });
-        index.get(&key).cloned().unwrap_or_default()
+        }
+        if mask == 0 {
+            return Rows::clone(rel.scan());
+        }
+        let index = indexes.entry((name, mask)).or_insert_with(|| build_index(rel, mask));
+        match index.get(&key[..len]) {
+            Some(rows) => Rows::clone(rows),
+            None => self.empty(),
+        }
+    }
+
+    /// The shared reply of a call no row matches.
+    fn empty(&mut self) -> Rows {
+        Rows::clone(self.empty.get_or_insert_with(|| Rows::new(Block::from(Vec::new()))))
     }
 }
 
@@ -1609,6 +1678,7 @@ mod tests {
 mod index_tests {
     use super::*;
     use lap_ir::Schema;
+    use std::sync::Arc;
 
     fn big_db() -> (Database, Schema) {
         let mut db = Database::new();
@@ -1656,5 +1726,89 @@ mod index_tests {
         }
         // One index for (R, [0]) serves all twenty calls.
         assert_eq!(src.index_count(), 1);
+    }
+
+    /// Seeded property: on random relations — string key columns included,
+    /// their symbols interned against content order — every input-slot
+    /// mask answers exactly what a scan does, rows in the same order, for
+    /// hits and misses alike, on a stored, an empty and an absent relation,
+    /// and on a call whose arity is not the relation's.
+    #[test]
+    fn every_mask_answers_the_scans_rows_in_the_scans_order() {
+        use lap_prng::SliceRandom;
+        let words: Vec<Value> =
+            ["zz_mask", "mm_mask", "aa_mask", "b_mask"].iter().map(|s| Value::str(s)).collect();
+        let [r, empty, absent] = ["R", "Empty", "Absent"].map(Symbol::intern);
+        let mut rng = StdRng::seed_from_u64(45);
+        for case in 0..32 {
+            let arity = rng.gen_range(1..=4usize);
+            let value = |rng: &mut StdRng| match rng.gen_range(0..3u32) {
+                0 => Value::int(rng.gen_range(0..3i64)),
+                1 => *words.choose(rng).expect("words"),
+                _ => Value::Null,
+            };
+            let mut db = Database::new();
+            db.relation_mut(r, arity).unwrap();
+            for _ in 0..rng.gen_range(1..48usize) {
+                let row = (0..arity).map(|_| value(&mut rng)).collect();
+                db.insert("R", row).unwrap();
+            }
+            db.relation_mut(empty, arity).unwrap();
+            let all = AccessPattern::parse(&"o".repeat(arity)).unwrap();
+            let mut indexed = InMemorySource::new(&db);
+            let mut scanned = InMemorySource::without_indexes(&db);
+            let stored: Vec<Tuple> = db.relation(r).unwrap().iter().cloned().collect();
+            for mask in 0..1u32 << arity {
+                for draw in 0..6 {
+                    // Half the keys come from a stored row (hits), half are
+                    // drawn (mostly misses).
+                    let from = stored.choose(&mut rng).filter(|_| draw % 2 == 0).cloned();
+                    let inputs: Vec<Option<Value>> = (0..arity)
+                        .map(|j| {
+                            let v = from.as_ref().map_or_else(|| value(&mut rng), |row| row[j]);
+                            (mask & (1 << j) != 0).then_some(v)
+                        })
+                        .collect();
+                    for name in [r, empty, absent] {
+                        let a = indexed.fetch(name, all, &inputs).unwrap().rows;
+                        let b = scanned.fetch(name, all, &inputs).unwrap().rows;
+                        assert_eq!(*a, *b, "case {case} mask {mask:b} {name} {inputs:?}");
+                    }
+                }
+            }
+            let wide = vec![None; arity + 1];
+            let a = indexed.fetch(r, all, &wide).unwrap().rows;
+            assert_eq!(*a, *scanned.fetch(r, all, &wide).unwrap().rows);
+            assert_eq!(&a[..], stored.as_slice(), "case {case}: a mismatched call gets every row");
+        }
+    }
+
+    /// A scan and a call on the leading columns read the relation's own
+    /// store; a call on other columns reads one permuted copy, shared by
+    /// all its keys. A repeated scan is one block, and misses share one.
+    #[test]
+    fn replies_are_views_of_the_relations_store() {
+        let db = Database::from_facts("R(1, 4). R(1, 3). R(2, 4). R(3, 5).").unwrap();
+        let r = Symbol::intern("R");
+        let store = db.relation(r).unwrap().store();
+        let pat = |p: &str| AccessPattern::parse(p).unwrap();
+        let mut src = InMemorySource::new(&db);
+        let mut fetch =
+            |p: &str, inputs: &[Option<Value>]| src.fetch(r, pat(p), inputs).unwrap().rows;
+        let one = Some(Value::int(1));
+        let scan = fetch("oo", &[None, None]);
+        let keyed = fetch("io", &[one, None]);
+        assert!(Arc::ptr_eq(scan.store(), store) && Arc::ptr_eq(keyed.store(), store));
+        assert_eq!(keyed[..], store[..2]);
+        assert!(Arc::ptr_eq(&scan, &fetch("oo", &[None, None])));
+
+        let four = fetch("oi", &[None, Some(Value::int(4))]);
+        let five = fetch("oi", &[None, Some(Value::int(5))]);
+        assert!(!Arc::ptr_eq(four.store(), store) && Arc::ptr_eq(four.store(), five.store()));
+        let row = |a: i64, b: i64| vec![Value::int(a), Value::int(b)];
+        assert_eq!(four[..], [row(1, 4), row(2, 4)]);
+
+        let miss = fetch("io", &[Some(Value::int(9)), None]);
+        assert!(miss.is_empty() && Arc::ptr_eq(&miss, &fetch("oi", &[None, one])));
     }
 }

@@ -5,7 +5,7 @@ use lap_ir::{Constant, Symbol};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
 
@@ -68,6 +68,8 @@ impl Ord for Value {
             (Int(a), Int(b)) => a.cmp(b),
             (Int(_), Str(_)) => Ordering::Less,
             (Str(_), Int(_)) => Ordering::Greater,
+            // One symbol per string: equal symbols skip the interner.
+            (Str(a), Str(b)) if a == b => Ordering::Equal,
             (Str(a), Str(b)) => a.as_str().cmp(b.as_str()),
         }
     }
@@ -100,6 +102,12 @@ const _: fn() = || {
 
 /// The rows of one source reply, read as a `&[Tuple]` through `Deref`.
 ///
+/// A block is a view: a contiguous range of a shared row store. An
+/// in-memory relation's replies are ranges of the relation's own sorted
+/// store (or of one permuted copy of it per input-slot set), so serving a
+/// call copies no row; a wire, replay or fault transport builds a block
+/// over rows of its own with `Block::from(Vec<Tuple>)`.
+///
 /// The block records at construction the width its rows share (`None`
 /// when ragged or empty), so the registry checks a reply's arity in O(1).
 /// It also answers a probe's verdict (`contains`): the first probe scans
@@ -110,9 +118,9 @@ const _: fn() = || {
 /// search. A matching hash is confirmed against the row, so a collision
 /// never gives a wrong verdict, and rows crafted to collide cost at most
 /// the scan the index replaced.
-#[derive(Default)]
 pub struct Block {
-    rows: Vec<Tuple>,
+    store: Arc<Vec<Tuple>>,
+    range: Range<usize>,
     width: Option<usize>,
     /// Set by the first probe, which scans instead of indexing. A hint
     /// that publishes no data (the `OnceLock` publishes the index), so
@@ -123,6 +131,25 @@ pub struct Block {
 }
 
 impl Block {
+    /// The rows `range` of `store`, every one of them `width` values long.
+    pub(crate) fn view(store: &Arc<Vec<Tuple>>, range: Range<usize>, width: usize) -> Block {
+        debug_assert!(store[range.clone()].iter().all(|row| row.len() == width));
+        let width = (!range.is_empty()).then_some(width);
+        Block::over(Arc::clone(store), range, width)
+    }
+
+    /// The rows `range` of `store`, of the shared length `width`, not yet
+    /// probed.
+    fn over(store: Arc<Vec<Tuple>>, range: Range<usize>, width: Option<usize>) -> Block {
+        Block { store, range, width, probed: AtomicBool::new(false), index: OnceLock::new() }
+    }
+
+    /// The store this block is a range of.
+    #[cfg(test)]
+    pub(crate) fn store(&self) -> &Arc<Vec<Tuple>> {
+        &self.store
+    }
+
     /// The length every row shares; `None` for ragged rows or no rows.
     pub(crate) fn width(&self) -> Option<usize> {
         self.width
@@ -130,14 +157,15 @@ impl Block {
 
     /// True iff some row equals `values`.
     pub(crate) fn contains(&self, values: &[Value]) -> bool {
+        let rows: &[Tuple] = self;
         let index = match self.index.get() {
             Some(index) => index,
             None if !self.probed.swap(true, AtomicOrdering::Relaxed) => {
-                return self.rows.iter().any(|row| row.as_slice() == values);
+                return rows.iter().any(|row| row.as_slice() == values);
             }
             None => self.index.get_or_init(|| {
                 let mut index: Vec<(u64, usize)> =
-                    self.rows.iter().enumerate().map(|(i, row)| (row_hash(row), i)).collect();
+                    rows.iter().enumerate().map(|(i, row)| (row_hash(row), i)).collect();
                 index.sort_unstable();
                 index.into_boxed_slice()
             }),
@@ -146,7 +174,7 @@ impl Block {
         index[index.partition_point(|&(h, _)| h < hash)..]
             .iter()
             .take_while(|&&(h, _)| h == hash)
-            .any(|&(_, i)| self.rows[i].as_slice() == values)
+            .any(|&(_, i)| rows[i].as_slice() == values)
     }
 }
 
@@ -160,7 +188,8 @@ fn row_hash(row: &[Value]) -> u64 {
 impl From<Vec<Tuple>> for Block {
     fn from(rows: Vec<Tuple>) -> Block {
         let width = rows.first().map(Vec::len).filter(|&w| rows.iter().all(|row| row.len() == w));
-        Block { rows, width, ..Block::default() }
+        let range = 0..rows.len();
+        Block::over(Arc::new(rows), range, width)
     }
 }
 
@@ -174,13 +203,13 @@ impl Deref for Block {
     type Target = [Tuple];
 
     fn deref(&self) -> &[Tuple] {
-        &self.rows
+        &self.store[self.range.clone()]
     }
 }
 
 impl PartialEq for Block {
     fn eq(&self, other: &Block) -> bool {
-        self.rows == other.rows
+        **self == **other
     }
 }
 
@@ -188,7 +217,7 @@ impl Eq for Block {}
 
 impl fmt::Debug for Block {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&self.rows, f)
+        fmt::Debug::fmt(&**self, f)
     }
 }
 

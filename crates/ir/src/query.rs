@@ -123,39 +123,6 @@ impl ConjunctiveQuery {
             body: self.body.iter().map(|l| subst.apply_literal(l)).collect(),
         }
     }
-
-    /// Renames the *existential* variables apart from every variable in
-    /// `avoid` (and from the query's own free variables), using `fresh` for
-    /// new names. Returns the renamed query.
-    pub fn rename_existentials_apart(
-        &self,
-        avoid: &HashSet<Var>,
-        fresh: &mut FreshVarGen,
-    ) -> ConjunctiveQuery {
-        let free: HashSet<Var> = self.free_vars().into_iter().collect();
-        let mut subst = Substitution::new();
-        for v in self.existential_vars() {
-            if avoid.contains(&v) {
-                let nv = fresh.fresh_avoiding(avoid, &free);
-                subst.insert(v, Term::Var(nv));
-            }
-        }
-        if subst.is_empty() {
-            self.clone()
-        } else {
-            self.apply(&subst)
-        }
-    }
-
-    /// Returns the same query with the body literals permuted according to
-    /// `order` (a permutation of `0..body.len()`).
-    pub fn with_body_order(&self, order: &[usize]) -> ConjunctiveQuery {
-        debug_assert_eq!(order.len(), self.body.len());
-        ConjunctiveQuery {
-            head: self.head.clone(),
-            body: order.iter().map(|&i| self.body[i].clone()).collect(),
-        }
-    }
 }
 
 impl fmt::Display for ConjunctiveQuery {

@@ -18,13 +18,6 @@ impl Substitution {
         Substitution::default()
     }
 
-    /// Builds a substitution from pairs.
-    pub fn from_pairs(pairs: impl IntoIterator<Item = (Var, Term)>) -> Substitution {
-        Substitution {
-            map: pairs.into_iter().collect(),
-        }
-    }
-
     /// Adds a binding, replacing any previous binding for `var`.
     pub fn insert(&mut self, var: Var, term: Term) {
         self.map.insert(var, term);

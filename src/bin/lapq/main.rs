@@ -31,8 +31,8 @@ mod cli;
 use cli::CliArgs;
 use lap::core::{
     answer_star_opts, is_executable, is_orderable, render_answer_report, render_outcome,
-    render_refinement, AnswerOptions, CompileOptions, ContainmentEngine, DecisionPath,
-    EngineConfig, PreparedQuery,
+    render_refinement, AnswerOptions, AnswerOutcome, CompileOptions, ContainmentEngine,
+    DecisionPath, EngineConfig, PreparedQuery,
 };
 use lap::engine::{
     display_tuple, Database, ExecConfig, ReplaySource, ResilienceConfig, RetryPolicy,
@@ -441,6 +441,18 @@ fn plan(path: &str, recorder: &Recorder) -> Result<(), String> {
     Ok(())
 }
 
+/// What `lapq run` prints for one query, through the renderers `replay`
+/// and the daemon share, so the three stay byte-identical: with resilience
+/// flags the whole outcome, resilience totals included; without them the
+/// report and the refinement line.
+fn render_run(outcome: &AnswerOutcome, resilient: bool) -> String {
+    if resilient {
+        render_outcome(outcome)
+    } else {
+        format!("{}{}\n", render_answer_report(&outcome.report), render_refinement(outcome))
+    }
+}
+
 /// `run`, its `answer` alias, and `profile`, which is `run` followed by
 /// each query's operator tables.
 fn run_query(cmd: &str, args: &CliArgs, recorder: &Recorder) -> Result<(), String> {
@@ -477,20 +489,13 @@ fn run_query(cmd: &str, args: &CliArgs, recorder: &Recorder) -> Result<(), Strin
             AnswerOptions { recorder, exec: cfg, resilience, plans: planned.as_ref(), domain };
         let outcome = answer_star_opts(query, &program.schema, &db, &opts)
             .map_err(|e| format!("evaluating {}: {e}", query.signature.0))?;
-        // Printed by the renderer `replay` and the daemon share, so the
-        // three stay byte-identical.
-        if resilience.is_some() {
-            print!("{}", render_outcome(&outcome));
-        } else {
-            print!("{}", render_answer_report(&outcome.report));
-            if recorder.metrics_enabled() {
-                // Observability run: also record the FEASIBLE decision so the
-                // exported span tree covers the whole pipeline (parse →
-                // answerable → plan* → feasible → answer*), not just ANSWER*.
-                let engine = ContainmentEngine::with_recorder(EngineConfig::default(), recorder);
-                compile(query, &program, recorder, Some(&engine));
-            }
-            println!("{}", render_refinement(&outcome));
+        print!("{}", render_run(&outcome, resilience.is_some()));
+        if resilience.is_none() && recorder.metrics_enabled() {
+            // Observability run: also record the FEASIBLE decision so the
+            // exported span tree covers the whole pipeline (parse →
+            // answerable → plan* → feasible → answer*), not just ANSWER*.
+            let engine = ContainmentEngine::with_recorder(EngineConfig::default(), recorder);
+            compile(query, &program, recorder, Some(&engine));
         }
         // `lapq profile`: the run's block, then what each operator of both
         // plans did to produce it.
@@ -767,6 +772,10 @@ fn replay_cmd(path: &str, recorder: &Recorder) -> Result<(), String> {
         cfg.columnar = *columnar;
     }
     let domain = snap.meta.get("domain").and_then(Json::as_u64);
+    // Printed as the recorded run printed it: its `kind` says whether it
+    // ran with resilience flags (a journal without one renders in full).
+    let resilient =
+        snap.meta.get("kind").and_then(Json::as_str).is_none_or(|kind| kind.contains("resilient"));
     let source = ReplaySource::from_journal(&snap).map_err(|e| format!("{path}: {e}"))?;
     let resilience = ResilienceConfig { fault: None, retry };
     let opts =
@@ -775,7 +784,7 @@ fn replay_cmd(path: &str, recorder: &Recorder) -> Result<(), String> {
         println!("query {}:", query.signature.0);
         let outcome = answer_star_opts(query, &program.schema, source.clone(), &opts)
             .map_err(|e| format!("replaying {}: {e}", query.signature.0))?;
-        print!("{}", render_outcome(&outcome));
+        print!("{}", render_run(&outcome, resilient));
     }
     if source.mismatches() > 0 || source.remaining() > 0 {
         return Err(format!(

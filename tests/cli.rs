@@ -132,6 +132,47 @@ fn domain_refinement_runs_under_resilience_and_replays() {
     assert_eq!(tally.faulted, 1, "rate 0.4 must fault the resilient row's calls");
 }
 
+/// Regression: a replay printed a `-- resilience:` line that a run
+/// recorded without resilience flags never printed. Record → replay is
+/// `cmp`-equal for a plain run and for a refined one.
+#[test]
+fn replay_of_a_plain_run_prints_what_the_run_printed() {
+    let scratch = Scratch::new();
+    let journal = scratch.file("j.json");
+    let (program, facts) = ("examples/data/example4.lap", "examples/data/example4_facts.lap");
+    for extra in [&[][..], &["--domain", "1000"][..]] {
+        let run = lapq(&[&["run", program, facts, "--journal", &journal][..], extra].concat());
+        let replay = lapq(&["replay", &journal]);
+        assert!(run.status.success() && replay.status.success(), "{extra:?}");
+        let (run, replay) = (stdout(&run), stdout(&replay));
+        assert!(!run.contains("-- resilience:"), "{run}");
+        assert_eq!(run, replay, "{extra:?}");
+    }
+}
+
+/// `--domain` enumerates nothing when no disjunct can be re-admitted: the
+/// bookstore query has no unanswerable literal, so its refinement makes
+/// no call and the run makes only the pair's.
+#[test]
+fn refinement_with_nothing_to_readmit_makes_no_call() {
+    let scratch = Scratch::new();
+    let metrics = scratch.file("m.json");
+    let (program, facts) = ("examples/data/bookstore.lap", "examples/data/bookstore_facts.lap");
+    let plain = stdout(&lapq(&["run", program, facts]));
+    let out = lapq(&["run", program, facts, "--domain", "1000", "--metrics-json", &metrics]);
+    assert!(out.status.success());
+    let refined = stdout(&out);
+    let line = "recovered 0 extra certain answer(s) (0 calls, fixpoint: true)";
+    assert!(refined.contains(line), "{refined}");
+    let stats_calls = |text: &str| {
+        text.lines().find_map(|l| l.strip_prefix("  -- ")?.split_once(" calls, ")?.0.parse().ok())
+    };
+    assert_eq!(stats_calls(&refined), stats_calls(&plain), "{refined}");
+    let snapshot = lap::obs::json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    let calls = snapshot.get("counters").and_then(|c| c.get("source.calls")?.as_u64());
+    assert_eq!(calls, stats_calls(&plain), "source.calls counts the pair's calls only");
+}
+
 /// Regression: a program that declares its own `_dom` relation used to
 /// fail `--domain` with an arity mismatch (the refinement inserted unary
 /// `_dom` rows into a copy of the instance).

@@ -1,9 +1,10 @@
 //! A source call must not copy the relation: replies are shared row
 //! blocks, so what a call allocates may depend on the query but not on how
-//! many rows the answer holds. Pinned by counting allocations — a count
+//! many rows the answer holds, and the in-memory transport's own part of a
+//! call allocates nothing. Pinned by counting allocations — a count
 //! repeats exactly where a clock does not.
 
-use lap::engine::{Database, SourceRegistry, Value};
+use lap::engine::{Database, InMemorySource, Source, SourceRegistry, Value};
 use lap::ir::{AccessPattern, Schema, Symbol};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -103,4 +104,34 @@ fn repeated_indexed_calls_allocate_the_same_at_any_size() {
         })
     };
     assert_eq!(scan(50), scan(5000));
+}
+
+/// Once an index is built, an in-memory call allocates nothing: its key
+/// is assembled on the stack, a hit is a view of the relation's store (or
+/// of the index's one permuted copy), and every miss shares one empty
+/// block. Scans, leading-column keys, other keys and misses alike.
+#[test]
+fn an_in_memory_call_allocates_nothing() {
+    let mut db = Database::new();
+    for i in 0..500 {
+        db.insert("R", vec![Value::int(i), Value::int(i % 7)]).unwrap();
+    }
+    let r = Symbol::intern("R");
+    let pattern = |p: &str| AccessPattern::parse(p).unwrap();
+    let (oo, io, oi) = (pattern("oo"), pattern("io"), pattern("oi"));
+    let mut source = InMemorySource::new(&db);
+    let calls = |source: &mut InMemorySource<'_>, i: i64| {
+        let key = |v: i64| Some(Value::int(v));
+        for (pattern, inputs) in [
+            (oo, [None, None]),
+            (io, [key(i % 600), None]),
+            (oi, [None, key(i % 9)]),
+        ] {
+            std::hint::black_box(source.fetch(r, pattern, &inputs).unwrap());
+        }
+    };
+    // The first calls build the two indexes and the shared empty block.
+    calls(&mut source, 599);
+    calls(&mut source, 8);
+    assert_eq!(blocks_allocated(|| (0..1000).for_each(|i| calls(&mut source, i))), 0);
 }
