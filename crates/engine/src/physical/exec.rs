@@ -33,8 +33,7 @@ use super::plan::{AccessOp, AccessProblem, ArgSource, NegOp, PhysOp, PhysicalPla
 use crate::error::EngineError;
 use crate::source::SourceRegistry;
 use crate::value::{Tuple, Value};
-use lap_obs::journal::kind as journal_kind;
-use lap_obs::Json;
+use lap_obs::{Degraded, Event};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 
@@ -307,16 +306,9 @@ impl<'p> PlanExec<'p> {
         let plan = self.plan;
         self.profiles[i].batches += 1;
         self.profiles[i].rows_in += batch.len() as u64;
-        let journaled = reg.journal_enabled();
-        if journaled {
-            reg.journal_emit(
-                journal_kind::BATCH_BEGIN,
-                Json::obj([
-                    ("label", Json::str(self.profiles[i].op.as_str())),
-                    ("rows_in", Json::num(batch.len() as u64)),
-                ]),
-            );
-        }
+        let label = self.profiles[i].op.as_str();
+        let rows_in = batch.len() as u64;
+        reg.journal_record(|names| Event::BatchBegin { label: names.intern(label), rows_in });
         let mut produced: Vec<Row> = Vec::new();
         let result = match &plan.ops[i] {
             PhysOp::Access(op) | PhysOp::BindJoin(op) => {
@@ -327,16 +319,9 @@ impl<'p> PlanExec<'p> {
         };
         // The close event is emitted even on error so begin/end pairs stay
         // balanced in the journal.
-        if journaled {
-            reg.journal_emit(
-                journal_kind::BATCH_END,
-                Json::obj([
-                    ("label", Json::str(self.profiles[i].op.as_str())),
-                    ("rows_out", Json::num(produced.len() as u64)),
-                    ("ok", Json::Bool(result.is_ok())),
-                ]),
-            );
-        }
+        let (label, rows_out) = (self.profiles[i].op.as_str(), produced.len() as u64);
+        let ok = result.is_ok();
+        reg.journal_record(|names| Event::BatchEnd { label: names.intern(label), rows_out, ok });
         result?;
         self.profiles[i].rows_out += produced.len() as u64;
         // Mid-query escape hatch: the first time an operator's cumulative
@@ -744,16 +729,9 @@ impl<'p> ColExec<'p> {
         self.profiles[i].batches += 1;
         self.profiles[i].rows_in += live as u64;
         self.profiles[i].rows_dead += dead as u64;
-        let journaled = reg.journal_enabled();
-        if journaled {
-            reg.journal_emit(
-                journal_kind::BATCH_BEGIN,
-                Json::obj([
-                    ("label", Json::str(self.profiles[i].op.as_str())),
-                    ("rows_in", Json::num(live as u64)),
-                ]),
-            );
-        }
+        let label = self.profiles[i].op.as_str();
+        let rows_in = live as u64;
+        reg.journal_record(|names| Event::BatchBegin { label: names.intern(label), rows_in });
         let dict_before = dict.counts();
         let mut produced: Vec<ColumnBatch> = Vec::new();
         let result = match &plan.ops[i] {
@@ -766,16 +744,9 @@ impl<'p> ColExec<'p> {
             PhysOp::Project(_) => unreachable!("projection is driven by the executor root"),
         };
         let produced_live: usize = produced.iter().map(ColumnBatch::live).sum();
-        if journaled {
-            reg.journal_emit(
-                journal_kind::BATCH_END,
-                Json::obj([
-                    ("label", Json::str(self.profiles[i].op.as_str())),
-                    ("rows_out", Json::num(produced_live as u64)),
-                    ("ok", Json::Bool(result.is_ok())),
-                ]),
-            );
-        }
+        let (label, rows_out) = (self.profiles[i].op.as_str(), produced_live as u64);
+        let ok = result.is_ok();
+        reg.journal_record(|names| Event::BatchEnd { label: names.intern(label), rows_out, ok });
         result?;
         let (hits, misses) = dict.counts();
         self.profiles[i].dict_hits += hits - dict_before.0;
@@ -1220,14 +1191,15 @@ impl fmt::Display for DisjunctDegradation {
 }
 
 impl DisjunctDegradation {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("index", Json::num(self.index as u64)),
-            ("head", Json::str(self.head.as_str())),
-            ("relation", Json::str(self.relation.as_str())),
-            ("attempts", Json::num(u64::from(self.attempts))),
-            ("reason", Json::str(self.reason.as_str())),
-        ])
+    /// This drop as the journal records it.
+    fn journaled(&self) -> Degraded {
+        Degraded {
+            index: self.index as u64,
+            head: self.head.clone(),
+            relation: self.relation.clone(),
+            attempts: u64::from(self.attempts),
+            reason: self.reason.clone(),
+        }
     }
 }
 
@@ -1294,7 +1266,7 @@ pub fn execute_physical_union_with(
                 degraded.incr();
                 let head = plan.head.to_string();
                 let d = DisjunctDegradation { index, head, relation, attempts, reason };
-                reg.journal_emit(journal_kind::DISJUNCT_DEGRADED, d.to_json());
+                reg.journal_record(|_| Event::Degraded(Box::new(d.journaled())));
                 run.dropped.push(d);
             }
             (Err(other), _) => return Err(other),

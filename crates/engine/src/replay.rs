@@ -20,8 +20,7 @@ use crate::fault::{SourceFault, SourceReply};
 use crate::source::Source;
 use crate::value::{rows_from_json, value_from_json, Rows, Value};
 use lap_ir::{AccessPattern, Symbol};
-use lap_obs::journal::kind;
-use lap_obs::{Json, JournalSnapshot};
+use lap_obs::{Event, Json, JournalSnapshot, Stamped, WireOutcome};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -141,36 +140,25 @@ pub fn recorded_calls(journal: &JournalSnapshot) -> Result<Vec<RecordedCall>, St
             return Err("journal not replayable: source calls were sampled".to_owned());
         }
     }
+    let (names, events) = journal.decode()?;
     // Pending begin per lane; wire attempts never nest within a lane.
     type PendingBegin = (u64, Symbol, AccessPattern, Vec<Option<Value>>);
     let mut pending: BTreeMap<u64, PendingBegin> = BTreeMap::new();
     let mut calls: Vec<(u64, RecordedCall)> = Vec::new();
-    for event in &journal.events {
-        match event.kind.as_str() {
-            kind::SOURCE_CALL_BEGIN => {
-                let relation = event
-                    .data
-                    .get("relation")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("call begin seq {} missing relation", event.seq))?;
-                let pattern = event
-                    .data
-                    .get("pattern")
-                    .and_then(Json::as_str)
-                    .and_then(|p| AccessPattern::parse(p).ok())
-                    .ok_or_else(|| format!("call begin seq {} missing pattern", event.seq))?;
-                let slots = event
-                    .data
-                    .get("inputs")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| {
-                        format!(
-                            "call begin seq {} has no captured inputs — \
-                             journal was not recorded in replay mode",
-                            event.seq
-                        )
-                    })?;
+    for Stamped { seq, lane, event, .. } in events {
+        match event {
+            Event::CallBegin { relation, pattern, inputs, .. } => {
+                let pattern = AccessPattern::parse(names.get(pattern))
+                    .map_err(|e| format!("call begin seq {seq}: pattern: {e}"))?;
+                let slots = inputs.ok_or_else(|| {
+                    format!(
+                        "call begin seq {seq} has no captured inputs — \
+                         journal was not recorded in replay mode"
+                    )
+                })?;
                 let inputs = slots
+                    .as_arr()
+                    .expect("decode reads captured inputs only as an array")
                     .iter()
                     .enumerate()
                     .map(|(j, slot)| {
@@ -181,50 +169,34 @@ pub fn recorded_calls(journal: &JournalSnapshot) -> Result<Vec<RecordedCall>, St
                         }
                     })
                     .collect::<Result<Vec<_>, _>>()?;
-                if let Some((prior, ..)) = pending.insert(
-                    event.lane,
-                    (event.seq, Symbol::intern(relation), pattern, inputs),
-                ) {
+                let relation = Symbol::intern(names.get(relation));
+                if let Some((prior, ..)) = pending.insert(lane, (seq, relation, pattern, inputs)) {
                     return Err(format!(
-                        "call begin seq {} overwrites unfinished begin seq {prior} \
-                         on lane {} — begin/end pairs interleaved within a lane",
-                        event.seq, event.lane
+                        "call begin seq {seq} overwrites unfinished begin seq {prior} \
+                         on lane {lane} — begin/end pairs interleaved within a lane"
                     ));
                 }
             }
-            kind::SOURCE_CALL_END => {
-                let (begin_seq, relation, pattern, inputs) =
-                    pending.remove(&event.lane).ok_or_else(|| {
-                        format!("call end seq {} without a begin on its lane", event.seq)
-                    })?;
-                let latency_ms = event
-                    .data
-                    .get("latency_ms")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0);
-                let outcome = if event.data.get("ok") == Some(&Json::Bool(true)) {
-                    let rows: Rows = match event.data.get("rows_data") {
-                        Some(rows) => Rows::new(rows_from_json(rows)?.into()),
-                        None => {
-                            return Err(format!(
-                                "call end seq {} has no captured rows — \
-                                 journal was not recorded in replay mode",
-                                event.seq
-                            ))
-                        }
-                    };
-                    Ok(SourceReply { rows, latency_ms })
-                } else {
-                    match event.data.get("fault").and_then(Json::as_str) {
-                        Some("timeout") => Err(SourceFault::Timeout {
-                            latency_ms,
-                            timeout_ms: event
-                                .data
-                                .get("timeout_ms")
-                                .and_then(Json::as_u64)
-                                .unwrap_or(latency_ms),
-                        }),
-                        _ => Err(SourceFault::Unavailable { latency_ms }),
+            Event::CallEnd { outcome, rows_data, .. } => {
+                let (begin_seq, relation, pattern, inputs) = pending
+                    .remove(&lane)
+                    .ok_or_else(|| format!("call end seq {seq} without a begin on its lane"))?;
+                let outcome = match outcome {
+                    WireOutcome::Ok { latency_ms, .. } => {
+                        let rows = rows_data.ok_or_else(|| {
+                            format!(
+                                "call end seq {seq} has no captured rows — \
+                                 journal was not recorded in replay mode"
+                            )
+                        })?;
+                        let rows = Rows::new(rows_from_json(&rows)?.into());
+                        Ok(SourceReply { rows, latency_ms })
+                    }
+                    WireOutcome::Unavailable { latency_ms } => {
+                        Err(SourceFault::Unavailable { latency_ms })
+                    }
+                    WireOutcome::Timeout { latency_ms, timeout_ms } => {
+                        Err(SourceFault::Timeout { latency_ms, timeout_ms })
                     }
                 };
                 calls.push((begin_seq, RecordedCall { relation, pattern, inputs, outcome }));

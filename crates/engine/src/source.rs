@@ -33,7 +33,7 @@ use crate::physical::CodeMap;
 use crate::relation::Relation;
 use crate::value::{rows_to_json, value_to_json, Block, Rows, Tuple, Value};
 use lap_ir::{AccessPattern, Schema, Symbol};
-use lap_obs::{Counter, Histogram, InstantPayload, Journal, Json, Recorder, WireOutcome};
+use lap_obs::{Counter, Event, Histogram, Journal, Json, Name, Names, Recorder, WireOutcome};
 use lap_prng::StdRng;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -64,65 +64,6 @@ const BASE_LANE: u64 = 0;
 /// `k` journals its pairs on lane `LANE_STRIDE + k`, disjoint from
 /// [`BASE_LANE`] because `MAX_IO_WORKERS < LANE_STRIDE`.
 const LANE_STRIDE: u64 = 1024;
-
-/// Rich begin-event payload of a captured source call (replay tier): the
-/// bound inputs ride along so a journal alone can re-drive the run.
-fn capture_begin_json(
-    name: Symbol,
-    pattern: AccessPattern,
-    attempt: u32,
-    inputs: &[Option<Value>],
-) -> Json {
-    Json::Obj(vec![
-        ("label".to_owned(), Json::Str(format!("{name}^{pattern}"))),
-        ("relation".to_owned(), Json::str(name.as_str())),
-        ("pattern".to_owned(), Json::Str(pattern.to_string())),
-        ("attempt".to_owned(), Json::num(u64::from(attempt))),
-        (
-            "inputs".to_owned(),
-            Json::Arr(
-                inputs
-                    .iter()
-                    .map(|slot| match slot {
-                        Some(v) => value_to_json(*v),
-                        None => Json::Null,
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Rich end-event payload of a captured successful call.
-fn capture_ok_json(name: Symbol, attempt: u32, reply: &SourceReply) -> Json {
-    Json::Obj(vec![
-        ("relation".to_owned(), Json::str(name.as_str())),
-        ("ok".to_owned(), Json::Bool(true)),
-        ("rows".to_owned(), Json::num(reply.rows.len() as u64)),
-        ("latency_ms".to_owned(), Json::num(reply.latency_ms)),
-        ("attempt".to_owned(), Json::num(u64::from(attempt))),
-        ("rows_data".to_owned(), rows_to_json(&reply.rows)),
-    ])
-}
-
-/// Rich end-event payload of a captured faulted call.
-fn capture_fault_json(name: Symbol, attempt: u32, fault: &SourceFault) -> Json {
-    let (fault_name, raw_latency, timeout_ms) = match *fault {
-        SourceFault::Unavailable { latency_ms } => ("unavailable", latency_ms, None),
-        SourceFault::Timeout { latency_ms, timeout_ms } => ("timeout", latency_ms, Some(timeout_ms)),
-    };
-    let mut data = vec![
-        ("relation".to_owned(), Json::str(name.as_str())),
-        ("ok".to_owned(), Json::Bool(false)),
-        ("fault".to_owned(), Json::str(fault_name)),
-        ("latency_ms".to_owned(), Json::num(raw_latency)),
-        ("attempt".to_owned(), Json::num(u64::from(attempt))),
-    ];
-    if let Some(budget) = timeout_ms {
-        data.push(("timeout_ms".to_owned(), Json::num(budget)));
-    }
-    Json::Obj(data)
-}
 
 /// Refuses a reply whose rows are not as long as `pattern`. The block
 /// knows its width; only a ragged one is walked, for the length of its
@@ -416,9 +357,9 @@ pub struct SourceRegistry<'a> {
     /// Memoized journal interner ids per (relation, pattern). A plan
     /// touches a handful of distinct accesses, so a linear scan beats a
     /// hash map and keeps string hashing off the per-call fast path.
-    journal_call_ids: Vec<(Symbol, AccessPattern, u32, u32)>,
+    journal_call_ids: Vec<(Symbol, AccessPattern, Name, Name)>,
     /// Memoized journal interner ids per relation (instant events).
-    journal_rel_ids: Vec<(Symbol, u32)>,
+    journal_rel_ids: Vec<(Symbol, Name)>,
     /// [`SourceRegistry::serve_view`]'s relation and rows.
     view: Option<(Symbol, Rows)>,
 }
@@ -525,16 +466,12 @@ impl<'a> SourceRegistry<'a> {
         self
     }
 
-    /// True when a flight-recorder journal is attached.
-    pub fn journal_enabled(&self) -> bool {
-        self.journal.is_some()
-    }
-
     /// Records one journal event on the base lane, stamped with this
-    /// registry's virtual clock. No-op without an attached journal.
-    pub fn journal_emit(&self, kind: &str, data: Json) {
+    /// registry's virtual clock; `event` builds it from the journal's name
+    /// table. No-op without an attached journal.
+    pub fn journal_record(&self, event: impl FnOnce(&mut Names) -> Event) {
         if let Some(journal) = &self.journal {
-            journal.emit(BASE_LANE, self.virtual_elapsed_ms(), kind, data);
+            journal.record(BASE_LANE, self.virtual_elapsed_ms(), event);
         }
     }
 
@@ -545,20 +482,17 @@ impl<'a> SourceRegistry<'a> {
     /// estimates cheaply.
     pub fn note_estimate_blown(&self, label: &str, observed: u64, estimated: f64) {
         self.recorder.counter("exec.estimate_blown").incr();
-        self.journal_emit(
-            lap_obs::journal::kind::ESTIMATE_BLOWN,
-            Json::obj([
-                ("label", Json::str(label)),
-                ("observed_rows", Json::num(observed)),
-                ("estimated_tuples", Json::Num(estimated)),
-            ]),
-        );
+        self.journal_record(|names| Event::EstimateBlown {
+            label: names.intern(label),
+            observed_rows: observed,
+            estimated_tuples: estimated,
+        });
     }
 
     /// Journal interner ids for a (relation, pattern) access, memoized so
     /// the steady-state call path never hashes a string. Only called with
     /// a journal attached.
-    fn journal_call_ids(&mut self, name: Symbol, pattern: AccessPattern) -> (u32, u32) {
+    fn journal_call_ids(&mut self, name: Symbol, pattern: AccessPattern) -> (Name, Name) {
         if let Some(hit) = self
             .journal_call_ids
             .iter()
@@ -576,7 +510,7 @@ impl<'a> SourceRegistry<'a> {
 
     /// Journal interner id for a relation, memoized like
     /// [`SourceRegistry::journal_call_ids`].
-    fn journal_rel_id(&mut self, name: Symbol) -> u32 {
+    fn journal_rel_id(&mut self, name: Symbol) -> Name {
         if let Some(hit) = self.journal_rel_ids.iter().find(|(n, _)| *n == name) {
             return hit.1;
         }
@@ -586,13 +520,20 @@ impl<'a> SourceRegistry<'a> {
         rel
     }
 
-    /// Records one compact instant event for `name` at an explicit lane
-    /// and timestamp. No-op without an attached journal.
-    fn journal_instant(&mut self, lane: u64, ts: u64, name: Symbol, payload: InstantPayload) {
+    /// Records one instant event about relation `name` at an explicit
+    /// lane and timestamp; `event` builds it from the relation's id. No-op
+    /// without an attached journal.
+    fn journal_instant(
+        &mut self,
+        lane: u64,
+        ts: u64,
+        name: Symbol,
+        event: impl FnOnce(Name) -> Event,
+    ) {
         if self.journal.is_some() {
-            let rel = self.journal_rel_id(name);
+            let relation = self.journal_rel_id(name);
             if let Some(journal) = &self.journal {
-                journal.record_instant_by_id(lane, ts, rel, payload);
+                journal.record(lane, ts, |_| event(relation));
             }
         }
     }
@@ -694,15 +635,15 @@ impl<'a> SourceRegistry<'a> {
     /// per the paper's footnote 4, a source cannot accept them — the caller
     /// must ignore the binding and filter after the call.
     ///
-    /// A single call is a one-key [`SourceRegistry::call_many`] batch: one
-    /// lane, journaled on the base lane.
+    /// A single call is a one-key [`SourceRegistry::call_many`] batch that
+    /// borrows its inputs: one lane, journaled on the base lane.
     pub fn call(
         &mut self,
         name: Symbol,
         pattern: AccessPattern,
         inputs: &[Option<Value>],
     ) -> Result<Rows, EngineError> {
-        let (mut rows, _) = self.request(name, pattern, &[inputs.to_vec()], None)?;
+        let (mut rows, _) = self.request(name, pattern, &[inputs], None)?;
         Ok(rows.pop().expect("one key, one reply"))
     }
 
@@ -745,11 +686,11 @@ impl<'a> SourceRegistry<'a> {
     /// then starts where the previous one ended, so the stamps and the
     /// wall clock are those of one-key requests issued in turn. Otherwise
     /// it returns one row block per key and no verdicts.
-    fn request(
+    fn request<K: AsRef<[Option<Value>]>>(
         &mut self,
         name: Symbol,
         pattern: AccessPattern,
-        keys: &[Vec<Option<Value>>],
+        keys: &[K],
         probes: Option<&[&[Value]]>,
     ) -> Result<(Vec<Rows>, Vec<bool>), EngineError> {
         let view = self.view.as_ref().filter(|(v, _)| *v == name && probes.is_none());
@@ -769,6 +710,7 @@ impl<'a> SourceRegistry<'a> {
         };
         let mut failed = None;
         for (i, key) in keys.iter().enumerate() {
+            let key = key.as_ref();
             if let Err(e) = self.validate(name, pattern, key) {
                 failed = Some(e);
                 break;
@@ -779,17 +721,16 @@ impl<'a> SourceRegistry<'a> {
             let hit = self
                 .cache
                 .as_ref()
-                .and_then(|cache| cache.get(&(name, pattern, key.clone())).cloned());
+                .and_then(|cache| cache.get(&(name, pattern, key.to_vec())).cloned());
             // A wire reply carries the time its call freed its lane.
             let (rows, wire_end) = match hit {
                 Some(rows) => {
                     // A cache hit is stamped when it is issued.
                     self.tally(Tally::CacheHits, 1);
-                    let payload = InstantPayload::CacheHit {
-                        rows: rows.len() as u64,
-                        membership: probe.is_some(),
-                    };
-                    self.journal_instant(BASE_LANE, lane_free[k], name, payload);
+                    let (rows_hit, membership) = (rows.len() as u64, probe.is_some());
+                    self.journal_instant(BASE_LANE, lane_free[k], name, |relation| {
+                        Event::CacheHit { relation, rows: rows_hit, membership }
+                    });
                     (rows, None)
                 }
                 None => {
@@ -810,7 +751,7 @@ impl<'a> SourceRegistry<'a> {
             if wire_end.is_some() {
                 self.tally(Tally::TuplesReturned, rows.len() as u64);
                 if let Some(cache) = &mut self.cache {
-                    cache.insert((name, pattern, key.clone()), rows.clone());
+                    cache.insert((name, pattern, key.to_vec()), rows.clone());
                 }
             }
             match probe {
@@ -818,8 +759,8 @@ impl<'a> SourceRegistry<'a> {
                     let present = rows.contains(values);
                     if let Some(end_ms) = wire_end {
                         self.tally(Tally::Membership, 1);
-                        let payload = InstantPayload::Membership { present };
-                        self.journal_instant(BASE_LANE, end_ms, name, payload);
+                        let probe = |relation| Event::Membership { relation, present };
+                        self.journal_instant(BASE_LANE, end_ms, name, probe);
                     }
                     verdicts.push(present);
                 }
@@ -912,9 +853,9 @@ impl<'a> SourceRegistry<'a> {
     /// the retry marker it was delayed by (attempt 2 and later), the
     /// begin/end pair as one atomic ring slot (so concurrent lanes never
     /// interleave inside a pair, and eviction keeps both halves or
-    /// neither) at the replay tier (rich, with inputs and rows, so a
-    /// journal alone can re-drive the run) or the light tier (compact
-    /// ids), and the fault/timeout instant of a failed one.
+    /// neither), carrying inputs and rows at the replay tier so a journal
+    /// alone can re-drive the run, and the fault/timeout instant of a
+    /// failed one.
     fn journal_attempt(
         &mut self,
         slot: &WireSlot<'_>,
@@ -925,51 +866,47 @@ impl<'a> SourceRegistry<'a> {
         outcome: Result<&SourceReply, &SourceFault>,
     ) {
         let WireSlot { name, pattern, inputs, lane, .. } = *slot;
+        let attempt = u64::from(attempt);
         if attempt > 1 {
-            let payload = InstantPayload::Retry {
-                attempt: u64::from(attempt),
-                backoff_ms: prior_backoff,
-            };
-            self.journal_instant(lane, ts.start, name, payload);
+            let retry = |relation| Event::Retry { relation, attempt, backoff_ms: prior_backoff };
+            self.journal_instant(lane, ts.start, name, retry);
         }
-        if capture {
-            let begin = capture_begin_json(name, pattern, attempt, inputs);
-            let end = match outcome {
-                Ok(reply) => capture_ok_json(name, attempt, reply),
-                Err(fault) => capture_fault_json(name, attempt, fault),
-            };
-            if let Some(journal) = &self.journal {
-                journal.record_call_rich(lane, ts.start, ts.end, begin, end);
+        let wire = match outcome {
+            Ok(reply) => {
+                WireOutcome::Ok { rows: reply.rows.len() as u64, latency_ms: reply.latency_ms }
             }
-        } else {
-            let (rel, pat) = self.journal_call_ids(name, pattern);
-            let wire = match outcome {
-                Ok(reply) => WireOutcome::Ok {
-                    rows: reply.rows.len() as u64,
-                    latency_ms: reply.latency_ms,
-                },
-                Err(&SourceFault::Unavailable { latency_ms }) => {
-                    WireOutcome::Unavailable { latency_ms }
-                }
-                Err(&SourceFault::Timeout { latency_ms, timeout_ms }) => {
-                    WireOutcome::Timeout { latency_ms, timeout_ms }
-                }
-            };
-            if let Some(journal) = &self.journal {
-                journal.record_call_by_id(lane, ts.start, ts.end, rel, pat, u64::from(attempt), wire);
+            Err(&SourceFault::Unavailable { latency_ms }) => {
+                WireOutcome::Unavailable { latency_ms }
             }
+            Err(&SourceFault::Timeout { latency_ms, timeout_ms }) => {
+                WireOutcome::Timeout { latency_ms, timeout_ms }
+            }
+        };
+        let inputs = capture.then(|| {
+            let slots = inputs.iter().map(|slot| slot.map_or(Json::Null, value_to_json));
+            Box::new(Json::Arr(slots.collect()))
+        });
+        let rows = outcome.ok().filter(|_| capture);
+        let rows_data = rows.map(|reply| Box::new(rows_to_json(&reply.rows)));
+        let (relation, pattern) = self.journal_call_ids(name, pattern);
+        if let Some(journal) = &self.journal {
+            journal.record_call(lane, ts.clone(), |_| {
+                (
+                    Event::CallBegin { relation, pattern, attempt, inputs },
+                    Event::CallEnd { relation, attempt, outcome: wire, rows_data },
+                )
+            });
         }
         if let Err(fault) = outcome {
-            let attempt = u64::from(attempt);
-            let payload = match *fault {
+            let event = |relation| match *fault {
                 SourceFault::Unavailable { latency_ms } => {
-                    InstantPayload::Fault { latency_ms, attempt }
+                    Event::Fault { relation, latency_ms, attempt }
                 }
                 SourceFault::Timeout { latency_ms, .. } => {
-                    InstantPayload::Timeout { latency_ms, attempt }
+                    Event::Timeout { relation, latency_ms, attempt }
                 }
             };
-            self.journal_instant(lane, ts.end, name, payload);
+            self.journal_instant(lane, ts.end, name, event);
         }
     }
 
@@ -1405,7 +1342,6 @@ mod tests {
     /// touching the wire tallies, and the reply rows are counted as before.
     #[test]
     fn probe_verdict_returned_is_the_verdict_journaled() {
-        use lap_obs::journal::kind::{CACHE_HIT, MEMBERSHIP};
         let (db, schema) = setup();
         let rec = Recorder::with_journal(lap_obs::JournalConfig::light());
         let mut reg = SourceRegistry::with_cache(&db, &schema).recording(&rec);
@@ -1419,22 +1355,20 @@ mod tests {
         // second probe onwards is answered from the cache.
         assert_eq!(reg.membership_probes(), 1);
         assert_eq!(reg.stats(), CallStats { calls: 0, tuples_returned: 1, cache_hits: 3 });
-        let journal = rec.journal().unwrap().snapshot();
-        let instants: Vec<(&str, Option<&Json>)> = journal
-            .events
-            .iter()
-            .filter(|e| e.kind == MEMBERSHIP || e.kind == CACHE_HIT)
-            .map(|e| (e.kind.as_str(), e.data.get("present")))
-            .collect();
-        assert_eq!(
-            instants,
-            [
-                (MEMBERSHIP, Some(&Json::Bool(true))),
-                (CACHE_HIT, None),
-                (CACHE_HIT, None),
-                (CACHE_HIT, None),
-            ]
-        );
+        // Each probe's instant: `Some(present)` for a wire probe, `None`
+        // for a cached one.
+        let probes = |rec: &Recorder| -> Vec<Option<bool>> {
+            let (_, events) = rec.journal().unwrap().snapshot().decode().unwrap();
+            events
+                .into_iter()
+                .filter_map(|stamped| match stamped.event {
+                    Event::Membership { present, .. } => Some(Some(present)),
+                    Event::CacheHit { membership: true, .. } => Some(None),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(probes(&rec), [Some(true), None, None, None]);
 
         // Without a cache every probe hits the wire and journals its own
         // verdict.
@@ -1442,9 +1376,7 @@ mod tests {
         let mut reg = SourceRegistry::new(&db, &schema).recording(&rec);
         for i in [1, 2, 3] {
             let present = reg.membership_test(l, &[Value::int(i)]).unwrap();
-            let journal = rec.journal().unwrap().snapshot();
-            let last = journal.events.iter().rfind(|e| e.kind == MEMBERSHIP).unwrap();
-            assert_eq!(last.data.get("present"), Some(&Json::Bool(present)), "probe {i}");
+            assert_eq!(probes(&rec).last(), Some(&Some(present)), "probe {i}");
         }
         assert_eq!(reg.membership_probes(), 3);
         assert_eq!(reg.stats(), CallStats { calls: 0, tuples_returned: 3, cache_hits: 0 });

@@ -8,8 +8,7 @@ use lap_core::{AnswerOutcome, AnswerReport, CompileOptions, FeasibilityReport, P
 use lap_core::{ContainmentEngine, EngineConfig, EngineStats};
 use lap_engine::{Database, EngineError, ExecConfig, ResilienceConfig};
 use lap_ir::{parse_program, IrError, Schema, UnionQuery};
-use lap_obs::journal::kind as journal_kind;
-use lap_obs::{Json, Recorder};
+use lap_obs::{Event, Recorder};
 use std::fmt;
 use std::sync::Arc;
 
@@ -199,20 +198,18 @@ impl Mediator {
             let _span = self.recorder.span("unfold");
             unfold_deep(q, &self.views, self.max_disjuncts)?
         };
-        self.journal_phase(
-            journal_kind::MEDIATOR_UNFOLD,
-            q.disjuncts.len(),
-            unfolded.disjuncts.len(),
-        );
+        self.journal_phase(Event::Unfold {
+            disjuncts_in: q.disjuncts.len() as u64,
+            disjuncts_out: unfolded.disjuncts.len() as u64,
+        });
         let pruned = {
             let _span = self.recorder.span("prune");
             prune_unsatisfiable(&unfolded, &self.constraints)
         };
-        self.journal_phase(
-            journal_kind::MEDIATOR_PRUNE,
-            unfolded.disjuncts.len(),
-            pruned.disjuncts.len(),
-        );
+        self.journal_phase(Event::Prune {
+            disjuncts_in: unfolded.disjuncts.len() as u64,
+            disjuncts_out: pruned.disjuncts.len() as u64,
+        });
         let opts = CompileOptions { recorder: &self.recorder, feasibility: Some(&self.engine) };
         let compiled = PreparedQuery::compile(&pruned, &self.source_schema, &opts);
         Ok(MediatorPlan { unfolded, pruned, compiled })
@@ -248,17 +245,9 @@ impl Mediator {
 
     /// Records a compile-time phase (unfold, prune) in the flight
     /// recorder's journal, when one is attached.
-    fn journal_phase(&self, kind: &str, disjuncts_in: usize, disjuncts_out: usize) {
+    fn journal_phase(&self, phase: Event) {
         if let Some(journal) = self.recorder.journal() {
-            journal.emit(
-                0,
-                0,
-                kind,
-                Json::obj([
-                    ("disjuncts_in", Json::num(disjuncts_in as u64)),
-                    ("disjuncts_out", Json::num(disjuncts_out as u64)),
-                ]),
-            );
+            journal.record(0, 0, |_| phase);
         }
     }
 }
@@ -404,14 +393,21 @@ mod tests {
         let q = parse_query("Q(i, a, t) :- Book(i, a, t), Cat(i, a), not Lib(i).").unwrap();
         m.plan(&q).unwrap();
         let snap = rec.journal().unwrap().snapshot();
-        let unfold: Vec<_> = snap.events_of(journal_kind::MEDIATOR_UNFOLD).collect();
-        assert_eq!(unfold.len(), 1);
-        // One Book query over two Book views unfolds into two disjuncts.
-        assert_eq!(unfold[0].data.get("disjuncts_in").and_then(Json::as_u64), Some(1));
-        assert_eq!(unfold[0].data.get("disjuncts_out").and_then(Json::as_u64), Some(2));
-        let prune: Vec<_> = snap.events_of(journal_kind::MEDIATOR_PRUNE).collect();
-        assert_eq!(prune.len(), 1);
-        assert_eq!(prune[0].data.get("disjuncts_out").and_then(Json::as_u64), Some(2));
+        let (_, events) = snap.decode().unwrap();
+        let phases: Vec<&Event> = events
+            .iter()
+            .map(|stamped| &stamped.event)
+            .filter(|event| matches!(event, Event::Unfold { .. } | Event::Prune { .. }))
+            .collect();
+        // One Book query over two Book views unfolds into two disjuncts,
+        // and pruning keeps both.
+        assert_eq!(
+            phases,
+            [
+                &Event::Unfold { disjuncts_in: 1, disjuncts_out: 2 },
+                &Event::Prune { disjuncts_in: 2, disjuncts_out: 2 },
+            ]
+        );
         assert!(snap.validate().is_ok());
     }
 

@@ -14,7 +14,7 @@
 //! events share a wall millisecond, which a capacity-bounded journal
 //! satisfies in practice.
 
-use crate::journal::{JournalSnapshot, BEGIN_SUFFIX, END_SUFFIX};
+use crate::journal::JournalSnapshot;
 use crate::json::Json;
 use std::collections::BTreeMap;
 
@@ -25,41 +25,35 @@ fn category(kind: &str) -> &str {
     kind.split('.').next().unwrap_or(kind)
 }
 
-fn display_name(kind: &str, data: &Json) -> String {
-    if let Some(label) = data.get("label").and_then(Json::as_str) {
-        return label.to_owned();
-    }
-    kind.trim_end_matches(BEGIN_SUFFIX)
-        .trim_end_matches(END_SUFFIX)
-        .to_owned()
-}
-
 /// Converts a journal snapshot to a Chrome trace document:
 /// `{"traceEvents": [...], "displayTimeUnit": "ms"}`.
 ///
 /// End events whose begin was evicted from the ring are skipped (tracked
 /// per lane), so the exported nesting is always balanced; still-open
 /// begins at the end of the snapshot are closed at the last timestamp.
+/// Each trace event carries its journal event's `data` as is. Panics on
+/// an event that does not decode (see [`JournalSnapshot`]).
 pub fn chrome_trace(snapshot: &JournalSnapshot) -> Json {
+    let (names, decoded) = snapshot.decoded();
     let mut events = Vec::with_capacity(snapshot.events.len());
     // Per-lane stack of open begin names, to drop orphan ends and close
     // orphan begins.
     let mut open: BTreeMap<u64, Vec<String>> = BTreeMap::new();
     let mut last_ts = 0u64;
-    for event in &snapshot.events {
+    for (event, typed) in snapshot.events.iter().zip(&decoded) {
         let ts = event.ts_ms * 1000 + event.seq;
         last_ts = last_ts.max(ts);
-        let name = display_name(&event.kind, &event.data);
-        let ph = if event.kind.ends_with(BEGIN_SUFFIX) {
-            open.entry(event.lane).or_default().push(name.clone());
-            "B"
-        } else if event.kind.ends_with(END_SUFFIX) {
-            match open.entry(event.lane).or_default().pop() {
+        let name = typed.event.display_name(&names);
+        let ph = match typed.event.interval() {
+            Some((_, true)) => {
+                open.entry(event.lane).or_default().push(name.clone());
+                "B"
+            }
+            Some((_, false)) => match open.entry(event.lane).or_default().pop() {
                 Some(_) => "E",
                 None => continue, // begin evicted from the ring: skip
-            }
-        } else {
-            "i"
+            },
+            None => "i",
         };
         let mut fields = vec![
             ("name".to_owned(), Json::str(&name)),
@@ -144,7 +138,8 @@ pub fn validate_chrome_trace(doc: &Json) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{kind, Journal, JournalConfig};
+    use crate::journal::tests::{batch, call, probe};
+    use crate::journal::{Journal, JournalConfig, WireOutcome};
     use crate::json;
     use crate::metrics::Counter;
 
@@ -152,19 +147,23 @@ mod tests {
         Journal::new(JournalConfig::light(), Counter::detached())
     }
 
+    const FAULT: WireOutcome = WireOutcome::Unavailable { latency_ms: 2 };
+
     #[test]
     fn exports_balanced_duration_and_instant_events() {
         let j = sample();
-        j.emit(0, 0, kind::BATCH_BEGIN, Json::obj([("label", Json::str("access B^oi"))]));
-        j.emit(0, 1, kind::SOURCE_CALL_BEGIN, Json::Null);
-        j.emit(0, 4, kind::SOURCE_CALL_END, Json::Null);
-        j.emit(0, 4, kind::CACHE_HIT, Json::Null);
-        j.emit(0, 5, kind::BATCH_END, Json::Null);
+        batch(&j, 0, "access B^oi", true);
+        call(&j, 0, 1..4, "S^o", FAULT);
+        probe(&j, 0, 4, "L");
+        batch(&j, 5, "access B^oi", false);
         let doc = chrome_trace(&j.snapshot());
         let n = validate_chrome_trace(&doc).expect("balanced trace");
         assert_eq!(n, 5);
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-        assert_eq!(events[0].get("name").and_then(Json::as_str), Some("access B^oi"));
+        let name = |i: usize| events[i].get("name").and_then(Json::as_str);
+        let names: Vec<_> = (0..4).map(name).collect();
+        let expected = ["access B^oi", "S^o", "source.call", "source.membership"];
+        assert_eq!(names, expected.map(Some));
         assert_eq!(events[0].get("ph").and_then(Json::as_str), Some("B"));
         assert_eq!(events[3].get("ph").and_then(Json::as_str), Some("i"));
         // ts = ts_ms * 1000 + seq keeps equal-millisecond events ordered.
@@ -184,15 +183,15 @@ mod tests {
             },
             Counter::detached(),
         );
-        j.emit(0, 0, kind::BATCH_BEGIN, Json::Null);
-        j.emit(0, 1, kind::MEMBERSHIP, Json::Null);
-        j.emit(0, 2, kind::MEMBERSHIP, Json::Null);
-        j.emit(0, 3, kind::BATCH_END, Json::Null); // begin was evicted
+        batch(&j, 0, "access B^oi", true);
+        probe(&j, 0, 1, "L");
+        probe(&j, 0, 2, "L");
+        batch(&j, 3, "access B^oi", false); // begin was evicted
         let doc = chrome_trace(&j.snapshot());
         validate_chrome_trace(&doc).expect("orphan end dropped");
 
         let j = sample();
-        j.emit(0, 0, kind::BATCH_BEGIN, Json::Null);
+        batch(&j, 0, "access B^oi", true);
         let doc = chrome_trace(&j.snapshot());
         validate_chrome_trace(&doc).expect("orphan begin closed");
     }
@@ -200,8 +199,7 @@ mod tests {
     #[test]
     fn round_trips_through_in_repo_parser() {
         let j = sample();
-        j.emit(3, 7, kind::SOURCE_CALL_BEGIN, Json::obj([("relation", Json::str("S"))]));
-        j.emit(3, 9, kind::SOURCE_CALL_END, Json::obj([("ok", Json::Bool(false))]));
+        call(&j, 3, 7..9, "S^o", FAULT);
         let text = chrome_trace(&j.snapshot()).to_pretty();
         let parsed = json::parse(&text).expect("valid JSON");
         validate_chrome_trace(&parsed).expect("valid trace");

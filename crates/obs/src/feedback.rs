@@ -18,7 +18,9 @@
 //! [`SourceProfile::failure_rate`], latency percentiles). Turning those
 //! into plan costs is the planner's job (`CostModel::calibrated`).
 
-use crate::journal::{kind, Journal, JournalEvent, JournalSnapshot, WireOutcome};
+use crate::journal::{
+    Event, Journal, JournalEvent, JournalSnapshot, Name, Names, Stamped, WireOutcome,
+};
 use crate::json::Json;
 use crate::metrics::{bucket_index, HistogramSnapshot, HISTOGRAM_BUCKETS};
 use std::collections::BTreeMap;
@@ -325,84 +327,47 @@ impl FoldCursor {
     }
 }
 
-/// One journal event as the fold reads it: names borrowed, numbers kept
-/// as numbers. Both feeders map to it, a snapshot's JSON events through
-/// [`FoldEvent::of`] and the live ring's compact entries in
-/// `Journal::fold_from`, so every accounting rule lives in
-/// `FoldPass::step` alone.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct FoldEvent<'a> {
-    pub(crate) seq: u64,
-    pub(crate) lane: u64,
-    pub(crate) step: FoldStep<'a>,
-}
-
-/// What one event contributes to a fold.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum FoldStep<'a> {
-    /// A wire attempt starts ([`kind::SOURCE_CALL_BEGIN`]).
-    Begin { relation: &'a str, pattern: &'a str },
-    /// A wire attempt ended ([`kind::SOURCE_CALL_END`]). The pattern is
-    /// the one begun on the same lane.
-    End { relation: &'a str, outcome: WireOutcome },
-    /// A retry marker ([`kind::RETRY`]), charged to the relation's last
-    /// pattern begun.
-    Retry { relation: &'a str, backoff_ms: u64 },
-    /// Any other kind: counted as folded, accounted nowhere.
-    Other,
-}
-
-impl<'a> FoldEvent<'a> {
-    /// The fold's view of a JSON-bodied event; a missing name reads `"?"`
-    /// and a missing number 0.
-    pub(crate) fn of(event: &'a JournalEvent) -> FoldEvent<'a> {
-        let text = |key: &str| event.data.get(key).and_then(Json::as_str).unwrap_or("?");
-        let num = |key: &str| event.data.get(key).and_then(Json::as_u64).unwrap_or(0);
-        let step = match event.kind.as_str() {
-            kind::SOURCE_CALL_BEGIN => FoldStep::Begin {
-                relation: text("relation"),
-                pattern: text("pattern"),
-            },
-            kind::SOURCE_CALL_END => {
-                let latency_ms = num("latency_ms");
-                let outcome = if event.data.get("ok") == Some(&Json::Bool(true)) {
-                    WireOutcome::Ok { rows: num("rows"), latency_ms }
-                } else if event.data.get("fault").and_then(Json::as_str) == Some("timeout") {
-                    WireOutcome::Timeout { latency_ms, timeout_ms: num("timeout_ms") }
-                } else {
-                    WireOutcome::Unavailable { latency_ms }
-                };
-                FoldStep::End { relation: text("relation"), outcome }
-            }
-            kind::RETRY => FoldStep::Retry {
-                relation: text("relation"),
-                backoff_ms: num("backoff_ms"),
-            },
-            _ => FoldStep::Other,
-        };
-        FoldEvent { seq: event.seq, lane: event.lane, step }
-    }
-}
-
 /// The state of one fold pass: the call open on each lane, the last
 /// pattern begun per relation, and the pass's tallies per `(relation,
-/// pattern)`, merged into the store's profiles when the pass ends.
+/// pattern)` (no pattern when the call's begin was not seen), merged into
+/// the store's profiles when the pass ends. Both feeders, a snapshot's
+/// decoded events and the live ring's slots, hand it [`Stamped`] events,
+/// so every accounting rule lives in [`FoldPass::step`] alone.
 #[derive(Default)]
-struct FoldPass<'a> {
-    open: BTreeMap<u64, (&'a str, &'a str)>,
-    last_pattern: BTreeMap<&'a str, &'a str>,
-    tallies: BTreeMap<(&'a str, &'a str), SourceProfile>,
+struct FoldPass {
+    open: BTreeMap<u64, (Name, Name)>,
+    last_pattern: BTreeMap<Name, Name>,
+    tallies: BTreeMap<(Name, Option<Name>), SourceProfile>,
+    /// Events visited, and the last one's sequence number.
+    events: u64,
+    last_seq: Option<u64>,
 }
 
-impl<'a> FoldPass<'a> {
-    fn step(&mut self, event: FoldEvent<'a>) {
-        match event.step {
-            FoldStep::Begin { relation, pattern } => {
+impl FoldPass {
+    /// One pass over a snapshot's `events`, each decoded as it is folded,
+    /// and the name table the pass's tallies index.
+    fn over(events: &[JournalEvent]) -> (FoldPass, Names) {
+        let (mut pass, mut names) = (FoldPass::default(), Names::default());
+        for e in events {
+            let event = Event::decode(e, &mut names).unwrap_or_else(|err| panic!("{err}"));
+            pass.step(&Stamped { seq: e.seq, ts_ms: e.ts_ms, lane: e.lane, event });
+        }
+        (pass, names)
+    }
+
+    fn step(&mut self, stamped: &Stamped) {
+        self.events += 1;
+        self.last_seq = Some(stamped.seq);
+        match stamped.event {
+            Event::CallBegin { relation, pattern, .. } => {
                 self.last_pattern.insert(relation, pattern);
-                self.open.insert(event.lane, (relation, pattern));
+                self.open.insert(stamped.lane, (relation, pattern));
             }
-            FoldStep::End { relation, outcome } => {
-                let key = self.open.remove(&event.lane).unwrap_or((relation, "?"));
+            Event::CallEnd { relation, outcome, .. } => {
+                let key = match self.open.remove(&stamped.lane) {
+                    Some((relation, pattern)) => (relation, Some(pattern)),
+                    None => (relation, None),
+                };
                 let tally = self.tally(key);
                 tally.attempts += 1;
                 let latency = match outcome {
@@ -425,17 +390,17 @@ impl<'a> FoldPass<'a> {
                 tally.latency.max = tally.latency.max.max(latency);
                 tally.latency.buckets[bucket_index(latency)] += 1;
             }
-            FoldStep::Retry { relation, backoff_ms } => {
-                let pattern = self.last_pattern.get(relation).copied().unwrap_or("?");
+            Event::Retry { relation, backoff_ms, .. } => {
+                let pattern = self.last_pattern.get(&relation).copied();
                 let tally = self.tally((relation, pattern));
                 tally.retries += 1;
                 tally.wait_ms += backoff_ms;
             }
-            FoldStep::Other => {}
+            _ => {}
         }
     }
 
-    fn tally(&mut self, key: (&'a str, &'a str)) -> &mut SourceProfile {
+    fn tally(&mut self, key: (Name, Option<Name>)) -> &mut SourceProfile {
         self.tallies
             .entry(key)
             .or_insert_with(|| SourceProfile::empty(String::new(), String::new()))
@@ -461,9 +426,11 @@ impl FeedbackStore {
     /// Folds one journal snapshot into the store: attempts, outcomes, and
     /// latencies from `source.call.*` pairs, retry waits from
     /// `source.retry` markers, and one EWMA health update per profile that
-    /// saw traffic in this snapshot.
+    /// saw traffic in this snapshot. Panics on an event that does not
+    /// decode (see [`JournalSnapshot`]).
     pub fn fold(&mut self, snapshot: &JournalSnapshot) {
-        self.fold_pass(snapshot.events.iter().map(FoldEvent::of));
+        let (pass, names) = FoldPass::over(&snapshot.events);
+        self.merge(pass, &names);
         self.folds += 1;
     }
 
@@ -473,16 +440,17 @@ impl FeedbackStore {
     /// its fold count) completely untouched, so idle polls do not dilute
     /// the EWMA health scores.
     ///
-    /// This is the streaming counterpart of [`FeedbackStore::fold`].
-    /// Counting statistics (attempts, rows, latency histograms) end up
-    /// identical to a single fold of the final snapshot; only the EWMA
-    /// health and the fold count depend on how the stream was sliced (each
-    /// slice with traffic is one EWMA step). A live journal folds cheaper
-    /// through [`FeedbackStore::fold_journal`], which needs no snapshot.
+    /// This is the streaming counterpart of [`FeedbackStore::fold`], and
+    /// panics where it does. Counting statistics (attempts, rows, latency
+    /// histograms) end up identical to a single fold of the final
+    /// snapshot; only the EWMA health and the fold count depend on how the
+    /// stream was sliced (each slice with traffic is one EWMA step). A
+    /// live journal folds cheaper through [`FeedbackStore::fold_journal`],
+    /// which needs no snapshot.
     pub fn fold_since(&mut self, snapshot: &JournalSnapshot, cursor: &mut FoldCursor) -> u64 {
-        let from = cursor.next_seq;
-        let fresh = snapshot.events.iter().filter(|e| e.seq >= from);
-        self.fold_incremental(fresh.map(FoldEvent::of), cursor)
+        let first = snapshot.events.partition_point(|e| e.seq < cursor.next_seq);
+        let (pass, names) = FoldPass::over(&snapshot.events[first..]);
+        self.fold_incremental(pass, &names, cursor)
     }
 
     /// [`FeedbackStore::fold_since`] straight from a live `journal`'s
@@ -493,22 +461,24 @@ impl FeedbackStore {
     /// exactly once.
     ///
     /// The fold holds the journal lock while it binary-searches the ring
-    /// for the cursor and visits only the entries after it. Compact
-    /// entries are read in place (names from the journal's interner,
-    /// numbers as numbers), so the cost is O(events since the cursor) and
-    /// does not grow with the ring's occupancy.
+    /// for the cursor and visits only the slots after it, reading their
+    /// typed events in place (names stay ids until the pass merges), so
+    /// the cost is O(events since the cursor) and does not grow with the
+    /// ring's occupancy.
     pub fn fold_journal(&mut self, journal: &Journal, cursor: &mut FoldCursor) -> u64 {
-        journal.fold_from(cursor.next_seq, |fresh| self.fold_incremental(fresh, cursor))
+        journal.fold_from(cursor.next_seq, |names, fresh| {
+            let mut pass = FoldPass::default();
+            fresh.for_each(|event| pass.step(&event));
+            self.fold_incremental(pass, names, cursor)
+        })
     }
 
-    /// One incremental pass: a pass that saw events advances `cursor` past
-    /// the last one and counts as a fold; an empty one changes nothing.
-    fn fold_incremental<'a>(
-        &mut self,
-        fresh: impl Iterator<Item = FoldEvent<'a>>,
-        cursor: &mut FoldCursor,
-    ) -> u64 {
-        let (events, last_seq) = self.fold_pass(fresh);
+    /// Ends one incremental pass: a pass that saw events advances `cursor`
+    /// past the last one and counts as a fold; an empty one changes
+    /// nothing. Returns the number of events the pass visited.
+    fn fold_incremental(&mut self, pass: FoldPass, names: &Names, cursor: &mut FoldCursor) -> u64 {
+        let (events, last_seq) = (pass.events, pass.last_seq);
+        self.merge(pass, names);
         if let Some(last_seq) = last_seq {
             cursor.next_seq = last_seq + 1;
             self.folds += 1;
@@ -516,25 +486,17 @@ impl FeedbackStore {
         events
     }
 
-    /// Folds `events` (in sequence order) as one pass, then merges the
-    /// pass's tallies into the profiles with one EWMA health step per
-    /// profile that saw attempts. Returns the number of events visited and
-    /// the last one's sequence number.
-    fn fold_pass<'a>(&mut self, events: impl Iterator<Item = FoldEvent<'a>>) -> (u64, Option<u64>) {
-        let mut pass = FoldPass::default();
-        let (mut count, mut last_seq) = (0, None);
-        for event in events {
-            count += 1;
-            last_seq = Some(event.seq);
-            pass.step(event);
-        }
+    /// Merges a pass's tallies into the profiles, naming them through
+    /// `names`, with one EWMA health step per profile that saw attempts.
+    fn merge(&mut self, pass: FoldPass, names: &Names) {
         for ((relation, pattern), tally) in pass.tallies {
+            let relation = names.get(relation);
+            let pattern = pattern.map_or("?", |pattern| names.get(pattern));
             self.profiles
                 .entry((relation.to_owned(), pattern.to_owned()))
                 .or_insert_with(|| SourceProfile::empty(relation.to_owned(), pattern.to_owned()))
                 .absorb(&tally);
         }
-        (count, last_seq)
     }
 
     /// The profile for `(relation, pattern)`, if any traffic was folded.
@@ -720,6 +682,7 @@ impl FeedbackStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::tests::call;
     use crate::journal::{Journal, JournalConfig, WireOutcome};
     use crate::metrics::Counter;
 
@@ -728,7 +691,13 @@ mod tests {
     }
 
     fn ok(j: &Journal, ts: u64, rel: &str, pat: &str, rows: u64, latency: u64) {
-        j.record_call(0, ts, ts + latency, rel, pat, 1, WireOutcome::Ok { rows, latency_ms: latency });
+        let outcome = WireOutcome::Ok { rows, latency_ms: latency };
+        call(j, 0, ts..ts + latency, &format!("{rel}^{pat}"), outcome);
+    }
+
+    fn fault(j: &Journal, ts: u64, rel: &str, pat: &str, latency: u64) {
+        let outcome = WireOutcome::Unavailable { latency_ms: latency };
+        call(j, 0, ts..ts + latency, &format!("{rel}^{pat}"), outcome);
     }
 
     #[test]
@@ -737,11 +706,9 @@ mod tests {
         ok(&j, 0, "B", "io", 4, 10);
         ok(&j, 10, "B", "io", 6, 20);
         ok(&j, 30, "B", "oo", 100, 5);
-        j.record_call(0, 40, 45, "S", "o", 2, WireOutcome::Unavailable { latency_ms: 5 });
-        j.record_instant(0, 65, "S", crate::journal::InstantPayload::Retry {
-            attempt: 2,
-            backoff_ms: 20,
-        });
+        fault(&j, 40, "S", "o", 5);
+        let s = j.intern("S");
+        j.record(0, 65, |_| Event::Retry { relation: s, attempt: 2, backoff_ms: 20 });
         ok(&j, 65, "S", "o", 3, 5);
 
         let mut store = FeedbackStore::new();
@@ -776,7 +743,7 @@ mod tests {
         assert_eq!(store.profile("S", "o").unwrap().health, 1.0);
 
         let bad = journal();
-        bad.record_call(0, 0, 5, "S", "o", 1, WireOutcome::Unavailable { latency_ms: 5 });
+        fault(&bad, 0, "S", "o", 5);
         store.fold(&bad.snapshot());
         let h = store.profile("S", "o").unwrap().health;
         assert!((h - 0.7).abs() < 1e-9, "0.3*0 + 0.7*1.0 = 0.7, got {h}");
@@ -820,16 +787,8 @@ mod tests {
         let j = journal();
         ok(&j, 0, "B", "io", 4, 10);
         ok(&j, 10, "B", "io", 6, 1000);
-        j.record_call(0, 40, 45, "S", "o", 2, WireOutcome::Unavailable { latency_ms: 5 });
-        j.record_call(
-            0,
-            50,
-            55,
-            "S",
-            "o",
-            3,
-            WireOutcome::Timeout { latency_ms: 9, timeout_ms: 5 },
-        );
+        fault(&j, 40, "S", "o", 5);
+        call(&j, 0, 50..55, "S^o", WireOutcome::Timeout { latency_ms: 9, timeout_ms: 5 });
         let mut store = FeedbackStore::new();
         store.fold(&j.snapshot());
         store.validate().expect("freshly folded store validates");
@@ -925,15 +884,7 @@ mod tests {
                     if is_ok {
                         ok(&j, ts, rel, pat, rows, latency);
                     } else {
-                        j.record_call(
-                            0,
-                            ts,
-                            ts + latency,
-                            rel,
-                            pat,
-                            1,
-                            WireOutcome::Unavailable { latency_ms: latency },
-                        );
+                        fault(&j, ts, rel, pat, latency);
                     }
                     ts += latency + 1;
                 }
@@ -1018,92 +969,32 @@ mod tests {
     /// seeds run in tier-1, `--features slow-tests` widens to 512.
     const RING_CASES: u64 = if cfg!(feature = "slow-tests") { 512 } else { 64 };
 
-    /// Records one random event: a compact call, a compact instant, a
-    /// general `emit`, or a rich call pair, on one of three lanes.
+    /// Records one random event on one of three lanes: a wire attempt's
+    /// begin/end pair in one slot, or one event of any kind alone —
+    /// batches, degradations, blown estimates, mediator phases and
+    /// recalibrations among them — at either tier.
     fn record_random(j: &Journal, rng: &mut lap_prng::StdRng, ts: u64) {
-        use crate::journal::InstantPayload;
-        const RELATIONS: [&str; 3] = ["B", "C", "L"];
-        const PATTERNS: [&str; 3] = ["io", "oo", "o"];
+        use crate::journal::tests::random_event;
         let lane = rng.gen_range(0..3u64);
-        let rel = RELATIONS[rng.gen_range(0..RELATIONS.len())];
-        let pat = PATTERNS[rng.gen_range(0..PATTERNS.len())];
-        let latency = rng.gen_range(0..40u64);
-        let attempt = rng.gen_range(1..4u64);
-        match rng.gen_range(0..10u32) {
-            0..=2 => {
-                let outcome = match rng.gen_range(0..3u32) {
-                    0 => WireOutcome::Ok { rows: rng.gen_range(0..50u64), latency_ms: latency },
-                    1 => WireOutcome::Unavailable { latency_ms: latency },
-                    _ => WireOutcome::Timeout { latency_ms: latency, timeout_ms: 5 },
+        if rng.gen_bool(0.3) {
+            j.record_call(lane, ts..ts + rng.gen_range(0..40u64), |names| {
+                let mut draw = |end: bool| loop {
+                    let event = random_event(rng, names, j.capture_rows());
+                    if event.interval() == Some(("source.call", !end)) {
+                        break event;
+                    }
                 };
-                j.record_call(lane, ts, ts + latency, rel, pat, attempt, outcome);
-            }
-            3..=5 => {
-                let payload = match rng.gen_range(0..6u32) {
-                    0 => InstantPayload::Membership { present: rng.gen_bool(0.5) },
-                    1 => InstantPayload::CacheHit { rows: latency, membership: rng.gen_bool(0.5) },
-                    2 => InstantPayload::Retry { attempt, backoff_ms: 0 },
-                    3 => InstantPayload::Retry { attempt, backoff_ms: 1 + latency },
-                    4 => InstantPayload::Fault { latency_ms: latency, attempt },
-                    _ => InstantPayload::Timeout { latency_ms: latency, attempt },
-                };
-                j.record_instant(lane, ts, rel, payload);
-            }
-            6..=7 => {
-                let (kind, data) = match rng.gen_range(0..5u32) {
-                    0 => (
-                        kind::SOURCE_CALL_BEGIN,
-                        Json::obj([("relation", Json::str(rel)), ("pattern", Json::str(pat))]),
-                    ),
-                    1 => (
-                        kind::SOURCE_CALL_END,
-                        Json::obj([
-                            ("relation", Json::str(rel)),
-                            ("ok", Json::Bool(rng.gen_bool(0.5))),
-                            ("rows", Json::num(latency)),
-                            ("latency_ms", Json::num(latency)),
-                        ]),
-                    ),
-                    2 => (
-                        kind::RETRY,
-                        Json::obj([("relation", Json::str(rel)), ("backoff_ms", Json::num(latency))]),
-                    ),
-                    3 => (kind::BATCH_BEGIN, Json::obj([("op", Json::str("scan"))])),
-                    _ => (kind::DISJUNCT_DEGRADED, Json::Null),
-                };
-                j.emit(lane, ts, kind, data);
-            }
-            _ => {
-                let fault = if rng.gen_bool(0.5) { "timeout" } else { "unavailable" };
-                let end = if rng.gen_bool(0.6) {
-                    Json::obj([
-                        ("relation", Json::str(rel)),
-                        ("ok", Json::Bool(true)),
-                        ("rows", Json::num(latency / 2)),
-                        ("latency_ms", Json::num(latency)),
-                        ("rows_data", Json::Arr(vec![Json::num(1)])),
-                    ])
-                } else {
-                    Json::obj([
-                        ("relation", Json::str(rel)),
-                        ("ok", Json::Bool(false)),
-                        ("fault", Json::str(fault)),
-                        ("latency_ms", Json::num(latency)),
-                    ])
-                };
-                let begin = Json::obj([
-                    ("relation", Json::str(rel)),
-                    ("pattern", Json::str(pat)),
-                    ("inputs", Json::Arr(vec![Json::num(7)])),
-                ]);
-                j.record_call_rich(lane, ts, ts + latency, begin, end);
-            }
+                (draw(false), draw(true))
+            });
+        } else {
+            j.record(lane, ts, |names| random_event(rng, names, j.capture_rows()));
         }
     }
 
     /// The ring feeder (`fold_journal`) and the snapshot feeder
     /// (`fold_since` over `snapshot()`) are one fold: at random fold points
-    /// over a small ring that overflows between folds, both report the same
+    /// over a small ring that overflows between folds, at the light tier
+    /// (even cases) and the replay tier (odd ones), both report the same
     /// count, leave the cursor at the same position, and leave stores that
     /// compare equal, EWMA health and fold counts included. Events evicted
     /// before a fold reach only `journal.dropped`, never a profile.
@@ -1113,10 +1004,8 @@ mod tests {
         for case in 0..RING_CASES {
             let mut rng = lap_prng::StdRng::seed_from_u64(case);
             let capacity = rng.gen_range(4..40usize);
-            let j = Journal::new(
-                JournalConfig { capacity, ..JournalConfig::light() },
-                Counter::detached(),
-            );
+            let tier = if case % 2 == 0 { JournalConfig::light() } else { JournalConfig::replay() };
+            let j = Journal::new(JournalConfig { capacity, ..tier }, Counter::detached());
             let (mut ring, mut ring_cursor) = (FeedbackStore::new(), FoldCursor::new());
             let (mut snap, mut snap_cursor) = (FeedbackStore::new(), FoldCursor::new());
             // Call ends folded, events folded, and events evicted before a
@@ -1133,7 +1022,7 @@ mod tests {
                 let oldest = snapshot.events.first().map_or(from, |e| e.seq);
                 lost += oldest.saturating_sub(from);
                 ends_folded += snapshot
-                    .events_of(kind::SOURCE_CALL_END)
+                    .events_of(crate::journal::kind::SOURCE_CALL_END)
                     .filter(|e| e.seq >= from)
                     .count() as u64;
                 let by_snapshot = snap.fold_since(&snapshot, &mut snap_cursor);

@@ -1,11 +1,11 @@
-//! The query flight recorder: a bounded ring buffer of structured events.
+//! The query flight recorder: a bounded ring buffer of typed events.
 //!
 //! A [`Journal`] records what an execution *did* — every source call (begin
 //! and end, with pattern, bound inputs, row count, and virtual latency),
 //! membership probe, cache hit, retry attempt, injected fault, timeout,
 //! disjunct-degraded decision, and per-operator batch open/close — as
-//! [`JournalEvent`]s stamped with a strictly monotone sequence number and
-//! the emitter's virtual clock. Aggregate counters (PR 2) say *how much*
+//! [`Event`]s stamped with a strictly monotone sequence number and the
+//! emitter's virtual clock. Aggregate counters say *how much*
 //! happened; the journal says *what happened, in order*, which is the only
 //! trustworthy account of a degraded run.
 //!
@@ -21,36 +21,32 @@
 //!    parentheses (ends may only be unmatched when the matching begin was
 //!    evicted, i.e. when `dropped > 0`).
 //!
-//! Cost model: the hot emitters — source calls, membership probes, cache
-//! hits, retries, faults — go through *compact* entries
-//! ([`Journal::record_call`] and friends): one mutex lock, interned
-//! relation/pattern ids, and a plain-struct ring slot, with **zero**
-//! payload allocation. The structured [`Json`] view of those events is
-//! materialised only at [`Journal::snapshot`] time (the telemetry fold,
-//! [`FeedbackStore::fold_journal`](crate::FeedbackStore::fold_journal),
-//! reads them in place and never materialises it), so the
-//! [`JournalConfig::light`] profile (no row capture) is cheap enough for
-//! always-on use. Rare structural events (batch open/close, degradation
-//! decisions, mediator phases) and the row-capturing replay tier use the
-//! general [`Journal::emit`] path, which allocates its payload eagerly.
+//! There is one event type, [`Event`], with one variant per [`kind`], and
+//! one codec: [`Event::encode`] writes an event's `(kind, data)` file form
+//! and [`Event::decode`] reads it back, and nothing else spells a field
+//! name. Every producer records a variant ([`Journal::record`], and
+//! [`Journal::record_call`] for a wire attempt's begin/end pair, which
+//! shares one ring slot so eviction keeps both halves or neither). Names
+//! (relations, patterns, operator labels) are interned [`Name`] ids and
+//! the rare heavy payloads (captured inputs and rows, a recalibration's
+//! costs) are boxed, so a slot is a plain struct and recording allocates
+//! nothing. The file form is built only by [`Journal::snapshot`]; the
+//! telemetry fold ([`FeedbackStore::fold_journal`](crate::FeedbackStore::fold_journal))
+//! reads the typed slots in place, so the [`JournalConfig::light`] profile
+//! (no row capture) is cheap enough for always-on use.
 //! [`JournalConfig::replay`] captures bound inputs and row data so a
 //! [`JournalSnapshot`] can drive a bit-for-bit replay. A `sample_every`
 //! knob thins *source-call* recording pairwise (begin and end share one
 //! decision, so balance survives sampling).
 
-use crate::feedback::{FoldEvent, FoldStep};
 use crate::json::Json;
 use crate::metrics::Counter;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-/// Suffix that marks an event as opening a paired interval.
-pub const BEGIN_SUFFIX: &str = ".begin";
-/// Suffix that marks an event as closing a paired interval.
-pub const END_SUFFIX: &str = ".end";
-
-/// Event kinds emitted by the engine. Centralised so producers, the
-/// validator, the Chrome exporter, and the replay reader agree on names.
+/// Event kinds emitted by the engine: the file form's names, one per
+/// [`Event`] variant.
 pub mod kind {
     /// A wire attempt on a source starts (one per retry attempt).
     pub const SOURCE_CALL_BEGIN: &str = "source.call.begin";
@@ -126,7 +122,9 @@ impl Default for JournalConfig {
     }
 }
 
-/// One recorded event.
+/// One recorded event in its file form: what [`Journal::snapshot`] and
+/// [`JournalSnapshot::to_json`] write. [`Event::decode`] reads its typed
+/// form back.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JournalEvent {
     /// Strictly monotone sequence number (global across lanes).
@@ -143,16 +141,6 @@ pub struct JournalEvent {
 }
 
 impl JournalEvent {
-    /// True when this event opens a paired interval.
-    pub fn is_begin(&self) -> bool {
-        self.kind.ends_with(BEGIN_SUFFIX)
-    }
-
-    /// True when this event closes a paired interval.
-    pub fn is_end(&self) -> bool {
-        self.kind.ends_with(END_SUFFIX)
-    }
-
     fn to_json(&self) -> Json {
         Json::obj([
             ("seq", Json::num(self.seq)),
@@ -183,7 +171,7 @@ impl JournalEvent {
     }
 }
 
-/// Outcome of one wire attempt, as the compact call recorder sees it.
+/// Outcome of one wire attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WireOutcome {
     /// The attempt returned `rows` tuples after `latency_ms` virtual ms.
@@ -207,183 +195,567 @@ pub enum WireOutcome {
     },
 }
 
-/// Payload of a compact instant event, decoded back into the standard
-/// event shapes at snapshot time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InstantPayload {
-    /// A [`kind::MEMBERSHIP`] probe resolved (`{relation, present}`).
+/// An interned name — a relation, an access-pattern word or an operator
+/// label — as an index into the [`Names`] table it came from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Name(u32);
+
+/// De-duplicating string table behind [`Name`]s, so an event carries
+/// 4-byte ids instead of heap strings.
+#[derive(Debug, Default)]
+pub struct Names {
+    table: Vec<String>,
+    index: HashMap<String, u32>,
+}
+
+impl Names {
+    /// The id of `s`, interning it on first sight. Idempotent.
+    pub fn intern(&mut self, s: &str) -> Name {
+        if let Some(&id) = self.index.get(s) {
+            return Name(id);
+        }
+        let id = self.table.len() as u32;
+        self.table.push(s.to_owned());
+        self.index.insert(s.to_owned(), id);
+        Name(id)
+    }
+
+    /// The string behind `name`; `"?"` for an id this table never issued.
+    pub fn get(&self, name: Name) -> &str {
+        self.table.get(name.0 as usize).map_or("?", String::as_str)
+    }
+}
+
+/// One journal event, typed: one variant per [`kind`]. Names index the
+/// [`Names`] table of the journal (or decoded snapshot) the event belongs
+/// to.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Event {
+    /// [`kind::SOURCE_CALL_BEGIN`]: a wire attempt starts.
+    CallBegin {
+        /// The relation called.
+        relation: Name,
+        /// The access pattern's `i`/`o` word.
+        pattern: Name,
+        /// The attempt (1 = first).
+        attempt: u64,
+        /// The bound inputs, one JSON value per pattern slot (replay tier).
+        inputs: Option<Box<Json>>,
+    },
+    /// [`kind::SOURCE_CALL_END`]: a wire attempt finished.
+    CallEnd {
+        /// The relation called.
+        relation: Name,
+        /// The attempt (1 = first).
+        attempt: u64,
+        /// What the transport answered.
+        outcome: WireOutcome,
+        /// The rows returned, one JSON array per row (replay tier).
+        rows_data: Option<Box<Json>>,
+    },
+    /// [`kind::MEMBERSHIP`]: a wire membership probe resolved.
     Membership {
+        /// The relation probed.
+        relation: Name,
         /// Whether the probed tuple was present.
         present: bool,
     },
-    /// A [`kind::CACHE_HIT`] (`{relation, rows}`, plus `membership: true`
-    /// when the hit answered a membership probe).
+    /// [`kind::CACHE_HIT`]: a call answered from the call cache.
     CacheHit {
+        /// The relation called.
+        relation: Name,
         /// Rows in the cached reply.
         rows: u64,
         /// True when the hit answered a membership probe.
         membership: bool,
     },
-    /// A [`kind::RETRY`] marker (`{relation, attempt}`, plus
-    /// `backoff_ms` when the preceding failure charged a backoff wait).
+    /// [`kind::RETRY`]: a retry attempt is about to run.
     Retry {
+        /// The relation called.
+        relation: Name,
         /// The attempt about to run (≥ 2).
         attempt: u64,
         /// Backoff wait charged to the virtual clock before this attempt
         /// (0 when the policy waited nothing).
         backoff_ms: u64,
     },
-    /// A [`kind::FAULT`] marker (`{relation, latency_ms, attempt}`).
+    /// [`kind::FAULT`]: an attempt failed as unavailable.
     Fault {
+        /// The relation called.
+        relation: Name,
         /// Virtual latency burned before the fault surfaced.
         latency_ms: u64,
         /// The failed attempt.
         attempt: u64,
     },
-    /// A [`kind::TIMEOUT`] marker (`{relation, latency_ms, attempt}`).
+    /// [`kind::TIMEOUT`]: an attempt exceeded its budget.
     Timeout {
+        /// The relation called.
+        relation: Name,
         /// Raw latency the transport would have taken.
         latency_ms: u64,
         /// The failed attempt.
         attempt: u64,
     },
+    /// [`kind::DISJUNCT_DEGRADED`]: a disjunct was dropped.
+    Degraded(Box<Degraded>),
+    /// [`kind::ESTIMATE_BLOWN`]: an operator outgrew its estimate.
+    EstimateBlown {
+        /// The operator's label.
+        label: Name,
+        /// Rows the operator has emitted so far.
+        observed_rows: u64,
+        /// The planner's static estimate, in tuples.
+        estimated_tuples: f64,
+    },
+    /// [`kind::BATCH_BEGIN`]: an operator starts one batch.
+    BatchBegin {
+        /// The operator's label.
+        label: Name,
+        /// Live rows in the batch.
+        rows_in: u64,
+    },
+    /// [`kind::BATCH_END`]: an operator finished one batch.
+    BatchEnd {
+        /// The operator's label.
+        label: Name,
+        /// Live rows the batch produced.
+        rows_out: u64,
+        /// False when the batch failed.
+        ok: bool,
+    },
+    /// [`kind::MEDIATOR_UNFOLD`]: the mediator unfolded a query.
+    Unfold {
+        /// Disjuncts before the phase.
+        disjuncts_in: u64,
+        /// Disjuncts after it.
+        disjuncts_out: u64,
+    },
+    /// [`kind::MEDIATOR_PRUNE`]: the mediator pruned disjuncts.
+    Prune {
+        /// Disjuncts before the phase.
+        disjuncts_in: u64,
+        /// Disjuncts after it.
+        disjuncts_out: u64,
+    },
+    /// [`kind::DAEMON_RECALIBRATE`]: the daemon recalibrated a plan.
+    Recalibrate(Box<Recalibration>),
 }
 
-impl InstantPayload {
-    /// The internal `(kind, a, b)` slot encoding (see `expand_instant`).
-    fn encode(self) -> (&'static str, u64, u64) {
+/// The payload of [`Event::Degraded`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct Degraded {
+    /// The disjunct's position in its union.
+    pub index: u64,
+    /// The disjunct's head.
+    pub head: String,
+    /// The relation whose source stayed unavailable.
+    pub relation: String,
+    /// Attempts spent on it.
+    pub attempts: u64,
+    /// The last fault.
+    pub reason: String,
+}
+
+/// The payload of [`Event::Recalibrate`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct Recalibration {
+    /// The plan-cache key.
+    pub key: String,
+    /// True when a `recalibrate` frame forced the sweep.
+    pub forced: bool,
+    /// The relations the plan touches.
+    pub relations: Vec<String>,
+    /// Root costs before.
+    pub before: Json,
+    /// Root costs after.
+    pub after: Json,
+}
+
+impl Event {
+    /// The event's kind (see [`kind`]).
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
-            InstantPayload::Membership { present } => (kind::MEMBERSHIP, u64::from(present), 0),
-            InstantPayload::CacheHit { rows, membership } => {
-                (kind::CACHE_HIT, rows, u64::from(membership))
-            }
-            InstantPayload::Retry { attempt, backoff_ms } => (kind::RETRY, attempt, backoff_ms),
-            InstantPayload::Fault { latency_ms, attempt } => (kind::FAULT, latency_ms, attempt),
-            InstantPayload::Timeout { latency_ms, attempt } => {
-                (kind::TIMEOUT, latency_ms, attempt)
-            }
+            Event::CallBegin { .. } => kind::SOURCE_CALL_BEGIN,
+            Event::CallEnd { .. } => kind::SOURCE_CALL_END,
+            Event::Membership { .. } => kind::MEMBERSHIP,
+            Event::CacheHit { .. } => kind::CACHE_HIT,
+            Event::Retry { .. } => kind::RETRY,
+            Event::Fault { .. } => kind::FAULT,
+            Event::Timeout { .. } => kind::TIMEOUT,
+            Event::Degraded(_) => kind::DISJUNCT_DEGRADED,
+            Event::EstimateBlown { .. } => kind::ESTIMATE_BLOWN,
+            Event::BatchBegin { .. } => kind::BATCH_BEGIN,
+            Event::BatchEnd { .. } => kind::BATCH_END,
+            Event::Unfold { .. } => kind::MEDIATOR_UNFOLD,
+            Event::Prune { .. } => kind::MEDIATOR_PRUNE,
+            Event::Recalibrate(_) => kind::DAEMON_RECALIBRATE,
         }
     }
-}
 
-/// De-duplicating string table for relation names and access patterns, so
-/// the per-event ring slots store 4-byte ids instead of heap strings.
-#[derive(Debug, Default)]
-struct Interner {
-    table: Vec<String>,
-    index: HashMap<String, u32>,
-}
-
-impl Interner {
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.index.get(s) {
-            return id;
+    /// For an event that opens or closes an interval: the interval's name
+    /// (its kind without `.begin`/`.end`) and whether this event opens it.
+    pub(crate) fn interval(&self) -> Option<(&'static str, bool)> {
+        match self {
+            Event::CallBegin { .. } => Some(("source.call", true)),
+            Event::CallEnd { .. } => Some(("source.call", false)),
+            Event::BatchBegin { .. } => Some(("exec.batch", true)),
+            Event::BatchEnd { .. } => Some(("exec.batch", false)),
+            _ => None,
         }
-        let id = self.table.len() as u32;
-        self.table.push(s.to_owned());
-        self.index.insert(s.to_owned(), id);
-        id
     }
 
-    fn get(&self, id: u32) -> &str {
-        // An id that was never interned (misused `*_by_id` call) degrades
-        // to a placeholder instead of panicking at snapshot time.
-        self.table.get(id as usize).map_or("?", String::as_str)
+    /// The name a trace viewer shows for the event: a call's
+    /// `relation^pattern` or an operator's label, else its interval or
+    /// kind.
+    pub(crate) fn display_name(&self, names: &Names) -> String {
+        match self {
+            Event::CallBegin { relation, pattern, .. } => {
+                format!("{}^{}", names.get(*relation), names.get(*pattern))
+            }
+            Event::BatchBegin { label, .. }
+            | Event::BatchEnd { label, .. }
+            | Event::EstimateBlown { label, .. } => names.get(*label).to_owned(),
+            _ => self.interval().map_or(self.kind(), |(name, _)| name).to_owned(),
+        }
+    }
+
+    /// The file form of the event: its kind and its `data` object. The
+    /// inverse of [`Event::decode`], and with it the only code that spells
+    /// a field name.
+    pub fn encode(self, names: &Names) -> (&'static str, Json) {
+        let kind = self.kind();
+        let mut data = Vec::with_capacity(6);
+        let mut put = |key: &str, value: Json| data.push((key.to_owned(), value));
+        let name = |n: Name| Json::str(names.get(n));
+        match self {
+            Event::CallBegin { relation, pattern, attempt, inputs } => {
+                let (relation, pattern) = (names.get(relation), names.get(pattern));
+                put("label", Json::Str(format!("{relation}^{pattern}")));
+                put("relation", Json::str(relation));
+                put("pattern", Json::str(pattern));
+                put("attempt", Json::num(attempt));
+                if let Some(inputs) = inputs {
+                    put("inputs", *inputs);
+                }
+            }
+            Event::CallEnd { relation, attempt, outcome, rows_data } => {
+                put("relation", name(relation));
+                put("ok", Json::Bool(matches!(outcome, WireOutcome::Ok { .. })));
+                let latency_ms = match outcome {
+                    WireOutcome::Ok { rows, latency_ms } => {
+                        put("rows", Json::num(rows));
+                        latency_ms
+                    }
+                    WireOutcome::Unavailable { latency_ms } => {
+                        put("fault", Json::str("unavailable"));
+                        latency_ms
+                    }
+                    WireOutcome::Timeout { latency_ms, .. } => {
+                        put("fault", Json::str("timeout"));
+                        latency_ms
+                    }
+                };
+                put("latency_ms", Json::num(latency_ms));
+                put("attempt", Json::num(attempt));
+                if let WireOutcome::Timeout { timeout_ms, .. } = outcome {
+                    put("timeout_ms", Json::num(timeout_ms));
+                }
+                if let Some(rows) = rows_data {
+                    put("rows_data", *rows);
+                }
+            }
+            Event::Membership { relation, present } => {
+                put("relation", name(relation));
+                put("present", Json::Bool(present));
+            }
+            Event::CacheHit { relation, rows, membership } => {
+                put("relation", name(relation));
+                put("rows", Json::num(rows));
+                if membership {
+                    put("membership", Json::Bool(true));
+                }
+            }
+            Event::Retry { relation, attempt, backoff_ms } => {
+                put("relation", name(relation));
+                put("attempt", Json::num(attempt));
+                if backoff_ms != 0 {
+                    put("backoff_ms", Json::num(backoff_ms));
+                }
+            }
+            Event::Fault { relation, latency_ms, attempt }
+            | Event::Timeout { relation, latency_ms, attempt } => {
+                put("relation", name(relation));
+                put("latency_ms", Json::num(latency_ms));
+                put("attempt", Json::num(attempt));
+            }
+            Event::Degraded(d) => {
+                put("index", Json::num(d.index));
+                put("head", Json::Str(d.head));
+                put("relation", Json::Str(d.relation));
+                put("attempts", Json::num(d.attempts));
+                put("reason", Json::Str(d.reason));
+            }
+            Event::EstimateBlown { label, observed_rows, estimated_tuples } => {
+                put("label", name(label));
+                put("observed_rows", Json::num(observed_rows));
+                put("estimated_tuples", Json::Num(estimated_tuples));
+            }
+            Event::BatchBegin { label, rows_in } => {
+                put("label", name(label));
+                put("rows_in", Json::num(rows_in));
+            }
+            Event::BatchEnd { label, rows_out, ok } => {
+                put("label", name(label));
+                put("rows_out", Json::num(rows_out));
+                put("ok", Json::Bool(ok));
+            }
+            Event::Unfold { disjuncts_in, disjuncts_out }
+            | Event::Prune { disjuncts_in, disjuncts_out } => {
+                put("disjuncts_in", Json::num(disjuncts_in));
+                put("disjuncts_out", Json::num(disjuncts_out));
+            }
+            Event::Recalibrate(r) => {
+                put("key", Json::Str(r.key));
+                put("forced", Json::Bool(r.forced));
+                put("relations", Json::Arr(r.relations.into_iter().map(Json::Str).collect()));
+                put("before", r.before);
+                put("after", r.after);
+            }
+        }
+        (kind, Json::Obj(data))
+    }
+
+    /// Reads an event back from its file form, interning its names into
+    /// `names`. Fails on an unknown kind and on a field that is missing or
+    /// of the wrong type, naming the event's `seq`, its kind and the
+    /// field. Optional fields (a cache hit's `membership`, a retry's
+    /// `backoff_ms`, captured `inputs` and `rows_data`) read as absent.
+    pub fn decode(event: &JournalEvent, names: &mut Names) -> Result<Event, String> {
+        let f = Fields(event);
+        Ok(match event.kind.as_str() {
+            kind::SOURCE_CALL_BEGIN => Event::CallBegin {
+                relation: names.intern(f.str("relation")?),
+                pattern: names.intern(f.str("pattern")?),
+                attempt: f.u64("attempt")?,
+                inputs: f.captured("inputs")?,
+            },
+            kind::SOURCE_CALL_END => {
+                let relation = names.intern(f.str("relation")?);
+                let latency_ms = f.u64("latency_ms")?;
+                let outcome = if f.bool("ok")? {
+                    WireOutcome::Ok { rows: f.u64("rows")?, latency_ms }
+                } else {
+                    match f.str("fault")? {
+                        "unavailable" => WireOutcome::Unavailable { latency_ms },
+                        "timeout" => {
+                            WireOutcome::Timeout { latency_ms, timeout_ms: f.u64("timeout_ms")? }
+                        }
+                        _ => return Err(f.bad("fault", "\"unavailable\" or \"timeout\"")),
+                    }
+                };
+                Event::CallEnd {
+                    relation,
+                    attempt: f.u64("attempt")?,
+                    outcome,
+                    rows_data: f.captured("rows_data")?,
+                }
+            }
+            kind::MEMBERSHIP => Event::Membership {
+                relation: names.intern(f.str("relation")?),
+                present: f.bool("present")?,
+            },
+            kind::CACHE_HIT => Event::CacheHit {
+                relation: names.intern(f.str("relation")?),
+                rows: f.u64("rows")?,
+                membership: f.optional("membership", Json::as_bool, "a boolean")?.unwrap_or(false),
+            },
+            kind::RETRY => Event::Retry {
+                relation: names.intern(f.str("relation")?),
+                attempt: f.u64("attempt")?,
+                backoff_ms: f.optional("backoff_ms", Json::as_u64, "a number")?.unwrap_or(0),
+            },
+            kind::FAULT => Event::Fault {
+                relation: names.intern(f.str("relation")?),
+                latency_ms: f.u64("latency_ms")?,
+                attempt: f.u64("attempt")?,
+            },
+            kind::TIMEOUT => Event::Timeout {
+                relation: names.intern(f.str("relation")?),
+                latency_ms: f.u64("latency_ms")?,
+                attempt: f.u64("attempt")?,
+            },
+            kind::DISJUNCT_DEGRADED => Event::Degraded(Box::new(Degraded {
+                index: f.u64("index")?,
+                head: f.str("head")?.to_owned(),
+                relation: f.str("relation")?.to_owned(),
+                attempts: f.u64("attempts")?,
+                reason: f.str("reason")?.to_owned(),
+            })),
+            kind::ESTIMATE_BLOWN => Event::EstimateBlown {
+                label: names.intern(f.str("label")?),
+                observed_rows: f.u64("observed_rows")?,
+                estimated_tuples: f.get("estimated_tuples", Json::as_f64, "a number")?,
+            },
+            kind::BATCH_BEGIN => Event::BatchBegin {
+                label: names.intern(f.str("label")?),
+                rows_in: f.u64("rows_in")?,
+            },
+            kind::BATCH_END => Event::BatchEnd {
+                label: names.intern(f.str("label")?),
+                rows_out: f.u64("rows_out")?,
+                ok: f.bool("ok")?,
+            },
+            kind::MEDIATOR_UNFOLD => Event::Unfold {
+                disjuncts_in: f.u64("disjuncts_in")?,
+                disjuncts_out: f.u64("disjuncts_out")?,
+            },
+            kind::MEDIATOR_PRUNE => Event::Prune {
+                disjuncts_in: f.u64("disjuncts_in")?,
+                disjuncts_out: f.u64("disjuncts_out")?,
+            },
+            kind::DAEMON_RECALIBRATE => {
+                let relations = f.get("relations", Json::as_arr, "an array")?;
+                let relations = relations.iter().map(|r| r.as_str().map(str::to_owned));
+                Event::Recalibrate(Box::new(Recalibration {
+                    key: f.str("key")?.to_owned(),
+                    forced: f.bool("forced")?,
+                    relations: relations
+                        .collect::<Option<_>>()
+                        .ok_or_else(|| f.bad("relations", "an array of strings"))?,
+                    before: f.get("before", Some, "present")?.clone(),
+                    after: f.get("after", Some, "present")?.clone(),
+                }))
+            }
+            other => return Err(format!("journal event seq {}: unknown kind {other:?}", event.seq)),
+        })
     }
 }
 
-/// A compact begin/end pair for one wire attempt: expands to two
-/// [`JournalEvent`]s (`source.call.begin` at `begin_seq`, `.end` at
-/// `begin_seq + 1`) at snapshot time. No payload allocation at emit time.
-#[derive(Debug)]
-struct CallEntry {
-    begin_seq: u64,
-    lane: u64,
-    begin_ts_ms: u64,
-    end_ts_ms: u64,
-    relation: u32,
-    pattern: u32,
-    attempt: u64,
-    outcome: WireOutcome,
+/// The `data` fields of one event in its file form, read for
+/// [`Event::decode`].
+struct Fields<'a>(&'a JournalEvent);
+
+impl<'a> Fields<'a> {
+    fn bad(&self, key: &str, expected: &str) -> String {
+        let JournalEvent { seq, kind, .. } = self.0;
+        format!("journal event seq {seq} ({kind}): field {key:?} is missing or not {expected}")
+    }
+
+    /// The field `key` through `read`, or `None` when it is absent.
+    fn optional<T>(
+        &self,
+        key: &str,
+        read: impl Fn(&'a Json) -> Option<T>,
+        expected: &str,
+    ) -> Result<Option<T>, String> {
+        let value = self.0.data.get(key);
+        value.map(|value| read(value).ok_or_else(|| self.bad(key, expected))).transpose()
+    }
+
+    fn get<T>(
+        &self,
+        key: &str,
+        read: impl Fn(&'a Json) -> Option<T>,
+        expected: &str,
+    ) -> Result<T, String> {
+        self.optional(key, read, expected)?.ok_or_else(|| self.bad(key, expected))
+    }
+
+    fn str(&self, key: &str) -> Result<&'a str, String> {
+        self.get(key, Json::as_str, "a string")
+    }
+
+    fn u64(&self, key: &str) -> Result<u64, String> {
+        self.get(key, Json::as_u64, "a number")
+    }
+
+    fn bool(&self, key: &str) -> Result<bool, String> {
+        self.get(key, Json::as_bool, "a boolean")
+    }
+
+    /// A captured payload (an array), boxed as the event keeps it.
+    fn captured(&self, key: &str) -> Result<Option<Box<Json>>, String> {
+        let array = |value: &'a Json| value.as_arr().map(|_| Box::new(value.clone()));
+        self.optional(key, array, "an array")
+    }
 }
 
-/// A compact instant event whose payload is a relation id plus up to two
-/// kind-specific numbers (see `expand_instant` for the per-kind keys).
+/// An event with its ring coordinates: sequence number, virtual
+/// timestamp and lane.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Stamped {
+    /// Strictly monotone sequence number (global across lanes).
+    pub seq: u64,
+    /// The emitter's virtual clock, in milliseconds.
+    pub ts_ms: u64,
+    /// The emitting lane.
+    pub lane: u64,
+    /// The event.
+    pub event: Event,
+}
+
+/// A wire attempt's captured inputs and rows, as one ring slot keeps them.
+type Captured = (Option<Box<Json>>, Option<Box<Json>>);
+
+/// What one ring slot holds: one event, or a wire attempt's begin/end pair
+/// (the begin at the slot's `seq`/`ts_ms`, the end at `seq + 1`/`end_ts`),
+/// which eviction keeps both halves of or neither.
 #[derive(Debug)]
-struct InstantEntry {
+enum Body {
+    One(Event),
+    Call {
+        end_ts: u64,
+        relation: Name,
+        pattern: Name,
+        attempt: u64,
+        outcome: WireOutcome,
+        captured: Option<Box<Captured>>,
+    },
+}
+
+/// One ring slot.
+#[derive(Debug)]
+struct Slot {
     seq: u64,
     lane: u64,
     ts_ms: u64,
-    kind: &'static str,
-    relation: u32,
-    a: u64,
-    b: u64,
+    body: Body,
 }
 
-/// One ring slot: either a pre-built event (general path) or a compact
-/// record that expands lazily.
-#[derive(Debug)]
-enum Entry {
-    Rich(JournalEvent),
-    /// A pre-built begin/end pair held in one slot, so concurrent lanes
-    /// can never interleave inside the pair and eviction keeps both
-    /// halves or neither (the replay tier's analogue of [`Entry::Call`]).
-    RichPair(Box<(JournalEvent, JournalEvent)>),
-    Call(CallEntry),
-    Instant(InstantEntry),
-}
-
-impl Entry {
+impl Slot {
     /// Logical events this slot accounts for (a call pair counts as 2).
     fn events(&self) -> u64 {
-        match self {
-            Entry::Call(_) | Entry::RichPair(_) => 2,
-            _ => 1,
+        match self.body {
+            Body::One(_) => 1,
+            Body::Call { .. } => 2,
         }
     }
 
     /// The sequence number of the slot's last event.
     fn last_seq(&self) -> u64 {
-        match self {
-            Entry::Rich(event) => event.seq,
-            Entry::RichPair(pair) => pair.1.seq,
-            Entry::Call(call) => call.begin_seq + 1,
-            Entry::Instant(instant) => instant.seq,
-        }
+        self.seq + self.events() - 1
     }
 
-    /// The slot's events as the fold reads them. Compact entries borrow
-    /// their names from `names` and expand nothing; rich ones go through
-    /// their JSON payload.
-    fn fold_events<'a>(&'a self, names: &'a Interner) -> impl Iterator<Item = FoldEvent<'a>> {
-        let (first, second) = match self {
-            Entry::Rich(event) => (FoldEvent::of(event), None),
-            Entry::RichPair(pair) => (FoldEvent::of(&pair.0), Some(FoldEvent::of(&pair.1))),
-            Entry::Call(call) => {
-                let relation = names.get(call.relation);
-                let begin = FoldStep::Begin { relation, pattern: names.get(call.pattern) };
-                let end = FoldStep::End { relation, outcome: call.outcome };
-                (
-                    FoldEvent { seq: call.begin_seq, lane: call.lane, step: begin },
-                    Some(FoldEvent { seq: call.begin_seq + 1, lane: call.lane, step: end }),
-                )
-            }
-            Entry::Instant(instant) => {
-                let step = if instant.kind == kind::RETRY {
-                    FoldStep::Retry { relation: names.get(instant.relation), backoff_ms: instant.b }
-                } else {
-                    FoldStep::Other
-                };
-                (FoldEvent { seq: instant.seq, lane: instant.lane, step }, None)
+    /// The slot's events, in sequence order.
+    fn stamped(&self) -> impl Iterator<Item = Stamped> {
+        let Slot { seq, lane, ts_ms, ref body } = *self;
+        let (first, second) = match body {
+            Body::One(event) => (event.clone(), None),
+            &Body::Call { end_ts, relation, pattern, attempt, outcome, ref captured } => {
+                let (inputs, rows_data) = captured.as_deref().cloned().unwrap_or_default();
+                let begin = Event::CallBegin { relation, pattern, attempt, inputs };
+                let end = Event::CallEnd { relation, attempt, outcome, rows_data };
+                (begin, Some(Stamped { seq: seq + 1, ts_ms: end_ts, lane, event: end }))
             }
         };
-        std::iter::once(first).chain(second)
+        std::iter::once(Stamped { seq, ts_ms, lane, event: first }).chain(second)
     }
 }
 
 #[derive(Debug, Default)]
 struct JournalState {
-    entries: VecDeque<Entry>,
+    slots: VecDeque<Slot>,
     /// Logical events currently retained (call pairs count as 2); kept
     /// incrementally so eviction never scans the ring.
     len_events: u64,
@@ -391,28 +763,31 @@ struct JournalState {
     dropped: u64,
     sample_tick: u64,
     meta: Option<Json>,
-    names: Interner,
+    names: Names,
 }
 
 impl JournalState {
-    /// Pushes one slot, then trims the ring back under `capacity`
-    /// (counting logical events), charging evictions to `dropped`.
+    /// Pushes one slot at the next sequence number(s), then trims the ring
+    /// back under `capacity` (counting logical events), charging
+    /// evictions to `dropped`. Returns the slot's first sequence number.
     #[inline]
-    fn push_entry(&mut self, entry: Entry, capacity: usize, dropped_counter: &Counter) {
-        self.len_events += entry.events();
-        self.entries.push_back(entry);
-        while self.len_events > capacity as u64 {
+    fn push(&mut self, lane: u64, ts_ms: u64, body: Body, shared: &JournalShared) -> u64 {
+        let slot = Slot { seq: self.next_seq, lane, ts_ms, body };
+        let events = slot.events();
+        self.next_seq += events;
+        self.len_events += events;
+        self.slots.push_back(slot);
+        while self.len_events > shared.cfg.capacity as u64 {
             let evicted = self
-                .entries
+                .slots
                 .pop_front()
-                .expect("len_events > 0 implies a retained entry")
+                .expect("len_events > 0 implies a retained slot")
                 .events();
             self.len_events -= evicted;
             self.dropped += evicted;
-            for _ in 0..evicted {
-                dropped_counter.incr();
-            }
+            shared.dropped_counter.add(evicted);
         }
+        self.next_seq - events
     }
 }
 
@@ -472,192 +847,53 @@ impl Journal {
         tick.is_multiple_of(every)
     }
 
-    /// Records one event; returns its sequence number. Evicts the oldest
-    /// event (bumping `dropped`) when the ring is at capacity.
-    pub fn emit(&self, lane: u64, ts_ms: u64, kind: &str, data: Json) -> u64 {
+    /// Records one event on `lane` at virtual time `ts_ms`; returns its
+    /// sequence number. `event` builds it under the journal lock, from the
+    /// journal's name table, so naming and recording take one lock. Evicts
+    /// the oldest events (bumping `dropped`) when the ring is at capacity.
+    #[inline]
+    pub fn record(&self, lane: u64, ts_ms: u64, event: impl FnOnce(&mut Names) -> Event) -> u64 {
         let mut state = self.lock();
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        let entry = Entry::Rich(JournalEvent {
-            seq,
-            ts_ms,
-            lane,
-            kind: kind.to_owned(),
-            data,
-        });
-        state.push_entry(entry, self.inner.cfg.capacity, &self.inner.dropped_counter);
-        seq
+        let event = event(&mut state.names);
+        state.push(lane, ts_ms, Body::One(event), &self.inner)
     }
 
-    /// Fast path for one wire attempt: records the
-    /// [`kind::SOURCE_CALL_BEGIN`] / [`kind::SOURCE_CALL_END`] pair as a
-    /// single compact ring slot with no payload allocation, expanding to
-    /// the same event shapes as the general path at snapshot time. The
-    /// pair takes two consecutive sequence numbers (begin is returned);
-    /// this is sound because nothing else emits on the same lane between
-    /// one attempt's begin and end.
-    #[allow(clippy::too_many_arguments)]
+    /// Records one wire attempt: its [`Event::CallBegin`] at `ts.start`
+    /// and its [`Event::CallEnd`] at `ts.end`, on two consecutive sequence
+    /// numbers (the begin's is returned), as **one** ring slot. Concurrent
+    /// lanes can never interleave an event inside the pair, and eviction
+    /// keeps both halves or neither. The pair shares the begin's relation
+    /// and attempt.
+    ///
+    /// # Panics
+    ///
+    /// When `call` does not build a `CallBegin` and a `CallEnd`.
+    #[inline]
     pub fn record_call(
         &self,
         lane: u64,
-        begin_ts_ms: u64,
-        end_ts_ms: u64,
-        relation: &str,
-        pattern: &str,
-        attempt: u64,
-        outcome: WireOutcome,
+        ts: Range<u64>,
+        call: impl FnOnce(&mut Names) -> (Event, Event),
     ) -> u64 {
         let mut state = self.lock();
-        let relation = state.names.intern(relation);
-        let pattern = state.names.intern(pattern);
-        self.push_call(state, lane, begin_ts_ms, end_ts_ms, relation, pattern, attempt, outcome)
-    }
-
-    /// [`Journal::record_call`] with pre-interned ids (see
-    /// [`Journal::intern`]): the steady-state hot path, free of string
-    /// hashing.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_call_by_id(
-        &self,
-        lane: u64,
-        begin_ts_ms: u64,
-        end_ts_ms: u64,
-        relation: u32,
-        pattern: u32,
-        attempt: u64,
-        outcome: WireOutcome,
-    ) -> u64 {
-        let state = self.lock();
-        self.push_call(state, lane, begin_ts_ms, end_ts_ms, relation, pattern, attempt, outcome)
-    }
-
-    /// Records a rich [`kind::SOURCE_CALL_BEGIN`] / [`kind::SOURCE_CALL_END`]
-    /// pair (the replay tier, whose payloads carry bound inputs and row
-    /// data) as **one** ring slot: concurrent lanes can never interleave
-    /// an event inside the pair, and eviction keeps both halves or
-    /// neither — the `dropped` accounting charges the pair as two logical
-    /// events, like [`Journal::record_call`]. Returns the begin sequence
-    /// number; the end event takes the next one.
-    pub fn record_call_rich(
-        &self,
-        lane: u64,
-        begin_ts_ms: u64,
-        end_ts_ms: u64,
-        begin_data: Json,
-        end_data: Json,
-    ) -> u64 {
-        let mut state = self.lock();
-        let begin_seq = state.next_seq;
-        state.next_seq += 2;
-        let begin = JournalEvent {
-            seq: begin_seq,
-            ts_ms: begin_ts_ms,
-            lane,
-            kind: kind::SOURCE_CALL_BEGIN.to_owned(),
-            data: begin_data,
+        let (begin, end) = call(&mut state.names);
+        let (
+            Event::CallBegin { relation, pattern, attempt, inputs },
+            Event::CallEnd { outcome, rows_data, .. },
+        ) = (begin, end)
+        else {
+            panic!("Journal::record_call records a CallBegin and its CallEnd");
         };
-        let end = JournalEvent {
-            seq: begin_seq + 1,
-            ts_ms: end_ts_ms,
-            lane,
-            kind: kind::SOURCE_CALL_END.to_owned(),
-            data: end_data,
-        };
-        state.push_entry(
-            Entry::RichPair(Box::new((begin, end))),
-            self.inner.cfg.capacity,
-            &self.inner.dropped_counter,
-        );
-        begin_seq
+        let captured =
+            (inputs.is_some() || rows_data.is_some()).then(|| Box::new((inputs, rows_data)));
+        let body = Body::Call { end_ts: ts.end, relation, pattern, attempt, outcome, captured };
+        state.push(lane, ts.start, body, &self.inner)
     }
 
-    /// Fast path for a compact instant event (`payload` picks the kind
-    /// and the snapshot-time shape).
-    pub fn record_instant(
-        &self,
-        lane: u64,
-        ts_ms: u64,
-        relation: &str,
-        payload: InstantPayload,
-    ) -> u64 {
-        let mut state = self.lock();
-        let relation = state.names.intern(relation);
-        self.push_instant(state, lane, ts_ms, relation, payload)
-    }
-
-    /// [`Journal::record_instant`] with a pre-interned relation id.
-    #[inline]
-    pub fn record_instant_by_id(
-        &self,
-        lane: u64,
-        ts_ms: u64,
-        relation: u32,
-        payload: InstantPayload,
-    ) -> u64 {
-        let state = self.lock();
-        self.push_instant(state, lane, ts_ms, relation, payload)
-    }
-
-    /// Interns a relation name or pattern word, returning a stable id for
-    /// the `*_by_id` recorders. Idempotent; ids are private to this
-    /// journal.
-    pub fn intern(&self, s: &str) -> u32 {
+    /// Interns a relation name, pattern word or label, returning its id
+    /// in this journal's name table. Idempotent.
+    pub fn intern(&self, s: &str) -> Name {
         self.lock().names.intern(s)
-    }
-
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn push_call(
-        &self,
-        mut state: std::sync::MutexGuard<'_, JournalState>,
-        lane: u64,
-        begin_ts_ms: u64,
-        end_ts_ms: u64,
-        relation: u32,
-        pattern: u32,
-        attempt: u64,
-        outcome: WireOutcome,
-    ) -> u64 {
-        let begin_seq = state.next_seq;
-        state.next_seq += 2;
-        let entry = Entry::Call(CallEntry {
-            begin_seq,
-            lane,
-            begin_ts_ms,
-            end_ts_ms,
-            relation,
-            pattern,
-            attempt,
-            outcome,
-        });
-        state.push_entry(entry, self.inner.cfg.capacity, &self.inner.dropped_counter);
-        begin_seq
-    }
-
-    #[inline]
-    fn push_instant(
-        &self,
-        mut state: std::sync::MutexGuard<'_, JournalState>,
-        lane: u64,
-        ts_ms: u64,
-        relation: u32,
-        payload: InstantPayload,
-    ) -> u64 {
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        let (kind, a, b) = payload.encode();
-        let entry = Entry::Instant(InstantEntry {
-            seq,
-            lane,
-            ts_ms,
-            kind,
-            relation,
-            a,
-            b,
-        });
-        state.push_entry(entry, self.inner.cfg.capacity, &self.inner.dropped_counter);
-        seq
     }
 
     /// Attaches run metadata (query name, retry policy, fault config …)
@@ -694,22 +930,14 @@ impl Journal {
         self.lock().dropped
     }
 
-    /// A frozen copy of the ring plus bookkeeping. Compact entries are
-    /// expanded here into the same [`JournalEvent`] shapes the general
-    /// [`Journal::emit`] path produces, so consumers see one format.
+    /// A frozen copy of the ring plus bookkeeping, every event in its file
+    /// form ([`Event::encode`]).
     pub fn snapshot(&self) -> JournalSnapshot {
         let state = self.lock();
         let mut events = Vec::with_capacity(state.len_events as usize);
-        for entry in &state.entries {
-            match entry {
-                Entry::Rich(event) => events.push(event.clone()),
-                Entry::RichPair(pair) => {
-                    events.push(pair.0.clone());
-                    events.push(pair.1.clone());
-                }
-                Entry::Call(call) => expand_call(call, &state.names, &mut events),
-                Entry::Instant(instant) => events.push(expand_instant(instant, &state.names)),
-            }
+        for Stamped { seq, ts_ms, lane, event } in state.slots.iter().flat_map(Slot::stamped) {
+            let (kind, data) = event.encode(&state.names);
+            events.push(JournalEvent { seq, ts_ms, lane, kind: kind.to_owned(), data });
         }
         JournalSnapshot {
             meta: state.meta.clone().unwrap_or(Json::Null),
@@ -719,128 +947,28 @@ impl Journal {
         }
     }
 
-    /// Hands `fold` the retained events with `seq >= from`, in sequence
-    /// order, under the journal lock. The ring is in sequence order, so a
-    /// binary search finds the first slot to visit; nothing before it is
-    /// touched, and nothing after it is expanded or cloned.
+    /// Hands `fold` this journal's name table and its retained events with
+    /// `seq >= from`, in sequence order, under the journal lock. The ring
+    /// is in sequence order, so a binary search finds the first slot to
+    /// visit; nothing before it is touched, and nothing is encoded.
     pub(crate) fn fold_from<R>(
         &self,
         from: u64,
-        fold: impl FnOnce(&mut dyn Iterator<Item = FoldEvent<'_>>) -> R,
+        fold: impl FnOnce(&Names, &mut dyn Iterator<Item = Stamped>) -> R,
     ) -> R {
         let state = self.lock();
-        let first = state.entries.partition_point(|entry| entry.last_seq() < from);
+        let first = state.slots.partition_point(|slot| slot.last_seq() < from);
         let mut fresh = state
-            .entries
+            .slots
             .range(first..)
-            .flat_map(|entry| entry.fold_events(&state.names))
-            .filter(|event| event.seq >= from);
-        fold(&mut fresh)
+            .flat_map(Slot::stamped)
+            .filter(|stamped| stamped.seq >= from);
+        fold(&state.names, &mut fresh)
     }
 
     #[inline]
     fn lock(&self) -> std::sync::MutexGuard<'_, JournalState> {
         self.inner.state.lock().expect("journal not poisoned")
-    }
-}
-
-/// Expands one compact call pair into the begin/end [`JournalEvent`]s the
-/// general emit path would have produced (minus `inputs`/`rows_data`,
-/// which only the row-capturing tier records — and that tier uses the
-/// general path).
-fn expand_call(call: &CallEntry, names: &Interner, out: &mut Vec<JournalEvent>) {
-    let relation = names.get(call.relation);
-    let pattern = names.get(call.pattern);
-    out.push(JournalEvent {
-        seq: call.begin_seq,
-        ts_ms: call.begin_ts_ms,
-        lane: call.lane,
-        kind: kind::SOURCE_CALL_BEGIN.to_owned(),
-        data: Json::obj([
-            ("label", Json::Str(format!("{relation}^{pattern}"))),
-            ("relation", Json::str(relation)),
-            ("pattern", Json::str(pattern)),
-            ("attempt", Json::num(call.attempt)),
-        ]),
-    });
-    let data = match call.outcome {
-        WireOutcome::Ok { rows, latency_ms } => Json::obj([
-            ("relation", Json::str(relation)),
-            ("ok", Json::Bool(true)),
-            ("rows", Json::num(rows)),
-            ("latency_ms", Json::num(latency_ms)),
-            ("attempt", Json::num(call.attempt)),
-        ]),
-        WireOutcome::Unavailable { latency_ms } => Json::obj([
-            ("relation", Json::str(relation)),
-            ("ok", Json::Bool(false)),
-            ("fault", Json::str("unavailable")),
-            ("latency_ms", Json::num(latency_ms)),
-            ("attempt", Json::num(call.attempt)),
-        ]),
-        WireOutcome::Timeout {
-            latency_ms,
-            timeout_ms,
-        } => Json::obj([
-            ("relation", Json::str(relation)),
-            ("ok", Json::Bool(false)),
-            ("fault", Json::str("timeout")),
-            ("latency_ms", Json::num(latency_ms)),
-            ("attempt", Json::num(call.attempt)),
-            ("timeout_ms", Json::num(timeout_ms)),
-        ]),
-    };
-    out.push(JournalEvent {
-        seq: call.begin_seq + 1,
-        ts_ms: call.end_ts_ms,
-        lane: call.lane,
-        kind: kind::SOURCE_CALL_END.to_owned(),
-        data,
-    });
-}
-
-/// Expands one compact instant into the [`JournalEvent`] the general emit
-/// path would have produced, decoding the `(a, b)` slots per kind.
-fn expand_instant(instant: &InstantEntry, names: &Interner) -> JournalEvent {
-    let relation = names.get(instant.relation);
-    let data = match instant.kind {
-        kind::MEMBERSHIP => Json::obj([
-            ("relation", Json::str(relation)),
-            ("present", Json::Bool(instant.a != 0)),
-        ]),
-        kind::CACHE_HIT => {
-            let mut pairs = vec![
-                ("relation".to_owned(), Json::str(relation)),
-                ("rows".to_owned(), Json::num(instant.a)),
-            ];
-            if instant.b != 0 {
-                pairs.push(("membership".to_owned(), Json::Bool(true)));
-            }
-            Json::Obj(pairs)
-        }
-        kind::RETRY => {
-            let mut pairs = vec![
-                ("relation".to_owned(), Json::str(relation)),
-                ("attempt".to_owned(), Json::num(instant.a)),
-            ];
-            if instant.b != 0 {
-                pairs.push(("backoff_ms".to_owned(), Json::num(instant.b)));
-            }
-            Json::Obj(pairs)
-        }
-        // FAULT and TIMEOUT share one shape.
-        _ => Json::obj([
-            ("relation", Json::str(relation)),
-            ("latency_ms", Json::num(instant.a)),
-            ("attempt", Json::num(instant.b)),
-        ]),
-    };
-    JournalEvent {
-        seq: instant.seq,
-        ts_ms: instant.ts_ms,
-        lane: instant.lane,
-        kind: instant.kind.to_owned(),
-        data,
     }
 }
 
@@ -859,7 +987,12 @@ pub struct JournalCheck {
 }
 
 /// A frozen copy of one [`Journal`]: run metadata, bookkeeping, and the
-/// retained events in sequence order.
+/// retained events in sequence order, in their file form.
+///
+/// Every event of a snapshot taken by [`Journal::snapshot`] or read by
+/// [`JournalSnapshot::from_json`] decodes ([`JournalSnapshot::decode`]);
+/// the readers that return no `Result` (the fold, `render_report`,
+/// `chrome_trace`) panic on one that does not.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JournalSnapshot {
     /// Run metadata (`Json::Null` when none was set).
@@ -883,6 +1016,28 @@ impl JournalSnapshot {
         self.events.iter().filter(move |e| e.kind == kind)
     }
 
+    /// The retained events decoded ([`Event::decode`]), in order, with the
+    /// name table they index. Fails at the first event that does not
+    /// decode.
+    pub fn decode(&self) -> Result<(Names, Vec<Stamped>), String> {
+        let mut names = Names::default();
+        let events = self
+            .events
+            .iter()
+            .map(|e| {
+                let event = Event::decode(e, &mut names)?;
+                Ok(Stamped { seq: e.seq, ts_ms: e.ts_ms, lane: e.lane, event })
+            })
+            .collect::<Result<_, String>>()?;
+        Ok((names, events))
+    }
+
+    /// [`JournalSnapshot::decode`] for a snapshot known to decode: it
+    /// panics with the decode error otherwise.
+    pub(crate) fn decoded(&self) -> (Names, Vec<Stamped>) {
+        self.decode().unwrap_or_else(|e| panic!("{e}"))
+    }
+
     /// Serialises to the standalone journal document shape:
     /// `{"meta", "emitted", "dropped", "events"}`.
     pub fn to_json(&self) -> Json {
@@ -897,7 +1052,8 @@ impl JournalSnapshot {
         ])
     }
 
-    /// Parses a document produced by [`JournalSnapshot::to_json`].
+    /// Parses a document produced by [`JournalSnapshot::to_json`],
+    /// rejecting any event whose payload does not decode.
     pub fn from_json(doc: &Json) -> Result<JournalSnapshot, String> {
         let events = doc
             .get("events")
@@ -911,18 +1067,21 @@ impl JournalSnapshot {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("journal document missing numeric {key:?}"))
         };
-        Ok(JournalSnapshot {
+        let snapshot = JournalSnapshot {
             meta: doc.get("meta").cloned().unwrap_or(Json::Null),
             emitted: number("emitted")?,
             dropped: number("dropped")?,
             events,
-        })
+        };
+        snapshot.decode()?;
+        Ok(snapshot)
     }
 
-    /// Checks the journal invariants: strictly monotone sequence numbers,
-    /// `recorded + dropped == emitted`, and per-lane begin/end balance
-    /// (unmatched *ends* are tolerated only when events were dropped —
-    /// their begins may have been evicted; unmatched *begins* never are).
+    /// Checks the journal invariants: every event decodes, sequence
+    /// numbers are strictly monotone, `recorded + dropped == emitted`, and
+    /// begin/end events balance per lane (unmatched *ends* are tolerated
+    /// only when events were dropped — their begins may have been evicted;
+    /// unmatched *begins* never are).
     pub fn validate(&self) -> Result<JournalCheck, String> {
         if self.recorded() + self.dropped != self.emitted {
             return Err(format!(
@@ -932,51 +1091,44 @@ impl JournalSnapshot {
                 self.emitted
             ));
         }
+        let (_, events) = self.decode()?;
         let mut last_seq: Option<u64> = None;
-        let mut stacks: std::collections::BTreeMap<u64, Vec<&str>> =
-            std::collections::BTreeMap::new();
+        let mut stacks: BTreeMap<u64, Vec<(&str, &str)>> = BTreeMap::new();
         let mut check = JournalCheck::default();
-        for event in &self.events {
-            if let Some(prev) = last_seq {
-                if event.seq <= prev {
-                    return Err(format!(
-                        "sequence not strictly monotone: {} after {}",
-                        event.seq, prev
-                    ));
-                }
+        for Stamped { seq, lane, event, .. } in &events {
+            if let Some(prev) = last_seq.filter(|prev| seq <= prev) {
+                return Err(format!("sequence not strictly monotone: {seq} after {prev}"));
             }
-            last_seq = Some(event.seq);
-            let stack = stacks.entry(event.lane).or_default();
-            if event.is_begin() {
-                check.begins += 1;
-                stack.push(&event.kind);
-            } else if event.is_end() {
-                check.ends += 1;
-                let opener = event.kind.strip_suffix(END_SUFFIX).expect("is_end");
-                match stack.pop() {
-                    Some(top) if top.strip_suffix(BEGIN_SUFFIX) == Some(opener) => {}
-                    Some(top) => {
-                        return Err(format!(
-                            "lane {}: {:?} closes {:?} (seq {})",
-                            event.lane, event.kind, top, event.seq
-                        ));
-                    }
-                    None if self.dropped > 0 => {} // begin evicted from the ring
-                    None => {
-                        return Err(format!(
-                            "lane {}: {:?} without a begin (seq {})",
-                            event.lane, event.kind, event.seq
-                        ));
+            last_seq = Some(*seq);
+            let stack = stacks.entry(*lane).or_default();
+            let kind = event.kind();
+            match event.interval() {
+                Some((interval, true)) => {
+                    check.begins += 1;
+                    stack.push((interval, kind));
+                }
+                Some((interval, false)) => {
+                    check.ends += 1;
+                    match stack.pop() {
+                        Some((open, _)) if open == interval => {}
+                        Some((_, top)) => {
+                            return Err(format!("lane {lane}: {kind:?} closes {top:?} (seq {seq})"));
+                        }
+                        None if self.dropped > 0 => {} // begin evicted from the ring
+                        None => {
+                            let why = format!("{kind:?} without a begin (seq {seq})");
+                            return Err(format!("lane {lane}: {why}"));
+                        }
                     }
                 }
+                None => {}
             }
         }
         for (lane, stack) in &stacks {
-            if !stack.is_empty() {
+            if let Some((_, first)) = stack.first() {
                 return Err(format!(
-                    "lane {lane}: {} unmatched begin event(s), first {:?}",
-                    stack.len(),
-                    stack[0]
+                    "lane {lane}: {} unmatched begin event(s), first {first:?}",
+                    stack.len()
                 ));
             }
         }
@@ -987,9 +1139,10 @@ impl JournalSnapshot {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::json;
+    use lap_prng::StdRng;
 
     fn journal(capacity: usize) -> Journal {
         Journal::new(
@@ -1001,12 +1154,44 @@ mod tests {
         )
     }
 
+    /// Records one wire attempt of `access` (`relation^pattern`) on `lane`.
+    pub(crate) fn call(j: &Journal, lane: u64, ts: Range<u64>, access: &str, outcome: WireOutcome) {
+        let (rel, pat) = access.split_once('^').expect("an access is relation^pattern");
+        j.record_call(lane, ts, |names| {
+            let (relation, pattern) = (names.intern(rel), names.intern(pat));
+            (
+                Event::CallBegin { relation, pattern, attempt: 1, inputs: None },
+                Event::CallEnd { relation, attempt: 1, outcome, rows_data: None },
+            )
+        });
+    }
+
+    /// Records the begin, or the end, of one batch of operator `label`.
+    pub(crate) fn batch(j: &Journal, ts: u64, label: &str, begin: bool) {
+        j.record(0, ts, |names| {
+            let label = names.intern(label);
+            if begin {
+                Event::BatchBegin { label, rows_in: 1 }
+            } else {
+                Event::BatchEnd { label, rows_out: 1, ok: true }
+            }
+        });
+    }
+
+    /// Records a wire membership probe of `relation` on `lane`.
+    pub(crate) fn probe(j: &Journal, lane: u64, ts: u64, relation: &str) {
+        j.record(lane, ts, |names| {
+            Event::Membership { relation: names.intern(relation), present: true }
+        });
+    }
+
+    const OK: WireOutcome = WireOutcome::Ok { rows: 1, latency_ms: 1 };
+
     #[test]
     fn sequence_is_strictly_monotone_and_validates() {
         let j = journal(16);
-        j.emit(0, 0, kind::SOURCE_CALL_BEGIN, Json::obj([("label", Json::str("B^oi"))]));
-        j.emit(0, 3, kind::SOURCE_CALL_END, Json::obj([("ok", Json::Bool(true))]));
-        j.emit(1, 1, kind::MEMBERSHIP, Json::Null);
+        call(&j, 0, 0..1, "B^oi", OK);
+        probe(&j, 1, 1, "B");
         let snap = j.snapshot();
         let check = snap.validate().expect("valid journal");
         assert_eq!(check.events, 3);
@@ -1028,7 +1213,7 @@ mod tests {
             dropped.clone(),
         );
         for i in 0..10 {
-            j.emit(0, i, kind::MEMBERSHIP, Json::num(i));
+            probe(&j, 0, i, "B");
         }
         let snap = j.snapshot();
         assert_eq!(snap.events.len(), 4, "capacity bound honored");
@@ -1042,34 +1227,37 @@ mod tests {
     #[test]
     fn truncated_ring_tolerates_orphan_ends_but_not_orphan_begins() {
         let j = journal(2);
-        j.emit(0, 0, kind::BATCH_BEGIN, Json::Null);
-        j.emit(0, 1, kind::MEMBERSHIP, Json::Null);
-        j.emit(0, 2, kind::MEMBERSHIP, Json::Null);
-        j.emit(0, 3, kind::BATCH_END, Json::Null);
+        batch(&j, 0, "scan", true);
+        probe(&j, 0, 1, "B");
+        probe(&j, 0, 2, "B");
+        batch(&j, 3, "scan", false);
         let snap = j.snapshot();
         assert!(snap.dropped > 0);
         snap.validate().expect("orphan end is fine once events dropped");
 
         let j = journal(16);
-        j.emit(0, 0, kind::BATCH_END, Json::Null);
+        batch(&j, 0, "scan", false);
         assert!(j.snapshot().validate().is_err(), "end without begin");
         let j = journal(16);
-        j.emit(0, 0, kind::BATCH_BEGIN, Json::Null);
+        batch(&j, 0, "scan", true);
         assert!(j.snapshot().validate().is_err(), "begin without end");
     }
 
     #[test]
     fn mismatched_pairs_are_rejected() {
         let j = journal(16);
-        j.emit(0, 0, kind::BATCH_BEGIN, Json::Null);
-        j.emit(0, 1, kind::SOURCE_CALL_END, Json::Null);
-        assert!(j.snapshot().validate().is_err());
+        batch(&j, 0, "scan", true);
+        let b = j.intern("B");
+        let end = Event::CallEnd { relation: b, attempt: 1, outcome: OK, rows_data: None };
+        j.record(0, 1, |_| end);
+        let err = j.snapshot().validate().unwrap_err();
+        assert!(err.contains("\"source.call.end\" closes \"exec.batch.begin\""), "{err}");
     }
 
     #[test]
     fn accounting_mismatch_is_rejected() {
         let j = journal(16);
-        j.emit(0, 0, kind::MEMBERSHIP, Json::Null);
+        probe(&j, 0, 0, "B");
         let mut snap = j.snapshot();
         snap.emitted = 5;
         assert!(snap.validate().unwrap_err().contains("accounting"));
@@ -1088,8 +1276,7 @@ mod tests {
         for i in 0..9 {
             if j.should_sample_call() {
                 sampled += 1;
-                j.emit(0, i, kind::SOURCE_CALL_BEGIN, Json::Null);
-                j.emit(0, i, kind::SOURCE_CALL_END, Json::Null);
+                call(&j, 0, i..i + 1, "B^oi", OK);
             }
         }
         assert_eq!(sampled, 3, "every 3rd call records");
@@ -1114,8 +1301,7 @@ mod tests {
         );
         for i in 0..5 {
             assert!(j.should_sample_call(), "call {i} must record under clamp");
-            j.emit(0, i, kind::SOURCE_CALL_BEGIN, Json::Null);
-            j.emit(0, i, kind::SOURCE_CALL_END, Json::Null);
+            call(&j, 0, i..i + 1, "B^oi", OK);
         }
         let snap = j.snapshot();
         assert_eq!(snap.events.len(), 10, "every call recorded");
@@ -1128,7 +1314,7 @@ mod tests {
             },
             Counter::detached(),
         );
-        j.emit(0, 0, kind::SOURCE_CALL_BEGIN, Json::Null);
+        probe(&j, 0, 0, "B");
         assert_eq!(j.snapshot().events.len(), 1);
     }
 
@@ -1136,165 +1322,159 @@ mod tests {
     fn json_round_trip_through_in_repo_parser() {
         let j = journal(16);
         j.set_meta(Json::obj([("query", Json::str("Q"))]));
-        j.emit(
-            0,
-            2,
-            kind::SOURCE_CALL_BEGIN,
-            Json::obj([
-                ("relation", Json::str("B")),
-                ("inputs", Json::Arr(vec![Json::num(1), Json::Null])),
-            ]),
-        );
-        j.emit(0, 5, kind::SOURCE_CALL_END, Json::obj([("ok", Json::Bool(true))]));
+        j.record_call(0, 2..5, |names| {
+            let (relation, pattern) = (names.intern("B"), names.intern("io"));
+            let inputs = Some(Box::new(Json::Arr(vec![Json::num(1), Json::Null])));
+            let row = Json::Arr(vec![Json::num(1), Json::str("x")]);
+            let rows_data = Some(Box::new(Json::Arr(vec![row])));
+            let outcome = WireOutcome::Ok { rows: 1, latency_ms: 3 };
+            (
+                Event::CallBegin { relation, pattern, attempt: 1, inputs },
+                Event::CallEnd { relation, attempt: 1, outcome, rows_data },
+            )
+        });
         let snap = j.snapshot();
         let text = snap.to_json().to_pretty();
         let parsed = json::parse(&text).expect("parses");
         let back = JournalSnapshot::from_json(&parsed).expect("decodes");
         assert_eq!(back, snap);
+        assert_eq!(back.to_json().to_pretty(), text, "the file reproduces byte for byte");
         assert_eq!(back.meta.get("query").and_then(Json::as_str), Some("Q"));
     }
 
+    /// The file form, key by key: the shapes every journal this program
+    /// has written carries, and so what `decode` must keep reading.
     #[test]
-    fn compact_entries_expand_to_the_general_path_shapes() {
-        // Mirror the same run through the compact fast path and the
-        // general emit path; the snapshots must be indistinguishable.
-        let fast = journal(64);
-        let rich = journal(64);
+    fn events_encode_to_the_file_format() {
+        let j = journal(64);
+        call(&j, 0, 2..5, "B^oi", WireOutcome::Ok { rows: 7, latency_ms: 3 });
+        call(&j, 1, 5..9, "C^ooo", WireOutcome::Timeout { latency_ms: 11, timeout_ms: 4 });
+        let b = j.intern("B");
+        j.record(0, 9, |_| Event::CacheHit { relation: b, rows: 7, membership: false });
+        j.record(0, 9, |_| Event::CacheHit { relation: b, rows: 7, membership: true });
+        j.record(0, 10, |_| Event::Retry { relation: b, attempt: 2, backoff_ms: 0 });
+        j.record(0, 11, |_| Event::Retry { relation: b, attempt: 3, backoff_ms: 16 });
+        j.record(0, 11, |_| Event::Timeout { relation: b, latency_ms: 6, attempt: 3 });
+        let events = j.snapshot().events;
+        let data: Vec<String> =
+            events.iter().map(|e| format!("{} {}", e.kind, e.data.to_compact())).collect();
+        assert_eq!(
+            data,
+            [
+                r#"source.call.begin {"label":"B^oi","relation":"B","pattern":"oi","attempt":1}"#,
+                r#"source.call.end {"relation":"B","ok":true,"rows":7,"latency_ms":3,"attempt":1}"#,
+                r#"source.call.begin {"label":"C^ooo","relation":"C","pattern":"ooo","attempt":1}"#,
+                concat!(
+                    r#"source.call.end {"relation":"C","ok":false,"fault":"timeout","#,
+                    r#""latency_ms":11,"attempt":1,"timeout_ms":4}"#
+                ),
+                r#"source.cache.hit {"relation":"B","rows":7}"#,
+                r#"source.cache.hit {"relation":"B","rows":7,"membership":true}"#,
+                r#"source.retry {"relation":"B","attempt":2}"#,
+                r#"source.retry {"relation":"B","attempt":3,"backoff_ms":16}"#,
+                r#"source.timeout {"relation":"B","latency_ms":6,"attempt":3}"#,
+            ]
+        );
+    }
 
-        fast.record_call(0, 2, 5, "B", "oi", 1, WireOutcome::Ok { rows: 7, latency_ms: 3 });
-        rich.emit(
-            0,
-            2,
-            kind::SOURCE_CALL_BEGIN,
-            Json::obj([
-                ("label", Json::str("B^oi")),
-                ("relation", Json::str("B")),
-                ("pattern", Json::str("oi")),
-                ("attempt", Json::num(1)),
-            ]),
-        );
-        rich.emit(
-            0,
-            5,
-            kind::SOURCE_CALL_END,
-            Json::obj([
-                ("relation", Json::str("B")),
-                ("ok", Json::Bool(true)),
-                ("rows", Json::num(7)),
-                ("latency_ms", Json::num(3)),
-                ("attempt", Json::num(1)),
-            ]),
-        );
+    /// A random event of any variant over a few names, with every optional
+    /// field both present and absent; with `capture` off (the light tier),
+    /// without captured inputs and rows.
+    pub(crate) fn random_event(rng: &mut StdRng, names: &mut Names, capture: bool) -> Event {
+        const RELATIONS: [&str; 3] = ["B", "C", "L"];
+        const PATTERNS: [&str; 3] = ["io", "oo", "o"];
+        let relation = names.intern(RELATIONS[rng.gen_range(0..RELATIONS.len())]);
+        let pattern = names.intern(PATTERNS[rng.gen_range(0..PATTERNS.len())]);
+        let label = format!("access {}^io", names.get(relation));
+        let label = names.intern(&label);
+        let n = rng.gen_range(0..40u64);
+        let attempt = rng.gen_range(1..4u64);
+        let captured = |rng: &mut StdRng| {
+            let slots = vec![Json::num(n), Json::str("x"), Json::Null];
+            (capture && rng.gen_bool(0.5)).then(|| Box::new(Json::Arr(slots)))
+        };
+        let outcome = match rng.gen_range(0..3u32) {
+            0 => WireOutcome::Ok { rows: n / 2, latency_ms: n },
+            1 => WireOutcome::Unavailable { latency_ms: n },
+            _ => WireOutcome::Timeout { latency_ms: n, timeout_ms: 5 },
+        };
+        let pair = [(n, 1 + n / 2), (2, 2)][rng.gen_range(0..2usize)];
+        match rng.gen_range(0..14u32) {
+            0 => Event::CallBegin { relation, pattern, attempt, inputs: captured(rng) },
+            1 => Event::CallEnd { relation, attempt, outcome, rows_data: captured(rng) },
+            2 => Event::Membership { relation, present: rng.gen_bool(0.5) },
+            3 => Event::CacheHit { relation, rows: n, membership: rng.gen_bool(0.5) },
+            4 => {
+                let backoff_ms = if rng.gen_bool(0.5) { 0 } else { n + 1 };
+                Event::Retry { relation, attempt, backoff_ms }
+            }
+            5 => Event::Fault { relation, latency_ms: n, attempt },
+            6 => Event::Timeout { relation, latency_ms: n, attempt },
+            7 => Event::Degraded(Box::new(Degraded {
+                index: n,
+                head: "Q(x)".to_owned(),
+                relation: names.get(relation).to_owned(),
+                attempts: attempt,
+                reason: "source unavailable after 5ms".to_owned(),
+            })),
+            8 => {
+                let estimated_tuples = n as f64 / 3.0;
+                Event::EstimateBlown { label, observed_rows: 10 * n, estimated_tuples }
+            }
+            9 => Event::BatchBegin { label, rows_in: n },
+            10 => Event::BatchEnd { label, rows_out: n, ok: rng.gen_bool(0.5) },
+            11 => Event::Unfold { disjuncts_in: pair.0, disjuncts_out: pair.1 },
+            12 => Event::Prune { disjuncts_in: pair.0, disjuncts_out: pair.1 },
+            _ => Event::Recalibrate(Box::new(Recalibration {
+                key: format!("Q(x) :- {}(x).", names.get(relation)),
+                forced: rng.gen_bool(0.5),
+                relations: vec![names.get(relation).to_owned()],
+                before: Json::obj([("est_calls", Json::num(n))]),
+                after: Json::obj([("est_calls", Json::Num(n as f64 / 7.0))]),
+            })),
+        }
+    }
 
-        fast.record_call(
-            1,
-            5,
-            9,
-            "C",
-            "ooo",
-            2,
-            WireOutcome::Timeout { latency_ms: 11, timeout_ms: 4 },
-        );
-        rich.emit(
-            1,
-            5,
-            kind::SOURCE_CALL_BEGIN,
-            Json::obj([
-                ("label", Json::str("C^ooo")),
-                ("relation", Json::str("C")),
-                ("pattern", Json::str("ooo")),
-                ("attempt", Json::num(2)),
-            ]),
-        );
-        rich.emit(
-            1,
-            9,
-            kind::SOURCE_CALL_END,
-            Json::obj([
-                ("relation", Json::str("C")),
-                ("ok", Json::Bool(false)),
-                ("fault", Json::str("timeout")),
-                ("latency_ms", Json::num(11)),
-                ("attempt", Json::num(2)),
-                ("timeout_ms", Json::num(4)),
-            ]),
-        );
+    /// The codec is one bijection: for seeded random events of every
+    /// variant, writing the file form as text and reading it back gives
+    /// the event again.
+    #[test]
+    fn decode_inverts_encode_for_every_variant() {
+        let mut names = Names::default();
+        let mut kinds = std::collections::BTreeSet::new();
+        for seed in 0..512 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let event = random_event(&mut rng, &mut names, true);
+            let (kind, data) = event.clone().encode(&names);
+            let data = json::parse(&data.to_compact()).expect("parses");
+            let file = JournalEvent { seq: seed, ts_ms: 0, lane: 0, kind: kind.to_owned(), data };
+            let back = Event::decode(&file, &mut names);
+            let back = back.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            assert_eq!(back, event, "seed {seed}");
+            kinds.insert(kind);
+        }
+        assert_eq!(kinds.len(), 14, "every variant drawn: {kinds:?}");
+    }
 
-        fast.record_instant(1, 9, "C", InstantPayload::Timeout { latency_ms: 11, attempt: 2 });
-        rich.emit(
-            1,
-            9,
-            kind::TIMEOUT,
-            Json::obj([
-                ("relation", Json::str("C")),
-                ("latency_ms", Json::num(11)),
-                ("attempt", Json::num(2)),
-            ]),
-        );
-
-        fast.record_instant(0, 9, "B", InstantPayload::Membership { present: true });
-        rich.emit(
-            0,
-            9,
-            kind::MEMBERSHIP,
-            Json::obj([("relation", Json::str("B")), ("present", Json::Bool(true))]),
-        );
-
-        fast.record_instant(0, 9, "B", InstantPayload::CacheHit { rows: 7, membership: false });
-        rich.emit(
-            0,
-            9,
-            kind::CACHE_HIT,
-            Json::obj([("relation", Json::str("B")), ("rows", Json::num(7))]),
-        );
-
-        fast.record_instant(0, 9, "B", InstantPayload::CacheHit { rows: 7, membership: true });
-        rich.emit(
-            0,
-            9,
-            kind::CACHE_HIT,
-            Json::obj([
-                ("relation", Json::str("B")),
-                ("rows", Json::num(7)),
-                ("membership", Json::Bool(true)),
-            ]),
-        );
-
-        fast.record_instant(0, 10, "B", InstantPayload::Retry { attempt: 2, backoff_ms: 0 });
-        rich.emit(
-            0,
-            10,
-            kind::RETRY,
-            Json::obj([("relation", Json::str("B")), ("attempt", Json::num(2))]),
-        );
-
-        fast.record_instant(0, 11, "B", InstantPayload::Retry { attempt: 3, backoff_ms: 16 });
-        rich.emit(
-            0,
-            11,
-            kind::RETRY,
-            Json::obj([
-                ("relation", Json::str("B")),
-                ("attempt", Json::num(3)),
-                ("backoff_ms", Json::num(16)),
-            ]),
-        );
-
-        fast.record_instant(0, 10, "B", InstantPayload::Fault { latency_ms: 6, attempt: 2 });
-        rich.emit(
-            0,
-            10,
-            kind::FAULT,
-            Json::obj([
-                ("relation", Json::str("B")),
-                ("latency_ms", Json::num(6)),
-                ("attempt", Json::num(2)),
-            ]),
-        );
-
-        let fast_snap = fast.snapshot();
-        assert_eq!(fast_snap, rich.snapshot());
-        fast_snap.validate().expect("compact journal validates");
+    #[test]
+    fn decode_names_the_event_and_the_field_it_rejects() {
+        let event = |kind: &str, data: Json| {
+            JournalEvent { seq: 7, ts_ms: 0, lane: 0, kind: kind.to_owned(), data }
+        };
+        let mut names = Names::default();
+        let empty = event(kind::SOURCE_CALL_END, Json::Obj(Vec::new()));
+        let err = Event::decode(&empty, &mut names).unwrap_err();
+        let expected = "field \"relation\" is missing or not a string";
+        assert_eq!(err, format!("journal event seq 7 (source.call.end): {expected}"));
+        let retry = Json::obj([
+            ("relation", Json::str("B")),
+            ("attempt", Json::num(2)),
+            ("backoff_ms", Json::str("9")),
+        ]);
+        let err = Event::decode(&event(kind::RETRY, retry), &mut names).unwrap_err();
+        assert!(err.contains("field \"backoff_ms\" is missing or not a number"), "{err}");
+        let err = Event::decode(&event("x.instant", Json::Null), &mut names).unwrap_err();
+        assert_eq!(err, "journal event seq 7: unknown kind \"x.instant\"");
     }
 
     #[test]
@@ -1302,16 +1482,10 @@ mod tests {
         let by_str = journal(64);
         let by_id = journal(64);
         let rel = by_id.intern("B");
-        let pat = by_id.intern("oi");
         assert_eq!(by_id.intern("B"), rel, "interning is idempotent");
-
-        let outcome = WireOutcome::Ok { rows: 3, latency_ms: 2 };
-        by_str.record_call(0, 1, 3, "B", "oi", 1, outcome);
-        by_id.record_call_by_id(0, 1, 3, rel, pat, 1, outcome);
-        let probe = InstantPayload::Membership { present: false };
-        by_str.record_instant(0, 3, "B", probe);
-        by_id.record_instant_by_id(0, 3, rel, probe);
-
+        let probe = |relation| Event::Membership { relation, present: false };
+        by_str.record(0, 3, |names| probe(names.intern("B")));
+        by_id.record(0, 3, |_| probe(rel));
         assert_eq!(by_str.snapshot(), by_id.snapshot());
     }
 
@@ -1326,7 +1500,7 @@ mod tests {
             dropped.clone(),
         );
         for i in 0..4u64 {
-            j.record_call(0, i, i + 1, "R", "o", 1, WireOutcome::Ok { rows: 1, latency_ms: 1 });
+            call(&j, 0, i..i + 1, "B^oi", OK);
         }
         let snap = j.snapshot();
         assert_eq!(snap.emitted, 8, "each call pair takes two seqs");
@@ -1335,6 +1509,13 @@ mod tests {
         assert_eq!(dropped.get(), 4, "mirrored to the counter");
         assert_eq!(snap.events[0].seq, 4, "oldest retained is the third pair");
         snap.validate().expect("whole pairs evict together, so balance holds");
+    }
+
+    /// A slot is a plain struct no larger than the 80-byte slot of the
+    /// ring that kept events as JSON.
+    #[test]
+    fn a_ring_slot_stays_small() {
+        assert!(std::mem::size_of::<Slot>() <= 80, "{}", std::mem::size_of::<Slot>());
     }
 
     #[test]

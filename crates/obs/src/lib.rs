@@ -56,8 +56,8 @@ pub use feedback::{
     DriftFlag, Expectation, FeedbackStore, FoldCursor, SourceProfile, DRIFT_FACTOR, HEALTH_ALPHA,
 };
 pub use journal::{
-    InstantPayload, Journal, JournalCheck, JournalConfig, JournalEvent, JournalSnapshot,
-    WireOutcome,
+    Degraded, Event, Journal, JournalCheck, JournalConfig, JournalEvent, JournalSnapshot, Name,
+    Names, Recalibration, Stamped, WireOutcome,
 };
 pub use json::{Json, JsonError};
 pub use metrics::{

@@ -264,7 +264,8 @@ mod tests {
         assert!(rec.journal_enabled());
         let j = rec.journal().expect("journal attached").clone();
         for i in 0..5 {
-            j.emit(0, i, "x.instant", crate::json::Json::Null);
+            let label = j.intern("x");
+            j.record(0, i, |_| crate::journal::Event::BatchBegin { label, rows_in: 0 });
         }
         let snap = rec.snapshot();
         assert_eq!(snap.counter("journal.dropped"), 3);

@@ -7,7 +7,7 @@
 //! operator (batches, rows in/out). Works on any journal — light or
 //! replay-profile — since it only needs the always-present fields.
 
-use crate::journal::{kind, JournalSnapshot};
+use crate::journal::{Event, JournalSnapshot, WireOutcome};
 use crate::json::Json;
 use crate::metrics::Histogram;
 use std::collections::BTreeMap;
@@ -34,86 +34,60 @@ struct OperatorRow {
     rows_out: u64,
 }
 
-fn data_str<'a>(data: &'a Json, key: &str) -> Option<&'a str> {
-    data.get(key).and_then(Json::as_str)
-}
-
-fn data_u64(data: &Json, key: &str) -> u64 {
-    data.get(key).and_then(Json::as_u64).unwrap_or(0)
-}
-
 /// Renders the profiling report for `snapshot` as fixed-width text.
+/// Panics on an event that does not decode (see [`JournalSnapshot`]).
 pub fn render_report(snapshot: &JournalSnapshot) -> String {
-    let mut sources: BTreeMap<String, SourceRow> = BTreeMap::new();
-    let mut operators: BTreeMap<String, OperatorRow> = BTreeMap::new();
+    let (names, events) = snapshot.decoded();
+    let mut sources: BTreeMap<&str, SourceRow> = BTreeMap::new();
+    let mut operators: BTreeMap<&str, OperatorRow> = BTreeMap::new();
     let mut degraded: Vec<String> = Vec::new();
     let mut last_ts = 0u64;
-    // Pending begin per lane, to attribute an end's relation when the end
-    // event omits it.
-    let mut open_call: BTreeMap<u64, String> = BTreeMap::new();
-
-    for event in &snapshot.events {
-        last_ts = last_ts.max(event.ts_ms);
-        match event.kind.as_str() {
-            kind::SOURCE_CALL_BEGIN => {
-                let rel = data_str(&event.data, "relation").unwrap_or("?").to_owned();
-                open_call.insert(event.lane, rel);
-            }
-            kind::SOURCE_CALL_END => {
-                let rel = data_str(&event.data, "relation")
-                    .map(str::to_owned)
-                    .or_else(|| open_call.remove(&event.lane))
-                    .unwrap_or_else(|| "?".to_owned());
-                let row = sources.entry(rel).or_default();
+    for stamped in &events {
+        last_ts = last_ts.max(stamped.ts_ms);
+        match &stamped.event {
+            &Event::CallEnd { relation, outcome, .. } => {
+                let row = sources.entry(names.get(relation)).or_default();
                 row.calls += 1;
-                row.rows += data_u64(&event.data, "rows");
-                row.latency.record(data_u64(&event.data, "latency_ms"));
-                if event.data.get("ok") == Some(&Json::Bool(true)) {
-                    row.ok += 1;
-                }
+                let latency_ms = match outcome {
+                    WireOutcome::Ok { rows, latency_ms } => {
+                        row.ok += 1;
+                        row.rows += rows;
+                        latency_ms
+                    }
+                    WireOutcome::Unavailable { latency_ms }
+                    | WireOutcome::Timeout { latency_ms, .. } => latency_ms,
+                };
+                row.latency.record(latency_ms);
             }
-            kind::FAULT => {
-                let rel = data_str(&event.data, "relation").unwrap_or("?");
-                sources.entry(rel.to_owned()).or_default().faults += 1;
+            &Event::Fault { relation, .. } => {
+                sources.entry(names.get(relation)).or_default().faults += 1
             }
-            kind::TIMEOUT => {
-                let rel = data_str(&event.data, "relation").unwrap_or("?");
-                sources.entry(rel.to_owned()).or_default().timeouts += 1;
+            &Event::Timeout { relation, .. } => {
+                sources.entry(names.get(relation)).or_default().timeouts += 1
             }
-            kind::RETRY => {
-                let rel = data_str(&event.data, "relation").unwrap_or("?");
-                let row = sources.entry(rel.to_owned()).or_default();
+            &Event::Retry { relation, backoff_ms, .. } => {
+                let row = sources.entry(names.get(relation)).or_default();
                 row.retries += 1;
-                row.wait_ms += data_u64(&event.data, "backoff_ms");
+                row.wait_ms += backoff_ms;
             }
-            kind::CACHE_HIT => {
-                let rel = data_str(&event.data, "relation").unwrap_or("?");
-                sources.entry(rel.to_owned()).or_default().cache_hits += 1;
+            &Event::CacheHit { relation, .. } => {
+                sources.entry(names.get(relation)).or_default().cache_hits += 1
             }
-            kind::MEMBERSHIP => {
-                let rel = data_str(&event.data, "relation").unwrap_or("?");
-                sources.entry(rel.to_owned()).or_default().membership += 1;
+            &Event::Membership { relation, .. } => {
+                sources.entry(names.get(relation)).or_default().membership += 1
             }
-            kind::BATCH_BEGIN => {
-                let label = data_str(&event.data, "label").unwrap_or("?").to_owned();
-                let row = operators.entry(label).or_default();
+            &Event::BatchBegin { label, rows_in } => {
+                let row = operators.entry(names.get(label)).or_default();
                 row.batches += 1;
-                row.rows_in += data_u64(&event.data, "rows_in");
+                row.rows_in += rows_in;
             }
-            kind::BATCH_END => {
-                let label = data_str(&event.data, "label").unwrap_or("?").to_owned();
-                operators.entry(label).or_default().rows_out +=
-                    data_u64(&event.data, "rows_out");
+            &Event::BatchEnd { label, rows_out, .. } => {
+                operators.entry(names.get(label)).or_default().rows_out += rows_out;
             }
-            kind::DISJUNCT_DEGRADED => {
-                degraded.push(format!(
-                    "disjunct {} ({}) after {} attempt(s): {}",
-                    data_u64(&event.data, "index"),
-                    data_str(&event.data, "relation").unwrap_or("?"),
-                    data_u64(&event.data, "attempts"),
-                    data_str(&event.data, "reason").unwrap_or("?"),
-                ));
-            }
+            Event::Degraded(d) => degraded.push(format!(
+                "disjunct {} ({}) after {} attempt(s): {}",
+                d.index, d.relation, d.attempts, d.reason
+            )),
             _ => {}
         }
     }
@@ -132,7 +106,7 @@ pub fn render_report(snapshot: &JournalSnapshot) -> String {
 
     if !sources.is_empty() {
         out.push_str("\nsources:\n");
-        let width = sources.keys().map(String::len).max().unwrap_or(6).max(6);
+        let width = sources.keys().map(|name| name.len()).max().unwrap_or(6).max(6);
         out.push_str(&format!(
             "  {:width$}  {:>6} {:>6} {:>6} {:>6} {:>7} {:>7} {:>8} {:>8} {:>8} {:>8} {:>7}\n",
             "source", "calls", "rows", "faults", "retry", "cached", "member", "p50ms", "p95ms", "p99ms", "waitms", "wait%",
@@ -174,7 +148,7 @@ pub fn render_report(snapshot: &JournalSnapshot) -> String {
 
     if !operators.is_empty() {
         out.push_str("\noperators:\n");
-        let width = operators.keys().map(String::len).max().unwrap_or(8).max(8);
+        let width = operators.keys().map(|label| label.len()).max().unwrap_or(8).max(8);
         out.push_str(&format!(
             "  {:width$}  {:>8} {:>9} {:>9}\n",
             "operator", "batches", "rows_in", "rows_out",
@@ -199,38 +173,49 @@ pub fn render_report(snapshot: &JournalSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{Journal, JournalConfig};
+    use crate::journal::{Degraded, Journal, JournalConfig};
     use crate::metrics::Counter;
+
+    fn journal() -> Journal {
+        Journal::new(JournalConfig::light(), Counter::detached())
+    }
+
+    /// One wire attempt of `rel` ending at `end` after `latency` ms; a
+    /// fault without `rows`.
+    fn call(j: &Journal, rel: &str, end: u64, latency: u64, rows: Option<u64>) {
+        let outcome = match rows {
+            Some(rows) => WireOutcome::Ok { rows, latency_ms: latency },
+            None => WireOutcome::Unavailable { latency_ms: latency },
+        };
+        crate::journal::tests::call(j, 0, end - latency..end, &format!("{rel}^o"), outcome);
+    }
+
+    fn retry(j: &Journal, rel: &str, ts: u64, attempt: u64, backoff_ms: u64) {
+        j.record(0, ts, |names| Event::Retry { relation: names.intern(rel), attempt, backoff_ms });
+    }
 
     #[test]
     fn report_rolls_up_sources_and_operators() {
-        let j = Journal::new(JournalConfig::light(), Counter::detached());
+        let j = journal();
         j.set_meta(Json::obj([("query", Json::str("Q"))]));
-        j.emit(0, 0, kind::BATCH_BEGIN, Json::obj([
-            ("label", Json::str("access B^oi")),
-            ("rows_in", Json::num(2)),
-        ]));
+        let label = j.intern("access B^oi");
+        j.record(0, 0, |_| Event::BatchBegin { label, rows_in: 2 });
         for latency in [3u64, 9] {
-            j.emit(0, 0, kind::SOURCE_CALL_BEGIN, Json::obj([("relation", Json::str("B"))]));
-            j.emit(0, latency, kind::SOURCE_CALL_END, Json::obj([
-                ("relation", Json::str("B")),
-                ("ok", Json::Bool(true)),
-                ("rows", Json::num(4)),
-                ("latency_ms", Json::num(latency)),
-            ]));
+            call(&j, "B", latency, latency, Some(4));
         }
-        j.emit(0, 9, kind::FAULT, Json::obj([("relation", Json::str("S"))]));
-        j.emit(0, 9, kind::RETRY, Json::obj([("relation", Json::str("S"))]));
-        j.emit(0, 10, kind::BATCH_END, Json::obj([
-            ("label", Json::str("access B^oi")),
-            ("rows_out", Json::num(8)),
-        ]));
-        j.emit(0, 11, kind::DISJUNCT_DEGRADED, Json::obj([
-            ("index", Json::num(1)),
-            ("relation", Json::str("S")),
-            ("attempts", Json::num(4)),
-            ("reason", Json::str("unavailable")),
-        ]));
+        let s = j.intern("S");
+        j.record(0, 9, |_| Event::Fault { relation: s, latency_ms: 0, attempt: 1 });
+        retry(&j, "S", 9, 2, 0);
+        j.record(0, 10, |_| Event::BatchEnd { label, rows_out: 8, ok: true });
+        j.record(0, 11, |_| {
+            Event::Degraded(Box::new(Degraded {
+                index: 1,
+                head: "Q(x)".to_owned(),
+                relation: "S".to_owned(),
+                attempts: 4,
+                reason: "unavailable".to_owned(),
+            }))
+        });
         let text = render_report(&j.snapshot());
         assert!(text.contains("query: Q"), "{text}");
         assert!(text.contains("sources:"), "{text}");
@@ -248,43 +233,16 @@ mod tests {
     /// time, right next to the latency percentiles.
     #[test]
     fn retry_backoff_rolls_up_into_wait_columns() {
-        let j = Journal::new(JournalConfig::light(), Counter::detached());
-        j.emit(0, 0, kind::SOURCE_CALL_BEGIN, Json::obj([("relation", Json::str("S"))]));
-        j.emit(0, 5, kind::SOURCE_CALL_END, Json::obj([
-            ("relation", Json::str("S")),
-            ("ok", Json::Bool(false)),
-            ("latency_ms", Json::num(5)),
-        ]));
-        j.emit(0, 5, kind::FAULT, Json::obj([("relation", Json::str("S"))]));
-        j.emit(0, 25, kind::RETRY, Json::obj([
-            ("relation", Json::str("S")),
-            ("attempt", Json::num(2)),
-            ("backoff_ms", Json::num(20)),
-        ]));
-        j.emit(0, 25, kind::SOURCE_CALL_BEGIN, Json::obj([("relation", Json::str("S"))]));
-        j.emit(0, 30, kind::SOURCE_CALL_END, Json::obj([
-            ("relation", Json::str("S")),
-            ("ok", Json::Bool(true)),
-            ("rows", Json::num(1)),
-            ("latency_ms", Json::num(5)),
-        ]));
-        j.emit(0, 70, kind::RETRY, Json::obj([
-            ("relation", Json::str("S")),
-            ("attempt", Json::num(3)),
-            ("backoff_ms", Json::num(15)),
-        ]));
-        // A legacy retry marker with no backoff field counts as zero wait.
-        j.emit(0, 80, kind::RETRY, Json::obj([
-            ("relation", Json::str("S")),
-            ("attempt", Json::num(4)),
-        ]));
-        j.emit(0, 100, kind::SOURCE_CALL_BEGIN, Json::obj([("relation", Json::str("S"))]));
-        j.emit(0, 100, kind::SOURCE_CALL_END, Json::obj([
-            ("relation", Json::str("S")),
-            ("ok", Json::Bool(true)),
-            ("rows", Json::num(1)),
-            ("latency_ms", Json::num(0)),
-        ]));
+        let j = journal();
+        call(&j, "S", 5, 5, None);
+        let s = j.intern("S");
+        j.record(0, 5, |_| Event::Fault { relation: s, latency_ms: 5, attempt: 1 });
+        retry(&j, "S", 25, 2, 20);
+        call(&j, "S", 30, 5, Some(1));
+        retry(&j, "S", 70, 3, 15);
+        // A retry marker with no backoff counts as zero wait.
+        retry(&j, "S", 80, 4, 0);
+        call(&j, "S", 100, 0, Some(1));
         let text = render_report(&j.snapshot());
         assert!(text.contains("waitms"), "{text}");
         assert!(text.contains("wait%"), "{text}");
@@ -300,15 +258,9 @@ mod tests {
     /// columns; retrying sources keep their numeric share.
     #[test]
     fn zero_retry_sources_render_dash_not_nan() {
-        let j = Journal::new(JournalConfig::light(), Counter::detached());
+        let j = journal();
         // Everything at virtual ms 0: instant call, no faults, no retries.
-        j.emit(0, 0, kind::SOURCE_CALL_BEGIN, Json::obj([("relation", Json::str("B"))]));
-        j.emit(0, 0, kind::SOURCE_CALL_END, Json::obj([
-            ("relation", Json::str("B")),
-            ("ok", Json::Bool(true)),
-            ("rows", Json::num(3)),
-            ("latency_ms", Json::num(0)),
-        ]));
+        call(&j, "B", 0, 0, Some(3));
         let text = render_report(&j.snapshot());
         assert!(!text.contains("NaN"), "{text}");
         let b_line = text.lines().find(|l| l.trim_start().starts_with("B ")).unwrap();
@@ -317,26 +269,10 @@ mod tests {
 
         // And a mixed journal: the retrying source keeps its percentage
         // while the clean source stays dashed.
-        let j = Journal::new(JournalConfig::light(), Counter::detached());
-        j.emit(0, 0, kind::SOURCE_CALL_BEGIN, Json::obj([("relation", Json::str("B"))]));
-        j.emit(0, 0, kind::SOURCE_CALL_END, Json::obj([
-            ("relation", Json::str("B")),
-            ("ok", Json::Bool(true)),
-            ("rows", Json::num(1)),
-            ("latency_ms", Json::num(0)),
-        ]));
-        j.emit(0, 50, kind::RETRY, Json::obj([
-            ("relation", Json::str("S")),
-            ("attempt", Json::num(2)),
-            ("backoff_ms", Json::num(25)),
-        ]));
-        j.emit(0, 100, kind::SOURCE_CALL_BEGIN, Json::obj([("relation", Json::str("S"))]));
-        j.emit(0, 100, kind::SOURCE_CALL_END, Json::obj([
-            ("relation", Json::str("S")),
-            ("ok", Json::Bool(true)),
-            ("rows", Json::num(1)),
-            ("latency_ms", Json::num(0)),
-        ]));
+        let j = journal();
+        call(&j, "B", 0, 0, Some(1));
+        retry(&j, "S", 50, 2, 25);
+        call(&j, "S", 100, 0, Some(1));
         let text = render_report(&j.snapshot());
         let b_line = text.lines().find(|l| l.trim_start().starts_with("B ")).unwrap();
         assert!(b_line.trim_end().ends_with('-'), "{b_line}");
@@ -346,8 +282,7 @@ mod tests {
 
     #[test]
     fn empty_journal_still_reports_accounting() {
-        let j = Journal::new(JournalConfig::light(), Counter::detached());
-        let text = render_report(&j.snapshot());
+        let text = render_report(&journal().snapshot());
         assert!(text.contains("0 recorded, 0 dropped, 0 emitted"), "{text}");
     }
 }

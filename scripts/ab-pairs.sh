@@ -14,12 +14,15 @@
 # back to back, each over lapbench's default 10 s window. Which side runs
 # first alternates from pair to pair (parent first in the first pair),
 # because the second run of a pair tends to read slower. The script
-# prints each pair's `latency_p50_ms` and `throughput_rps`, how many pairs
-# the change won (lower p50), each side's p50 median and quartiles, and
-# whether the medians differ by more than the parent's interquartile
-# range: a gain is claimed only when the change wins at least nine pairs
-# in ten and the medians are that far apart. Then it runs `lapbench
-# compare` on the two record sets, which applies the end-to-end bounds.
+# prints every end-to-end metric of each pair (`latency_p50_ms`,
+# `throughput_rps`, `setup_s`, `latency_p95_ms`, `source_calls_per_req`:
+# parent, change and the change in percent), how many pairs the change
+# won (lower p50), each side's median of every metric, each side's p50
+# quartiles, and whether the p50 medians differ by more than the parent's
+# interquartile range: a gain is claimed only when the change wins at
+# least nine pairs in ten and the medians are that far apart. Then it
+# runs `lapbench compare` on the two record sets, which applies the
+# end-to-end bounds.
 #
 # Environment: OUT (where the records go, default a fresh directory under
 # ${TMPDIR:-/tmp}).
@@ -42,14 +45,18 @@ for dir in "$parent" "$change"; do
         cargo build --release --quiet --offline --manifest-path "$dir/lapbench/Cargo.toml"
 done
 
+# The end-to-end metrics, in the order they are printed; the first is the
+# one a gain is claimed on.
+metrics="latency_p50_ms throughput_rps setup_s latency_p95_ms source_calls_per_req"
+
 # run <side> <seed>: one lapbench run, its record under $out/<side>/;
-# prints its p50 and throughput.
+# prints its end-to-end metrics, in $metrics order.
 run() {
     dir=$parent
     [ "$1" = change ] && dir=$change
     line=$("$dir/lapbench/target/release/lapbench" --workload "$workload" --seed "$2" \
         --trace 0 --out "$out/$1/$workload-$2.json" | tail -n 1)
-    for metric in latency_p50_ms throughput_rps; do
+    for metric in $metrics; do
         echo "$line" | sed -n "s/.*\"$metric\":{\"value\":\([0-9.e+-]*\).*/\1/p"
     done | paste -s -d ' ' -
 }
@@ -65,10 +72,15 @@ stats() {
 
 wins=0
 pairs=0
-: > "$out/parent.p50"
-: > "$out/change.p50"
-printf '%-6s %-7s %12s %12s %9s %12s %12s %9s\n' \
-    seed first parent_p50 change_p50 change parent_rps change_rps change
+for metric in $metrics; do
+    : > "$out/parent.$metric"
+    : > "$out/change.$metric"
+done
+printf '%-6s %-7s' seed first
+for metric in $metrics; do
+    printf ' | %-27s' "$metric"
+done
+printf '\n'
 for seed in "$@"; do
     if [ $((pairs % 2)) -eq 0 ]; then
         first=parent
@@ -80,21 +92,28 @@ for seed in "$@"; do
         p=$(run parent "$seed")
     fi
     pairs=$((pairs + 1))
-    set -- $p
-    p50=$1 prps=$2
-    set -- $c
-    c50=$1 crps=$2
-    echo "$p50" >> "$out/parent.p50"
-    echo "$c50" >> "$out/change.p50"
-    if awk -v p="$p50" -v c="$c50" 'BEGIN { exit !(c < p) }'; then
+    printf '%-6s %-7s' "$seed" "$first"
+    i=1
+    for metric in $metrics; do
+        pv=$(echo "$p" | cut -d ' ' -f "$i")
+        cv=$(echo "$c" | cut -d ' ' -f "$i")
+        echo "$pv" >> "$out/parent.$metric"
+        echo "$cv" >> "$out/change.$metric"
+        awk -v p="$pv" -v c="$cv" 'BEGIN { printf " | %9.3f %9.3f %+6.1f%%", p, c, (c - p) / p * 100 }'
+        i=$((i + 1))
+    done
+    printf '\n'
+    if awk -v p="${p%% *}" -v c="${c%% *}" 'BEGIN { exit !(c < p) }'; then
         wins=$((wins + 1))
     fi
-    awk -v seed="$seed" -v first="$first" -v p="$p50" -v c="$c50" -v pr="$prps" -v cr="$crps" \
-        'BEGIN { printf "%-6s %-7s %12.3f %12.3f %+8.1f%% %12.1f %12.1f %+8.1f%%\n",
-                 seed, first, p, c, (c - p) / p * 100, pr, cr, (cr - pr) / pr * 100 }'
 done
 echo "change p50 lower in $wins/$pairs pairs (records in $out)"
-set -- $(stats "$out/parent.p50") $(stats "$out/change.p50")
+for metric in $metrics; do
+    set -- $(stats "$out/parent.$metric") $(stats "$out/change.$metric")
+    awk -v metric="$metric" -v pm="$2" -v cm="$5" \
+        'BEGIN { printf "%-22s median parent %10.3f change %10.3f (%+.1f%%)\n", metric, pm, cm, (cm - pm) / pm * 100 }'
+done
+set -- $(stats "$out/parent.latency_p50_ms") $(stats "$out/change.latency_p50_ms")
 awk -v pq1="$1" -v pm="$2" -v pq3="$3" -v cq1="$4" -v cm="$5" -v cq3="$6" \
     -v wins="$wins" -v pairs="$pairs" 'BEGIN {
     printf "parent p50 median %.3f (quartiles %.3f, %.3f)\n", pm, pq1, pq3

@@ -169,12 +169,6 @@ impl Server {
         self.service.recorder().journal().map(|j| j.snapshot())
     }
 
-    /// Forces one telemetry sweep, exactly as a `recalibrate` frame
-    /// would. Returns how many cached entries were recalibrated.
-    pub fn force_recalibrate(&self) -> u64 {
-        self.service.telemetry_sweep(true).recalibrated
-    }
-
     /// True once a shutdown has been requested (by this handle or by a
     /// client's `shutdown` frame).
     pub fn is_shutting_down(&self) -> bool {

@@ -13,8 +13,10 @@ use super::telemetry::{TelemetryHub, HEALTH_FLOOR};
 use super::DaemonConfig;
 use lap_core::{canonical_text, render_answer_report, render_outcome, PlanCache, PreparedProgram};
 use lap_engine::Database;
-use lap_obs::journal::kind;
-use lap_obs::{Counter, FoldCursor, Histogram, HistogramSnapshot, Json, JournalConfig, Recorder};
+use lap_obs::{
+    Counter, Event, FoldCursor, Histogram, HistogramSnapshot, Json, JournalConfig, Recalibration,
+    Recorder,
+};
 use lap_planner::{recalibrate_published, CostModel, Strategy};
 use lap_proto::{ErrorCode, QueryOptions, Request, Response};
 use std::collections::{BTreeSet, HashMap};
@@ -520,21 +522,15 @@ impl Service {
                 .map(|p| root_costs(&p))
                 .unwrap_or(Json::Null);
             if let Some(journal) = self.recorder.journal() {
-                journal.emit(
-                    0,
-                    self.started.elapsed().as_millis() as u64,
-                    kind::DAEMON_RECALIBRATE,
-                    Json::obj([
-                        ("key", Json::str(&entry.key)),
-                        ("forced", Json::Bool(force)),
-                        (
-                            "relations",
-                            Json::Arr(touched.iter().map(Json::str).collect()),
-                        ),
-                        ("before", before),
-                        ("after", after),
-                    ]),
-                );
+                let recalibration = Recalibration {
+                    key: entry.key.clone(),
+                    forced: force,
+                    relations: touched.into_iter().collect(),
+                    before,
+                    after,
+                };
+                let ts_ms = self.started.elapsed().as_millis() as u64;
+                journal.record(0, ts_ms, |_| Event::Recalibrate(Box::new(recalibration)));
             }
         }
         // The drift we just handled becomes the new expectation, so the

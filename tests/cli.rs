@@ -150,6 +150,39 @@ fn replay_of_a_plain_run_prints_what_the_run_printed() {
     }
 }
 
+/// A journal whose call ends lost their payload is refused by every
+/// reader, naming the first such event and its missing field, instead of
+/// validating `ok`, reporting 0 rows, calibrating a profile of 100%
+/// failures or blaming a replay divergence.
+#[test]
+fn a_corrupt_journal_is_refused_by_every_reader() {
+    use lap::obs::{json, Json, JournalSnapshot};
+    let scratch = Scratch::new();
+    let (journal, corrupt) = (scratch.file("j.json"), scratch.file("corrupt.json"));
+    let profile = scratch.file("p.json");
+    let (program, facts) = ("examples/data/bookstore.lap", "examples/data/bookstore_facts.lap");
+    assert!(lapq(&["run", program, facts, "--journal", &journal]).status.success());
+    let text = std::fs::read_to_string(&journal).unwrap();
+    let mut doc = JournalSnapshot::from_json(&json::parse(&text).unwrap()).unwrap();
+    let ends: Vec<&mut _> = doc.events.iter_mut().filter(|e| e.kind == "source.call.end").collect();
+    let first = ends[0].seq;
+    ends.into_iter().for_each(|e| e.data = Json::Obj(Vec::new()));
+    std::fs::write(&corrupt, doc.to_json().to_pretty()).unwrap();
+    let expected = format!(
+        "journal event seq {first} (source.call.end): field \"relation\" is missing or not a string"
+    );
+    let (validate, report) = (["obs-validate", &corrupt], ["report", &corrupt]);
+    let (calibrate, replay) = (["calibrate", &corrupt, "--out", &profile], ["replay", &corrupt]);
+    for args in [&validate[..], &report, &calibrate, &replay] {
+        let out = lapq(args);
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains(&expected) && !err.contains("panicked"), "{args:?}: {err}");
+        assert!(stdout(&out).is_empty(), "{args:?}");
+    }
+    assert!(!std::path::Path::new(&profile).exists(), "no profile is written");
+}
+
 /// `--domain` enumerates nothing when no disjunct can be re-admitted: the
 /// bookstore query has no unanswerable literal, so its refinement makes
 /// no call and the run makes only the pair's.

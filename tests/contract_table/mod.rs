@@ -91,7 +91,7 @@ use lap::engine::{
     ReplaySource, ResilienceConfig, RetryPolicy, SourceRegistry,
 };
 use lap::ir::{parse_program, Program};
-use lap::obs::{JournalConfig, JournalSnapshot, Json, Recorder};
+use lap::obs::{Event, JournalConfig, JournalSnapshot, Json, Recorder};
 use lap::proto::{Client, QueryOptions, Response};
 use lap::workload::{
     chaos_ladder, gen_instance, gen_query, gen_schema, slow_source, InstanceConfig, QueryConfig,
@@ -988,16 +988,10 @@ fn normalized(journal: &JournalSnapshot) -> JournalSnapshot {
     if let Json::Obj(meta) = &mut journal.meta {
         meta.retain(|(key, _)| key != "columnar");
     }
-    for event in &mut journal.events {
-        if event.kind == lap::obs::journal::kind::BATCH_END
-            && event.data.get("ok") == Some(&Json::Bool(false))
-        {
-            if let Json::Obj(pairs) = &mut event.data {
-                pairs
-                    .iter_mut()
-                    .filter(|(key, _)| key == "rows_out")
-                    .for_each(|(_, v)| *v = Json::num(0));
-            }
+    let (names, events) = journal.decode().expect("a journal this program wrote decodes");
+    for (file, stamped) in journal.events.iter_mut().zip(events) {
+        if let Event::BatchEnd { label, ok: false, .. } = stamped.event {
+            file.data = Event::BatchEnd { label, rows_out: 0, ok: false }.encode(&names).1;
         }
     }
     journal

@@ -553,16 +553,17 @@ fn watcher_recalibrates_drifted_plans_and_preserves_unchanged_bytes() {
 
     // The action is journaled with the entry's key, its relations, and
     // before/after root costs.
-    let journal = server.journal().expect("server-wide journal");
-    let event = journal
-        .events
-        .iter()
-        .find(|e| e.kind == "daemon.recalibrate")
+    let (_, events) = server.journal().expect("server-wide journal").decode().unwrap();
+    let recalibration = events
+        .into_iter()
+        .find_map(|stamped| match stamped.event {
+            lap::obs::Event::Recalibrate(recalibration) => Some(recalibration),
+            _ => None,
+        })
         .expect("recalibration is journaled");
-    let relations = format!("{:?}", event.data.get("relations"));
-    assert!(relations.contains('A'), "drifted relation recorded: {relations}");
-    assert!(event.data.get("before").is_some() && event.data.get("after").is_some());
-    assert_eq!(event.data.get("forced"), Some(&lap::obs::Json::Bool(false)));
+    let relations = &recalibration.relations;
+    assert!(relations.iter().any(|r| r == "A"), "drifted relation recorded: {relations:?}");
+    assert!(!recalibration.forced);
 
     // Untouched plan, untouched bytes: the bookstore entry was disjoint
     // from the drift, so its text is still identical to one-shot lapq.

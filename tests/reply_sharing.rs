@@ -106,6 +106,20 @@ fn repeated_indexed_calls_allocate_the_same_at_any_size() {
     assert_eq!(scan(50), scan(5000));
 }
 
+/// A registry call borrows its inputs: past the transport, which
+/// allocates nothing, an indexed call allocates one block, the one-reply
+/// list of its one-key batch.
+#[test]
+fn an_indexed_registry_call_allocates_one_block() {
+    let by_first = AccessPattern::parse("io").unwrap();
+    let blocks = blocks_per_thousand(500, &["io"], |reg, i| {
+        let inputs = [Some(Value::int(i % 500)), None];
+        let reply = reg.call(Symbol::intern("R"), by_first, &inputs).unwrap();
+        assert_eq!(reply.len(), 1);
+    });
+    assert_eq!(blocks, 1000);
+}
+
 /// Once an index is built, an in-memory call allocates nothing: its key
 /// is assembled on the stack, a hit is a view of the relation's store (or
 /// of the index's one permuted copy), and every miss shares one empty
