@@ -3,7 +3,7 @@
 //! domain-enumeration refinement of the underestimate (Section 4.2,
 //! Example 8).
 
-use crate::plan::{lower_pair, PhysicalPair, PlanPair};
+use crate::plan::{lower_pair, plan_star, PhysicalPair, PlanPair};
 use crate::prepared::{CompileOptions, PreparedQuery};
 use lap_engine::{
     enumerate_domain, execute_physical_union_with, lower_union, CallStats, Database,
@@ -114,7 +114,9 @@ pub struct AnswerOptions<'a> {
     /// answer-equivalent reordering of PLAN\*'s plans for the query
     /// (re-ordering an executable body never changes its answers, only its
     /// calls), so the report is exactly the `None` one at the calibrated
-    /// plan's cost.
+    /// plan's cost. A journal of the run records the order, as
+    /// [`PlanPair::body_order`] against PLAN\*'s pair, under the `order`
+    /// metadata key, one entry per run, so a replay can run it again.
     pub plans: Option<&'a PlanPair>,
     /// `None`: Fig. 4 as written. `Some(budget)`: after the pair, improve
     /// `ansᵤ` with domain-enumeration views (Example 8), spending at most
@@ -234,6 +236,11 @@ pub(crate) fn run_pair(
             (compiled.plans(), compiled.physical())
         }
         Plans::Given(plans) => {
+            // A replay cannot re-derive a caller's order: record it as a
+            // permutation of PLAN*'s bodies.
+            if let Some(journal) = recorder.journal() {
+                journal.push_meta("order", plan_star(q, schema).body_order(plans));
+            }
             lowered = lower_pair(plans, schema);
             (plans, &lowered)
         }

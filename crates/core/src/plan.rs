@@ -3,6 +3,7 @@
 
 use crate::answerable::answerable_split;
 use lap_ir::{display_adorned, ConjunctiveQuery, Schema, UnionQuery, Var};
+use lap_obs::Json;
 use std::collections::HashSet;
 use std::fmt;
 
@@ -158,6 +159,60 @@ impl PlanPair {
     /// `Q` is orderable (hence feasible) and `Qᵘ` is an exact plan.
     pub fn coincide(&self) -> bool {
         self.under == self.over
+    }
+
+    /// How `planned`, a re-ordering of this pair's bodies, orders each
+    /// disjunct: `{"under": [[…], …], "over": [[…], …]}`, one list per
+    /// disjunct naming each literal by its position in this pair's body.
+    /// A journal of a run given plans records it, so a replay can run the
+    /// same order ([`PlanPair::reordered`]).
+    pub fn body_order(&self, planned: &PlanPair) -> Json {
+        let side = |star: &UnionPlan, planned: &UnionPlan| {
+            let orders = star.parts.iter().zip(&planned.parts).map(|(star, planned)| {
+                let mut used = vec![false; star.cq.body.len()];
+                let positions = planned.cq.body.iter().map(|lit| {
+                    let at = (0..used.len())
+                        .find(|&i| !used[i] && star.cq.body[i] == *lit)
+                        .expect("a re-ordering of the same body");
+                    used[at] = true;
+                    Json::num(at as u64)
+                });
+                Json::Arr(positions.collect())
+            });
+            Json::Arr(orders.collect())
+        };
+        Json::obj([
+            ("under", side(&self.under, &planned.under)),
+            ("over", side(&self.over, &planned.over)),
+        ])
+    }
+
+    /// This pair with every disjunct's body in the order `order` (a
+    /// [`PlanPair::body_order`] document) gives it; an error says which
+    /// list does not fit.
+    pub fn reordered(&self, order: &Json) -> Result<PlanPair, String> {
+        let side = |plan: &UnionPlan, key: &str| {
+            let bad = || format!("body order {key:?} does not fit the plan");
+            let orders = order.get(key).and_then(Json::as_arr).ok_or_else(bad)?;
+            if orders.len() != plan.parts.len() {
+                return Err(bad());
+            }
+            let mut out = plan.clone();
+            for (part, positions) in out.parts.iter_mut().zip(orders) {
+                let positions: Vec<usize> = positions
+                    .as_arr()
+                    .and_then(|p| p.iter().map(|i| i.as_u64().map(|i| i as usize)).collect())
+                    .ok_or_else(bad)?;
+                let mut sorted = positions.clone();
+                sorted.sort_unstable();
+                if !sorted.iter().copied().eq(0..part.cq.body.len()) {
+                    return Err(bad());
+                }
+                part.cq.body = positions.iter().map(|&i| part.cq.body[i].clone()).collect();
+            }
+            Ok(out)
+        };
+        Ok(PlanPair { under: side(&self.under, "under")?, over: side(&self.over, "over")? })
     }
 }
 
@@ -324,5 +379,26 @@ mod tests {
         );
         let shown = pair.under.parts[0].display_with(&schema);
         assert_eq!(shown, "Q(i, t) :- C^oo(i, a), B^ioo(i, a, t), not L^o(i).");
+    }
+
+    #[test]
+    fn body_order_round_trips_and_bad_orders_are_refused() {
+        let (star, _) = plans(
+            "C^oo. L^o.\n\
+             Q(i) :- C(i, a), not L(i), C(i, b).",
+        );
+        let mut planned = star.clone();
+        for plan in [&mut planned.under, &mut planned.over] {
+            plan.parts[0].cq.body.swap(1, 2);
+        }
+        let order = star.body_order(&planned);
+        assert_eq!(order.get("under").unwrap().to_compact(), "[[0,2,1]]");
+        assert_eq!(star.reordered(&order).unwrap(), planned);
+        assert_eq!(star.reordered(&star.body_order(&star)).unwrap(), star);
+        let repeated = r#"{"under": [[0, 1, 1]], "over": [[0, 1, 2]]}"#;
+        for bad in ["{}", repeated, r#"{"under": [], "over": []}"#] {
+            let err = star.reordered(&lap_obs::json::parse(bad).unwrap()).unwrap_err();
+            assert!(err.contains("does not fit the plan"), "{bad}: {err}");
+        }
     }
 }

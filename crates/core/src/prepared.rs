@@ -92,16 +92,16 @@ impl PreparedQuery {
         &self.schema
     }
 
-    /// Replaces the compiled plans and physical trees in place — the
-    /// adaptive re-planning hook (`lap_planner::recalibrate_prepared`
-    /// re-orders the plan bodies under a journal-calibrated cost model and
-    /// re-lowers them after an execution blew its estimates). The
-    /// replacement must be answer-equivalent to the compiled plans (a
-    /// reordering of the same bodies); the feasibility verdict and the
-    /// decision path are kept, not re-derived.
-    pub fn replace_plans(&mut self, plans: PlanPair, physical: PhysicalPair) {
+    /// Replaces the compiled plans in place and lowers the physical trees
+    /// from them, so plans and trees cannot disagree — the adaptive
+    /// re-planning hook (`lap_planner::recalibrate_prepared` re-orders the
+    /// plan bodies under a journal-calibrated cost model). The replacement
+    /// must be answer-equivalent to the compiled plans (a reordering of the
+    /// same bodies); the feasibility verdict and the decision path are
+    /// kept, not re-derived.
+    pub fn replace_plans(&mut self, plans: PlanPair) {
+        self.physical = lower_pair(&plans, &self.schema);
         self.plans = plans;
-        self.physical = physical;
     }
 
     /// The one ANSWER\* driver ([`crate::answer_star_opts`]'s) over the

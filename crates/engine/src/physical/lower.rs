@@ -77,8 +77,6 @@ pub fn lower_cq(cq: &ConjunctiveQuery, null_vars: &[Var], schema: &Schema) -> Ph
                 args,
                 literal: display_adorned(lit, pattern),
                 bound_after: bound_in_slot_order(&slots, &bound),
-                cost: None,
-                calibrated: None,
             };
             if ops.is_empty() {
                 ops.push(PhysOp::Access(op));
@@ -99,8 +97,6 @@ pub fn lower_cq(cq: &ConjunctiveQuery, null_vars: &[Var], schema: &Schema) -> Ph
                 unbound,
                 literal: lit.to_string(),
                 bound_after: bound_in_slot_order(&slots, &bound),
-                cost: None,
-                calibrated: None,
             }));
         }
     }
@@ -125,8 +121,6 @@ pub fn lower_cq(cq: &ConjunctiveQuery, null_vars: &[Var], schema: &Schema) -> Ph
     ops.push(PhysOp::Project(ProjectOp {
         head: cq.head.to_string(),
         cols,
-        cost: None,
-        calibrated: None,
     }));
 
     PhysicalPlan {
@@ -251,16 +245,15 @@ mod tests {
     }
 
     #[test]
-    fn display_renders_the_tree_root_first() {
+    fn pipeline_runs_sources_first_and_projects_last() {
         let cq = parse_cq("Q(i, a, t) :- C(i, a), B(i, a, t), not L(i).").unwrap();
         let plan = lower_cq(&cq, &[], &schema());
-        let text = plan.to_string();
-        let lines: Vec<&str> = text.lines().collect();
-        assert!(lines[0].starts_with("Project Q(i, a, t)"), "{text}");
-        assert!(lines[1].contains("NegFilter not L(i)"), "{text}");
-        assert!(lines[2].contains("BindJoin B^oio(i, a, t)"), "{text}");
-        assert!(lines[3].contains("Access C^oo(i, a)"), "{text}");
-        assert!(lines[3].contains("[bound: i, a]"), "{text}");
+        let labels: Vec<String> = plan.ops.iter().map(PhysOp::label).collect();
+        let expected = ["Access C^oo(i, a)", "BindJoin B^oio(i, a, t)", "NegFilter not L(i)"];
+        assert_eq!(labels[..3], expected);
+        assert_eq!(labels[3], "Project Q(i, a, t)");
+        assert_eq!(plan.ops[0].bound_after(), [Var::new("i"), Var::new("a")]);
+        assert!(plan.ops[3].bound_after().is_empty());
     }
 
     #[test]

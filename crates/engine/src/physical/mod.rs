@@ -9,8 +9,7 @@
 //!
 //! * [`PhysicalPlan`] — one disjunct lowered to a pipeline of operators
 //!   ([`PhysOp::Access`], [`PhysOp::BindJoin`], [`PhysOp::NegFilter`],
-//!   [`PhysOp::Project`]), each carrying its binding schema and an optional
-//!   [`OpCost`] annotation;
+//!   [`PhysOp::Project`]), each carrying its binding schema;
 //! * [`PhysicalUnion`] — the union over disjunct pipelines;
 //! * [`lower_cq`] / [`lower_union`] — the lowering pass, which picks each
 //!   literal's access pattern *at plan time* (boundness at a literal is
@@ -40,6 +39,6 @@ pub use exec::{
 };
 pub use lower::{lower_cq, lower_union};
 pub use plan::{
-    AccessOp, AccessProblem, ArgSource, NegOp, OpCost, PhysOp, PhysicalPlan, PhysicalUnion,
+    AccessOp, AccessProblem, ArgSource, NegOp, PhysOp, PhysicalPlan, PhysicalUnion,
     ProjCol, ProjectOp,
 };

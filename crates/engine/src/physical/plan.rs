@@ -1,9 +1,9 @@
-//! The physical plan IR: operator nodes with binding schemas and optional
-//! cost annotations.
+//! The physical plan IR: operator nodes with binding schemas. Estimates
+//! are not part of it: the planner computes them from a plan when a
+//! printer asks (`lap_planner::op_costs`).
 
 use crate::value::Value;
 use lap_ir::{AccessPattern, Atom, Symbol, Var};
-use std::fmt;
 
 /// Where one operator argument position reads its value from.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -12,33 +12,6 @@ pub enum ArgSource {
     Const(Value),
     /// The binding slot holding the argument variable's value.
     Slot(usize),
-}
-
-/// Per-operator cost annotation, in the planner's units (estimated source
-/// calls issued by this operator and tuples it transfers). `None` until a
-/// cost-annotating lowering fills it in.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct OpCost {
-    /// Estimated number of source calls this operator issues.
-    pub calls: f64,
-    /// Estimated number of tuples it transfers from the sources.
-    pub tuples: f64,
-    /// Estimated number of batch windows the vectorized executor drives
-    /// through this operator: incoming bindings over the cost model's
-    /// batch width, at least one. Per-batch overheads (group assembly,
-    /// build-side setup, memo resets) scale with this, not with tuples —
-    /// it is what a width change moves while `calls`/`tuples` stay put.
-    pub batches: f64,
-}
-
-impl fmt::Display for OpCost {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "est {:.1} calls, {:.1} tuples, {:.0} batches",
-            self.calls, self.tuples, self.batches
-        )
-    }
 }
 
 /// Why lowering could not choose an access pattern for a positive literal.
@@ -76,11 +49,6 @@ pub struct AccessOp {
     /// The binding schema after this operator: variables bound so far, in
     /// slot order.
     pub bound_after: Vec<Var>,
-    /// Optional planner cost annotation.
-    pub cost: Option<OpCost>,
-    /// Optional calibrated cost annotation (journal-fed model), shown next
-    /// to the static estimate so `explain` explains *why* a plan changed.
-    pub calibrated: Option<OpCost>,
 }
 
 /// A negated literal acting as a membership filter: it "can only filter
@@ -99,10 +67,6 @@ pub struct NegOp {
     pub literal: String,
     /// The binding schema after this operator (same as before it).
     pub bound_after: Vec<Var>,
-    /// Optional planner cost annotation.
-    pub cost: Option<OpCost>,
-    /// Optional calibrated cost annotation (journal-fed model).
-    pub calibrated: Option<OpCost>,
 }
 
 /// One head column of a [`ProjectOp`].
@@ -127,10 +91,6 @@ pub struct ProjectOp {
     pub head: String,
     /// One entry per head argument position.
     pub cols: Vec<ProjCol>,
-    /// Optional planner cost annotation.
-    pub cost: Option<OpCost>,
-    /// Optional calibrated cost annotation (journal-fed model).
-    pub calibrated: Option<OpCost>,
 }
 
 /// One operator of a physical pipeline.
@@ -166,43 +126,6 @@ impl PhysOp {
         }
     }
 
-    /// The cost annotation, if a cost-annotating lowering filled it in.
-    pub fn cost(&self) -> Option<OpCost> {
-        match self {
-            PhysOp::Access(a) | PhysOp::BindJoin(a) => a.cost,
-            PhysOp::NegFilter(n) => n.cost,
-            PhysOp::Project(p) => p.cost,
-        }
-    }
-
-    /// Mutable access to the cost annotation (for annotating passes).
-    pub fn cost_mut(&mut self) -> &mut Option<OpCost> {
-        match self {
-            PhysOp::Access(a) | PhysOp::BindJoin(a) => &mut a.cost,
-            PhysOp::NegFilter(n) => &mut n.cost,
-            PhysOp::Project(p) => &mut p.cost,
-        }
-    }
-
-    /// The calibrated cost annotation, if a feedback-fed lowering filled
-    /// it in.
-    pub fn calibrated(&self) -> Option<OpCost> {
-        match self {
-            PhysOp::Access(a) | PhysOp::BindJoin(a) => a.calibrated,
-            PhysOp::NegFilter(n) => n.calibrated,
-            PhysOp::Project(p) => p.calibrated,
-        }
-    }
-
-    /// Mutable access to the calibrated cost annotation.
-    pub fn calibrated_mut(&mut self) -> &mut Option<OpCost> {
-        match self {
-            PhysOp::Access(a) | PhysOp::BindJoin(a) => &mut a.calibrated,
-            PhysOp::NegFilter(n) => &mut n.calibrated,
-            PhysOp::Project(p) => &mut p.calibrated,
-        }
-    }
-
     /// The binding schema after this operator (bound variables in slot
     /// order; the projection reports no bindings).
     pub fn bound_after(&self) -> &[Var] {
@@ -215,8 +138,7 @@ impl PhysOp {
 }
 
 /// One disjunct lowered to a pipeline of operators. `ops` is in pipeline
-/// (execution) order: sources first, [`PhysOp::Project`] always last. The
-/// printed tree shows the same pipeline root-first.
+/// (execution) order: sources first, [`PhysOp::Project`] always last.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PhysicalPlan {
     /// The head atom.
@@ -225,41 +147,6 @@ pub struct PhysicalPlan {
     pub slots: Vec<Var>,
     /// The operators, in pipeline order, ending with the projection.
     pub ops: Vec<PhysOp>,
-}
-
-impl fmt::Display for PhysicalPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (depth, op) in self.ops.iter().rev().enumerate() {
-            if depth > 0 {
-                for _ in 0..depth - 1 {
-                    write!(f, "   ")?;
-                }
-                write!(f, "└─ ")?;
-            }
-            write!(f, "{}", op.label())?;
-            let bound = op.bound_after();
-            if !bound.is_empty() {
-                let names: Vec<String> = bound.iter().map(|v| v.to_string()).collect();
-                write!(f, "  [bound: {}]", names.join(", "))?;
-            }
-            match (op.cost(), op.calibrated()) {
-                (Some(cost), Some(cal)) => write!(
-                    f,
-                    "  ({cost}; cal {:.1} calls, {:.1} tuples)",
-                    cal.calls, cal.tuples
-                )?,
-                (Some(cost), None) => write!(f, "  ({cost})")?,
-                (None, Some(cal)) => {
-                    write!(f, "  (cal {:.1} calls, {:.1} tuples)", cal.calls, cal.tuples)?
-                }
-                (None, None) => {}
-            }
-            if depth + 1 < self.ops.len() {
-                writeln!(f)?;
-            }
-        }
-        Ok(())
-    }
 }
 
 /// A union of physical pipelines, sharing a head. `head` is `None` only
@@ -276,31 +163,5 @@ impl PhysicalUnion {
     /// True iff the union has no disjuncts (the plan `false`).
     pub fn is_false(&self) -> bool {
         self.parts.is_empty()
-    }
-}
-
-impl fmt::Display for PhysicalUnion {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let head = self
-            .head
-            .as_ref()
-            .map(|h| h.to_string())
-            .unwrap_or_else(|| "?".to_owned());
-        write!(f, "Union {head} [{} branch(es)]", self.parts.len())?;
-        if self.parts.is_empty() {
-            write!(f, " — false")?;
-        }
-        for (i, part) in self.parts.iter().enumerate() {
-            writeln!(f)?;
-            writeln!(f, "branch {i}:")?;
-            let text = part.to_string();
-            for (j, line) in text.lines().enumerate() {
-                if j > 0 {
-                    writeln!(f)?;
-                }
-                write!(f, "  {line}")?;
-            }
-        }
-        Ok(())
     }
 }

@@ -339,9 +339,6 @@ pub struct SourceRegistry<'a> {
     /// against the retry policy's per-query deadline budget, which stays a
     /// budget of work, not of elapsed time.
     clock_ms: u64,
-    /// Virtual milliseconds folded in by past [`SourceRegistry::reset_clock`]
-    /// calls, so lifetime reporting survives per-phase deadline resets.
-    retired_clock_ms: u64,
     /// Virtual *wall-clock* milliseconds since the last reset: each batch
     /// adds its longest lane, so with one lane it equals `clock_ms`.
     wall_ms: u64,
@@ -401,7 +398,6 @@ impl<'a> SourceRegistry<'a> {
             retry: RetryPolicy::default(),
             retry_rng: StdRng::seed_from_u64(0x5EED_BACC_0FF5),
             clock_ms: 0,
-            retired_clock_ms: 0,
             wall_ms: 0,
             retired_wall_ms: 0,
             io_workers: 1,
@@ -473,20 +469,6 @@ impl<'a> SourceRegistry<'a> {
         if let Some(journal) = &self.journal {
             journal.record(BASE_LANE, self.virtual_elapsed_ms(), event);
         }
-    }
-
-    /// Records an `exec.estimate.blown` marker: operator `label` has
-    /// emitted `observed` rows against a static estimate of `estimated`
-    /// tuples. Bumps the shared `exec.estimate_blown` counter even when no
-    /// journal is attached, so callers can poll the recorder for blown
-    /// estimates cheaply.
-    pub fn note_estimate_blown(&self, label: &str, observed: u64, estimated: f64) {
-        self.recorder.counter("exec.estimate_blown").incr();
-        self.journal_record(|names| Event::EstimateBlown {
-            label: names.intern(label),
-            observed_rows: observed,
-            estimated_tuples: estimated,
-        });
     }
 
     /// Journal interner ids for a (relation, pattern) access, memoized so
@@ -616,7 +598,6 @@ impl<'a> SourceRegistry<'a> {
     /// policy's per-query budget) — call between independent queries. The
     /// elapsed time is folded into [`SourceRegistry::virtual_elapsed_ms`].
     pub fn reset_clock(&mut self) {
-        self.retired_clock_ms += self.clock_ms;
         self.clock_ms = 0;
         self.retired_wall_ms += self.wall_ms;
         self.wall_ms = 0;

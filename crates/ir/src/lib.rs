@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 mod atom;
-mod builder;
 mod display;
 mod error;
 mod parser;
@@ -49,7 +48,6 @@ mod symbol;
 mod term;
 
 pub use atom::{Atom, Literal, Predicate};
-pub use builder::{CqBuilder, UnionBuilder};
 pub use display::display_adorned;
 pub use error::IrError;
 pub use parser::{parse_cq, parse_literal, parse_program, parse_query, read_facts, Program};

@@ -280,8 +280,10 @@ mod deep_tests {
             Err(UnfoldError::RecursiveViews(_))
         ));
         // Self-recursion too (built directly: the parser refuses it).
-        let x = || vec![lap_ir::Term::var("x")];
-        let rule = lap_ir::CqBuilder::new("A", x()).pos("A", x()).pos("Src", x()).build();
+        use lap_ir::{Atom, ConjunctiveQuery, Literal, Term};
+        let atom = |name| Atom::from_parts(name, vec![Term::var("x")]);
+        let body = vec![Literal::pos(atom("A")), Literal::pos(atom("Src"))];
+        let rule = ConjunctiveQuery::new(atom("A"), body);
         let vs2 = vec![GavView::from_rule(&rule).unwrap()];
         assert!(unfold_deep(&q, &vs2, 1000).is_err());
     }

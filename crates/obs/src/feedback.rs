@@ -971,8 +971,8 @@ mod tests {
 
     /// Records one random event on one of three lanes: a wire attempt's
     /// begin/end pair in one slot, or one event of any kind alone —
-    /// batches, degradations, blown estimates, mediator phases and
-    /// recalibrations among them — at either tier.
+    /// batches, degradations, mediator phases and recalibrations among
+    /// them — at either tier.
     fn record_random(j: &Journal, rng: &mut lap_prng::StdRng, ts: u64) {
         use crate::journal::tests::random_event;
         let lane = rng.gen_range(0..3u64);

@@ -64,9 +64,6 @@ pub mod kind {
     pub const TIMEOUT: &str = "source.timeout";
     /// A disjunct was dropped from a degraded union evaluation.
     pub const DISJUNCT_DEGRADED: &str = "disjunct.degraded";
-    /// An operator's observed cardinality blew past its planner estimate
-    /// (≥ 10×): the plan should be re-costed before the next execution.
-    pub const ESTIMATE_BLOWN: &str = "exec.estimate.blown";
     /// A physical operator starts processing one batch.
     pub const BATCH_BEGIN: &str = "exec.batch.begin";
     /// A physical operator finished one batch.
@@ -299,15 +296,6 @@ pub enum Event {
     },
     /// [`kind::DISJUNCT_DEGRADED`]: a disjunct was dropped.
     Degraded(Box<Degraded>),
-    /// [`kind::ESTIMATE_BLOWN`]: an operator outgrew its estimate.
-    EstimateBlown {
-        /// The operator's label.
-        label: Name,
-        /// Rows the operator has emitted so far.
-        observed_rows: u64,
-        /// The planner's static estimate, in tuples.
-        estimated_tuples: f64,
-    },
     /// [`kind::BATCH_BEGIN`]: an operator starts one batch.
     BatchBegin {
         /// The operator's label.
@@ -384,7 +372,6 @@ impl Event {
             Event::Fault { .. } => kind::FAULT,
             Event::Timeout { .. } => kind::TIMEOUT,
             Event::Degraded(_) => kind::DISJUNCT_DEGRADED,
-            Event::EstimateBlown { .. } => kind::ESTIMATE_BLOWN,
             Event::BatchBegin { .. } => kind::BATCH_BEGIN,
             Event::BatchEnd { .. } => kind::BATCH_END,
             Event::Unfold { .. } => kind::MEDIATOR_UNFOLD,
@@ -413,9 +400,9 @@ impl Event {
             Event::CallBegin { relation, pattern, .. } => {
                 format!("{}^{}", names.get(*relation), names.get(*pattern))
             }
-            Event::BatchBegin { label, .. }
-            | Event::BatchEnd { label, .. }
-            | Event::EstimateBlown { label, .. } => names.get(*label).to_owned(),
+            Event::BatchBegin { label, .. } | Event::BatchEnd { label, .. } => {
+                names.get(*label).to_owned()
+            }
             _ => self.interval().map_or(self.kind(), |(name, _)| name).to_owned(),
         }
     }
@@ -495,11 +482,6 @@ impl Event {
                 put("relation", Json::Str(d.relation));
                 put("attempts", Json::num(d.attempts));
                 put("reason", Json::Str(d.reason));
-            }
-            Event::EstimateBlown { label, observed_rows, estimated_tuples } => {
-                put("label", name(label));
-                put("observed_rows", Json::num(observed_rows));
-                put("estimated_tuples", Json::Num(estimated_tuples));
             }
             Event::BatchBegin { label, rows_in } => {
                 put("label", name(label));
@@ -592,11 +574,6 @@ impl Event {
                 attempts: f.u64("attempts")?,
                 reason: f.str("reason")?.to_owned(),
             })),
-            kind::ESTIMATE_BLOWN => Event::EstimateBlown {
-                label: names.intern(f.str("label")?),
-                observed_rows: f.u64("observed_rows")?,
-                estimated_tuples: f.get("estimated_tuples", Json::as_f64, "a number")?,
-            },
             kind::BATCH_BEGIN => Event::BatchBegin {
                 label: names.intern(f.str("label")?),
                 rows_in: f.u64("rows_in")?,
@@ -905,18 +882,35 @@ impl Journal {
     /// Merges `pairs` into the current metadata object (creating it if
     /// absent, replacing values for repeated keys).
     pub fn merge_meta(&self, pairs: impl IntoIterator<Item = (impl Into<String>, Json)>) {
+        self.edit_meta(|obj| {
+            for (k, v) in pairs {
+                let k = k.into();
+                match obj.iter_mut().find(|(key, _)| *key == k) {
+                    Some(slot) => slot.1 = v,
+                    None => obj.push((k, v)),
+                }
+            }
+        });
+    }
+
+    /// Appends `value` to the array under `key` in the metadata (creating
+    /// both), so the runs of several queries on one journal each keep
+    /// their entry, in run order.
+    pub fn push_meta(&self, key: &str, value: Json) {
+        self.edit_meta(|obj| match obj.iter_mut().find(|(k, _)| k == key) {
+            Some((_, Json::Arr(items))) => items.push(value),
+            Some(slot) => slot.1 = Json::Arr(vec![value]),
+            None => obj.push((key.to_owned(), Json::Arr(vec![value]))),
+        });
+    }
+
+    fn edit_meta(&self, edit: impl FnOnce(&mut Vec<(String, Json)>)) {
         let mut state = self.lock();
         let mut obj = match state.meta.take() {
             Some(Json::Obj(pairs)) => pairs,
             _ => Vec::new(),
         };
-        for (k, v) in pairs {
-            let k = k.into();
-            match obj.iter_mut().find(|(key, _)| *key == k) {
-                Some(slot) => slot.1 = v,
-                None => obj.push((k, v)),
-            }
-        }
+        edit(&mut obj);
         state.meta = Some(Json::Obj(obj));
     }
 
@@ -1399,7 +1393,7 @@ pub(crate) mod tests {
             _ => WireOutcome::Timeout { latency_ms: n, timeout_ms: 5 },
         };
         let pair = [(n, 1 + n / 2), (2, 2)][rng.gen_range(0..2usize)];
-        match rng.gen_range(0..14u32) {
+        match rng.gen_range(0..13u32) {
             0 => Event::CallBegin { relation, pattern, attempt, inputs: captured(rng) },
             1 => Event::CallEnd { relation, attempt, outcome, rows_data: captured(rng) },
             2 => Event::Membership { relation, present: rng.gen_bool(0.5) },
@@ -1417,14 +1411,10 @@ pub(crate) mod tests {
                 attempts: attempt,
                 reason: "source unavailable after 5ms".to_owned(),
             })),
-            8 => {
-                let estimated_tuples = n as f64 / 3.0;
-                Event::EstimateBlown { label, observed_rows: 10 * n, estimated_tuples }
-            }
-            9 => Event::BatchBegin { label, rows_in: n },
-            10 => Event::BatchEnd { label, rows_out: n, ok: rng.gen_bool(0.5) },
-            11 => Event::Unfold { disjuncts_in: pair.0, disjuncts_out: pair.1 },
-            12 => Event::Prune { disjuncts_in: pair.0, disjuncts_out: pair.1 },
+            8 => Event::BatchBegin { label, rows_in: n },
+            9 => Event::BatchEnd { label, rows_out: n, ok: rng.gen_bool(0.5) },
+            10 => Event::Unfold { disjuncts_in: pair.0, disjuncts_out: pair.1 },
+            11 => Event::Prune { disjuncts_in: pair.0, disjuncts_out: pair.1 },
             _ => Event::Recalibrate(Box::new(Recalibration {
                 key: format!("Q(x) :- {}(x).", names.get(relation)),
                 forced: rng.gen_bool(0.5),
@@ -1453,7 +1443,7 @@ pub(crate) mod tests {
             assert_eq!(back, event, "seed {seed}");
             kinds.insert(kind);
         }
-        assert_eq!(kinds.len(), 14, "every variant drawn: {kinds:?}");
+        assert_eq!(kinds.len(), 13, "every variant drawn: {kinds:?}");
     }
 
     #[test]
@@ -1473,8 +1463,10 @@ pub(crate) mod tests {
         ]);
         let err = Event::decode(&event(kind::RETRY, retry), &mut names).unwrap_err();
         assert!(err.contains("field \"backoff_ms\" is missing or not a number"), "{err}");
-        let err = Event::decode(&event("x.instant", Json::Null), &mut names).unwrap_err();
-        assert_eq!(err, "journal event seq 7: unknown kind \"x.instant\"");
+        for unknown in ["x.instant", "exec.estimate.blown"] {
+            let err = Event::decode(&event(unknown, Json::Null), &mut names).unwrap_err();
+            assert_eq!(err, format!("journal event seq 7: unknown kind {unknown:?}"));
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   parent/child nesting covering parse → ANSWERABLE → PLAN\* → FEASIBLE →
 //!   ANSWER\* → mediator unfolding, rendered as an `EXPLAIN ANALYZE`-style
 //!   tree.
-//! * **Sinks** ([`NoopSink`], [`TextSink`], [`JsonSink`]) — exporters over a
-//!   frozen [`Snapshot`], including a hand-rolled [`json`] writer/parser.
+//! * **Exporters** ([`render_text`], [`snapshot_to_json`]) over a frozen
+//!   [`Snapshot`], including a hand-rolled [`json`] writer/parser.
 //! * **Flight recorder** ([`Journal`], [`JournalSnapshot`]) — a bounded
 //!   ring buffer of structured, virtual-clock-stamped events with strictly
 //!   monotone sequence numbers, exportable as a [`chrome`] trace for
@@ -66,5 +66,5 @@ pub use metrics::{
 };
 pub use recorder::{Recorder, Snapshot};
 pub use report::render_report;
-pub use sink::{render_text, snapshot_to_json, JsonSink, NoopSink, Sink, TextSink};
+pub use sink::{render_text, snapshot_to_json};
 pub use span::{SpanGuard, SpanNode};

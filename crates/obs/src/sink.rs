@@ -1,34 +1,13 @@
-//! Pluggable snapshot exporters.
-//!
-//! A [`Sink`] consumes a finished [`Snapshot`]. Three ship with the crate:
-//! [`NoopSink`] (discards everything — the compiled-away default),
-//! [`TextSink`] (human-readable span tree + metric listing, the `--trace`
-//! renderer), and [`JsonSink`] (machine-readable document via the in-crate
-//! [`Json`] writer, the `--metrics-json` exporter).
+//! Snapshot exporters: [`render_text`] (human-readable span tree + metric
+//! listing, the `--trace` renderer) and [`snapshot_to_json`]
+//! (machine-readable document via the in-crate [`Json`] writer, the
+//! `--metrics-json` exporter).
 
 use crate::json::Json;
 use crate::metrics::HistogramSnapshot;
 use crate::recorder::Snapshot;
 use crate::span::SpanNode;
-use std::io::{self, Write};
 use std::time::Duration;
-
-/// Something that can consume a finished snapshot.
-pub trait Sink {
-    /// Exports `snapshot`. Called once per recording session.
-    fn export(&mut self, snapshot: &Snapshot) -> io::Result<()>;
-}
-
-/// Discards the snapshot. The degenerate sink for pipelines that record
-/// nothing; `export` is trivially inlined away.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopSink;
-
-impl Sink for NoopSink {
-    fn export(&mut self, _snapshot: &Snapshot) -> io::Result<()> {
-        Ok(())
-    }
-}
 
 fn fmt_duration(d: Duration) -> String {
     let micros = d.as_micros();
@@ -109,25 +88,6 @@ pub fn render_text(snapshot: &Snapshot) -> String {
     out
 }
 
-/// Writes [`render_text`] output to any writer.
-#[derive(Debug)]
-pub struct TextSink<W: Write> {
-    writer: W,
-}
-
-impl<W: Write> TextSink<W> {
-    /// A text sink over `writer`.
-    pub fn new(writer: W) -> TextSink<W> {
-        TextSink { writer }
-    }
-}
-
-impl<W: Write> Sink for TextSink<W> {
-    fn export(&mut self, snapshot: &Snapshot) -> io::Result<()> {
-        self.writer.write_all(render_text(snapshot).as_bytes())
-    }
-}
-
 fn span_to_json(span: &SpanNode) -> Json {
     Json::obj([
         ("name", Json::str(&span.name)),
@@ -182,27 +142,6 @@ pub fn snapshot_to_json(snapshot: &Snapshot) -> Json {
     ])
 }
 
-/// Writes the snapshot as a pretty-printed JSON document.
-#[derive(Debug)]
-pub struct JsonSink<W: Write> {
-    writer: W,
-}
-
-impl<W: Write> JsonSink<W> {
-    /// A JSON sink over `writer`.
-    pub fn new(writer: W) -> JsonSink<W> {
-        JsonSink { writer }
-    }
-}
-
-impl<W: Write> Sink for JsonSink<W> {
-    fn export(&mut self, snapshot: &Snapshot) -> io::Result<()> {
-        self.writer
-            .write_all(snapshot_to_json(snapshot).to_pretty().as_bytes())?;
-        self.writer.write_all(b"\n")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,10 +172,9 @@ mod tests {
     }
 
     #[test]
-    fn json_sink_emits_parseable_document_with_required_keys() {
-        let mut buf = Vec::new();
-        JsonSink::new(&mut buf).export(&sample_snapshot()).unwrap();
-        let doc = json::parse(std::str::from_utf8(&buf).unwrap()).unwrap();
+    fn snapshot_json_is_a_parseable_document_with_required_keys() {
+        let text = snapshot_to_json(&sample_snapshot()).to_pretty();
+        let doc = json::parse(&text).unwrap();
         for key in ["counters", "histograms", "spans"] {
             assert!(doc.get(key).is_some(), "missing {key}");
         }
@@ -269,12 +207,6 @@ mod tests {
             assert!(hist.get(key).and_then(Json::as_f64).is_some(), "missing {key}");
         }
         assert!(hist.get("p99").and_then(Json::as_f64).unwrap() <= 100.0);
-    }
-
-    #[test]
-    fn noop_sink_accepts_anything() {
-        NoopSink.export(&sample_snapshot()).unwrap();
-        NoopSink.export(&Snapshot::default()).unwrap();
     }
 
     #[test]

@@ -22,10 +22,6 @@ pub struct CostModel {
     /// Fraction of an extent matching one bound column (applied once per
     /// input slot *and* per bound output column filtered client-side).
     pub selectivity: f64,
-    /// Batch width the vectorized executor is assumed to run at; the
-    /// width-aware `batches` term of an [`OpCost`](lap_engine::OpCost) is
-    /// incoming bindings over this. Matches `ExecConfig`'s default width.
-    pub batch_width: f64,
     extents: HashMap<Symbol, f64>,
     /// Per-relation call-cost multipliers in units of one healthy-baseline
     /// call. Empty (weight 1.0 everywhere) for static models; a calibrated
@@ -40,7 +36,6 @@ impl Default for CostModel {
         CostModel {
             default_extent: 100.0,
             selectivity: 0.1,
-            batch_width: 1024.0,
             extents: HashMap::new(),
             call_weights: HashMap::new(),
         }
@@ -65,13 +60,6 @@ impl CostModel {
     /// Overrides one relation's extent (builder style).
     pub fn with_extent(mut self, name: &str, extent: f64) -> CostModel {
         self.extents.insert(Symbol::intern(name), extent);
-        self
-    }
-
-    /// Overrides the assumed executor batch width (builder style). Clamped
-    /// to at least one row per window.
-    pub fn with_batch_width(mut self, batch_width: usize) -> CostModel {
-        self.batch_width = batch_width.max(1) as f64;
         self
     }
 
@@ -207,8 +195,8 @@ pub fn estimate_cost(cq: &ConjunctiveQuery, schema: &Schema, model: &CostModel) 
     Some(cost)
 }
 
-/// One literal of the walk [`estimate_cost`] and `explain`'s annotation
-/// (`lower.rs`) share: `bindings` flow into a call on `relation` through
+/// One literal of the walk [`estimate_cost`] and
+/// [`op_costs`](crate::op_costs) share: `bindings` flow into a call on `relation` through
 /// `access = (input slots, bound positions)`, or into a membership probe
 /// (`None`). Returns the literal's cost and the bindings that flow on.
 pub(crate) fn literal_step(

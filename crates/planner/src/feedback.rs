@@ -4,28 +4,28 @@
 //! sources actually did. [`CostModel::calibrated`] turns a folded
 //! [`FeedbackStore`] into a re-costed model; [`recalibrate_prepared`]
 //! closes the loop for a long-lived [`PreparedQuery`]: re-order its plan
-//! bodies under the calibrated model, re-lower with **dual** cost
-//! annotations (static `est` next to calibrated `cal`), and swap the
-//! physical trees in place so the *next* execution runs the new plan.
+//! bodies under the calibrated model and swap the plans (and the physical
+//! trees lowered from them) in place so the *next* execution runs the new
+//! plan. The estimates behind the choice are not stored on the plan:
+//! [`op_costs`](crate::op_costs) computes them, static `est` and
+//! calibrated `cal`, wherever they are printed.
 //!
 //! Re-ordering the same bodies is answer-preserving — every order of one
 //! executable body computes the same relation — so a calibrated plan may
-//! only differ in calls and latency, never in answers. That invariant is
-//! what lets the mid-query escape hatch stay lazy: when an execution blows
-//! an estimate (the engine's `exec.estimate.blown` marker), the current
-//! run completes correctly and only the next one re-plans.
+//! only differ in calls and latency, never in answers. A run whose
+//! estimates were far off therefore completes correctly; only the next one
+//! re-plans, once its journal has been folded into the feedback.
 
 use crate::cost::CostModel;
-use crate::lower::lower;
 use crate::order::{optimize_plan_pair, Strategy};
 use lap_core::{PlanCache, PreparedProgram, PreparedQuery};
 use lap_obs::FeedbackStore;
 
 /// Re-plans `prepared` under `static_model` calibrated with `feedback`:
-/// the plan bodies are re-ordered by `strategy` under the calibrated
-/// model and re-lowered with dual (static + calibrated) cost annotations.
-/// Returns `true` when the calibrated ordering differs from the compiled
-/// one (the next [`PreparedQuery::execute`] runs a different plan).
+/// the plan bodies are re-ordered by exhaustive search under the
+/// calibrated model and re-lowered. Returns `true` when the calibrated
+/// ordering differs from the compiled one (the next
+/// [`PreparedQuery::execute`] runs a different plan).
 ///
 /// **Ownership invariant:** this mutates `prepared` in place, so it is
 /// only sound for an entry the caller *exclusively owns* (the `&mut`
@@ -39,13 +39,12 @@ pub fn recalibrate_prepared(
     prepared: &mut PreparedQuery,
     static_model: &CostModel,
     feedback: &FeedbackStore,
-    strategy: Strategy,
 ) -> bool {
     let calibrated = static_model.calibrated(feedback);
-    let optimized = optimize_plan_pair(prepared.plans(), prepared.schema(), &calibrated, strategy);
+    let optimized =
+        optimize_plan_pair(prepared.plans(), prepared.schema(), &calibrated, Strategy::Exhaustive);
     let changed = optimized != *prepared.plans();
-    let physical = lower(&optimized, prepared.schema(), static_model, Some(&calibrated));
-    prepared.replace_plans(optimized, physical);
+    prepared.replace_plans(optimized);
     changed
 }
 
@@ -67,7 +66,6 @@ pub fn recalibrate_published(
     key: &str,
     static_model: &CostModel,
     feedback: &FeedbackStore,
-    strategy: Strategy,
 ) -> bool {
     let Some(current) = cache.peek(key) else {
         return false;
@@ -76,7 +74,7 @@ pub fn recalibrate_published(
     let mut queries: Vec<PreparedQuery> = current.queries().to_vec();
     let mut changed = false;
     for q in &mut queries {
-        changed |= recalibrate_prepared(q, static_model, feedback, strategy);
+        changed |= recalibrate_prepared(q, static_model, feedback);
     }
     if !changed {
         return false;
@@ -138,22 +136,22 @@ mod tests {
         let static_model = CostModel::new();
         let feedback = record_feedback(&prepared, &db);
 
-        let changed =
-            recalibrate_prepared(&mut prepared, &static_model, &feedback, Strategy::Exhaustive);
+        let changed = recalibrate_prepared(&mut prepared, &static_model, &feedback);
         assert!(changed, "calibrated extents must flip the join order");
         // The calibrated plan leads with the D^oo scan (8 rows observed)
-        // instead of the 40-row A scan.
+        // instead of the 40-row A scan, and its trees are lowered from it.
         let first = &prepared.physical().under.parts[0].ops[0];
         let PhysOp::Access(op) = first else { panic!("leaf is an access op") };
-        assert_eq!(op.relation.as_str(), "D", "{}", prepared.physical().under.parts[0]);
-        // Dual annotations: every operator carries est and cal.
-        for op in &prepared.physical().under.parts[0].ops {
-            assert!(op.cost().is_some(), "static estimate on {}", op.label());
-            assert!(op.calibrated().is_some(), "calibrated estimate on {}", op.label());
-        }
-        let shown = prepared.physical().under.parts[0].to_string();
-        assert!(shown.contains("est "), "{shown}");
-        assert!(shown.contains("; cal "), "{shown}");
+        assert_eq!(op.relation.as_str(), "D", "{:?}", prepared.physical().under.parts[0]);
+        assert_eq!(*prepared.physical(), lap_core::lower_pair(prepared.plans(), prepared.schema()));
+        // Dual estimates: every operator has an est and a cal entry.
+        let calibrated = static_model.calibrated(&feedback);
+        let under = &prepared.physical().under;
+        let shown = crate::op_table(under, &static_model, Some(&calibrated), None);
+        assert!(shown.contains("est calls  est tuples  cal calls  cal tuples"), "{shown}");
+        let estimated =
+            |l: &str| l.split_whitespace().rev().take(4).all(|c| c.parse::<f64>().is_ok());
+        assert!(shown.lines().skip(2).all(estimated), "{shown}");
 
         // Re-ordering is answer-preserving.
         let after = prepared.execute(&db).unwrap();
@@ -187,13 +185,7 @@ mod tests {
         let held = cache.get(&key).unwrap();
         let before_plans = held.queries()[0].plans().clone();
 
-        let published = recalibrate_published(
-            &cache,
-            &key,
-            &static_model,
-            &feedback,
-            Strategy::Exhaustive,
-        );
+        let published = recalibrate_published(&cache, &key, &static_model, &feedback);
         assert!(published, "calibrated extents must flip the ordering and publish");
 
         // The held handle still sees the *old*, internally-consistent entry —
@@ -222,8 +214,8 @@ mod tests {
 
         // Re-running with the same feedback is a no-op — the published
         // entry is already calibrated — and an absent key never publishes.
-        assert!(!recalibrate_published(&cache, &key, &static_model, &feedback, Strategy::Exhaustive));
-        assert!(!recalibrate_published(&cache, "no-such-key", &static_model, &feedback, Strategy::Exhaustive));
+        assert!(!recalibrate_published(&cache, &key, &static_model, &feedback));
+        assert!(!recalibrate_published(&cache, "no-such-key", &static_model, &feedback));
         assert_eq!(cache.stats().publishes, 1);
     }
 
@@ -231,39 +223,34 @@ mod tests {
     fn blown_estimates_surface_then_recalibration_clears_the_plan() {
         let (mut prepared, db) = scenario();
         let static_model = CostModel::new();
-        // Annotate the compiled plan with static estimates so the executor
-        // can compare observed cardinality against them. Understate A's
-        // extent so its scan (40 real rows vs 1 estimated) blows the
-        // 10× threshold.
-        let skewed = CostModel::new().with_extent("A", 1.0).with_extent("D", 1.0);
-        let physical = lower(prepared.plans(), prepared.schema(), &skewed, None);
-        prepared.replace_plans(prepared.plans().clone(), physical);
-
         let rec = Recorder::with_journal(lap_obs::journal::JournalConfig::light());
-        {
+        let run = {
             let mut reg = SourceRegistry::new(&db, prepared.schema()).recording(&rec);
-            lap_engine::execute_physical_union(
-                &prepared.physical().under,
+            let under = &prepared.physical().under;
+            lap_engine::execute_physical_union_with(
+                under,
                 &mut reg,
                 lap_engine::ExecConfig::default(),
+                lap_engine::OnUnavailable::Abort,
             )
-            .unwrap();
-        }
-        assert!(
-            rec.snapshot().counter("exec.estimate_blown") > 0,
-            "misestimated join must leave the escape-hatch marker"
-        );
-        let snap = rec.journal().unwrap().snapshot();
-        assert!(
-            snap.events.iter().any(|e| e.kind == lap_obs::journal::kind::ESTIMATE_BLOWN),
-            "journal carries the estimate-blown event"
-        );
+            .unwrap()
+        };
+        // Understate A's extent: its scan (40 real rows against an estimate
+        // of 1) reaches the profile table's 10× mark; the static model's
+        // estimate of 100 does not.
+        let skewed = CostModel::new().with_extent("A", 1.0).with_extent("D", 1.0);
+        let under = &prepared.physical().under;
+        let marked = |model: &CostModel| -> Vec<String> {
+            let table = crate::op_table(under, model, None, Some(&run.profile));
+            let blown = table.lines().filter(|line| line.ends_with("← out ≥ 10× est tuples"));
+            blown.map(|line| line.trim_start().split("  ").next().unwrap().to_owned()).collect()
+        };
+        assert_eq!(marked(&skewed), ["Access A^o(x)"]);
+        assert!(marked(&static_model).is_empty());
 
         // The recorded journal feeds the recalibration that fixes the plan.
         let mut feedback = FeedbackStore::new();
-        feedback.fold(&snap);
-        let changed =
-            recalibrate_prepared(&mut prepared, &static_model, &feedback, Strategy::Exhaustive);
-        assert!(changed);
+        feedback.fold(&rec.journal().unwrap().snapshot());
+        assert!(recalibrate_prepared(&mut prepared, &static_model, &feedback));
     }
 }

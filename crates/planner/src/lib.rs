@@ -11,13 +11,12 @@
 //! * [`greedy_order`] / [`best_order`] — heuristic and exact search over
 //!   *executable* orders;
 //! * [`optimize_plan_pair`] — re-orders PLAN\* output per [`Strategy`];
-//! * [`lower`] — lowers a plan pair to physical operator trees with
-//!   per-operator cost annotations, static and optionally calibrated;
+//! * [`op_costs`] / [`op_table`] — per-operator estimates of a lowered
+//!   plan, and the one table that prints them (static `est`, calibrated
+//!   `cal`) beside what a run's operators did;
 //! * [`CostModel::calibrated`] / [`recalibrate_prepared`]
 //!   — the feedback loop: re-cost a model from a journal-fed
-//!   [`lap_obs::FeedbackStore`], annotate plans with both the static and
-//!   the calibrated estimate, and re-plan a prepared query whose
-//!   estimates were blown at run time;
+//!   [`lap_obs::FeedbackStore`] and re-plan a prepared query under it;
 //! * [`minimal_executable_plan`] — shrinks a feasible query's `ans(Q)`
 //!   plan to an equivalent executable plan with no removable disjunct or
 //!   literal (fewer source calls than the Theorem-16 witness).
@@ -52,6 +51,6 @@ mod order;
 
 pub use cost::{estimate_cost, CostModel, PlanCost};
 pub use feedback::{recalibrate_prepared, recalibrate_published};
-pub use lower::lower;
+pub use lower::{op_costs, op_table};
 pub use minimize::minimal_executable_plan;
 pub use order::{best_order, greedy_order, optimize_plan_pair, Strategy};

@@ -1,115 +1,174 @@
-//! Cost-annotated lowering: PLAN\* output → physical operator trees with
-//! per-operator [`OpCost`] estimates.
+//! Per-operator estimates of a lowered plan, and the one operator table
+//! that prints them beside what a run did.
 //!
-//! [`lower`] is the planner's counterpart of [`lap_core::lower_pair`]: the
-//! same total lowering pass, followed by an annotation walk that charges
-//! each operator what [`estimate_cost`](crate::estimate_cost) charges its
-//! literal, through the same step function — each access/join operator
-//! one call per expected incoming binding and `extent × selectivity^inputs`
-//! transferred tuples per call, each negation one membership probe per
-//! binding. The final projection carries
-//! the pipeline totals, so the root of the printed tree reads as the
-//! whole-plan estimate.
+//! [`op_costs`] charges each operator of a physical pipeline what
+//! [`estimate_cost`](crate::estimate_cost) charges its literal, through the
+//! same step function — each access/join operator one call per expected
+//! incoming binding and `extent × selectivity^inputs` transferred tuples
+//! per call, each negation one membership probe per binding. The final
+//! projection carries the pipeline totals, so the last row of a table
+//! reads as the whole-plan estimate.
 //!
-//! Annotation stops at the first non-executable operator (no usable
+//! The estimates stop at the first non-executable operator (no usable
 //! pattern, unknown relation, or unbound negation): downstream estimates
 //! would be meaningless, and such plans only exist to raise their error
 //! lazily.
+//!
+//! Estimates are computed where they are read — `lapq explain`, `lapq
+//! profile` and the daemon's recalibration events — and are no part of the
+//! operator IR that executes.
 
-use crate::cost::{literal_step, CostModel};
-use lap_core::{PhysicalPair, PlanPair};
-use lap_engine::{ArgSource, OpCost, PhysOp, PhysicalPlan};
-use lap_ir::{Schema, Var};
+use crate::cost::{literal_step, CostModel, PlanCost};
+use lap_engine::{ArgSource, OpProfile, PhysOp, PhysicalPlan, PhysicalUnion, UnionProfile};
+use lap_ir::Var;
 use std::collections::HashSet;
 
-/// Which annotation slot a pass writes: the static estimate shown as
-/// `est …`, or the journal-calibrated one shown as `cal …`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum CostSlot {
-    Static,
-    Calibrated,
-}
+/// Output at this multiple of an operator's estimated tuples marks the
+/// estimate as blown in a profiled table.
+const BLOWN_FACTOR: f64 = 10.0;
 
-/// Lowers both PLAN\* estimate plans to physical trees and annotates every
-/// operator with its [`OpCost`] under `model`. With `calibrated`, every
-/// operator also carries the calibrated estimate, so `explain` renders
-/// `(est …; cal …)` and the reader sees why the calibrated plan differs
-/// from the static one.
-pub fn lower(
-    pair: &PlanPair,
-    schema: &Schema,
-    model: &CostModel,
-    calibrated: Option<&CostModel>,
-) -> PhysicalPair {
-    let mut physical = lap_core::lower_pair(pair, schema);
-    for plan in physical.under.parts.iter_mut().chain(&mut physical.over.parts) {
-        annotate_plan(plan, model, CostSlot::Static);
-        if let Some(calibrated) = calibrated {
-            annotate_plan(plan, calibrated, CostSlot::Calibrated);
-        }
-    }
-    physical
-}
-
-fn annotate_plan(plan: &mut PhysicalPlan, model: &CostModel, slot: CostSlot) {
+/// The estimate of every operator of `plan` under `model`, in pipeline
+/// order: one [`PlanCost`] per operator up to the first non-executable
+/// one, which ends the list. When the whole pipeline is executable the
+/// last entry is the projection's, the pipeline totals.
+pub fn op_costs(plan: &PhysicalPlan, model: &CostModel) -> Vec<PlanCost> {
     let mut bound: HashSet<Var> = HashSet::new();
     let mut bindings = 1.0f64;
-    let mut total = OpCost { calls: 0.0, tuples: 0.0, batches: 0.0 };
-    // Batch windows an operator sees: its incoming bindings over the
-    // vectorized executor's width, never less than one window.
-    let windows = |bindings: f64| (bindings / model.batch_width).ceil().max(1.0);
-    // Split borrows: the walk needs each op mutably plus the slot table.
-    let slots = plan.slots.clone();
+    let mut total = PlanCost::zero();
     let arg_bound = |arg: &ArgSource, bound: &HashSet<Var>| match arg {
         ArgSource::Const(_) => true,
-        ArgSource::Slot(s) => bound.contains(&slots[*s]),
+        ArgSource::Slot(s) => bound.contains(&plan.slots[*s]),
     };
-    for op in &mut plan.ops {
+    let mut costs = Vec::with_capacity(plan.ops.len());
+    for op in &plan.ops {
         // The operator's literal: its relation and, for a call, (input
         // slots, bound positions); `None` for the projection.
-        let literal = match &*op {
+        let (relation, access) = match op {
             PhysOp::Access(a) | PhysOp::BindJoin(a) => {
-                let Some(pattern) = a.pattern else { return };
+                let Some(pattern) = a.pattern else { break };
                 let bound_positions =
                     a.args.iter().filter(|arg| arg_bound(arg, &bound)).count();
                 bound.extend(a.bound_after.iter().copied());
-                Some((a.relation, Some((pattern.num_inputs(), bound_positions))))
+                (a.relation, Some((pattern.num_inputs(), bound_positions)))
             }
             PhysOp::NegFilter(n) => {
                 if !n.unbound.is_empty() {
-                    return;
+                    break;
                 }
                 bound.extend(n.bound_after.iter().copied());
-                Some((n.relation, None))
+                (n.relation, None)
             }
-            PhysOp::Project(_) => None,
-        };
-        let cost = match literal {
-            Some((relation, access)) => {
-                let (step, next) = literal_step(model, bindings, relation, access);
-                let batches = windows(bindings);
-                let cost = OpCost { calls: step.calls, tuples: step.tuples, batches };
-                total.calls += cost.calls;
-                total.tuples += cost.tuples;
-                total.batches += cost.batches;
-                bindings = next;
-                cost
+            PhysOp::Project(_) => {
+                costs.push(total);
+                continue;
             }
-            None => total,
         };
-        match slot {
-            CostSlot::Static => *op.cost_mut() = Some(cost),
-            CostSlot::Calibrated => *op.calibrated_mut() = Some(cost),
+        let (step, next) = literal_step(model, bindings, relation, access);
+        total.calls += step.calls;
+        total.tuples += step.tuples;
+        bindings = next;
+        costs.push(step);
+    }
+    costs
+}
+
+/// Renders `union`'s operators, one table per disjunct, in pipeline order:
+/// each operator's label, the variables bound after it, its estimate under
+/// `model` (`est`) and, given `calibrated`, under the journal-calibrated
+/// model too (`cal`). Given the `profile` of a run of `union`, the tables
+/// cover the disjuncts that ran, add what each operator did, and mark an
+/// operator whose output reached ten times its estimated tuples.
+pub fn op_table(
+    union: &PhysicalUnion,
+    model: &CostModel,
+    calibrated: Option<&CostModel>,
+    profile: Option<&UnionProfile>,
+) -> String {
+    // (plan position, heading, what each operator did)
+    let shown: Vec<(usize, String, Option<&[OpProfile]>)> = match profile {
+        Some(profile) => profile
+            .parts
+            .iter()
+            .map(|p| (p.index, format!("{} — {} answer(s)", p.head, p.answers), Some(&p.ops[..])))
+            .collect(),
+        None => {
+            union.parts.iter().enumerate().map(|(i, p)| (i, p.head.to_string(), None)).collect()
+        }
+    };
+    if shown.is_empty() {
+        return if profile.is_some() { "  (no disjunct ran)\n" } else { "  (no disjunct: false)\n" }
+            .to_owned();
+    }
+    let mut out = String::new();
+    for (n, (index, heading, ran)) in shown.into_iter().enumerate() {
+        if n > 0 {
+            out.push('\n');
+        }
+        out.push_str(&format!("disjunct {index}: {heading}\n"));
+        let plan = &union.parts[index];
+        let est = op_costs(plan, model);
+        let cal = calibrated.map(|model| op_costs(plan, model));
+        let mut header = vec!["operator", "bound", "est calls", "est tuples"];
+        if cal.is_some() {
+            header.extend(["cal calls", "cal tuples"]);
+        }
+        if ran.is_some() {
+            header.extend(["invoked", "batches", "calls", "rows", "out", "fill%", "dict%"]);
+        }
+        let mut rows = vec![header.into_iter().map(str::to_owned).collect::<Vec<_>>()];
+        for (i, op) in plan.ops.iter().enumerate() {
+            let names: Vec<String> = op.bound_after().iter().map(Var::to_string).collect();
+            let bound = if names.is_empty() { "-".to_owned() } else { names.join(", ") };
+            let mut row = vec![op.label(), bound];
+            for costs in std::iter::once(&est).chain(&cal) {
+                match costs.get(i) {
+                    Some(c) => row.extend([format!("{:.1}", c.calls), format!("{:.1}", c.tuples)]),
+                    None => row.extend(["-".to_owned(), "-".to_owned()]),
+                }
+            }
+            if let Some(p) = ran.map(|ops| &ops[i]) {
+                row.extend([
+                    p.rows_in.to_string(),
+                    p.batches.to_string(),
+                    p.calls.to_string(),
+                    p.source_rows.to_string(),
+                    p.rows_out.to_string(),
+                    format!("{:.0}", p.fill_rate() * 100.0),
+                    p.dict_hit_rate().map_or("-".to_owned(), |r| format!("{:.0}", r * 100.0)),
+                ]);
+                let blown = |c: &PlanCost| p.rows_out as f64 >= BLOWN_FACTOR * c.tuples.max(1.0);
+                if est.get(i).is_some_and(blown) {
+                    row.push("← out ≥ 10× est tuples".to_owned());
+                }
+            }
+            rows.push(row);
+        }
+        let mut widths = vec![0; rows.iter().map(Vec::len).max().unwrap_or(0)];
+        for row in &rows {
+            for (w, cell) in widths.iter_mut().zip(row) {
+                *w = (*w).max(cell.chars().count());
+            }
+        }
+        for row in &rows {
+            let mut line = String::new();
+            for (w, cell) in widths.iter().zip(row) {
+                line.push_str(&format!("  {cell:<w$}"));
+            }
+            out.push_str(line.trim_end());
+            out.push('\n');
         }
     }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::estimate_cost;
-    use lap_core::plan_star;
-    use lap_ir::parse_program;
+    use lap_core::{lower_pair, plan_star, AnswerOptions, PlanPair};
+    use lap_engine::Database;
+    use lap_ir::{parse_program, Schema};
+    use lap_obs::Recorder;
 
     fn setup(text: &str) -> (PlanPair, Schema) {
         let p = parse_program(text).unwrap();
@@ -126,38 +185,15 @@ mod tests {
             .with_extent("L", 5.0)
             .with_extent("B", 10_000.0)
             .with_extent("C", 2_000.0);
-        let physical = lower(&pair, &schema, &model, None);
-        let plan = &physical.under.parts[0];
+        let plan = &lower_pair(&pair, &schema).under.parts[0];
+        let costs = op_costs(plan, &model);
         let expected = estimate_cost(&pair.under.parts[0].cq, &schema, &model).unwrap();
-        let PhysOp::Project(p) = plan.ops.last().unwrap() else { panic!() };
-        let got = p.cost.unwrap();
-        assert!((got.calls - expected.calls).abs() < 1e-9, "{got} vs {expected:?}");
-        assert!((got.tuples - expected.tuples).abs() < 1e-9, "{got} vs {expected:?}");
-        // Every operator carries an estimate, and the first scan costs one call.
-        assert!(plan.ops.iter().all(|op| op.cost().is_some()));
-        assert!((plan.ops[0].cost().unwrap().calls - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn batch_width_scales_the_batches_term_only() {
-        let (pair, schema) = setup(
-            "L^o. B^ioo.\n\
-             Q(t) :- L(i), B(i, a, t).",
-        );
-        // 5000 L rows reach the join: width 1024 → 5 windows, width 64 →
-        // 79 windows, while calls/tuples are untouched by the width.
-        let wide = CostModel::new().with_extent("L", 5_000.0).with_extent("B", 10.0);
-        let narrow = wide.clone().with_batch_width(64);
-        let join_wide = lower(&pair, &schema, &wide, None).under.parts[0].ops[1].cost().unwrap();
-        let join_narrow =
-            lower(&pair, &schema, &narrow, None).under.parts[0].ops[1].cost().unwrap();
-        assert!((join_wide.batches - 5.0).abs() < 1e-9, "{join_wide}");
-        assert!((join_narrow.batches - 79.0).abs() < 1e-9, "{join_narrow}");
-        assert_eq!(join_wide.calls, join_narrow.calls);
-        assert_eq!(join_wide.tuples, join_narrow.tuples);
-        // A leaf access always sees exactly the one unit window.
-        let leaf = lower(&pair, &schema, &wide, None).under.parts[0].ops[0].cost().unwrap();
-        assert!((leaf.batches - 1.0).abs() < 1e-9, "{leaf}");
+        let got = costs.last().unwrap();
+        assert!((got.calls - expected.calls).abs() < 1e-9, "{got:?} vs {expected:?}");
+        assert!((got.tuples - expected.tuples).abs() < 1e-9, "{got:?} vs {expected:?}");
+        // Every operator has an estimate, and the first scan costs one call.
+        assert_eq!(costs.len(), plan.ops.len());
+        assert!((costs[0].calls - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -167,38 +203,57 @@ mod tests {
              Q(i) :- C(i, a), not L(i), C(i, b).",
         );
         let model = CostModel::new().with_extent("C", 10.0).with_extent("L", 10.0);
-        let physical = lower(&pair, &schema, &model, None);
-        let ops = &physical.under.parts[0].ops;
-        let neg = ops[1].cost().unwrap();
-        let after = ops[2].cost().unwrap();
-        assert!((neg.calls - 10.0).abs() < 1e-9); // one probe per C row
-        assert!((after.calls - 5.0).abs() < 1e-9); // half survive
+        let costs = op_costs(&lower_pair(&pair, &schema).under.parts[0], &model);
+        assert!((costs[1].calls - 10.0).abs() < 1e-9); // one probe per C row
+        assert!((costs[2].calls - 5.0).abs() < 1e-9); // half survive
     }
 
     #[test]
     fn annotation_stops_at_non_executable_operators() {
-        // Overestimate of a B^ii query: the answerable part is empty, so
-        // the only ops are the projection — but force a broken pipeline via
-        // an unorderable disjunct that PLAN* keeps (answerable prefix, then
-        // nothing): use a query whose over plan keeps an executable prefix.
         let (pair, schema) = setup(
             "R^oo. B^ii.\n\
              Q(x) :- R(x, y), B(x, y).",
         );
         let model = CostModel::new();
-        let physical = lower(&pair, &schema, &model, None);
         // The over plan is R(x, y) only (B is unanswerable and dropped), so
-        // it annotates fully…
-        assert!(physical.over.parts[0].ops.iter().all(|op| op.cost().is_some()));
+        // every operator has an estimate…
+        let over = &lower_pair(&pair, &schema).over.parts[0];
+        assert_eq!(op_costs(over, &model).len(), over.ops.len());
         // …while a hand-lowered unexecutable order (B first, nothing bound)
-        // stops at the error node.
+        // stops at the error node: neither it nor the projection is costed.
         let p = parse_program("R^oo. B^ii.\nQ(x) :- B(x, y), R(x, y).").unwrap();
         let q = p.single_query().unwrap();
-        let mut broken =
-            lap_engine::lower_union(&[(q.disjuncts[0].clone(), vec![])], &schema);
-        annotate_plan(&mut broken.parts[0], &model, CostSlot::Static);
-        let ops = &broken.parts[0].ops;
-        assert!(ops[0].cost().is_none(), "error node gets no estimate");
-        assert!(ops.last().unwrap().cost().is_none());
+        let broken = lap_engine::lower_union(&[(q.disjuncts[0].clone(), vec![])], &schema);
+        assert!(op_costs(&broken.parts[0], &model).is_empty());
+        let table = op_table(&broken, &model, None, None);
+        let project = table.lines().find(|l| l.contains("Project Q(x)")).unwrap();
+        assert!(project.split_whitespace().skip(2).all(|cell| cell == "-"), "{table}");
+    }
+
+    /// `explain`'s table and `profile`'s table name the same operators in
+    /// the same order: both walk the pipeline the run executes.
+    #[test]
+    fn explain_and_profile_tables_name_the_same_operators() {
+        let p = parse_program(include_str!("../../../examples/data/bookstore.lap")).unwrap();
+        let db = Database::from_facts(include_str!("../../../examples/data/bookstore_facts.lap"))
+            .unwrap();
+        let q = p.single_query().unwrap();
+        let quiet = Recorder::disabled();
+        let outcome = lap_core::answer_star_opts(q, &p.schema, &db, &AnswerOptions::new(&quiet))
+            .unwrap();
+        let physical = lower_pair(&outcome.report.plans, &p.schema);
+        let model = CostModel::new();
+        let explained = op_table(&physical.under, &model, None, None);
+        let profiled = op_table(&physical.under, &model, None, Some(&outcome.profile.under));
+        let labels = |table: &str| -> Vec<String> {
+            let ops = table.lines().filter(|l| l.starts_with("  ") && !l.contains("operator"));
+            ops.map(|l| l.trim_start().split("  ").next().unwrap().to_owned()).collect()
+        };
+        let expected = ["Access C^oo(i, a)", "NegFilter not L(i)", "BindJoin B^oio(i, a, t)"];
+        assert_eq!(labels(&explained)[..3], expected, "{explained}");
+        assert_eq!(labels(&explained), labels(&profiled), "{explained}\n{profiled}");
+        assert!(explained.starts_with("disjunct 0: Q(i, a, t)\n"), "{explained}");
+        assert!(profiled.starts_with("disjunct 0: Q(i, a, t) — 1 answer(s)\n"), "{profiled}");
+        assert!(!explained.contains("invoked") && profiled.contains("invoked"), "{profiled}");
     }
 }

@@ -20,9 +20,12 @@
 # won (lower p50), each side's median of every metric, each side's p50
 # quartiles, and whether the p50 medians differ by more than the parent's
 # interquartile range: a gain is claimed only when the change wins at
-# least nine pairs in ten and the medians are that far apart. Then it
-# runs `lapbench compare` on the two record sets, which applies the
-# end-to-end bounds.
+# least nine pairs in ten and the medians are that far apart. Then each
+# side runs once more at the first seed with `--trace 1`, and the script
+# prints what moves `setup_s` on the `serve-*` workloads beside it:
+# `obs.journal_events_per_req`, `daemon.recalibrations` and
+# `engine.source_calls`, parent and change. Last it runs `lapbench
+# compare` on the two record sets, which applies the end-to-end bounds.
 #
 # Environment: OUT (where the records go, default a fresh directory under
 # ${TMPDIR:-/tmp}).
@@ -36,6 +39,7 @@ parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
 workload=$3
 shift 3
+first_seed=$1
 out=${OUT:-$(mktemp -d "${TMPDIR:-/tmp}/ab-pairs.XXXXXX")}
 mkdir -p "$out/parent" "$out/change"
 
@@ -49,14 +53,16 @@ done
 # one a gain is claimed on.
 metrics="latency_p50_ms throughput_rps setup_s latency_p95_ms source_calls_per_req"
 
-# run <side> <seed>: one lapbench run, its record under $out/<side>/;
-# prints its end-to-end metrics, in $metrics order.
+# run <side> <seed> [<trace> <record> <metric>...]: one lapbench run,
+# by default untraced with its record under $out/<side>/; prints the
+# metrics (by default the end-to-end ones, in $metrics order).
 run() {
     dir=$parent
     [ "$1" = change ] && dir=$change
     line=$("$dir/lapbench/target/release/lapbench" --workload "$workload" --seed "$2" \
-        --trace 0 --out "$out/$1/$workload-$2.json" | tail -n 1)
-    for metric in $metrics; do
+        --trace "${3:-0}" --out "${4:-$out/$1/$workload-$2.json}" | tail -n 1)
+    [ $# -gt 4 ] && shift 4 && names=$* || names=$metrics
+    for metric in $names; do
         echo "$line" | sed -n "s/.*\"$metric\":{\"value\":\([0-9.e+-]*\).*/\1/p"
     done | paste -s -d ' ' -
 }
@@ -123,5 +129,13 @@ awk -v pq1="$1" -v pm="$2" -v pq3="$3" -v cq1="$4" -v cm="$5" -v cq3="$6" \
         far ? "beyond it" : "within it"
     printf "p50 gain claimable: %s\n", (far && d < 0 && wins * 10 >= pairs * 9) ? "yes" : "no"
 }'
+
+# What moves setup_s: one traced run per side at the first seed.
+traced="obs.journal_events_per_req daemon.recalibrations engine.source_calls"
+for side in parent change; do
+    set -- $(run "$side" "$first_seed" 1 "$out/$side-trace-$first_seed.json" $traced)
+    printf '%-6s seed %s (--trace 1): journal events/req %s, recalibrations %s, source calls %s\n' \
+        "$side" "$first_seed" "${1-?}" "${2-?}" "${3-?}"
+done
 
 "$change/lapbench/target/release/lapbench" compare "$out/parent" "$out/change"

@@ -19,10 +19,9 @@
 //! <n>` (ring size), and `--journal-sample <n>` (record every n-th source
 //! call). `run`/`answer`/`profile`/`explain` accept `--feedback
 //! <profile.json>` (a `lapq calibrate` output): plan bodies are re-ordered
-//! under the journal-calibrated cost model before execution, and `explain`
-//! annotates each operator with both the static and the calibrated
-//! estimate. `profile` is `run` with every `run` flag, and after each
-//! query's block prints what each operator of `Qᵘ` and `Qᵒ` did. A
+//! under the journal-calibrated cost model before execution, and the
+//! operator tables (`explain`'s, and `profile`'s, which is `run` plus what
+//! each operator of `Qᵘ` and `Qᵒ` did) show calibrated estimates too. A
 //! program file holds access-pattern declarations and rules (see
 //! README); a facts file holds ground atoms (`B(1, "tolkien", "lotr").`).
 
@@ -30,19 +29,19 @@ mod cli;
 
 use cli::CliArgs;
 use lap::core::{
-    answer_star_opts, is_executable, is_orderable, render_answer_report, render_outcome,
-    render_refinement, AnswerOptions, AnswerOutcome, CompileOptions, ContainmentEngine,
-    DecisionPath, EngineConfig, PreparedQuery,
+    answer_star_opts, is_executable, is_orderable, lower_pair, plan_star, render_answer_report,
+    render_outcome, render_refinement, AnswerOptions, AnswerOutcome, CompileOptions,
+    ContainmentEngine, DecisionPath, EngineConfig, PreparedQuery,
 };
 use lap::engine::{
     display_tuple, Database, ExecConfig, ReplaySource, ResilienceConfig, RetryPolicy,
 };
 use lap::ir::{parse_program, Program, UnionQuery};
 use lap::obs::{
-    chrome_trace, render_report, render_text, validate_chrome_trace, FeedbackStore,
-    JournalConfig, JournalSnapshot, Json, JsonSink, Recorder, Sink,
+    chrome_trace, render_report, render_text, snapshot_to_json, validate_chrome_trace,
+    FeedbackStore, JournalConfig, JournalSnapshot, Json, Recorder,
 };
-use lap::planner::{optimize_plan_pair, CostModel, Strategy};
+use lap::planner::{op_table, optimize_plan_pair, CostModel, Strategy};
 use std::process::ExitCode;
 
 /// Every op `daemon-ctl` speaks, spelled once for [`USAGE`] and both
@@ -151,13 +150,15 @@ fn dispatch(cmd: &str, args: &CliArgs, recorder: &Recorder) -> Result<(), String
             &engine_from_args(args, recorder),
             recorder,
         ),
-        "explain" => explain_cmd(
-            args.require(1, "explain needs a program file")?,
-            feedback_from_args(args)?.as_ref(),
-            execution_from_args(args)?.0,
-            &engine_from_args(args, recorder),
-            recorder,
-        ),
+        "explain" => {
+            execution_from_args(args)?; // no effect on the plan, but checked
+            explain_cmd(
+                args.require(1, "explain needs a program file")?,
+                feedback_from_args(args)?.as_ref(),
+                &engine_from_args(args, recorder),
+                recorder,
+            )
+        }
         "plan" => plan(args.require(1, "plan needs a program file")?, recorder),
         "run" | "answer" | "profile" => run_query(cmd, args, recorder),
         "optimize" => optimize(
@@ -259,10 +260,7 @@ fn export(recorder: &Recorder, args: &CliArgs) -> Result<(), String> {
         eprint!("{}", render_text(&snapshot));
     }
     if let Some(path) = args.value("--metrics-json") {
-        let file = std::fs::File::create(path)
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        JsonSink::new(file)
-            .export(&snapshot)
+        std::fs::write(path, snapshot_to_json(&snapshot).to_pretty() + "\n")
             .map_err(|e| format!("cannot write {path}: {e}"))?;
     }
     Ok(())
@@ -372,7 +370,6 @@ fn report_query(
 fn explain_cmd(
     path: &str,
     feedback: Option<&FeedbackStore>,
-    exec: ExecConfig,
     engine: &ContainmentEngine,
     recorder: &Recorder,
 ) -> Result<(), String> {
@@ -380,35 +377,26 @@ fn explain_cmd(
     if program.queries.is_empty() {
         return Err(format!("{path}: no queries defined"));
     }
-    // `--batch-width` steers the estimated batch-window counts in the
-    // operator annotations (calls/tuples are width-independent).
-    let model = CostModel::new().with_batch_width(exec.batch_size);
+    let model = CostModel::new();
     let calibrated = feedback.map(|store| model.calibrated(store));
     for query in &program.queries {
         println!("query {}:", query.signature.0);
         let explanation = lap::core::explain(query, &program.schema, engine);
         print!("{explanation}");
-        // The lowered operator trees: what ANSWER* will actually run, with
-        // the chosen access patterns and default-model cost estimates.
-        // With `--feedback`, the bodies are re-ordered under the calibrated
-        // model and every operator shows est (static) next to cal
-        // (calibrated) — the two numbers explain *why* the plan changed.
+        // The operators ANSWER* will run. With `--feedback` the bodies are
+        // re-ordered under the calibrated model, and `cal` beside `est`
+        // explains *why* the plan changed.
         let pair = &explanation.plans;
-        let physical = match &calibrated {
-            Some(cal) => {
-                let optimized =
-                    optimize_plan_pair(pair, &program.schema, cal, Strategy::Exhaustive);
-                lap::planner::lower(&optimized, &program.schema, &model, Some(cal))
-            }
-            None => lap::planner::lower(pair, &program.schema, &model, None),
+        let pair = match &calibrated {
+            Some(cal) => optimize_plan_pair(pair, &program.schema, cal, Strategy::Exhaustive),
+            None => pair.clone(),
         };
-        println!("  physical plan (underestimate):");
-        for line in physical.under.to_string().lines() {
-            println!("    {line}");
-        }
-        println!("  physical plan (overestimate):");
-        for line in physical.over.to_string().lines() {
-            println!("    {line}");
+        let physical = lower_pair(&pair, &program.schema);
+        for (estimate, union) in [("under", &physical.under), ("over", &physical.over)] {
+            println!("  physical plan ({estimate}estimate):");
+            for line in op_table(union, &model, calibrated.as_ref(), None).lines() {
+                println!("{}", format!("    {line}").trim_end());
+            }
         }
         println!();
     }
@@ -476,13 +464,14 @@ fn run_query(cmd: &str, args: &CliArgs, recorder: &Recorder) -> Result<(), Strin
     let facts = std::fs::read_to_string(facts_path)
         .map_err(|e| format!("cannot read {facts_path}: {e}"))?;
     let db = Database::from_facts(&facts).map_err(|e| format!("{facts_path}: {e}"))?;
-    let calibrated = feedback.map(|store| CostModel::new().calibrated(&store));
+    let model = CostModel::new();
+    let calibrated = feedback.map(|store| model.calibrated(&store));
     for query in &program.queries {
         println!("query {}:", query.signature.0);
         // With `--feedback`, re-order the plan bodies under the calibrated
         // model before executing — same answers, cheaper call schedule.
         let planned = calibrated.as_ref().map(|cal| {
-            let pair = lap::core::plan_star(query, &program.schema);
+            let pair = plan_star(query, &program.schema);
             optimize_plan_pair(&pair, &program.schema, cal, Strategy::Exhaustive)
         });
         let opts =
@@ -500,8 +489,11 @@ fn run_query(cmd: &str, args: &CliArgs, recorder: &Recorder) -> Result<(), Strin
         // `lapq profile`: the run's block, then what each operator of both
         // plans did to produce it.
         if cmd == "profile" {
-            for (plan, ops) in [("Qu", &outcome.profile.under), ("Qo", &outcome.profile.over)] {
-                println!("{plan} operators:\n{ops}");
+            let lowered = lower_pair(&outcome.report.plans, &program.schema);
+            let (under, over) = (&outcome.profile.under, &outcome.profile.over);
+            for (plan, union, ops) in [("Qu", &lowered.under, under), ("Qo", &lowered.over, over)] {
+                let table = op_table(union, &model, calibrated.as_ref(), Some(ops));
+                println!("{plan} operators:\n{table}");
             }
         }
     }
@@ -773,18 +765,26 @@ fn replay_cmd(path: &str, recorder: &Recorder) -> Result<(), String> {
     }
     let domain = snap.meta.get("domain").and_then(Json::as_u64);
     // Printed as the recorded run printed it: its `kind` says whether it
-    // ran with resilience flags (a journal without one renders in full).
-    let resilient =
-        snap.meta.get("kind").and_then(Json::as_str).is_none_or(|kind| kind.contains("resilient"));
+    // ran with resilience flags (a journal without one renders in full),
+    // and a run given plans recorded their body `order`s.
+    let kind = snap.meta.get("kind").and_then(Json::as_str).unwrap_or("resilient");
+    let orders = snap.meta.get("order").and_then(Json::as_arr);
+    if kind.ends_with(".planned") && orders.is_none() {
+        return Err(format!("{path}: the {kind} journal has no \"order\" metadata to replay"));
+    }
     let source = ReplaySource::from_journal(&snap).map_err(|e| format!("{path}: {e}"))?;
     let resilience = ResilienceConfig { fault: None, retry };
     let opts =
         AnswerOptions { recorder, exec: cfg, resilience: Some(&resilience), plans: None, domain };
-    for query in &program.queries {
+    for (i, query) in program.queries.iter().enumerate() {
         println!("query {}:", query.signature.0);
+        let order = orders.map(|orders| orders.get(i).unwrap_or(&Json::Null));
+        let planned = order.map(|order| plan_star(query, &program.schema).reordered(order));
+        let planned = planned.transpose().map_err(|e| format!("{path}: {e}"))?;
+        let opts = AnswerOptions { plans: planned.as_ref(), ..opts };
         let outcome = answer_star_opts(query, &program.schema, source.clone(), &opts)
             .map_err(|e| format!("replaying {}: {e}", query.signature.0))?;
-        print!("{}", render_run(&outcome, resilient));
+        print!("{}", render_run(&outcome, kind.contains("resilient")));
     }
     if source.mismatches() > 0 || source.remaining() > 0 {
         return Err(format!(

@@ -17,7 +17,7 @@ use lap_obs::{
     Counter, Event, FoldCursor, Histogram, HistogramSnapshot, Json, JournalConfig, Recalibration,
     Recorder,
 };
-use lap_planner::{recalibrate_published, CostModel, Strategy};
+use lap_planner::{op_costs, recalibrate_published, CostModel};
 use lap_proto::{ErrorCode, QueryOptions, Request, Response};
 use std::collections::{BTreeSet, HashMap};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -493,6 +493,8 @@ impl Service {
             return summary;
         }
         let cooldown = Duration::from_millis(self.config.recalibrate_cooldown_ms);
+        let calibrated = self.static_model.calibrated(&store);
+        let models = (&self.static_model, &calibrated);
         for entry in self.cache.entries_detail() {
             let Some(prog) = self.cache.peek(&entry.key) else { continue };
             let touched = prog.relations();
@@ -503,14 +505,9 @@ impl Service {
                 continue;
             }
             summary.checked += 1;
-            let before = root_costs(&prog);
-            let published = recalibrate_published(
-                &self.cache,
-                &entry.key,
-                &self.static_model,
-                &store,
-                Strategy::Exhaustive,
-            );
+            let before = root_costs(&prog, models);
+            let published =
+                recalibrate_published(&self.cache, &entry.key, &self.static_model, &store);
             if !published {
                 continue;
             }
@@ -519,7 +516,7 @@ impl Service {
             let after = self
                 .cache
                 .peek(&entry.key)
-                .map(|p| root_costs(&p))
+                .map(|p| root_costs(&p, models))
                 .unwrap_or(Json::Null);
             if let Some(journal) = self.recorder.journal() {
                 let recalibration = Recalibration {
@@ -642,26 +639,21 @@ impl SweepSummary {
     }
 }
 
-/// Sums the dual root-cost annotations over a program's underestimate
-/// plans. Entries compiled before any recalibration carry no annotations
-/// and sum to zero — the first `daemon.recalibrate` event's `before` says
-/// exactly that.
-fn root_costs(prog: &PreparedProgram) -> Json {
-    let (mut est_calls, mut est_tuples) = (0.0, 0.0);
-    let (mut cal_calls, mut cal_tuples) = (0.0, 0.0);
-    for q in prog.queries() {
-        for part in &q.physical().under.parts {
-            let Some(root) = part.ops.last() else { continue };
-            if let Some(cost) = root.cost() {
-                est_calls += cost.calls;
-                est_tuples += cost.tuples;
+/// Sums the whole-pipeline estimates of a program's underestimate plans
+/// under the `(static, calibrated)` models: `est_*` and `cal_*`. A
+/// pipeline that is not executable to its end adds nothing.
+fn root_costs(prog: &PreparedProgram, (model, calibrated): (&CostModel, &CostModel)) -> Json {
+    let total = |model: &CostModel| {
+        let parts = prog.queries().iter().flat_map(|q| &q.physical().under.parts);
+        parts.fold((0.0, 0.0), |(calls, tuples), part| {
+            match op_costs(part, model).get(part.ops.len() - 1) {
+                Some(root) => (calls + root.calls, tuples + root.tuples),
+                None => (calls, tuples),
             }
-            if let Some(cost) = root.calibrated() {
-                cal_calls += cost.calls;
-                cal_tuples += cost.tuples;
-            }
-        }
-    }
+        })
+    };
+    let (est_calls, est_tuples) = total(model);
+    let (cal_calls, cal_tuples) = total(calibrated);
     Json::obj([
         ("est_calls", Json::Num(est_calls)),
         ("est_tuples", Json::Num(est_tuples)),

@@ -19,7 +19,8 @@
 //! * `Daemon` — an in-process `lapd` (`Server`);
 //! * `Lapd` — the `lapd` binary, driven by `lapq query-daemon`/`daemon-ctl`
 //!   ([`check_lapd`], whatever the row's home);
-//! * `Feedback` — `lapq calibrate`, then `lapq run --feedback`.
+//! * `Feedback` — `lapq calibrate`, then `lapq run --feedback` and `lapq
+//!   replay` of its journal.
 //!
 //! Each row asserts every contract that applies to it:
 //!
@@ -82,8 +83,8 @@
 
 use lap::core::{
     answer_star, answer_star_obs_cfg, answer_star_opts, answer_star_resilient_cfg,
-    render_answer_report, render_outcome, render_refinement, AnswerOptions, AnswerOutcome,
-    AnswerReport, CompileOptions, Completeness, ContainmentEngine, PreparedQuery,
+    lower_pair, render_answer_report, render_outcome, render_refinement, AnswerOptions,
+    AnswerOutcome, AnswerReport, CompileOptions, Completeness, ContainmentEngine, PreparedQuery,
 };
 use lap::daemon::{DaemonConfig, Server};
 use lap::engine::{
@@ -92,6 +93,7 @@ use lap::engine::{
 };
 use lap::ir::{parse_program, Program};
 use lap::obs::{Event, JournalConfig, JournalSnapshot, Json, Recorder};
+use lap::planner::{op_table, CostModel};
 use lap::proto::{Client, QueryOptions, Response};
 use lap::workload::{
     chaos_ladder, gen_instance, gen_query, gen_schema, slow_source, InstanceConfig, QueryConfig,
@@ -886,13 +888,18 @@ fn check_cli_profile(lab: &mut Lab, row: &Row, files: &RowFiles, text: &str, rep
     let tables = profiled
         .strip_prefix(text)
         .unwrap_or_else(|| panic!("{row:?}: lapq profile does not start with run's block"));
-    let (under, over) = (&run.outcome.profile.under, &run.outcome.profile.over);
+    let physical = lower_pair(&run.outcome.report.plans, &lab.instance(row.corpus).program.schema);
+    let table = |union, ops| op_table(union, &CostModel::new(), None, Some(ops));
+    let under = table(&physical.under, &run.outcome.profile.under);
+    let over = table(&physical.over, &run.outcome.profile.over);
     let expected = format!("Qu operators:\n{under}\nQo operators:\n{over}\n");
     assert_eq!(tables, expected, "{row:?}: lapq profile's tables differ from the library run");
     if !run.outcome.degradation.is_degraded() {
-        // operator, invoked, batches, calls, rows, out, fill%, dict%
+        // …, invoked, batches, calls, rows, out, fill%, dict%, then a
+        // blown-estimate mark on some rows.
         let (mut calls, mut probes) = (0, 0);
-        for cells in tables.lines().map(|line| line.split_whitespace().collect::<Vec<_>>()) {
+        let unmarked = tables.lines().map(|line| line.split(" ←").next().unwrap());
+        for cells in unmarked.map(|line| line.split_whitespace().collect::<Vec<_>>()) {
             let count = || cells[cells.len() - 5].parse::<u64>().unwrap();
             match cells.first() {
                 Some(&"Access" | &"BindJoin") => calls += count(),
@@ -944,7 +951,8 @@ fn check_daemon(lab: &mut Lab, row: &Row, client: &mut Client) {
 }
 
 /// Record, calibrate, re-run: the calibrated plan moves the call schedule
-/// and nothing else, and a frozen profile replays bit for bit.
+/// and nothing else, a frozen profile replays bit for bit, and so does the
+/// calibrated run's journal, which records the body order it ran.
 fn check_feedback(lab: &mut Lab, row: &Row, files: &RowFiles) {
     let expected = one_shot_text(lab, row);
     let (program, facts) = files.write(&lab.instance(row.corpus));
@@ -952,11 +960,25 @@ fn check_feedback(lab: &mut Lab, row: &Row, files: &RowFiles) {
     assert_eq!(lapq(["run", &program, &facts, "--journal", &journal]), expected, "{row:?}");
     lapq(["calibrate", &journal, "--out", &profile]);
     assert!(lapq(["obs-validate", &profile]).contains("(feedback profile,"), "{row:?}");
-    let calibrated = lapq(["run", &program, &facts, "--feedback", &profile]);
+    let planned = files.path("planned.journal.json");
+    let calibrated = lapq(["run", &program, &facts, "--feedback", &profile, "--journal", &planned]);
     assert_eq!(lapq(["run", &program, &facts, "--feedback", &profile]), calibrated, "{row:?}");
     assert_ne!(calibrated, expected, "{row:?}: calibration did not move the call schedule");
     assert_eq!(answers(&calibrated), answers(&expected), "{row:?}: calibration moved the answers");
-    assert!(lapq(["explain", &program, "--feedback", &profile]).contains("; cal "), "{row:?}");
+    assert_eq!(lapq(["replay", &planned]), calibrated, "{row:?}: a --feedback run's replay");
+    // A planned run's journal without its body orders is refused by name.
+    let text = std::fs::read_to_string(&planned).unwrap();
+    let mut snap = JournalSnapshot::from_json(&lap::obs::json::parse(&text).unwrap()).unwrap();
+    if let Json::Obj(meta) = &mut snap.meta {
+        meta.retain(|(key, _)| key != "order");
+    }
+    let unordered = files.path("unordered.journal.json");
+    std::fs::write(&unordered, snap.to_json().to_pretty()).unwrap();
+    let refused = Command::new(env!("CARGO_BIN_EXE_lapq")).args(["replay", &unordered]).output();
+    let err = String::from_utf8(refused.expect("lapq runs").stderr).unwrap();
+    assert!(err.contains("journal has no \"order\" metadata to replay"), "{err}");
+    let explained = lapq(["explain", &program, "--feedback", &profile]);
+    assert!(explained.contains("est calls  est tuples  cal calls  cal tuples"), "{row:?}");
 }
 
 /// A one-shot text without its call-statistics lines.

@@ -564,6 +564,14 @@ fn watcher_recalibrates_drifted_plans_and_preserves_unchanged_bytes() {
     let relations = &recalibration.relations;
     assert!(relations.iter().any(|r| r == "A"), "drifted relation recorded: {relations:?}");
     assert!(!recalibration.forced);
+    // `before` is the compiled plan's static estimate, not an empty sum.
+    let compiled = lap::core::PreparedProgram::compile(DRIFT).unwrap();
+    let plan = &compiled.queries()[0].physical().under.parts[0];
+    let costs = lap::planner::op_costs(plan, &lap::planner::CostModel::new());
+    let static_calls = costs.last().expect("an executable plan").calls;
+    let before = recalibration.before.get("est_calls").and_then(lap::obs::Json::as_f64);
+    assert_eq!(before, Some(static_calls), "{:?}", recalibration.before);
+    assert!(static_calls > 0.0);
 
     // Untouched plan, untouched bytes: the bookstore entry was disjoint
     // from the drift, so its text is still identical to one-shot lapq.

@@ -132,7 +132,7 @@ fn compile(q: &UnionQuery, schema: &Schema, engine: Option<&ContainmentEngine>) 
 /// Everything a compile produced, as text.
 fn shown(p: &PreparedQuery) -> String {
     let (plans, physical) = (p.plans(), p.physical());
-    format!("{}\n{}\n{}\n{}", plans.under, plans.over, physical.under, physical.over)
+    format!("{}\n{}\n{:?}\n{:?}", plans.under, plans.over, physical.under, physical.over)
 }
 
 #[test]
