@@ -55,7 +55,7 @@ pub use fault::{
 };
 pub use physical::{
     execute_physical_union, execute_physical_union_with, lower_cq, lower_union, AccessOp,
-    AccessProblem, ArgSource, Code, ColumnBatch, Dictionary, DisjunctDegradation, ExecConfig,
+    AccessProblem, ArgSource, ColumnBatch, DisjunctDegradation, ExecConfig,
     NegOp, OnUnavailable, OpProfile, PhysOp, PhysicalPlan, PhysicalUnion, PlanProfile,
     ProjCol, ProjectOp, UnionProfile, UnionRun, MAX_BATCH_WIDTH,
 };

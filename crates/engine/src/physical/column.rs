@@ -1,17 +1,13 @@
 //! Columnar batches: the data layout of the vectorized executor.
 //!
-//! A [`ColumnBatch`] stores bindings column-wise — one `u32` code buffer
+//! A [`ColumnBatch`] stores bindings column-wise — one [`Value`] buffer
 //! per *bound* plan slot — instead of the row executor's
-//! `Vec<Option<Value>>` per binding. Three ideas carry the design:
+//! `Vec<Option<Value>>` per binding. A `Value` is a 16-byte `Copy` type
+//! whose strings are interned [`Symbol`](lap_ir::Symbol)s, so equality
+//! and hashing on it are already word-sized: joins, membership memos and
+//! answer dedup run on the values the sources returned, and the answers
+//! are those values. Two ideas carry the design:
 //!
-//! * **Dictionary interning.** Every [`Value`] that enters the pipeline is
-//!   interned once in a [`Dictionary`] (the engine-level promotion of the
-//!   string [`Interner`](lap_obs::journal) the flight recorder uses) and
-//!   flows as a dense `u32` code. Equality on codes *is* equality on
-//!   values, so joins, membership memos, and answer dedup all run on
-//!   machine words; values are decoded only at the projection root. The
-//!   dictionary lives for one (union) execution and its hit/miss counters
-//!   feed the `dict%` column of [`OpProfile`](super::OpProfile).
 //! * **Uniform boundness.** Boundness at an operator is decided at plan
 //!   time, so *every* row of a batch has the same bound slot set: a slot's
 //!   column is either present for all rows or absent for all rows — no
@@ -32,15 +28,12 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
-/// A dictionary code: one `u32` per distinct [`Value`] seen this execution.
-pub type Code = u32;
-
-/// Multiply-xor hasher for the executor's small fixed-width keys: codes,
-/// short code slices, and interned [`Value`]s. The standard library's
-/// SipHash defends against adversarial key collisions; dictionary codes
-/// are dense indices the executor mints itself, so the cheap mix is safe —
-/// and these maps are probed once per row, where the SipHash setup cost
-/// dominates the lookup.
+/// Multiply-xor hasher for the engine's small fixed-width keys: [`Value`]s,
+/// short value slices and interned ids. The standard library's SipHash
+/// defends against adversarial key collisions; these maps are probed once
+/// per row, where the SipHash setup cost dominates the lookup, and their
+/// keys hash as a few machine words (an integer, a symbol id, a tag), so
+/// the cheap mix is what they get.
 #[derive(Default)]
 pub struct CodeHasher(u64);
 
@@ -80,88 +73,20 @@ impl Hasher for CodeHasher {
     }
 }
 
-/// A hash map keyed by codes, code slices, or values, using [`CodeHasher`].
+/// A hash map keyed by values, value slices or ids, using [`CodeHasher`].
 pub type CodeMap<K, V> = HashMap<K, V, BuildHasherDefault<CodeHasher>>;
 
-/// A hash set of code tuples, using [`CodeHasher`].
+/// A hash set of value keys, using [`CodeHasher`].
 pub type CodeSet<K> = HashSet<K, BuildHasherDefault<CodeHasher>>;
 
-/// Value ↔ code interning table for one execution, with hit/miss counters.
-///
-/// The same idea as the flight recorder's string `Interner`, promoted to
-/// engine [`Value`]s: `intern` returns a stable dense code, `value`
-/// decodes it. The hit rate (repeat values over total interns) is the
-/// observability signal the profiler reports — a high rate means the
-/// column buffers are dominated by a small active domain and code-level
-/// equality is doing the heavy lifting.
-#[derive(Clone, Debug, Default)]
-pub struct Dictionary {
-    values: Vec<Value>,
-    index: CodeMap<Value, Code>,
-    hits: u64,
-    misses: u64,
-}
-
-impl Dictionary {
-    /// An empty dictionary.
-    pub fn new() -> Dictionary {
-        Dictionary::default()
-    }
-
-    /// Interns a value, returning its code (stable for the dictionary's
-    /// lifetime). Counts a hit when the value was already present.
-    pub fn intern(&mut self, v: Value) -> Code {
-        if let Some(&code) = self.index.get(&v) {
-            self.hits += 1;
-            return code;
-        }
-        self.misses += 1;
-        let code = Code::try_from(self.values.len()).expect("dictionary overflow (2^32 values)");
-        self.values.push(v);
-        self.index.insert(v, code);
-        code
-    }
-
-    /// Decodes a code back to its value.
-    pub fn value(&self, code: Code) -> Value {
-        self.values[code as usize]
-    }
-
-    /// Distinct values interned so far.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True iff nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Interns that found the value already present.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Interns that created a new code.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// `(hits, misses)` — callers snapshot this around an operator to
-    /// attribute dictionary traffic per op.
-    pub fn counts(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-}
-
-/// One batch of bindings in columnar layout: per-slot code buffers plus a
+/// One batch of bindings in columnar layout: per-slot value buffers plus a
 /// selection-vector window over them. See the module docs for the layout
 /// invariants.
 #[derive(Clone, Debug)]
 pub struct ColumnBatch {
     /// One entry per plan slot: `Some` iff the slot is bound at this point
     /// of the pipeline (uniformly, for every row of the batch).
-    cols: Vec<Option<Rc<Vec<Code>>>>,
+    cols: Vec<Option<Rc<Vec<Value>>>>,
     /// Ascending live row indices into the column buffers.
     sel: Rc<Vec<u32>>,
     /// The live window: `sel[start..end]` are this batch's rows.
@@ -182,8 +107,8 @@ impl ColumnBatch {
     }
 
     /// A dense batch: `len` rows, identity selection, columns as built.
-    /// Every `Some` column must hold exactly `len` codes.
-    pub fn dense(cols: Vec<Option<Vec<Code>>>, len: usize) -> ColumnBatch {
+    /// Every `Some` column must hold exactly `len` values.
+    pub fn dense(cols: Vec<Option<Vec<Value>>>, len: usize) -> ColumnBatch {
         debug_assert!(cols
             .iter()
             .all(|c| c.as_ref().is_none_or(|c| c.len() == len)));
@@ -216,9 +141,9 @@ impl ColumnBatch {
         &self.sel[self.start..self.end]
     }
 
-    /// The code buffer of a bound slot (`None` while unbound). Indices in
+    /// The value buffer of a bound slot (`None` while unbound). Indices in
     /// [`ColumnBatch::rows`] address this buffer.
-    pub fn col(&self, slot: usize) -> Option<&[Code]> {
+    pub fn col(&self, slot: usize) -> Option<&[Value]> {
         self.cols[slot].as_deref().map(|v| v.as_slice())
     }
 
@@ -261,19 +186,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dictionary_interns_and_counts() {
-        let mut d = Dictionary::new();
-        let a = d.intern(Value::int(1));
-        let b = d.intern(Value::str("x"));
-        assert_ne!(a, b);
-        assert_eq!(d.intern(Value::int(1)), a);
-        assert_eq!(d.value(a), Value::int(1));
-        assert_eq!(d.value(b), Value::str("x"));
-        assert_eq!(d.counts(), (1, 2));
-        assert_eq!(d.len(), 2);
-    }
-
-    #[test]
     fn unit_batch_has_one_unbound_row() {
         let b = ColumnBatch::unit(3);
         assert_eq!(b.live(), 1);
@@ -284,7 +196,8 @@ mod tests {
 
     #[test]
     fn split_and_selection_share_columns() {
-        let mut b = ColumnBatch::dense(vec![Some(vec![10, 11, 12, 13]), None], 4);
+        let col = [10, 11, 12, 13].map(Value::int).to_vec();
+        let mut b = ColumnBatch::dense(vec![Some(col), None], 4);
         let front = b.split_front(1);
         assert_eq!(front.live(), 1);
         assert_eq!(b.live(), 3);
@@ -294,6 +207,6 @@ mod tests {
         let filtered = b.with_selection(vec![1, 3]);
         assert_eq!(filtered.live(), 2);
         assert_eq!(filtered.dead(), 1);
-        assert_eq!(filtered.col(0).unwrap()[3], 13);
+        assert_eq!(filtered.col(0).unwrap()[3], Value::int(13));
     }
 }

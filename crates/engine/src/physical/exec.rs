@@ -15,11 +15,10 @@
 //! traffic** (same calls, same probes, same journal batch events):
 //!
 //! * the **columnar** executor (the default): bindings flow as
-//!   [`ColumnBatch`]es of dictionary-interned `u32` codes with selection
-//!   vectors, operators are vectorized (one chained bind-join build arena
-//!   per group, branch-free negation filters with one probe pass, answer
-//!   dedup on code tuples across the whole union) — see
-//!   [`super::column`];
+//!   [`ColumnBatch`]es of [`Value`] columns with selection vectors,
+//!   operators are vectorized (one chained bind-join build arena per
+//!   group, branch-free negation filters with one probe pass, answer
+//!   dedup per disjunct on value keys) — see [`super::column`];
 //! * the **row** executor (`ExecConfig::rows()`): the PR 3
 //!   `Vec<Option<Value>>`-per-binding implementation, kept as the
 //!   differential test baseline.
@@ -28,8 +27,11 @@
 //! problem (no usable pattern, unknown relation, unbound negation, unbound
 //! head variable) raises its error only when a non-empty batch reaches it.
 
-use super::column::{Code, CodeMap, CodeSet, ColumnBatch, Dictionary};
-use super::plan::{AccessOp, AccessProblem, ArgSource, NegOp, PhysOp, PhysicalPlan, PhysicalUnion, ProjCol};
+use super::column::{CodeMap, CodeSet, ColumnBatch};
+use super::plan::{
+    AccessOp, AccessProblem, ArgSource, NegOp, PhysOp, PhysicalPlan, PhysicalUnion, ProjCol,
+    ProjectOp,
+};
 use crate::error::EngineError;
 use crate::source::SourceRegistry;
 use crate::value::{Tuple, Value};
@@ -124,12 +126,6 @@ pub struct OpProfile {
     /// executor, which densifies eagerly. `rows_in / (rows_in +
     /// rows_dead)` is the operator's selection-vector fill rate.
     pub rows_dead: u64,
-    /// Dictionary interns by this operator that found the value already
-    /// present (columnar executor only).
-    pub dict_hits: u64,
-    /// Dictionary interns by this operator that created a new code
-    /// (columnar executor only).
-    pub dict_misses: u64,
 }
 
 impl OpProfile {
@@ -142,13 +138,6 @@ impl OpProfile {
         } else {
             self.rows_in as f64 / physical as f64
         }
-    }
-
-    /// Dictionary hit rate of this operator's interns, `None` when the
-    /// operator interned nothing (row executor, pure filters).
-    pub fn dict_hit_rate(&self) -> Option<f64> {
-        let total = self.dict_hits + self.dict_misses;
-        (total > 0).then(|| self.dict_hits as f64 / total as f64)
     }
 }
 
@@ -364,6 +353,24 @@ fn resolve(arg: &ArgSource, row: &Row) -> Value {
     }
 }
 
+/// Reads one argument's value at row `r` of a batch: [`resolve`] for the
+/// columnar executor.
+fn resolve_at(arg: &ArgSource, batch: &ColumnBatch, r: u32) -> Value {
+    match *arg {
+        ArgSource::Const(c) => c,
+        ArgSource::Slot(s) => batch.col(s).expect("lowering proved this slot bound")[r as usize],
+    }
+}
+
+/// The error a binding raises when it reaches a projection whose head
+/// variable `v` is neither bound nor declared null.
+fn unbound_head(project: &ProjectOp, v: lap_ir::Var) -> EngineError {
+    EngineError::NotExecutable {
+        literal: project.head.clone(),
+        reason: format!("head variable {v} is neither bound nor declared null"),
+    }
+}
+
 /// Client-side unification of one source tuple against one binding:
 /// constants and already-bound slots must agree (this also joins repeated
 /// variables), unbound slots get bound. `None` if the tuple is filtered.
@@ -386,67 +393,18 @@ fn unify(args: &[ArgSource], row: &Row, tuple: &[Value]) -> Option<Row> {
     Some(out)
 }
 
-/// One disjunct's answers, held back until the disjunct completes.
-struct DisjunctAnswers {
-    /// The code tuple of every distinct answer of the disjunct (columnar
-    /// executor; empty from the row executor).
-    seen: CodeSet<CodeKey>,
-    /// Its answers the union did not hold yet, decoded (every answer,
-    /// from the row executor).
-    fresh: Vec<Tuple>,
-}
-
-/// The answers of the disjuncts a union run has completed: their code
-/// tuples, which the union's shared dictionary makes comparable across
-/// disjuncts, and the rows they decode to, each decoded once.
-#[derive(Default)]
-struct UnionAnswers {
-    seen: CodeSet<CodeKey>,
-    rows: Vec<Tuple>,
-}
-
-impl UnionAnswers {
-    /// Adds a completed disjunct's answers. Only a completed disjunct is
-    /// committed, so a dropped one contributes nothing.
-    fn commit(&mut self, part: DisjunctAnswers) {
-        if self.seen.is_empty() {
-            self.seen = part.seen;
-        } else {
-            self.seen.extend(part.seen);
-        }
-        self.rows.extend(part.fresh);
-    }
-
-    /// The answer set, sorted once. The columnar executor's rows are
-    /// already distinct: equal code tuples are exactly equal values.
-    fn into_set(self, cfg: ExecConfig) -> BTreeSet<Tuple> {
-        let collected = self.rows.len();
-        let set = BTreeSet::from_iter(self.rows);
-        debug_assert!(
-            !cfg.columnar || set.len() == collected,
-            "code-tuple dedup must agree with value dedup"
-        );
-        set
-    }
-}
-
-/// One pipeline under a caller-owned dictionary: the union driver passes
-/// a shared one so repeated constants across disjuncts intern once, and
-/// the answers its completed disjuncts hold, so an answer is decoded once
-/// per union. The row baseline ignores both.
-fn execute_cq_shared(
+/// One pipeline, on the executor `cfg` selects: its distinct answers and
+/// its profile.
+fn execute_cq(
     plan: &PhysicalPlan,
     reg: &mut SourceRegistry<'_>,
     cfg: ExecConfig,
-    dict: &mut Dictionary,
-    union: &UnionAnswers,
-) -> Result<(DisjunctAnswers, PlanProfile), EngineError> {
+) -> Result<(Vec<Tuple>, PlanProfile), EngineError> {
     if cfg.columnar {
-        execute_columnar_cq_profiled(plan, reg, cfg, dict, union)
+        execute_columnar_cq_profiled(plan, reg, cfg)
     } else {
         let (rows, profile) = execute_row_cq_profiled(plan, reg, cfg)?;
-        let part = DisjunctAnswers { seen: CodeSet::default(), fresh: rows.into_iter().collect() };
-        Ok((part, profile))
+        Ok((rows.into_iter().collect(), profile))
     }
 }
 
@@ -475,12 +433,7 @@ fn execute_row_cq_profiled(
                     ProjCol::Const(c) => tuple.push(c),
                     ProjCol::Slot(s) => tuple.push(row[s].expect("head slot bound by the body")),
                     ProjCol::Null => tuple.push(Value::Null),
-                    ProjCol::Unbound(v) => {
-                        return Err(EngineError::NotExecutable {
-                            literal: project.head.clone(),
-                            reason: format!("head variable {v} is neither bound nor declared null"),
-                        })
-                    }
+                    ProjCol::Unbound(v) => return Err(unbound_head(project, v)),
                 }
             }
             if out.insert(tuple) {
@@ -515,30 +468,23 @@ struct ColExec<'p> {
     profiles: Vec<OpProfile>,
 }
 
-/// Where one negation-filter argument reads its probe code from.
-enum NegArg {
-    Const(Code),
-    Slot(usize),
-}
-
-/// A code-tuple key for the executor's per-row hash maps. Keys of up to
-/// two codes — the overwhelming case for access inputs, membership probes,
-/// and projection heads — pack into one machine word: no allocation on
-/// insert, one hash mix instead of a length-prefixed slice walk. Every map
-/// holds keys of one uniform length, so packed and wide keys never mix.
+/// A value-tuple key for the executor's per-row hash maps. Keys of one or
+/// two values — the overwhelming case for access inputs, membership
+/// probes and projection heads — are held inline: no allocation on insert.
+/// Every map holds keys of one uniform length.
 #[derive(PartialEq, Eq, Hash)]
-enum CodeKey {
-    Short(u64),
-    Wide(Box<[Code]>),
+enum ValueKey {
+    One(Value),
+    Two(Value, Value),
+    Wide(Box<[Value]>),
 }
 
 #[inline]
-fn code_key(codes: &[Code]) -> CodeKey {
-    match *codes {
-        [] => CodeKey::Short(0),
-        [a] => CodeKey::Short(a as u64),
-        [a, b] => CodeKey::Short((a as u64) << 32 | b as u64),
-        _ => CodeKey::Wide(codes.into()),
+fn value_key(values: &[Value]) -> ValueKey {
+    match *values {
+        [a] => ValueKey::One(a),
+        [a, b] => ValueKey::Two(a, b),
+        _ => ValueKey::Wide(values.into()),
     }
 }
 
@@ -595,7 +541,6 @@ impl<'p> ColExec<'p> {
         &mut self,
         i: usize,
         reg: &mut SourceRegistry<'_>,
-        dict: &mut Dictionary,
     ) -> Result<Option<Vec<ColumnBatch>>, EngineError> {
         loop {
             if self.stages[i].out_live >= self.cfg.batch_size || self.done[i] {
@@ -604,11 +549,10 @@ impl<'p> ColExec<'p> {
                 }
                 return Ok(Some(self.take_group(i)));
             }
-            let input =
-                if i == 0 { self.pull_unit() } else { self.pull(i - 1, reg, dict)? };
+            let input = if i == 0 { self.pull_unit() } else { self.pull(i - 1, reg)? };
             match input {
                 None => self.done[i] = true,
-                Some(group) => self.process(i, &group, reg, dict)?,
+                Some(group) => self.process(i, &group, reg)?,
             }
         }
     }
@@ -644,7 +588,6 @@ impl<'p> ColExec<'p> {
         i: usize,
         group: &[ColumnBatch],
         reg: &mut SourceRegistry<'_>,
-        dict: &mut Dictionary,
     ) -> Result<(), EngineError> {
         let plan = self.plan;
         let live: usize = group.iter().map(ColumnBatch::live).sum();
@@ -655,15 +598,12 @@ impl<'p> ColExec<'p> {
         let label = self.profiles[i].op.as_str();
         let rows_in = live as u64;
         reg.journal_record(|names| Event::BatchBegin { label: names.intern(label), rows_in });
-        let dict_before = dict.counts();
         let mut produced: Vec<ColumnBatch> = Vec::new();
         let result = match &plan.ops[i] {
             PhysOp::Access(op) | PhysOp::BindJoin(op) => {
-                self.run_access_columnar(op, group, reg, dict, i, &mut produced)
+                self.run_access_columnar(op, group, reg, i, &mut produced)
             }
-            PhysOp::NegFilter(op) => {
-                self.run_neg_filter_columnar(op, group, reg, dict, i, &mut produced)
-            }
+            PhysOp::NegFilter(op) => self.run_neg_filter_columnar(op, group, reg, i, &mut produced),
             PhysOp::Project(_) => unreachable!("projection is driven by the executor root"),
         };
         let produced_live: usize = produced.iter().map(ColumnBatch::live).sum();
@@ -671,9 +611,6 @@ impl<'p> ColExec<'p> {
         let ok = result.is_ok();
         reg.journal_record(|names| Event::BatchEnd { label: names.intern(label), rows_out, ok });
         result?;
-        let (hits, misses) = dict.counts();
-        self.profiles[i].dict_hits += hits - dict_before.0;
-        self.profiles[i].dict_misses += misses - dict_before.1;
         self.profiles[i].rows_out += produced_live as u64;
         for batch in produced {
             if batch.live() > 0 {
@@ -687,9 +624,9 @@ impl<'p> ColExec<'p> {
     /// Vectorized source access / bind join. Per group: distinct input
     /// keys are collected over the live rows (first-occurrence order, like
     /// the row executor) and fetched with one [`SourceRegistry::call_many`];
-    /// each key's tuples are then filtered and interned **once** into one
-    /// build arena shared by the whole group, chained in source order per
-    /// key (and per bound-output check codes, when the operator has any),
+    /// each key's tuples are then filtered **once** into one build arena
+    /// shared by the whole group, chained in source order per key (and per
+    /// bound-output check values, when the operator has any),
     /// and every live row walks its chain, appending matches column-wise
     /// into a dense output batch.
     fn run_access_columnar(
@@ -697,7 +634,6 @@ impl<'p> ColExec<'p> {
         op: &AccessOp,
         group: &[ColumnBatch],
         reg: &mut SourceRegistry<'_>,
-        dict: &mut Dictionary,
         i: usize,
         produced: &mut Vec<ColumnBatch>,
     ) -> Result<(), EngineError> {
@@ -710,11 +646,7 @@ impl<'p> ColExec<'p> {
 
         // Classify argument positions once per group. Boundness is uniform
         // per pipeline position, so the first batch speaks for all.
-        enum KeyPart {
-            Const(Code),
-            Slot(usize),
-        }
-        let mut key_parts: Vec<KeyPart> = Vec::new(); // input positions, in order
+        let mut key_args: Vec<ArgSource> = Vec::new(); // input positions, in order
         let mut key_pos_of_j: Vec<Option<usize>> = vec![None; arity];
         let mut const_checks: Vec<(usize, Value)> = Vec::new(); // tuple[j] == c
         let mut key_checks: Vec<usize> = Vec::new(); // tuple[j] == pushed input j
@@ -725,16 +657,16 @@ impl<'p> ColExec<'p> {
             match *arg {
                 ArgSource::Const(c) => {
                     if pattern.is_input(j) {
-                        key_pos_of_j[j] = Some(key_parts.len());
-                        key_parts.push(KeyPart::Const(dict.intern(c)));
+                        key_pos_of_j[j] = Some(key_args.len());
+                        key_args.push(*arg);
                     }
                     const_checks.push((j, c));
                 }
                 ArgSource::Slot(s) => {
                     if first.is_bound(s) {
                         if pattern.is_input(j) {
-                            key_pos_of_j[j] = Some(key_parts.len());
-                            key_parts.push(KeyPart::Slot(s));
+                            key_pos_of_j[j] = Some(key_args.len());
+                            key_args.push(*arg);
                             key_checks.push(j);
                         } else {
                             probe_parts.push((s, j));
@@ -755,34 +687,18 @@ impl<'p> ColExec<'p> {
         }
 
         // Distinct input keys over the live rows, first-occurrence order.
-        let mut key_index: CodeMap<CodeKey, u32> = CodeMap::default();
+        let mut key_index: CodeMap<ValueKey, u32> = CodeMap::default();
         let mut wire_keys: Vec<Vec<Option<Value>>> = Vec::new();
         let mut row_key: Vec<u32> = Vec::new();
-        let mut scratch: Vec<Code> = Vec::with_capacity(key_parts.len());
+        let mut scratch: Vec<Value> = Vec::with_capacity(key_args.len());
         for batch in group {
-            let key_cols: Vec<Option<&[Code]>> = key_parts
-                .iter()
-                .map(|kp| match *kp {
-                    KeyPart::Const(_) => None,
-                    KeyPart::Slot(s) => Some(batch.col(s).expect("bound slot has a column")),
-                })
-                .collect();
             for &r in batch.rows() {
                 scratch.clear();
-                for (kp, col) in key_parts.iter().zip(&key_cols) {
-                    scratch.push(match (kp, col) {
-                        (KeyPart::Const(c), _) => *c,
-                        (KeyPart::Slot(_), Some(col)) => col[r as usize],
-                        (KeyPart::Slot(_), None) => unreachable!(),
-                    });
-                }
+                scratch.extend(key_args.iter().map(|arg| resolve_at(arg, batch, r)));
                 let next = key_index.len() as u32;
-                let k = *key_index.entry(code_key(&scratch)).or_insert_with(|| {
-                    wire_keys.push(
-                        (0..arity)
-                            .map(|j| key_pos_of_j[j].map(|p| dict.value(scratch[p])))
-                            .collect(),
-                    );
+                let k = *key_index.entry(value_key(&scratch)).or_insert_with(|| {
+                    let wire = (0..arity).map(|j| key_pos_of_j[j].map(|p| scratch[p]));
+                    wire_keys.push(wire.collect());
                     next
                 });
                 row_key.push(k);
@@ -795,20 +711,18 @@ impl<'p> ColExec<'p> {
             fetched.iter().map(|rows| rows.len() as u64).sum::<u64>();
 
         // Build: pre-process each key's tuples once — filter (constants,
-        // pushed inputs, repeated new variables), then intern bind codes
-        // before check codes, tuple by tuple, so the dictionary's codes
-        // (and `dict%`) are fixed by source order — into one arena for the
-        // group. Arena tuple `t` has its bind codes at row `t` of `arena`
+        // pushed inputs, repeated new variables) — into one arena for the
+        // group. Arena tuple `t` has its bind values at row `t` of `arena`
         // and its chain successor at `next[t]`. Without check positions a
         // key's chain is `by_key[k]`; with them it is keyed by (key, check
-        // codes) in `by_check`. Chains append in source order, so output
+        // values) in `by_check`. Chains append in source order, so output
         // rows, and the downstream wire keys, follow source order.
-        let mut arena: Vec<Vec<Code>> = vec![Vec::new(); bind_parts.len()];
+        let mut arena: Vec<Vec<Value>> = vec![Vec::new(); bind_parts.len()];
         let mut next: Vec<u32> = Vec::new();
         let checked = !probe_parts.is_empty();
         let mut by_key: Vec<Chain> = vec![(NIL, NIL); if checked { 0 } else { fetched.len() }];
-        let mut by_check: CodeMap<(u32, CodeKey), Chain> = CodeMap::default();
-        let mut probe_scratch: Vec<Code> = Vec::with_capacity(probe_parts.len());
+        let mut by_check: CodeMap<(u32, ValueKey), Chain> = CodeMap::default();
+        let mut probe_scratch: Vec<Value> = Vec::with_capacity(probe_parts.len());
         for (k, tuples) in fetched.iter().enumerate() {
             let wire = &wire_keys[k];
             for tuple in tuples.iter() {
@@ -827,14 +741,12 @@ impl<'p> ColExec<'p> {
                 let t = next.len() as u32;
                 next.push(NIL);
                 for (col, &(j, _)) in arena.iter_mut().zip(&bind_parts) {
-                    col.push(dict.intern(tuple[j]));
+                    col.push(tuple[j]);
                 }
                 let chain = if checked {
                     probe_scratch.clear();
-                    for &(_, j) in &probe_parts {
-                        probe_scratch.push(dict.intern(tuple[j]));
-                    }
-                    by_check.entry((k as u32, code_key(&probe_scratch))).or_insert((NIL, NIL))
+                    probe_scratch.extend(probe_parts.iter().map(|&(_, j)| tuple[j]));
+                    by_check.entry((k as u32, value_key(&probe_scratch))).or_insert((NIL, NIL))
                 } else {
                     &mut by_key[k]
                 };
@@ -843,20 +755,20 @@ impl<'p> ColExec<'p> {
         }
 
         // Probe: each live row finds its chain — its key's, or with check
-        // positions its (key, bound-output codes) — and appends the chain's
+        // positions its (key, bound-output values) — and appends the chain's
         // matches column-wise.
         let carried: Vec<usize> =
             (0..self.plan.slots.len()).filter(|&s| first.is_bound(s)).collect();
-        let mut out_carried: Vec<Vec<Code>> = vec![Vec::new(); carried.len()];
-        let mut out_bound: Vec<Vec<Code>> = vec![Vec::new(); bind_parts.len()];
+        let mut out_carried: Vec<Vec<Value>> = vec![Vec::new(); carried.len()];
+        let mut out_bound: Vec<Vec<Value>> = vec![Vec::new(); bind_parts.len()];
         let mut out_len = 0usize;
         let mut cursor = 0usize;
         for batch in group {
-            let carried_cols: Vec<&[Code]> = carried
+            let carried_cols: Vec<&[Value]> = carried
                 .iter()
                 .map(|&s| batch.col(s).expect("bound slot has a column"))
                 .collect();
-            let probe_cols: Vec<&[Code]> = probe_parts
+            let probe_cols: Vec<&[Value]> = probe_parts
                 .iter()
                 .map(|&(s, _)| batch.col(s).expect("bound slot has a column"))
                 .collect();
@@ -866,10 +778,8 @@ impl<'p> ColExec<'p> {
                 cursor += 1;
                 let mut t = if checked {
                     probe_scratch.clear();
-                    for col in &probe_cols {
-                        probe_scratch.push(col[r]);
-                    }
-                    match by_check.get(&(k, code_key(&probe_scratch))) {
+                    probe_scratch.extend(probe_cols.iter().map(|col| col[r]));
+                    match by_check.get(&(k, value_key(&probe_scratch))) {
                         Some(chain) => chain.0,
                         None => continue,
                     }
@@ -889,7 +799,7 @@ impl<'p> ColExec<'p> {
             }
         }
 
-        let mut out_cols: Vec<Option<Vec<Code>>> = vec![None; self.plan.slots.len()];
+        let mut out_cols: Vec<Option<Vec<Value>>> = vec![None; self.plan.slots.len()];
         for (s, col) in carried.into_iter().zip(out_carried) {
             out_cols[s] = Some(col);
         }
@@ -912,48 +822,26 @@ impl<'p> ColExec<'p> {
         op: &NegOp,
         group: &[ColumnBatch],
         reg: &mut SourceRegistry<'_>,
-        dict: &mut Dictionary,
         i: usize,
         produced: &mut Vec<ColumnBatch>,
     ) -> Result<(), EngineError> {
         if !op.unbound.is_empty() {
             return Err(EngineError::UnboundNegation { literal: op.literal.clone() });
         }
-        let nargs: Vec<NegArg> = op
-            .args
-            .iter()
-            .map(|a| match *a {
-                ArgSource::Const(c) => NegArg::Const(dict.intern(c)),
-                ArgSource::Slot(s) => NegArg::Slot(s),
-            })
-            .collect();
 
         // Pass 1 — distinct probe keys over live rows, first-occurrence
         // order (the batch-window memo).
-        let mut key_index: CodeMap<CodeKey, u32> = CodeMap::default();
+        let mut key_index: CodeMap<ValueKey, u32> = CodeMap::default();
         let mut distinct: Vec<Vec<Value>> = Vec::new();
         let mut row_key: Vec<u32> = Vec::new();
-        let mut scratch: Vec<Code> = Vec::with_capacity(nargs.len());
+        let mut scratch: Vec<Value> = Vec::with_capacity(op.args.len());
         for batch in group {
-            let arg_cols: Vec<Option<&[Code]>> = nargs
-                .iter()
-                .map(|a| match *a {
-                    NegArg::Const(_) => None,
-                    NegArg::Slot(s) => Some(batch.col(s).expect("bound slot has a column")),
-                })
-                .collect();
             for &r in batch.rows() {
                 scratch.clear();
-                for (a, col) in nargs.iter().zip(&arg_cols) {
-                    scratch.push(match (a, col) {
-                        (NegArg::Const(c), _) => *c,
-                        (NegArg::Slot(_), Some(col)) => col[r as usize],
-                        (NegArg::Slot(_), None) => unreachable!(),
-                    });
-                }
+                scratch.extend(op.args.iter().map(|arg| resolve_at(arg, batch, r)));
                 let next = distinct.len() as u32;
-                let k = *key_index.entry(code_key(&scratch)).or_insert_with(|| {
-                    distinct.push(scratch.iter().map(|&c| dict.value(c)).collect());
+                let k = *key_index.entry(value_key(&scratch)).or_insert_with(|| {
+                    distinct.push(scratch.clone());
                     next
                 });
                 row_key.push(k);
@@ -985,46 +873,24 @@ impl<'p> ColExec<'p> {
 }
 
 /// The columnar twin of [`execute_row_cq_profiled`]: same stage windows,
-/// same wire traffic, same journal events — but bindings flow as
-/// dictionary codes and the projection dedups on code tuples, decoding
-/// only the distinct answers that `union` does not hold yet.
+/// same wire traffic, same journal events — but bindings flow as value
+/// columns, and the projection dedups on value keys, so each distinct
+/// answer is copied out once.
 fn execute_columnar_cq_profiled(
     plan: &PhysicalPlan,
     reg: &mut SourceRegistry<'_>,
     cfg: ExecConfig,
-    dict: &mut Dictionary,
-    union: &UnionAnswers,
-) -> Result<(DisjunctAnswers, PlanProfile), EngineError> {
+) -> Result<(Vec<Tuple>, PlanProfile), EngineError> {
     let last = plan.ops.len() - 1;
     let PhysOp::Project(project) = &plan.ops[last] else {
         unreachable!("lowering always ends the pipeline with a projection")
     };
-    enum PCol {
-        Code(Code),
-        Slot(usize),
-        Unbound(lap_ir::Var),
-    }
-    let dict_before = dict.counts();
-    let pcols: Vec<PCol> = project
-        .cols
-        .iter()
-        .map(|col| match *col {
-            ProjCol::Const(c) => PCol::Code(dict.intern(c)),
-            ProjCol::Slot(s) => PCol::Slot(s),
-            ProjCol::Null => PCol::Code(dict.intern(Value::Null)),
-            ProjCol::Unbound(v) => PCol::Unbound(v),
-        })
-        .collect();
     let mut exec = ColExec::new(plan, cfg);
-    let (hits, misses) = dict.counts();
-    exec.profiles[last].dict_hits += hits - dict_before.0;
-    exec.profiles[last].dict_misses += misses - dict_before.1;
-    let mut seen: CodeSet<CodeKey> = CodeSet::default();
-    let mut fresh: Vec<Tuple> = Vec::new();
-    let mut scratch: Vec<Code> = Vec::with_capacity(pcols.len());
+    let mut seen: CodeSet<ValueKey> = CodeSet::default();
+    let mut answers: Vec<Tuple> = Vec::new();
+    let mut scratch: Vec<Value> = Vec::with_capacity(project.cols.len());
     loop {
-        let group =
-            if last == 0 { exec.pull_unit() } else { exec.pull(last - 1, reg, dict)? };
+        let group = if last == 0 { exec.pull_unit() } else { exec.pull(last - 1, reg)? };
         let Some(group) = group else { break };
         exec.profiles[last].batches += 1;
         exec.profiles[last].rows_in +=
@@ -1032,47 +898,28 @@ fn execute_columnar_cq_profiled(
         exec.profiles[last].rows_dead +=
             group.iter().map(ColumnBatch::dead).sum::<usize>() as u64;
         for batch in &group {
-            let slot_cols: Vec<Option<&[Code]>> = pcols
-                .iter()
-                .map(|pc| match *pc {
-                    PCol::Slot(s) => {
-                        Some(batch.col(s).expect("head slot bound by the body"))
-                    }
-                    _ => None,
-                })
-                .collect();
             for &r in batch.rows() {
                 scratch.clear();
-                for (pc, col) in pcols.iter().zip(&slot_cols) {
-                    match (pc, col) {
-                        (PCol::Code(c), _) => scratch.push(*c),
-                        (PCol::Slot(_), Some(col)) => scratch.push(col[r as usize]),
-                        (PCol::Slot(_), None) => unreachable!(),
-                        (PCol::Unbound(v), _) => {
-                            return Err(EngineError::NotExecutable {
-                                literal: project.head.clone(),
-                                reason: format!(
-                                    "head variable {v} is neither bound nor declared null"
-                                ),
-                            })
+                for col in &project.cols {
+                    scratch.push(match *col {
+                        ProjCol::Const(c) => c,
+                        ProjCol::Slot(s) => {
+                            batch.col(s).expect("head slot bound by the body")[r as usize]
                         }
-                    }
+                        ProjCol::Null => Value::Null,
+                        ProjCol::Unbound(v) => return Err(unbound_head(project, v)),
+                    });
                 }
-                let key = code_key(&scratch);
-                let new_to_union = !union.seen.contains(&key);
-                if seen.insert(key) {
-                    if new_to_union {
-                        fresh.push(scratch.iter().map(|&c| dict.value(c)).collect());
-                    }
+                if seen.insert(value_key(&scratch)) {
+                    answers.push(scratch.clone());
                     exec.profiles[last].rows_out += 1;
                 }
             }
         }
     }
-    let answers = seen.len() as u64;
     let head = plan.head.to_string();
-    let profile = PlanProfile { index: 0, head, ops: exec.profiles, answers };
-    Ok((DisjunctAnswers { seen, fresh }, profile))
+    let profile = PlanProfile { index: 0, head, ops: exec.profiles, answers: seen.len() as u64 };
+    Ok((answers, profile))
 }
 
 /// One disjunct dropped from a degraded evaluation: which pipeline, and
@@ -1146,9 +993,11 @@ pub struct UnionRun {
 /// Executes a physical union — the one union driver: disjuncts run in
 /// order against one registry (whose overlapped I/O supplies the paper's
 /// "possibly in parallel"), one span per disjunct when the registry's
-/// recorder has tracing enabled, one dictionary shared across disjuncts,
-/// and `on_unavailable` deciding what an exhausted source does to its
-/// disjunct.
+/// recorder has tracing enabled, and `on_unavailable` deciding what an
+/// exhausted source does to its disjunct. A disjunct's answers join the
+/// union only once the disjunct completes, so a dropped one leaks none;
+/// the union is sorted (and an answer several disjuncts share kept once)
+/// at the end.
 pub fn execute_physical_union_with(
     union: &PhysicalUnion,
     reg: &mut SourceRegistry<'_>,
@@ -1160,14 +1009,13 @@ pub fn execute_physical_union_with(
     // snapshot carries no `source.degraded` line.
     let degraded =
         (on_unavailable == OnUnavailable::Drop).then(|| recorder.counter("source.degraded"));
-    let mut dict = Dictionary::new();
-    let mut answers = UnionAnswers::default();
+    let mut answers: Vec<Tuple> = Vec::new();
     let mut run = UnionRun::default();
     for (index, plan) in union.parts.iter().enumerate() {
         let _span = recorder.span_lazy(|| format!("disjunct {index}: {}", plan.head));
-        match (execute_cq_shared(plan, reg, cfg, &mut dict, &answers), &degraded) {
+        match (execute_cq(plan, reg, cfg), &degraded) {
             (Ok((part, profile)), _) => {
-                answers.commit(part);
+                answers.extend(part);
                 run.profile.parts.push(PlanProfile { index, ..profile });
             }
             (
@@ -1183,7 +1031,7 @@ pub fn execute_physical_union_with(
             (Err(other), _) => return Err(other),
         }
     }
-    run.rows = answers.into_set(cfg);
+    run.rows = BTreeSet::from_iter(answers);
     Ok(run)
 }
 
@@ -1358,39 +1206,45 @@ mod tests {
         );
         let mut reg = SourceRegistry::new(&db, &schema);
         let cfg = ExecConfig::default();
-        let none = UnionAnswers::default();
-        let (part, profile) =
-            execute_cq_shared(&plan, &mut reg, cfg, &mut Dictionary::new(), &none).unwrap();
-        assert_eq!(part.fresh.len(), 2);
+        let (part, profile) = execute_cq(&plan, &mut reg, cfg).unwrap();
+        assert_eq!(part.len(), 2);
         let m = &profile.ops[2];
         assert!(m.op.contains("not M"), "{}", m.op);
         assert_eq!(m.rows_in, 2, "live rows only");
         assert_eq!(m.rows_dead, 1, "the row `not L` killed rides along");
         assert_eq!(m.calls, 2, "one probe per distinct live key");
         assert!((m.fill_rate() - 2.0 / 3.0).abs() < 1e-9, "{}", m.fill_rate());
-        // The filter interns nothing (its only argument is a slot) …
-        assert!(m.dict_hit_rate().is_none());
-        // … but the access op that materialized C interned every value.
-        assert!(profile.ops[0].dict_hit_rate().is_some());
     }
 
+    /// An answer two disjuncts both produce is one row of the union, and
+    /// each disjunct's profile still counts it among its own `out`, on
+    /// both executors.
     #[test]
-    fn union_disjuncts_share_one_dictionary() {
+    fn an_answer_two_disjuncts_share_is_one_union_row() {
         let (db, schema) = bookstore();
         let parts = vec![
             (parse_cq("Q(i, a) :- C(i, a).").unwrap(), vec![]),
             (parse_cq("Q(i, a) :- C(i, a), not L(i).").unwrap(), vec![]),
         ];
         let union = lower_union(&parts, &schema);
-        let mut reg = SourceRegistry::new(&db, &schema);
-        let cfg = ExecConfig::default();
-        let profile =
-            execute_physical_union_with(&union, &mut reg, cfg, OnUnavailable::Abort).unwrap().profile;
-        // The second disjunct's access re-interns values the first already
-        // interned: its dictionary traffic is all hits, no misses.
-        let second_access = &profile.parts[1].ops[0];
-        assert!(second_access.dict_hits > 0, "{second_access:?}");
-        assert_eq!(second_access.dict_misses, 0, "{second_access:?}");
+        for cfg in [ExecConfig::default(), ExecConfig::default().rows()] {
+            let mut reg = SourceRegistry::new(&db, &schema);
+            let run =
+                execute_physical_union_with(&union, &mut reg, cfg, OnUnavailable::Abort).unwrap();
+            let expected: BTreeSet<Tuple> = [(1, "tolkien"), (3, "adams"), (4, "tolkien")]
+                .map(|(i, a)| vec![Value::int(i), Value::str(a)])
+                .into_iter()
+                .collect();
+            assert_eq!(run.rows, expected, "{cfg:?}");
+            let outs: Vec<(u64, u64)> = run
+                .profile
+                .parts
+                .iter()
+                .map(|p| (p.answers, p.ops.last().unwrap().rows_out))
+                .collect();
+            // Disjunct 1's two answers are disjunct 0's too.
+            assert_eq!(outs, [(3, 3), (2, 2)], "{cfg:?}");
+        }
     }
 
     /// One wire key: the relation called and its inputs.
@@ -1422,10 +1276,10 @@ mod tests {
 
     /// A disjunct that projects answers and *then* exhausts its retries
     /// is dropped whole: at width 1 disjunct 1 projects 1 and 2 before its
-    /// `G(3)` call gives up, and neither its answers nor its code tuples
-    /// may reach the union — 2, which disjunct 2 also answers, must still
-    /// be decoded there. The union is the surviving disjuncts' fault-free
-    /// answers, on both executors, with random faults and retries besides.
+    /// `G(3)` call gives up, and none of its answers may reach the union —
+    /// but 2, which disjunct 2 also answers, must. The union is the
+    /// surviving disjuncts' fault-free answers, on both executors, with
+    /// random faults and retries besides.
     #[test]
     fn a_dropped_disjunct_leaks_no_partial_answers() {
         let db = Database::from_facts("K(5). F(1). F(2). F(3). G(1). G(2). G(3). H(2). H(7).")
@@ -1479,7 +1333,7 @@ mod tests {
 
     /// The build arena keeps source order. The bind joins' keys repeat
     /// and their tuples split over several bound-output partitions (one
-    /// check code in the first query, three in the second), and the
+    /// check value in the first query, three in the second), and the
     /// downstream `C` call is keyed on each join output row, so the order
     /// of its wire keys is the order of the join's output. Columnar and
     /// row executors agree on rows, operator counts and every wire key, in

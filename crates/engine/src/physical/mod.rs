@@ -32,7 +32,7 @@ mod exec;
 mod lower;
 mod plan;
 
-pub use column::{Code, CodeHasher, CodeMap, CodeSet, ColumnBatch, Dictionary};
+pub use column::{CodeHasher, CodeMap, CodeSet, ColumnBatch};
 pub use exec::{
     execute_physical_union, execute_physical_union_with, DisjunctDegradation, ExecConfig, OnUnavailable, OpProfile, PlanProfile, UnionProfile,
     UnionRun, MAX_BATCH_WIDTH,

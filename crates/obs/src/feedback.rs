@@ -526,21 +526,13 @@ impl FeedbackStore {
         (attempts > 0).then(|| weighted / attempts as f64)
     }
 
-    /// Drift flags against a model expectation per relation: a profile
-    /// whose observed rows-per-call or mean latency is ≥ [`DRIFT_FACTOR`]×
-    /// away from the expectation (in either direction) is flagged.
-    pub fn drift_flags<F>(&self, expect: F) -> Vec<DriftFlag>
-    where
-        F: Fn(&str) -> Option<Expectation>,
-    {
-        self.drift_flags_by(|relation, _pattern| expect(relation))
-    }
-
-    /// Like [`FeedbackStore::drift_flags`], but with a per-`(relation,
-    /// pattern)` expectation. The daemon's telemetry hub needs this
-    /// granularity: rows-per-call for a full scan (`oo`) and a per-binding
-    /// probe (`io`) of the same relation differ by orders of magnitude, so
-    /// one per-relation baseline would self-flag immediately.
+    /// Drift flags against a per-`(relation, pattern)` expectation: a
+    /// profile whose observed rows-per-call or mean latency is ≥
+    /// [`DRIFT_FACTOR`]× away from the expectation (in either direction) is
+    /// flagged. The daemon's telemetry hub needs this granularity:
+    /// rows-per-call for a full scan (`oo`) and a per-binding probe (`io`)
+    /// of the same relation differ by orders of magnitude, so one
+    /// per-relation baseline would self-flag immediately.
     pub fn drift_flags_by<F>(&self, expect: F) -> Vec<DriftFlag>
     where
         F: Fn(&str, &str) -> Option<Expectation>,
@@ -763,7 +755,7 @@ mod tests {
         ok(&j, 3, "T", "oo", 12, 3); // model expects 10 rows → fine
         let mut store = FeedbackStore::new();
         store.fold(&j.snapshot());
-        let flags = store.drift_flags(|_| {
+        let flags = store.drift_flags_by(|_, _| {
             Some(Expectation { rows_per_call: 10.0, latency_ms: 0.0 })
         });
         assert_eq!(flags.len(), 1, "{flags:?}");
@@ -775,7 +767,7 @@ mod tests {
         ok(&slow, 0, "L", "o", 10, 200);
         let mut store = FeedbackStore::new();
         store.fold(&slow.snapshot());
-        let flags = store.drift_flags(|_| {
+        let flags = store.drift_flags_by(|_, _| {
             Some(Expectation { rows_per_call: 10.0, latency_ms: 5.0 })
         });
         assert_eq!(flags.len(), 1, "{flags:?}");
@@ -917,10 +909,11 @@ mod tests {
 
         // Drift flags depend only on the counting stats, so any fold order
         // (and the combined fold) agrees.
-        let expect = |_: &str| Some(Expectation { rows_per_call: 10.0, latency_ms: 0.0 });
-        assert_eq!(abc.drift_flags(expect), one.drift_flags(expect));
-        assert_eq!(cba.drift_flags(expect), one.drift_flags(expect));
-        assert!(!abc.drift_flags(expect).is_empty(), "B^oo at 500 rows/call flags");
+        let expect =
+            |_: &str, _: &str| Some(Expectation { rows_per_call: 10.0, latency_ms: 0.0 });
+        assert_eq!(abc.drift_flags_by(expect), one.drift_flags_by(expect));
+        assert_eq!(cba.drift_flags_by(expect), one.drift_flags_by(expect));
+        assert!(!abc.drift_flags_by(expect).is_empty(), "B^oo at 500 rows/call flags");
 
         // EWMA health is order-*dependent* by design — the latest fold
         // weighs HEALTH_ALPHA. S^o faulted in journal A and succeeded in
@@ -939,7 +932,7 @@ mod tests {
         let mut store = FeedbackStore::new();
         store.fold(&j.snapshot());
         // A per-relation baseline cannot describe both patterns at once...
-        let flat = store.drift_flags(|_| {
+        let flat = store.drift_flags_by(|_, _| {
             Some(Expectation { rows_per_call: 500.0, latency_ms: 0.0 })
         });
         assert_eq!(flat.len(), 1, "{flat:?}");

@@ -2,13 +2,14 @@
 //!
 //! The static [`CostModel`] guesses extents; the journal records what the
 //! sources actually did. [`CostModel::calibrated`] turns a folded
-//! [`FeedbackStore`] into a re-costed model; [`recalibrate_prepared`]
-//! closes the loop for a long-lived [`PreparedQuery`]: re-order its plan
-//! bodies under the calibrated model and swap the plans (and the physical
-//! trees lowered from them) in place so the *next* execution runs the new
-//! plan. The estimates behind the choice are not stored on the plan:
-//! [`op_costs`](crate::op_costs) computes them, static `est` and
-//! calibrated `cal`, wherever they are printed.
+//! [`FeedbackStore`](lap_obs::FeedbackStore) into a re-costed model;
+//! [`recalibrate_prepared`] closes the loop for a long-lived
+//! [`PreparedQuery`]: re-order its plan bodies under the calibrated model
+//! and swap the plans (and the physical trees lowered from them) in place
+//! so the *next* execution runs the new plan. The estimates behind the
+//! choice are not stored on the plan: [`op_costs`](crate::op_costs)
+//! computes them, static `est` and calibrated `cal`, wherever they are
+//! printed.
 //!
 //! Re-ordering the same bodies is answer-preserving — every order of one
 //! executable body computes the same relation — so a calibrated plan may
@@ -19,12 +20,11 @@
 use crate::cost::CostModel;
 use crate::order::{optimize_plan_pair, Strategy};
 use lap_core::{PlanCache, PreparedProgram, PreparedQuery};
-use lap_obs::FeedbackStore;
 
-/// Re-plans `prepared` under `static_model` calibrated with `feedback`:
-/// the plan bodies are re-ordered by exhaustive search under the
-/// calibrated model and re-lowered. Returns `true` when the calibrated
-/// ordering differs from the compiled one (the next
+/// Re-plans `prepared` under `calibrated`, a model the caller built once
+/// with [`CostModel::calibrated`]: the plan bodies are re-ordered by
+/// exhaustive search under it and re-lowered. Returns `true` when the
+/// calibrated ordering differs from the compiled one (the next
 /// [`PreparedQuery::execute`] runs a different plan).
 ///
 /// **Ownership invariant:** this mutates `prepared` in place, so it is
@@ -35,14 +35,9 @@ use lap_obs::FeedbackStore;
 /// For entries shared through a [`PlanCache`] use
 /// [`recalibrate_published`], which builds the recalibrated entry aside
 /// and swaps the cache slot atomically instead.
-pub fn recalibrate_prepared(
-    prepared: &mut PreparedQuery,
-    static_model: &CostModel,
-    feedback: &FeedbackStore,
-) -> bool {
-    let calibrated = static_model.calibrated(feedback);
+pub fn recalibrate_prepared(prepared: &mut PreparedQuery, calibrated: &CostModel) -> bool {
     let optimized =
-        optimize_plan_pair(prepared.plans(), prepared.schema(), &calibrated, Strategy::Exhaustive);
+        optimize_plan_pair(prepared.plans(), prepared.schema(), calibrated, Strategy::Exhaustive);
     let changed = optimized != *prepared.plans();
     prepared.replace_plans(optimized);
     changed
@@ -60,12 +55,12 @@ pub fn recalibrate_prepared(
 /// already holding the old `Arc` finish on internally-consistent plans.
 /// Returns `true` when a recalibrated entry was published, `false` when
 /// the key is absent or calibration left every ordering unchanged (in
-/// which case the cache is untouched).
+/// which case the cache is untouched). `calibrated` is built once by the
+/// caller, so a sweep over many entries shares one model.
 pub fn recalibrate_published(
     cache: &PlanCache<PreparedProgram>,
     key: &str,
-    static_model: &CostModel,
-    feedback: &FeedbackStore,
+    calibrated: &CostModel,
 ) -> bool {
     let Some(current) = cache.peek(key) else {
         return false;
@@ -74,7 +69,7 @@ pub fn recalibrate_published(
     let mut queries: Vec<PreparedQuery> = current.queries().to_vec();
     let mut changed = false;
     for q in &mut queries {
-        changed |= recalibrate_prepared(q, static_model, feedback);
+        changed |= recalibrate_prepared(q, calibrated);
     }
     if !changed {
         return false;
@@ -91,7 +86,7 @@ mod tests {
     use lap_core::CompileOptions;
     use lap_engine::{Database, PhysOp, SourceRegistry};
     use lap_ir::parse_program;
-    use lap_obs::Recorder;
+    use lap_obs::{FeedbackStore, Recorder};
 
     /// A schema where the static model (uniform extents) seeds the plan
     /// with the free-scan A and hammers D^io once per A row, while the
@@ -136,7 +131,8 @@ mod tests {
         let static_model = CostModel::new();
         let feedback = record_feedback(&prepared, &db);
 
-        let changed = recalibrate_prepared(&mut prepared, &static_model, &feedback);
+        let calibrated = static_model.calibrated(&feedback);
+        let changed = recalibrate_prepared(&mut prepared, &calibrated);
         assert!(changed, "calibrated extents must flip the join order");
         // The calibrated plan leads with the D^oo scan (8 rows observed)
         // instead of the 40-row A scan, and its trees are lowered from it.
@@ -145,7 +141,6 @@ mod tests {
         assert_eq!(op.relation.as_str(), "D", "{:?}", prepared.physical().under.parts[0]);
         assert_eq!(*prepared.physical(), lap_core::lower_pair(prepared.plans(), prepared.schema()));
         // Dual estimates: every operator has an est and a cal entry.
-        let calibrated = static_model.calibrated(&feedback);
         let under = &prepared.physical().under;
         let shown = crate::op_table(under, &static_model, Some(&calibrated), None);
         assert!(shown.contains("est calls  est tuples  cal calls  cal tuples"), "{shown}");
@@ -173,7 +168,7 @@ mod tests {
 
         let (prepared, db) = scenario();
         let feedback = record_feedback(&prepared, &db);
-        let static_model = CostModel::new();
+        let calibrated = CostModel::new().calibrated(&feedback);
 
         let cache: PlanCache<PreparedProgram> = PlanCache::new(lap_core::DEFAULT_CACHE_BYTES);
         let key = canonical_text(PROGRAM);
@@ -185,7 +180,7 @@ mod tests {
         let held = cache.get(&key).unwrap();
         let before_plans = held.queries()[0].plans().clone();
 
-        let published = recalibrate_published(&cache, &key, &static_model, &feedback);
+        let published = recalibrate_published(&cache, &key, &calibrated);
         assert!(published, "calibrated extents must flip the ordering and publish");
 
         // The held handle still sees the *old*, internally-consistent entry —
@@ -214,8 +209,8 @@ mod tests {
 
         // Re-running with the same feedback is a no-op — the published
         // entry is already calibrated — and an absent key never publishes.
-        assert!(!recalibrate_published(&cache, &key, &static_model, &feedback));
-        assert!(!recalibrate_published(&cache, "no-such-key", &static_model, &feedback));
+        assert!(!recalibrate_published(&cache, &key, &calibrated));
+        assert!(!recalibrate_published(&cache, "no-such-key", &calibrated));
         assert_eq!(cache.stats().publishes, 1);
     }
 
@@ -251,6 +246,6 @@ mod tests {
         // The recorded journal feeds the recalibration that fixes the plan.
         let mut feedback = FeedbackStore::new();
         feedback.fold(&rec.journal().unwrap().snapshot());
-        assert!(recalibrate_prepared(&mut prepared, &static_model, &feedback));
+        assert!(recalibrate_prepared(&mut prepared, &static_model.calibrated(&feedback)));
     }
 }

@@ -113,7 +113,7 @@ pub fn op_table(
             header.extend(["cal calls", "cal tuples"]);
         }
         if ran.is_some() {
-            header.extend(["invoked", "batches", "calls", "rows", "out", "fill%", "dict%"]);
+            header.extend(["invoked", "batches", "calls", "rows", "out", "fill%"]);
         }
         let mut rows = vec![header.into_iter().map(str::to_owned).collect::<Vec<_>>()];
         for (i, op) in plan.ops.iter().enumerate() {
@@ -134,7 +134,6 @@ pub fn op_table(
                     p.source_rows.to_string(),
                     p.rows_out.to_string(),
                     format!("{:.0}", p.fill_rate() * 100.0),
-                    p.dict_hit_rate().map_or("-".to_owned(), |r| format!("{:.0}", r * 100.0)),
                 ]);
                 let blown = |c: &PlanCost| p.rows_out as f64 >= BLOWN_FACTOR * c.tuples.max(1.0);
                 if est.get(i).is_some_and(blown) {

@@ -30,6 +30,9 @@ cargo build --release
 echo "==> lapbench (out-of-workspace benchmark): builds and tests against the public API"
 cargo test -q --offline --manifest-path lapbench/Cargo.toml
 
+echo "==> cargo clippy -D warnings (lapbench, which the workspace clippy below does not reach)"
+cargo clippy -q --offline --manifest-path lapbench/Cargo.toml --all-targets -- -D warnings
+
 echo "==> cargo test (tier-1: every workspace crate, the contract table included)"
 cargo test -q
 

@@ -495,7 +495,9 @@ impl Service {
         let cooldown = Duration::from_millis(self.config.recalibrate_cooldown_ms);
         let calibrated = self.static_model.calibrated(&store);
         let models = (&self.static_model, &calibrated);
-        for entry in self.cache.entries_detail() {
+        let entries = self.cache.entries_detail();
+        self.telemetry.retain_cooldowns(entries.iter().map(|entry| entry.key.as_str()));
+        for entry in entries {
             let Some(prog) = self.cache.peek(&entry.key) else { continue };
             let touched = prog.relations();
             if !force && touched.is_disjoint(&affected) {
@@ -506,8 +508,7 @@ impl Service {
             }
             summary.checked += 1;
             let before = root_costs(&prog, models);
-            let published =
-                recalibrate_published(&self.cache, &entry.key, &self.static_model, &store);
+            let published = recalibrate_published(&self.cache, &entry.key, &calibrated);
             if !published {
                 continue;
             }

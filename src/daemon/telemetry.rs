@@ -31,7 +31,7 @@
 //! reality is now the expectation, and the same drift cannot re-trigger.
 
 use lap_obs::{Counter, DriftFlag, Expectation, FeedbackStore, FoldCursor, Journal, Recorder};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -51,7 +51,8 @@ pub(crate) struct TelemetryHub {
     fold_lock: Mutex<()>,
     /// First-observation expectations per `(relation, pattern)`.
     baselines: Mutex<BTreeMap<(String, String), Expectation>>,
-    /// Last recalibration attempt per cache key, for the cooldown.
+    /// Last recalibration attempt per cache key, for the cooldown. A
+    /// sweep drops the stamps of keys the plan cache no longer holds.
     cooldowns: Mutex<HashMap<String, Instant>>,
     /// Completed folds (each with at least one new event).
     folds: Counter,
@@ -151,6 +152,14 @@ impl TelemetryHub {
         true
     }
 
+    /// Drops the cooldown stamps of every key not in `live` (the keys the
+    /// plan cache still holds), so an evicted entry leaves no stamp.
+    pub(crate) fn retain_cooldowns<'k>(&self, live: impl IntoIterator<Item = &'k str>) {
+        let live: HashSet<&str> = live.into_iter().collect();
+        let mut map = self.cooldowns.lock().expect("telemetry cooldowns");
+        map.retain(|key, _| live.contains(key.as_str()));
+    }
+
     pub(crate) fn note_sweep(&self) {
         self.sweeps.incr();
     }
@@ -199,5 +208,26 @@ fn expectation_of(p: &lap_obs::SourceProfile) -> Expectation {
     Expectation {
         rows_per_call: p.rows_per_call(),
         latency_ms: p.latency.mean(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_sweep_keeps_only_the_cooldowns_of_cached_keys() {
+        let hub = TelemetryHub::new(&Recorder::disabled());
+        let cooldown = Duration::from_secs(3600);
+        for key in ["a", "b", "c"] {
+            assert!(hub.cooldown_check(key, cooldown, false));
+        }
+        hub.retain_cooldowns(["b"]);
+        let stamped: Vec<String> =
+            hub.cooldowns.lock().unwrap().keys().cloned().collect();
+        assert_eq!(stamped, ["b"]);
+        // The surviving stamp still gates; an evicted key starts afresh.
+        assert!(!hub.cooldown_check("b", cooldown, false));
+        assert!(hub.cooldown_check("a", cooldown, false));
     }
 }

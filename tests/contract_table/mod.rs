@@ -895,12 +895,12 @@ fn check_cli_profile(lab: &mut Lab, row: &Row, files: &RowFiles, text: &str, rep
     let expected = format!("Qu operators:\n{under}\nQo operators:\n{over}\n");
     assert_eq!(tables, expected, "{row:?}: lapq profile's tables differ from the library run");
     if !run.outcome.degradation.is_degraded() {
-        // …, invoked, batches, calls, rows, out, fill%, dict%, then a
+        // …, invoked, batches, calls, rows, out, fill%, then a
         // blown-estimate mark on some rows.
         let (mut calls, mut probes) = (0, 0);
         let unmarked = tables.lines().map(|line| line.split(" ←").next().unwrap());
         for cells in unmarked.map(|line| line.split_whitespace().collect::<Vec<_>>()) {
-            let count = || cells[cells.len() - 5].parse::<u64>().unwrap();
+            let count = || cells[cells.len() - 4].parse::<u64>().unwrap();
             match cells.first() {
                 Some(&"Access" | &"BindJoin") => calls += count(),
                 Some(&"NegFilter") => probes += count(),
@@ -987,14 +987,13 @@ fn answers(text: &str) -> Vec<&str> {
 }
 
 /// An outcome as the row executor reports it: every operator counter but
-/// the selection-vector and dictionary ones, which only the columnar
-/// executor fills.
+/// the selection-vector one, which only the columnar executor fills.
 fn row_counters(outcome: &AnswerOutcome) -> AnswerOutcome {
     let mut outcome = outcome.clone();
     let profile = &mut outcome.profile;
     for part in profile.under.parts.iter_mut().chain(&mut profile.over.parts) {
         for op in &mut part.ops {
-            (op.rows_dead, op.dict_hits, op.dict_misses) = (0, 0, 0);
+            op.rows_dead = 0;
         }
     }
     outcome
